@@ -42,29 +42,59 @@ func goldenQueries(t *testing.T, set QuerySet) []Query {
 	return qs[:200]
 }
 
+// goldenKindQueries derives the kNN and trajectory goldens' queries from
+// the pinned window sets: the 10 nearest neighbours of each snapshot
+// query's corner at its instant, and each small range query asked as a
+// trajectory query.
+func goldenKindQueries(t *testing.T, kind QueryKind) []Query {
+	t.Helper()
+	if kind == KindKNN {
+		qs := goldenQueries(t, QuerySnapshotMixed)
+		for i, q := range qs {
+			qs[i] = KNNQuery(q.Rect.MinX, q.Rect.MinY, q.Interval.Start, 10)
+		}
+		return qs
+	}
+	qs := goldenQueries(t, QueryRangeSmall)
+	for i, q := range qs {
+		qs[i] = TrajectoryQuery(q.Rect, q.Interval)
+	}
+	return qs
+}
+
 // TestWorkloadGoldenIO pins the exact AvgIO of the measurement pipeline on
 // a fixed dataset. These values are a deterministic function of the tree
 // layouts and the 10-page LRU policy; the decoded-node cache and the
 // iterative traversals must not move them by even one disk access — any
-// drift here means the paper's metric changed.
+// drift here means the paper's metric changed. The kNN rows also pin the
+// best-first queue's pop order among equal-distance frames, which decides
+// which pages a cut-off search reads.
 func TestWorkloadGoldenIO(t *testing.T) {
 	ppr, rst, hr := goldenWorkload(t)
+	queries := map[string][]Query{
+		"snapshot-mixed": goldenQueries(t, QuerySnapshotMixed),
+		"range-small":    goldenQueries(t, QueryRangeSmall),
+		"knn":            goldenKindQueries(t, KindKNN),
+		"trajectory":     goldenKindQueries(t, KindTrajectory),
+	}
 	golden := []struct {
-		set       QuerySet
+		set       string
 		idx       Index
 		avgIO     float64
 		avgResult float64
 	}{
-		{QuerySnapshotMixed, ppr, 3.445, 14.87},
-		{QuerySnapshotMixed, rst, 10.44, 14.87},
-		{QuerySnapshotMixed, hr, 2.855, 14.87},
-		{QueryRangeSmall, ppr, 3.975, 15.425},
-		{QueryRangeSmall, rst, 10.205, 15.425},
-		{QueryRangeSmall, hr, 14.43, 15.425},
-	}
-	queries := map[QuerySet][]Query{
-		QuerySnapshotMixed: goldenQueries(t, QuerySnapshotMixed),
-		QueryRangeSmall:    goldenQueries(t, QueryRangeSmall),
+		{"snapshot-mixed", ppr, 3.445, 14.87},
+		{"snapshot-mixed", rst, 10.44, 14.87},
+		{"snapshot-mixed", hr, 2.855, 14.87},
+		{"range-small", ppr, 3.975, 15.425},
+		{"range-small", rst, 10.205, 15.425},
+		{"range-small", hr, 14.43, 15.425},
+		{"knn", ppr, 3.515, 9.965},
+		{"knn", rst, 10.78, 9.965},
+		{"knn", hr, 2.92, 9.965},
+		{"trajectory", ppr, 3.975, 15.425},
+		{"trajectory", rst, 10.205, 15.425},
+		{"trajectory", hr, 14.43, 15.425},
 	}
 	for _, g := range golden {
 		res, err := MeasureWorkload(g.idx, queries[g.set])
