@@ -129,14 +129,8 @@ func GenerateQueries(set QuerySet, horizon, seed int64) ([]Query, error) {
 // (distance, id) order; use RunQueryResult to also get distances or
 // per-object piece counts.
 func RunQuery(idx Index, q Query) ([]int64, error) {
-	if q.Kind != KindWindow {
-		res, err := RunQueryResult(idx, q)
-		return res.IDs, err
-	}
-	if q.IsSnapshot() {
-		return idx.Snapshot(q.Rect, q.Interval.Start)
-	}
-	return idx.Range(q.Rect, q.Interval)
+	res, err := RunQueryResult(idx, q)
+	return res.IDs, err
 }
 
 // WorkloadResult aggregates a query workload's cost.

@@ -116,7 +116,7 @@ func Describe(idx Index) (IndexDescription, error) {
 		d.RootSpans = x.Tree().NumVersions()
 		return d, nil
 	case *RefinedIndex:
-		return Describe(x.idx)
+		return Describe(x.inner)
 	case *SyncIndex:
 		x.mu.Lock()
 		defer x.mu.Unlock()

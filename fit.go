@@ -52,22 +52,27 @@ func Refined(idx Index, objs []*Object) *RefinedIndex {
 	for _, o := range objs {
 		byID[o.ID()] = o
 	}
-	return &RefinedIndex{idx: idx, objs: byID}
+	return &RefinedIndex{inner: idx, objs: byID}
 }
 
 // RefinedIndex answers queries with exact object geometry. It implements
-// Index; IOStats reflect only the underlying index's disk accesses (the
-// refinement step is a CPU-side post-filter).
+// Index; the statistics are the wrapped index's own — IOStats reflect
+// only its disk accesses (the refinement step is a CPU-side post-filter)
+// — and so is Nearest: the answer ranks MBR min-distances (the notion
+// Neighbor.Dist2 documents), which refinement against exact per-instant
+// geometry would redefine rather than filter.
 type RefinedIndex struct {
-	idx  Index
-	objs map[int64]*Object
+	inner // the wrapped index; embedded unexported
+	objs  map[int64]*Object
 }
+
+type inner = Index
 
 // Snapshot implements Index: candidates whose actual rectangle at t
 // intersects r.
 func (x *RefinedIndex) Snapshot(r Rect, t int64) ([]int64, error) {
 	return x.refine(r, Interval{Start: t, End: t + 1}, func() ([]int64, error) {
-		return x.idx.Snapshot(r, t)
+		return x.inner.Snapshot(r, t)
 	})
 }
 
@@ -75,7 +80,7 @@ func (x *RefinedIndex) Snapshot(r Rect, t int64) ([]int64, error) {
 // at some instant of iv.
 func (x *RefinedIndex) Range(r Rect, iv Interval) ([]int64, error) {
 	return x.refine(r, iv, func() ([]int64, error) {
-		return x.idx.Range(r, iv)
+		return x.inner.Range(r, iv)
 	})
 }
 
@@ -108,20 +113,12 @@ func (x *RefinedIndex) refine(r Rect, iv Interval, candidates func() ([]int64, e
 	return out, nil
 }
 
-// Nearest implements Index by delegating to the underlying index: the
-// answer ranks MBR min-distances (the notion Neighbor.Dist2 documents),
-// which refinement against exact per-instant geometry would redefine
-// rather than filter — so kNN passes through unrefined.
-func (x *RefinedIndex) Nearest(px, py float64, t int64, k int) ([]Neighbor, error) {
-	return x.idx.Nearest(px, py, t, k)
-}
-
 // Trajectory implements Index: candidate hits from the underlying index,
 // dropped when the object's exact geometry never intersects r during iv.
 // Pieces counts stay at the MBR level (they describe index records, not
 // exact geometry).
 func (x *RefinedIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	hits, err := x.idx.Trajectory(r, iv)
+	hits, err := x.inner.Trajectory(r, iv)
 	if err != nil {
 		return nil, err
 	}
@@ -146,22 +143,7 @@ func (x *RefinedIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) 
 	return out, nil
 }
 
-// ResetBuffer implements Index.
-func (x *RefinedIndex) ResetBuffer() { x.idx.ResetBuffer() }
-
-// IOStats implements Index.
-func (x *RefinedIndex) IOStats() IOStats { return x.idx.IOStats() }
-
-// Pages implements Index.
-func (x *RefinedIndex) Pages() int { return x.idx.Pages() }
-
-// Bytes implements Index.
-func (x *RefinedIndex) Bytes() int64 { return x.idx.Bytes() }
-
-// Records implements Index.
-func (x *RefinedIndex) Records() int { return x.idx.Records() }
-
 // Kind implements Index.
-func (x *RefinedIndex) Kind() string { return x.idx.Kind() + "+refine" }
+func (x *RefinedIndex) Kind() string { return x.inner.Kind() + "+refine" }
 
 var _ Index = (*RefinedIndex)(nil)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"stindex/internal/geom"
 	"stindex/internal/hrtree"
 	"stindex/internal/pprtree"
 )
@@ -29,9 +28,15 @@ type HROptions struct {
 // for interval queries; BuildHR exists so those costs can be measured
 // against the PPR-tree (`stbench -exp overlap`).
 type HRIndex struct {
-	tree   *hrtree.Tree
-	owners []int64
-	closer fileHandle // see PPRIndex.closer
+	treeIndex[recordOwners]
+	tree *hrtree.Tree
+}
+
+func newHRIndex(tree *hrtree.Tree, owners []int64) *HRIndex {
+	return &HRIndex{
+		treeIndex: treeIndex[recordOwners]{search: tree, owners: owners, kind: "hr"},
+		tree:      tree,
+	}
 }
 
 // BuildHR indexes the records with an overlapping R-tree, replaying their
@@ -56,7 +61,7 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HRIndex{tree: tree, owners: owners}, nil
+	return newHRIndex(tree, owners), nil
 }
 
 // buildHRFromRecords replays records in chronological order (deletions
@@ -110,133 +115,11 @@ func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.
 	return tree, nil
 }
 
-// Snapshot implements Index.
-func (x *HRIndex) Snapshot(r Rect, t int64) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := x.tree.SnapshotSearch(r.internal(), t, func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "hr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// Range implements Index.
-func (x *HRIndex) Range(r Rect, iv Interval) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := x.tree.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "hr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// Nearest implements Index: branch-and-bound best-first search over the
-// tree version at t (see hrtree.NearestSearch).
-func (x *HRIndex) Nearest(px, py float64, t int64, k int) ([]Neighbor, error) {
-	if err := ValidateKNN(px, py, k); err != nil {
-		return nil, err
-	}
-	col := knnCollector{k: k}
-	var cbErr error
-	err := x.tree.NearestSearch(px, py, t, func(d2 float64, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "hr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		return col.add(d2, id)
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return col.nb, nil
-}
-
-// Trajectory implements Index: the interval search reports each record
-// once across version copies, so counting refs per owner yields the
-// multi-entry trajectory answer.
-func (x *HRIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	counts := make(map[int64]int)
-	var cbErr error
-	err := x.tree.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "hr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		counts[id]++
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return trajectoryHits(counts), nil
-}
-
-// ResetBuffer implements Index.
-func (x *HRIndex) ResetBuffer() { x.tree.Buffer().Reset() }
-
-// IOStats implements Index.
-func (x *HRIndex) IOStats() IOStats {
-	s := x.tree.Buffer().Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes, Hits: s.Hits}
-}
-
-// Pages implements Index.
-func (x *HRIndex) Pages() int { return x.tree.Store().NumPages() }
-
-// Bytes implements Index.
-func (x *HRIndex) Bytes() int64 { return x.tree.Store().Bytes() }
-
-// Records implements Index.
-func (x *HRIndex) Records() int { return len(x.owners) }
-
-// Kind implements Index.
-func (x *HRIndex) Kind() string { return "hr" }
-
-// Close releases the container file of a lazily opened index; see
-// (*PPRIndex).Close. Idempotent, safe for concurrent callers.
-func (x *HRIndex) Close() error { return x.closer.close() }
-
 // Tree exposes the underlying overlapping R-tree.
 func (x *HRIndex) Tree() *hrtree.Tree { return x.tree }
 
 // QueryView implements QueryViewer: a read-only view with its own buffer
 // pool over the shared page file, for concurrent query measurement.
-func (x *HRIndex) QueryView() Index {
-	return &HRIndex{tree: x.tree.QueryView(), owners: x.owners}
-}
+func (x *HRIndex) QueryView() Index { return newHRIndex(x.tree.QueryView(), x.owners) }
 
 var _ Index = (*HRIndex)(nil)

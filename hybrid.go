@@ -26,10 +26,10 @@ type HybridOptions struct {
 // The price is the combined storage of both structures; the benefit is
 // uniformly good performance across query durations.
 type HybridIndex struct {
+	fileHandle
 	ppr       *PPRIndex
 	rstar     *RStarIndex
 	threshold int64
-	closer    fileHandle // see PPRIndex.closer
 }
 
 // BuildHybrid indexes the records with both structures.
@@ -103,10 +103,6 @@ func (h *HybridIndex) Records() int { return h.ppr.Records() }
 
 // Kind implements Index.
 func (h *HybridIndex) Kind() string { return "hybrid" }
-
-// Close releases the container file of a lazily opened index; see
-// (*PPRIndex).Close. Idempotent, safe for concurrent callers.
-func (h *HybridIndex) Close() error { return h.closer.close() }
 
 // QueryView implements QueryViewer: views of both components sharing the
 // frozen page files, each with private buffer pools.

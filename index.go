@@ -26,11 +26,9 @@ func readOnlyStore(s pagefile.Store) bool {
 	return ok && ro.ReadOnly()
 }
 
-// fileHandle guards the container file of a lazily opened index. Close is
-// idempotent and safe to call concurrently: the first call closes the
-// file, every later one is a no-op returning nil — so CloseIndex can be
-// called from deferred cleanup paths and serving-layer refcount drains
-// without coordinating who closes last.
+// fileHandle guards the container file of a lazily opened index; it is
+// empty for built indexes and query views. Every index kind embeds one,
+// which is what gives it Close.
 type fileHandle struct {
 	mu sync.Mutex
 	c  io.Closer
@@ -42,7 +40,15 @@ func (h *fileHandle) set(c io.Closer) {
 	h.mu.Unlock()
 }
 
-func (h *fileHandle) close() error {
+// Close releases the container file of a lazily opened index. Built
+// indexes and query views hold no file, so Close is a no-op for them.
+// Close is idempotent and safe to call concurrently — the first call
+// closes the file, every later one returns nil — so CloseIndex can be
+// called from deferred cleanup paths and serving-layer refcount drains
+// without coordinating who closes last. Close only the parent handle,
+// never while views are still querying. An index opened from disk is
+// read-only: its mutating methods fail with ErrReadOnly.
+func (h *fileHandle) Close() error {
 	h.mu.Lock()
 	c := h.c
 	h.c = nil
@@ -109,9 +115,9 @@ type IOStats struct {
 // IO returns total disk accesses.
 func (s IOStats) IO() int64 { return s.Reads + s.Writes }
 
-// Index is a queryable historical spatiotemporal index. Both
-// implementations answer object-level queries (split records are
-// transparently de-duplicated) and account every disk access through a
+// Index is a queryable historical spatiotemporal index. Every
+// implementation answers object-level queries (split records are
+// transparently de-duplicated) and accounts every disk access through a
 // small LRU buffer pool, which ResetBuffer empties — the paper's
 // cold-cache measurement discipline.
 type Index interface {
@@ -138,7 +144,9 @@ type Index interface {
 	Bytes() int64
 	// Records returns the number of MBR records indexed.
 	Records() int
-	// Kind names the index implementation ("ppr" or "rstar").
+	// Kind names the index implementation: "ppr", "rstar", "hr", "hybrid"
+	// or "stream-ppr" for the structures, and a name of their own for the
+	// wrappers ("sharded", "live", the inner kind + "+refine").
 	Kind() string
 }
 
@@ -170,11 +178,15 @@ type PPROptions struct {
 
 // PPRIndex is a partially persistent R-tree over the record set.
 type PPRIndex struct {
-	tree   *pprtree.Tree
-	owners []int64 // record ref -> object id
-	// closer holds the container file of a lazily opened index; empty for
-	// built indexes and query views.
-	closer fileHandle
+	treeIndex[recordOwners]
+	tree *pprtree.Tree
+}
+
+func newPPRIndex(tree *pprtree.Tree, owners []int64) *PPRIndex {
+	return &PPRIndex{
+		treeIndex: treeIndex[recordOwners]{search: tree, owners: owners, kind: "ppr"},
+		tree:      tree,
+	}
 }
 
 // BuildPPR indexes the records with a partially persistent R-tree,
@@ -205,7 +217,7 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PPRIndex{tree: tree, owners: owners}, nil
+	return newPPRIndex(tree, owners), nil
 }
 
 // Append indexes additional records into an existing PPR index. Partial
@@ -235,99 +247,13 @@ func (x *PPRIndex) Append(records []Record) error {
 	return nil
 }
 
-// ownerOf is the bounds-checked owner lookup shared by the query
-// callbacks: a reference beyond the owner table means a corrupt or
-// mismatched image, which must surface as an error, not a panic.
-func ownerOf(owners []int64, ref uint64, kind string) (int64, error) {
-	if ref >= uint64(len(owners)) {
-		return 0, fmt.Errorf("stindex: %s record ref %d beyond owner table of %d entries (corrupt index image?)", kind, ref, len(owners))
-	}
-	return owners[ref], nil
-}
-
-// Snapshot implements Index.
-func (x *PPRIndex) Snapshot(r Rect, t int64) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := x.tree.SnapshotSearch(r.internal(), t, func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "ppr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// Range implements Index.
-func (x *PPRIndex) Range(r Rect, iv Interval) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := x.tree.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "ppr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// ResetBuffer implements Index.
-func (x *PPRIndex) ResetBuffer() { x.tree.Buffer().Reset() }
-
-// IOStats implements Index.
-func (x *PPRIndex) IOStats() IOStats {
-	s := x.tree.Buffer().Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes, Hits: s.Hits}
-}
-
-// Pages implements Index.
-func (x *PPRIndex) Pages() int { return x.tree.Store().NumPages() }
-
-// Bytes implements Index.
-func (x *PPRIndex) Bytes() int64 { return x.tree.Store().Bytes() }
-
-// Records implements Index.
-func (x *PPRIndex) Records() int { return len(x.owners) }
-
-// Kind implements Index.
-func (x *PPRIndex) Kind() string { return "ppr" }
-
-// Close releases the container file of a lazily opened index. Built
-// indexes and query views hold no file, so Close is a no-op for them.
-// Close is idempotent and safe to call concurrently — the first call
-// closes the file, later calls return nil. Close only the parent handle,
-// never while views are still querying.
-func (x *PPRIndex) Close() error { return x.closer.close() }
-
 // Tree exposes the underlying partially persistent R-tree for advanced
 // inspection (validation walks, ephemeral level statistics).
 func (x *PPRIndex) Tree() *pprtree.Tree { return x.tree }
 
 // QueryView implements QueryViewer: a read-only view with its own buffer
 // pool over the shared page file, for concurrent query measurement.
-func (x *PPRIndex) QueryView() Index {
-	return &PPRIndex{tree: x.tree.QueryView(), owners: x.owners}
-}
+func (x *PPRIndex) QueryView() Index { return newPPRIndex(x.tree.QueryView(), x.owners) }
 
 // RStarOptions configures BuildRStar. The zero value reproduces the
 // paper's setup: 50-entry nodes, a 10-page LRU buffer, R* fill factors,
@@ -357,10 +283,37 @@ type RStarOptions struct {
 // RStarIndex is a 3-dimensional R*-tree over the record set, time as the
 // third axis.
 type RStarIndex struct {
-	tree      *rstar.Tree
-	owners    []int64
-	timeScale float64
-	closer    fileHandle // see PPRIndex.closer
+	treeIndex[recordOwners]
+	slab timeSlab
+}
+
+func newRStarIndex(tree *rstar.Tree, owners []int64, timeScale float64) *RStarIndex {
+	slab := timeSlab{Tree: tree, scale: timeScale}
+	return &RStarIndex{
+		treeIndex: treeIndex[recordOwners]{search: slab, owners: owners, kind: "rstar"},
+		slab:      slab,
+	}
+}
+
+// unitTimeScale returns opts.TimeScale, or by default the factor that
+// maps the records' overall horizon onto the unit range.
+func unitTimeScale(records []Record, opts RStarOptions) float64 {
+	if opts.TimeScale != 0 {
+		return opts.TimeScale
+	}
+	lo, hi := records[0].Interval.Start, records[0].Interval.End
+	for _, r := range records {
+		if r.Interval.Start < lo {
+			lo = r.Interval.Start
+		}
+		if r.Interval.End > hi {
+			hi = r.Interval.End
+		}
+	}
+	if span := hi - lo; span > 0 {
+		return 1 / float64(span)
+	}
+	return 1
 }
 
 // BuildRStar indexes the records with a 3D R*-tree.
@@ -368,23 +321,7 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
-	scale := opts.TimeScale
-	if scale == 0 {
-		lo, hi := records[0].Interval.Start, records[0].Interval.End
-		for _, r := range records {
-			if r.Interval.Start < lo {
-				lo = r.Interval.Start
-			}
-			if r.Interval.End > hi {
-				hi = r.Interval.End
-			}
-		}
-		if span := hi - lo; span > 0 {
-			scale = 1 / float64(span)
-		} else {
-			scale = 1
-		}
-	}
+	scale := unitTimeScale(records, opts)
 	tree, err := rstar.New(rstar.Options{
 		MaxEntries:    opts.MaxEntries,
 		MinEntries:    opts.MinEntries,
@@ -406,7 +343,7 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 			return nil, err
 		}
 	}
-	return &RStarIndex{tree: tree, owners: owners, timeScale: scale}, nil
+	return newRStarIndex(tree, owners, scale), nil
 }
 
 // BuildRStarPacked bulk-loads the records into a packed 3D R-tree with
@@ -420,23 +357,7 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 	if len(records) == 0 {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
-	scale := opts.TimeScale
-	if scale == 0 {
-		lo, hi := records[0].Interval.Start, records[0].Interval.End
-		for _, r := range records {
-			if r.Interval.Start < lo {
-				lo = r.Interval.Start
-			}
-			if r.Interval.End > hi {
-				hi = r.Interval.End
-			}
-		}
-		if span := hi - lo; span > 0 {
-			scale = 1 / float64(span)
-		} else {
-			scale = 1
-		}
-	}
+	scale := unitTimeScale(records, opts)
 	items := make([]rstar.Item, len(records))
 	owners := make([]int64, len(records))
 	for i, r := range records {
@@ -458,81 +379,17 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &RStarIndex{tree: tree, owners: owners, timeScale: scale}, nil
+	return newRStarIndex(tree, owners, scale), nil
 }
-
-// queryBox maps a half-open time interval onto the scaled closed time
-// axis. Records store [start*s, end*s]; probing at mid-instant offsets
-// (+0.5 from each side) makes closed-box intersection equivalent to
-// half-open interval overlap for integer timestamps.
-func (x *RStarIndex) queryBox(r Rect, iv Interval) geom.Box3 {
-	return geom.Box3{
-		Min: [3]float64{r.MinX, r.MinY, (float64(iv.Start) + 0.5) * x.timeScale},
-		Max: [3]float64{r.MaxX, r.MaxY, (float64(iv.End) - 0.5) * x.timeScale},
-	}
-}
-
-// Snapshot implements Index.
-func (x *RStarIndex) Snapshot(r Rect, t int64) ([]int64, error) {
-	return x.Range(r, Interval{Start: t, End: t + 1})
-}
-
-// Range implements Index.
-func (x *RStarIndex) Range(r Rect, iv Interval) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := x.tree.Search(x.queryBox(r, iv), func(_ geom.Box3, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "rstar")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// ResetBuffer implements Index.
-func (x *RStarIndex) ResetBuffer() { x.tree.Buffer().Reset() }
-
-// IOStats implements Index.
-func (x *RStarIndex) IOStats() IOStats {
-	s := x.tree.Buffer().Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes, Hits: s.Hits}
-}
-
-// Pages implements Index.
-func (x *RStarIndex) Pages() int { return x.tree.Store().NumPages() }
-
-// Bytes implements Index.
-func (x *RStarIndex) Bytes() int64 { return x.tree.Store().Bytes() }
-
-// Records implements Index.
-func (x *RStarIndex) Records() int { return len(x.owners) }
-
-// Kind implements Index.
-func (x *RStarIndex) Kind() string { return "rstar" }
-
-// Close releases the container file of a lazily opened index; see
-// (*PPRIndex).Close. Idempotent, safe for concurrent callers.
-func (x *RStarIndex) Close() error { return x.closer.close() }
 
 // Tree exposes the underlying R*-tree for advanced inspection.
-func (x *RStarIndex) Tree() *rstar.Tree { return x.tree }
+func (x *RStarIndex) Tree() *rstar.Tree { return x.slab.Tree }
 
 // QueryView implements QueryViewer: a read-only view with its own buffer
 // pool over the shared page file, for concurrent query measurement.
 func (x *RStarIndex) QueryView() Index {
-	return &RStarIndex{tree: x.tree.QueryView(), owners: x.owners, timeScale: x.timeScale}
+	return newRStarIndex(x.slab.QueryView(), x.owners, x.slab.scale)
 }
 
 // TimeScale returns the factor mapping time instants onto the unit range.
-func (x *RStarIndex) TimeScale() float64 { return x.timeScale }
+func (x *RStarIndex) TimeScale() float64 { return x.slab.scale }

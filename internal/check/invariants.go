@@ -61,9 +61,9 @@ func CheckInvariants(x stx.Index) error {
 }
 
 // ownerSweep runs one all-covering range query through the facade, which
-// resolves every reachable record reference against the owner table (the
-// facade's bounds-checked ownerOf / stream OwnerRef paths error on a
-// dangling ref instead of fabricating an owner).
+// resolves every reachable record reference against the owner table (its
+// one owner lookup errors on a dangling ref instead of fabricating an
+// owner).
 func ownerSweep(x stx.Index) error {
 	if _, err := x.Range(sweepRect, sweepInterval); err != nil {
 		return fmt.Errorf("check: owner sweep: %w", err)

@@ -21,11 +21,49 @@ func BenchmarkSnapshotSearchHR(b *testing.B) {
 	recs := randHRecordsBench(rng, 3000, 300)
 	tree := buildHRBench(b, recs)
 	tree.Buffer().Reset()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x, y := rng.Float64()*0.8, rng.Float64()*0.8
 		q := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1}
 		if _, err := tree.CountSnapshot(q, rng.Int63n(300)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkIntervalSearchHR(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	recs := randHRecordsBench(rng, 3000, 300)
+	tree := buildHRBench(b, recs)
+	tree.Buffer().Reset()
+	count := func(geom.Rect, uint64) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, y := rng.Float64()*0.8, rng.Float64()*0.8
+		q := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.1, MaxY: y + 0.1}
+		start := rng.Int63n(280)
+		if err := tree.IntervalSearch(q, geom.Interval{Start: start, End: start + 20}, count); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNearestSearchHR is a 10-nearest-neighbour cut-off search: the
+// callback stops the best-first walk at the tenth emitted record.
+func BenchmarkNearestSearchHR(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	recs := randHRecordsBench(rng, 3000, 300)
+	tree := buildHRBench(b, recs)
+	tree.Buffer().Reset()
+	left := 0
+	stopAtTen := func(float64, uint64) bool { left--; return left > 0 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		left = 10
+		if err := tree.NearestSearch(rng.Float64(), rng.Float64(), rng.Int63n(300), stopAtTen); err != nil {
 			b.Fatal(err)
 		}
 	}

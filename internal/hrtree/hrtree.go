@@ -19,6 +19,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/treewalk"
 )
 
 // hentry is one slot of a node: a rectangle plus a child page (directory)
@@ -167,12 +168,7 @@ type Tree struct {
 	// other pages are shared history and must be copied before changing.
 	fresh  map[pagefile.PageID]bool
 	encBuf []byte
-	// Pooled query scratch (see the pprtree equivalents): taken at the
-	// start of a search, restored afterwards.
-	stack   []pagefile.PageID
-	seen    map[uint64]bool
-	visited map[pagefile.PageID]bool
-	knn     []knnFrame
+	walk   treewalk.Scratch // pooled query scratch
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -250,10 +246,7 @@ func (t *Tree) QueryView() *Tree {
 	cp := *t
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
-	cp.stack = nil
-	cp.seen = nil
-	cp.visited = nil
-	cp.knn = nil
+	cp.walk = treewalk.Scratch{}
 	return &cp
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/treewalk"
 )
 
 // versionAt returns the version covering time q, or nil.
@@ -25,61 +26,18 @@ func (t *Tree) versionAt(q int64) *version {
 	return nil
 }
 
-// takeStack borrows the pooled traversal stack; pair with putStack.
-func (t *Tree) takeStack() []pagefile.PageID {
-	s := t.stack
-	t.stack = nil
-	return s[:0]
-}
-
-func (t *Tree) putStack(s []pagefile.PageID) { t.stack = s[:0] }
-
 // SnapshotSearch reports every record of the tree version at time at
 // whose rectangle intersects query.
-//
-// The traversal is iterative over a pooled stack and visits pages in
-// exactly the order the natural recursion would, so the LRU hit/miss
-// sequence — and with it every I/O count — is unchanged.
 func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect, ref uint64) bool) error {
 	v := t.versionAt(at)
 	if v == nil {
 		return nil
 	}
-	stack := t.takeStack()
-	defer func() { t.putStack(stack) }()
-
-	stack = append(stack, v.page)
-	// One version of the HR-tree is a strict tree (sharing happens only
-	// across versions): more visits than existing pages proves a reference
-	// cycle in a corrupt structure — fail instead of looping forever.
-	visits, maxVisits := 0, t.file.NumPages()
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visits++; visits > maxVisits {
-			return fmt.Errorf("hrtree: snapshot traversal visited more pages than exist (%d): reference cycle in corrupt structure", maxVisits)
-		}
-		n, err := t.readShared(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			for i := range n.entries {
-				e := &n.entries[i]
-				if e.rect.Intersects(query) && !fn(e.rect, e.ref) {
-					return nil
-				}
-			}
-			continue
-		}
-		for i := len(n.entries) - 1; i >= 0; i-- {
-			e := &n.entries[i]
-			if e.rect.Intersects(query) {
-				stack = append(stack, pagefile.PageID(e.ref))
-			}
-		}
-	}
-	return nil
+	// One version is a strict tree: sharing happens only across versions.
+	roots := append(t.walk.Roots(), uint64(v.page))
+	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		return t.expand(id, stack, query, fn)
+	})
 }
 
 // IntervalSearch reports every record alive at some instant of iv whose
@@ -90,66 +48,73 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 	if !iv.ValidInterval() {
 		return nil
 	}
-	seen := t.seen
-	t.seen = nil
-	if seen == nil {
-		seen = make(map[uint64]bool)
-	} else {
-		clear(seen)
+	seen := t.walk.Seen()
+	defer t.walk.PutSeen(seen)
+	once := func(rect geom.Rect, ref uint64) bool {
+		if seen[ref] {
+			return true
+		}
+		seen[ref] = true
+		return fn(rect, ref)
 	}
-	visited := t.visited
-	t.visited = nil
-	if visited == nil {
-		visited = make(map[pagefile.PageID]bool)
-	} else {
-		clear(visited)
-	}
-	stack := t.takeStack()
-	defer func() {
-		t.seen = seen
-		t.visited = visited
-		t.putStack(stack)
-	}()
-
-	for i := range t.versions {
+	roots := t.walk.Roots()
+	for i := len(t.versions) - 1; i >= 0; i-- {
 		v := &t.versions[i]
-		if !(geom.Interval{Start: v.start, End: v.end}).Overlaps(iv) {
-			continue
-		}
-		stack = append(stack[:0], v.page)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if visited[id] {
-				continue
-			}
-			visited[id] = true
-			n, err := t.readShared(id)
-			if err != nil {
-				return err
-			}
-			if n.leaf {
-				for j := range n.entries {
-					e := &n.entries[j]
-					if !e.rect.Intersects(query) || seen[e.ref] {
-						continue
-					}
-					seen[e.ref] = true
-					if !fn(e.rect, e.ref) {
-						return nil
-					}
-				}
-				continue
-			}
-			for j := len(n.entries) - 1; j >= 0; j-- {
-				e := &n.entries[j]
-				if e.rect.Intersects(query) {
-					stack = append(stack, pagefile.PageID(e.ref))
-				}
-			}
+		if (geom.Interval{Start: v.start, End: v.end}).Overlaps(iv) {
+			roots = append(roots, uint64(v.page))
 		}
 	}
-	return nil
+	return t.walk.DFS(roots, t.file.NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		return t.expand(id, stack, query, once)
+	})
+}
+
+// expand is the depth-first step of both searches: an HR-tree entry
+// carries no time fields (the version root is the time predicate), so
+// only the rectangle is tested.
+func (t *Tree) expand(id pagefile.PageID, stack []uint64, query geom.Rect, fn func(rect geom.Rect, ref uint64) bool) ([]uint64, bool, error) {
+	n, err := t.readShared(id)
+	if err != nil {
+		return stack, false, err
+	}
+	if n.leaf {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if e.rect.Intersects(query) && !fn(e.rect, e.ref) {
+				return stack, false, nil
+			}
+		}
+		return stack, true, nil
+	}
+	for i := len(n.entries) - 1; i >= 0; i-- {
+		e := &n.entries[i]
+		if e.rect.Intersects(query) {
+			stack = append(stack, e.ref)
+		}
+	}
+	return stack, true, nil
+}
+
+// NearestSearch emits every record of the tree version at time `at` in
+// ascending order of squared min-distance between its rectangle and the
+// point (x, y), stopping when fn returns false: best-first search over
+// the version's strict tree (see treewalk.BestFirst).
+func (t *Tree) NearestSearch(x, y float64, at int64, fn func(dist2 float64, ref uint64) bool) error {
+	v := t.versionAt(at)
+	if v == nil {
+		return nil
+	}
+	return t.walk.BestFirst(v.page, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.readShared(id)
+		if err != nil {
+			return queue, err
+		}
+		for i := range n.entries {
+			e := &n.entries[i]
+			queue = append(queue, treewalk.Frame{Dist: e.rect.MinDist2(x, y), Ref: e.ref, Entry: n.leaf})
+		}
+		return queue, nil
+	}, fn)
 }
 
 // CountSnapshot returns the matching record count at one instant.

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"sort"
 	"sync/atomic"
 
 	stx "stindex"
@@ -78,22 +77,7 @@ func (l *Live) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 		}
 		liveIDs = ids
 	}
-	if len(frozenIDs) == 0 && len(liveIDs) == 0 {
-		return nil, nil
-	}
-	seen := make(map[int64]struct{}, len(frozenIDs)+len(liveIDs))
-	merged := make([]int64, 0, len(frozenIDs)+len(liveIDs))
-	for _, ids := range [2][]int64{frozenIDs, liveIDs} {
-		for _, id := range ids {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			merged = append(merged, id)
-		}
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-	return merged, nil
+	return stx.MergeIDs(frozenIDs, liveIDs), nil
 }
 
 // Nearest implements stx.Index against the live index alone: it holds

@@ -54,6 +54,27 @@ func BenchmarkIntervalSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkNearestSearch is a 10-nearest-neighbour cut-off search: the
+// callback stops the best-first walk at the tenth emitted record.
+func BenchmarkNearestSearch(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	recs := randRecords(rng, 5000, 300)
+	tree, err := BuildRecords(Options{BufferPages: 256}, recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	left := 0
+	stopAtTen := func(float64, uint64) bool { left--; return left > 0 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		left = 10
+		if err := tree.NearestSearch(rng.Float64(), rng.Float64(), rng.Int63n(300), stopAtTen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNodeEncodeDecode(b *testing.B) {
 	n := &pnode{id: 1, leaf: true, startT: 0, endT: geom.Now}
 	rng := rand.New(rand.NewSource(4))

@@ -1,100 +1,69 @@
 package pprtree
 
 import (
-	"fmt"
-
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/treewalk"
 )
-
-// takeStack borrows the pooled traversal stack (empty, possibly with
-// retained capacity). Pair with putStack.
-func (t *Tree) takeStack() []pagefile.PageID {
-	s := t.stack
-	t.stack = nil
-	return s[:0]
-}
-
-func (t *Tree) putStack(s []pagefile.PageID) { t.stack = s[:0] }
-
-// takeSeen borrows the pooled leaf-reference dedup set, cleared.
-func (t *Tree) takeSeen() map[uint64]bool {
-	m := t.seen
-	t.seen = nil
-	if m == nil {
-		return make(map[uint64]bool)
-	}
-	clear(m)
-	return m
-}
-
-func (t *Tree) putSeen(m map[uint64]bool) { t.seen = m }
-
-// takeVisited borrows the pooled page-visit set, cleared.
-func (t *Tree) takeVisited() map[pagefile.PageID]bool {
-	m := t.visited
-	t.visited = nil
-	if m == nil {
-		return make(map[pagefile.PageID]bool)
-	}
-	clear(m)
-	return m
-}
-
-func (t *Tree) putVisited(m map[pagefile.PageID]bool) { t.visited = m }
 
 // SnapshotSearch reports every record alive at time t whose rectangle
 // intersects query, stopping early when fn returns false. This is the
 // paper's snapshot query: it resolves the root that was live at t via the
 // root log and then behaves like an ephemeral R-tree search over the
 // records alive at t. Node visits go through the buffer pool.
-//
-// The traversal is iterative over a pooled stack and visits pages in
-// exactly the order the natural recursion would (children left to right,
-// depth first), so the LRU hit/miss sequence — and with it every I/O
-// count — is identical to the recursive implementation's.
 func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect, ref uint64) bool) error {
 	root := t.rootAt(at)
 	if root == nil {
 		return nil
 	}
-	stack := t.takeStack()
-	defer func() { t.putStack(stack) }()
-
-	stack = append(stack, root.page)
-	// At one instant the alive structure is a tree, so a legitimate
-	// traversal visits each page at most once; exceeding the page count
-	// proves a reference cycle (corrupt container) — error out instead of
-	// looping forever.
-	visits, maxVisits := 0, t.file.NumPages()
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visits++; visits > maxVisits {
-			return fmt.Errorf("pprtree: snapshot traversal visited more pages than exist (%d): reference cycle in corrupt structure", maxVisits)
-		}
+	// At one instant the alive structure is a strict tree.
+	roots := append(t.walk.Roots(), uint64(root.page))
+	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
 		n, err := t.readShared(id)
 		if err != nil {
-			return err
+			return stack, false, err
 		}
 		if n.leaf {
 			for i := range n.entries {
 				e := &n.entries[i]
 				if e.aliveAt(at) && e.rect.Intersects(query) && !fn(e.rect, e.ref) {
-					return nil
+					return stack, false, nil
 				}
 			}
-			continue
+			return stack, true, nil
 		}
-		// Reverse push so the LIFO pop visits children in entry order.
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			e := &n.entries[i]
 			if e.aliveAt(at) && e.rect.Intersects(query) {
-				stack = append(stack, pagefile.PageID(e.ref))
+				stack = append(stack, e.ref)
 			}
 		}
+		return stack, true, nil
+	})
+}
+
+// NearestSearch emits every record alive at time `at` in ascending order
+// of squared min-distance between its rectangle and the point (x, y),
+// stopping when fn returns false: best-first search over the snapshot
+// structure at `at` (see treewalk.BestFirst).
+func (t *Tree) NearestSearch(x, y float64, at int64, fn func(dist2 float64, ref uint64) bool) error {
+	root := t.rootAt(at)
+	if root == nil {
+		return nil
 	}
-	return nil
+	return t.walk.BestFirst(root.page, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.readShared(id)
+		if err != nil {
+			return queue, err
+		}
+		for i := range n.entries {
+			e := &n.entries[i]
+			if e.aliveAt(at) {
+				queue = append(queue, treewalk.Frame{Dist: e.rect.MinDist2(x, y), Ref: e.ref, Entry: n.leaf})
+			}
+		}
+		return queue, nil
+	}, fn)
 }
 
 // IntervalSearch reports every record whose lifetime overlaps the
@@ -102,12 +71,9 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 // reference is reported once even when version copies of it live in
 // several nodes. This is the paper's (small) range query.
 func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect geom.Rect, ref uint64) bool) error {
-	if !iv.ValidInterval() {
-		return nil
-	}
-	seen := t.takeSeen()
-	defer func() { t.putSeen(seen) }()
-	return t.intervalScan(query, iv, func(rect geom.Rect, _ geom.Interval, ref uint64) bool {
+	seen := t.walk.Seen()
+	defer t.walk.PutSeen(seen)
+	return t.IntervalSearchRecords(query, iv, func(rect geom.Rect, _ geom.Interval, ref uint64) bool {
 		if seen[ref] {
 			return true
 		}
@@ -120,62 +86,40 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 // fn receives every version copy (rectangle, lifetime sub-interval,
 // reference) whose lifetime overlaps iv and whose rectangle intersects
 // query. Callers that need whole records aggregate the copies per
-// reference.
+// reference. It walks every root whose span overlaps iv, each page once.
 func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(rect geom.Rect, iv geom.Interval, ref uint64) bool) error {
 	if !iv.ValidInterval() {
 		return nil
 	}
-	return t.intervalScan(query, iv, fn)
-}
-
-// intervalScan walks every root whose span overlaps iv, visiting each
-// page once (version copies make the structure a DAG: the same page can
-// be reachable through several roots or parents; its contents are
-// immutable history, so one visit suffices). Iterative with pooled
-// scratch; page-visit order matches the recursive formulation exactly.
-func (t *Tree) intervalScan(query geom.Rect, iv geom.Interval, fn func(rect geom.Rect, iv geom.Interval, ref uint64) bool) error {
-	visited := t.takeVisited()
-	stack := t.takeStack()
-	defer func() {
-		t.putVisited(visited)
-		t.putStack(stack)
-	}()
-
-	for r := range t.roots {
+	roots := t.walk.Roots()
+	for r := len(t.roots) - 1; r >= 0; r-- {
 		root := &t.roots[r]
-		if !(geom.Interval{Start: root.start, End: root.end}).Overlaps(iv) {
-			continue
-		}
-		stack = append(stack[:0], root.page)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if visited[id] {
-				continue
-			}
-			visited[id] = true
-			n, err := t.readShared(id)
-			if err != nil {
-				return err
-			}
-			if n.leaf {
-				for i := range n.entries {
-					e := &n.entries[i]
-					if e.interval().Overlaps(iv) && e.rect.Intersects(query) && !fn(e.rect, e.interval(), e.ref) {
-						return nil
-					}
-				}
-				continue
-			}
-			for i := len(n.entries) - 1; i >= 0; i-- {
-				e := &n.entries[i]
-				if e.interval().Overlaps(iv) && e.rect.Intersects(query) {
-					stack = append(stack, pagefile.PageID(e.ref))
-				}
-			}
+		if (geom.Interval{Start: root.start, End: root.end}).Overlaps(iv) {
+			roots = append(roots, uint64(root.page))
 		}
 	}
-	return nil
+	return t.walk.DFS(roots, t.file.NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		n, err := t.readShared(id)
+		if err != nil {
+			return stack, false, err
+		}
+		if n.leaf {
+			for i := range n.entries {
+				e := &n.entries[i]
+				if e.interval().Overlaps(iv) && e.rect.Intersects(query) && !fn(e.rect, e.interval(), e.ref) {
+					return stack, false, nil
+				}
+			}
+			return stack, true, nil
+		}
+		for i := len(n.entries) - 1; i >= 0; i-- {
+			e := &n.entries[i]
+			if e.interval().Overlaps(iv) && e.rect.Intersects(query) {
+				stack = append(stack, e.ref)
+			}
+		}
+		return stack, true, nil
+	})
 }
 
 // Touch advances the tree's clock without applying an update. Streaming

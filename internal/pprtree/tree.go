@@ -5,6 +5,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/treewalk"
 )
 
 // Options configures a PPR-tree. The zero value selects the paper's setup:
@@ -100,13 +101,7 @@ type Tree struct {
 	// it; non-nil only in online mode (EnableExpansion), where ExpandAlive
 	// needs to repair historical routing rectangles.
 	backRefs map[pagefile.PageID]map[pagefile.PageID]struct{}
-	// Pooled query scratch: taken at the start of a search, restored
-	// afterwards, so steady-state queries allocate nothing. A reentrant
-	// search from inside a callback allocates its own.
-	stack   []pagefile.PageID
-	seen    map[uint64]bool
-	visited map[pagefile.PageID]bool
-	knn     []knnFrame
+	walk     treewalk.Scratch // pooled query scratch
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -216,10 +211,7 @@ func (t *Tree) QueryView() *Tree {
 	cp := *t
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
-	cp.stack = nil
-	cp.seen = nil
-	cp.visited = nil
-	cp.knn = nil
+	cp.walk = treewalk.Scratch{}
 	return &cp
 }
 

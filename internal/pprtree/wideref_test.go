@@ -1,0 +1,52 @@
+package pprtree
+
+import (
+	"strings"
+	"testing"
+
+	"stindex/internal/geom"
+)
+
+// TestSearchRejectsWideChildRef hand-crafts the corruption the traversal
+// used to alias away: a directory entry whose 64-bit child reference has
+// bits set above the 32-bit page id. Truncated, it names a valid page and
+// the query answers as if nothing were wrong; every search must fail
+// stop instead.
+func TestSearchRejectsWideChildRef(t *testing.T) {
+	tree, err := New(Options{MaxEntries: 8, BufferPages: 64}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		x, y := 0.01*float64(i%10), 0.01*float64(i/10)
+		if err := tree.Insert(geom.Rect{MinX: x, MinY: y, MaxX: x + 0.005, MaxY: y + 0.005}, uint64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := tree.readNode(tree.liveRoot().page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.leaf {
+		t.Fatal("the live root is a leaf; the test needs a directory page")
+	}
+	for i := range root.entries {
+		root.entries[i].ref |= 1 << 32
+	}
+	if err := tree.writeNode(root); err != nil {
+		t.Fatal(err)
+	}
+
+	all := geom.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}
+	now := tree.Now()
+	searches := map[string]error{
+		"snapshot": tree.SnapshotSearch(all, now, func(geom.Rect, uint64) bool { return true }),
+		"interval": tree.IntervalSearch(all, geom.Interval{Start: now, End: now + 1}, func(geom.Rect, uint64) bool { return true }),
+		"nearest":  tree.NearestSearch(0.5, 0.5, now, func(float64, uint64) bool { return true }),
+	}
+	for name, err := range searches {
+		if err == nil || !strings.Contains(err.Error(), "not a page id") {
+			t.Errorf("%s search over a child reference with high bits set: err = %v, want a corrupt-structure error", name, err)
+		}
+	}
+}

@@ -96,3 +96,29 @@ func BenchmarkSearch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNearestSearch is a 10-nearest-neighbour cut-off search at a
+// random time coordinate: the callback stops the best-first walk at the
+// tenth emitted entry.
+func BenchmarkNearestSearch(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	tree, err := New(Options{BufferPages: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if err := tree.Insert(randBox3(rng), uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	left := 0
+	stopAtTen := func(float64, uint64) bool { left--; return left > 0 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		left = 10
+		if err := tree.NearestSearch(rng.Float64(), rng.Float64(), rng.Float64(), stopAtTen); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

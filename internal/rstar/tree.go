@@ -5,6 +5,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/treewalk"
 )
 
 // Options configures a Tree. The zero value selects the paper's setup:
@@ -77,12 +78,7 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	size   int // number of data entries
 	encBuf []byte
-	// stack is the pooled traversal stack of Search: taken at the start of
-	// a search, restored afterwards, so steady-state queries allocate
-	// nothing (a reentrant search from inside fn simply allocates its own).
-	stack []pagefile.PageID
-	// knn is the pooled best-first priority queue of NearestSearch.
-	knn []knnFrame
+	walk   treewalk.Scratch // pooled query scratch
 }
 
 // New creates an empty tree.
@@ -163,8 +159,7 @@ func (t *Tree) QueryView() *Tree {
 	cp := *t
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
-	cp.stack = nil
-	cp.knn = nil
+	cp.walk = treewalk.Scratch{}
 	return &cp
 }
 
@@ -179,48 +174,51 @@ func (t *Tree) writeNode(n *node) error {
 // Search invokes fn for every data entry whose box intersects q, stopping
 // early when fn returns false. Node visits go through the buffer pool, so
 // t.Buffer().Stats() reflects the query's disk accesses.
-//
-// The traversal is iterative over a pooled stack and visits pages in
-// exactly the order the natural recursion would (children left to right,
-// depth first), so the LRU hit/miss sequence — and with it every I/O
-// count — is identical to the recursive implementation's.
 func (t *Tree) Search(q geom.Box3, fn func(b geom.Box3, ref uint64) bool) error {
-	stack := t.stack
-	t.stack = nil
-	stack = append(stack[:0], t.root)
-	defer func() { t.stack = stack[:0] }()
-
-	// An R-tree is a strict tree: visiting more pages than the file holds
-	// proves a reference cycle (corrupt structure) — fail instead of
-	// looping forever.
-	visits, maxVisits := 0, t.file.NumPages()
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visits++; visits > maxVisits {
-			return fmt.Errorf("rstar: traversal visited more pages than exist (%d): reference cycle in corrupt structure", maxVisits)
-		}
+	roots := append(t.walk.Roots(), uint64(t.root))
+	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
 		n, err := t.readShared(id)
 		if err != nil {
-			return err
+			return stack, false, err
 		}
 		if n.leaf {
-			for _, e := range n.entries {
-				if e.box.Intersects(q) && !fn(e.box, e.ref) {
-					return nil
+			for i := range n.entries {
+				if e := &n.entries[i]; e.box.Intersects(q) && !fn(e.box, e.ref) {
+					return stack, false, nil
 				}
 			}
-			continue
+			return stack, true, nil
 		}
-		// Push matching children in reverse so the LIFO pop visits them in
-		// entry order, mirroring the recursion's page-visit sequence.
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			if e := &n.entries[i]; e.box.Intersects(q) {
-				stack = append(stack, pagefile.PageID(e.ref))
+				stack = append(stack, e.ref)
 			}
 		}
-	}
-	return nil
+		return stack, true, nil
+	})
+}
+
+// NearestSearch emits every data entry whose box covers the scaled time
+// coordinate tc, in ascending order of squared XY min-distance between
+// the box and the point (x, y), stopping when fn returns false:
+// best-first search (see treewalk.BestFirst) with the time axis as a slab
+// filter. A directory box covers tc whenever any descendant does (3D
+// containment), and its MinDistXY2 never exceeds a descendant's, so both
+// the filter and the priority are admissible.
+func (t *Tree) NearestSearch(x, y, tc float64, fn func(dist2 float64, ref uint64) bool) error {
+	return t.walk.BestFirst(t.root, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.readShared(id)
+		if err != nil {
+			return queue, err
+		}
+		for i := range n.entries {
+			e := &n.entries[i]
+			if e.box.Min[2] <= tc && tc <= e.box.Max[2] {
+				queue = append(queue, treewalk.Frame{Dist: e.box.MinDistXY2(x, y), Ref: e.ref, Entry: n.leaf})
+			}
+		}
+		return queue, nil
+	}, fn)
 }
 
 // Count returns the number of data entries intersecting q.

@@ -155,14 +155,29 @@ func (s *Sharded) Snapshot(r stx.Rect, t int64) ([]int64, error) {
 	return s.Range(r, stx.Interval{Start: t, End: t + 1})
 }
 
-// Range implements stx.Index: prune, scatter, gather, merge.
+// Range implements stx.Index: prune, scatter, gather, merge. The merge
+// de-duplicates (partitioning is at object granularity, but the merge
+// stays correct for any layout) and sorts, so the answer is deterministic
+// whatever order the shards finished in.
 func (s *Sharded) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
+	results, err := scatter(s, r, iv, func(idx stx.Index) ([]int64, error) { return idx.Range(r, iv) })
+	if err != nil {
+		return nil, err
+	}
+	return stx.MergeIDs(results...), nil
+}
+
+// scatter is the window-query fan-out shared by Range and Trajectory. It
+// prunes against the manifest bounds — a shard whose MBR misses the query
+// rect or whose covering interval misses the query interval cannot
+// contribute; the predicate is exactly the record-match predicate (closed
+// rect intersection, half-open interval overlap), so pruning can never
+// drop a shard holding a matching record — then runs query on the
+// surviving shards, at most s.fanout at a time, and returns their answers
+// in shard order. Fail-stop: any shard error fails the whole query;
+// partial results are never returned.
+func scatter[T any](s *Sharded, r stx.Rect, iv stx.Interval, query func(idx stx.Index) (T, error)) ([]T, error) {
 	s.queries.Add(1)
-	// Prune against the manifest bounds: a shard whose MBR misses the
-	// query rect or whose covering interval misses the query interval
-	// cannot contribute. The predicate is exactly the record-match
-	// predicate (closed rect intersection, half-open interval overlap),
-	// so pruning can never drop a shard holding a matching record.
 	dispatch := make([]int, 0, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -173,78 +188,45 @@ func (s *Sharded) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 		dispatch = append(dispatch, i)
 	}
 
-	results := make([][]int64, len(dispatch))
+	results := make([]T, len(dispatch))
 	if len(dispatch) <= 1 || s.fanout <= 1 {
 		for di, i := range dispatch {
-			ids, err := s.queryShard(i, r, iv)
-			if err != nil {
-				return nil, err
-			}
-			results[di] = ids
-		}
-	} else {
-		errs := make([]error, len(dispatch))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.fanout)
-		for di, i := range dispatch {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(di, i int) {
-				defer wg.Done()
-				results[di], errs[di] = s.queryShard(i, r, iv)
-				<-sem
-			}(di, i)
-		}
-		wg.Wait()
-		// Fail-stop: any shard error fails the whole query; partial
-		// merges are never returned.
-		for _, err := range errs {
-			if err != nil {
+			var err error
+			if results[di], err = queryShard(&s.shards[i], query); err != nil {
 				return nil, err
 			}
 		}
+		return results, nil
 	}
-
-	// Merge with deduplication (partitioning is at object granularity,
-	// but the merge stays correct for any layout), then sort: the answer
-	// is deterministic whatever order the shards finished in.
-	switch len(results) {
-	case 0:
-		return nil, nil
-	case 1:
-		merged := results[0]
-		sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-		return merged, nil
+	errs := make([]error, len(dispatch))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, s.fanout)
+	for di, i := range dispatch {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(di, i int) {
+			defer wg.Done()
+			results[di], errs[di] = queryShard(&s.shards[i], query)
+			<-sem
+		}(di, i)
 	}
-	n := 0
-	for _, ids := range results {
-		n += len(ids)
-	}
-	seen := make(map[int64]struct{}, n)
-	merged := make([]int64, 0, n)
-	for _, ids := range results {
-		for _, id := range ids {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			merged = append(merged, id)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-	return merged, nil
+	return results, nil
 }
 
-// queryShard runs one dispatched range on shard i of this view,
+// queryShard runs one dispatched query on a shard of this view,
 // accounting the dispatch and its disk reads on the shared counters.
-func (s *Sharded) queryShard(i int, r stx.Rect, iv stx.Interval) ([]int64, error) {
-	sh := &s.shards[i]
+func queryShard[T any](sh *shardRef, query func(idx stx.Index) (T, error)) (T, error) {
 	sh.stats.dispatched.Add(1)
 	before := sh.idx.IOStats()
-	ids, err := sh.idx.Range(r, iv)
-	after := sh.idx.IOStats()
-	sh.stats.reads.Add(after.Reads - before.Reads)
-	return ids, err
+	res, err := query(sh.idx)
+	sh.stats.reads.Add(sh.idx.IOStats().Reads - before.Reads)
+	return res, err
 }
 
 // Nearest implements stx.Index as a shard-pruning priority merge.
@@ -289,12 +271,9 @@ func (s *Sharded) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) 
 			s.shards[c.i].stats.pruned.Add(1)
 			continue
 		}
-		sh := &s.shards[c.i]
-		sh.stats.dispatched.Add(1)
-		before := sh.idx.IOStats()
-		nb, err := sh.idx.Nearest(x, y, t, k)
-		after := sh.idx.IOStats()
-		sh.stats.reads.Add(after.Reads - before.Reads)
+		nb, err := queryShard(&s.shards[c.i], func(idx stx.Index) ([]stx.Neighbor, error) {
+			return idx.Nearest(x, y, t, k)
+		})
 		if err != nil {
 			// Fail-stop; account the unvisited shards so dispatched+pruned
 			// still equals the query total.
@@ -313,77 +292,11 @@ func (s *Sharded) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) 
 // assign each record to exactly one shard, so an object's pieces sum
 // across shards to the same count a single index would report.
 func (s *Sharded) Trajectory(r stx.Rect, iv stx.Interval) ([]stx.TrajectoryHit, error) {
-	s.queries.Add(1)
-	dispatch := make([]int, 0, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !r.Intersects(sh.rect) || iv.Start >= sh.interval.End || iv.End <= sh.interval.Start {
-			sh.stats.pruned.Add(1)
-			continue
-		}
-		dispatch = append(dispatch, i)
+	results, err := scatter(s, r, iv, func(idx stx.Index) ([]stx.TrajectoryHit, error) { return idx.Trajectory(r, iv) })
+	if err != nil {
+		return nil, err
 	}
-
-	results := make([][]stx.TrajectoryHit, len(dispatch))
-	if len(dispatch) <= 1 || s.fanout <= 1 {
-		for di, i := range dispatch {
-			hits, err := s.trajectoryShard(i, r, iv)
-			if err != nil {
-				return nil, err
-			}
-			results[di] = hits
-		}
-	} else {
-		errs := make([]error, len(dispatch))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.fanout)
-		for di, i := range dispatch {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(di, i int) {
-				defer wg.Done()
-				results[di], errs[di] = s.trajectoryShard(i, r, iv)
-				<-sem
-			}(di, i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if len(results) == 1 {
-		return results[0], nil
-	}
-	counts := make(map[int64]int)
-	for _, hits := range results {
-		for _, h := range hits {
-			counts[h.ObjectID] += h.Pieces
-		}
-	}
-	if len(counts) == 0 {
-		return nil, nil
-	}
-	merged := make([]stx.TrajectoryHit, 0, len(counts))
-	for id, n := range counts {
-		merged = append(merged, stx.TrajectoryHit{ObjectID: id, Pieces: n})
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].ObjectID < merged[b].ObjectID })
-	return merged, nil
-}
-
-// trajectoryShard runs one dispatched trajectory query on shard i,
-// accounting like queryShard.
-func (s *Sharded) trajectoryShard(i int, r stx.Rect, iv stx.Interval) ([]stx.TrajectoryHit, error) {
-	sh := &s.shards[i]
-	sh.stats.dispatched.Add(1)
-	before := sh.idx.IOStats()
-	hits, err := sh.idx.Trajectory(r, iv)
-	after := sh.idx.IOStats()
-	sh.stats.reads.Add(after.Reads - before.Reads)
-	return hits, err
+	return stx.MergeTrajectories(results...), nil
 }
 
 // ResetBuffer implements stx.Index over every shard view.

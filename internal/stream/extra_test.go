@@ -32,7 +32,7 @@ func TestSnapshotDuringStream(t *testing.T) {
 		}
 	}
 	// The object is still live; past and present are queryable.
-	ids, err := ix.Snapshot(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.5, MaxY: 0.5}, 10)
+	ids, err := snapshotIDs(ix, geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.5, MaxY: 0.5}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSnapshotDuringStream(t *testing.T) {
 		t.Fatalf("Live = %d", ix.Live())
 	}
 	// Range over the open piece.
-	got, err := ix.Range(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, geom.Interval{Start: 5, End: 15})
+	got, err := rangeIDs(ix, geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, geom.Interval{Start: 5, End: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

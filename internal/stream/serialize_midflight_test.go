@@ -91,13 +91,13 @@ func answersMid(t *testing.T, ix *Indexer, horizon int64) []string {
 		q := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.3, MaxY: y + 0.35}
 		lo := int64(i) % horizon
 		hi := lo + horizon/3 + 1
-		ids, err := ix.Range(q, geom.Interval{Start: lo, End: hi})
+		ids, err := rangeIDs(ix, q, geom.Interval{Start: lo, End: hi})
 		if err != nil {
 			t.Fatalf("range: %v", err)
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		out = append(out, fmt.Sprintf("r%d:%v", i, ids))
-		snap, err := ix.Snapshot(q, lo)
+		snap, err := snapshotIDs(ix, q, lo)
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}

@@ -34,7 +34,7 @@ func TestQueryBetweenObservationsSeesExpansion(t *testing.T) {
 		}
 		// Query the just-covered cell: object 1 must be visible through
 		// the freshly rewritten pages.
-		ids, err := ix.Snapshot(cell, tm)
+		ids, err := snapshotIDs(ix, cell, tm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,54 +175,6 @@ func (ix *Indexer) newRef(objID int64) uint64 {
 	return ref
 }
 
-// Snapshot returns the IDs of the objects whose piece rectangles
-// intersect query at instant t (historical instants included).
-func (ix *Indexer) Snapshot(query geom.Rect, t int64) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := ix.tree.SnapshotSearch(query, t, func(_ geom.Rect, ref uint64) bool {
-		id, ok := ix.OwnerRef(ref)
-		if !ok {
-			cbErr = fmt.Errorf("stream: record ref %d has no owner (corrupt index image?)", ref)
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
-// Range returns the IDs of the objects whose piece rectangles intersect
-// query at some instant of iv.
-func (ix *Indexer) Range(query geom.Rect, iv geom.Interval) ([]int64, error) {
-	var out []int64
-	var cbErr error
-	seen := make(map[int64]bool)
-	err := ix.tree.IntervalSearch(query, iv, func(_ geom.Rect, ref uint64) bool {
-		id, ok := ix.OwnerRef(ref)
-		if !ok {
-			cbErr = fmt.Errorf("stream: record ref %d has no owner (corrupt index image?)", ref)
-			return false
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	return out, err
-}
-
 // Records returns the number of lifetime pieces created so far (closed
 // and open).
 func (ix *Indexer) Records() int { return int(ix.nextRef) }
@@ -301,9 +253,9 @@ func (ix *Indexer) Pieces() ([]pprtree.Record, error) {
 func (ix *Indexer) Owner(ref uint64) int64 { return ix.owners[ref] }
 
 // OwnerRef returns the object owning a record reference and whether the
-// reference is known. The query paths use it so a dangling reference in a
-// corrupt image surfaces as an error instead of silently becoming
-// object 0.
+// reference is known. The facade's query core resolves every reference a
+// tree search emits through it, so a dangling reference in a corrupt
+// image surfaces as an error instead of silently becoming object 0.
 func (ix *Indexer) OwnerRef(ref uint64) (int64, bool) {
 	id, ok := ix.owners[ref]
 	return id, ok

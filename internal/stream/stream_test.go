@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,6 +11,41 @@ import (
 	"stindex/internal/pprtree"
 	"stindex/internal/trajectory"
 )
+
+// snapshotIDs and rangeIDs answer object-level queries over an Indexer
+// the way the stindex facade does: a tree search, every emitted reference
+// resolved through OwnerRef, owners de-duplicated.
+func snapshotIDs(ix *Indexer, q geom.Rect, at int64) ([]int64, error) {
+	return ownerIDs(ix, func(emit func(geom.Rect, uint64) bool) error {
+		return ix.Tree().SnapshotSearch(q, at, emit)
+	})
+}
+
+func rangeIDs(ix *Indexer, q geom.Rect, iv geom.Interval) ([]int64, error) {
+	return ownerIDs(ix, func(emit func(geom.Rect, uint64) bool) error {
+		return ix.Tree().IntervalSearch(q, iv, emit)
+	})
+}
+
+func ownerIDs(ix *Indexer, search func(emit func(geom.Rect, uint64) bool) error) ([]int64, error) {
+	var ids []int64
+	var dangling error
+	seen := make(map[int64]bool)
+	err := search(func(_ geom.Rect, ref uint64) bool {
+		id, ok := ix.OwnerRef(ref)
+		if !ok {
+			dangling = fmt.Errorf("record ref %d has no owner", ref)
+		} else if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+		return ok
+	})
+	if err == nil {
+		err = dangling
+	}
+	return ids, err
+}
 
 // replay feeds a dataset to an indexer in strict time order.
 func replay(t *testing.T, ix *Indexer, objs []*trajectory.Object, horizon int64) {
@@ -85,7 +121,7 @@ func TestStreamNoFalseNegatives(t *testing.T) {
 		x, y := rng.Float64()*0.8, rng.Float64()*0.8
 		q := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.2*rng.Float64(), MaxY: y + 0.2*rng.Float64()}
 		at := rng.Int63n(300)
-		got, err := ix.Snapshot(q, at)
+		got, err := snapshotIDs(ix, q, at)
 		if err != nil {
 			t.Fatal(err)
 		}

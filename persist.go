@@ -146,13 +146,13 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 		return kindPPR, meta.Bytes(), []pagefile.Store{ix.tree.Store()}, nil
 	case *RStarIndex:
 		var head [8]byte
-		binary.LittleEndian.PutUint64(head[:], math.Float64bits(ix.timeScale))
+		binary.LittleEndian.PutUint64(head[:], math.Float64bits(ix.slab.scale))
 		meta.Write(head[:])
 		meta.Write(appendOwners(nil, ix.owners))
-		if _, err := ix.tree.WriteMeta(&meta); err != nil {
+		if _, err := ix.slab.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		return kindRStar, meta.Bytes(), []pagefile.Store{ix.tree.Store()}, nil
+		return kindRStar, meta.Bytes(), []pagefile.Store{ix.slab.Store()}, nil
 	case *HRIndex:
 		meta.Write(appendOwners(nil, ix.owners))
 		if _, err := ix.tree.WriteMeta(&meta); err != nil {
@@ -162,7 +162,7 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 	case *HybridIndex:
 		var head [16]byte
 		binary.LittleEndian.PutUint64(head[:8], uint64(ix.threshold))
-		binary.LittleEndian.PutUint64(head[8:], math.Float64bits(ix.rstar.timeScale))
+		binary.LittleEndian.PutUint64(head[8:], math.Float64bits(ix.rstar.slab.scale))
 		meta.Write(head[:])
 		// Both components index the same records, so one owner table
 		// serves both (shared again on load).
@@ -170,10 +170,10 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 		if _, err := ix.ppr.tree.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		if _, err := ix.rstar.tree.WriteMeta(&meta); err != nil {
+		if _, err := ix.rstar.slab.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		return kindHybrid, meta.Bytes(), []pagefile.Store{ix.ppr.tree.Store(), ix.rstar.tree.Store()}, nil
+		return kindHybrid, meta.Bytes(), []pagefile.Store{ix.ppr.tree.Store(), ix.rstar.slab.Store()}, nil
 	case *StreamIndex:
 		if _, err := ix.ix.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
@@ -201,7 +201,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: ppr meta: %w", err)
 		}
-		x = &PPRIndex{tree: tree, owners: owners}
+		x = newPPRIndex(tree, owners)
 		attach = []func(pagefile.Store) error{tree.AttachStore}
 	case kindRStar:
 		var head [8]byte
@@ -220,7 +220,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: rstar meta: %w", err)
 		}
-		x = &RStarIndex{tree: tree, owners: owners, timeScale: scale}
+		x = newRStarIndex(tree, owners, scale)
 		attach = []func(pagefile.Store) error{tree.AttachStore}
 	case kindHR:
 		owners, err := readOwners(mr)
@@ -231,7 +231,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: hr meta: %w", err)
 		}
-		x = &HRIndex{tree: tree, owners: owners}
+		x = newHRIndex(tree, owners)
 		attach = []func(pagefile.Store) error{tree.AttachStore}
 	case kindHybrid:
 		var head [16]byte
@@ -259,8 +259,8 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 			return nil, nil, fmt.Errorf("stindex: hybrid rstar meta: %w", err)
 		}
 		x = &HybridIndex{
-			ppr:       &PPRIndex{tree: pt, owners: owners},
-			rstar:     &RStarIndex{tree: rt, owners: owners, timeScale: scale},
+			ppr:       newPPRIndex(pt, owners),
+			rstar:     newRStarIndex(rt, owners, scale),
 			threshold: threshold,
 		}
 		attach = []func(pagefile.Store) error{pt.AttachStore, rt.AttachStore}
@@ -269,7 +269,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: stream meta: %w", err)
 		}
-		x = &StreamIndex{ix: ix}
+		x = newStreamIndex(ix)
 		attach = []func(pagefile.Store) error{ix.AttachStore}
 	default:
 		return nil, nil, fmt.Errorf("stindex: unknown index kind %d", kind)
@@ -586,18 +586,7 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 		}
 		off += length
 	}
-	switch ix := x.(type) {
-	case *PPRIndex:
-		ix.closer.set(closer)
-	case *RStarIndex:
-		ix.closer.set(closer)
-	case *HRIndex:
-		ix.closer.set(closer)
-	case *HybridIndex:
-		ix.closer.set(closer)
-	case *StreamIndex:
-		ix.closer.set(closer)
-	}
+	x.(interface{ set(io.Closer) }).set(closer)
 	return x, nil
 }
 

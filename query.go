@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-
-	"stindex/internal/geom"
 )
 
 // QueryKind selects which question a Query asks. The zero value is the
@@ -98,7 +97,8 @@ func TrajectoryQuery(r Rect, iv Interval) Query {
 }
 
 // RunQueryResult executes one query of any kind and returns the full
-// answer. RunQuery is the IDs-only shorthand.
+// answer — the one place a Query's kind is dispatched onto the Index
+// methods. RunQuery is the IDs-only shorthand.
 func RunQueryResult(idx Index, q Query) (QueryResult, error) {
 	switch q.Kind {
 	case KindKNN:
@@ -122,7 +122,13 @@ func RunQueryResult(idx Index, q Query) (QueryResult, error) {
 		}
 		return QueryResult{IDs: ids, Trajectories: hits}, nil
 	default:
-		ids, err := RunQuery(idx, q)
+		var ids []int64
+		var err error
+		if q.IsSnapshot() {
+			ids, err = idx.Snapshot(q.Rect, q.Interval.Start)
+		} else {
+			ids, err = idx.Range(q.Rect, q.Interval)
+		}
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -211,6 +217,42 @@ func MergeNeighbors(dst, src []Neighbor, k int) []Neighbor {
 	return dst
 }
 
+// MergeIDs unions per-part window answers (shards, or the frozen and live
+// halves of an ingesting stream) into one de-duplicated, ascending id
+// list — the same answer whatever order the parts finished in. It
+// consumes the lists: the result may reuse their memory.
+func MergeIDs(lists ...[]int64) []int64 {
+	var merged []int64
+	for _, ids := range lists {
+		if len(merged) == 0 {
+			merged = ids // a single non-empty part is sorted where it is
+		} else {
+			merged = append(merged, ids...)
+		}
+	}
+	if len(merged) == 0 {
+		return nil
+	}
+	slices.Sort(merged)
+	return slices.Compact(merged)
+}
+
+// MergeTrajectories sums per-part trajectory answers into one, ascending
+// by ObjectID. Every record lives in exactly one part, so an object's
+// piece counts add up to what a single index would report.
+func MergeTrajectories(lists ...[]TrajectoryHit) []TrajectoryHit {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	counts := make(map[int64]int)
+	for _, hits := range lists {
+		for _, h := range hits {
+			counts[h.ObjectID] += h.Pieces
+		}
+	}
+	return trajectoryHits(counts)
+}
+
 // trajectoryHits converts a per-object piece-count map into the sorted
 // answer slice shared by every Trajectory implementation.
 func trajectoryHits(counts map[int64]int) []TrajectoryHit {
@@ -223,107 +265,4 @@ func trajectoryHits(counts map[int64]int) []TrajectoryHit {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID < out[j].ObjectID })
 	return out
-}
-
-// Nearest implements Index: branch-and-bound best-first search over the
-// snapshot structure at t (see pprtree.NearestSearch).
-func (x *PPRIndex) Nearest(px, py float64, t int64, k int) ([]Neighbor, error) {
-	if err := ValidateKNN(px, py, k); err != nil {
-		return nil, err
-	}
-	col := knnCollector{k: k}
-	var cbErr error
-	err := x.tree.NearestSearch(px, py, t, func(d2 float64, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "ppr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		return col.add(d2, id)
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return col.nb, nil
-}
-
-// Trajectory implements Index: the interval search already reports each
-// record (split piece) once, so aggregating refs per owner yields the
-// multi-entry trajectory answer.
-func (x *PPRIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	counts := make(map[int64]int)
-	var cbErr error
-	err := x.tree.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "ppr")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		counts[id]++
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return trajectoryHits(counts), nil
-}
-
-// Nearest implements Index. The instant t maps to the scaled time probe
-// (t+0.5)*timeScale, strictly inside the closed box of exactly the
-// records whose half-open lifetime contains t (the same ±0.5 trick as
-// queryBox), so the XY min-distance search sees precisely the records
-// alive at t.
-func (x *RStarIndex) Nearest(px, py float64, t int64, k int) ([]Neighbor, error) {
-	if err := ValidateKNN(px, py, k); err != nil {
-		return nil, err
-	}
-	tc := (float64(t) + 0.5) * x.timeScale
-	col := knnCollector{k: k}
-	var cbErr error
-	err := x.tree.NearestSearch(px, py, tc, func(d2 float64, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "rstar")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		return col.add(d2, id)
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return col.nb, nil
-}
-
-// Trajectory implements Index: one 3D search, refs aggregated per owner.
-func (x *RStarIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	if !iv.internal().ValidInterval() {
-		return nil, nil
-	}
-	counts := make(map[int64]int)
-	var cbErr error
-	err := x.tree.Search(x.queryBox(r, iv), func(_ geom.Box3, ref uint64) bool {
-		id, err := ownerOf(x.owners, ref, "rstar")
-		if err != nil {
-			cbErr = err
-			return false
-		}
-		counts[id]++
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return trajectoryHits(counts), nil
 }

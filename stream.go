@@ -27,8 +27,15 @@ type StreamOptions struct {
 // range queries are answerable at any moment, including for still-live
 // objects.
 type StreamIndex struct {
-	ix     *stream.Indexer
-	closer fileHandle // see PPRIndex.closer
+	treeIndex[*stream.Indexer]
+	ix *stream.Indexer
+}
+
+func newStreamIndex(ix *stream.Indexer) *StreamIndex {
+	return &StreamIndex{
+		treeIndex: treeIndex[*stream.Indexer]{search: ix.Tree(), owners: ix, kind: "stream-ppr"},
+		ix:        ix,
+	}
 }
 
 // NewStreamIndex creates an empty streaming index whose history begins at
@@ -49,7 +56,7 @@ func NewStreamIndex(opts StreamOptions, startTime int64) (*StreamIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamIndex{ix: ix}, nil
+	return newStreamIndex(ix), nil
 }
 
 // readOnlyErr reports ErrReadOnly when the snapshot was opened from a
@@ -90,85 +97,6 @@ func (s *StreamIndex) FinishAll(t int64) error {
 	return s.ix.FinishAll(t)
 }
 
-// Snapshot returns the objects whose piece rectangles intersect r at
-// instant t — past or present.
-func (s *StreamIndex) Snapshot(r Rect, t int64) ([]int64, error) {
-	return s.ix.Snapshot(r.internal(), t)
-}
-
-// Range returns the objects whose piece rectangles intersect r during iv.
-func (s *StreamIndex) Range(r Rect, iv Interval) ([]int64, error) {
-	return s.ix.Range(r.internal(), iv.internal())
-}
-
-// Nearest implements Index: best-first search over the stream's
-// partially persistent tree, piece refs mapped to owners through the
-// streaming ref table.
-func (s *StreamIndex) Nearest(px, py float64, t int64, k int) ([]Neighbor, error) {
-	if err := ValidateKNN(px, py, k); err != nil {
-		return nil, err
-	}
-	col := knnCollector{k: k}
-	var cbErr error
-	err := s.ix.Tree().NearestSearch(px, py, t, func(d2 float64, ref uint64) bool {
-		id, ok := s.ix.OwnerRef(ref)
-		if !ok {
-			cbErr = fmt.Errorf("stindex: stream piece ref %d has no owner (corrupt index image?)", ref)
-			return false
-		}
-		return col.add(d2, id)
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return col.nb, nil
-}
-
-// Trajectory implements Index: each reported ref is one online lifetime
-// piece, so counting refs per owner is exactly the multi-entry answer
-// over the pieces the stream has cut so far.
-func (s *StreamIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	counts := make(map[int64]int)
-	var cbErr error
-	err := s.ix.Tree().IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, ok := s.ix.OwnerRef(ref)
-		if !ok {
-			cbErr = fmt.Errorf("stindex: stream piece ref %d has no owner (corrupt index image?)", ref)
-			return false
-		}
-		counts[id]++
-		return true
-	})
-	if err == nil {
-		err = cbErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return trajectoryHits(counts), nil
-}
-
-// ResetBuffer empties the LRU pool and zeroes the I/O counters.
-func (s *StreamIndex) ResetBuffer() { s.ix.Tree().Buffer().Reset() }
-
-// IOStats returns buffer traffic since the last reset.
-func (s *StreamIndex) IOStats() IOStats {
-	st := s.ix.Tree().Buffer().Stats()
-	return IOStats{Reads: st.Reads, Writes: st.Writes, Hits: st.Hits}
-}
-
-// Pages returns the index's live page count.
-func (s *StreamIndex) Pages() int { return s.ix.Tree().Store().NumPages() }
-
-// Bytes returns the index's disk footprint.
-func (s *StreamIndex) Bytes() int64 { return s.ix.Tree().Store().Bytes() }
-
-// Records returns the number of lifetime pieces created so far.
-func (s *StreamIndex) Records() int { return s.ix.Records() }
-
 // Cuts returns how many artificial splits the online rule performed.
 func (s *StreamIndex) Cuts() int { return s.ix.Cuts() }
 
@@ -191,9 +119,6 @@ func (s *StreamIndex) Lambda() float64 { return s.ix.Lambda() }
 // event carried. Recovery uses it to restart the global time discipline
 // where the journal left off.
 func (s *StreamIndex) Now() int64 { return s.ix.Tree().Now() }
-
-// Kind implements the Index naming convention.
-func (s *StreamIndex) Kind() string { return "stream-ppr" }
 
 // Tree exposes the underlying partially persistent R-tree for advanced
 // inspection (validation walks, statistics).
@@ -224,12 +149,6 @@ func (s *StreamIndex) PieceRecords() ([]Record, error) {
 	}
 	return out, nil
 }
-
-// Close releases the container file of a lazily opened snapshot; see
-// (*PPRIndex).Close. Idempotent, safe for concurrent callers. A snapshot
-// opened from disk is read-only: Observe, Finish and FinishAll fail with
-// ErrReadOnly.
-func (s *StreamIndex) Close() error { return s.closer.close() }
 
 // StreamIndex satisfies Index, so the measurement helpers and wrappers
 // (MeasureWorkload, Synchronized) work on it too.
