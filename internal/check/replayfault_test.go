@@ -1,0 +1,133 @@
+package check
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"stindex/internal/geom"
+	"stindex/internal/pprtree"
+)
+
+// replayBatches returns two record batches a PPR-tree can take one after
+// the other: every record of the first is closed by the boundary instant,
+// every record of the second opens at or after it.
+func replayBatches() (early, late []pprtree.Record) {
+	const horizon, boundary = 200, 100
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 2500; i++ {
+		x, y := rng.Float64(), rng.Float64()
+		start := rng.Int63n(horizon - 1)
+		r := pprtree.Record{
+			Rect:     geom.Rect{MinX: x, MinY: y, MaxX: x + 0.02, MaxY: y + 0.02},
+			Interval: geom.Interval{Start: start, End: min(start+1+rng.Int63n(horizon/4), horizon)},
+			Ref:      uint64(i),
+		}
+		switch {
+		case r.Interval.End <= boundary:
+			early = append(early, r)
+		case r.Interval.Start >= boundary:
+			late = append(late, r)
+		}
+	}
+	return early, late
+}
+
+// TestReplayFailStop: a replay (BuildRecords, AppendRecords) keeps its live
+// nodes in a write-back table, so when a page write fails part-way the
+// pages are older than what the replay had applied. The tree must return
+// the error and from then on refuse every update, query and
+// serialisation — on the tree and on a view of it, and also once the
+// store is healthy again — rather than answer from those pages.
+func TestReplayFailStop(t *testing.T) {
+	early, late := replayBatches()
+	all := append(append([]pprtree.Record{}, early...), late...)
+	opts := pprtree.Options{MaxEntries: 12}
+
+	// replayOver runs one replay over a fault store. "build" is
+	// BuildRecords' own sequence — New, then one replay of everything —
+	// with the store wrapped in between (BuildRecords itself hands a
+	// failed tree to nobody); "append" is a healthy built tree taking a
+	// second batch.
+	replayOver := func(target string, sched string) (*pprtree.Tree, *FaultStore, error) {
+		var tree *pprtree.Tree
+		var err error
+		batch := all
+		if target == "build" {
+			tree, err = pprtree.New(opts, 0)
+		} else {
+			tree, err = pprtree.BuildRecords(opts, early)
+			batch = late
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := NewFaultStore(tree.Store(), MustSchedule(sched))
+		if err := tree.AttachStore(fs); err != nil {
+			t.Fatal(err)
+		}
+		return tree, fs, tree.AppendRecords(batch)
+	}
+	image := func(tree *pprtree.Tree) []byte {
+		var buf bytes.Buffer
+		if _, err := tree.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want, err := pprtree.BuildRecords(opts, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	everywhere := geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	probe := geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.52, MaxY: 0.52}
+	for _, target := range []string{"build", "append"} {
+		// A healthy pass counts the replay's page writes (dying nodes as
+		// they die, then the flush) and must leave the same tree as a
+		// plain BuildRecords.
+		tree, fs, err := replayOver(target, "write@4000000000")
+		if err != nil {
+			t.Fatalf("%s: healthy replay: %v", target, err)
+		}
+		if !bytes.Equal(image(tree), image(want)) {
+			t.Fatalf("%s: replay over the fault store built a different tree", target)
+		}
+		_, writes, _ := fs.Ops()
+
+		for _, sched := range []string{
+			"write@1",                          // the first node to die
+			fmt.Sprintf("write@%d", writes/2),  // mid-replay
+			fmt.Sprintf("write@%d", writes),    // the last write of the flush
+			fmt.Sprintf("torn@%d", writes-1),   // a torn page in the flush
+			fmt.Sprintf("write/%d", writes/10), // and a store that keeps failing
+		} {
+			name := target + "/" + sched
+			tree, fs, err := replayOver(target, sched)
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("%s: replay returned %v, want the injected fault", name, err)
+			}
+			view := tree.QueryView()
+			fs.Disarm() // a later healthy store must not un-poison the tree
+			refusals := map[string]error{
+				"Insert":        tree.Insert(probe, 1<<40, 1000),
+				"AppendRecords": tree.AppendRecords(nil),
+				"Touch":         tree.Touch(1000),
+				"NearestSearch": tree.NearestSearch(0.5, 0.5, 150, func(float64, uint64) bool { return true }),
+			}
+			_, refusals["Delete"] = tree.Delete(late[0].Rect, late[0].Ref, 1000)
+			_, refusals["CountSnapshot"] = tree.CountSnapshot(everywhere, 150)
+			_, refusals["CountInterval"] = tree.CountInterval(everywhere, geom.Interval{Start: 0, End: 200})
+			_, refusals["view.CountSnapshot"] = view.CountSnapshot(everywhere, 150)
+			_, refusals["Validate"] = tree.Validate()
+			_, refusals["WriteTo"] = tree.WriteTo(&bytes.Buffer{})
+			for op, err := range refusals {
+				if !errors.Is(err, ErrInjected) {
+					t.Errorf("%s: %s after the failed replay returned %v, want the replay's failure", name, op, err)
+				}
+			}
+		}
+	}
+}

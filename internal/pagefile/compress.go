@@ -515,6 +515,7 @@ type cpEncoder struct {
 	baseBuf  []byte // scratch: base page image
 	verify   []byte // scratch: decode-verify target
 	baseIdx  map[string]int
+	votes    map[uint32]int // scratch: pickDeltaBase's tally
 	// per-candidate scratch buffers, reused across pages; the winner is
 	// copied out by the caller before the next page runs.
 	rawBuf, dupBuf, structBuf, deltaBuf []byte
@@ -531,6 +532,7 @@ func newCpEncoder(s Store, layout Layout) *cpEncoder {
 		pageDup:  make(map[string]uint32),
 		baseBuf:  make([]byte, s.PageSize()),
 		verify:   make([]byte, s.PageSize()),
+		votes:    make(map[uint32]int, 4),
 	}
 }
 
@@ -578,7 +580,8 @@ func (e *cpEncoder) encodePage(id uint32, page []byte) []byte {
 // entries it contains; the winner (ties to the higher id) is used when
 // it covers at least two entries and at least half the page.
 func (e *cpEncoder) pickDeltaBase(page []byte, count int) (uint32, bool) {
-	votes := make(map[uint32]int, 4)
+	votes := e.votes
+	clear(votes)
 	for i := 0; i < count; i++ {
 		off := e.sp.hdr + i*e.sp.entry
 		if p, ok := e.anchors[string(page[off:off+e.sp.entry])]; ok {
@@ -666,7 +669,9 @@ func (compressedCodec) WriteExtent(w io.Writer, s Store, layout Layout) (int64, 
 	numPages := s.NumAllocated()
 	enc := newCpEncoder(s, layout)
 	lens := make([]uint32, numPages)
-	var payload []byte
+	// Every kind compresses at least 2x (BENCH_persist.json), so half the
+	// raw footprint holds the payload without regrowing.
+	payload := make([]byte, 0, s.Bytes()/2)
 	page := make([]byte, s.PageSize())
 	for i := 0; i < numPages; i++ {
 		if s.Check(PageID(i)) != nil {

@@ -1,20 +1,34 @@
 package pprtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"stindex/internal/geom"
 )
 
+// buildBenchCases are the offline-build sizes measured by BenchmarkBuild
+// and budgeted by TestBuildRecordsAllocBudget: the historical 2 000-record
+// case and one at the scale of a benchmark round (30 000 records over the
+// paper's 1 000-instant horizon).
+var buildBenchCases = []struct {
+	records int
+	horizon int64
+}{{2000, 300}, {30000, 1000}}
+
 func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	recs := randRecords(rng, 2000, 300)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildRecords(Options{}, recs); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range buildBenchCases {
+		b.Run(fmt.Sprintf("records=%d", c.records), func(b *testing.B) {
+			recs := randRecords(rand.New(rand.NewSource(1)), c.records, c.horizon)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildRecords(Options{}, recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package pprtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 )
 
 // Record is one spatiotemporal MBR record destined for the tree: a spatial
@@ -31,6 +33,7 @@ func BuildRecords(opts Options, records []Record) (*Tree, error) {
 		return nil, err
 	}
 	if err := t.replay(records, events); err != nil {
+		t.file.Close() // the failed tree is handed to nobody
 		return nil, err
 	}
 	return t, nil
@@ -73,12 +76,12 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 			events = append(events, recordEvent{time: r.Interval.End, insert: false, rec: i})
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool {
-		if events[a].time != events[b].time {
-			return events[a].time < events[b].time
+	slices.SortStableFunc(events, func(a, b recordEvent) int {
+		if a.time != b.time {
+			return cmp.Compare(a.time, b.time)
 		}
 		// Deletions first within an instant.
-		return !events[a].insert && events[b].insert
+		return cmp.Compare(btoi(a.insert), btoi(b.insert))
 	})
 	start := int64(0)
 	if len(events) > 0 {
@@ -87,7 +90,26 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 	return events, start, nil
 }
 
+// replay applies the events in order through the write-back table (see
+// Tree): the table is open for exactly this call, and a failure poisons
+// the tree.
 func (t *Tree) replay(records []Record, events []recordEvent) error {
+	if t.failed != nil {
+		return t.failed
+	}
+	t.resident = make(map[pagefile.PageID]*pnode)
+	err := t.applyEvents(records, events)
+	if err == nil {
+		err = t.flushResident()
+	}
+	t.resident = nil
+	if err != nil {
+		t.failed = fmt.Errorf("pprtree: tree unusable after failed replay: %w", err)
+	}
+	return err
+}
+
+func (t *Tree) applyEvents(records []Record, events []recordEvent) error {
 	for _, ev := range events {
 		r := records[ev.rec]
 		if ev.insert {

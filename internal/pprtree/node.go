@@ -48,6 +48,7 @@ type pnode struct {
 	startT  int64
 	endT    int64
 	entries []pentry
+	dirty   bool // in the replay table and ahead of its page image
 }
 
 func (n *pnode) live() bool { return n.endT == geom.Now }

@@ -47,6 +47,9 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 // WriteMeta serialises everything except the page extent: options, state,
 // root log and online-mode back references.
 func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
+	if t.failed != nil {
+		return 0, t.failed
+	}
 	bw := bufio.NewWriter(w)
 	var n int64
 	wr := func(data []byte) error {

@@ -1,7 +1,9 @@
 package pprtree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
@@ -88,6 +90,26 @@ type rootSpan struct {
 // Updates must be fed in non-decreasing time order (the structure is
 // partially persistent: only the newest state accepts changes). Not safe
 // for concurrent use.
+//
+// Single updates (Insert, Delete, ExpandAlive) are write-through: every
+// node they touch is parsed from its page image and written back before
+// the call returns. A replay (BuildRecords, AppendRecords) applies many
+// updates to the same few live nodes, so for its duration it keeps the
+// decoded live nodes in a write-back table keyed by page id: readNode
+// hands out the resident node, writeNode on a live node only marks it
+// dirty, a node that dies (version split, root shrink) is encoded and
+// written once and leaves the table, and the dirty rest is flushed in
+// ascending page-id order before the replay returns. The table holds live
+// nodes only, so it is bounded by the live frontier; outside a replay it
+// is closed and the page store is the truth. Pages are allocated when
+// nodes are created, exactly as in write-through, so the resulting store
+// is byte-identical either way.
+//
+// A replay that fails — an event's error or a failed flush — leaves
+// memory ahead of the pages. The table is discarded and the tree is
+// poisoned: every later page access, update and serialisation returns the
+// failure instead of answering from pages older than what the replay had
+// applied.
 type Tree struct {
 	opts   Options
 	file   pagefile.Store
@@ -97,6 +119,12 @@ type Tree struct {
 	size   int        // records inserted (data inserts, not copies)
 	alive  int        // records currently alive
 	encBuf []byte
+	path   []*pnode // descent scratch of the update in progress
+	// resident is the replay's write-back table of decoded live nodes;
+	// nil outside a replay.
+	resident map[pagefile.PageID]*pnode
+	// failed poisons the tree after a failed replay.
+	failed error
 	// backRefs maps a node to every directory page that ever referenced
 	// it; non-nil only in online mode (EnableExpansion), where ExpandAlive
 	// needs to repair historical routing rectangles.
@@ -174,15 +202,29 @@ func (t *Tree) rootAt(q int64) *rootSpan {
 	return nil
 }
 
-// readNode returns a private decoded copy of the page, parsed fresh from
-// the buffered image. Mutating paths (updates, version splits, expansion)
-// use it: they edit the node in place before writing it back.
+// readNode returns the page's decoded node for a mutating path (updates,
+// version splits, expansion), which edits it in place before writing it
+// back: the resident node during a replay, otherwise a private copy parsed
+// fresh from the buffered image.
 func (t *Tree) readNode(id pagefile.PageID) (*pnode, error) {
+	if t.failed != nil {
+		return nil, t.failed
+	}
+	if n, ok := t.resident[id]; ok {
+		return n, nil
+	}
 	data, err := t.buf.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	return decodePNode(id, data)
+	n, err := decodePNode(id, data)
+	if err != nil {
+		return nil, err
+	}
+	if t.resident != nil && n.live() {
+		t.resident[id] = n
+	}
+	return n, nil
 }
 
 // decodePNodeCached adapts decodePNode to the buffer's decode cache.
@@ -195,6 +237,9 @@ func decodePNodeCached(id pagefile.PageID, data []byte) (any, error) {
 // Reset between queries — skip the parse. The node is shared; callers
 // must not mutate it. I/O accounting is identical to readNode.
 func (t *Tree) readShared(id pagefile.PageID) (*pnode, error) {
+	if t.failed != nil {
+		return nil, t.failed
+	}
 	v, err := t.buf.ReadDecoded(id, decodePNodeCached)
 	if err != nil {
 		return nil, err
@@ -211,6 +256,7 @@ func (t *Tree) QueryView() *Tree {
 	cp := *t
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
+	cp.path = nil
 	cp.walk = treewalk.Scratch{}
 	return &cp
 }
@@ -221,11 +267,44 @@ func (t *Tree) writeNode(n *pnode) error {
 			n.id, len(n.entries), t.opts.MaxEntries)
 	}
 	t.trackBackRefs(n)
+	if t.resident != nil {
+		if n.live() {
+			n.dirty = true
+			t.resident[n.id] = n
+			return nil
+		}
+		delete(t.resident, n.id)
+	}
+	return t.writePage(n)
+}
+
+func (t *Tree) writePage(n *pnode) error {
 	t.encBuf = n.encode(t.encBuf)
 	return t.buf.Write(n.id, t.encBuf)
 }
 
+// flushResident writes the replay table's dirty nodes in ascending page-id
+// order.
+func (t *Tree) flushResident() error {
+	var dirty []*pnode
+	for _, n := range t.resident {
+		if n.dirty {
+			dirty = append(dirty, n)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *pnode) int { return cmp.Compare(a.id, b.id) })
+	for _, n := range dirty {
+		if err := t.writePage(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (t *Tree) advance(time int64) error {
+	if t.failed != nil {
+		return t.failed
+	}
 	if time < t.now {
 		return fmt.Errorf("pprtree: update at %d before current time %d (partially persistent structures are append-only in time)", time, t.now)
 	}

@@ -48,19 +48,19 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 
 // chooseLeafPath descends the live tree picking, at each directory node,
 // the alive child entry needing the least area enlargement to cover rect
-// (ties broken by smaller area). Returns the live nodes root-first.
+// (ties broken by smaller area). Returns the live nodes root-first, in the
+// tree's path scratch: valid until the next descent.
 func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
-	root := t.liveRoot()
-	path := make([]*pnode, 0, root.height)
-	id := root.page
+	t.path = t.path[:0]
+	id := t.liveRoot().page
 	for {
 		n, err := t.readNode(id)
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, n)
+		t.path = append(t.path, n)
 		if n.leaf {
-			return path, nil
+			return t.path, nil
 		}
 		best := -1
 		bestEnl, bestArea := 0.0, 0.0
@@ -82,37 +82,47 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 }
 
 // findAliveRecord locates the leaf path holding the alive record (rect,
-// ref) in the live tree, returning a nil path when absent.
+// ref) in the live tree, returning a nil path when absent. Like
+// chooseLeafPath it returns the tree's path scratch, valid until the next
+// descent.
 func (t *Tree) findAliveRecord(rect geom.Rect, ref uint64) ([]*pnode, int, error) {
-	var walk func(id pagefile.PageID) ([]*pnode, int, error)
-	walk = func(id pagefile.PageID) ([]*pnode, int, error) {
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n.leaf {
-			for i, e := range n.entries {
-				if e.alive() && e.ref == ref && e.rect == rect {
-					return []*pnode{n}, i, nil
-				}
+	t.path = t.path[:0]
+	idx, found, err := t.findBelow(t.liveRoot().page, rect, ref)
+	if err != nil || !found {
+		return nil, 0, err
+	}
+	return t.path, idx, nil
+}
+
+// findBelow searches the live subtree under page id depth-first, keeping
+// the nodes from the root to the current one on t.path; when it finds the
+// record it leaves the path standing and returns the record's index in
+// the leaf.
+func (t *Tree) findBelow(id pagefile.PageID, rect geom.Rect, ref uint64) (int, bool, error) {
+	n, err := t.readNode(id)
+	if err != nil {
+		return 0, false, err
+	}
+	t.path = append(t.path, n)
+	if n.leaf {
+		for i, e := range n.entries {
+			if e.alive() && e.ref == ref && e.rect == rect {
+				return i, true, nil
 			}
-			return nil, 0, nil
 		}
+	} else {
 		for _, e := range n.entries {
 			if !e.alive() || !e.rect.Contains(rect) {
 				continue
 			}
-			path, idx, err := walk(pagefile.PageID(e.ref))
-			if err != nil {
-				return nil, 0, err
-			}
-			if path != nil {
-				return append([]*pnode{n}, path...), idx, nil
+			idx, found, err := t.findBelow(pagefile.PageID(e.ref), rect, ref)
+			if err != nil || found {
+				return idx, found, err
 			}
 		}
-		return nil, 0, nil
 	}
-	return walk(t.liveRoot().page)
+	t.path = t.path[:len(t.path)-1]
+	return 0, false, nil
 }
 
 // fixup applies pending additions and structural repairs bottom-up along a

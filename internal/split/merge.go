@@ -1,8 +1,6 @@
 package split
 
 import (
-	"container/heap"
-
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
 )
@@ -55,27 +53,17 @@ type mergeCand struct {
 	increase   float64
 }
 
-type mergeHeap []mergeCand
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].increase < h[j].increase }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCand)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // mergeRun performs the merge process down to targetSplits splits (i.e.
 // targetSplits+1 boxes) and returns the surviving cut positions. When
 // observe is non-nil it is invoked after every state (including the
 // initial all-singletons state) with the current number of splits and
 // total volume, and the run continues all the way down to a single box.
+// An empty object has no state to observe and no cuts.
 func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64)) []int {
 	n := o.Len()
+	if n == 0 {
+		return nil
+	}
 	targetSplits = ClampSplits(targetSplits, n)
 	scratch := acquireMergeScratch(n)
 	defer releaseMergeScratch(scratch)
@@ -86,27 +74,23 @@ func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(sp
 		segs[i] = mergeSeg{lo: i, hi: i + 1, rect: r, vol: m(r, 1), prev: i - 1, next: i + 1}
 		total += segs[i].vol
 	}
-	if n > 0 {
-		segs[n-1].next = -1
-	}
+	segs[n-1].next = -1
 	if observe != nil {
 		observe(n-1, total)
 	}
 
-	h := scratch.h
 	for i := 0; i+1 < n; i++ {
-		h = append(h, candidate(segs, i, m))
+		scratch.h = append(scratch.h, candidate(segs, i, m))
 	}
-	heap.Init(&h)
-	defer func() { scratch.h = h }() // keep any growth for the next run
+	scratch.heapInit()
 
 	live := n
 	floor := targetSplits + 1
 	if observe != nil {
 		floor = 1
 	}
-	for live > floor && h.Len() > 0 {
-		c := heap.Pop(&h).(mergeCand)
+	for live > floor && len(scratch.h) > 0 {
+		c := scratch.heapPop()
 		a := &segs[c.seg]
 		if a.dead || a.next == -1 {
 			continue
@@ -130,10 +114,10 @@ func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(sp
 		// entry is discarded via the dead flag when popped.
 		if b.next != -1 {
 			segs[b.next].prev = c.seg
-			heap.Push(&h, candidate(segs, c.seg, m))
+			scratch.heapPush(candidate(segs, c.seg, m))
 		}
 		if a.prev != -1 {
-			heap.Push(&h, candidate(segs, a.prev, m))
+			scratch.heapPush(candidate(segs, a.prev, m))
 		}
 		live--
 		if observe != nil {

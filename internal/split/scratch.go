@@ -108,7 +108,60 @@ func dpFill(o *trajectory.Object, k int, m Measure) *dpScratch {
 // and the candidate heap.
 type mergeScratch struct {
 	segs []mergeSeg
-	h    mergeHeap
+	h    []mergeCand // min-heap on increase
+}
+
+// The candidate heap performs exactly container/heap's sift sequence
+// (Init, Push, Pop over a Less of "increase <"), so candidates of equal
+// increase pop in the order they always have and every cut is unchanged;
+// it only drops the interface boxing of each pushed and popped element.
+
+func (s *mergeScratch) heapInit() {
+	n := len(s.h)
+	for i := n/2 - 1; i >= 0; i-- {
+		s.heapDown(i, n)
+	}
+}
+
+func (s *mergeScratch) heapPush(c mergeCand) {
+	s.h = append(s.h, c)
+	h := s.h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].increase < h[i].increase) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (s *mergeScratch) heapPop() mergeCand {
+	h := s.h
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	s.heapDown(0, n)
+	c := h[n]
+	s.h = h[:n]
+	return c
+}
+
+func (s *mergeScratch) heapDown(i, n int) {
+	h := s.h
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].increase < h[j].increase {
+			j = j2
+		}
+		if !(h[j].increase < h[i].increase) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 var mergeScratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
@@ -123,7 +176,7 @@ func acquireMergeScratch(n int) *mergeScratch {
 	}
 	s.segs = s.segs[:n]
 	if cap(s.h) < n {
-		s.h = make(mergeHeap, 0, n)
+		s.h = make([]mergeCand, 0, n)
 	}
 	s.h = s.h[:0]
 	return s

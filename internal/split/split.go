@@ -42,7 +42,11 @@ func buildResult(o *trajectory.Object, cuts []int) Result {
 	boxes := make([]geom.Box, 0, len(cuts)+1)
 	total := 0.0
 	prev := 0
-	for _, c := range append(append([]int{}, cuts...), n) {
+	for i := 0; i <= len(cuts); i++ {
+		c := n // the last box runs to the end of the lifetime
+		if i < len(cuts) {
+			c = cuts[i]
+		}
 		b := o.BoxOf(prev, c)
 		boxes = append(boxes, b)
 		total += b.Volume()

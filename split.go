@@ -163,7 +163,11 @@ func splitDataset(objs []*trajectory.Object, cfg SplitConfig) ([]Record, SplitRe
 }
 
 func flattenResults(results []split.Result) []Record {
-	var records []Record
+	n := 0
+	for _, r := range results {
+		n += len(r.Boxes)
+	}
+	records := make([]Record, 0, n)
 	for _, r := range results {
 		for _, b := range r.Boxes {
 			records = append(records, Record{
