@@ -82,7 +82,6 @@ func main() {
 		listen  = flag.String("listen", ":8080", "HTTP listen address")
 		workers = flag.Int("workers", 0, "session-pool size: concurrently executing queries (0 = all cores)")
 		queue   = flag.Int("queue", 0, "admission queue depth (0 = 64)")
-		batch   = flag.Int("batch", 0, "same-snapshot batch size per worker (0/1 = no batching)")
 		timeout = flag.Duration("timeout", 0, "default per-query deadline for requests without one (0 = none)")
 		reject  = flag.Bool("reject", false, "fail fast with 503 when the queue is full instead of blocking")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -115,7 +114,6 @@ func main() {
 	svc := service.New(service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		BatchSize:      *batch,
 		DefaultTimeout: *timeout,
 		RejectWhenFull: *reject,
 		CacheMB:        *cacheMB,

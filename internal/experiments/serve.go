@@ -25,7 +25,6 @@ type ServeRow struct {
 	CacheMB int
 	Workers int
 	Queue   int
-	Batch   int
 	Clients int
 	Queries int
 	// QPS is completed queries per wall-clock second of the run.
@@ -43,8 +42,8 @@ type ServeRow struct {
 }
 
 // Serve measures the concurrent query service in two sweeps over one
-// saved container: the service shape (worker count, queue depth, batch
-// size on the lazy disk flavour, no shared cache) and the serving hot
+// saved container: the service shape (worker count and queue depth on
+// the lazy disk flavour, no shared cache) and the serving hot
 // path (mem/disk/mmap open flavours crossed with shared-cache budgets at
 // a fixed service shape). Unlike the paper's cold-buffer discipline, the
 // serving path keeps session buffers warm — the hit-rate columns show
@@ -53,8 +52,8 @@ func Serve(cfg Config) ([]ServeRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	cfg.printf("Serving — stserve engine throughput, %d objects (150%% splits), warm buffers\n", n)
-	cfg.printf("%8s %8s %8s %8s %8s | %10s %8s %8s %9s %10s\n",
-		"backend", "cache", "workers", "queue", "batch", "qps", "p50µs", "p99µs", "hit-rate", "shared-hit")
+	cfg.printf("%8s %8s %8s %8s | %10s %8s %8s %9s %10s\n",
+		"backend", "cache", "workers", "queue", "qps", "p50µs", "p99µs", "hit-rate", "shared-hit")
 
 	dir, err := os.MkdirTemp("", "stindex-serve")
 	if err != nil {
@@ -84,29 +83,28 @@ func Serve(cfg Config) ([]ServeRow, error) {
 
 	const clients = 8
 	var rows []ServeRow
-	emit := func(backend stx.Backend, cacheMB, workers, queue, batch int) error {
-		row, err := serveOnce(path, backend, cacheMB, n, workers, queue, batch, clients, queries)
+	emit := func(backend stx.Backend, cacheMB, workers, queue int) error {
+		row, err := serveOnce(path, backend, cacheMB, n, workers, queue, clients, queries)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
-		cfg.printf("%8s %7dM %8d %8d %8d | %10.0f %8d %8d %9.3f %10.3f\n",
-			row.Backend, row.CacheMB, row.Workers, row.Queue, row.Batch,
+		cfg.printf("%8s %7dM %8d %8d | %10.0f %8d %8d %9.3f %10.3f\n",
+			row.Backend, row.CacheMB, row.Workers, row.Queue,
 			row.QPS, row.P50US, row.P99US, row.HitRate, row.SharedHitRate)
 		return nil
 	}
 
 	// Sweep 1 — service shape on the lazy disk flavour, no shared cache.
-	for _, conf := range []struct{ workers, queue, batch int }{
-		{1, 64, 1},
-		{2, 64, 1},
-		{4, 64, 1},
-		{8, 64, 1},
-		{4, 16, 1},
-		{4, 256, 1},
-		{4, 64, 8},
+	for _, conf := range []struct{ workers, queue int }{
+		{1, 64},
+		{2, 64},
+		{4, 64},
+		{8, 64},
+		{4, 16},
+		{4, 256},
 	} {
-		if err := emit(stx.BackendDisk, 0, conf.workers, conf.queue, conf.batch); err != nil {
+		if err := emit(stx.BackendDisk, 0, conf.workers, conf.queue); err != nil {
 			return nil, err
 		}
 	}
@@ -114,7 +112,7 @@ func Serve(cfg Config) ([]ServeRow, error) {
 	// at a fixed service shape.
 	for _, backend := range []stx.Backend{stx.BackendMemory, stx.BackendDisk, stx.BackendMmap} {
 		for _, cacheMB := range []int{0, 8, 64} {
-			if err := emit(backend, cacheMB, 4, 64, 1); err != nil {
+			if err := emit(backend, cacheMB, 4, 64); err != nil {
 				return nil, err
 			}
 		}
@@ -125,11 +123,10 @@ func Serve(cfg Config) ([]ServeRow, error) {
 
 // serveOnce runs the full query set from a fixed client fleet against a
 // freshly opened container and reports the service's own metrics.
-func serveOnce(path string, backend stx.Backend, cacheMB, size, workers, queue, batch, clients int, queries []stx.Query) (ServeRow, error) {
+func serveOnce(path string, backend stx.Backend, cacheMB, size, workers, queue, clients int, queries []stx.Query) (ServeRow, error) {
 	svc := service.New(service.Config{
 		Workers:     workers,
 		QueueDepth:  queue,
-		BatchSize:   batch,
 		CacheMB:     cacheMB,
 		OpenBackend: backend,
 	})
@@ -167,7 +164,7 @@ func serveOnce(path string, backend stx.Backend, cacheMB, size, workers, queue, 
 	m := svc.Metrics()
 	row := ServeRow{
 		Size: size, Backend: string(backend), CacheMB: cacheMB,
-		Workers: workers, Queue: queue, Batch: batch,
+		Workers: workers, Queue: queue,
 		Clients: clients, Queries: int(m.Completed),
 		QPS:   float64(m.Completed) / elapsed.Seconds(),
 		P50US: m.P50US, P99US: m.P99US,

@@ -64,7 +64,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		want[i] = ids
 	}
 
-	svc := New(Config{Workers: 4, QueueDepth: 32, BatchSize: 4})
+	svc := New(Config{Workers: 4, QueueDepth: 32})
 	defer svc.Close()
 	if _, err := svc.Registry().Load("default", pathA); err != nil {
 		t.Fatal(err)

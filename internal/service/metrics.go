@@ -108,7 +108,6 @@ type Metrics struct {
 	Workers       int `json:"workers"`
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
-	BatchSize     int `json:"batch_size"`
 
 	// Cache is the registry-wide shared page cache's state; all zeros
 	// when the cache is disabled.

@@ -2,8 +2,7 @@
 // opened spatiotemporal indexes: a refcounted snapshot registry with
 // atomic hot-swap, a pool of per-worker query sessions (private buffer
 // pools and decode caches over shared frozen page stores), and a bounded
-// admission queue with deadlines, optional same-snapshot batching and
-// built-in metrics. cmd/stserve exposes it over HTTP/JSON; embedders use
+// admission queue with deadlines and built-in metrics. cmd/stserve exposes it over HTTP/JSON; embedders use
 // New / Registry / Session directly.
 //
 // The design leans on two guarantees from the layers below: a frozen
@@ -35,8 +34,7 @@ var (
 )
 
 // Config sizes the service. The zero value serves with GOMAXPROCS
-// workers, a 64-slot queue, no batching, no default deadline, blocking
-// admission.
+// workers, a 64-slot queue, no default deadline, blocking admission.
 type Config struct {
 	// Workers is the session-pool size: that many queries execute truly
 	// concurrently, each on its own view. 0 = GOMAXPROCS.
@@ -44,10 +42,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue (requests accepted but not
 	// yet executing). 0 = 64.
 	QueueDepth int
-	// BatchSize > 1 lets a worker opportunistically drain up to this
-	// many queued requests at once and serve same-snapshot runs under a
-	// single lease. 0 or 1 disables batching.
-	BatchSize int
 	// DefaultTimeout bounds every request that arrives without its own
 	// deadline. 0 = no default deadline.
 	DefaultTimeout time.Duration
@@ -72,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
 	}
 	return c
 }
@@ -207,7 +198,6 @@ func (s *Service) Metrics() Metrics {
 	m.Workers = s.cfg.Workers
 	m.QueueDepth = len(s.reqCh)
 	m.QueueCapacity = s.cfg.QueueDepth
-	m.BatchSize = s.cfg.BatchSize
 	m.Cache = s.reg.Cache().Stats()
 	m.Snapshots = s.reg.List()
 	if fn, ok := s.ingestStats.Load().(func() *IngestStats); ok && fn != nil {
@@ -242,58 +232,13 @@ func (s *Service) Close() error {
 }
 
 // worker is one session-pool goroutine: it owns a Session (private
-// views), pulls requests, opportunistically batches, and answers.
+// views), pulls requests and answers each under its own lease.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	sess := NewSession(s.reg)
-	batch := make([]*request, 0, s.cfg.BatchSize)
 	for r := range s.reqCh {
-		batch = append(batch[:0], r)
-		// Opportunistic drain: whatever is already queued, up to the
-		// batch cap, without waiting for more to arrive.
-	drain:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case more, ok := <-s.reqCh:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-			default:
-				break drain
-			}
-		}
-		s.serveBatch(sess, batch)
-	}
-}
-
-// serveBatch answers a run of requests, acquiring each distinct snapshot
-// once and serving its requests under that single lease — the batching
-// optimisation for same-snapshot traffic. Request order is preserved
-// within each snapshot group.
-func (s *Service) serveBatch(sess *Session, batch []*request) {
-	// Group by snapshot name, preserving arrival order within groups.
-	// Batches are small (<= BatchSize), so a linear scan beats a map.
-	for i, r := range batch {
-		if r == nil {
-			continue
-		}
-		lease, err := s.reg.Acquire(r.snapshot)
-		if err != nil {
-			s.answer(r, Result{}, err)
-			batch[i] = nil
-			continue
-		}
-		for j := i; j < len(batch); j++ {
-			rj := batch[j]
-			if rj == nil || rj.snapshot != r.snapshot {
-				continue
-			}
-			res, err := sess.QueryLeased(rj.ctx, lease, rj.q)
-			s.answer(rj, res, err)
-			batch[j] = nil
-		}
-		lease.Release()
+		res, err := sess.Query(r.ctx, r.snapshot, r.q)
+		s.answer(r, res, err)
 	}
 }
 

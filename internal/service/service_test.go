@@ -328,7 +328,7 @@ func TestServiceServesAndMeters(t *testing.T) {
 		want[i] = ids
 	}
 
-	svc := New(Config{Workers: 4, QueueDepth: 16, BatchSize: 4})
+	svc := New(Config{Workers: 4, QueueDepth: 16})
 	defer svc.Close()
 	if _, err := svc.Registry().Publish("default", idx); err != nil {
 		t.Fatal(err)

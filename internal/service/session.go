@@ -72,13 +72,6 @@ func (s *Session) Query(ctx context.Context, snapshot string, q stx.Query) (Resu
 		return Result{}, err
 	}
 	defer lease.Release()
-	return s.QueryLeased(ctx, lease, q)
-}
-
-// QueryLeased runs q against an already-acquired lease — the batching
-// path, which acquires one lease for a run of same-snapshot requests.
-// The caller keeps ownership of the lease.
-func (s *Session) QueryLeased(ctx context.Context, lease *Lease, q stx.Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
