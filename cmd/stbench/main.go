@@ -57,7 +57,6 @@ func main() {
 		backend = flag.String("backend", "", "page-store backend for every index build: mem | disk (default: $STINDEX_BACKEND, then mem; results and AvgIO are identical either way)")
 		codec   = flag.String("codec", "", "default page codec for every container save: identity | compressed (default: $STINDEX_CODEC, then compressed; -exp persist always measures both)")
 		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shard (default 1,4,16)")
-		partner = flag.String("partitioner", "", "comma-separated partitioners for -exp shard (default temporal,spatial,velocity)")
 	)
 	flag.Parse()
 	if *backend != "" {
@@ -93,11 +92,6 @@ func main() {
 				fatal(fmt.Errorf("bad shard count %q", s))
 			}
 			cfg.ShardCounts = append(cfg.ShardCounts, n)
-		}
-	}
-	if *partner != "" {
-		for _, p := range strings.Split(*partner, ",") {
-			cfg.Partitioners = append(cfg.Partitioners, strings.TrimSpace(p))
 		}
 	}
 

@@ -9,8 +9,8 @@
 //	stsplit -i random10k.jsonl -baseline piecewise -o piecewise.jsonl
 //
 // With -shards N the split records are not written as JSON: they are
-// partitioned into N shards (object granularity, -partitioner temporal,
-// spatial or velocity) and -o names a shard manifest; one -index kind
+// partitioned into N temporal shards (object granularity, equal-count
+// epochs) and -o names a shard manifest; one -index kind
 // container is built and saved per shard next to it. stserve -load
 // serves such a manifest as one scatter-gather snapshot:
 //
@@ -45,7 +45,6 @@ func main() {
 		qy       = flag.Float64("qy", 0, "query-aware objective: expected query y-extent")
 		par      = flag.Int("parallelism", 0, "worker count for curve construction and materialization (0 = all cores, 1 = serial; output is identical either way)")
 		shards   = flag.Int("shards", 0, "partition the records into this many shards and build a sharded snapshot at -o (0 = write records)")
-		partner  = flag.String("partitioner", "temporal", "shard partitioner: temporal | spatial | velocity")
 		indexK   = flag.String("index", "ppr", "shard container index kind: ppr | rstar | rstar-packed | hr | hybrid")
 		pages    = flag.Int("pages", 0, "global buffer-page budget distributed across the shards (0 = 10 per shard)")
 		codec    = flag.String("codec", "", "shard container page codec: identity | compressed (default: compressed, or $STINDEX_CODEC)")
@@ -92,11 +91,11 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-shards needs -o (the manifest path)"))
 		}
-		if err := buildSharded(records, *out, *shards, *partner, *indexK, *codec, *pages, *par); err != nil {
+		if err := buildSharded(records, *out, *shards, *indexK, *codec, *pages, *par); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "objects=%d records=%d volume=%.4f sharded into %d %s shards at %s\n",
-			len(objs), len(records), total, *shards, *partner, *out)
+		fmt.Fprintf(os.Stderr, "objects=%d records=%d volume=%.4f sharded into %d temporal shards at %s\n",
+			len(objs), len(records), total, *shards, *out)
 		return
 	}
 
@@ -163,7 +162,7 @@ func runPipeline(objs []*trajectory.Object, budget int, splitter, dist string, q
 
 // buildSharded partitions the split records and builds one container
 // per shard plus the manifest stserve loads.
-func buildSharded(records []stio.Record, manifest string, shards int, partitioner, kind, codec string, pages, par int) error {
+func buildSharded(records []stio.Record, manifest string, shards int, kind, codec string, pages, par int) error {
 	recs := make([]stx.Record, len(records))
 	for i, r := range records {
 		recs[i] = stx.Record{
@@ -172,7 +171,7 @@ func buildSharded(records []stio.Record, manifest string, shards int, partitione
 			ObjectID: r.ObjectID,
 		}
 	}
-	plan, err := sharding.Partition(recs, sharding.PlanConfig{Shards: shards, Partitioner: partitioner})
+	plan, err := sharding.Partition(recs, sharding.PlanConfig{Shards: shards})
 	if err != nil {
 		return err
 	}

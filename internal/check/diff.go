@@ -8,7 +8,6 @@ import (
 
 	stx "stindex"
 	"stindex/internal/pagefile"
-	"stindex/internal/sharding"
 )
 
 // DiffConfig parameterises one differential run. The zero value is
@@ -134,8 +133,8 @@ func RunDiff(cfg DiffConfig) (DiffReport, error) {
 				if err := shardedDiffPass(kind, records, wl, exp); err != nil {
 					return rep, fmt.Errorf("check: seed %d: %s sharded scatter-gather: %w", cfg.Seed, kind, err)
 				}
-				rep.Passes += len(sharding.Partitioners)
-				rep.Compared += 2 * len(sharding.Partitioners) * wl.TotalQueries()
+				rep.Passes++
+				rep.Compared += 2 * wl.TotalQueries()
 			}
 			// Mmap-flavoured kinds hold the container file and mapping;
 			// in-memory builds make this a no-op.

@@ -18,8 +18,8 @@ func TestRunDiffSmall(t *testing.T) {
 	}
 	// 3 backends x 5 kinds x 2 parallelism levels + 5 container
 	// round-trips + 5 shared-cache round-trips + 5 kinds x 2 codecs x 3
-	// open backends + 5 kinds x 3 sharded partitioner passes.
-	if want := 3*5*2 + 5 + 5 + 5*2*3 + 5*3; rep.Passes != want {
+	// open backends + 5 sharded passes.
+	if want := 3*5*2 + 5 + 5 + 5*2*3 + 5; rep.Passes != want {
 		t.Errorf("Passes = %d, want %d", rep.Passes, want)
 	}
 	if rep.Compared == 0 || rep.Queries == 0 {

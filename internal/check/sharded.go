@@ -29,9 +29,9 @@ func shardKindFor(kind string) string {
 }
 
 // shardedDiffPass proves a sharded snapshot is query-equivalent to the
-// unsharded index it was carved from: for every partitioner it
-// partitions the records the expected answers were computed over,
-// builds a manifest plus shard containers, opens them through the
+// unsharded index it was carved from: it partitions the records the
+// expected answers were computed over, builds a manifest plus shard
+// containers, opens them through the
 // serving scatter-gather path, validates each shard container's
 // structural invariants, and compares every query — serially and with
 // four concurrent query views — against the same oracle answers the
@@ -39,16 +39,7 @@ func shardKindFor(kind string) string {
 // invariant that every (query, shard) pair is either pruned or
 // dispatched.
 func shardedDiffPass(kind string, records []stx.Record, wl *Workload, exp *Expected) error {
-	for _, part := range sharding.Partitioners {
-		if err := shardedDiffOne(kind, part, records, wl, exp); err != nil {
-			return fmt.Errorf("partitioner %s: %w", part, err)
-		}
-	}
-	return nil
-}
-
-func shardedDiffOne(kind, part string, records []stx.Record, wl *Workload, exp *Expected) error {
-	plan, err := sharding.Partition(records, sharding.PlanConfig{Shards: shardedDiffShards, Partitioner: part})
+	plan, err := sharding.Partition(records, sharding.PlanConfig{Shards: shardedDiffShards})
 	if err != nil {
 		return err
 	}
@@ -108,7 +99,7 @@ func shardedRecordsFor(idx stx.Index, wl *Workload) ([]stx.Record, error) {
 // must be oracle-exact again. Runs on the disk backend, where read
 // faults reach the pread path.
 func shardedFaultPass(wl *Workload, exp *Expected, schedules []string) (uint64, error) {
-	plan, err := sharding.Partition(wl.Records, sharding.PlanConfig{Shards: shardedDiffShards, Partitioner: "temporal"})
+	plan, err := sharding.Partition(wl.Records, sharding.PlanConfig{Shards: shardedDiffShards})
 	if err != nil {
 		return 0, err
 	}

@@ -40,9 +40,6 @@ type Config struct {
 	// ShardCounts are the shard counts the sharded-serving sweep builds;
 	// nil selects {1, 4, 16}. Only the Shard experiment reads it.
 	ShardCounts []int
-	// Partitioners restricts the sharded-serving sweep to these
-	// partitioners; nil selects all of sharding.Partitioners.
-	Partitioners []string
 	// Out receives the human-readable tables; nil discards them.
 	Out io.Writer
 }

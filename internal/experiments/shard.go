@@ -19,16 +19,15 @@ import (
 // accumulated records survive.
 const shardChunk = 50_000
 
-// ShardRow records one cell of the sharded-serving sweep: a shard count
-// and partitioner crossed over one dataset, measured with the paper's
-// cold-buffer discipline (buffers reset before every query).
+// ShardRow records one cell of the sharded-serving sweep: one shard count
+// over one dataset, measured with the paper's cold-buffer discipline
+// (buffers reset before every query).
 type ShardRow struct {
-	Objects     int
-	Records     int
-	Shards      int // built shards (= requested count here)
-	Partitioner string
-	BuildSec    float64 // partition + build + save, all shards
-	Pages       int     // total container pages across shards
+	Objects  int
+	Records  int
+	Shards   int     // built shards (= requested count here)
+	BuildSec float64 // partition + build + save, all shards
+	Pages    int     // total container pages across shards
 	// AvgReads is the average page reads per query across all shards,
 	// cold buffers (the paper's AvgIO discipline, summed over the
 	// fan-out).
@@ -50,26 +49,22 @@ type ShardRow struct {
 }
 
 // Shard measures scatter-gather serving over one large dataset: for
-// every shard count and partitioner it partitions the records, builds a
-// sharded snapshot (shard containers + manifest), reopens it through
-// the serving fan-out on the disk flavour, and replays the query set
-// cold. The shards=1 rows are the unsharded baseline: one container
-// holding every record, served through the same code path — at one
-// shard every partitioner produces the identical trivial plan, so those
-// rows differ only in label. Shard containers are bulk-loaded packed
-// R*-trees (the fastest builder at millions of records).
+// every shard count it partitions the records into temporal epochs,
+// builds a sharded snapshot (shard containers + manifest), reopens it
+// through the serving fan-out on the disk flavour, and replays the query
+// set cold. The shards=1 row is the unsharded baseline: one container
+// holding every record, served through the same code path. Shard
+// containers are bulk-loaded packed R*-trees (the fastest builder at
+// millions of records).
 func Shard(cfg Config) ([]ShardRow, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.ShardCounts) == 0 {
 		cfg.ShardCounts = []int{1, 4, 16}
 	}
-	if len(cfg.Partitioners) == 0 {
-		cfg.Partitioners = sharding.Partitioners
-	}
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	cfg.printf("Sharded serving — scatter-gather fan-out, %d objects (150%% splits, %d-object chunks), cold buffers\n", n, shardChunk)
-	cfg.printf("%8s %12s | %9s %8s | %10s %10s %11s %10s | %8s %9s %9s\n",
-		"shards", "partitioner", "build-s", "pages", "reads/q", "disp/q", "pruned-frac", "results/q",
+	cfg.printf("%8s | %9s %8s | %10s %10s %11s %10s | %8s %9s %9s\n",
+		"shards", "build-s", "pages", "reads/q", "disp/q", "pruned-frac", "results/q",
 		"1shard-q", "reads/1q", "base/1q")
 
 	records, err := chunkedRandomRecords(cfg, n)
@@ -91,37 +86,35 @@ func Shard(cfg Config) ([]ShardRow, error) {
 	var rows []ShardRow
 	var baseline []int64 // per-query reads of the first shards=1 cell
 	for _, k := range cfg.ShardCounts {
-		for _, part := range cfg.Partitioners {
-			row, reads, disp, err := shardOnce(dir, records, queries, n, k, part)
-			if err != nil {
-				return nil, fmt.Errorf("shards=%d partitioner=%s: %w", k, part, err)
-			}
-			if baseline == nil && row.Shards == 1 {
-				baseline = reads
-			}
-			var singleReads, singleBase int64
-			for i, d := range disp {
-				if d != 1 {
-					continue
-				}
-				row.SingleShard++
-				singleReads += reads[i]
-				if baseline != nil {
-					singleBase += baseline[i]
-				}
-			}
-			if row.SingleShard > 0 {
-				row.AvgReadsSingle = float64(singleReads) / float64(row.SingleShard)
-				if baseline != nil {
-					row.BaselineSingle = float64(singleBase) / float64(row.SingleShard)
-				}
-			}
-			rows = append(rows, row)
-			cfg.printf("%8d %12s | %9.1f %8d | %10.1f %10.2f %11.3f %10.1f | %8d %9.1f %9.1f\n",
-				row.Shards, row.Partitioner, row.BuildSec, row.Pages,
-				row.AvgReads, row.AvgDispatched, row.PrunedFrac, row.AvgResult,
-				row.SingleShard, row.AvgReadsSingle, row.BaselineSingle)
+		row, reads, disp, err := shardOnce(dir, records, queries, n, k)
+		if err != nil {
+			return nil, fmt.Errorf("shards=%d: %w", k, err)
 		}
+		if baseline == nil && row.Shards == 1 {
+			baseline = reads
+		}
+		var singleReads, singleBase int64
+		for i, d := range disp {
+			if d != 1 {
+				continue
+			}
+			row.SingleShard++
+			singleReads += reads[i]
+			if baseline != nil {
+				singleBase += baseline[i]
+			}
+		}
+		if row.SingleShard > 0 {
+			row.AvgReadsSingle = float64(singleReads) / float64(row.SingleShard)
+			if baseline != nil {
+				row.BaselineSingle = float64(singleBase) / float64(row.SingleShard)
+			}
+		}
+		rows = append(rows, row)
+		cfg.printf("%8d | %9.1f %8d | %10.1f %10.2f %11.3f %10.1f | %8d %9.1f %9.1f\n",
+			row.Shards, row.BuildSec, row.Pages,
+			row.AvgReads, row.AvgDispatched, row.PrunedFrac, row.AvgResult,
+			row.SingleShard, row.AvgReadsSingle, row.BaselineSingle)
 	}
 	cfg.printf("\n")
 	return rows, nil
@@ -149,16 +142,15 @@ func chunkedRandomRecords(cfg Config, n int) ([]stx.Record, error) {
 	return records, nil
 }
 
-// shardOnce builds and measures one (shard count, partitioner) cell,
-// returning the row plus each query's page reads and dispatch width (how
+// shardOnce builds and measures one shard-count cell, returning the row plus each query's page reads and dispatch width (how
 // many shards the router actually fanned it to).
-func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int, part string) (ShardRow, []int64, []int, error) {
+func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int) (ShardRow, []int64, []int, error) {
 	start := time.Now()
-	plan, err := sharding.Partition(records, sharding.PlanConfig{Shards: k, Partitioner: part})
+	plan, err := sharding.Partition(records, sharding.PlanConfig{Shards: k})
 	if err != nil {
 		return ShardRow{}, nil, nil, err
 	}
-	manifest := filepath.Join(dir, fmt.Sprintf("shard-%d-%s.stm", k, part))
+	manifest := filepath.Join(dir, fmt.Sprintf("shard-%d.stm", k))
 	if _, err := sharding.Build(manifest, plan, sharding.BuildConfig{Kind: "rstar-packed"}); err != nil {
 		return ShardRow{}, nil, nil, err
 	}
@@ -200,7 +192,7 @@ func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int, 
 	nq := float64(len(queries))
 	row := ShardRow{
 		Objects: n, Records: len(records),
-		Shards: len(plan.Shards), Partitioner: part,
+		Shards:        len(plan.Shards),
 		BuildSec:      buildSec,
 		Pages:         sidx.Pages(),
 		AvgReads:      float64(reads) / nq,

@@ -6,32 +6,20 @@
 // record multiset, so a sharded snapshot is query-equivalent to the
 // single container it was carved from (internal/check proves it).
 //
-// Three partitioners are provided, at object granularity (every record
-// of an object lands in the same shard, keeping per-shard answers
-// duplicate-free for that object):
-//
-//   - temporal: equal-count epochs over lifetime midpoints, the natural
-//     cut for a partially persistent structure whose root log is a
-//     timeline;
-//   - spatial: STR-style tiles over duration-weighted centroid
-//     positions (sort by x into slabs, each slab by y);
-//   - velocity: equal-count bands over mean centroid speed, after
-//     "Speed/Velocity Partitioning for Indexing Moving Objects"
-//     (PAPERS.md): separating slow from fast movers cuts dead space.
-//
-// All partitioners are deterministic: ties break on object id.
+// The partitioner is temporal, at object granularity (every record of an
+// object lands in the same shard, keeping per-shard answers
+// duplicate-free for that object): equal-count epochs over lifetime
+// midpoints, the natural cut for a partially persistent structure whose
+// root log is a timeline, and the only cut whose shard bounds a query
+// can be pruned against. It is deterministic: ties break on object id.
 package sharding
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	stx "stindex"
 )
-
-// Partitioners lists the supported partitioner names.
-var Partitioners = []string{"temporal", "spatial", "velocity"}
 
 // MaxShards bounds the shard count of a plan and of any manifest
 // accepted from disk.
@@ -42,7 +30,10 @@ type PlanConfig struct {
 	// Shards is the target shard count K (>= 1). Fewer non-empty shards
 	// may result when the collection has fewer objects than K.
 	Shards int
-	// Partitioner is one of Partitioners; default "temporal".
+	// Partitioner names the cut: "temporal", which "" also selects.
+	// The spatial and velocity partitioners were removed (their shard
+	// bounds overlap, so they never pruned a query); asking for one is
+	// an error.
 	Partitioner string
 }
 
@@ -54,9 +45,8 @@ type Shard struct {
 	Objects  int          // distinct objects in the shard
 }
 
-// Plan is the outcome of Partition: the non-empty shards, in partitioner
-// order (temporal epochs oldest first, spatial tiles in slab order,
-// velocity bands slowest first).
+// Plan is the outcome of Partition: the non-empty shards, epochs oldest
+// first.
 type Plan struct {
 	Partitioner string
 	Shards      []Shard
@@ -64,19 +54,16 @@ type Plan struct {
 	Objects     int // total distinct objects
 }
 
-// objectKey carries the per-object features the partitioners sort on.
+// objectKey carries the per-object feature the partitioner sorts on.
 type objectKey struct {
 	id       int64
 	lo, hi   int // half-open record range in the grouped slice
 	midpoint float64
-	cx, cy   float64
-	speed    float64
 }
 
-// Partition groups the records by object, derives each object's
-// features, and cuts the objects into cfg.Shards groups with the chosen
-// partitioner. Empty groups are dropped. The input slice is not
-// modified.
+// Partition groups the records by object and cuts the objects, sorted by
+// lifetime midpoint, into cfg.Shards equal-count groups. Empty groups
+// are dropped. The input slice is not modified.
 func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("sharding: shard count %d, want >= 1", cfg.Shards)
@@ -84,8 +71,14 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 	if cfg.Shards > MaxShards {
 		return nil, fmt.Errorf("sharding: shard count %d exceeds the maximum %d", cfg.Shards, MaxShards)
 	}
-	if cfg.Partitioner == "" {
+	switch cfg.Partitioner {
+	case "":
 		cfg.Partitioner = "temporal"
+	case "temporal":
+	case "spatial", "velocity":
+		return nil, fmt.Errorf("sharding: the %s partitioner was removed (it never pruned a query); use temporal", cfg.Partitioner)
+	default:
+		return nil, fmt.Errorf("sharding: unknown partitioner %q (want temporal)", cfg.Partitioner)
 	}
 	if len(records) == 0 {
 		return nil, fmt.Errorf("sharding: no records to partition")
@@ -110,33 +103,15 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 		objs = append(objs, objectFeatures(grouped, lo, hi))
 		lo = hi
 	}
-
-	var groups [][]objectKey
-	switch cfg.Partitioner {
-	case "temporal":
-		sort.SliceStable(objs, func(i, j int) bool {
-			if objs[i].midpoint != objs[j].midpoint {
-				return objs[i].midpoint < objs[j].midpoint
-			}
-			return objs[i].id < objs[j].id
-		})
-		groups = equalCountGroups(objs, cfg.Shards)
-	case "velocity":
-		sort.SliceStable(objs, func(i, j int) bool {
-			if objs[i].speed != objs[j].speed {
-				return objs[i].speed < objs[j].speed
-			}
-			return objs[i].id < objs[j].id
-		})
-		groups = equalCountGroups(objs, cfg.Shards)
-	case "spatial":
-		groups = strTiles(objs, cfg.Shards)
-	default:
-		return nil, fmt.Errorf("sharding: unknown partitioner %q (want temporal, spatial or velocity)", cfg.Partitioner)
-	}
+	sort.SliceStable(objs, func(i, j int) bool {
+		if objs[i].midpoint != objs[j].midpoint {
+			return objs[i].midpoint < objs[j].midpoint
+		}
+		return objs[i].id < objs[j].id
+	})
 
 	plan := &Plan{Partitioner: cfg.Partitioner, Records: len(grouped), Objects: len(objs)}
-	for _, g := range groups {
+	for _, g := range equalCountGroups(objs, cfg.Shards) {
 		if len(g) == 0 {
 			continue
 		}
@@ -156,42 +131,19 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 	return plan, nil
 }
 
-// objectFeatures derives one object's partitioning features from its
-// grouped record range [lo, hi): lifetime midpoint, duration-weighted
-// centroid, and mean centroid speed (distance between consecutive record
-// centroids over the lifetime; zero for single-record objects).
+// objectFeatures derives one object's partitioning feature from its
+// grouped record range [lo, hi): the midpoint of its lifetime.
 func objectFeatures(grouped []stx.Record, lo, hi int) objectKey {
-	o := objectKey{id: grouped[lo].ObjectID, lo: lo, hi: hi}
 	start, end := grouped[lo].Interval.Start, grouped[lo].Interval.End
-	var wsum, cx, cy float64
-	for i := lo; i < hi; i++ {
-		r := grouped[i]
+	for _, r := range grouped[lo+1 : hi] {
 		if r.Interval.Start < start {
 			start = r.Interval.Start
 		}
 		if r.Interval.End > end {
 			end = r.Interval.End
 		}
-		w := float64(r.Interval.End - r.Interval.Start)
-		if w <= 0 {
-			w = 1
-		}
-		cx += w * (r.Rect.MinX + r.Rect.MaxX) / 2
-		cy += w * (r.Rect.MinY + r.Rect.MaxY) / 2
-		wsum += w
 	}
-	o.midpoint = (float64(start) + float64(end)) / 2
-	o.cx, o.cy = cx/wsum, cy/wsum
-	var path float64
-	for i := lo + 1; i < hi; i++ {
-		dx := (grouped[i].Rect.MinX+grouped[i].Rect.MaxX)/2 - (grouped[i-1].Rect.MinX+grouped[i-1].Rect.MaxX)/2
-		dy := (grouped[i].Rect.MinY+grouped[i].Rect.MaxY)/2 - (grouped[i-1].Rect.MinY+grouped[i-1].Rect.MaxY)/2
-		path += math.Hypot(dx, dy)
-	}
-	if life := end - start; life > 0 {
-		o.speed = path / float64(life)
-	}
-	return o
+	return objectKey{id: grouped[lo].ObjectID, lo: lo, hi: hi, midpoint: (float64(start) + float64(end)) / 2}
 }
 
 // equalCountGroups cuts a sorted object slice into k contiguous groups
@@ -209,53 +161,6 @@ func equalCountGroups(objs []objectKey, k int) [][]objectKey {
 		}
 		groups = append(groups, objs[lo:lo+size])
 		lo += size
-	}
-	return groups
-}
-
-// strTiles cuts the objects into exactly k spatial tiles Sort-Tile-
-// Recursive style: floor(sqrt(k)) vertical slabs by centroid x, each
-// slab cut by centroid y into its share of the k tiles.
-func strTiles(objs []objectKey, k int) [][]objectKey {
-	slabs := int(math.Floor(math.Sqrt(float64(k))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	sort.SliceStable(objs, func(i, j int) bool {
-		if objs[i].cx != objs[j].cx {
-			return objs[i].cx < objs[j].cx
-		}
-		return objs[i].id < objs[j].id
-	})
-	// Distribute the k tiles over the slabs, then size each slab's
-	// object share proportionally to its tile count.
-	tilesPer := make([]int, slabs)
-	base, rem := k/slabs, k%slabs
-	for s := range tilesPer {
-		tilesPer[s] = base
-		if s < rem {
-			tilesPer[s]++
-		}
-	}
-	var groups [][]objectKey
-	n, lo := len(objs), 0
-	assigned := 0
-	for s := 0; s < slabs; s++ {
-		// Objects for this slab, proportional to its tile share.
-		hi := lo + (n-lo)*tilesPer[s]/(k-assigned)
-		if s == slabs-1 {
-			hi = n
-		}
-		slab := objs[lo:hi]
-		sort.SliceStable(slab, func(i, j int) bool {
-			if slab[i].cy != slab[j].cy {
-				return slab[i].cy < slab[j].cy
-			}
-			return slab[i].id < slab[j].id
-		})
-		groups = append(groups, equalCountGroups(slab, tilesPer[s])...)
-		lo = hi
-		assigned += tilesPer[s]
 	}
 	return groups
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	stx "stindex"
@@ -42,58 +43,57 @@ func recordMultiset(records []stx.Record) []stx.Record {
 
 func TestPartitionPreservesRecords(t *testing.T) {
 	records := testRecords(t, 120)
-	for _, part := range Partitioners {
-		for _, k := range []int{1, 3, 8} {
-			plan, err := Partition(records, PlanConfig{Shards: k, Partitioner: part})
-			if err != nil {
-				t.Fatalf("%s/%d: %v", part, k, err)
+	for _, k := range []int{1, 3, 8} {
+		plan, err := Partition(records, PlanConfig{Shards: k})
+		if err != nil {
+			t.Fatalf("%d: %v", k, err)
+		}
+		if plan.Partitioner != "temporal" {
+			t.Fatalf("%d: plan records partitioner %q", k, plan.Partitioner)
+		}
+		if len(plan.Shards) == 0 || len(plan.Shards) > k {
+			t.Fatalf("%d: got %d shards", k, len(plan.Shards))
+		}
+		var union []stx.Record
+		owners := make(map[int64]int)
+		for si, sh := range plan.Shards {
+			if len(sh.Records) == 0 {
+				t.Fatalf("%d: empty shard %d in plan", k, si)
 			}
-			if len(plan.Shards) == 0 || len(plan.Shards) > k {
-				t.Fatalf("%s/%d: got %d shards", part, k, len(plan.Shards))
-			}
-			var union []stx.Record
-			owners := make(map[int64]int)
-			for si, sh := range plan.Shards {
-				if len(sh.Records) == 0 {
-					t.Fatalf("%s/%d: empty shard %d in plan", part, k, si)
+			union = append(union, sh.Records...)
+			for _, r := range sh.Records {
+				// Object granularity: every record of an object lives in
+				// one shard.
+				if prev, ok := owners[r.ObjectID]; ok && prev != si {
+					t.Fatalf("%d: object %d split across shards %d and %d", k, r.ObjectID, prev, si)
 				}
-				union = append(union, sh.Records...)
-				for _, r := range sh.Records {
-					// Object granularity: every record of an object lives in
-					// one shard.
-					if prev, ok := owners[r.ObjectID]; ok && prev != si {
-						t.Fatalf("%s/%d: object %d split across shards %d and %d", part, k, r.ObjectID, prev, si)
-					}
-					owners[r.ObjectID] = si
-					if !r.Rect.Intersects(sh.Rect) || r.Interval.Start < sh.Interval.Start || r.Interval.End > sh.Interval.End {
-						t.Fatalf("%s/%d: shard %d bounds do not cover record %+v", part, k, si, r)
-					}
+				owners[r.ObjectID] = si
+				if !r.Rect.Intersects(sh.Rect) || r.Interval.Start < sh.Interval.Start || r.Interval.End > sh.Interval.End {
+					t.Fatalf("%d: shard %d bounds do not cover record %+v", k, si, r)
 				}
 			}
-			if !reflect.DeepEqual(recordMultiset(union), recordMultiset(records)) {
-				t.Fatalf("%s/%d: shard union differs from the input record multiset", part, k)
-			}
-			if plan.Records != len(records) || plan.Objects != len(owners) {
-				t.Fatalf("%s/%d: plan totals %d/%d, want %d/%d", part, k, plan.Records, plan.Objects, len(records), len(owners))
-			}
+		}
+		if !reflect.DeepEqual(recordMultiset(union), recordMultiset(records)) {
+			t.Fatalf("%d: shard union differs from the input record multiset", k)
+		}
+		if plan.Records != len(records) || plan.Objects != len(owners) {
+			t.Fatalf("%d: plan totals %d/%d, want %d/%d", k, plan.Records, plan.Objects, len(records), len(owners))
 		}
 	}
 }
 
 func TestPartitionDeterministic(t *testing.T) {
 	records := testRecords(t, 80)
-	for _, part := range Partitioners {
-		a, err := Partition(records, PlanConfig{Shards: 4, Partitioner: part})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Partition(records, PlanConfig{Shards: 4, Partitioner: part})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: two partitions of the same input differ", part)
-		}
+	a, err := Partition(records, PlanConfig{Shards: 4, Partitioner: "temporal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Partition(records, PlanConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two partitions of the same input differ")
 	}
 }
 
@@ -110,6 +110,12 @@ func TestPartitionRejects(t *testing.T) {
 	}
 	if _, err := Partition(records, PlanConfig{Shards: 2, Partitioner: "nope"}); err == nil {
 		t.Fatal("want error for unknown partitioner")
+	}
+	for _, gone := range []string{"spatial", "velocity"} {
+		_, err := Partition(records, PlanConfig{Shards: 2, Partitioner: gone})
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("partitioner %s: error %v does not name the removal", gone, err)
+		}
 	}
 }
 
@@ -201,7 +207,7 @@ func TestManifestRejects(t *testing.T) {
 
 func TestBuildAndLoad(t *testing.T) {
 	records := testRecords(t, 90)
-	plan, err := Partition(records, PlanConfig{Shards: 3, Partitioner: "spatial"})
+	plan, err := Partition(records, PlanConfig{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,9 @@ if [ "$SMOKE_SHARDED" = "1" ]; then
   echo "== comparing scatter-gather answers to the flat container"
   go run ./scripts/comparesnaps "http://$ADDR" default sharded 120
 
-  echo "== hot-swapping the sharded snapshot (spatial partitioner)"
-  "$workdir/stsplit" -i "$workdir/objs.jsonl" -budget 1200 -shards 3 \
-    -partitioner spatial -o "$workdir/snap2.stm"
+  echo "== hot-swapping the sharded snapshot (5 shards)"
+  "$workdir/stsplit" -i "$workdir/objs.jsonl" -budget 1200 -shards 5 \
+    -o "$workdir/snap2.stm"
   curl -sf -X POST "http://$ADDR/snapshots/load" \
     -d "{\"name\":\"sharded\",\"path\":\"$workdir/snap2.stm\"}" >/dev/null
   go run ./scripts/comparesnaps "http://$ADDR" default sharded 40
