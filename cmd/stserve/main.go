@@ -85,7 +85,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "default per-query deadline for requests without one (0 = none)")
 		reject  = flag.Bool("reject", false, "fail fast with 503 when the queue is full instead of blocking")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-		cacheMB = flag.Int("cache-mb", 0, "shared page-cache budget in MiB across all snapshots (0 = no shared cache)")
+		cacheMB = flag.Int("cache-mb", 0, "budget in MiB for decoded nodes shared across sessions and snapshots (0 = no shared cache)")
 		backend = flag.String("backend", "", "container read flavour: disk (lazy pread), mmap, mem (eager); default STINDEX_BACKEND, then disk")
 
 		ingestName     = flag.String("ingest", "", "serve a live ingestion pipeline under this snapshot name")

@@ -312,12 +312,30 @@ func codecPass(idx stx.Index, wl *Workload, exp *Expected, codec stx.Codec, back
 	return passes, nil
 }
 
+// sharedCacheWrap returns an open-time store wrapper that puts cache
+// beside every extent of one container as generation 1 — the registry's
+// arrangement. Each call numbers the extents afresh, so a second open of
+// the same container is a second session over the same generation.
+// under, when non-nil, wraps each store first.
+func sharedCacheWrap(cache *pagefile.SharedCache, counters *pagefile.CacheCounters, under stx.StoreWrapper) stx.StoreWrapper {
+	ext := uint32(0)
+	return func(s pagefile.Store) pagefile.Store {
+		if under != nil {
+			s = under(s)
+		}
+		ws := cache.WrapStore(1, ext, s, counters)
+		ext++
+		return ws
+	}
+}
+
 // sharedCachePass round-trips the index through its container opened
-// with a registry-style shared page cache interposed under the buffer
-// pool. A first pass warms the cache, the private pools are reset, and a
-// second pass — now served largely from the shared cache — must still be
-// oracle-exact; the pass fails if the cache absorbed nothing, and the
-// retired generation must release every entry.
+// with a registry-style shared cache beside its page stores. A first
+// pass warms the generation; a second session over it (the container
+// opened again under the same generation) must then be oracle-exact
+// without reading a page or decoding a node — every request is answered
+// by a node the first session published — and the retired generation
+// must release every entry.
 func sharedCachePass(idx stx.Index, wl *Workload, exp *Expected) error {
 	f, err := os.CreateTemp("", "stcheck-cache-*.stic")
 	if err != nil {
@@ -331,31 +349,35 @@ func sharedCachePass(idx stx.Index, wl *Workload, exp *Expected) error {
 	}
 	cache := pagefile.NewSharedCache(16 << 20)
 	counters := &pagefile.CacheCounters{}
-	ext := uint32(0)
-	opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{
-		Wrap: func(s pagefile.Store) pagefile.Store {
-			ws := cache.WrapStore(1, ext, s, counters)
-			ext++
-			return ws
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("opening container: %w", err)
+	session := func() error {
+		opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Wrap: sharedCacheWrap(cache, counters, nil)})
+		if err != nil {
+			return fmt.Errorf("opening container: %w", err)
+		}
+		err = diffRange(opened, wl, exp, 0, 1)
+		if cerr := stx.CloseIndex(opened); err == nil {
+			err = cerr
+		}
+		return err
 	}
-	defer stx.CloseIndex(opened)
-	if err := diffRange(opened, wl, exp, 0, 1); err != nil {
+	if err := session(); err != nil {
 		return fmt.Errorf("cache warm pass: %w", err)
 	}
-	opened.ResetBuffer()
-	if err := diffRange(opened, wl, exp, 0, 1); err != nil {
+	warm := counters.Load()
+	if err := session(); err != nil {
 		return fmt.Errorf("cache-served pass: %w", err)
 	}
-	if cv := counters.Load(); cv.SharedHits == 0 {
+	cv := counters.Load()
+	if cv.SharedHits == 0 {
 		return fmt.Errorf("shared cache absorbed nothing (%d store reads)", cv.StoreReads)
+	}
+	if cv.StoreReads != warm.StoreReads || cv.Decodes != warm.Decodes {
+		return fmt.Errorf("second session over a warm generation did %d store reads and %d decodes, want 0 and 0",
+			cv.StoreReads-warm.StoreReads, cv.Decodes-warm.Decodes)
 	}
 	cache.Retire(1)
 	if n := cache.EntriesForGen(1); n != 0 {
 		return fmt.Errorf("retired generation still holds %d cache entries", n)
 	}
-	return stx.CloseIndex(opened)
+	return nil
 }

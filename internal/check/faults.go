@@ -19,8 +19,8 @@ var DefaultReadSchedules = []string{"read@1", "read@5", "read/7", "short@3", "ra
 
 // faultVariant is one open flavour the fault matrix drives each schedule
 // through: the backend the container is reopened with, and whether a
-// shared page cache sits between the fault-injecting store and the
-// buffer pool (the registry's serving arrangement).
+// shared decoded-node cache wraps the fault-injecting store (the
+// registry's serving arrangement).
 type faultVariant struct {
 	backend stx.Backend
 	cached  bool
@@ -60,9 +60,9 @@ type FaultReport struct {
 // faults, resets the buffer pool, and requires every query to match the
 // oracle exactly, proving no fault left corrupted state behind (stale
 // cache frames, poisoned decode cache, broken traversal state). The
-// cached variant additionally proves the shared cache never retains a
-// page from a failed or short read: cached answers after disarm must
-// still be oracle-exact.
+// cached variant additionally proves a failed or short read never
+// publishes a decode: a second session, served from the shared cache
+// after disarm, must still be oracle-exact.
 func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 	cfg = cfg.withDefaults()
 	rep := FaultReport{Seed: cfg.Seed}
@@ -108,7 +108,7 @@ func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 	}
 	// Sharded fan-out fail-stop: one shard's injected fault must fail
 	// the whole query, never surface as a silently partial merge. One
-	// pass over the PPR shard kind covers the scatter-gather layer; the
+	// pass over one shard kind covers the scatter-gather layer; the
 	// per-kind matrix above already covers every container kind's own
 	// fault behaviour.
 	shardedExpected := NewOracle(wl.Records).Expected(wl)
@@ -125,9 +125,9 @@ func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 // runFaultSchedule opens the container in the variant's flavour with one
 // fault schedule armed, runs the armed pass, then the disarmed recheck
 // pass. In the cached variant the shared cache wraps the fault store, so
-// cache misses reach the injector while hits are legally served — but
-// only pages that were read successfully ever populate the cache, which
-// the disarmed oracle-exact recheck proves.
+// decode misses reach the injector while hits are legally served — but
+// only pages that were read successfully ever publish a node, which the
+// disarmed oracle-exact recheck through a second session proves.
 func runFaultSchedule(kind, path, schedStr string, wl *Workload, exp *Expected, variant faultVariant) (uint64, error) {
 	sched, err := ParseSchedule(schedStr)
 	if err != nil {
@@ -139,12 +139,7 @@ func runFaultSchedule(kind, path, schedStr string, wl *Workload, exp *Expected, 
 	counters := &pagefile.CacheCounters{}
 	if variant.cached {
 		cache = pagefile.NewSharedCache(16 << 20)
-		ext := uint32(0)
-		opts.Wrap = func(s pagefile.Store) pagefile.Store {
-			ws := cache.WrapStore(1, ext, wrap(s), counters)
-			ext++
-			return ws
-		}
+		opts.Wrap = sharedCacheWrap(cache, counters, wrap)
 	}
 	idx, err := stx.OpenIndexOptions(path, opts)
 	if err != nil {
@@ -184,11 +179,28 @@ func runFaultSchedule(kind, path, schedStr string, wl *Workload, exp *Expected, 
 		return injected, fmt.Errorf("after disarm: %w", err)
 	}
 	if variant.cached {
-		// The variant only means something if the cache actually carried
-		// traffic: with the private pools reset, the recheck must have
-		// been served at least partly from pages cached earlier.
-		if cv := counters.Load(); cv.SharedHits == 0 {
+		// A second session over the generation (the container opened
+		// again, no injector) starts with empty private decode maps, so it
+		// is served from whatever the faulted session published: had a
+		// failed or short read published a node, these answers would
+		// differ from the oracle. The variant only means something if the
+		// cache actually carried traffic.
+		second, err := stx.OpenIndexOptions(path, stx.OpenOptions{
+			Backend: variant.backend, Wrap: sharedCacheWrap(cache, counters, nil),
+		})
+		if err != nil {
+			return injected, fmt.Errorf("second open: %w", err)
+		}
+		defer stx.CloseIndex(second)
+		if err := faultPass(second, wl, exp, false); err != nil {
+			return injected, fmt.Errorf("second session: %w", err)
+		}
+		cv := counters.Load()
+		if cv.SharedHits == 0 {
 			return injected, fmt.Errorf("shared cache inert under faults (%d store reads)", cv.StoreReads)
+		}
+		if cv.Decodes > cv.StoreReads {
+			return injected, fmt.Errorf("%d nodes published from %d successful page reads", cv.Decodes, cv.StoreReads)
 		}
 	}
 	if err := stx.CloseIndex(idx); err != nil {

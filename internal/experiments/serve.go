@@ -21,7 +21,7 @@ type ServeRow struct {
 	// Backend is the container read flavour the registry opened the
 	// snapshot with: mem (eager), disk (lazy pread window), mmap.
 	Backend string
-	// CacheMB is the registry's shared page-cache budget (0 = disabled).
+	// CacheMB is the registry's shared decoded-node budget (0 = disabled).
 	CacheMB int
 	Workers int
 	Queue   int
@@ -33,11 +33,12 @@ type ServeRow struct {
 	// (enqueue to answer, power-of-two buckets).
 	P50US int64
 	P99US int64
-	// HitRate is the fraction of page requests absorbed before the store:
-	// (buffer hits + shared-cache hits) / buffer lookups.
+	// HitRate is the fraction of page requests served without a store
+	// read, 1 - store reads / buffer lookups; with no shared cache there
+	// is no store-read counter and it is the buffer pool's own rate.
 	HitRate float64
-	// SharedHitRate is the fraction of buffer-pool misses the shared
-	// cache absorbed instead of the page store.
+	// SharedHitRate is the fraction of buffer-pool misses answered by a
+	// node another session's view published.
 	SharedHitRate float64
 }
 
@@ -46,8 +47,9 @@ type ServeRow struct {
 // the lazy disk flavour, no shared cache) and the serving hot
 // path (mem/disk/mmap open flavours crossed with shared-cache budgets at
 // a fixed service shape). Unlike the paper's cold-buffer discipline, the
-// serving path keeps session buffers warm — the hit-rate columns show
-// what the warm pools and the shared cache each buy.
+// serving path keeps session buffers warm. A page is read and decoded
+// once per view at most, so the budget decides only whether the other
+// sessions' views repeat that work (the shared-hit column).
 func Serve(cfg Config) ([]ServeRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]

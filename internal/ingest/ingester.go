@@ -154,9 +154,9 @@ func boundaryOf(rec *Recovered) int64 {
 }
 
 // publish installs a fresh combined view under the serving name. The
-// frozen container is opened lazily through the registry so its pages
-// participate in the shared page cache, generation-keyed like any
-// Load-ed snapshot.
+// frozen container is opened lazily through the registry so its decoded
+// nodes are shared through the registry's cache, generation-keyed like
+// any Load-ed snapshot.
 func (in *Ingester) publish(frozenPath string, boundary int64) error {
 	if in.cfg.Registry == nil || in.cfg.Name == "" {
 		return nil
@@ -298,7 +298,7 @@ func (in *Ingester) commit(group []*submission) {
 		in.failGroup(admitted, err)
 		return
 	}
-	in.c.fsync.record(time.Since(start))
+	in.c.fsync.Record(time.Since(start))
 
 	// Apply. Validation guarantees success; anything else is a bug and
 	// latches the pipeline fail-stop (the journal stays authoritative).
@@ -317,16 +317,16 @@ func (in *Ingester) commit(group []*submission) {
 		in.latch(fmt.Errorf("ingest: validated record failed to apply (journal/index divergence): %w", applyErr))
 	}
 
-	total := 0
 	for i, sub := range admitted {
 		err := applyErr
 		if lastSeqs[i] != 0 {
 			err = nil
-			total += len(sub.recs)
+			// Counted before the ack is sent: a client that has its ack
+			// must find its records in the next Stats.
+			in.c.accepted.Add(int64(len(sub.recs)))
 		}
 		sub.done <- submitResult{seq: lastSeqs[i], err: err}
 	}
-	in.c.accepted.Add(int64(total))
 
 	// Freeze trigger by record count.
 	if in.cfg.FreezeEvery > 0 {
@@ -492,9 +492,9 @@ func (in *Ingester) Stats() service.IngestStats {
 		WALBytes:           walBytes,
 		WALSegments:        in.wal.Segments(),
 		Fsyncs:             fsyncs,
-		FsyncAvgUS:         in.c.fsync.meanUS(),
-		FsyncP50US:         in.c.fsync.quantileUS(0.50),
-		FsyncP99US:         in.c.fsync.quantileUS(0.99),
+		FsyncAvgUS:         in.c.fsync.Mean().Microseconds(),
+		FsyncP50US:         in.c.fsync.Quantile(0.50).Microseconds(),
+		FsyncP99US:         in.c.fsync.Quantile(0.99).Microseconds(),
 		Freezes:            in.c.freezes.Load(),
 		FreezeErrors:       in.c.freezeErrors.Load(),
 		LastFreezeSeq:      in.c.lastFreeze.Load(),

@@ -1,67 +1,10 @@
 package ingest
 
 import (
-	"math/bits"
 	"sync/atomic"
-	"time"
+
+	"stindex/internal/service"
 )
-
-// syncHistBuckets is the number of power-of-two fsync-latency buckets:
-// bucket i counts syncs in [2^(i-1), 2^i) microseconds.
-const syncHistBuckets = 32
-
-// syncHist is a lock-free latency histogram for the group-commit fsync —
-// the pipeline's one unavoidable stall.
-type syncHist struct {
-	buckets [syncHistBuckets]atomic.Int64
-	count   atomic.Int64
-	sumNS   atomic.Int64
-}
-
-func (h *syncHist) record(d time.Duration) {
-	us := d.Microseconds()
-	b := 0
-	if us >= 1 {
-		b = bits.Len64(uint64(us))
-		if b >= syncHistBuckets {
-			b = syncHistBuckets - 1
-		}
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// quantileUS returns an upper bound (in microseconds) on the q-quantile.
-func (h *syncHist) quantileUS(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < syncHistBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			if i == 0 {
-				return 1
-			}
-			return 1 << uint(i)
-		}
-	}
-	return 1 << uint(syncHistBuckets-1)
-}
-
-func (h *syncHist) meanUS() int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sumNS.Load() / n / int64(time.Microsecond)
-}
 
 // ingestCounters are the pipeline's own counters; journal counters live
 // on the WAL.
@@ -74,5 +17,5 @@ type ingestCounters struct {
 	freezeErrors atomic.Int64
 	lastFreeze   atomic.Uint64 // seq covered by the newest durable snapshot
 	tornBytes    atomic.Int64
-	fsync        syncHist
+	fsync        service.Histogram // the group-commit fsync, the pipeline's one unavoidable stall
 }

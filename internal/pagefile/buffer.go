@@ -1,12 +1,14 @@
 package pagefile
 
-// Stats accumulates buffer-pool traffic. Reads and Writes are disk
-// accesses (buffer misses and evictions of dirty pages plus write-through
-// traffic); Hits are requests satisfied from the pool.
+// Stats accumulates buffer-pool traffic in the paper's unit. Reads are the
+// page requests that missed the pool — the paper's disk accesses — whether
+// or not the page's bytes had to be fetched to answer them (ReadDecoded
+// fetches only on a decode miss); Writes are write-through page writes;
+// Hits are requests that found their page in the pool.
 type Stats struct {
-	Reads  int64 // pages fetched from the file
+	Reads  int64 // requests that missed the pool
 	Writes int64 // pages written to the file
-	Hits   int64 // requests served from the buffer
+	Hits   int64 // requests that found the page in the pool
 }
 
 // IO returns the total number of disk accesses.
@@ -17,11 +19,13 @@ const nilSlot = int32(-1)
 
 // slot is one preallocated frame holder of the pool. Resident slots form a
 // doubly linked recency list (head = most recent); free slots are chained
-// through next.
+// through next. A slot can be resident for the accounting alone: loaded is
+// false until some reader needs the page's bytes (see ReadDecoded).
 type slot struct {
 	prev, next int32
 	id         PageID
 	frame      []byte
+	loaded     bool // frame holds id's image
 }
 
 // decodedPage is one entry of the decode cache: the parsed form of a page
@@ -47,16 +51,19 @@ type decodedPage struct {
 // bookkeeping — the cold-cache measurement discipline resets the pool
 // once per query, thousands of times per workload.
 //
-// A Buffer additionally maintains a decoded-page cache (ReadDecoded): a
-// side table mapping a page id to the parsed form of its image, stamped
-// with the store's per-page version. The cache affects CPU cost only —
-// Stats{Reads,Writes,Hits} are accounted by exactly the same hit/miss
-// logic whether or not a decode is reused, so every I/O figure is
-// bit-identical with and without it. Reset deliberately keeps the decode
-// cache: resetting simulates cold *disk buffers*, not a change to the
-// page images, and the version stamp already invalidates a decode exactly
-// when its image can have changed (Write, page reuse). Evict drops the
-// page's decode along with its frame.
+// The pool is the paper's accounting device: which requests hit and which
+// miss depends on the request sequence and the capacity, nothing else.
+// What serves a query is the decoded-page cache (ReadDecoded): a side
+// table mapping a page id to the parsed form of its image, stamped with
+// the store's per-page version. Stats{Reads,Writes,Hits} are accounted by
+// exactly the same hit/miss logic whether or not a decode is reused, so
+// every I/O figure is bit-identical with and without it, but the page's
+// bytes are fetched from the store only for a reader: a decode miss, or a
+// raw Read. Reset deliberately keeps the decode cache: resetting simulates
+// cold *disk buffers*, not a change to the page images, and the version
+// stamp already invalidates a decode exactly when its image can have
+// changed (Write, page reuse). Evict drops the page's decode along with
+// its frame.
 //
 // Not safe for concurrent use; give each goroutine its own Buffer over
 // the shared (frozen) store.
@@ -75,8 +82,8 @@ type Buffer struct {
 
 	// shared is the cross-buffer decode tier, present when the store
 	// implements SharedDecodeCache (the serving layer's shared cache
-	// wrapper). Checked after the private decode map on a decode miss;
-	// fresh decodes are published back to it.
+	// wrapper). Checked after the private decode map; fresh decodes are
+	// published back to it.
 	shared SharedDecodeCache
 }
 
@@ -195,19 +202,25 @@ func (b *Buffer) frameFor(i int32) []byte {
 	return b.slots[i].frame
 }
 
-// install makes (id, data) resident, reusing an evicted frame when the
-// pool is full.
-func (b *Buffer) install(id PageID, data []byte) int32 {
-	i := b.take()
-	frame := b.frameFor(i)
-	copy(frame, data)
-	for j := len(data); j < len(frame); j++ {
-		frame[j] = 0
-	}
+// admit makes id resident in slot i as the most recently used page.
+func (b *Buffer) admit(i int32, id PageID, loaded bool) {
 	b.slots[i].id = id
+	b.slots[i].loaded = loaded
 	b.index[id] = i
 	b.pushFront(i)
-	return i
+}
+
+// release returns slot i to the free chain.
+func (b *Buffer) release(i int32) {
+	b.slots[i].next = b.free
+	b.free = i
+}
+
+// fill copies data, zero-padded to the page size, into slot i's frame.
+func (b *Buffer) fill(i int32, data []byte) {
+	frame := b.frameFor(i)
+	clear(frame[copy(frame, data):])
+	b.slots[i].loaded = true
 }
 
 // Read returns the image of the page, fetching it from the file on a miss.
@@ -215,6 +228,15 @@ func (b *Buffer) install(id PageID, data []byte) int32 {
 // read-only and must not retain it across further buffer operations.
 func (b *Buffer) Read(id PageID) ([]byte, error) {
 	if i, ok := b.index[id]; ok {
+		if !b.slots[i].loaded {
+			// Resident for the accounting only (ReadDecoded answered the
+			// request that admitted it from a cached decode): fetch the
+			// image now. The request that missed was already charged.
+			if err := b.store.ReadPage(id, b.frameFor(i)); err != nil {
+				return nil, err
+			}
+			b.slots[i].loaded = true
+		}
 		b.moveToFront(i)
 		b.stats.Hits++
 		return b.slots[i].frame, nil
@@ -228,24 +250,39 @@ func (b *Buffer) Read(id PageID) ([]byte, error) {
 	frame := b.frameFor(i)
 	if err := b.store.ReadPage(id, frame); err != nil {
 		// Recycle the slot; nothing became resident.
-		b.slots[i].next = b.free
-		b.free = i
+		b.release(i)
 		return nil, err
 	}
 	b.stats.Reads++
-	b.slots[i].id = id
-	b.index[id] = i
-	b.pushFront(i)
+	b.admit(i, id, true)
 	return frame, nil
+}
+
+// cachedDecode returns the decode of the page at version ver from the
+// private map or, failing that, from the shared tier.
+func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
+	if d, ok := b.decoded[id]; ok && d.version == ver {
+		return d.value, true
+	}
+	if b.shared != nil {
+		if v, ok := b.shared.CachedDecode(id, ver); ok {
+			b.decoded[id] = decodedPage{version: ver, value: v}
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // ReadDecoded returns the page's decoded form, parsing the image with
 // decode at most once per page version: a repeat visit — whether the page
-// is still buffered or was fetched again after an eviction or Reset —
+// is still buffered or was requested again after an eviction or Reset —
 // reuses the cached parse as long as the image is unchanged.
 //
 // The buffer traffic accounting is exactly Read's: the pool hit/miss and
-// the Stats counters do not depend on the decode cache.
+// the Stats counters do not depend on the decode cache. The store is
+// another matter: a request a cached decode answers is charged to the
+// pool (its slot becomes resident without an image) and never reaches
+// the store; the image is fetched only when there is no decode to reuse.
 //
 // decode must treat data as read-only and must not retain it; the slice
 // aliases the buffered frame (see Read). The returned value is shared
@@ -253,19 +290,27 @@ func (b *Buffer) Read(id PageID) ([]byte, error) {
 // must not mutate it — mutating paths should Read and parse a private
 // copy instead.
 func (b *Buffer) ReadDecoded(id PageID, decode func(id PageID, data []byte) (any, error)) (any, error) {
+	i, resident := b.index[id]
+	if !resident {
+		// As in Read: a bad id is refused before anything is charged.
+		if err := b.store.Check(id); err != nil {
+			return nil, err
+		}
+	}
+	ver := b.store.Version(id)
+	if v, ok := b.cachedDecode(id, ver); ok {
+		if resident {
+			b.moveToFront(i)
+			b.stats.Hits++
+		} else {
+			b.stats.Reads++
+			b.admit(b.take(), id, false)
+		}
+		return v, nil
+	}
 	data, err := b.Read(id)
 	if err != nil {
 		return nil, err
-	}
-	ver := b.store.Version(id)
-	if d, ok := b.decoded[id]; ok && d.version == ver {
-		return d.value, nil
-	}
-	if b.shared != nil {
-		if v, ok := b.shared.CachedDecode(id, ver); ok {
-			b.decoded[id] = decodedPage{version: ver, value: v}
-			return v, nil
-		}
 	}
 	v, err := decode(id, data)
 	if err != nil {
@@ -288,15 +333,13 @@ func (b *Buffer) Write(id PageID, data []byte) error {
 	b.stats.Writes++
 	delete(b.decoded, id)
 	if i, ok := b.index[id]; ok {
-		frame := b.slots[i].frame
-		copy(frame, data)
-		for j := len(data); j < len(frame); j++ {
-			frame[j] = 0
-		}
+		b.fill(i, data)
 		b.moveToFront(i)
 		return nil
 	}
-	b.install(id, data)
+	i := b.take()
+	b.fill(i, data)
+	b.admit(i, id, true)
 	return nil
 }
 
@@ -307,7 +350,6 @@ func (b *Buffer) Evict(id PageID) {
 	if i, ok := b.index[id]; ok {
 		b.unlink(i)
 		delete(b.index, id)
-		b.slots[i].next = b.free
-		b.free = i
+		b.release(i)
 	}
 }

@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,11 +16,24 @@ func countingDecode(calls *int) func(PageID, []byte) (any, error) {
 	}
 }
 
+// countingStore counts the page images fetched through it.
+type countingStore struct {
+	Store
+	reads int
+}
+
+func (c *countingStore) ReadPage(id PageID, dst []byte) error {
+	c.reads++
+	return c.Store.ReadPage(id, dst)
+}
+
 // TestReadDecodedAccountingMatchesRead drives two buffers over the same
 // file with the same access sequence — one through Read, one through
 // ReadDecoded — and asserts the Stats are identical at every step. This is
 // the core exactness property: the decode cache must be invisible to the
-// paper's I/O metric.
+// paper's I/O metric. The store underneath sees the other side of it:
+// bytes move only for a decode miss or a raw Read, and a raw Read of a
+// page ReadDecoded made resident still returns the true image.
 func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	prop := func(seed int64) bool {
@@ -35,8 +49,9 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 		}
 		capacity := 1 + r.Intn(4)
 		plain := NewBuffer(f, capacity)
-		cached := NewBuffer(f, capacity)
-		calls := 0
+		under := &countingStore{Store: f}
+		cached := NewBuffer(under, capacity)
+		calls, rawReads := 0, 0
 		decode := countingDecode(&calls)
 		for op := 0; op < 300; op++ {
 			switch r.Intn(10) {
@@ -53,6 +68,14 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 				if plain.Write(p, v) != nil || cached.Write(p, v) != nil {
 					return false
 				}
+			case 3:
+				p := pages[r.Intn(len(pages))]
+				want, err1 := plain.Read(p)
+				got, err2 := cached.Read(p)
+				if err1 != nil || err2 != nil || !bytes.Equal(want, got) {
+					return false
+				}
+				rawReads++
 			default:
 				p := pages[r.Intn(len(pages))]
 				data, err1 := plain.Read(p)
@@ -67,11 +90,82 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 			if plain.Stats() != cached.Stats() {
 				return false
 			}
+			if under.reads > calls+rawReads {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadDecodedFetchesOnlyOnDecodeMiss is the paper's measurement loop
+// over a pool far smaller than the working set: every query starts cold
+// (Reset) and is charged the same misses every time, but the store is
+// read once per distinct page — when its node is first decoded — and
+// never again.
+func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
+	f := New(16)
+	var pages []PageID
+	for i := 0; i < 8; i++ {
+		p := f.Allocate()
+		if err := f.write(p, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+	plain := NewBuffer(f, 2)
+	under := &countingStore{Store: f}
+	cached := NewBuffer(under, 2)
+	calls := 0
+	decode := countingDecode(&calls)
+	query := []int{0, 1, 2, 0, 3, 1, 4, 4, 5, 0}
+	for round := 0; round < 5; round++ {
+		plain.Reset()
+		cached.Reset()
+		for _, i := range query {
+			data, err := plain.Read(pages[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := cached.ReadDecoded(pages[i], decode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.(int) != int(data[0]) {
+				t.Fatalf("round %d page %d decoded to %v, image says %d", round, i, v, data[0])
+			}
+		}
+		if plain.Stats() != cached.Stats() {
+			t.Fatalf("round %d: ReadDecoded charged %+v, Read %+v", round, cached.Stats(), plain.Stats())
+		}
+		if under.reads != 6 || calls != 6 {
+			t.Fatalf("round %d: %d store reads, %d decodes, want 6 of each (distinct pages)", round, under.reads, calls)
+		}
+	}
+	if st := cached.Stats(); st.Reads == 0 || st.Hits == 0 {
+		t.Fatalf("query exercises no misses or no hits: %+v", st)
+	}
+
+	// Page 0 is resident for the accounting only: a raw Read is a hit that
+	// loads the true image, once.
+	before := cached.Stats()
+	for n := 0; n < 2; n++ {
+		data, err := cached.Read(pages[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[0] != 1 {
+			t.Fatalf("Read after ReadDecoded returned %d, want the page image 1", data[0])
+		}
+	}
+	if d := cached.Stats().Sub(before); d != (Stats{Hits: 2}) {
+		t.Fatalf("Read of a resident page charged %+v, want 2 hits", d)
+	}
+	if under.reads != 7 {
+		t.Fatalf("resident page loaded %d times, want once", under.reads-6)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 const cacheStripeCount = 64
 
 // cacheEntryOverhead approximates the bookkeeping bytes an entry costs
-// beyond its page image (map slot, entry struct, LRU links), so the byte
+// beyond its decoded node (map slot, entry struct, LRU links), so the byte
 // budget stays honest on small pages.
 const cacheEntryOverhead = 96
 
@@ -34,15 +34,12 @@ func (k pageKey) stripe() uint32 {
 	return uint32(h) & (cacheStripeCount - 1)
 }
 
-// cacheEntry is one resident page: its raw image, its shared decoded
-// form (when some reader has parsed it), and its LRU links within the
-// stripe.
+// cacheEntry is one resident page: the decoded form some reader parsed
+// from its image, and its LRU links within the stripe.
 type cacheEntry struct {
 	key        pageKey
 	prev, next *cacheEntry
-	page       []byte
 	decoded    any
-	hasDecoded bool
 	cost       int64
 }
 
@@ -56,12 +53,10 @@ type cacheStripe struct {
 }
 
 // SharedCacheStats is a point-in-time snapshot of a SharedCache's
-// counters. Hits/Misses count raw-page lookups; DecodeHits/DecodeMisses
-// count decoded-node lookups; Evictions counts entries pushed out by the
-// byte budget (generation retirement is not an eviction).
+// counters. DecodeHits/DecodeMisses count decoded-node lookups; Evictions
+// counts entries pushed out by the byte budget (generation retirement is
+// not an eviction).
 type SharedCacheStats struct {
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
 	DecodeHits   int64 `json:"decode_hits"`
 	DecodeMisses int64 `json:"decode_misses"`
 	Evictions    int64 `json:"evictions"`
@@ -70,22 +65,13 @@ type SharedCacheStats struct {
 	Budget       int64 `json:"budget"`
 }
 
-// HitRate returns the fraction of raw-page lookups served from the
-// cache; 0 when there was no traffic.
-func (s SharedCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// SharedCache is a lock-striped, generation-keyed read cache over frozen
-// page stores — the serving layer's shared warm tier. Opened containers
-// are immutable, so raw page images and their decoded node forms can be
-// shared by every session of a snapshot instead of each session hoarding
-// a private 10-page pool; the cache is sized by a byte budget (split
-// evenly across stripes) with per-stripe LRU eviction.
+// SharedCache is a lock-striped, generation-keyed cache of decoded nodes
+// over frozen page stores — the serving layer's shared warm tier. Opened
+// containers are immutable, so a node parsed by one session of a snapshot
+// serves every other session (Buffer.ReadDecoded consults it before the
+// store, so a warm generation is served without reading a page); the
+// cache is sized by a byte budget (split evenly across stripes, a node
+// charged as one page) with per-stripe LRU eviction.
 //
 // One SharedCache serves a whole registry: entries are keyed by
 // (generation, extent, page), so concurrent snapshots — and the old and
@@ -98,7 +84,6 @@ type SharedCache struct {
 	stripeBudget int64
 	stripes      [cacheStripeCount]cacheStripe
 
-	hits, misses             atomic.Int64
 	decodeHits, decodeMisses atomic.Int64
 	evictions                atomic.Int64
 }
@@ -173,53 +158,6 @@ func (s *cacheStripe) evictOver(c *SharedCache, keep *cacheEntry) {
 	}
 }
 
-// getPage copies the cached image of k into dst and reports whether it
-// was resident.
-func (c *SharedCache) getPage(k pageKey, dst []byte) bool {
-	if c == nil {
-		return false
-	}
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil || e.page == nil {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return false
-	}
-	s.moveFront(e)
-	copy(dst, e.page)
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return true
-}
-
-// putPage inserts (or refreshes) the raw image of k. data is copied.
-func (c *SharedCache) putPage(k pageKey, data []byte) {
-	if c == nil {
-		return
-	}
-	page := append([]byte(nil), data...)
-	cost := int64(len(page)) + cacheEntryOverhead
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil {
-		e = &cacheEntry{key: k}
-		s.entries[k] = e
-		s.pushFront(e)
-	} else {
-		s.moveFront(e)
-	}
-	if e.page == nil {
-		e.page = page
-		e.cost += cost
-		s.bytes += cost
-	}
-	s.evictOver(c, e)
-	s.mu.Unlock()
-}
-
 // getDecoded returns the shared decoded form of k, if some reader has
 // published one.
 func (c *SharedCache) getDecoded(k pageKey) (any, bool) {
@@ -229,7 +167,7 @@ func (c *SharedCache) getDecoded(k pageKey) (any, bool) {
 	s := &c.stripes[k.stripe()]
 	s.mu.Lock()
 	e := s.entries[k]
-	if e == nil || !e.hasDecoded {
+	if e == nil {
 		s.mu.Unlock()
 		c.decodeMisses.Add(1)
 		return nil, false
@@ -255,17 +193,12 @@ func (c *SharedCache) putDecoded(k pageKey, v any, cost int64) {
 	s.mu.Lock()
 	e := s.entries[k]
 	if e == nil {
-		e = &cacheEntry{key: k}
+		e = &cacheEntry{key: k, decoded: v, cost: cost}
 		s.entries[k] = e
 		s.pushFront(e)
+		s.bytes += cost
 	} else {
 		s.moveFront(e)
-	}
-	if !e.hasDecoded {
-		e.decoded = v
-		e.hasDecoded = true
-		e.cost += cost
-		s.bytes += cost
 	}
 	s.evictOver(c, e)
 	s.mu.Unlock()
@@ -320,8 +253,6 @@ func (c *SharedCache) Stats() SharedCacheStats {
 		return SharedCacheStats{}
 	}
 	st := SharedCacheStats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
 		DecodeHits:   c.decodeHits.Load(),
 		DecodeMisses: c.decodeMisses.Load(),
 		Evictions:    c.evictions.Load(),
@@ -338,16 +269,17 @@ func (c *SharedCache) Stats() SharedCacheStats {
 }
 
 // CacheCounters accumulates one consumer's (typically one snapshot's)
-// shared-cache traffic: of the page requests that missed the private
-// session pools, how many the shared cache absorbed (SharedHits) versus
-// how many reached the backing store (StoreReads) — plus the decoded-node
-// split (DecodeHits vs Decodes actually performed). Safe for concurrent
-// use.
+// traffic below the private decode maps: how many requests a decode
+// published by another view answered (SharedHits), how many page images
+// were fetched from the backing store (StoreReads), and how many nodes
+// were parsed from them (Decodes). Safe for concurrent use.
 type CacheCounters struct {
-	sharedHits, storeReads, decodeHits, decodes atomic.Int64
+	sharedHits, storeReads, decodes atomic.Int64
 }
 
-// CacheCounterValues is a point-in-time copy of CacheCounters.
+// CacheCounterValues is a point-in-time copy of CacheCounters. DecodeHits
+// is SharedHits under its older name: the shared tier holds decoded nodes
+// only, so a shared hit is a decode hit.
 type CacheCounterValues struct {
 	SharedHits int64
 	StoreReads int64
@@ -360,10 +292,11 @@ func (c *CacheCounters) Load() CacheCounterValues {
 	if c == nil {
 		return CacheCounterValues{}
 	}
+	hits := c.sharedHits.Load()
 	return CacheCounterValues{
-		SharedHits: c.sharedHits.Load(),
+		SharedHits: hits,
 		StoreReads: c.storeReads.Load(),
-		DecodeHits: c.decodeHits.Load(),
+		DecodeHits: hits,
 		Decodes:    c.decodes.Load(),
 	}
 }
@@ -371,7 +304,8 @@ func (c *CacheCounters) Load() CacheCounterValues {
 // SharedDecodeCache is implemented by stores that can share decoded page
 // forms across buffers (the shared-cache store wrapper). Buffer wires it
 // into ReadDecoded automatically: private decode map first, then the
-// shared tier, decoding only when both miss. Implementations only share
+// shared tier, reading and decoding the page only when both miss.
+// Implementations only share
 // version-0 (frozen) pages — a nonzero version means the page can still
 // change, and cross-buffer invalidation is not worth the coordination.
 type SharedDecodeCache interface {
@@ -381,10 +315,10 @@ type SharedDecodeCache interface {
 	PublishDecode(id PageID, version uint64, v any)
 }
 
-// cachedStore interposes the shared cache between a Buffer and a frozen
-// backing store: raw-page misses of the private pools are served from
-// the striped cache when resident, and decoded nodes are shared through
-// the SharedDecodeCache interface. Everything else forwards.
+// cachedStore puts the shared cache beside a frozen backing store:
+// decoded nodes are shared through the SharedDecodeCache interface, and
+// the page reads that still reach the store are counted. Everything else
+// forwards.
 type cachedStore struct {
 	Store
 	cache    *SharedCache
@@ -408,22 +342,14 @@ func (cs *cachedStore) key(id PageID) pageKey {
 	return pageKey{gen: cs.gen, ext: cs.ext, id: id}
 }
 
-// ReadPage implements Store: striped-cache lookup first, backing store
-// on a miss (populating the cache on success). Errors never populate.
+// ReadPage implements Store: forwards, counting the reads that succeed.
 func (cs *cachedStore) ReadPage(id PageID, dst []byte) error {
-	if cs.cache.getPage(cs.key(id), dst) {
-		if cs.counters != nil {
-			cs.counters.sharedHits.Add(1)
-		}
-		return nil
-	}
 	if err := cs.Store.ReadPage(id, dst); err != nil {
 		return err
 	}
 	if cs.counters != nil {
 		cs.counters.storeReads.Add(1)
 	}
-	cs.cache.putPage(cs.key(id), dst[:cs.Store.PageSize()])
 	return nil
 }
 
@@ -442,7 +368,7 @@ func (cs *cachedStore) CachedDecode(id PageID, version uint64) (any, bool) {
 	}
 	v, ok := cs.cache.getDecoded(cs.key(id))
 	if ok && cs.counters != nil {
-		cs.counters.decodeHits.Add(1)
+		cs.counters.sharedHits.Add(1)
 	}
 	return v, ok
 }

@@ -26,10 +26,6 @@ func TestSharedCacheNilSafe(t *testing.T) {
 	if got := NewSharedCache(0); got != nil {
 		t.Fatalf("NewSharedCache(0) = %v, want nil", got)
 	}
-	if c.getPage(pageKey{}, nil) {
-		t.Error("nil cache reported a hit")
-	}
-	c.putPage(pageKey{}, []byte{1})
 	if _, ok := c.getDecoded(pageKey{}); ok {
 		t.Error("nil cache reported a decode hit")
 	}
@@ -47,43 +43,35 @@ func TestSharedCacheNilSafe(t *testing.T) {
 	}
 }
 
-func TestSharedCachePageRoundTrip(t *testing.T) {
+func TestSharedCacheDecodeRoundTrip(t *testing.T) {
 	c := NewSharedCache(1 << 20)
 	k := pageKey{gen: 3, ext: 1, id: 7}
-	dst := make([]byte, 8)
-	if c.getPage(k, dst) {
+	if _, ok := c.getDecoded(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.putPage(k, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	if !c.getPage(k, dst) {
-		t.Fatal("miss after put")
-	}
-	if !bytes.Equal(dst, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Fatalf("got %v", dst)
+	c.putDecoded(k, "node", 8)
+	if v, ok := c.getDecoded(k); !ok || v != "node" {
+		t.Fatalf("after put: %v, %v", v, ok)
 	}
 	// A different generation, extent, or id never sees the entry.
 	for _, other := range []pageKey{{gen: 4, ext: 1, id: 7}, {gen: 3, ext: 0, id: 7}, {gen: 3, ext: 1, id: 8}} {
-		if c.getPage(other, dst) {
+		if _, ok := c.getDecoded(other); ok {
 			t.Errorf("key %+v hit entry of %+v", other, k)
 		}
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want 1 hit, 1 entry", st)
-	}
-	if st.HitRate() <= 0 {
-		t.Errorf("hit rate = %v", st.HitRate())
+	if st.DecodeHits != 1 || st.DecodeMisses != 4 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit, 4 misses, 1 entry", st)
 	}
 }
 
 func TestSharedCacheEviction(t *testing.T) {
 	const pageSize = 1024
-	// Budget for roughly two pages per stripe; inserting many pages that
-	// hash to arbitrary stripes must keep every stripe within budget.
+	// Budget for roughly two nodes per stripe; inserting many that hash to
+	// arbitrary stripes must keep every stripe within budget.
 	c := NewSharedCache(int64(cacheStripeCount) * (pageSize + cacheEntryOverhead) * 2)
-	img := make([]byte, pageSize)
 	for i := 0; i < 10*cacheStripeCount; i++ {
-		c.putPage(pageKey{gen: 1, id: PageID(i)}, img)
+		c.putDecoded(pageKey{gen: 1, id: PageID(i)}, i, pageSize)
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
@@ -107,10 +95,9 @@ func TestSharedCacheEviction(t *testing.T) {
 
 func TestSharedCacheRetire(t *testing.T) {
 	c := NewSharedCache(1 << 20)
-	img := []byte{9, 9, 9, 9}
 	for gen := uint64(1); gen <= 3; gen++ {
 		for i := 0; i < 50; i++ {
-			c.putPage(pageKey{gen: gen, id: PageID(i)}, img)
+			c.putDecoded(pageKey{gen: gen, id: PageID(i)}, i, 4)
 		}
 	}
 	if n := c.EntriesForGen(2); n != 50 {
@@ -131,13 +118,12 @@ func TestSharedCacheRetire(t *testing.T) {
 	if after >= before {
 		t.Fatalf("Retire released no bytes: %d -> %d", before, after)
 	}
-	dst := make([]byte, 4)
-	if c.getPage(pageKey{gen: 2, id: 0}, dst) {
-		t.Fatal("retired page still served")
+	if _, ok := c.getDecoded(pageKey{gen: 2, id: 0}); ok {
+		t.Fatal("retired node still served")
 	}
 }
 
-func TestCachedStoreServesHitsAndCounts(t *testing.T) {
+func TestCachedStoreForwardsAndCounts(t *testing.T) {
 	const pageSize = 128
 	base := buildFrozenFile(t, pageSize, 8)
 	c := NewSharedCache(1 << 20)
@@ -148,33 +134,32 @@ func TestCachedStoreServesHitsAndCounts(t *testing.T) {
 		t.Fatal("wrapped store lost its ReadOnly contract")
 	}
 
+	// The wrapper holds no page images: every read reaches the store and
+	// is counted, and nothing becomes resident in the cache.
 	dst := make([]byte, pageSize)
 	want := make([]byte, pageSize)
-	// First pass: all store reads, cache fills.
-	for i := 0; i < 8; i++ {
-		if err := s.ReadPage(PageID(i), dst); err != nil {
-			t.Fatalf("ReadPage: %v", err)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 8; i++ {
+			if err := s.ReadPage(PageID(i), dst); err != nil {
+				t.Fatalf("ReadPage: %v", err)
+			}
+			base.ReadPage(PageID(i), want)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("image of page %d differs", i)
+			}
 		}
 	}
-	// Second pass: all shared hits, bit-identical images.
-	for i := 0; i < 8; i++ {
-		if err := s.ReadPage(PageID(i), dst); err != nil {
-			t.Fatalf("ReadPage: %v", err)
-		}
-		base.ReadPage(PageID(i), want)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("cached image of page %d differs", i)
-		}
+	if v := counters.Load(); v.StoreReads != 16 || v.SharedHits != 0 {
+		t.Fatalf("counters = %+v, want 16 store reads and no shared hits", v)
 	}
-	v := counters.Load()
-	if v.StoreReads != 8 || v.SharedHits != 8 {
-		t.Fatalf("counters = %+v, want 8 store reads and 8 shared hits", v)
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("raw reads populated the cache: %+v", st)
 	}
-	// Errors must not populate or count.
+	// Errors must not count.
 	if err := s.ReadPage(PageID(99), dst); err == nil {
 		t.Fatal("read of bad page succeeded")
 	}
-	if got := counters.Load(); got.StoreReads != 8 {
+	if got := counters.Load(); got.StoreReads != 16 {
 		t.Fatalf("error read counted: %+v", got)
 	}
 }
@@ -217,9 +202,11 @@ func TestSharedDecodeAcrossBuffers(t *testing.T) {
 	if decodes != 4 {
 		t.Fatalf("second buffer re-decoded: %d decode calls", decodes)
 	}
-	v := counters.Load()
-	if v.Decodes != 4 || v.DecodeHits != 4 {
-		t.Fatalf("decode counters = %+v, want 4 decodes and 4 hits", v)
+	// The second session never reached the store: four reads and four
+	// decodes in total, four requests answered by the first session's.
+	want := CacheCounterValues{SharedHits: 4, StoreReads: 4, DecodeHits: 4, Decodes: 4}
+	if v := counters.Load(); v != want {
+		t.Fatalf("counters = %+v, want %+v", v, want)
 	}
 
 	// The I/O accounting contract holds: both buffers miss identically.
@@ -290,7 +277,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			c.putPage(pageKey{gen: 99, id: PageID(i)}, make([]byte, pageSize))
+			c.putDecoded(pageKey{gen: 99, id: PageID(i)}, i, pageSize)
 			c.Retire(99)
 		}
 	}()
@@ -302,6 +289,24 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	v := counters.Load()
 	if v.SharedHits == 0 {
 		t.Fatalf("no shared hits under concurrency: %+v", v)
+	}
+	if n := c.EntriesForGen(99); n != 0 {
+		t.Fatalf("retired generation left %d entries", n)
+	}
+	// The generation is warm: a new session's view reads and decodes
+	// nothing, while its pool is charged as ever.
+	b := NewBuffer(s, 4)
+	for id := PageID(0); id < 32; id++ {
+		if got, err := b.ReadDecoded(id, decode); err != nil || got.(int) != int(id)+1 {
+			t.Fatalf("warm view page %d: %v, %v", id, got, err)
+		}
+	}
+	w := counters.Load()
+	if w.StoreReads != v.StoreReads || w.Decodes != v.Decodes || w.SharedHits != v.SharedHits+32 {
+		t.Fatalf("warm view moved the counters %+v -> %+v, want 32 shared hits and nothing else", v, w)
+	}
+	if st := b.Stats(); st.Reads != 32 {
+		t.Fatalf("warm view charged %+v, want 32 reads", st)
 	}
 }
 

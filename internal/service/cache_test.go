@@ -49,11 +49,11 @@ func expectedAnswers(t *testing.T, path string, queries []stx.Query) [][]int64 {
 	return out
 }
 
-// TestSharedCacheAbsorbsRepeatTraffic pins the tentpole's point: across
-// sessions, page requests that miss the private pools are served by the
-// registry-wide shared cache instead of the store, the split counters
-// partition cleanly, and answers stay bit-identical to an uncached
-// registry.
+// TestSharedCacheAbsorbsRepeatTraffic pins the shared tier's point: the
+// first session's view reads and decodes each page it visits once, and
+// every later session is served from those nodes — no store read, no
+// decode — while its pool is charged the paper's misses as ever and
+// answers stay bit-identical to an uncached registry.
 func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 	path := saveContainer(t, buildIndexSeed(t, 11))
 	queries := testQueries(t, 40)
@@ -69,7 +69,8 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 	defer reg.Close()
 
 	// Several fresh sessions in sequence: the first warms the shared
-	// cache, later ones should be absorbed by it.
+	// cache, later ones are served by it.
+	var first SnapshotInfo
 	for s := 0; s < 4; s++ {
 		sess := NewSession(reg)
 		for i, q := range queries {
@@ -81,6 +82,16 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 				t.Fatalf("session %d query %d: ids %v, want %v", s, i, res.IDs, want[i])
 			}
 		}
+		if s == 0 {
+			first = reg.List()[0]
+		}
+	}
+	if first.StoreReads == 0 || first.StoreReads != first.Decodes || first.SharedHits != 0 {
+		t.Fatalf("first session: %d store reads, %d decodes, %d shared hits; want one read per decode and no hits",
+			first.StoreReads, first.Decodes, first.SharedHits)
+	}
+	if first.StoreReads > int64(first.Pages) {
+		t.Fatalf("first session read %d pages of a %d-page container", first.StoreReads, first.Pages)
 	}
 
 	infos := reg.List()
@@ -88,18 +99,19 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 		t.Fatalf("List returned %d entries", len(infos))
 	}
 	info := infos[0]
-	if info.SharedHits == 0 {
-		t.Fatalf("no shared-cache hits after repeat sessions: %+v", info)
+	if info.StoreReads != first.StoreReads || info.Decodes != first.Decodes {
+		t.Fatalf("warm generation still read or decoded: store reads %d -> %d, decodes %d -> %d",
+			first.StoreReads, info.StoreReads, first.Decodes, info.Decodes)
 	}
-	if info.SharedHits+info.StoreReads != info.Reads {
-		t.Fatalf("counters do not partition: shared %d + store %d != reads %d",
-			info.SharedHits, info.StoreReads, info.Reads)
+	if info.SharedHits != 3*first.Decodes || info.DecodeHits != info.SharedHits {
+		t.Fatalf("shared hits = %d (decode hits %d), want one per page per later session = %d",
+			info.SharedHits, info.DecodeHits, 3*first.Decodes)
 	}
-	if info.HitRate <= 0 || info.HitRate > 1 {
-		t.Fatalf("hit rate out of range: %v", info.HitRate)
+	if info.Reads != 4*first.Reads || info.Hits != 4*first.Hits {
+		t.Fatalf("pool accounting differs between sessions: %+v after one, %+v after four", first, info)
 	}
-	if info.Decodes == 0 || info.DecodeHits == 0 {
-		t.Fatalf("decode sharing inert: %+v", info)
+	if want := 1 - float64(info.StoreReads)/float64(info.Hits+info.Reads); info.HitRate != want {
+		t.Fatalf("hit rate = %v, want 1 - store reads/lookups = %v", info.HitRate, want)
 	}
 	if st := reg.Cache().Stats(); st.Bytes == 0 || st.Entries == 0 {
 		t.Fatalf("cache reports no residency: %+v", st)
@@ -109,7 +121,7 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 // TestHotSwapRetiresCacheGeneration is the stale-page regression test:
 // queries run concurrently with repeated hot-swaps between two different
 // datasets under one name, and every answer must match the dataset of
-// the generation that served it — a stale shared-cache page would break
+// the generation that served it — a stale shared-cache node would break
 // that. After the registry closes, no retired generation may have
 // resident cache entries. Run under -race in CI.
 func TestHotSwapRetiresCacheGeneration(t *testing.T) {
@@ -222,8 +234,8 @@ func TestHotSwapRetiresCacheGeneration(t *testing.T) {
 // TestPublishOpenerParticipatesInCache pins the ingestion pipeline's
 // serving contract: a snapshot installed through PublishOpener — the
 // callback opening its container through the registry-provided options —
-// serves page misses from the shared cache exactly like a Load-ed one,
-// and dropping it retires its generation's entries.
+// shares its decoded nodes through the shared cache exactly like a
+// Load-ed one, and dropping it retires its generation's entries.
 func TestPublishOpenerParticipatesInCache(t *testing.T) {
 	path := saveContainer(t, buildIndexSeed(t, 11))
 	queries := testQueries(t, 20)
@@ -239,7 +251,8 @@ func TestPublishOpenerParticipatesInCache(t *testing.T) {
 	}
 
 	// Repeat sessions: the first warms the shared cache, later ones are
-	// absorbed by it — same behaviour the Load path proves above.
+	// served by it — same behaviour the Load path proves above.
+	var first SnapshotInfo
 	for s := 0; s < 3; s++ {
 		sess := NewSession(reg)
 		for i, q := range queries {
@@ -251,15 +264,18 @@ func TestPublishOpenerParticipatesInCache(t *testing.T) {
 				t.Fatalf("session %d query %d: ids %v, want %v", s, i, res.IDs, want[i])
 			}
 		}
+		if s == 0 {
+			first = reg.List()[0]
+		}
 	}
 
 	info := reg.List()[0]
 	if info.SharedHits == 0 {
 		t.Fatalf("PublishOpener snapshot never hit the shared cache: %+v", info)
 	}
-	if info.SharedHits+info.StoreReads != info.Reads {
-		t.Fatalf("counters do not partition: shared %d + store %d != reads %d",
-			info.SharedHits, info.StoreReads, info.Reads)
+	if first.StoreReads == 0 || info.StoreReads != first.StoreReads || info.Decodes != first.Decodes {
+		t.Fatalf("warm generation still read or decoded: store reads %d -> %d, decodes %d -> %d",
+			first.StoreReads, info.StoreReads, first.Decodes, info.Decodes)
 	}
 	if st := reg.Cache().Stats(); st.Entries == 0 {
 		t.Fatalf("cache reports no residency: %+v", st)

@@ -13,11 +13,13 @@ import (
 // so 40 buckets cover sub-microsecond to ~6 days.
 const histBuckets = 40
 
-// histogram is a lock-free latency histogram. Record and quantile
-// estimation are safe for concurrent use; quantiles are bucket upper
-// bounds, i.e. exact to within a factor of two — plenty for p50/p95/p99
-// monitoring, with client-side timing used where exactness matters.
-type histogram struct {
+// Histogram is a lock-free latency histogram, the one behind every
+// latency figure on /metrics (query latency here, the WAL's group-commit
+// fsync in internal/ingest). Record and quantile estimation are safe for
+// concurrent use; quantiles are bucket upper bounds, i.e. exact to within
+// a factor of two — plenty for p50/p95/p99 monitoring, with client-side
+// timing used where exactness matters. The zero value is ready to use.
+type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sumNS   atomic.Int64
@@ -35,15 +37,16 @@ func bucketOf(d time.Duration) int {
 	return b
 }
 
-func (h *histogram) record(d time.Duration) {
+// Record adds one observation.
+func (h *Histogram) Record(d time.Duration) {
 	h.buckets[bucketOf(d)].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(int64(d))
 }
 
-// quantile returns an upper bound on the q-quantile latency (q in
+// Quantile returns an upper bound on the q-quantile latency (q in
 // [0,1]); 0 when nothing was recorded.
-func (h *histogram) quantile(q float64) time.Duration {
+func (h *Histogram) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -66,7 +69,8 @@ func (h *histogram) quantile(q float64) time.Duration {
 	return time.Duration(1<<uint(histBuckets-1)) * time.Microsecond
 }
 
-func (h *histogram) mean() time.Duration {
+// Mean returns the average observation; 0 when nothing was recorded.
+func (h *Histogram) Mean() time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -81,7 +85,7 @@ type serviceMetrics struct {
 	failed    atomic.Int64 // queries whose execution returned an error
 	rejected  atomic.Int64 // admissions refused because the queue was full
 	timedOut  atomic.Int64 // requests whose context expired before completion
-	latency   histogram    // enqueue-to-answer, completed queries only
+	latency   Histogram    // enqueue-to-answer, completed queries only
 }
 
 // Metrics is a point-in-time snapshot of the service's counters,
@@ -109,7 +113,7 @@ type Metrics struct {
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
 
-	// Cache is the registry-wide shared page cache's state; all zeros
+	// Cache is the registry-wide shared decoded-node cache's state; all zeros
 	// when the cache is disabled.
 	Cache pagefile.SharedCacheStats `json:"cache"`
 
@@ -184,9 +188,9 @@ func (m *serviceMetrics) snapshot() Metrics {
 		Rejected:     m.rejected.Load(),
 		TimedOut:     m.timedOut.Load(),
 		QPS:          qps,
-		AvgLatencyUS: m.latency.mean().Microseconds(),
-		P50US:        m.latency.quantile(0.50).Microseconds(),
-		P95US:        m.latency.quantile(0.95).Microseconds(),
-		P99US:        m.latency.quantile(0.99).Microseconds(),
+		AvgLatencyUS: m.latency.Mean().Microseconds(),
+		P50US:        m.latency.Quantile(0.50).Microseconds(),
+		P95US:        m.latency.Quantile(0.95).Microseconds(),
+		P99US:        m.latency.Quantile(0.99).Microseconds(),
 	}
 }

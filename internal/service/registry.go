@@ -31,20 +31,22 @@ type Registry struct {
 	snaps map[string]*Snapshot
 	gen   atomic.Uint64
 
-	// cache is the shared striped page cache over every loaded container
-	// (nil = no shared cache); openBackend is the container read flavour.
+	// cache is the shared striped decoded-node cache over every loaded
+	// container (nil = no shared cache); openBackend is the container
+	// read flavour.
 	cache       *pagefile.SharedCache
 	openBackend stx.Backend
 }
 
 // RegistryConfig configures the registry's serving read path.
 type RegistryConfig struct {
-	// CacheBytes sizes the shared striped page cache over every loaded
-	// container: raw pages and decoded nodes that miss a session's
-	// private pool are served from (and published to) one registry-wide
-	// cache keyed by snapshot generation, with per-stripe LRU eviction
-	// against this byte budget. <= 0 disables the shared cache (the
-	// historical behaviour: every session reads through to the store).
+	// CacheBytes is the budget for decoded nodes shared across sessions:
+	// a node one session parsed is published to one registry-wide cache
+	// keyed by snapshot generation (an entry is charged one page), with
+	// per-stripe LRU eviction against this byte budget, and every other
+	// session's view is served from it without reading the page. <= 0
+	// disables the shared cache: each view reads and decodes a page the
+	// first time it visits it.
 	CacheBytes int64
 	// OpenBackend is the page-read flavour Load opens containers with
 	// (stx.BackendDisk lazy window, stx.BackendMmap mapping,
@@ -68,7 +70,7 @@ func NewRegistryConfig(cfg RegistryConfig) *Registry {
 	}
 }
 
-// Cache returns the registry's shared page cache (nil when disabled) —
+// Cache returns the registry's shared decoded-node cache (nil when disabled) —
 // for metrics and tests.
 func (r *Registry) Cache() *pagefile.SharedCache { return r.cache }
 
@@ -211,8 +213,8 @@ func (r *Registry) Load(name, path string) (*Snapshot, error) {
 // openOptions builds the container open options for a snapshot of
 // generation gen: the registry's read backend plus (when the shared
 // cache is on) a store wrapper that keys the container's extents by
-// (gen, ext) in the shared page cache, with cstats accumulating the
-// snapshot's shared-hit/store-read split.
+// (gen, ext) in the shared cache, with cstats accumulating the
+// snapshot's shared hits, store reads and decodes.
 func (r *Registry) openOptions(gen uint64) (stx.OpenOptions, *pagefile.CacheCounters) {
 	var cstats *pagefile.CacheCounters
 	var wrap stx.StoreWrapper
@@ -231,8 +233,8 @@ func (r *Registry) openOptions(gen uint64) (stx.OpenOptions, *pagefile.CacheCoun
 // PublishOpener installs a caller-built snapshot with Load's cache
 // participation: the registry allocates the generation and hands open
 // the cache-wrapping OpenOptions, so any container the callback opens
-// through them serves its lazy page reads from (and publishes them to)
-// the shared page cache, generation-keyed exactly like a Load-ed
+// through them shares its decoded nodes through the shared cache,
+// generation-keyed exactly like a Load-ed
 // snapshot — including retirement of its cache entries when the swap
 // drains. The ingestion pipeline uses this to publish its combined
 // frozen+live views without giving up the cache on the frozen part.
@@ -259,8 +261,8 @@ func (r *Registry) PublishOpener(name string, open func(stx.OpenOptions) (stx.In
 // drained. The index must be frozen — no concurrent mutation while
 // registered.
 func (r *Registry) Publish(name string, idx stx.Index) (*Snapshot, error) {
-	// Published indexes are already fully in memory; the shared page cache
-	// would only duplicate their pages, so they serve uncached.
+	// Published indexes were not opened through the registry, so their
+	// stores carry no cache wrapper: each view decodes for itself.
 	return r.install(name, "", idx, r.gen.Add(1), nil)
 }
 
@@ -320,14 +322,17 @@ func (r *Registry) Names() []string {
 
 // SnapshotInfo is one registry entry's externally visible state.
 //
-// The caching tiers report separately, so the figures are no longer
-// conflated: Hits are requests absorbed by the sessions' private buffer
-// pools; of the remainder (Reads), SharedHits were absorbed by the
-// registry-wide shared page cache and StoreReads actually reached the
-// backing store. DecodeHits and Decodes split the decoded-node traffic
-// the same way. HitRate is the fraction of page requests served without
-// touching the backing store: (Hits + SharedHits) / (Hits + Reads) —
-// with no shared cache it degenerates to the private-pool rate.
+// Hits and Reads are the paper's accounting: page requests that found
+// the page in a session's private buffer pool, and requests that missed
+// it. What moved is reported beside them when the shared cache is on:
+// StoreReads are the page images actually fetched from the backing store
+// and Decodes the nodes parsed from them — both happen once per page per
+// view at most, and not at all for a page whose node another view
+// published, which SharedHits (= DecodeHits) counts. HitRate is the
+// fraction of page requests served without touching the backing store,
+// 1 − StoreReads / (Hits + Reads); a snapshot opened without the shared
+// cache has no store-read counter and reports its pool's rate,
+// Hits / (Hits + Reads).
 type SnapshotInfo struct {
 	Name    string `json:"name"`
 	Gen     uint64 `json:"gen"`
@@ -338,15 +343,15 @@ type SnapshotInfo struct {
 	Bytes   int64  `json:"bytes"`
 	Leases  int64  `json:"leases"` // live leases, excluding the registry's own reference
 	Queries int64  `json:"queries"`
-	// Reads and Hits are the private buffer-pool split (kept under their
-	// historical JSON names: every read below counts here as a Read).
+	// Reads and Hits are the private buffer-pool split.
 	Reads int64 `json:"reads"`
 	Hits  int64 `json:"hits"`
-	// SharedHits + StoreReads partition Reads when the shared cache is on.
+	// StoreReads are page images fetched; SharedHits are requests a node
+	// published by another view answered.
 	SharedHits int64 `json:"shared_hits"`
 	StoreReads int64 `json:"store_reads"`
-	// Decodes are node parses actually performed; DecodeHits were reused
-	// from the shared cache instead.
+	// Decodes are node parses actually performed; DecodeHits is
+	// SharedHits under its older name.
 	DecodeHits int64   `json:"decode_hits"`
 	Decodes    int64   `json:"decodes"`
 	HitRate    float64 `json:"hit_rate"`
@@ -378,8 +383,9 @@ func (s *Snapshot) info() SnapshotInfo {
 		DecodeHits: cv.DecodeHits,
 		Decodes:    cv.Decodes,
 	}
-	if total := st.Hits + st.Reads; total > 0 {
-		info.HitRate = float64(st.Hits+cv.SharedHits) / float64(total)
+	info.HitRate = st.HitRate()
+	if total := st.Hits + st.Reads; s.cstats != nil && total > 0 {
+		info.HitRate = 1 - float64(cv.StoreReads)/float64(total)
 	}
 	if sh, ok := s.idx.(*Sharded); ok {
 		info.ShardedQueries = sh.Queries()

@@ -51,8 +51,9 @@ type Config struct {
 	// usually wants; the default (blocking) gives natural backpressure
 	// to in-process callers.
 	RejectWhenFull bool
-	// CacheMB sizes the registry's shared striped page cache in
-	// mebibytes (see RegistryConfig.CacheBytes). 0 disables it.
+	// CacheMB is the registry's budget for decoded nodes shared across
+	// sessions, in mebibytes (see RegistryConfig.CacheBytes). 0 disables
+	// the shared cache.
 	CacheMB int
 	// OpenBackend is the container read flavour for snapshots loaded
 	// through the registry (lazy window, mmap, eager memory). Empty
@@ -248,7 +249,7 @@ func (s *Service) answer(r *request, res Result, err error) {
 	switch {
 	case err == nil:
 		s.metrics.completed.Add(1)
-		s.metrics.latency.record(time.Since(r.enqueued))
+		s.metrics.latency.Record(time.Since(r.enqueued))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Counted as timed-out by the waiting client side.
 	default:

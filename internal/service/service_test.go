@@ -514,24 +514,24 @@ func TestSessionViewFollowsGeneration(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
+	var h Histogram
 	for i := 0; i < 90; i++ {
-		h.record(3 * time.Microsecond) // bucket [2,4)µs -> upper bound 4µs
+		h.Record(3 * time.Microsecond) // bucket [2,4)µs -> upper bound 4µs
 	}
 	for i := 0; i < 10; i++ {
-		h.record(900 * time.Microsecond) // bucket [512,1024)µs -> 1024µs
+		h.Record(900 * time.Microsecond) // bucket [512,1024)µs -> 1024µs
 	}
-	if got := h.quantile(0.50); got != 4*time.Microsecond {
+	if got := h.Quantile(0.50); got != 4*time.Microsecond {
 		t.Fatalf("p50 = %v, want 4µs", got)
 	}
-	if got := h.quantile(0.99); got != 1024*time.Microsecond {
+	if got := h.Quantile(0.99); got != 1024*time.Microsecond {
 		t.Fatalf("p99 = %v, want 1024µs", got)
 	}
-	if mean := h.mean(); mean <= 0 {
+	if mean := h.Mean(); mean <= 0 {
 		t.Fatalf("mean = %v", mean)
 	}
-	var empty histogram
-	if got := empty.quantile(0.99); got != 0 {
+	var empty Histogram
+	if got := empty.Quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram p99 = %v, want 0", got)
 	}
 }
