@@ -108,7 +108,7 @@ func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 	}
 	// Sharded fan-out fail-stop: one shard's injected fault must fail
 	// the whole query, never surface as a silently partial merge. One
-	// pass over one shard kind covers the scatter-gather layer; the
+	// pass over the PPR shard kind covers the scatter-gather layer; the
 	// per-kind matrix above already covers every container kind's own
 	// fault behaviour.
 	shardedExpected := NewOracle(wl.Records).Expected(wl)

@@ -109,12 +109,10 @@ func shardedFaultPass(wl *Workload, exp *Expected, schedules []string) (uint64, 
 	}
 	defer os.RemoveAll(dir)
 	manifest := filepath.Join(dir, "snap.stm")
-	// HR-tree shards: a page is read from the store once, when its node
-	// is first decoded, and a PPR or R*-tree over a third of the harness
-	// records has too few pages for the deterministic schedules to fire
-	// on. The HR-tree keeps a root path per version, dozens of pages even
-	// at this size.
-	if _, err := sharding.Build(manifest, plan, sharding.BuildConfig{Kind: "hr"}); err != nil {
+	// One buffer page per shard: the harness trees are small enough to
+	// fit a default pool entirely, which would starve the deterministic
+	// schedules of reads to fire on.
+	if _, err := sharding.Build(manifest, plan, sharding.BuildConfig{Kind: "ppr", BufferBudget: shardedDiffShards}); err != nil {
 		return 0, err
 	}
 	var injected uint64

@@ -35,7 +35,8 @@ type ServeRow struct {
 	P99US int64
 	// HitRate is the fraction of page requests served without a store
 	// read, 1 - store reads / buffer lookups; with no shared cache there
-	// is no store-read counter and it is the buffer pool's own rate.
+	// is no store-read counter and it is the buffer pool's own rate (every
+	// pool miss reads the store then, so the two agree).
 	HitRate float64
 	// SharedHitRate is the fraction of buffer-pool misses answered by a
 	// node another session's view published.
@@ -47,9 +48,10 @@ type ServeRow struct {
 // the lazy disk flavour, no shared cache) and the serving hot
 // path (mem/disk/mmap open flavours crossed with shared-cache budgets at
 // a fixed service shape). Unlike the paper's cold-buffer discipline, the
-// serving path keeps session buffers warm. A page is read and decoded
-// once per view at most, so the budget decides only whether the other
-// sessions' views repeat that work (the shared-hit column).
+// serving path keeps session buffers warm. With a budget a page is read
+// and decoded once per view at most, or not at all when another view
+// published its node (the shared-hit column); without one every miss of
+// a session's pool reads the store and only the parse is saved.
 func Serve(cfg Config) ([]ServeRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]

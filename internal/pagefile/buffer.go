@@ -2,9 +2,10 @@ package pagefile
 
 // Stats accumulates buffer-pool traffic in the paper's unit. Reads are the
 // page requests that missed the pool — the paper's disk accesses — whether
-// or not the page's bytes had to be fetched to answer them (ReadDecoded
-// fetches only on a decode miss); Writes are write-through page writes;
-// Hits are requests that found their page in the pool.
+// or not the page's bytes had to be fetched to answer them (under a decode
+// tier ReadDecoded fetches only on a decode miss); Writes are
+// write-through page writes; Hits are requests that found their page in
+// the pool.
 type Stats struct {
 	Reads  int64 // requests that missed the pool
 	Writes int64 // pages written to the file
@@ -53,17 +54,20 @@ type decodedPage struct {
 //
 // The pool is the paper's accounting device: which requests hit and which
 // miss depends on the request sequence and the capacity, nothing else.
-// What serves a query is the decoded-page cache (ReadDecoded): a side
-// table mapping a page id to the parsed form of its image, stamped with
-// the store's per-page version. Stats{Reads,Writes,Hits} are accounted by
+// Beside it sits the decoded-page cache (ReadDecoded): a side table
+// mapping a page id to the parsed form of its image, stamped with the
+// store's per-page version. Stats{Reads,Writes,Hits} are accounted by
 // exactly the same hit/miss logic whether or not a decode is reused, so
-// every I/O figure is bit-identical with and without it, but the page's
-// bytes are fetched from the store only for a reader: a decode miss, or a
-// raw Read. Reset deliberately keeps the decode cache: resetting simulates
-// cold *disk buffers*, not a change to the page images, and the version
-// stamp already invalidates a decode exactly when its image can have
-// changed (Write, page reuse). Evict drops the page's decode along with
-// its frame.
+// every I/O figure is bit-identical with and without it. Over a plain
+// store the table saves the parse and nothing else: a pool miss fetches
+// the page, as the paper's buffer does. Over a store that carries a shared
+// decode tier (a cache budget was configured) the decodes are what serves
+// a query, and the page's bytes are fetched only for a reader: a decode
+// miss, or a raw Read. Reset deliberately keeps the decode cache:
+// resetting simulates cold *disk buffers*, not a change to the page
+// images, and the version stamp already invalidates a decode exactly when
+// its image can have changed (Write, page reuse). Evict drops the page's
+// decode along with its frame.
 //
 // Not safe for concurrent use; give each goroutine its own Buffer over
 // the shared (frozen) store.
@@ -82,7 +86,8 @@ type Buffer struct {
 
 	// shared is the cross-buffer decode tier, present when the store
 	// implements SharedDecodeCache (the serving layer's shared cache
-	// wrapper). Checked after the private decode map; fresh decodes are
+	// wrapper). With it ReadDecoded looks decodes up — the private map,
+	// then the tier — before it touches the store; fresh decodes are
 	// published back to it.
 	shared SharedDecodeCache
 }
@@ -264,11 +269,9 @@ func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 	if d, ok := b.decoded[id]; ok && d.version == ver {
 		return d.value, true
 	}
-	if b.shared != nil {
-		if v, ok := b.shared.CachedDecode(id, ver); ok {
-			b.decoded[id] = decodedPage{version: ver, value: v}
-			return v, true
-		}
+	if v, ok := b.shared.CachedDecode(id, ver); ok {
+		b.decoded[id] = decodedPage{version: ver, value: v}
+		return v, true
 	}
 	return nil, false
 }
@@ -279,10 +282,13 @@ func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 // reuses the cached parse as long as the image is unchanged.
 //
 // The buffer traffic accounting is exactly Read's: the pool hit/miss and
-// the Stats counters do not depend on the decode cache. The store is
-// another matter: a request a cached decode answers is charged to the
-// pool (its slot becomes resident without an image) and never reaches
-// the store; the image is fetched only when there is no decode to reuse.
+// the Stats counters do not depend on the decode cache. Whether the store
+// is read does, once a shared decode tier is configured: a request a
+// cached decode answers is then charged to the pool (its slot becomes
+// resident without an image) and never reaches the store; the image is
+// fetched only when there is no decode to reuse. Over a plain store the
+// request is a Read — a pool miss fetches the page — and the private map
+// saves the parse alone.
 //
 // decode must treat data as read-only and must not retain it; the slice
 // aliases the buffered frame (see Read). The returned value is shared
@@ -290,27 +296,34 @@ func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 // must not mutate it — mutating paths should Read and parse a private
 // copy instead.
 func (b *Buffer) ReadDecoded(id PageID, decode func(id PageID, data []byte) (any, error)) (any, error) {
-	i, resident := b.index[id]
-	if !resident {
-		// As in Read: a bad id is refused before anything is charged.
-		if err := b.store.Check(id); err != nil {
-			return nil, err
+	// Decode-first only under a decode tier; DESIGN.md ('Decoded-node
+	// cache') says why a plain store keeps the fetch on every pool miss.
+	if b.shared != nil {
+		i, resident := b.index[id]
+		if !resident {
+			// As in Read: a bad id is refused before anything is charged.
+			if err := b.store.Check(id); err != nil {
+				return nil, err
+			}
 		}
-	}
-	ver := b.store.Version(id)
-	if v, ok := b.cachedDecode(id, ver); ok {
-		if resident {
-			b.moveToFront(i)
-			b.stats.Hits++
-		} else {
-			b.stats.Reads++
-			b.admit(b.take(), id, false)
+		if v, ok := b.cachedDecode(id, b.store.Version(id)); ok {
+			if resident {
+				b.moveToFront(i)
+				b.stats.Hits++
+			} else {
+				b.stats.Reads++
+				b.admit(b.take(), id, false)
+			}
+			return v, nil
 		}
-		return v, nil
 	}
 	data, err := b.Read(id)
 	if err != nil {
 		return nil, err
+	}
+	ver := b.store.Version(id)
+	if d, ok := b.decoded[id]; ok && d.version == ver {
+		return d.value, nil
 	}
 	v, err := decode(id, data)
 	if err != nil {

@@ -27,12 +27,26 @@ func (c *countingStore) ReadPage(id PageID, dst []byte) error {
 	return c.Store.ReadPage(id, dst)
 }
 
+// decodeFirst puts a shared decode tier over s, as a serving registry with
+// a cache budget does: that is what makes ReadDecoded consult its decodes
+// before the store.
+func decodeFirst(s Store) Store {
+	return NewSharedCache(1<<20).WrapStore(1, 0, s, nil)
+}
+
+// bothLookupOrders runs test over a plain store and under a decode tier:
+// what invalidates a decode must not depend on when the store is read.
+func bothLookupOrders(t *testing.T, test func(t *testing.T, wrap func(Store) Store)) {
+	t.Run("plain", func(t *testing.T) { test(t, func(s Store) Store { return s }) })
+	t.Run("decode-first", func(t *testing.T) { test(t, decodeFirst) })
+}
+
 // TestReadDecodedAccountingMatchesRead drives two buffers over the same
 // file with the same access sequence — one through Read, one through
 // ReadDecoded — and asserts the Stats are identical at every step. This is
 // the core exactness property: the decode cache must be invisible to the
-// paper's I/O metric. The store underneath sees the other side of it:
-// bytes move only for a decode miss or a raw Read, and a raw Read of a
+// paper's I/O metric. The store under a decode tier sees the other side of
+// it: bytes move only for a decode miss or a raw Read, and a raw Read of a
 // page ReadDecoded made resident still returns the true image.
 func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -50,7 +64,7 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 		capacity := 1 + r.Intn(4)
 		plain := NewBuffer(f, capacity)
 		under := &countingStore{Store: f}
-		cached := NewBuffer(under, capacity)
+		cached := NewBuffer(decodeFirst(under), capacity)
 		calls, rawReads := 0, 0
 		decode := countingDecode(&calls)
 		for op := 0; op < 300; op++ {
@@ -103,9 +117,10 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 
 // TestReadDecodedFetchesOnlyOnDecodeMiss is the paper's measurement loop
 // over a pool far smaller than the working set: every query starts cold
-// (Reset) and is charged the same misses every time, but the store is
-// read once per distinct page — when its node is first decoded — and
-// never again.
+// (Reset) and is charged the same misses every time. Under a decode tier
+// the store is read once per distinct page — when its node is first
+// decoded — and never again; over a plain store every charged miss is a
+// fetch and only the parse is saved.
 func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 	f := New(16)
 	var pages []PageID
@@ -118,13 +133,16 @@ func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 	}
 	plain := NewBuffer(f, 2)
 	under := &countingStore{Store: f}
-	cached := NewBuffer(under, 2)
-	calls := 0
-	decode := countingDecode(&calls)
+	cached := NewBuffer(decodeFirst(under), 2)
+	bare := &countingStore{Store: f}
+	uncached := NewBuffer(bare, 2)
+	calls, bareCalls, misses := 0, 0, 0
+	decode, bareDecode := countingDecode(&calls), countingDecode(&bareCalls)
 	query := []int{0, 1, 2, 0, 3, 1, 4, 4, 5, 0}
 	for round := 0; round < 5; round++ {
 		plain.Reset()
 		cached.Reset()
+		uncached.Reset()
 		for _, i := range query {
 			data, err := plain.Read(pages[i])
 			if err != nil {
@@ -134,15 +152,23 @@ func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v.(int) != int(data[0]) {
-				t.Fatalf("round %d page %d decoded to %v, image says %d", round, i, v, data[0])
+			w, err := uncached.ReadDecoded(pages[i], bareDecode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.(int) != int(data[0]) || w.(int) != int(data[0]) {
+				t.Fatalf("round %d page %d decoded to %v and %v, image says %d", round, i, v, w, data[0])
 			}
 		}
-		if plain.Stats() != cached.Stats() {
-			t.Fatalf("round %d: ReadDecoded charged %+v, Read %+v", round, cached.Stats(), plain.Stats())
+		if plain.Stats() != cached.Stats() || plain.Stats() != uncached.Stats() {
+			t.Fatalf("round %d: ReadDecoded charged %+v and %+v, Read %+v", round, cached.Stats(), uncached.Stats(), plain.Stats())
 		}
 		if under.reads != 6 || calls != 6 {
-			t.Fatalf("round %d: %d store reads, %d decodes, want 6 of each (distinct pages)", round, under.reads, calls)
+			t.Fatalf("round %d: %d store reads, %d decodes under the decode tier, want 6 of each (distinct pages)", round, under.reads, calls)
+		}
+		misses += int(plain.Stats().Reads)
+		if bare.reads != misses || bareCalls != 6 {
+			t.Fatalf("round %d: %d store reads, %d decodes over the plain store, want %d (the charged misses) and 6", round, bare.reads, bareCalls, misses)
 		}
 	}
 	if st := cached.Stats(); st.Reads == 0 || st.Hits == 0 {
@@ -170,74 +196,78 @@ func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 }
 
 func TestReadDecodedCachesAcrossReset(t *testing.T) {
-	f := New(16)
-	p := f.Allocate()
-	if err := f.write(p, []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuffer(f, 2)
-	calls := 0
-	decode := countingDecode(&calls)
+	bothLookupOrders(t, func(t *testing.T, wrap func(Store) Store) {
+		f := New(16)
+		p := f.Allocate()
+		if err := f.write(p, []byte{7}); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuffer(wrap(f), 2)
+		calls := 0
+		decode := countingDecode(&calls)
 
-	v1, err := b.ReadDecoded(p, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 || v1.(int) != 7 {
-		t.Fatalf("first decode: calls=%d v=%v", calls, v1)
-	}
-	// Still buffered: no re-decode, accounted as a hit.
-	if _, err := b.ReadDecoded(p, decode); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("warm repeat re-decoded: calls=%d", calls)
-	}
-	// Reset empties the pool (cold disk buffers) but the image is
-	// unchanged, so the parse survives while the read is still charged.
-	b.Reset()
-	v2, err := b.ReadDecoded(p, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("decode did not survive Reset: calls=%d", calls)
-	}
-	if v2 != v1 {
-		t.Fatal("decode identity changed across Reset")
-	}
-	if st := b.Stats(); st.Reads != 1 || st.Hits != 0 {
-		t.Fatalf("post-Reset accounting: %+v", st)
-	}
+		v1, err := b.ReadDecoded(p, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || v1.(int) != 7 {
+			t.Fatalf("first decode: calls=%d v=%v", calls, v1)
+		}
+		// Still buffered: no re-decode, accounted as a hit.
+		if _, err := b.ReadDecoded(p, decode); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Fatalf("warm repeat re-decoded: calls=%d", calls)
+		}
+		// Reset empties the pool (cold disk buffers) but the image is
+		// unchanged, so the parse survives while the read is still charged.
+		b.Reset()
+		v2, err := b.ReadDecoded(p, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Fatalf("decode did not survive Reset: calls=%d", calls)
+		}
+		if v2 != v1 {
+			t.Fatal("decode identity changed across Reset")
+		}
+		if st := b.Stats(); st.Reads != 1 || st.Hits != 0 {
+			t.Fatalf("post-Reset accounting: %+v", st)
+		}
+	})
 }
 
 func TestReadDecodedInvalidatedByWrite(t *testing.T) {
-	f := New(16)
-	p := f.Allocate()
-	b := NewBuffer(f, 2)
-	calls := 0
-	decode := countingDecode(&calls)
+	bothLookupOrders(t, func(t *testing.T, wrap func(Store) Store) {
+		f := New(16)
+		p := f.Allocate()
+		b := NewBuffer(wrap(f), 2)
+		calls := 0
+		decode := countingDecode(&calls)
 
-	if err := b.Write(p, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.ReadDecoded(p, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(int) != 1 || calls != 1 {
-		t.Fatalf("before write: v=%v calls=%d", v, calls)
-	}
-	if err := b.Write(p, []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	v, err = b.ReadDecoded(p, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(int) != 2 || calls != 2 {
-		t.Fatalf("after write: v=%v calls=%d", v, calls)
-	}
+		if err := b.Write(p, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		v, err := b.ReadDecoded(p, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(int) != 1 || calls != 1 {
+			t.Fatalf("before write: v=%v calls=%d", v, calls)
+		}
+		if err := b.Write(p, []byte{2}); err != nil {
+			t.Fatal(err)
+		}
+		v, err = b.ReadDecoded(p, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(int) != 2 || calls != 2 {
+			t.Fatalf("after write: v=%v calls=%d", v, calls)
+		}
+	})
 }
 
 // TestReadDecodedInvalidatedByForeignWrite covers the view scenario's dual:
@@ -245,87 +275,93 @@ func TestReadDecodedInvalidatedByWrite(t *testing.T) {
 // invalidate this buffer's decode, because the page version lives on the
 // file, not the buffer.
 func TestReadDecodedInvalidatedByForeignWrite(t *testing.T) {
-	f := New(16)
-	p := f.Allocate()
-	if err := f.write(p, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	a := NewBuffer(f, 2)
-	other := NewBuffer(f, 2)
-	calls := 0
-	decode := countingDecode(&calls)
+	bothLookupOrders(t, func(t *testing.T, wrap func(Store) Store) {
+		f := New(16)
+		p := f.Allocate()
+		if err := f.write(p, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		a := NewBuffer(wrap(f), 2)
+		other := NewBuffer(wrap(f), 2)
+		calls := 0
+		decode := countingDecode(&calls)
 
-	if v, err := a.ReadDecoded(p, decode); err != nil || v.(int) != 1 {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	if err := other.Write(p, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	// a's pool still holds the stale image; flush it so Read refetches.
-	a.Evict(p)
-	v, err := a.ReadDecoded(p, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(int) != 9 || calls != 2 {
-		t.Fatalf("foreign write not seen: v=%v calls=%d", v, calls)
-	}
+		if v, err := a.ReadDecoded(p, decode); err != nil || v.(int) != 1 {
+			t.Fatalf("v=%v err=%v", v, err)
+		}
+		if err := other.Write(p, []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		// a's pool still holds the stale image; flush it so Read refetches.
+		a.Evict(p)
+		v, err := a.ReadDecoded(p, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(int) != 9 || calls != 2 {
+			t.Fatalf("foreign write not seen: v=%v calls=%d", v, calls)
+		}
+	})
 }
 
 func TestReadDecodedInvalidatedByPageReuse(t *testing.T) {
-	f := New(16)
-	p := f.Allocate()
-	if err := f.write(p, []byte{5}); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuffer(f, 2)
-	calls := 0
-	decode := countingDecode(&calls)
-	if v, err := b.ReadDecoded(p, decode); err != nil || v.(int) != 5 {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	// Free the page and reallocate it: same id, new identity. Allocate
-	// bumps the version, so even without an intervening Write the old
-	// decode must not resurface.
-	if err := f.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	b.Evict(p)
-	p2 := f.Allocate()
-	if p2 != p {
-		t.Fatalf("expected page reuse, got %d", p2)
-	}
-	if err := f.write(p2, []byte{6}); err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.ReadDecoded(p2, decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(int) != 6 || calls != 2 {
-		t.Fatalf("reused page served stale decode: v=%v calls=%d", v, calls)
-	}
+	bothLookupOrders(t, func(t *testing.T, wrap func(Store) Store) {
+		f := New(16)
+		p := f.Allocate()
+		if err := f.write(p, []byte{5}); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuffer(wrap(f), 2)
+		calls := 0
+		decode := countingDecode(&calls)
+		if v, err := b.ReadDecoded(p, decode); err != nil || v.(int) != 5 {
+			t.Fatalf("v=%v err=%v", v, err)
+		}
+		// Free the page and reallocate it: same id, new identity. Allocate
+		// bumps the version, so even without an intervening Write the old
+		// decode must not resurface.
+		if err := f.Free(p); err != nil {
+			t.Fatal(err)
+		}
+		b.Evict(p)
+		p2 := f.Allocate()
+		if p2 != p {
+			t.Fatalf("expected page reuse, got %d", p2)
+		}
+		if err := f.write(p2, []byte{6}); err != nil {
+			t.Fatal(err)
+		}
+		v, err := b.ReadDecoded(p2, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(int) != 6 || calls != 2 {
+			t.Fatalf("reused page served stale decode: v=%v calls=%d", v, calls)
+		}
+	})
 }
 
 func TestEvictDropsDecode(t *testing.T) {
-	f := New(16)
-	p := f.Allocate()
-	if err := f.write(p, []byte{3}); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuffer(f, 2)
-	calls := 0
-	decode := countingDecode(&calls)
-	if _, err := b.ReadDecoded(p, decode); err != nil {
-		t.Fatal(err)
-	}
-	b.Evict(p)
-	if _, err := b.ReadDecoded(p, decode); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("Evict kept the decode: calls=%d", calls)
-	}
+	bothLookupOrders(t, func(t *testing.T, wrap func(Store) Store) {
+		f := New(16)
+		p := f.Allocate()
+		if err := f.write(p, []byte{3}); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuffer(wrap(f), 2)
+		calls := 0
+		decode := countingDecode(&calls)
+		if _, err := b.ReadDecoded(p, decode); err != nil {
+			t.Fatal(err)
+		}
+		b.Evict(p)
+		if _, err := b.ReadDecoded(p, decode); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 2 {
+			t.Fatalf("Evict kept the decode: calls=%d", calls)
+		}
+	})
 }
 
 // TestResetReusesAllocations asserts the satellite requirement: a Reset

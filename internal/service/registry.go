@@ -45,8 +45,8 @@ type RegistryConfig struct {
 	// keyed by snapshot generation (an entry is charged one page), with
 	// per-stripe LRU eviction against this byte budget, and every other
 	// session's view is served from it without reading the page. <= 0
-	// disables the shared cache: each view reads and decodes a page the
-	// first time it visits it.
+	// disables the shared cache: each view decodes a page the first time
+	// it visits it and reads it on every miss of its buffer pool.
 	CacheBytes int64
 	// OpenBackend is the page-read flavour Load opens containers with
 	// (stx.BackendDisk lazy window, stx.BackendMmap mapping,
@@ -332,7 +332,8 @@ func (r *Registry) Names() []string {
 // fraction of page requests served without touching the backing store,
 // 1 − StoreReads / (Hits + Reads); a snapshot opened without the shared
 // cache has no store-read counter and reports its pool's rate,
-// Hits / (Hits + Reads).
+// Hits / (Hits + Reads), which says the same thing there: without the
+// cache every pool miss reads the store.
 type SnapshotInfo struct {
 	Name    string `json:"name"`
 	Gen     uint64 `json:"gen"`

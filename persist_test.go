@@ -187,14 +187,6 @@ func TestCrossBackendBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCrossCodecBitIdentical saves every kind with both page codecs and
-// demands the codec be invisible above the store and deterministic
-// below it: a container opened through any backend answers every query
-// identically to the built index with identical cold-buffer I/O, and
-// re-encoding the opened container with its own codec reproduces the
-// saved image byte for byte. The compressed image must also actually be
-// smaller — node pages are structured, so a codec that failed to shrink
-// them would mean the delta/dup encoder silently fell back to raw.
 // pageReadCounter counts the page images fetched from an opened extent.
 type pageReadCounter struct {
 	pagefile.Store
@@ -206,6 +198,14 @@ func (c pageReadCounter) ReadPage(id pagefile.PageID, dst []byte) error {
 	return c.Store.ReadPage(id, dst)
 }
 
+// TestCrossCodecBitIdentical saves every kind with both page codecs and
+// demands the codec be invisible above the store and deterministic
+// below it: a container opened through any backend answers every query
+// identically to the built index with identical cold-buffer I/O, and
+// re-encoding the opened container with its own codec reproduces the
+// saved image byte for byte. The compressed image must also actually be
+// smaller — node pages are structured, so a codec that failed to shrink
+// them would mean the delta/dup encoder silently fell back to raw.
 func TestCrossCodecBitIdentical(t *testing.T) {
 	queries := persistQueries(t)
 	fixtures := persistFixtures(t, BackendMemory)
@@ -225,9 +225,13 @@ func TestCrossCodecBitIdentical(t *testing.T) {
 			}
 			for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
 				label := kind + "/" + string(codec) + "/" + string(backend)
-				storeReads := 0
+				// Opened the way a registry with a cache budget opens it: a
+				// decode tier over every extent, the counter underneath.
+				storeReads, extents := 0, uint32(0)
+				cache := pagefile.NewSharedCache(8 << 20)
 				ox, err := OpenIndexOptions(path, OpenOptions{Backend: backend, Wrap: func(s pagefile.Store) pagefile.Store {
-					return pageReadCounter{Store: s, reads: &storeReads}
+					extents++
+					return cache.WrapStore(1, extents, pageReadCounter{Store: s, reads: &storeReads}, nil)
 				}})
 				if err != nil {
 					t.Fatalf("%s: open: %v", label, err)
