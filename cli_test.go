@@ -90,6 +90,18 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("describe output: %s", so)
 	}
 
+	// hr is an in-memory baseline: it builds and answers, but neither
+	// saves nor shards.
+	for _, args := range [][]string{
+		{"stquery", "-i", records, "-index", "hr", "-save", filepath.Join(work, "hr.sti")},
+		{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hr", "-o", filepath.Join(work, "hr.manifest")},
+	} {
+		out, err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "hr") {
+			t.Fatalf("%v: want a failure naming hr, got err=%v\n%s", args, err, out)
+		}
+	}
+
 	// Streaming: events feed into ststream with calibration.
 	run(t, filepath.Join(bin, "stgen"), "-family", "random", "-n", "200", "-seed", "6", "-events", "-o", feed)
 	so, se = run(t, filepath.Join(bin, "ststream"), "-i", feed, "-target", "2.5",

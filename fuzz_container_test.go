@@ -33,6 +33,19 @@ func containerSeeds(f *testing.F) [][]byte {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
+	// Containers written before this codec stopped producing delta pages
+	// and before hr stopped being persisted: the decode-only paths.
+	legacy, err := filepath.Glob(filepath.Join("testdata", "*.sti"))
+	if err != nil || len(legacy) == 0 {
+		f.Fatalf("no legacy containers under testdata: %v", err)
+	}
+	for _, path := range legacy {
+		image, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, image)
+	}
 	return seeds
 }
 

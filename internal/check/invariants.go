@@ -20,8 +20,8 @@ var (
 // alive-entry consistency on every reachable node (each tree package's
 // Validate) — and then sweeps every record through the facade's
 // owner-checked query path, so a dangling record reference (a ref beyond
-// the owner table) surfaces too. It accepts all five kinds: ppr, rstar,
-// hr, hybrid and stream-ppr.
+// the owner table) surfaces too. It accepts every persisted kind: ppr,
+// rstar, hybrid and stream-ppr.
 func CheckInvariants(x stx.Index) error {
 	switch ix := x.(type) {
 	case *stx.PPRIndex:
@@ -31,10 +31,6 @@ func CheckInvariants(x stx.Index) error {
 	case *stx.RStarIndex:
 		if err := ix.Tree().Validate(); err != nil {
 			return fmt.Errorf("check: rstar invariants: %w", err)
-		}
-	case *stx.HRIndex:
-		if err := ix.Tree().Validate(); err != nil {
-			return fmt.Errorf("check: hr invariants: %w", err)
 		}
 	case *stx.HybridIndex:
 		if err := CheckInvariants(ix.PPR()); err != nil {

@@ -20,7 +20,7 @@ type PersistRow struct {
 	Codec   string
 	Records int
 	// Bytes is the container image size on disk — for the compressed
-	// codec this is the at-rest footprint after delta/dup encoding.
+	// codec this is the at-rest footprint after struct encoding.
 	Bytes int64
 	// SaveTime is EncodeIndex through a buffered file writer.
 	SaveTime time.Duration
@@ -34,12 +34,6 @@ type PersistRow struct {
 	// codec-independent.
 	BuiltAvgIO float64
 	LazyAvgIO  float64
-	// HRLogical and HRPhysical are the HR tree's per-version summed page
-	// count versus the distinct pages actually stored (zero for other
-	// kinds). Their ratio is the shared-subtree dedup the compressed
-	// codec's dup/delta pages exploit on disk.
-	HRLogical  int64
-	HRPhysical int
 }
 
 // Persist measures the unified index container under each page codec:
@@ -79,7 +73,6 @@ func Persist(cfg Config) ([]PersistRow, error) {
 		}{
 			{"ppr", func() (stx.Index, error) { return stx.BuildPPR(records, stx.PPROptions{}) }},
 			{"rstar", func() (stx.Index, error) { return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42}) }},
-			{"hr", func() (stx.Index, error) { return stx.BuildHR(records, stx.HROptions{}) }},
 			{"hybrid", func() (stx.Index, error) {
 				return stx.BuildHybrid(records, stx.HybridOptions{RStar: stx.RStarOptions{ShuffleSeed: 42}})
 			}},
@@ -92,20 +85,6 @@ func Persist(cfg Config) ([]PersistRow, error) {
 			builtRes, err := stx.MeasureWorkloadParallel(built, queries, cfg.Parallelism)
 			if err != nil {
 				return nil, err
-			}
-			var hrStats struct {
-				logical  int64
-				physical int
-			}
-			if hr, ok := built.(*stx.HRIndex); ok {
-				ps, err := hr.Tree().PageStats()
-				if err != nil {
-					return nil, fmt.Errorf("persist: hr/%d page stats: %w", n, err)
-				}
-				hrStats.logical, hrStats.physical = ps.Logical, ps.Physical
-				cfg.printf("%8d %8s %12s: %d versions, %d logical pages vs %d stored (%.1fx shared)\n",
-					n, "hr", "sharing", ps.Versions, ps.Logical, ps.Physical,
-					float64(ps.Logical)/float64(ps.Physical))
 			}
 
 			for _, codec := range codecs {
@@ -165,7 +144,6 @@ func Persist(cfg Config) ([]PersistRow, error) {
 					Records: built.Records(), Bytes: fi.Size(),
 					SaveTime: saveTime, EagerTime: eagerTime, OpenTime: openTime,
 					BuiltAvgIO: builtRes.AvgIO, LazyAvgIO: lazyRes.AvgIO,
-					HRLogical: hrStats.logical, HRPhysical: hrStats.physical,
 				}
 				rows = append(rows, row)
 				cfg.printf("%8d %8s %12s %8d | %8d %10s %10s %10s | %8.3f %8.3f\n",

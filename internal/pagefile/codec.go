@@ -49,10 +49,11 @@ type Layout byte
 const (
 	// LayoutOpaque promises nothing about page content.
 	LayoutOpaque Layout = 0
-	// LayoutHR is the hrtree node page: an 8-byte header (leaf flag,
-	// entry count) followed by 40-byte entries of a 2-D rect (4×float64)
-	// and a 64-bit child/object reference.
-	LayoutHR Layout = 1
+	// Value 1 is reserved: it named the hrtree node page while the HR-tree
+	// was a persisted kind. An extent carrying it still opens (its
+	// directory is what InspectContainer reads) but has no structural
+	// spec.
+
 	// LayoutPPR is the pprtree node page (also used by the stream
 	// indexer): a 24-byte header (leaf flag, entry count, node interval)
 	// followed by 56-byte entries of a 2-D rect, insert/delete
@@ -82,8 +83,8 @@ const EnvCodec = "STINDEX_CODEC"
 var CodecIdentity Codec = identityCodec{}
 
 // CodecCompressed is the compressing codec: the STPC extent format with
-// per-page structural compression (delta-encoded MBR coordinates, varint
-// counts/refs/intervals) and cross-page entry dedup for shared subtrees.
+// per-page structural compression (XOR-delta-encoded MBR coordinates,
+// varint counts/refs/intervals).
 var CodecCompressed Codec = compressedCodec{}
 
 // codecs is the registry, indexed by header ID.

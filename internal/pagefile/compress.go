@@ -44,19 +44,19 @@ import (
 //	0x02 delta:  uvarint base page id (an earlier raw/struct page), then
 //	             the struct header and, per entry, uvarint op: op ≥ 1
 //	             copies base entry op-1 verbatim; op 0 is followed by a
-//	             literal entry in the struct encoding. This is what
-//	             dedups HR-tree shared subtrees: path-copied nodes that
-//	             repeat most of an earlier node's entries store only the
-//	             copy ops.
+//	             literal entry in the struct encoding.
 //	0x03 dup:    uvarint base page id — this page is byte-identical to
 //	             that (raw/struct) page.
 //
-// The encoder verifies every structural candidate by decoding it and
-// comparing against the original image, falling back to raw on any
-// mismatch — compression is a pure size optimisation, lossless for
-// arbitrary page content under any layout hint. Delta/dup bases are
-// always earlier, non-delta pages, so decode needs at most one level of
-// base resolution and corrupt chains are rejected.
+// The encoder writes raw and struct only: it decode-verifies the struct
+// candidate against the original image and keeps the smaller of the two,
+// so compression is a pure size optimisation, lossless for arbitrary
+// page content under any layout hint. Delta and dup are read-only modes:
+// containers written before the encoder stopped producing them (freeze
+// containers in an ingest journal, streamed PPR snapshots) still hold
+// such pages and must reopen. Their bases are always earlier, non-delta
+// pages, so decode needs at most one level of base resolution and
+// corrupt chains are rejected.
 const (
 	cpMagic      = "STPC"
 	cpVersion    = 1
@@ -77,11 +77,6 @@ const (
 // geom.Now by a pprtree test.
 const cpNowSentinel = int64(math.MaxInt64)
 
-// maxAnchorEntries caps the encoder's dedup maps; past it they are
-// cleared (deterministically — the cap depends only on the input
-// sequence) so encoding arbitrarily large extents stays bounded.
-const maxAnchorEntries = 1 << 20
-
 // cpMaxEncodedSlack bounds how much larger than a page an encoded page
 // may claim to be: the raw mode costs at most 1 + uvarint(pageSize) +
 // pageSize bytes and the encoder always picks the smallest candidate.
@@ -97,11 +92,9 @@ type layoutSpec struct {
 
 // specFor returns the structural spec of a layout; ok is false for
 // LayoutOpaque (and anything unknown), which compresses pages with the
-// raw and dup modes only.
+// raw mode only.
 func specFor(l Layout) (layoutSpec, bool) {
 	switch l {
-	case LayoutHR:
-		return layoutSpec{hdr: 8, entry: 40, coords: 4}, true
 	case LayoutPPR:
 		return layoutSpec{hdr: 24, entry: 56, coords: 4, times: true}, true
 	case LayoutRStar:
@@ -372,28 +365,6 @@ func cpEncodeStruct(dst []byte, page []byte, count int, sp layoutSpec) []byte {
 	return dst
 }
 
-// cpEncodeDelta appends the delta-mode encoding of page against base
-// (mode byte and base id included). matched returns how many entries
-// became copy ops; callers drop the candidate when too few matched.
-func cpEncodeDelta(dst []byte, page []byte, count int, base uint32, baseIdx map[string]int, sp layoutSpec) (out []byte, matched int) {
-	dst = append(dst, cpModeDelta)
-	dst = binary.AppendUvarint(dst, uint64(base))
-	dst = encodeStructHeader(dst, page, count, sp)
-	prev := -1
-	for i := 0; i < count; i++ {
-		off := sp.hdr + i*sp.entry
-		if k, ok := baseIdx[string(page[off:off+sp.entry])]; ok {
-			dst = binary.AppendUvarint(dst, uint64(k+1))
-			matched++
-		} else {
-			dst = append(dst, 0)
-			dst = encodeEntry(dst, page, off, prev, sp)
-		}
-		prev = off
-	}
-	return dst, matched
-}
-
 // cpDecodePage decodes one encoded page into dst (exactly pageSize
 // bytes, any content — it is fully overwritten). fetchBase returns the
 // decoded raw image of an earlier, non-delta page for the delta and dup
@@ -500,160 +471,46 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 	return fmt.Errorf("pagefile: page %d has unknown encoding mode %#x", id, enc[0])
 }
 
-// cpEncoder compresses a store's pages in id order, remembering earlier
-// pages as dedup anchors.
+// cpEncoder compresses page images one at a time; its buffers are
+// reused across pages.
 type cpEncoder struct {
-	s        Store
-	sp       layoutSpec
-	structOK bool
-	pageSize int
-	// anchors maps entry bytes to the latest non-delta page containing
-	// them; pageDup maps whole page images to their first non-delta page.
-	anchors  map[string]uint32
-	pageDup  map[string]uint32
-	nAnchors int
-	baseBuf  []byte // scratch: base page image
-	verify   []byte // scratch: decode-verify target
-	baseIdx  map[string]int
-	votes    map[uint32]int // scratch: pickDeltaBase's tally
-	// per-candidate scratch buffers, reused across pages; the winner is
-	// copied out by the caller before the next page runs.
-	rawBuf, dupBuf, structBuf, deltaBuf []byte
+	sp                layoutSpec
+	structOK          bool
+	verify            []byte // decode-verify target
+	rawBuf, structBuf []byte
 }
 
-func newCpEncoder(s Store, layout Layout) *cpEncoder {
-	sp, ok := cpSpec(layout, s.PageSize())
-	return &cpEncoder{
-		s:        s,
-		sp:       sp,
-		structOK: ok,
-		pageSize: s.PageSize(),
-		anchors:  make(map[string]uint32),
-		pageDup:  make(map[string]uint32),
-		baseBuf:  make([]byte, s.PageSize()),
-		verify:   make([]byte, s.PageSize()),
-		votes:    make(map[uint32]int, 4),
-	}
+func newCpEncoder(layout Layout, pageSize int) *cpEncoder {
+	sp, ok := cpSpec(layout, pageSize)
+	return &cpEncoder{sp: sp, structOK: ok, verify: make([]byte, pageSize)}
 }
 
-// encodePage returns the smallest verified encoding of the page image.
-// The returned slice is encoder-owned scratch, valid until the next
-// call; page is not retained.
+// encodePage returns the smaller of the raw encoding and the verified
+// struct encoding of the page image. The returned slice is
+// encoder-owned scratch, valid until the next call; page is not
+// retained.
 func (e *cpEncoder) encodePage(id uint32, page []byte) []byte {
 	e.rawBuf = cpEncodeRaw(e.rawBuf[:0], page)
-	best := e.rawBuf
-	bestMode := cpModeRaw
-
-	if base, ok := e.pageDup[string(page)]; ok {
-		e.dupBuf = append(e.dupBuf[:0], cpModeDup)
-		e.dupBuf = binary.AppendUvarint(e.dupBuf, uint64(base))
-		// Byte-identity with the (already verified) base needs no
-		// further check.
-		if len(e.dupBuf) < len(best) {
-			best, bestMode = e.dupBuf, cpModeDup
-		}
+	if !e.structOK {
+		return e.rawBuf
 	}
-
-	count, parsed := 0, false
-	if e.structOK {
-		count, parsed = parsePage(page, e.sp)
+	count, parsed := parsePage(page, e.sp)
+	if !parsed {
+		return e.rawBuf
 	}
-	if parsed {
-		e.structBuf = cpEncodeStruct(e.structBuf[:0], page, count, e.sp)
-		if len(e.structBuf) < len(best) && e.verifies(id, e.structBuf, page) {
-			best, bestMode = e.structBuf, cpModeStruct
-		}
-		if base, ok := e.pickDeltaBase(page, count); ok {
-			if cand, okc := e.tryDelta(id, page, count, base); okc && len(cand) < len(best) {
-				best, bestMode = cand, cpModeDelta
-			}
-		}
+	e.structBuf = cpEncodeStruct(e.structBuf[:0], page, count, e.sp)
+	if len(e.structBuf) < len(e.rawBuf) && e.verifies(id, e.structBuf, page) {
+		return e.structBuf
 	}
-
-	if bestMode == cpModeRaw || bestMode == cpModeStruct {
-		e.register(id, page, count, parsed)
-	}
-	return best
-}
-
-// pickDeltaBase votes each anchor page by how many of this page's
-// entries it contains; the winner (ties to the higher id) is used when
-// it covers at least two entries and at least half the page.
-func (e *cpEncoder) pickDeltaBase(page []byte, count int) (uint32, bool) {
-	votes := e.votes
-	clear(votes)
-	for i := 0; i < count; i++ {
-		off := e.sp.hdr + i*e.sp.entry
-		if p, ok := e.anchors[string(page[off:off+e.sp.entry])]; ok {
-			votes[p]++
-		}
-	}
-	var best uint32
-	bv := 0
-	for p, v := range votes {
-		if v > bv || (v == bv && p > best) {
-			best, bv = p, v
-		}
-	}
-	return best, bv >= 2 && 2*bv >= count
-}
-
-func (e *cpEncoder) tryDelta(id uint32, page []byte, count int, base uint32) ([]byte, bool) {
-	if e.s.Check(PageID(base)) != nil || e.s.ReadPage(PageID(base), e.baseBuf) != nil {
-		return nil, false
-	}
-	baseCount, ok := parsePage(e.baseBuf, e.sp)
-	if !ok {
-		return nil, false
-	}
-	if e.baseIdx == nil {
-		e.baseIdx = make(map[string]int, baseCount)
-	}
-	clear(e.baseIdx)
-	for k := baseCount - 1; k >= 0; k-- { // earliest occurrence wins
-		off := e.sp.hdr + k*e.sp.entry
-		e.baseIdx[string(e.baseBuf[off:off+e.sp.entry])] = k
-	}
-	var matched int
-	e.deltaBuf, matched = cpEncodeDelta(e.deltaBuf[:0], page, count, base, e.baseIdx, e.sp)
-	if matched < 2 || !e.verifiesWithBase(id, e.deltaBuf, page, e.baseBuf) {
-		return nil, false
-	}
-	return e.deltaBuf, true
+	return e.rawBuf
 }
 
 // verifies decodes a struct candidate and compares it to the original.
 func (e *cpEncoder) verifies(id uint32, cand, page []byte) bool {
-	return e.verifiesWithBase(id, cand, page, nil)
-}
-
-func (e *cpEncoder) verifiesWithBase(id uint32, cand, page, base []byte) bool {
 	err := cpDecodePage(cand, e.verify, e.sp, e.structOK, id, func(uint32) ([]byte, error) {
-		if base == nil {
-			return nil, fmt.Errorf("pagefile: no base")
-		}
-		return base, nil
+		return nil, fmt.Errorf("pagefile: no base")
 	})
 	return err == nil && bytes.Equal(e.verify, page)
-}
-
-// register records a non-delta page as a dedup anchor.
-func (e *cpEncoder) register(id uint32, page []byte, count int, parsed bool) {
-	if e.nAnchors+count > maxAnchorEntries {
-		clear(e.anchors)
-		clear(e.pageDup)
-		e.nAnchors = 0
-	}
-	if _, ok := e.pageDup[string(page)]; !ok {
-		e.pageDup[string(page)] = id
-	}
-	if parsed {
-		for i := 0; i < count; i++ {
-			off := e.sp.hdr + i*e.sp.entry
-			e.anchors[string(page[off:off+e.sp.entry])] = id
-		}
-		e.nAnchors += count
-	}
 }
 
 // compressedCodec implements Codec with the STPC format.
@@ -667,7 +524,7 @@ func (compressedCodec) ID() byte     { return CodecIDCompressed }
 func (compressedCodec) WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 	freeList := s.FreeList()
 	numPages := s.NumAllocated()
-	enc := newCpEncoder(s, layout)
+	enc := newCpEncoder(layout, s.PageSize())
 	lens := make([]uint32, numPages)
 	// Every kind compresses at least 2x (BENCH_persist.json), so half the
 	// raw footprint holds the payload without regrowing.
@@ -742,7 +599,7 @@ func readCpHeader(header []byte) (pageSize, numPages, numFree int, layout Layout
 	if header[21] != 0 || header[22] != 0 || header[23] != 0 {
 		return 0, 0, 0, 0, fmt.Errorf("pagefile: nonzero padding in compressed-extent header")
 	}
-	if _, ok := specFor(layout); !ok && layout != LayoutOpaque {
+	if layout > LayoutRStar {
 		return 0, 0, 0, 0, fmt.Errorf("pagefile: unknown page layout %d", layout)
 	}
 	return pageSize, numPages, numFree, layout, nil
@@ -903,7 +760,6 @@ type CompressedStore struct {
 	freed    map[PageID]bool
 	freeList []PageID
 	offs     []int64 // offs[i] is page i's offset within src; offs[n] ends the payload
-	modes    []byte  // first encoded byte per page (0 for freed)
 	stored   int64   // total extent length, header included
 	pool     sync.Pool
 }
@@ -985,16 +841,13 @@ func (c *CompressedStore) ReadPage(id PageID, dst []byte) error {
 		if c.Check(PageID(base)) != nil {
 			return nil, fmt.Errorf("base %d is freed or out of range", base)
 		}
-		if m := c.modes[base]; m != cpModeRaw && m != cpModeStruct {
-			return nil, fmt.Errorf("base %d is not a raw or struct page", base)
-		}
 		if s.baseEnc, err = c.readEnc(PageID(base), s.baseEnc); err != nil {
 			return nil, err
 		}
-		// The base is raw or struct by the mode check above, so its own
-		// decode never chases a further base.
+		// A base must be a raw or struct page: its own decode is given no
+		// way to chase a further base, so a chain fails here.
 		noBase := func(uint32) ([]byte, error) {
-			return nil, fmt.Errorf("pagefile: base chain on page %d", base)
+			return nil, fmt.Errorf("base %d is not a raw or struct page", base)
 		}
 		if err := cpDecodePage(s.baseEnc, s.base, c.sp, c.structOK, base, noBase); err != nil {
 			return nil, err
@@ -1044,31 +897,27 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 		pageSize: pageSize,
 		n:        numPages,
 		freed:    make(map[PageID]bool, numFree),
+		freeList: make([]PageID, 0, numFree),
 	}
-	buf4 := make([]byte, 4)
-	pos := off + cpHeaderSize
+	// tableLen is bounded by the file size, so the directory is one read.
+	dir := make([]byte, tableLen-cpHeaderSize)
+	if _, err := f.ReadAt(dir, off+cpHeaderSize); err != nil {
+		return nil, 0, fmt.Errorf("pagefile: reading compressed extent directory: %w", err)
+	}
 	for i := 0; i < numFree; i++ {
-		if _, err := f.ReadAt(buf4, pos); err != nil {
-			return nil, 0, fmt.Errorf("pagefile: reading free list: %w", err)
-		}
-		pos += 4
-		id := PageID(binary.LittleEndian.Uint32(buf4))
+		id := PageID(binary.LittleEndian.Uint32(dir[4*i:]))
 		if int(id) >= numPages {
 			return nil, 0, fmt.Errorf("pagefile: free page %d out of range", id)
 		}
 		c.freed[id] = true
 		c.freeList = append(c.freeList, id)
 	}
+	lens := dir[4*numFree:]
 	c.offs = make([]int64, 0, numPages+1)
 	c.offs = append(c.offs, 0)
-	c.modes = make([]byte, 0, numPages)
 	var payload int64
 	for i := 0; i < numPages; i++ {
-		if _, err := f.ReadAt(buf4, pos); err != nil {
-			return nil, 0, fmt.Errorf("pagefile: reading page lengths: %w", err)
-		}
-		pos += 4
-		l := binary.LittleEndian.Uint32(buf4)
+		l := binary.LittleEndian.Uint32(lens[4*i:])
 		if int64(l) > int64(pageSize)+cpMaxEncodedSlack {
 			return nil, 0, fmt.Errorf("pagefile: page %d encoded length %d implausible for page size %d", i, l, pageSize)
 		}
@@ -1077,7 +926,6 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 		}
 		payload += int64(l)
 		c.offs = append(c.offs, payload)
-		c.modes = append(c.modes, 0)
 	}
 	length := tableLen + payload
 	if off+length > fi.Size() {
@@ -1085,11 +933,6 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 	}
 	c.stored = length
 	base := off + tableLen // file offset of the payload; offs stay payload-relative
-	// The mode byte of each live page is part of the directory: delta
-	// and dup decodes validate their base against it without a read.
-	if err := c.readModes(f, base); err != nil {
-		return nil, 0, err
-	}
 
 	switch flavour {
 	case BackendMmap:
@@ -1110,39 +953,6 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 		c.src = cpFileSource{f: f, base: base}
 		return c, length, nil
 	}
-}
-
-// readModes fills the per-page mode-byte directory with batched reads.
-func (c *CompressedStore) readModes(f *os.File, base int64) error {
-	const batch = 1 << 16
-	buf := make([]byte, 0, batch)
-	start := 0
-	for start < c.n {
-		end := start
-		for end < c.n && c.offs[end+1]-c.offs[start] <= batch {
-			end++
-		}
-		if end == start {
-			end = start + 1 // single page larger than the batch
-		}
-		span := c.offs[end] - c.offs[start]
-		if int64(cap(buf)) < span {
-			buf = make([]byte, span)
-		}
-		buf = buf[:span]
-		if span > 0 {
-			if _, err := f.ReadAt(buf, base+c.offs[start]); err != nil {
-				return fmt.Errorf("pagefile: reading page modes: %w", err)
-			}
-		}
-		for i := start; i < end; i++ {
-			if c.offs[i+1] > c.offs[i] {
-				c.modes[i] = buf[c.offs[i]-c.offs[start]]
-			}
-		}
-		start = end
-	}
-	return nil
 }
 
 // newCpMmapSource maps the payload region of the extent; reads address

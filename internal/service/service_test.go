@@ -563,12 +563,12 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 	// succeed, then Arm starts the failures.
 	sched := check.MustSchedule("read/3")
 	var stores []*check.FaultStore
-	faultIdx, err := stx.OpenIndexWrapped(faultyPath, func(s pagefile.Store) pagefile.Store {
+	faultIdx, err := stx.OpenIndexOptions(faultyPath, stx.OpenOptions{Wrap: func(s pagefile.Store) pagefile.Store {
 		fs := check.NewFaultStore(s, sched)
 		fs.Disarm()
 		stores = append(stores, fs)
 		return fs
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
-	"stindex/internal/hrtree"
 	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 	"stindex/internal/rstar"
@@ -21,7 +21,9 @@ import (
 //
 //	magic    [4]byte "STIC"
 //	version  u32  2 (1 accepted: the pre-codec format)
-//	kind     u8   1 = ppr, 2 = rstar, 3 = hr, 4 = hybrid, 5 = stream
+//	kind     u8   1 = ppr, 2 = rstar, 4 = hybrid, 5 = stream (3 = hr is
+//	              reserved: written before the HR-tree became an in-memory
+//	              baseline, refused on open)
 //	extents  u8   page extents following the meta section (2 for hybrid)
 //	codec    u8   0 = identity (raw STPF extents), 1 = compressed (STPC)
 //	reserved u8   0
@@ -38,7 +40,6 @@ import (
 //
 //	ppr     owner table, pprtree meta
 //	rstar   timeScale f64, owner table, rstar meta
-//	hr      owner table, hrtree meta
 //	hybrid  threshold i64, timeScale f64, owner table (shared by both
 //	        components), pprtree meta, rstar meta (extent order: ppr,
 //	        rstar)
@@ -57,10 +58,15 @@ const (
 
 	kindPPR    byte = 1
 	kindRStar  byte = 2
-	kindHR     byte = 3
+	kindHR     byte = 3 // reserved, see errHRNotPersisted
 	kindHybrid byte = 4
 	kindStream byte = 5
 )
+
+// errHRNotPersisted is what saving an HRIndex and opening an hr container
+// report: the overlapping HR-tree is the related-work baseline of
+// `stbench -exp overlap`, built and queried in memory.
+var errHRNotPersisted = errors.New("stindex: index kind \"hr\" is no longer persisted: the HR-tree is an in-memory baseline (BuildHR); save and serve ppr, rstar or hybrid")
 
 // kindName maps a container kind byte to the facade Kind() string.
 func kindName(kind byte) string {
@@ -89,8 +95,6 @@ func kindLayouts(kind byte) []pagefile.Layout {
 		return []pagefile.Layout{pagefile.LayoutPPR}
 	case kindRStar:
 		return []pagefile.Layout{pagefile.LayoutRStar}
-	case kindHR:
-		return []pagefile.Layout{pagefile.LayoutHR}
 	case kindHybrid:
 		return []pagefile.Layout{pagefile.LayoutPPR, pagefile.LayoutRStar}
 	}
@@ -154,11 +158,7 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 		}
 		return kindRStar, meta.Bytes(), []pagefile.Store{ix.slab.Store()}, nil
 	case *HRIndex:
-		meta.Write(appendOwners(nil, ix.owners))
-		if _, err := ix.tree.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		return kindHR, meta.Bytes(), []pagefile.Store{ix.tree.Store()}, nil
+		return 0, nil, nil, errHRNotPersisted
 	case *HybridIndex:
 		var head [16]byte
 		binary.LittleEndian.PutUint64(head[:8], uint64(ix.threshold))
@@ -223,16 +223,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		x = newRStarIndex(tree, owners, scale)
 		attach = []func(pagefile.Store) error{tree.AttachStore}
 	case kindHR:
-		owners, err := readOwners(mr)
-		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := hrtree.ReadMeta(mr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stindex: hr meta: %w", err)
-		}
-		x = newHRIndex(tree, owners)
-		attach = []func(pagefile.Store) error{tree.AttachStore}
+		return nil, nil, errHRNotPersisted
 	case kindHybrid:
 		var head [16]byte
 		if _, err := io.ReadFull(mr, head[:]); err != nil {
@@ -289,10 +280,11 @@ type SaveOptions struct {
 	Codec Codec
 }
 
-// EncodeIndex serialises any index — ppr, rstar, hr, hybrid, or a
-// snapshot of a stream index — as a self-describing container to w,
-// using the default codec. DecodeIndex and OpenIndex read it back; the
-// kind and codec are autodetected.
+// EncodeIndex serialises an index — ppr, rstar, hybrid, or a snapshot of
+// a stream index — as a self-describing container to w, using the
+// default codec (an HRIndex is an in-memory baseline and is refused).
+// DecodeIndex and OpenIndex read it back; the kind and codec are
+// autodetected.
 func EncodeIndex(w io.Writer, x Index) (int64, error) {
 	return EncodeIndexOptions(w, x, SaveOptions{})
 }
@@ -395,31 +387,17 @@ func parseContainerHeader(header []byte) (kind byte, extents int, codec pagefile
 }
 
 // StoreWrapper intercepts each page extent store as a container is
-// decoded or opened, before it is attached to the index structure. It is
-// the testing seam of internal/check: wrapping every extent in a
-// fault-injecting store proves the query paths surface storage errors
-// cleanly. A nil wrapper (or one returning its argument) is the identity.
+// opened (OpenOptions.Wrap), before it is attached to the index
+// structure. It is the testing seam of internal/check: wrapping every
+// extent in a fault-injecting store proves the query paths surface
+// storage errors cleanly. A nil wrapper (or one returning its argument)
+// is the identity.
 type StoreWrapper func(pagefile.Store) pagefile.Store
-
-// wrapStore applies an optional StoreWrapper.
-func wrapStore(s pagefile.Store, wrap StoreWrapper) pagefile.Store {
-	if wrap == nil {
-		return s
-	}
-	return wrap(s)
-}
 
 // DecodeIndex reads a container image from r, materialising every page
 // in memory (the eager counterpart of OpenIndex). The kind is
 // autodetected; type-assert the result for kind-specific APIs.
 func DecodeIndex(r io.Reader) (Index, error) {
-	return DecodeIndexWrapped(r, nil)
-}
-
-// DecodeIndexWrapped is DecodeIndex with every page extent store passed
-// through wrap before being attached — the fault-injection seam for
-// in-memory containers.
-func DecodeIndexWrapped(r io.Reader, wrap StoreWrapper) (Index, error) {
 	br := bufio.NewReader(r)
 	header := make([]byte, containerHeaderSize)
 	if _, err := io.ReadFull(br, header); err != nil {
@@ -444,7 +422,7 @@ func DecodeIndexWrapped(r io.Reader, wrap StoreWrapper) (Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stindex: reading page extent %d: %w", i, err)
 		}
-		if err := attach[i](wrapStore(file, wrap)); err != nil {
+		if err := attach[i](file); err != nil {
 			return nil, err
 		}
 	}
@@ -465,16 +443,7 @@ func DecodeIndexWrapped(r io.Reader, wrap StoreWrapper) (Index, error) {
 // (*StreamIndex).Observe / Finish / FinishAll — fail with ErrReadOnly
 // (test with errors.Is).
 func OpenIndex(path string) (Index, error) {
-	return OpenIndexWrapped(path, nil)
-}
-
-// OpenIndexWrapped is OpenIndex with every page extent store passed
-// through wrap before being attached — the fault-injection seam for
-// on-disk containers. The wrapped stores see exactly the traffic the
-// query paths generate, so a fault-injecting wrapper exercises the
-// Buffer, the decode cache and the tree traversals over either backend.
-func OpenIndexWrapped(path string, wrap StoreWrapper) (Index, error) {
-	return OpenIndexOptions(path, OpenOptions{Wrap: wrap})
+	return OpenIndexOptions(path, OpenOptions{})
 }
 
 // OpenOptions configures how a saved container is opened.
@@ -580,7 +549,10 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 			return nil, fmt.Errorf("stindex: opening page extent %d: %w", i, err)
 		}
 		closer.stores = append(closer.stores, store)
-		if err := attach[i](wrapStore(store, opts.Wrap)); err != nil {
+		if opts.Wrap != nil {
+			store = opts.Wrap(store)
+		}
+		if err := attach[i](store); err != nil {
 			closeStores()
 			return nil, err
 		}
@@ -596,7 +568,7 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 // are the extents' encoded size on disk, which the compressed codec
 // makes smaller.
 type ContainerInfo struct {
-	Kind         string // "ppr", "rstar", "hr", "hybrid", "stream"
+	Kind         string // "ppr", "rstar", "hybrid", "stream" ("hr": a retired container)
 	Version      int    // container format version
 	Codec        string // "identity" or "compressed"
 	Extents      int    // page extents (2 for hybrid)

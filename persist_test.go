@@ -2,6 +2,7 @@ package stindex
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,10 +28,6 @@ func persistFixtures(t *testing.T, backend Backend) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := BuildHR(records, HROptions{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hybrid, err := BuildHybrid(records, HybridOptions{
 		PPR:   PPROptions{Backend: backend},
 		RStar: RStarOptions{ShuffleSeed: 5, Backend: backend},
@@ -38,7 +35,7 @@ func persistFixtures(t *testing.T, backend Backend) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Index{"ppr": ppr, "rstar": rstar, "hr": hr, "hybrid": hybrid}
+	return map[string]Index{"ppr": ppr, "rstar": rstar, "hybrid": hybrid}
 }
 
 func persistQueries(t *testing.T) []Query {
@@ -393,6 +390,14 @@ func TestStreamSnapshotRoundTrip(t *testing.T) {
 // TestPersistRejectsGarbage feeds the container readers malformed input:
 // they must return errors — never panic, never mis-load.
 func TestPersistRejectsGarbage(t *testing.T) {
+	hr, err := BuildHR(UnsplitRecords(genObjects(t, 20, 3)), HROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hrPath := filepath.Join(t.TempDir(), "hr.sti")
+	if err := SaveIndex(hrPath, hr); !errors.Is(err, errHRNotPersisted) {
+		t.Fatalf("SaveIndex(hr) = %v, want the error naming the kind's removal", err)
+	}
 	if _, err := DecodeIndex(strings.NewReader("garbage data stream")); err == nil {
 		t.Fatal("accepted garbage as a container")
 	}
@@ -499,7 +504,6 @@ func FuzzOpenIndex(f *testing.F) {
 	}
 	seed(BuildPPR(records, PPROptions{}))
 	seed(BuildRStar(records, RStarOptions{ShuffleSeed: 5}))
-	seed(BuildHR(records, HROptions{}))
 	seed(BuildHybrid(records, HybridOptions{}))
 	f.Add([]byte("STIC"))
 	f.Add([]byte{})

@@ -1,0 +1,150 @@
+package stindex
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The containers under testdata/ were written by the commit before the
+// compressed codec stopped producing delta pages and before "hr" stopped
+// being a persisted kind (see testdata/README.md); they are the input an
+// upgraded binary meets in an ingest journal or a snapshot directory.
+
+// legacyModeCounts returns how many pages of a compressed container's
+// first extent were written in each STPC mode.
+func legacyModeCounts(t *testing.T, image []byte) map[byte]int {
+	t.Helper()
+	metaLen := binary.LittleEndian.Uint64(image[12:])
+	ext := image[containerHeaderSize+metaLen:]
+	if string(ext[:4]) != "STPC" {
+		t.Fatalf("first extent has magic %q, want STPC", ext[:4])
+	}
+	numPages := int(binary.LittleEndian.Uint32(ext[12:]))
+	numFree := int(binary.LittleEndian.Uint32(ext[16:]))
+	lens := ext[24+4*numFree:]
+	payload := lens[4*numPages:]
+	counts := map[byte]int{}
+	for i := 0; i < numPages; i++ {
+		if l := binary.LittleEndian.Uint32(lens[4*i:]); l > 0 {
+			counts[payload[0]]++
+			payload = payload[l:]
+		}
+	}
+	return counts
+}
+
+// TestLegacyDeltaContainerReopens opens a compressed mid-history stream
+// snapshot that holds delta pages through the eager reader and both lazy
+// flavours: every path answers a fixed query list exactly like the
+// snapshot's identity-codec twin and re-encodes to the twin byte for
+// byte, so every delta page still decodes to its original image.
+func TestLegacyDeltaContainerReopens(t *testing.T) {
+	compressedPath := filepath.Join("testdata", "stream-delta-compressed.sti")
+	compressed, err := os.ReadFile(compressedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := os.ReadFile(filepath.Join("testdata", "stream-delta-identity.sti"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const modeDelta = 0x02
+	if n := legacyModeCounts(t, compressed)[modeDelta]; n < 1 {
+		t.Fatalf("fixture holds %d delta pages, want at least one", n)
+	}
+	want, err := DecodeIndex(bytes.NewReader(twin))
+	if err != nil {
+		t.Fatalf("identity twin: %v", err)
+	}
+
+	window := Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
+	queries := []Query{
+		{Rect: window, Interval: Interval{Start: 5, End: 6}},
+		{Rect: window, Interval: Interval{Start: 44, End: 45}},
+		{Rect: Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval: Interval{Start: 0, End: 46}},
+		{Rect: Rect{MinX: 0.3, MinY: 0.2, MaxX: 0.7, MaxY: 0.8}, Interval: Interval{Start: 10, End: 30}},
+		KNNQuery(0.5, 0.5, 20, 5),
+		KNNQuery(0.1, 0.9, 40, 50),
+		TrajectoryQuery(window, Interval{Start: 0, End: 46}),
+	}
+
+	opened := map[string]func() (Index, error){
+		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(compressed)) },
+		"disk":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendDisk}) },
+		"mmap":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendMmap}) },
+	}
+	for label, open := range opened {
+		got, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.Kind() != want.Kind() || got.Records() != want.Records() || got.Pages() != want.Pages() {
+			t.Fatalf("%s: %s with %d records on %d pages, twin is %s with %d on %d", label,
+				got.Kind(), got.Records(), got.Pages(), want.Kind(), want.Records(), want.Pages())
+		}
+		for qi, q := range queries {
+			a, err := RunQueryResult(want, q)
+			if err != nil {
+				t.Fatalf("twin query %d: %v", qi, err)
+			}
+			b, err := RunQueryResult(got, q)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", label, qi, err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s query %d: answer differs from the identity twin:\n got %+v\nwant %+v", label, qi, b, a)
+			}
+		}
+		var reencoded bytes.Buffer
+		if _, err := EncodeIndexOptions(&reencoded, got, SaveOptions{Codec: CodecIdentity}); err != nil {
+			t.Fatalf("%s: re-encoding: %v", label, err)
+		}
+		if !bytes.Equal(reencoded.Bytes(), twin) {
+			t.Fatalf("%s: identity re-encoding differs from the twin written beside it", label)
+		}
+		if err := CloseIndex(got); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+	}
+}
+
+// TestHRContainerRefused pins the retirement of the "hr" container kind:
+// a version-2 hr container fails on the eager path and both lazy
+// flavours with the error that names the kind and says it is no longer
+// persisted, while InspectContainer still identifies the file.
+func TestHRContainerRefused(t *testing.T) {
+	path := filepath.Join("testdata", "hr-v2-compressed.sti")
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := map[string]func() (Index, error){
+		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(image)) },
+		"disk":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendDisk}) },
+		"mmap":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendMmap}) },
+	}
+	for label, open := range attempts {
+		x, err := open()
+		if err == nil {
+			CloseIndex(x)
+			t.Fatalf("%s: opened an hr container", label)
+		}
+		if !errors.Is(err, errHRNotPersisted) ||
+			!strings.Contains(err.Error(), `"hr"`) || !strings.Contains(err.Error(), "no longer persisted") {
+			t.Fatalf("%s: error does not name the removal: %v", label, err)
+		}
+	}
+	info, err := InspectContainer(path)
+	if err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if info.Kind != "hr" || info.Version != 2 || info.Codec != "compressed" || info.Pages == 0 {
+		t.Fatalf("inspect reports %+v, want a version-2 compressed hr container", info)
+	}
+}
