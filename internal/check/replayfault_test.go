@@ -131,3 +131,116 @@ func TestReplayFailStop(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchFailStop: the bracket an ingest commit group runs in
+// (Tree.Batch, here over an online-mode tree whose records grow) is
+// fail-stop the same way a replay is. A store failing the k-th page write
+// inside a bracket — a node written as it dies, a historical parent
+// repaired by an expansion, or a page of the closing flush — or the
+// bracket's own function failing poisons the tree: the bracket returns
+// the failure and so does every later update, bracket, query, validation
+// and serialisation.
+func TestBatchFailStop(t *testing.T) {
+	type piece struct {
+		rect geom.Rect
+		ref  uint64
+	}
+	// warm builds a healthy online tree, then bracket applies one more
+	// group of inserts, expansions and deletes to it.
+	warm := func() (*pprtree.Tree, []piece) {
+		tree, err := pprtree.New(pprtree.Options{MaxEntries: 8}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableExpansion(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		var alive []piece
+		for i := 0; i < 600; i++ {
+			x, y := rng.Float64(), rng.Float64()
+			p := piece{geom.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}, uint64(i)}
+			if err := tree.Insert(p.rect, p.ref, int64(i/20)); err != nil {
+				t.Fatal(err)
+			}
+			alive = append(alive, p)
+		}
+		return tree, alive
+	}
+	bracket := func(tree *pprtree.Tree, alive []piece, fail error) error {
+		return tree.Batch(func() error {
+			for i, p := range alive[:200] {
+				grown := geom.Rect{MinX: p.rect.MinX - 0.01, MinY: p.rect.MinY, MaxX: p.rect.MaxX, MaxY: p.rect.MaxY + 0.01}
+				if err := tree.ExpandAlive(p.rect, p.ref, grown, 40); err != nil {
+					return err
+				}
+				if i%2 == 0 {
+					if _, err := tree.Delete(grown, p.ref, 40); err != nil {
+						return err
+					}
+				}
+				if err := tree.Insert(p.rect, 1<<20+p.ref, 40); err != nil {
+					return err
+				}
+			}
+			return fail
+		})
+	}
+
+	tree, alive := warm()
+	fs := NewFaultStore(tree.Store(), MustSchedule("write@4000000000"))
+	if err := tree.AttachStore(fs); err != nil {
+		t.Fatal(err)
+	}
+	if err := bracket(tree, alive, nil); err != nil {
+		t.Fatalf("healthy bracket: %v", err)
+	}
+	if _, err := tree.Validate(); err != nil {
+		t.Fatalf("healthy bracket left an invalid tree: %v", err)
+	}
+	_, writes, _ := fs.Ops()
+	if writes < 10 {
+		t.Fatalf("the bracket made %d page writes; the schedules below need more", writes)
+	}
+
+	ownFailure := errors.New("the bracket's function failed")
+	everywhere := geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	for _, sched := range []string{
+		"write@1",
+		fmt.Sprintf("write@%d", writes/2),
+		fmt.Sprintf("write@%d", writes), // the last page of the flush
+		"",                              // no store fault: the function itself fails
+	} {
+		tree, alive := warm()
+		want := error(ErrInjected)
+		var fn error
+		if sched == "" {
+			want, fn = ownFailure, ownFailure
+		} else {
+			fs = NewFaultStore(tree.Store(), MustSchedule(sched))
+			if err := tree.AttachStore(fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bracket(tree, alive, fn); !errors.Is(err, want) {
+			t.Fatalf("%q: bracket returned %v, want %v", sched, err, want)
+		}
+		fs.Disarm() // a later healthy store must not un-poison the tree
+		last := alive[len(alive)-1]
+		refusals := map[string]error{
+			"Insert":      tree.Insert(last.rect, 1<<40, 1000),
+			"ExpandAlive": tree.ExpandAlive(last.rect, last.ref, everywhere, 1000),
+			"Touch":       tree.Touch(1000),
+			"Batch":       tree.Batch(func() error { return nil }),
+		}
+		_, refusals["Delete"] = tree.Delete(last.rect, last.ref, 1000)
+		_, refusals["CountSnapshot"] = tree.CountSnapshot(everywhere, 30)
+		_, refusals["Validate"] = tree.Validate()
+		_, refusals["WriteTo"] = tree.WriteTo(&bytes.Buffer{})
+		for op, err := range refusals {
+			if !errors.Is(err, want) {
+				t.Errorf("%q: %s after the failed bracket returned %v, want the bracket's failure", sched, op, err)
+			}
+		}
+	}
+}

@@ -14,22 +14,32 @@ import (
 // can treat an apply error as corruption rather than a client mistake.
 var ErrInvalid = errors.New("ingest: invalid record")
 
-// Handle owns the mutable live stream index. One writer goroutine
-// mutates it; any number of query goroutines (the combined Live view)
-// and the freezer read it — all under one mutex, because the stream
-// indexer's query path shares the tree's buffer pool with its write
-// path.
-type Handle struct {
-	mu        sync.Mutex
-	ix        *stx.StreamIndex // nil until the first accepted record
+// streamState is an applied stream: the index plus the counters admission
+// and recovery continue from. Live ingest (inside Handle) and journal
+// recovery drive the same apply.
+type streamState struct {
+	ix        *stx.StreamIndex // nil until the first applied record
 	opts      stx.StreamOptions
 	startTime int64
 	seq       uint64 // records applied
 	maxT      int64  // largest applied event time (the global clock)
 }
 
+// Handle owns the mutable live stream index. One writer goroutine
+// mutates it; any number of query goroutines (the combined Live view)
+// and the freezer read it — all under one mutex, because the stream
+// indexer's query path shares the tree's buffer pool with its write
+// path.
+type Handle struct {
+	mu sync.Mutex
+	streamState
+	// queryIO sums the pool traffic of the query calls alone; what the
+	// writer and the freezer move through the shared pool stays out.
+	queryIO stx.IOStats
+}
+
 func newHandle(opts stx.StreamOptions) *Handle {
-	return &Handle{opts: opts}
+	return &Handle{streamState: streamState{opts: opts}}
 }
 
 // adopt installs recovered state.
@@ -168,43 +178,69 @@ func (v *vstate) admit(r Record) error {
 	return nil
 }
 
-// applyLocked applies validated records. The caller holds h.mu. An error
-// here means validation and the indexer disagree — a bug, which the
-// pipeline latches rather than papers over.
-func (h *Handle) applyLocked(recs []Record) error {
-	for _, r := range recs {
-		if h.ix == nil {
-			if r.Kind != RecObserve {
-				return fmt.Errorf("ingest: stream begins with kind %d, want observe", r.Kind)
-			}
-			six, err := stx.NewStreamIndex(h.opts, r.T)
-			if err != nil {
-				return err
-			}
-			h.ix = six
-			h.startTime = r.T
-			h.maxT = r.T
+// apply applies validated batches inside one write-back bracket of the
+// index's tree, creating the index at the first record of a fresh stream:
+// each live node is decoded and written once for the whole group. The
+// caller holds whatever lock guards s and keeps it until apply returns,
+// so nothing observes the open bracket. Validation (or, on recovery, the
+// journal having been validated) guarantees success; an error means the
+// records and the index disagree, the bracket has poisoned the tree, and
+// s counts none of the group.
+func (s *streamState) apply(batches [][]Record) error {
+	if s.ix == nil {
+		first := batches[0][0]
+		if first.Kind != RecObserve {
+			return fmt.Errorf("ingest: stream begins with kind %d, want observe", first.Kind)
 		}
-		var err error
-		switch r.Kind {
-		case RecObserve:
-			err = h.ix.Observe(r.ObjectID, r.T, stx.Rect{MinX: r.Rect.MinX, MinY: r.Rect.MinY, MaxX: r.Rect.MaxX, MaxY: r.Rect.MaxY})
-		case RecFinish:
-			err = h.ix.Finish(r.ObjectID, r.T)
-		case RecFinishAll:
-			err = h.ix.FinishAll(r.T)
-		default:
-			err = fmt.Errorf("ingest: unknown record kind %d", r.Kind)
-		}
+		six, err := stx.NewStreamIndex(s.opts, first.T)
 		if err != nil {
 			return err
 		}
-		h.seq++
-		if r.T > h.maxT {
-			h.maxT = r.T
-		}
+		s.ix = six
+		s.startTime = first.T
+		s.maxT = first.T
 	}
+	n, maxT := uint64(0), s.maxT
+	err := s.ix.Tree().Batch(func() error {
+		for _, recs := range batches {
+			for _, r := range recs {
+				var err error
+				switch r.Kind {
+				case RecObserve:
+					err = s.ix.Observe(r.ObjectID, r.T, stx.Rect{MinX: r.Rect.MinX, MinY: r.Rect.MinY, MaxX: r.Rect.MaxX, MaxY: r.Rect.MaxY})
+				case RecFinish:
+					err = s.ix.Finish(r.ObjectID, r.T)
+				case RecFinishAll:
+					err = s.ix.FinishAll(r.T)
+				default:
+					err = fmt.Errorf("ingest: unknown record kind %d", r.Kind)
+				}
+				if err != nil {
+					return fmt.Errorf("record %d of the group: %w", n, err)
+				}
+				n++
+				if r.T > maxT {
+					maxT = r.T
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	s.seq += n
+	s.maxT = maxT
 	return nil
+}
+
+// chargeQuery adds the pool traffic since before to the query counter.
+// Query methods defer it under h.mu, so the delta is the query's own.
+func (h *Handle) chargeQuery(before stx.IOStats) {
+	after := h.ix.IOStats()
+	h.queryIO.Reads += after.Reads - before.Reads
+	h.queryIO.Writes += after.Writes - before.Writes
+	h.queryIO.Hits += after.Hits - before.Hits
 }
 
 // Snapshot answers an instant query over the full live history.
@@ -214,6 +250,7 @@ func (h *Handle) Snapshot(r stx.Rect, t int64) ([]int64, error) {
 	if h.ix == nil {
 		return nil, nil
 	}
+	defer h.chargeQuery(h.ix.IOStats())
 	return h.ix.Snapshot(r, t)
 }
 
@@ -224,6 +261,7 @@ func (h *Handle) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 	if h.ix == nil {
 		return nil, nil
 	}
+	defer h.chargeQuery(h.ix.IOStats())
 	return h.ix.Range(r, iv)
 }
 
@@ -239,6 +277,7 @@ func (h *Handle) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) {
 		}
 		return nil, nil
 	}
+	defer h.chargeQuery(h.ix.IOStats())
 	return h.ix.Nearest(x, y, t, k)
 }
 
@@ -249,6 +288,7 @@ func (h *Handle) Trajectory(r stx.Rect, iv stx.Interval) ([]stx.TrajectoryHit, e
 	if h.ix == nil {
 		return nil, nil
 	}
+	defer h.chargeQuery(h.ix.IOStats())
 	return h.ix.Trajectory(r, iv)
 }
 
@@ -278,15 +318,13 @@ func (h *Handle) pagesBytes() (int, int64) {
 	return h.ix.Pages(), h.ix.Bytes()
 }
 
-// ioStats reports the live index's buffer traffic (shared across all
-// readers — an approximation, like every stream-kind snapshot).
+// ioStats reports the pool traffic of the live index's queries, summed
+// over all readers (sessions sharing the view see each other's, never the
+// writer's).
 func (h *Handle) ioStats() stx.IOStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ix == nil {
-		return stx.IOStats{}
-	}
-	return h.ix.IOStats()
+	return h.queryIO
 }
 
 // epoch returns the stream epoch once known.

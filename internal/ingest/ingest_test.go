@@ -12,7 +12,9 @@ import (
 
 	stx "stindex"
 
+	"stindex/internal/check"
 	"stindex/internal/geom"
+	"stindex/internal/service"
 )
 
 const testLambda = 0.004
@@ -565,4 +567,182 @@ func TestSegHeaderRoundTrip(t *testing.T) {
 	if _, _, _, err := decodeSegHeader(zeroSeq); err == nil {
 		t.Fatal("zero firstSeq accepted")
 	}
+}
+
+// TestRecoverImageMatchesWriteThrough: recovery replays each journal
+// segment inside one write-back bracket; the index it hands back must
+// encode to the bytes of one fed the same records by single write-through
+// updates — from the journal alone (several segments) and from a freeze
+// container plus the journal's tail.
+func TestRecoverImageMatchesWriteThrough(t *testing.T) {
+	image := func(ix *stx.StreamIndex) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := stx.EncodeIndex(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	tree := testStreamOptions().PPR
+	batches := feedBatches(40)
+	want := image(shadowReplay(t, flatten(batches)))
+
+	dir := t.TempDir()
+	if segs := writeRawJournal(t, dir, batches, 1024); len(segs) < 3 {
+		t.Fatalf("want >= 3 segments, got %d", len(segs))
+	}
+	rec, err := Recover(dir, RecoverOptions{Tree: tree})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	rec.WAL.Close()
+	if rec.Replayed != len(flatten(batches)) {
+		t.Fatalf("replayed %d records, want %d", rec.Replayed, len(flatten(batches)))
+	}
+	if !bytes.Equal(image(rec.Index), want) {
+		t.Error("index recovered from the journal differs from the write-through index")
+	}
+
+	dir = t.TempDir()
+	in, err := Open(Config{Dir: dir, Lambda: testLambda, Tree: tree})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	half := len(batches) / 2
+	submitAll(t, in, batches[:half])
+	if _, err := in.Freeze(); err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	submitAll(t, in, batches[half:])
+	crash := filepath.Join(t.TempDir(), "image")
+	copyDir(t, dir, crash) // before Close freezes the tail away
+	if got := image(in.Index()); !bytes.Equal(got, want) {
+		t.Error("live index fed in commit groups differs from the write-through index")
+	}
+	in.Close()
+	rec, err = Recover(crash, RecoverOptions{Tree: tree})
+	if err != nil {
+		t.Fatalf("Recover over the crash image: %v", err)
+	}
+	rec.WAL.Close()
+	if rec.SnapshotSeq == 0 || rec.Replayed == 0 {
+		t.Fatalf("snapshot covers %d records, %d replayed: want both non-zero", rec.SnapshotSeq, rec.Replayed)
+	}
+	if !bytes.Equal(image(rec.Index), want) {
+		t.Error("index recovered from freeze + journal tail differs from the write-through index")
+	}
+}
+
+// TestIngestBracketFailureLatches: a page write failing inside a commit
+// group's write-back bracket — its first write, or the last page of the
+// closing flush — acknowledges no batch of the group, latches the
+// pipeline and poisons the live tree, so live queries and freezes
+// fail-stop on the failure instead of answering from pages behind what
+// was applied. The journal holds the group, so a restart recovers every
+// record acknowledged before it (and the group itself), exactly.
+func TestIngestBracketFailureLatches(t *testing.T) {
+	tree := testStreamOptions().PPR
+	batches := feedBatches(40)
+	const healthy, groupSize = 25, 3
+	run := func(failAt uint64) uint64 {
+		dir := t.TempDir()
+		reg := service.NewRegistry()
+		defer reg.Close()
+		in, err := Open(Config{Dir: dir, Name: "live", Registry: reg, Lambda: testLambda, Tree: tree})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer in.Close()
+		submitAll(t, in, batches[:healthy])
+		acked := in.Seq()
+
+		live := in.Index().Tree()
+		sched := "write@4000000000" // never
+		if failAt != 0 {
+			sched = fmt.Sprintf("write@%d", failAt)
+		}
+		fs := check.NewFaultStore(live.Store(), check.MustSchedule(sched))
+		if err := live.AttachStore(fs); err != nil {
+			t.Fatal(err)
+		}
+		// One commit group of several batches, handed to the (idle)
+		// writer's commit directly so the grouping is not left to timing.
+		group := make([]*submission, groupSize)
+		for i := range group {
+			group[i] = &submission{recs: batches[healthy+i], done: make(chan submitResult, 1)}
+		}
+		in.commit(group)
+		if failAt == 0 {
+			for i, sub := range group {
+				if res := <-sub.done; res.err != nil {
+					t.Fatalf("healthy group, batch %d: %v", i, res.err)
+				}
+			}
+			_, writes, _ := fs.Ops()
+			return writes
+		}
+
+		for i, sub := range group {
+			if res := <-sub.done; !errors.Is(res.err, check.ErrInjected) || res.seq != 0 {
+				t.Errorf("write %d fails: batch %d of the group got (seq %d, %v), want no ack and the injected failure", failAt, i, res.seq, res.err)
+			}
+		}
+		if got := in.Seq(); got != acked {
+			t.Errorf("write %d fails: %d records count as applied, want the %d acknowledged before the group", failAt, got, acked)
+		}
+		if st := in.Stats(); st.Latched == "" || st.Accepted != int64(acked) {
+			t.Errorf("write %d fails: stats say latched=%q accepted=%d, want a latch and %d accepted", failAt, st.Latched, st.Accepted, acked)
+		}
+		if _, err := in.Submit(batches[healthy+groupSize]); !errors.Is(err, check.ErrInjected) {
+			t.Errorf("write %d fails: a later submit returned %v, want the latched failure", failAt, err)
+		}
+		lease, err := reg.Acquire("live")
+		if err != nil {
+			t.Fatalf("Acquire: %v", err)
+		}
+		_, err = lease.View().Range(stx.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, stx.Interval{Start: 10, End: 40})
+		lease.Release()
+		if !errors.Is(err, check.ErrInjected) {
+			t.Errorf("write %d fails: a live query returned %v, want the failure", failAt, err)
+		}
+		if _, err := in.Freeze(); !errors.Is(err, check.ErrInjected) {
+			t.Errorf("write %d fails: a freeze returned %v, want the failure", failAt, err)
+		}
+
+		// Restart over the disk image as it is (the failed pipeline's
+		// Close cannot freeze): the journal is the truth.
+		crash := filepath.Join(t.TempDir(), "image")
+		copyDir(t, dir, crash)
+		rec, err := Recover(crash, RecoverOptions{Tree: tree})
+		if err != nil {
+			t.Fatalf("write %d fails: Recover: %v", failAt, err)
+		}
+		defer rec.WAL.Close()
+		durable := len(flatten(batches[:healthy+groupSize])) // the group was fsynced before its apply failed
+		if rec.Seq != uint64(durable) {
+			t.Fatalf("write %d fails: recovered %d records, want the %d journaled (%d of them acknowledged)", failAt, rec.Seq, durable, acked)
+		}
+		shadow := shadowReplay(t, flatten(batches)[:rec.Seq])
+		if got, want := probeAnswers(t, rec.Index), probeAnswers(t, shadow); !reflect.DeepEqual(got, want) {
+			t.Errorf("write %d fails: recovered answers diverge from a replay of the journaled records", failAt)
+		}
+		got, err := rec.Index.PieceRecords()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := shadow.PieceRecords()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Errorf("write %d fails: recovered %d pieces, replay has %d", failAt, len(got), len(want))
+		}
+		return 0
+	}
+	writes := run(0)
+	if writes < 2 {
+		t.Fatalf("a healthy group made %d page writes; need at least 2 to fail the first and the last", writes)
+	}
+	run(1)
+	run(writes)
 }

@@ -223,7 +223,7 @@ func (in *Ingester) SubmitObservations(obs []stio.Observation) (uint64, error) {
 
 // writer is the single mutator: it drains the queue in groups, validates
 // each batch against the handle plus the group's own admitted records,
-// journals every admitted batch, fsyncs once, applies, then
+// journals every admitted batch, fsyncs once, applies the group, then
 // acknowledges. Apply strictly follows the fsync, so acknowledged ⊆
 // applied ⊆ durable at every instant.
 func (in *Ingester) writer() {
@@ -300,32 +300,28 @@ func (in *Ingester) commit(group []*submission) {
 	}
 	in.c.fsync.Record(time.Since(start))
 
-	// Apply. Validation guarantees success; anything else is a bug and
-	// latches the pipeline fail-stop (the journal stays authoritative).
+	// Apply the whole group in one write-back bracket, flushed before the
+	// handle lock is released: queries, freezes and metrics never see it
+	// open. Validation guarantees success; anything else is a bug that
+	// poisons the live tree (its queries fail-stop from here), acks no
+	// batch of the group and latches the pipeline — the journal stays
+	// authoritative and a restart recovers from it.
+	batches := make([][]Record, len(admitted))
+	for i, sub := range admitted {
+		batches[i] = sub.recs
+	}
 	in.handle.mu.Lock()
-	var applyErr error
-	for i, sub := range admitted {
-		if applyErr == nil {
-			applyErr = in.handle.applyLocked(sub.recs)
-		}
-		if applyErr != nil {
-			lastSeqs[i] = 0
-		}
-	}
+	err := in.handle.apply(batches)
 	in.handle.mu.Unlock()
-	if applyErr != nil {
-		in.latch(fmt.Errorf("ingest: validated record failed to apply (journal/index divergence): %w", applyErr))
+	if err != nil {
+		in.failGroup(admitted, fmt.Errorf("ingest: validated record failed to apply (journal/index divergence): %w", err))
+		return
 	}
-
 	for i, sub := range admitted {
-		err := applyErr
-		if lastSeqs[i] != 0 {
-			err = nil
-			// Counted before the ack is sent: a client that has its ack
-			// must find its records in the next Stats.
-			in.c.accepted.Add(int64(len(sub.recs)))
-		}
-		sub.done <- submitResult{seq: lastSeqs[i], err: err}
+		// Counted before the ack is sent: a client that has its ack must
+		// find its records in the next Stats.
+		in.c.accepted.Add(int64(len(sub.recs)))
+		sub.done <- submitResult{seq: lastSeqs[i]}
 	}
 
 	// Freeze trigger by record count.

@@ -105,8 +105,11 @@ func (l *Live) ResetBuffer() {
 	}
 }
 
-// IOStats implements stx.Index: frozen-part traffic plus the live tail's
-// shared pool (an approximation, as for any stream-kind snapshot).
+// IOStats implements stx.Index: frozen-part traffic plus what the live
+// tail's queries moved through its pool. The ingest writer and the
+// freezer share that pool, and their traffic is not a query's: it is left
+// out, so the delta a session takes around a query is the query's own
+// (plus, as for any view shared between sessions, concurrent queries').
 func (l *Live) IOStats() stx.IOStats {
 	var st stx.IOStats
 	if l.frozen != nil {

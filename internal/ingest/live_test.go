@@ -300,3 +300,54 @@ func TestReopenServesImmediately(t *testing.T) {
 		t.Fatalf("reopened view diverges:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestLiveQueryIOExcludesWriter: the io a session reports for a query on
+// the live view is that query's own pool traffic. Two pipelines run the
+// same sequence — feed, probe, feed, probe — so the trees and the shared
+// pool are in the same state at the last probe; in one the measuring
+// session had probed before the second feed (its previous reading
+// predates the writer's work), in the other it is fresh. Both must report
+// the same io, non-zero, while the writer's traffic in between was not.
+func TestLiveQueryIOExcludesWriter(t *testing.T) {
+	batches := feedBatches(40)
+	half := len(batches) / 2
+	q := stx.Query{Rect: stx.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval: stx.Interval{Start: 12, End: 40}}
+	run := func(measureAcrossFeed bool) int64 {
+		reg := service.NewRegistry()
+		defer reg.Close()
+		// A pool too small for the query's pages, or it would all be hits.
+		tree := stx.PPROptions{MaxEntries: 8, BufferPages: 3}
+		in, err := Open(Config{Dir: t.TempDir(), Name: "live", Registry: reg, Lambda: testLambda, Tree: tree})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer in.Close()
+		query := func(s *service.Session) int64 {
+			res, err := s.Query(context.Background(), "live", q)
+			if err != nil {
+				t.Fatalf("query: %v", err)
+			}
+			return res.IO
+		}
+		measuring, other := service.NewSession(reg), service.NewSession(reg)
+		submitAll(t, in, batches[:half])
+		if measureAcrossFeed {
+			query(measuring)
+		} else {
+			query(other)
+		}
+		before := in.Index().IOStats()
+		submitAll(t, in, batches[half:len(batches)-1])
+		if wrote := in.Index().IOStats().IO() - before.IO(); wrote == 0 {
+			t.Fatal("the feed between the probes moved no page — the test proves nothing")
+		}
+		return query(measuring)
+	}
+	idle, busy := run(false), run(true)
+	if idle == 0 {
+		t.Fatal("probe reports io 0 — nothing to compare")
+	}
+	if busy != idle {
+		t.Errorf("query io %d beside a feeder, %d on an idle view: the writer's page traffic is charged to the query", busy, idle)
+	}
+}

@@ -135,6 +135,7 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 	}
 	sort.Strings(names) // fixed-width hex first-seq: lexical == numeric
 	w := newWAL(dir, opts.WAL)
+	st := streamState{ix: rec.Index, opts: stx.StreamOptions{PPR: opts.Tree}, startTime: rec.StartTime, seq: rec.Seq, maxT: rec.MaxT}
 	var closed []segInfo
 	var tailFile File
 	var tailInfo segInfo
@@ -183,11 +184,13 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 			return nil, fmt.Errorf("ingest: journal gap: segment %s starts at seq %d, want %d", filepath.Base(path), first, prevEnd)
 		}
 
-		// Frames.
+		// Frames. The segment's records past the recovered prefix are
+		// applied together below, in one write-back bracket.
 		body := data[walHeader:]
 		off := 0
 		seq := first
 		count := uint64(0)
+		var pending []Record
 		for off < len(body) {
 			r, n, err := decodeFrame(body[off:])
 			if err != nil {
@@ -205,19 +208,23 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 			if n == 0 {
 				break
 			}
-			if seq > rec.Seq {
-				if err := applyRecovered(rec, opts, r); err != nil {
-					return nil, fmt.Errorf("ingest: replaying record %d: %w", seq, err)
-				}
-				rec.Seq++
-				rec.Replayed++
-				if r.T > rec.MaxT {
-					rec.MaxT = r.T
-				}
+			if seq > rec.Seq+uint64(len(pending)) {
+				pending = append(pending, r)
 			}
 			off += n
 			seq++
 			count++
+		}
+		if len(pending) > 0 {
+			// Replay of validated records cannot legitimately fail; an
+			// error means the journal and the snapshot disagree, and
+			// recovery fail-stops.
+			st.opts.Lambda = rec.Lambda
+			if err := st.apply([][]Record{pending}); err != nil {
+				return nil, fmt.Errorf("ingest: replaying segment %s from seq %d: %w", filepath.Base(path), rec.Seq+1, err)
+			}
+			rec.Index, rec.Seq, rec.MaxT = st.ix, st.seq, st.maxT
+			rec.Replayed += len(pending)
 		}
 
 		if last {
@@ -252,40 +259,6 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 	}
 	rec.WAL = w
 	return rec, nil
-}
-
-// applyRecovered applies one replayed record, creating the index at the
-// first record of a fresh stream. Replay of validated records cannot
-// legitimately fail; an error here means the journal and the snapshot
-// disagree, and recovery fail-stops.
-func applyRecovered(rec *Recovered, opts RecoverOptions, r Record) error {
-	if rec.Index == nil {
-		if r.Kind != RecObserve {
-			return fmt.Errorf("stream begins with a %d record, want observe", r.Kind)
-		}
-		six, err := stx.NewStreamIndex(stx.StreamOptions{Lambda: rec.Lambda, PPR: opts.Tree}, r.T)
-		if err != nil {
-			return err
-		}
-		rec.Index = six
-		rec.MaxT = r.T
-	}
-	switch r.Kind {
-	case RecObserve:
-		// Admission validated the rect before journaling, so a bad one
-		// here is corruption that survived the CRC — reject it rather
-		// than feed the tree coordinates it was never built for.
-		if !r.Rect.Valid() {
-			return fmt.Errorf("record carries invalid rect %v", r.Rect)
-		}
-		return rec.Index.Observe(r.ObjectID, r.T, stx.Rect{MinX: r.Rect.MinX, MinY: r.Rect.MinY, MaxX: r.Rect.MaxX, MaxY: r.Rect.MaxY})
-	case RecFinish:
-		return rec.Index.Finish(r.ObjectID, r.T)
-	case RecFinishAll:
-		return rec.Index.FinishAll(r.T)
-	default:
-		return fmt.Errorf("unknown record kind %d", r.Kind)
-	}
 }
 
 // readCurrent loads the CURRENT pointer, nil when absent.

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"stindex/internal/geom"
-	"stindex/internal/pagefile"
 )
 
 // Record is one spatiotemporal MBR record destined for the tree: a spatial
@@ -90,23 +89,9 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 	return events, start, nil
 }
 
-// replay applies the events in order through the write-back table (see
-// Tree): the table is open for exactly this call, and a failure poisons
-// the tree.
+// replay applies the events in order inside one write-back bracket.
 func (t *Tree) replay(records []Record, events []recordEvent) error {
-	if t.failed != nil {
-		return t.failed
-	}
-	t.resident = make(map[pagefile.PageID]*pnode)
-	err := t.applyEvents(records, events)
-	if err == nil {
-		err = t.flushResident()
-	}
-	t.resident = nil
-	if err != nil {
-		t.failed = fmt.Errorf("pprtree: tree unusable after failed replay: %w", err)
-	}
-	return err
+	return t.Batch(func() error { return t.applyEvents(records, events) })
 }
 
 func (t *Tree) applyEvents(records []Record, events []recordEvent) error {

@@ -24,12 +24,13 @@ func (t *Tree) EnableExpansion() error {
 	return nil
 }
 
-// trackBackRefs records n as a parent of each child it references.
-func (t *Tree) trackBackRefs(n *pnode) {
+// trackBackRefs records directory node n as a parent of the children its
+// newly added entries reference.
+func (t *Tree) trackBackRefs(n *pnode, added []pentry) {
 	if t.backRefs == nil || n.leaf {
 		return
 	}
-	for _, e := range n.entries {
+	for _, e := range added {
 		child := pagefile.PageID(e.ref)
 		set := t.backRefs[child]
 		if set == nil {
@@ -71,6 +72,7 @@ func (t *Tree) ExpandAlive(oldRect geom.Rect, ref uint64, add geom.Rect, time in
 		return nil // nothing to do
 	}
 	leaf.entries[idx].rect = grown
+	leaf.mbr = leaf.mbr.Union(grown)
 	if err := t.writeNode(leaf); err != nil {
 		return err
 	}
@@ -101,6 +103,7 @@ func (t *Tree) propagateGrowth(child pagefile.PageID, grown geom.Rect) error {
 					continue
 				}
 				e.rect = e.rect.Union(w.rect)
+				parent.mbr = parent.mbr.Union(w.rect)
 				changed = true
 			}
 			if changed {

@@ -1,7 +1,8 @@
 package pprtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"stindex/internal/geom"
 )
@@ -31,19 +32,13 @@ func sortPEntries(entries []pentry, axis int, byUpper bool) []pentry {
 		}
 		return e.rect.MinY, e.rect.MaxY
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		li, hi := key(out[i])
-		lj, hj := key(out[j])
+	slices.SortStableFunc(out, func(a, b pentry) int {
+		la, ha := key(a)
+		lb, hb := key(b)
 		if byUpper {
-			if hi != hj {
-				return hi < hj
-			}
-			return li < lj
+			return cmp.Or(cmp.Compare(ha, hb), cmp.Compare(la, lb))
 		}
-		if li != lj {
-			return li < lj
-		}
-		return hi < hj
+		return cmp.Or(cmp.Compare(la, lb), cmp.Compare(ha, hb))
 	})
 	return out
 }

@@ -48,7 +48,13 @@ type pnode struct {
 	startT  int64
 	endT    int64
 	entries []pentry
-	dirty   bool // in the replay table and ahead of its page image
+	// mbr is the running union of every entry's rectangle on the live
+	// nodes the update path holds (readNode, newNode): entries are
+	// append-only and rectangles only grow, so it is kept by unioning in
+	// each appended or grown rectangle. Nothing reads it on a dead node or
+	// on one decoded for queries, and it is not maintained there.
+	mbr   geom.Rect
+	dirty bool // in the write-back table and ahead of its page image
 }
 
 func (n *pnode) live() bool { return n.endT == geom.Now }
@@ -66,12 +72,22 @@ func (n *pnode) aliveCount() int {
 
 // mbrAll returns the union of every record's rectangle, dead or alive —
 // exactly what the parent's directory record for this node must cover.
+// The update path reads n.mbr instead; this is what n.mbr starts from and
+// what Validate holds it against.
 func (n *pnode) mbrAll() geom.Rect {
 	r := geom.EmptyRect()
 	for _, e := range n.entries {
 		r = r.Union(e.rect)
 	}
 	return r
+}
+
+// appendEntries adds entries to the node and their rectangles to its MBR.
+func (n *pnode) appendEntries(adds []pentry) {
+	n.entries = append(n.entries, adds...)
+	for _, e := range adds {
+		n.mbr = n.mbr.Union(e.rect)
+	}
 }
 
 const (

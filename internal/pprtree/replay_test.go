@@ -2,8 +2,13 @@ package pprtree
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 )
 
 func treeImage(t *testing.T, tree *Tree) []byte {
@@ -106,5 +111,194 @@ func TestBuildRecordsAllocBudget(t *testing.T) {
 		if budget := before[c.records] / 4; got > budget {
 			t.Errorf("BuildRecords(%d records): %.0f allocs/op, budget %.0f", c.records, got, budget)
 		}
+	}
+}
+
+// onlineOp is one update of an online-mode tree: an insert, the growth of
+// an alive record's rectangle, or a delete.
+type onlineOp struct {
+	kind      byte // 'i', 'e', 'd'
+	rect, add geom.Rect
+	ref       uint64
+	time      int64
+}
+
+// randOnlineOps is a random online history: records appear, grow a few
+// times (each growth an ExpandAlive against the record's current
+// rectangle) and are deleted, a third of them never.
+func randOnlineOps(rng *rand.Rand, n int) []onlineOp {
+	var ops []onlineOp
+	alive := map[uint64]geom.Rect{}
+	var refs []uint64
+	time := int64(0)
+	for next := uint64(0); len(ops) < n; {
+		time += rng.Int63n(2)
+		switch k := rng.Intn(10); {
+		case k < 4 || len(refs) == 0:
+			x, y := rng.Float64(), rng.Float64()
+			r := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}
+			ops = append(ops, onlineOp{kind: 'i', rect: r, ref: next, time: time})
+			alive[next] = r
+			refs = append(refs, next)
+			next++
+		case k < 8:
+			ref := refs[rng.Intn(len(refs))]
+			cur := alive[ref]
+			dx, dy := (rng.Float64()-0.5)*0.02, (rng.Float64()-0.5)*0.02
+			add := geom.Rect{MinX: cur.MinX + dx, MinY: cur.MinY + dy, MaxX: cur.MaxX + dx, MaxY: cur.MaxY + dy}
+			ops = append(ops, onlineOp{kind: 'e', rect: cur, add: add, ref: ref, time: time})
+			alive[ref] = cur.Union(add)
+		default:
+			i := rng.Intn(len(refs))
+			ref := refs[i]
+			if ref%3 == 0 {
+				continue // stays alive to the end
+			}
+			ops = append(ops, onlineOp{kind: 'd', rect: alive[ref], ref: ref, time: time})
+			refs[i] = refs[len(refs)-1]
+			refs = refs[:len(refs)-1]
+			delete(alive, ref)
+		}
+	}
+	return ops
+}
+
+func (op onlineOp) apply(tree *Tree) error {
+	switch op.kind {
+	case 'i':
+		return tree.Insert(op.rect, op.ref, op.time)
+	case 'e':
+		return tree.ExpandAlive(op.rect, op.ref, op.add, op.time)
+	}
+	ok, err := tree.Delete(op.rect, op.ref, op.time)
+	if err == nil && !ok {
+		err = fmt.Errorf("record %d not found for its delete", op.ref)
+	}
+	return err
+}
+
+// TestBatchMatchesSingleUpdates: an online-mode tree (growing records,
+// back-references) fed the same updates one at a time write-through, in
+// brackets of 7 and of 300, and in one bracket with a nested one inside
+// serialises to the same bytes. Validate — which holds every resident
+// node's running MBR and every back-reference set against the entries —
+// passes in the middle of each bracket and after each flush, and no
+// bracket stays open.
+func TestBatchMatchesSingleUpdates(t *testing.T) {
+	ops := randOnlineOps(rand.New(rand.NewSource(17)), 4000)
+	build := func(group int, nest bool) []byte {
+		tree, err := New(Options{MaxEntries: 10}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableExpansion(); err != nil {
+			t.Fatal(err)
+		}
+		validate := func(when string, at int) {
+			if _, err := tree.Validate(); err != nil {
+				t.Fatalf("group %d, %s op %d: %v", group, when, at, err)
+			}
+		}
+		applyAll := func(ops []onlineOp, base int) error {
+			for i, op := range ops {
+				if err := op.apply(tree); err != nil {
+					return fmt.Errorf("op %d: %w", base+i, err)
+				}
+				if i == len(ops)/2 && (group > 1 || (base+i)%64 == 0) {
+					validate("inside the bracket at", base+i)
+				}
+			}
+			return nil
+		}
+		for lo := 0; lo < len(ops); lo += group {
+			hi := min(lo+group, len(ops))
+			switch {
+			case group == 1:
+				err = applyAll(ops[lo:hi], lo)
+			case nest:
+				err = tree.Batch(func() error {
+					mid := (lo + hi) / 2
+					if err := applyAll(ops[lo:mid], lo); err != nil {
+						return err
+					}
+					err := tree.Batch(func() error { return applyAll(ops[mid:hi], mid) })
+					if tree.resident == nil {
+						t.Fatal("a nested bracket closed the outer table")
+					}
+					return err
+				})
+			default:
+				err = tree.Batch(func() error { return applyAll(ops[lo:hi], lo) })
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.resident != nil {
+				t.Fatal("bracket left its table open")
+			}
+			if group > 1 {
+				validate("after the flush at", hi)
+			}
+		}
+		validate("at the end", len(ops))
+		return treeImage(t, tree)
+	}
+	want := build(1, false)
+	for _, c := range []struct {
+		group int
+		nest  bool
+	}{{7, false}, {300, false}, {len(ops), true}} {
+		if !bytes.Equal(build(c.group, c.nest), want) {
+			t.Errorf("brackets of %d updates (nested %v) built a different tree than single updates", c.group, c.nest)
+		}
+	}
+}
+
+// TestValidateCatchesStaleCachedState: the two checks Validate makes of
+// the cached state fail when the state is wrong.
+func TestValidateCatchesStaleCachedState(t *testing.T) {
+	ops := randOnlineOps(rand.New(rand.NewSource(3)), 600)
+	build := func() (*Tree, *pnode) {
+		tree, err := New(Options{MaxEntries: 10}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableExpansion(); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if err := op.apply(tree); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tree.Height() < 2 {
+			t.Fatal("history too small: the root is a leaf")
+		}
+		root, err := tree.readNode(tree.liveRoot().page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree, root
+	}
+
+	// A resident node whose running MBR lags an entry it holds.
+	tree, _ := build()
+	err := tree.Batch(func() error {
+		root, err := tree.readNode(tree.liveRoot().page)
+		if err != nil {
+			return err
+		}
+		root.entries[0].rect.MaxX += 1
+		_, err = tree.Validate()
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "carries MBR") {
+		t.Errorf("Validate over a resident node with a stale MBR returned %v", err)
+	}
+
+	tree, root := build()
+	delete(tree.backRefs[pagefile.PageID(root.entries[0].ref)], root.id)
+	if _, err := tree.Validate(); err == nil || !strings.Contains(err.Error(), "back-reference") {
+		t.Errorf("Validate with a missing back-reference returned %v", err)
 	}
 }

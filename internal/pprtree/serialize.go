@@ -50,6 +50,9 @@ func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
 	if t.failed != nil {
 		return 0, t.failed
 	}
+	if t.resident != nil {
+		return 0, fmt.Errorf("pprtree: serialising inside an open write-back bracket (pages are behind the resident nodes)")
+	}
 	bw := bufio.NewWriter(w)
 	var n int64
 	wr := func(data []byte) error {

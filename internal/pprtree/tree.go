@@ -91,25 +91,26 @@ type rootSpan struct {
 // partially persistent: only the newest state accepts changes). Not safe
 // for concurrent use.
 //
-// Single updates (Insert, Delete, ExpandAlive) are write-through: every
-// node they touch is parsed from its page image and written back before
-// the call returns. A replay (BuildRecords, AppendRecords) applies many
-// updates to the same few live nodes, so for its duration it keeps the
-// decoded live nodes in a write-back table keyed by page id: readNode
-// hands out the resident node, writeNode on a live node only marks it
-// dirty, a node that dies (version split, root shrink) is encoded and
-// written once and leaves the table, and the dirty rest is flushed in
-// ascending page-id order before the replay returns. The table holds live
-// nodes only, so it is bounded by the live frontier; outside a replay it
-// is closed and the page store is the truth. Pages are allocated when
-// nodes are created, exactly as in write-through, so the resulting store
-// is byte-identical either way.
+// A write-back bracket (Batch) is open for the length of a replay
+// (BuildRecords, AppendRecords) or of an ingest commit group; outside one
+// the page store is the truth. Inside a bracket the decoded live nodes
+// stay in a table keyed by page id: readNode and readShared hand out the
+// resident node, writeNode on a live node only marks it dirty, a node
+// that dies (version split, root shrink) is encoded and written once and
+// leaves the table, and the dirty rest is flushed in ascending page-id
+// order before Batch returns. So each live node is decoded at most once
+// and written at most once per bracket however many updates touch it.
+// The table holds live nodes only, so it is bounded by the live frontier.
+// An update made outside a bracket is write-through: every node it
+// touches is parsed from its page image and written back before the call
+// returns. Pages are allocated when nodes are created either way, so the
+// resulting store is byte-identical.
 //
-// A replay that fails — an event's error or a failed flush — leaves
-// memory ahead of the pages. The table is discarded and the tree is
-// poisoned: every later page access, update and serialisation returns the
-// failure instead of answering from pages older than what the replay had
-// applied.
+// A bracket that fails — an error from its function or a failed flush —
+// leaves memory ahead of the pages. The table is discarded and the tree
+// is poisoned: every later page access, update and serialisation returns
+// the failure instead of answering from pages older than what the
+// bracket had applied.
 type Tree struct {
 	opts   Options
 	file   pagefile.Store
@@ -120,14 +121,15 @@ type Tree struct {
 	alive  int        // records currently alive
 	encBuf []byte
 	path   []*pnode // descent scratch of the update in progress
-	// resident is the replay's write-back table of decoded live nodes;
-	// nil outside a replay.
+	// resident is the open bracket's write-back table of decoded live
+	// nodes; nil while no bracket is open.
 	resident map[pagefile.PageID]*pnode
-	// failed poisons the tree after a failed replay.
+	// failed poisons the tree after a failed bracket.
 	failed error
 	// backRefs maps a node to every directory page that ever referenced
 	// it; non-nil only in online mode (EnableExpansion), where ExpandAlive
-	// needs to repair historical routing rectangles.
+	// needs to repair historical routing rectangles. A reference is
+	// registered when its entry is added to a directory node.
 	backRefs map[pagefile.PageID]map[pagefile.PageID]struct{}
 	walk     treewalk.Scratch // pooled query scratch
 }
@@ -148,7 +150,7 @@ func New(opts Options, startTime int64) (*Tree, error) {
 		buf:  pagefile.NewBuffer(file, opts.BufferPages),
 		now:  startTime,
 	}
-	root := &pnode{id: file.Allocate(), leaf: true, startT: startTime, endT: geom.Now}
+	root := t.newNode(true, startTime, nil)
 	if err := t.writeNode(root); err != nil {
 		return nil, err
 	}
@@ -204,8 +206,8 @@ func (t *Tree) rootAt(q int64) *rootSpan {
 
 // readNode returns the page's decoded node for a mutating path (updates,
 // version splits, expansion), which edits it in place before writing it
-// back: the resident node during a replay, otherwise a private copy parsed
-// fresh from the buffered image.
+// back: the resident node inside a bracket, otherwise a private copy
+// parsed fresh from the buffered image.
 func (t *Tree) readNode(id pagefile.PageID) (*pnode, error) {
 	if t.failed != nil {
 		return nil, t.failed
@@ -221,8 +223,11 @@ func (t *Tree) readNode(id pagefile.PageID) (*pnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.resident != nil && n.live() {
-		t.resident[id] = n
+	if n.live() {
+		n.mbr = n.mbrAll()
+		if t.resident != nil {
+			t.resident[id] = n
+		}
 	}
 	return n, nil
 }
@@ -235,10 +240,14 @@ func decodePNodeCached(id pagefile.PageID, data []byte) (any, error) {
 // readShared returns the page's decoded node through the buffer's decode
 // cache: repeat visits of an unchanged page — even across the cold-cache
 // Reset between queries — skip the parse. The node is shared; callers
-// must not mutate it. I/O accounting is identical to readNode.
+// must not mutate it. I/O accounting is identical to readNode. Inside a
+// bracket a resident node is ahead of its page and is returned as it is.
 func (t *Tree) readShared(id pagefile.PageID) (*pnode, error) {
 	if t.failed != nil {
 		return nil, t.failed
+	}
+	if n, ok := t.resident[id]; ok {
+		return n, nil
 	}
 	v, err := t.buf.ReadDecoded(id, decodePNodeCached)
 	if err != nil {
@@ -266,7 +275,6 @@ func (t *Tree) writeNode(n *pnode) error {
 		return fmt.Errorf("pprtree: node %d has %d entries, exceeding capacity %d",
 			n.id, len(n.entries), t.opts.MaxEntries)
 	}
-	t.trackBackRefs(n)
 	if t.resident != nil {
 		if n.live() {
 			n.dirty = true
@@ -283,7 +291,30 @@ func (t *Tree) writePage(n *pnode) error {
 	return t.buf.Write(n.id, t.encBuf)
 }
 
-// flushResident writes the replay table's dirty nodes in ascending page-id
+// Batch runs fn inside a write-back bracket (see Tree): the table is open
+// for exactly this call and flushed before it returns, and a failure of
+// fn or of the flush poisons the tree. A Batch inside fn runs in the
+// bracket already open.
+func (t *Tree) Batch(fn func() error) error {
+	if t.failed != nil {
+		return t.failed
+	}
+	if t.resident != nil {
+		return fn()
+	}
+	t.resident = make(map[pagefile.PageID]*pnode)
+	err := fn()
+	if err == nil {
+		err = t.flushResident()
+	}
+	t.resident = nil
+	if err != nil {
+		t.failed = fmt.Errorf("pprtree: tree unusable after failed write-back bracket: %w", err)
+	}
+	return err
+}
+
+// flushResident writes the bracket's dirty nodes in ascending page-id
 // order.
 func (t *Tree) flushResident() error {
 	var dirty []*pnode

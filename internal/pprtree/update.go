@@ -140,7 +140,8 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 			}
 			continue
 		}
-		n.entries = append(n.entries, adds...)
+		n.appendEntries(adds)
+		t.trackBackRefs(n, adds)
 		adds = nil
 		if i > 0 && mayUnderflow && n.aliveCount() < t.opts.weakMin() {
 			var err error
@@ -216,7 +217,7 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 
 	newEntries := make([]pentry, len(fresh))
 	for j, f := range fresh {
-		newEntries[j] = pentry{rect: f.mbrAll(), insertT: time, deleteT: geom.Now, ref: uint64(f.id)}
+		newEntries[j] = pentry{rect: f.mbr, insertT: time, deleteT: geom.Now, ref: uint64(f.id)}
 	}
 
 	if isRoot {
@@ -290,7 +291,7 @@ func (t *Tree) replaceRoot(old *pnode, fresh []*pnode, newEntries []pentry, time
 	var newPage pagefile.PageID
 	switch len(fresh) {
 	case 0:
-		empty := &pnode{id: t.file.Allocate(), leaf: true, startT: time, endT: geom.Now}
+		empty := t.newNode(true, time, nil)
 		if err := t.writeNode(empty); err != nil {
 			return err
 		}
@@ -298,7 +299,7 @@ func (t *Tree) replaceRoot(old *pnode, fresh []*pnode, newEntries []pentry, time
 	case 1:
 		newPage = fresh[0].id
 	default:
-		root := &pnode{id: t.file.Allocate(), leaf: false, startT: time, endT: geom.Now, entries: newEntries}
+		root := t.newNode(false, time, newEntries)
 		if err := t.writeNode(root); err != nil {
 			return err
 		}
@@ -358,7 +359,8 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 func (t *Tree) refreshParentRect(parent, n *pnode) error {
 	for j := range parent.entries {
 		if parent.entries[j].alive() && pagefile.PageID(parent.entries[j].ref) == n.id {
-			parent.entries[j].rect = parent.entries[j].rect.Union(n.mbrAll())
+			parent.entries[j].rect = parent.entries[j].rect.Union(n.mbr)
+			parent.mbr = parent.mbr.Union(n.mbr)
 			return nil
 		}
 	}
@@ -375,8 +377,13 @@ func closeChildEntry(parent *pnode, child pagefile.PageID, time int64) error {
 	return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, child)
 }
 
+// newNode allocates the page of a fresh live node holding entries and
+// registers the back-references of a directory node's.
 func (t *Tree) newNode(leaf bool, time int64, entries []pentry) *pnode {
-	return &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: entries}
+	n := &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: entries}
+	n.mbr = n.mbrAll()
+	t.trackBackRefs(n, entries)
+	return n
 }
 
 // keySplitMin picks the minimum group size for a key split: at least the

@@ -31,9 +31,15 @@ type CheckReport struct {
 //     rectangle covers every child record inserted before the entry closed;
 //   - within each root span, all leaves sit at the depth the root log
 //     records for that span;
-//   - version copies of the same data record never overlap in time.
+//   - version copies of the same data record never overlap in time;
+//   - the cached state agrees with the entries it is derived from: the
+//     running MBR of every node resident in an open bracket equals the
+//     union of its entries' rectangles, and in online mode every
+//     directory entry's child has the node among its back-references
+//     (the sets may over-cover, never miss).
 //
-// It returns a report of tree-shape statistics on success.
+// Inside a bracket it walks the resident nodes, not their stale pages. It
+// returns a report of tree-shape statistics on success.
 func (t *Tree) Validate() (CheckReport, error) {
 	var rep CheckReport
 	if err := t.validateRootLog(); err != nil {
@@ -66,6 +72,9 @@ func (t *Tree) Validate() (CheckReport, error) {
 			}
 			if n.startT > n.endT {
 				return fmt.Errorf("pprtree: node %d has inverted lifetime [%d,%d)", id, n.startT, n.endT)
+			}
+			if t.resident[id] == n && n.mbr != n.mbrAll() {
+				return fmt.Errorf("pprtree: resident node %d carries MBR %v, its entries span %v", id, n.mbr, n.mbrAll())
 			}
 		}
 		if n.leaf {
@@ -101,6 +110,9 @@ func (t *Tree) Validate() (CheckReport, error) {
 			if err != nil {
 				return err
 			}
+			if _, ok := t.backRefs[child.id][id]; !ok && t.backRefs != nil {
+				return fmt.Errorf("pprtree: node %d references child %d, which has no back-reference to it", id, child.id)
+			}
 			if e.insertT < child.startT || e.deleteT > child.endT {
 				return fmt.Errorf("pprtree: node %d entry [%d,%d) not covered by child %d lifetime [%d,%d)",
 					id, e.insertT, e.deleteT, child.id, child.startT, child.endT)
@@ -109,10 +121,13 @@ func (t *Tree) Validate() (CheckReport, error) {
 				if ce.insertT >= e.deleteT {
 					continue // inserted after this entry closed; invisible through it
 				}
-				if !child.leaf && ce.deleteT > e.deleteT {
-					// A directory record that outlives this (closed) entry
-					// keeps growing with later insertions; only its state at
-					// e.deleteT had to be covered, which is unrecoverable.
+				if !child.leaf && !e.alive() && ce.deleteT >= e.deleteT {
+					// A directory record still open when this entry closed
+					// keeps growing with later insertions — also ones at
+					// the very instant e.deleteT, when several updates share
+					// a timestamp and the record itself closes later in that
+					// instant; only its state when the entry closed had to
+					// be covered, which is unrecoverable.
 					continue
 				}
 				if !e.rect.Contains(ce.rect) {

@@ -69,16 +69,8 @@ func midflightFeed(nObj int, horizon int64, seed int64) []midEvent {
 
 func applyMid(t *testing.T, ix *Indexer, evs []midEvent) {
 	t.Helper()
-	for _, e := range evs {
-		var err error
-		if e.finish {
-			err = ix.Finish(e.obj, e.t)
-		} else {
-			err = ix.Observe(e.obj, e.t, e.rect)
-		}
-		if err != nil {
-			t.Fatalf("apply obj=%d t=%d finish=%v: %v", e.obj, e.t, e.finish, err)
-		}
+	if err := applyEvents(ix, evs); err != nil {
+		t.Fatalf("apply %v", err)
 	}
 }
 
