@@ -202,7 +202,7 @@ func BenchmarkAblationLookahead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	curves := alloc.BuildCurves(objs, split.MergeCurve)
+	curves := alloc.PlanCurves(objs, split.MergePlan, nil, 0)
 	budget := 1500
 	for _, depth := range []int{1, 2, 3, 4} {
 		depth := depth
@@ -589,6 +589,49 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSplitDataset is the split half of the offline build at the
+// benchmark's scale and beyond: 12 000 random objects (≈600k instants), a
+// 150% budget, merge plans + LAGreedy, on one and on two workers.
+func BenchmarkSplitDataset(b *testing.B) {
+	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: 12000, Horizon: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := stx.SplitDataset(objs, stx.SplitConfig{Budget: 18000, Parallelism: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkChooseBudgetBySampling runs the §IV sampling chooser over five
+// candidate budgets (0–200%) on a half sample of 4 000 objects: one
+// planning pass, then a distribute / materialise / BuildPPR / measure
+// round per budget.
+func BenchmarkChooseBudgetBySampling(b *testing.B) {
+	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: 4000, Horizon: 1000, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := stx.GenerateQueries(stx.QuerySnapshotMixed, 1000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := stx.ChooseBudgetConfig{Budgets: []int{0, 2000, 4000, 6000, 8000}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := stx.ChooseBudgetBySampling(objs, queries[:100], cfg, 0.5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkQueryThroughput measures raw query latency (warm buffer) on

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"stindex/internal/alloc"
 	"stindex/internal/costmodel"
+	"stindex/internal/split"
+	"stindex/internal/trajectory"
 )
 
 // BudgetCandidate is the estimated outcome of one split budget.
@@ -73,16 +76,21 @@ func ChooseBudget(objs []*Object, cfg ChooseBudgetConfig) (BudgetCandidate, []Bu
 	if err != nil {
 		return BudgetCandidate{}, nil, err
 	}
-	table := make([]BudgetCandidate, len(costs))
-	for i, c := range costs {
-		table[i] = BudgetCandidate{Budget: c.Budget, PredictedIO: c.PredictedIO, Records: c.Records, TotalVolume: c.TotalVolume}
-	}
-	chosen, err := costmodel.ChooseBudget(costs, cfg.Tolerance)
+	return pickBudget(costs, cfg.Tolerance)
+}
+
+// pickBudget applies the choosers' common rule — the smallest budget
+// within the tolerance of the best cost — and returns it with the table.
+func pickBudget(costs []costmodel.CandidateCost, tolerance float64) (BudgetCandidate, []BudgetCandidate, error) {
+	chosen, err := costmodel.ChooseBudget(costs, tolerance)
 	if err != nil {
 		return BudgetCandidate{}, nil, err
 	}
-	return BudgetCandidate{Budget: chosen.Budget, PredictedIO: chosen.PredictedIO,
-		Records: chosen.Records, TotalVolume: chosen.TotalVolume}, table, nil
+	table := make([]BudgetCandidate, len(costs))
+	for i, c := range costs {
+		table[i] = BudgetCandidate(c)
+	}
+	return BudgetCandidate(chosen), table, nil
 }
 
 // ChooseBudgetBySampling implements the paper's second method: draw a
@@ -102,6 +110,15 @@ func ChooseBudgetBySampling(objs []*Object, queries []Query, cfg ChooseBudgetCon
 // an expensive sampling run aborts promptly when ctx is cancelled.
 func ChooseBudgetBySamplingCtx(ctx context.Context, objs []*Object, queries []Query,
 	cfg ChooseBudgetConfig, sampleFraction float64, seed int64) (BudgetCandidate, []BudgetCandidate, error) {
+	return chooseBySampling(ctx, objs, queries, cfg, sampleFraction, seed, nil)
+}
+
+// chooseBySampling is the sampling chooser under an explicit split
+// measure (nil: volume, what the exported entry points use), so a test
+// can count the measure's calls. The sample is planned once; every
+// candidate budget is distributed over and read off the same plans.
+func chooseBySampling(ctx context.Context, objs []*Object, queries []Query,
+	cfg ChooseBudgetConfig, sampleFraction float64, seed int64, m split.Measure) (BudgetCandidate, []BudgetCandidate, error) {
 
 	if len(objs) == 0 {
 		return BudgetCandidate{}, nil, fmt.Errorf("stindex: empty object collection")
@@ -120,18 +137,19 @@ func ChooseBudgetBySamplingCtx(ctx context.Context, objs []*Object, queries []Qu
 	if sampleSize < 1 {
 		sampleSize = 1
 	}
-	sample := make([]*Object, sampleSize)
+	sample := make([]*trajectory.Object, sampleSize)
 	for i := 0; i < sampleSize; i++ {
-		sample[i] = objs[perm[i]]
+		sample[i] = objs[perm[i]].inner
 	}
+	curves := alloc.PlanCurves(sample, split.MergePlan, m, cfg.Parallelism)
 
-	var table []BudgetCandidate
+	var costs []costmodel.CandidateCost
 	for _, budget := range cfg.Budgets {
 		if err := ctx.Err(); err != nil {
 			return BudgetCandidate{}, nil, err
 		}
 		scaled := int(float64(budget) * sampleFraction)
-		records, rep, err := SplitDataset(sample, SplitConfig{Budget: scaled, Parallelism: cfg.Parallelism})
+		records, rep, err := splitPlanned(sample, curves, SplitConfig{Budget: scaled, Parallelism: cfg.Parallelism})
 		if err != nil {
 			return BudgetCandidate{}, nil, err
 		}
@@ -143,7 +161,7 @@ func ChooseBudgetBySamplingCtx(ctx context.Context, objs []*Object, queries []Qu
 		if err != nil {
 			return BudgetCandidate{}, nil, err
 		}
-		table = append(table, BudgetCandidate{
+		costs = append(costs, costmodel.CandidateCost{
 			Budget:      budget,
 			PredictedIO: res.AvgIO,
 			Records:     rep.Records,
@@ -151,21 +169,5 @@ func ChooseBudgetBySamplingCtx(ctx context.Context, objs []*Object, queries []Qu
 		})
 	}
 
-	best := table[0]
-	for _, c := range table {
-		if c.PredictedIO < best.PredictedIO {
-			best = c
-		}
-	}
-	chosen := table[0]
-	found := false
-	for _, c := range table {
-		if c.PredictedIO <= best.PredictedIO*(1+cfg.Tolerance) {
-			if !found || c.Budget < chosen.Budget {
-				chosen = c
-				found = true
-			}
-		}
-	}
-	return chosen, table, nil
+	return pickBudget(costs, cfg.Tolerance)
 }

@@ -117,35 +117,15 @@ func main() {
 }
 
 func runPipeline(objs []*trajectory.Object, budget int, splitter, dist string, qx, qy float64, workers int) ([]split.Result, error) {
-	var curveFn alloc.CurveFunc
-	var splitFn alloc.Splitter
-	queryAware := qx > 0 || qy > 0
-	var m split.Measure
-	if queryAware {
-		m = split.QueryCostMeasure(qx, qy)
-	}
-	switch splitter {
-	case "merge":
-		if queryAware {
-			curveFn, splitFn = split.QueryAwareCurve(m), split.QueryAwareSplitter(m)
-		} else {
-			curveFn, splitFn = split.MergeCurve, split.MergeSplit
-		}
-	case "dp":
-		if queryAware {
-			curveFn = func(o *trajectory.Object, maxSplits int) []float64 {
-				return split.DPCurveMeasure(o, maxSplits, m)
-			}
-			splitFn = func(o *trajectory.Object, k int) split.Result {
-				return split.DPSplitMeasure(o, k, m)
-			}
-		} else {
-			curveFn, splitFn = split.DPCurve, split.DPSplit
-		}
-	default:
+	planner, ok := map[string]split.Planner{"merge": split.MergePlan, "dp": split.DPPlan}[splitter]
+	if !ok {
 		return nil, fmt.Errorf("unknown splitter %q (want merge or dp)", splitter)
 	}
-	curves := alloc.BuildCurvesParallel(objs, curveFn, workers)
+	var m split.Measure // nil: the volume objective
+	if qx > 0 || qy > 0 {
+		m = split.QueryCostMeasure(qx, qy)
+	}
+	curves := alloc.PlanCurves(objs, planner, m, workers)
 	var a alloc.Assignment
 	switch dist {
 	case "lagreedy":
@@ -157,7 +137,7 @@ func runPipeline(objs []*trajectory.Object, budget int, splitter, dist string, q
 	default:
 		return nil, fmt.Errorf("unknown distribution %q (want lagreedy, greedy or optimal)", dist)
 	}
-	return alloc.MaterializeParallel(objs, a, splitFn, workers), nil
+	return curves.Materialize(a, workers)
 }
 
 // buildSharded partitions the split records and builds one container

@@ -12,25 +12,21 @@
 //     (those whose first split gains little but whose second gains a lot).
 //
 // All three operate on per-object volume curves: curve[j] is the total
-// volume of object i approximated with j splits (j+1 boxes). Curves are
-// produced by the single-object splitters in package split; which splitter
-// to use is the caller's choice (the paper precomputes "the best splits
-// ... in advance for all objects").
+// volume of object i approximated with j splits (j+1 boxes). PlanCurves
+// takes them from one pass of a single-object splitter of package split
+// per object (the paper precomputes "the best splits ... in advance for
+// all objects") and keeps each pass's plan, so the assignment an
+// algorithm returns is materialised without running the splitter again;
+// which splitter to use is the caller's choice.
 package alloc
 
 import (
 	"fmt"
 
 	"stindex/internal/parallel"
+	"stindex/internal/split"
 	"stindex/internal/trajectory"
 )
-
-// CurveFunc computes an object's volume curve up to maxSplits. curve[j]
-// must be the total volume with j splits, non-increasing in j, with
-// len(curve) == maxSplits+1. split.DPCurve and split.MergeCurve qualify.
-// BuildCurves invokes the function from multiple goroutines, so it must
-// be safe for concurrent calls (all splitters in package split are).
-type CurveFunc func(o *trajectory.Object, maxSplits int) []float64
 
 // Curves holds precomputed volume curves for a collection of objects.
 // Curve i has length Len(i) == objs[i].Len() (indices 0..n_i-1), i.e. it is
@@ -38,19 +34,61 @@ type CurveFunc func(o *trajectory.Object, maxSplits int) []float64
 type Curves struct {
 	objs   []*trajectory.Object
 	curves [][]float64
+	plans  []split.Plan // curves[i] is plans[i].Curve; nil unless built by PlanCurves
 }
 
-// BuildCurves precomputes the volume curve of every object using fn,
-// fanning the per-object work across GOMAXPROCS workers. Identical to
-// BuildCurvesParallel(objs, fn, 0).
-func BuildCurves(objs []*trajectory.Object, fn CurveFunc) *Curves {
-	return BuildCurvesParallel(objs, fn, 0)
+// PlanCurves runs the planner once per object (workers: 0 = GOMAXPROCS,
+// 1 = serial on the calling goroutine) and keeps the plans behind the
+// curves, for Materialize. Planning is independent per object and each
+// plan lands in its own slot, so every worker count produces
+// bit-identical Curves.
+func PlanCurves(objs []*trajectory.Object, planner split.Planner, m split.Measure, workers int) *Curves {
+	cs := &Curves{objs: objs, curves: make([][]float64, len(objs)), plans: make([]split.Plan, len(objs))}
+	parallel.ForEach(len(objs), workers, func(i int) {
+		cs.plans[i] = planner(objs[i], m)
+		cs.curves[i] = cs.plans[i].Curve
+	})
+	return cs
 }
 
-// BuildCurvesParallel precomputes volume curves with the given worker
-// count (0 = GOMAXPROCS, 1 = serial on the calling goroutine). Curve
-// construction is independent per object and each result lands in its
-// own slot, so every worker count produces bit-identical Curves.
+// Materialize applies an assignment to the planned collection: object i
+// is split a.Splits[i] times, read off its plan, producing the MBR
+// records the index structures ingest. The assignment must cover exactly
+// the planned objects with budgets inside each curve. Result i depends
+// only on plan i and a.Splits[i], so every worker count produces
+// identical output in identical order.
+func (c *Curves) Materialize(a Assignment, workers int) ([]split.Result, error) {
+	if c.plans == nil {
+		return nil, fmt.Errorf("alloc: these curves were not built by PlanCurves and cannot materialise")
+	}
+	if err := a.checkSplits(c); err != nil {
+		return nil, err
+	}
+	out := make([]split.Result, len(c.objs))
+	parallel.ForEach(len(c.objs), workers, func(i int) {
+		out[i] = c.plans[i].Result(c.objs[i], a.Splits[i])
+	})
+	return out, nil
+}
+
+// CurveFunc computes an object's volume curve up to maxSplits. curve[j]
+// must be the total volume with j splits, non-increasing in j, with
+// len(curve) == maxSplits+1. split.DPCurve and split.MergeCurve qualify.
+// BuildCurvesParallel invokes it from multiple goroutines, so it must
+// be safe for concurrent calls (all splitters in package split are).
+type CurveFunc func(o *trajectory.Object, maxSplits int) []float64
+
+// Splitter turns one object and a split count into a concrete splitting.
+// split.DPSplit and split.MergeSplit qualify; the same concurrency rule
+// applies.
+type Splitter func(o *trajectory.Object, k int) split.Result
+
+// BuildCurvesParallel and MaterializeParallel are the pipeline as a
+// (curve function, splitter) pair run separately — the splitter starts
+// over for the budget the curve pass already covered. The benchmark's
+// traced run times the two stages through them, and tests use them as
+// the reference PlanCurves and Materialize are compared against. Curves
+// built this way carry no plans.
 func BuildCurvesParallel(objs []*trajectory.Object, fn CurveFunc, workers int) *Curves {
 	cs := &Curves{objs: objs, curves: make([][]float64, len(objs))}
 	parallel.ForEach(len(objs), workers, func(i int) {
@@ -59,9 +97,20 @@ func BuildCurvesParallel(objs []*trajectory.Object, fn CurveFunc, workers int) *
 	return cs
 }
 
+// MaterializeParallel splits object i a.Splits[i] times with the given
+// splitter; a must cover every object (it is indexed, not checked — the
+// plan path's Materialize is the one that reports a mismatch).
+func MaterializeParallel(objs []*trajectory.Object, a Assignment, splitter Splitter, workers int) []split.Result {
+	out := make([]split.Result, len(objs))
+	parallel.ForEach(len(objs), workers, func(i int) {
+		out[i] = splitter(objs[i], a.Splits[i])
+	})
+	return out
+}
+
 // NumObjects returns the number of objects in the collection. (Counted
 // from the curves, so table-backed collections — NewCurvesFromTable —
-// work the same; BuildCurves always produces one curve per object.)
+// work the same; PlanCurves always produces one curve per object.)
 func (c *Curves) NumObjects() int { return len(c.curves) }
 
 // MaxSplits returns the largest meaningful budget for object i.
@@ -116,10 +165,22 @@ func (a Assignment) Used() int {
 // curves: non-negative per-object splits within each object's maximum, and
 // Volume equal to the sum of per-object curve values.
 func (a Assignment) Validate(c *Curves) error {
+	if err := a.checkSplits(c); err != nil {
+		return err
+	}
+	total := volumeOf(c, a.Splits)
+	if diff := total - a.Volume; diff > 1e-6 || diff < -1e-6 {
+		return fmt.Errorf("alloc: recorded volume %g differs from recomputed %g", a.Volume, total)
+	}
+	return nil
+}
+
+// checkSplits is the part of Validate that materialising depends on: one
+// split count per object, each inside the object's curve.
+func (a Assignment) checkSplits(c *Curves) error {
 	if len(a.Splits) != c.NumObjects() {
 		return fmt.Errorf("alloc: assignment covers %d objects, want %d", len(a.Splits), c.NumObjects())
 	}
-	total := 0.0
 	for i, s := range a.Splits {
 		if s < 0 {
 			return fmt.Errorf("alloc: object %d has negative splits %d", i, s)
@@ -127,10 +188,6 @@ func (a Assignment) Validate(c *Curves) error {
 		if s > c.MaxSplits(i) {
 			return fmt.Errorf("alloc: object %d has %d splits, max is %d", i, s, c.MaxSplits(i))
 		}
-		total += c.Volume(i, s)
-	}
-	if diff := total - a.Volume; diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("alloc: recorded volume %g differs from recomputed %g", a.Volume, total)
 	}
 	return nil
 }

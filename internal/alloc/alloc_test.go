@@ -64,7 +64,7 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		objs := randObjects(rng, 2+rng.Intn(4), 6)
 		budget := rng.Intn(8)
-		c := BuildCurves(objs, split.DPCurve)
+		c := PlanCurves(objs, split.DPPlan, nil, 0)
 		opt := Optimal(c, budget)
 		if err := opt.Validate(c); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -84,7 +84,7 @@ func TestGreedyAndLAGreedyNeverBeatOptimal(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		objs := randObjects(rng, 3+rng.Intn(10), 12)
 		budget := rng.Intn(20)
-		c := BuildCurves(objs, split.DPCurve)
+		c := PlanCurves(objs, split.DPPlan, nil, 0)
 		opt := Optimal(c, budget)
 		g := Greedy(c, budget)
 		la := LAGreedy(c, budget)
@@ -138,7 +138,7 @@ func TestLAGreedyRescuesNonMonotoneObject(t *testing.T) {
 		}
 		objs = append(objs, o)
 	}
-	c := BuildCurves(objs, split.DPCurve)
+	c := PlanCurves(objs, split.DPPlan, nil, 0)
 	budget := 4
 	g := Greedy(c, budget)
 	la := LAGreedy(c, budget)
@@ -160,7 +160,7 @@ func TestLAGreedyRescuesNonMonotoneObject(t *testing.T) {
 func TestAssignmentsExhaustBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	objs := randObjects(rng, 10, 10)
-	c := BuildCurves(objs, split.MergeCurve)
+	c := PlanCurves(objs, split.MergePlan, nil, 0)
 	total := c.TotalBudget()
 	for _, budget := range []int{0, 1, total / 2, total, total + 50} {
 		for name, a := range map[string]Assignment{
@@ -193,7 +193,7 @@ func TestMonotoneVolumeInBudget(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		objs := randObjects(r, 4+r.Intn(6), 8)
-		c := BuildCurves(objs, split.DPCurve)
+		c := PlanCurves(objs, split.DPPlan, nil, 0)
 		prevO, prevG, prevLA := math.Inf(1), math.Inf(1), math.Inf(1)
 		for budget := 0; budget <= 10; budget += 2 {
 			o := Optimal(c, budget).Volume
@@ -214,7 +214,7 @@ func TestMonotoneVolumeInBudget(t *testing.T) {
 func TestLAGreedyDepths(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	objs := randObjects(rng, 12, 15)
-	c := BuildCurves(objs, split.DPCurve)
+	c := PlanCurves(objs, split.DPPlan, nil, 0)
 	budget := 12
 	base := Greedy(c, budget)
 	for _, depth := range []int{1, 2, 3, 4} {
@@ -234,7 +234,7 @@ func TestLAGreedyDepths(t *testing.T) {
 func TestCurvesAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	objs := randObjects(rng, 5, 7)
-	c := BuildCurves(objs, split.DPCurve)
+	c := PlanCurves(objs, split.DPPlan, nil, 0)
 	if c.NumObjects() != 5 {
 		t.Fatalf("NumObjects = %d", c.NumObjects())
 	}

@@ -11,7 +11,7 @@ import (
 func benchCurves(b *testing.B, n int) *Curves {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	return BuildCurves(randObjects(rng, n, 60), split.MergeCurve)
+	return PlanCurves(randObjects(rng, n, 60), split.MergePlan, nil, 0)
 }
 
 func BenchmarkBuildCurves(b *testing.B) {
@@ -20,13 +20,14 @@ func BenchmarkBuildCurves(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCurves(objs, split.MergeCurve)
+		PlanCurves(objs, split.MergePlan, nil, 0)
 	}
 }
 
-// BenchmarkBuildCurvesParallel measures curve construction across worker
-// counts on the ISSUE's N >= 5000 scale; workers=1 is the serial
-// baseline, workers=0 resolves to GOMAXPROCS.
+// BenchmarkBuildCurvesParallel measures planning — one full merge run per
+// object, keeping curve and merge order — across worker counts on 5000
+// objects; workers=1 is the serial baseline, workers=0 resolves to
+// GOMAXPROCS.
 func BenchmarkBuildCurvesParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	objs := randObjects(rng, 5000, 60)
@@ -34,23 +35,25 @@ func BenchmarkBuildCurvesParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				BuildCurvesParallel(objs, split.MergeCurve, workers)
+				PlanCurves(objs, split.MergePlan, nil, workers)
 			}
 		})
 	}
 }
 
-// BenchmarkMaterializeParallel measures record materialization across
-// worker counts under a 150% budget.
+// BenchmarkMaterializeParallel measures record materialization off the
+// plans across worker counts under a 150% budget.
 func BenchmarkMaterializeParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	objs := randObjects(rng, 5000, 60)
-	a := LAGreedy(BuildCurvesParallel(objs, split.MergeCurve, 0), 7500)
+	c := PlanCurves(randObjects(rng, 5000, 60), split.MergePlan, nil, 0)
+	a := LAGreedy(c, 7500)
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MaterializeParallel(objs, a, split.MergeSplit, workers)
+				if _, err := c.Materialize(a, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

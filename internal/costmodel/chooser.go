@@ -20,16 +20,16 @@ type CandidateCost struct {
 }
 
 // EvaluateBudgets runs the paper's first method for choosing the number of
-// splits: for each candidate budget, distribute it (LAGreedy over
-// MergeSplit curves), materialise the records, and feed per-instant
-// statistics of the split dataset into the analytical model of the
-// partially persistent index. sampleInstants controls how many time
-// instants the per-snapshot model is averaged over. parallelism is the
-// worker count (0 = GOMAXPROCS, 1 = serial): the curves are built on all
-// workers, then the candidate budgets — each an independent
-// distribute/materialise/predict run over read-only curves — are
-// evaluated concurrently, with every result written to its own slot so
-// the table is identical for any worker count.
+// splits: plan every object once (the greedy merge), then for each
+// candidate budget distribute it (LAGreedy), read the records off the
+// plans, and feed per-instant statistics of the split dataset into the
+// analytical model of the partially persistent index. sampleInstants
+// controls how many time instants the per-snapshot model is averaged
+// over. parallelism is the worker count (0 = GOMAXPROCS, 1 = serial): the
+// plans are built on all workers, then the candidate budgets — each an
+// independent distribute/materialise/predict run over read-only plans —
+// are evaluated concurrently, with every result written to its own slot
+// so the table is identical for any worker count.
 func EvaluateBudgets(objs []*trajectory.Object, budgets []int, q QueryProfile,
 	model TreeModel, sampleInstants, parallelism int) ([]CandidateCost, error) {
 
@@ -52,7 +52,7 @@ func EvaluateBudgets(objs []*trajectory.Object, budgets []int, q QueryProfile,
 		}
 	}
 
-	curves := alloc.BuildCurvesParallel(objs, split.MergeCurve, parallelism)
+	curves := alloc.PlanCurves(objs, split.MergePlan, nil, parallelism)
 	out := make([]CandidateCost, len(budgets))
 	errs := make([]error, len(budgets))
 	parallel.ForEach(len(budgets), parallelism, func(i int) {
@@ -60,7 +60,11 @@ func EvaluateBudgets(objs []*trajectory.Object, budgets []int, q QueryProfile,
 		a := alloc.LAGreedy(curves, budget)
 		// The budget fan-out already occupies the pool, so each budget
 		// materialises serially.
-		results := alloc.MaterializeParallel(objs, a, split.MergeSplit, 1)
+		results, err := curves.Materialize(a, 1)
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		records := 0
 		for _, r := range results {
 			records += len(r.Boxes)

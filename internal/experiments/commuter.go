@@ -33,7 +33,7 @@ func Fig14Commuter(cfg Config) ([]Fig14CommuterRow, error) {
 		return nil, err
 	}
 	queries := toQueries(qs)
-	curves := alloc.BuildCurvesParallel(objs, split.MergeCurve, cfg.Parallelism)
+	curves := alloc.PlanCurves(objs, split.MergePlan, nil, cfg.Parallelism)
 
 	cfg.printf("Figure 14 (commuter supplement) — %d objects, mixed snapshot queries\n", n)
 	cfg.printf("%8s %12s %12s %12s %10s %10s %10s\n",
@@ -52,7 +52,7 @@ func Fig14Commuter(cfg Config) ([]Fig14CommuterRow, error) {
 			{alloc.Optimal(curves, budget), &row.OptVol, &row.OptIO},
 		} {
 			*alg.vol = alg.a.Volume
-			records := toRecords(alloc.MaterializeParallel(objs, alg.a, split.MergeSplit, cfg.Parallelism))
+			records := assignedRecords(curves, alg.a, cfg.Parallelism)
 			res, _, err := measurePPR(records, queries, cfg.Parallelism)
 			if err != nil {
 				return nil, err

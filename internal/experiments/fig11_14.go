@@ -32,7 +32,7 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 		}
 		dpTime, err := timed(func() error {
 			for _, o := range objs {
-				split.DPCurve(o, o.Len()-1)
+				split.DPPlan(o, nil)
 			}
 			return nil
 		})
@@ -41,7 +41,7 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 		}
 		mergeTime, err := timed(func() error {
 			for _, o := range objs {
-				split.MergeCurve(o, o.Len()-1)
+				split.MergePlan(o, nil)
 			}
 			return nil
 		})
@@ -78,8 +78,8 @@ func Fig12(cfg Config) ([]Fig12Row, error) {
 			return nil, err
 		}
 		budget := n / 2
-		dpCurves := alloc.BuildCurvesParallel(objs, split.DPCurve, cfg.Parallelism)
-		mergeCurves := alloc.BuildCurvesParallel(objs, split.MergeCurve, cfg.Parallelism)
+		dpCurves := alloc.PlanCurves(objs, split.DPPlan, nil, cfg.Parallelism)
+		mergeCurves := alloc.PlanCurves(objs, split.MergePlan, nil, cfg.Parallelism)
 		dpVol := alloc.Optimal(dpCurves, budget).Volume
 		mergeVol := alloc.Optimal(mergeCurves, budget).Volume
 		rows = append(rows, Fig12Row{Size: n, DPVolume: dpVol, MergeVolume: mergeVol})
@@ -113,7 +113,7 @@ func Fig13(cfg Config) ([]Fig13Row, error) {
 			return nil, err
 		}
 		budget := n / 2
-		curves := alloc.BuildCurvesParallel(objs, split.MergeCurve, cfg.Parallelism)
+		curves := alloc.PlanCurves(objs, split.MergePlan, nil, cfg.Parallelism)
 		optTime, _ := timed(func() error { alloc.Optimal(curves, budget); return nil })
 		gTime, _ := timed(func() error { alloc.Greedy(curves, budget); return nil })
 		laTime, _ := timed(func() error { alloc.LAGreedy(curves, budget); return nil })
@@ -152,7 +152,7 @@ func Fig14(cfg Config) ([]Fig14Row, error) {
 			return nil, err
 		}
 		budget := n * 3 / 2
-		curves := alloc.BuildCurvesParallel(objs, split.MergeCurve, cfg.Parallelism)
+		curves := alloc.PlanCurves(objs, split.MergePlan, nil, cfg.Parallelism)
 		row := Fig14Row{Size: n}
 		for _, alg := range []struct {
 			name string
@@ -163,7 +163,7 @@ func Fig14(cfg Config) ([]Fig14Row, error) {
 			{"greedy", func() alloc.Assignment { return alloc.Greedy(curves, budget) }, &row.GreedyIO},
 			{"lagreedy", func() alloc.Assignment { return alloc.LAGreedy(curves, budget) }, &row.LAIO},
 		} {
-			records := toRecords(alloc.MaterializeParallel(objs, alg.run(), split.MergeSplit, cfg.Parallelism))
+			records := assignedRecords(curves, alg.run(), cfg.Parallelism)
 			res, _, err := measurePPR(records, queries, cfg.Parallelism)
 			if err != nil {
 				return nil, err

@@ -25,13 +25,23 @@ func toRecords(results []split.Result) []stx.Record {
 	return out
 }
 
+// assignedRecords reads the records of an assignment computed over curves
+// off their plans. A distribution algorithm's own output always fits the
+// curves it ran over, so a mismatch is a bug and panics.
+func assignedRecords(curves *alloc.Curves, a alloc.Assignment, workers int) []stx.Record {
+	results, err := curves.Materialize(a, workers)
+	if err != nil {
+		panic(err)
+	}
+	return toRecords(results)
+}
+
 // lagreedyRecords splits objs with the paper's recommended pipeline
-// (MergeSplit curves + LAGreedy distribution) under the given budget,
-// running the per-object stages on workers (0 = GOMAXPROCS).
+// (merge plans + LAGreedy distribution) under the given budget, running
+// the per-object stages on workers.
 func lagreedyRecords(objs []*trajectory.Object, budget, workers int) []stx.Record {
-	curves := alloc.BuildCurvesParallel(objs, split.MergeCurve, workers)
-	a := alloc.LAGreedy(curves, budget)
-	return toRecords(alloc.MaterializeParallel(objs, a, split.MergeSplit, workers))
+	curves := alloc.PlanCurves(objs, split.MergePlan, nil, workers)
+	return assignedRecords(curves, alloc.LAGreedy(curves, budget), workers)
 }
 
 // unsplitRecords returns the single-MBR representation.

@@ -75,12 +75,18 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 			events = append(events, recordEvent{time: r.Interval.End, insert: false, rec: i})
 		}
 	}
-	slices.SortStableFunc(events, func(a, b recordEvent) int {
+	// (time, insert, rec) is a total key — a record contributes at most one
+	// event of each kind — and is the order a stable sort by (time, insert)
+	// gives the events as appended above, without a stable sort's cost.
+	slices.SortFunc(events, func(a, b recordEvent) int {
 		if a.time != b.time {
 			return cmp.Compare(a.time, b.time)
 		}
 		// Deletions first within an instant.
-		return cmp.Compare(btoi(a.insert), btoi(b.insert))
+		if a.insert != b.insert {
+			return cmp.Compare(btoi(a.insert), btoi(b.insert))
+		}
+		return cmp.Compare(a.rec, b.rec)
 	})
 	start := int64(0)
 	if len(events) > 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,6 +20,47 @@ func treeImage(t *testing.T, tree *Tree) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestRecordEventsOrderIsStableOrder: recordEvents sorts by the total key
+// (time, insert, rec); that must be the order a stable sort by (time,
+// insert) gives the events in record order — which replay depended on —
+// also when many records share a start instant, an end instant or both,
+// one's end is another's start, and some never end.
+func TestRecordEventsOrderIsStableOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	recs := make([]Record, 4000)
+	for i := range recs {
+		start := rng.Int63n(12)
+		iv := geom.Interval{Start: start, End: start + 1 + rng.Int63n(4)}
+		if rng.Intn(10) == 0 {
+			iv.End = geom.Now
+		}
+		recs[i] = Record{Rect: geom.Rect{MaxX: 1, MaxY: 1}, Interval: iv, Ref: uint64(i)}
+	}
+	got, start, err := recordEvents(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []recordEvent
+	for i, r := range recs {
+		want = append(want, recordEvent{time: r.Interval.Start, insert: true, rec: i})
+		if r.Interval.End != geom.Now {
+			want = append(want, recordEvent{time: r.Interval.End, insert: false, rec: i})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].time != want[j].time {
+			return want[i].time < want[j].time
+		}
+		return !want[i].insert && want[j].insert
+	})
+	if !slices.Equal(got, want) {
+		t.Fatal("recordEvents order differs from the stable sort by (time, deletions first)")
+	}
+	if start != want[0].time {
+		t.Fatalf("start %d, want %d", start, want[0].time)
+	}
 }
 
 // TestReplayMatchesSingleUpdates: the write-back table of a replay is an

@@ -226,7 +226,8 @@ func TestMergeEmptyObject(t *testing.T) {
 var raceDetector bool
 
 // TestMergeAllocBudget: with the scratch pool warm, a merge allocates only
-// what it returns — MergeSplit its cuts and boxes, MergeCurve its curve.
+// what it returns — MergePlan its curve and merge order, a result read off
+// the plan its cuts and boxes, and so does MergeSplit's run of its own.
 // (AllocsPerRun reports the floor of the mean, so a pool emptied once by
 // a collection does not show.)
 func TestMergeAllocBudget(t *testing.T) {
@@ -238,7 +239,11 @@ func TestMergeAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { MergeSplit(o, 40) }); got != 2 {
 		t.Errorf("MergeSplit: %v allocs/op, want 2 (cuts, boxes)", got)
 	}
-	if got := testing.AllocsPerRun(200, func() { MergeCurve(o, 119) }); got != 1 {
-		t.Errorf("MergeCurve: %v allocs/op, want 1 (the curve)", got)
+	if got := testing.AllocsPerRun(200, func() { MergePlan(o, nil) }); got != 2 {
+		t.Errorf("MergePlan: %v allocs/op, want 2 (curve, order)", got)
+	}
+	plan := MergePlan(o, nil)
+	if got := testing.AllocsPerRun(200, func() { plan.Result(o, 40) }); got != 2 {
+		t.Errorf("Plan.Result: %v allocs/op, want 2 (cuts, boxes)", got)
 	}
 }

@@ -1,6 +1,8 @@
 package split
 
 import (
+	"slices"
+
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
 )
@@ -28,7 +30,12 @@ func QueryCostMeasure(qx, qy float64) Measure {
 	}
 }
 
-// DPSplitMeasure is DPSplit under an arbitrary measure.
+// DPSplitMeasure computes the optimal placement of k splits for o under
+// the measure m (nil: the volume objective), minimising the total measure
+// of the k+1 boxes (paper §III-A.1, theorem 1). Budgets larger than
+// o.Len()-1 are clamped. Runs in O(n²·k) time and O(n·k) space; the
+// tables come from a pooled scratch (see scratch.go), so repeated calls —
+// and concurrent calls from the parallel curve builders — do not allocate.
 func DPSplitMeasure(o *trajectory.Object, k int, m Measure) Result {
 	n := o.Len()
 	k = ClampSplits(k, n)
@@ -38,6 +45,9 @@ func DPSplitMeasure(o *trajectory.Object, k int, m Measure) Result {
 	s := dpFill(o, k, m)
 	defer releaseDPScratch(s)
 	parent := s.parent
+	// Walk the parent pointers back from (k, n) to recover cut positions.
+	// A level above the prefix's last cut slot reads the same cell as
+	// that slot's level (dpFill copies it), so l needs no clamping.
 	cuts := make([]int, 0, k)
 	i := n
 	for l := k; l >= 1 && i > 1; l-- {
@@ -48,11 +58,14 @@ func DPSplitMeasure(o *trajectory.Object, k int, m Measure) Result {
 		cuts = append(cuts, j)
 		i = j
 	}
-	sortCuts(cuts)
+	slices.Sort(cuts)
 	return buildResultMeasure(o, cuts, m)
 }
 
-// DPCurveMeasure is DPCurve under an arbitrary measure.
+// DPCurveMeasure returns the optimal total measure (nil: volume) for
+// every budget 0..maxSplits: curve[l] is the total of the best l-split
+// representation of o. One call costs the same as DPSplitMeasure(o,
+// maxSplits, m).
 func DPCurveMeasure(o *trajectory.Object, maxSplits int, m Measure) []float64 {
 	n := o.Len()
 	k := ClampSplits(maxSplits, n)
@@ -61,11 +74,7 @@ func DPCurveMeasure(o *trajectory.Object, maxSplits int, m Measure) []float64 {
 	vol := s.vol
 	curve := make([]float64, maxSplits+1)
 	for l := 0; l <= maxSplits; l++ {
-		if l <= k {
-			curve[l] = vol[l][n]
-		} else {
-			curve[l] = vol[k][n]
-		}
+		curve[l] = vol[min(l, k)][n]
 	}
 	return curve
 }
@@ -80,61 +89,18 @@ func spanMeasures(o *trajectory.Object, end int, m Measure, dst []float64) {
 	}
 }
 
-// MergeSplitMeasure is MergeSplit under an arbitrary measure; the greedy
-// pairwise merging minimises the measure increase at every step.
-func MergeSplitMeasure(o *trajectory.Object, k int, m Measure) Result {
-	cuts := mergeRun(o, k, m, nil)
-	return buildResultMeasure(o, cuts, m)
-}
-
-// MergeCurveMeasure is MergeCurve under an arbitrary measure.
-func MergeCurveMeasure(o *trajectory.Object, maxSplits int, m Measure) []float64 {
-	n := o.Len()
-	k := ClampSplits(maxSplits, n)
-	curve := make([]float64, maxSplits+1)
-	mergeRun(o, 0, m, func(splitsLeft int, total float64) {
-		if splitsLeft <= k {
-			curve[splitsLeft] = total
-		}
-	})
-	for l := k + 1; l <= maxSplits; l++ {
-		curve[l] = curve[k]
-	}
-	return curve
-}
-
-// QueryAwareCurve adapts a measure into an alloc.CurveFunc-compatible
-// closure built on the merge heuristic.
-func QueryAwareCurve(m Measure) func(o *trajectory.Object, maxSplits int) []float64 {
-	return func(o *trajectory.Object, maxSplits int) []float64 {
-		return MergeCurveMeasure(o, maxSplits, m)
-	}
-}
-
-// QueryAwareSplitter adapts a measure into a single-object splitter.
-func QueryAwareSplitter(m Measure) func(o *trajectory.Object, k int) Result {
-	return func(o *trajectory.Object, k int) Result {
-		return MergeSplitMeasure(o, k, m)
-	}
-}
-
-// buildResultMeasure materialises boxes and totals them under the measure.
-// Result.Volume holds the measure total (for VolumeMeasure this is the
-// usual space-time volume).
+// buildResultMeasure materialises boxes and totals them under the
+// measure, so Result.Volume holds the measure total. A nil measure is the
+// volume objective: the total is the boxes' space-time volume.
 func buildResultMeasure(o *trajectory.Object, cuts []int, m Measure) Result {
 	r := buildResult(o, cuts)
+	if m == nil {
+		return r
+	}
 	total := 0.0
 	for _, b := range r.Boxes {
 		total += m(b.Rect, b.Interval.Length())
 	}
 	r.Volume = total
 	return r
-}
-
-func sortCuts(cuts []int) {
-	for i := 1; i < len(cuts); i++ {
-		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-		}
-	}
 }

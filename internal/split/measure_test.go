@@ -15,8 +15,8 @@ func TestVolumeMeasureMatchesClassicAlgorithms(t *testing.T) {
 		if a, b := DPSplit(o, k), DPSplitMeasure(o, k, VolumeMeasure); math.Abs(a.Volume-b.Volume) > 1e-9 {
 			t.Fatalf("trial %d: DPSplitMeasure(Volume) %g != DPSplit %g", trial, b.Volume, a.Volume)
 		}
-		if a, b := MergeSplit(o, k), MergeSplitMeasure(o, k, VolumeMeasure); math.Abs(a.Volume-b.Volume) > 1e-9 {
-			t.Fatalf("trial %d: MergeSplitMeasure(Volume) %g != MergeSplit %g", trial, b.Volume, a.Volume)
+		if a, b := MergeSplit(o, k), MergePlan(o, VolumeMeasure).Result(o, k); math.Abs(a.Volume-b.Volume) > 1e-9 {
+			t.Fatalf("trial %d: MergePlan(Volume) %g != MergeSplit %g", trial, b.Volume, a.Volume)
 		}
 		ca := DPCurve(o, k)
 		cb := DPCurveMeasure(o, k, VolumeMeasure)
@@ -38,7 +38,7 @@ func TestQueryCostMeasureOptimality(t *testing.T) {
 		k := rng.Intn(n)
 		o := randObject(rng, int64(trial), n)
 		dp := DPSplitMeasure(o, k, m)
-		mg := MergeSplitMeasure(o, k, m)
+		mg := MergePlan(o, m).Result(o, k)
 		if err := dp.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -86,24 +86,26 @@ func TestQueryAwareObjectiveWinsOnItsOwnTerms(t *testing.T) {
 	}
 }
 
-func TestQueryAwareAdapters(t *testing.T) {
+func TestQueryAwarePlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	o := randObject(rng, 0, 20)
 	m := QueryCostMeasure(0.02, 0.02)
-	curve := QueryAwareCurve(m)(o, 10)
-	if len(curve) != 11 {
-		t.Fatalf("curve length %d", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i] > curve[i-1]+1e-9 {
-			t.Fatalf("query-cost curve not non-increasing at %d", i)
+	for name, plan := range map[string]Plan{"merge": MergePlan(o, m), "dp": DPPlan(o, m)} {
+		curve := plan.Curve
+		if len(curve) != 20 {
+			t.Fatalf("%s: curve length %d", name, len(curve))
 		}
-	}
-	r := QueryAwareSplitter(m)(o, 5)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Volume-curve[r.Splits()]) > 1e-9*math.Max(1, r.Volume) {
-		t.Fatalf("splitter total %g != curve[%d] %g", r.Volume, r.Splits(), curve[r.Splits()])
+		for i := 1; i < len(curve); i++ {
+			if curve[i] > curve[i-1]+1e-9 {
+				t.Fatalf("%s: query-cost curve not non-increasing at %d", name, i)
+			}
+		}
+		r := plan.Result(o, 5)
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r.Volume-curve[r.Splits()]) > 1e-9*math.Max(1, r.Volume) {
+			t.Fatalf("%s: result total %g != curve[%d] %g", name, r.Volume, r.Splits(), curve[r.Splits()])
+		}
 	}
 }

@@ -1,36 +1,92 @@
 package split
 
 import (
+	"slices"
+
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
 )
 
-// MergeSplit is the greedy approximation of §III-A.2 (figure 8): start with
-// one box per time instant and repeatedly merge the pair of consecutive
-// boxes whose union increases the total volume the least, until only k+1
-// boxes remain. Runs in O(n log n) using a priority queue with lazy
-// invalidation. It generally produces slightly larger volumes than DPSplit
-// but is orders of magnitude faster on long-lived objects.
+// Plan is what one pass of a single-object splitter keeps of an object:
+// its whole curve, and enough to produce the splitting for any budget
+// without running the splitter again. The paper's distribution algorithms
+// (§III-B) assume exactly this — "the best splits ... in advance for all
+// objects". A Plan does not retain its object; Result takes it back.
+type Plan struct {
+	// Curve[l] is the object's total measure under l splits, for every
+	// meaningful budget l in [0, n-1]; non-increasing in l.
+	Curve []float64
+	// order[j] is the cut the j-th merge of the full greedy run removed
+	// (merge plans only). The merge sequence is hierarchical: the first
+	// n-1-k merges are the merges MergeSplit(o, k) performs, so the last
+	// k entries are the cuts that budget keeps.
+	order   []int32
+	measure Measure // nil selects the volume objective
+	dp      bool
+}
+
+// Planner builds the plan of one object under a measure; a nil measure
+// selects the paper's §III volume objective. MergePlan and DPPlan are the
+// two planners. Both are safe for concurrent calls.
+type Planner func(o *trajectory.Object, m Measure) Plan
+
+// MergePlan runs the greedy merge of §III-A.2 (figure 8) once, all the
+// way down to a single box: start with one box per time instant and
+// repeatedly merge the pair of consecutive boxes whose union increases
+// the total measure the least. O(n log n) using a priority queue with
+// lazy invalidation. It generally produces slightly larger volumes than
+// the dynamic program but is orders of magnitude faster on long-lived
+// objects.
+func MergePlan(o *trajectory.Object, m Measure) Plan {
+	n := o.Len()
+	p := Plan{Curve: make([]float64, max(n, 1)), order: make([]int32, max(n-1, 0)), measure: m}
+	if m == nil {
+		m = VolumeMeasure
+	}
+	mergeRunOrder(o, 0, m, func(splits int, total float64) { p.Curve[splits] = total }, p.order)
+	return p
+}
+
+// DPPlan is the optimal O(n²k) dynamic program of §III-A.1. Only the
+// curve is kept: the n×k parent table is too large to retain per object,
+// so Result runs the program again for its budget.
+func DPPlan(o *trajectory.Object, m Measure) Plan {
+	return Plan{Curve: DPCurveMeasure(o, o.Len()-1, m), measure: m, dp: true}
+}
+
+// Result returns the splitting of o, the object the plan was built from,
+// with k splits; budgets beyond o.Len()-1 are clamped. Its total equals
+// Curve[k] up to summation order.
+func (p Plan) Result(o *trajectory.Object, k int) Result {
+	k = ClampSplits(k, o.Len())
+	if p.dp {
+		return DPSplitMeasure(o, k, p.measure)
+	}
+	cuts := make([]int, k)
+	for i, c := range p.order[len(p.order)-k:] {
+		cuts[i] = int(c)
+	}
+	slices.Sort(cuts)
+	return buildResultMeasure(o, cuts, p.measure)
+}
+
+// MergeSplit is the greedy merge stopped at k+1 boxes, under the volume
+// objective: what MergePlan(o, nil).Result(o, k) reads off the full run,
+// computed by a run of its own. The benchmark's traced pipeline calls it
+// by name and the plan's equivalence tests use it as their reference.
 func MergeSplit(o *trajectory.Object, k int) Result {
 	cuts := mergeRun(o, k, VolumeMeasure, nil)
 	return buildResult(o, cuts)
 }
 
-// MergeCurve returns, for every budget 0..maxSplits, the total volume of
-// the representation MergeSplit would produce with that budget. Because the
-// merge sequence is hierarchical, one O(n log n) run yields the complete
-// curve. curve[l] is the volume with l splits; curve is non-increasing in l.
+// MergeCurve returns MergePlan's volume curve over budgets 0..maxSplits
+// (the alloc.CurveFunc shape): curve[l] is the volume with l splits,
+// non-increasing in l, repeating the last meaningful budget's past it.
 func MergeCurve(o *trajectory.Object, maxSplits int) []float64 {
-	n := o.Len()
-	k := ClampSplits(maxSplits, n)
+	full := MergePlan(o, nil).Curve
 	curve := make([]float64, maxSplits+1)
-	mergeRun(o, 0, VolumeMeasure, func(splitsLeft int, totalVol float64) {
-		if splitsLeft <= k {
-			curve[splitsLeft] = totalVol
-		}
-	})
-	for l := k + 1; l <= maxSplits; l++ {
-		curve[l] = curve[k]
+	for l := range curve {
+		curve[l] = full[min(l, len(full)-1)]
 	}
 	return curve
 }
@@ -60,6 +116,13 @@ type mergeCand struct {
 // total volume, and the run continues all the way down to a single box.
 // An empty object has no state to observe and no cuts.
 func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64)) []int {
+	return mergeRunOrder(o, targetSplits, m, observe, nil)
+}
+
+// mergeRunOrder is mergeRun that also records, when order is non-nil, the
+// cut each merge removes: order[j] for the j-th merge, so order needs one
+// slot per merge the run performs.
+func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64), order []int32) []int {
 	n := o.Len()
 	if n == 0 {
 		return nil
@@ -100,6 +163,9 @@ func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(sp
 			continue // stale entry; a fresh one exists or will be pushed
 		}
 		// Merge b into a.
+		if order != nil {
+			order[n-live] = int32(b.lo)
+		}
 		union := a.rect.Union(b.rect)
 		newVol := m(union, int64(b.hi-a.lo))
 		total += newVol - a.vol - b.vol

@@ -3,9 +3,9 @@
 // rectangles and a budget of k artificial splits, cover the object with
 // k+1 consecutive boxes of minimal total volume.
 //
-//   - DPSplit is the optimal O(n²k) dynamic program of §III-A.1.
-//   - MergeSplit is the greedy O(n log n) bottom-up merging heuristic of
-//     §III-A.2 (figure 8).
+//   - DPPlan / DPSplit is the optimal O(n²k) dynamic program of §III-A.1.
+//   - MergePlan / MergeSplit is the greedy O(n log n) bottom-up merging
+//     heuristic of §III-A.2 (figure 8).
 //   - Piecewise splits at the instants where the motion changes
 //     characteristics, the baseline of [21] used in figures 17/18.
 //
@@ -15,7 +15,6 @@ package split
 
 import (
 	"fmt"
-	"sort"
 
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
@@ -79,59 +78,12 @@ func ClampSplits(k, n int) int {
 	return k
 }
 
-// DPSplit computes the optimal placement of k splits for o, minimising the
-// total volume of the k+1 boxes (paper §III-A.1, theorem 1). Budgets larger
-// than o.Len()-1 are clamped. Runs in O(n²·k) time and O(n·k) space; the
-// tables come from a pooled scratch (see scratch.go), so repeated calls —
-// and concurrent calls from the parallel curve builders — do not allocate.
-func DPSplit(o *trajectory.Object, k int) Result {
-	n := o.Len()
-	k = ClampSplits(k, n)
-	if k == 0 {
-		return buildResult(o, nil)
-	}
-	s := dpFill(o, k, nil)
-	defer releaseDPScratch(s)
-	parent := s.parent
+// DPSplit is DPSplitMeasure under the paper's volume objective.
+func DPSplit(o *trajectory.Object, k int) Result { return DPSplitMeasure(o, k, nil) }
 
-	// Walk the parent pointers back from (k, n) to recover cut positions.
-	cuts := make([]int, 0, k)
-	i := n
-	for l := k; l >= 1 && i > 1; l-- {
-		// Clamp the level to the effective budget at this prefix length.
-		eff := l
-		if eff >= i {
-			eff = i - 1
-		}
-		j := int(parent[eff][i])
-		if j <= 0 || j >= i {
-			break
-		}
-		cuts = append(cuts, j)
-		i = j
-	}
-	sort.Ints(cuts)
-	return buildResult(o, cuts)
-}
-
-// DPCurve returns the optimal total volume for every budget 0..maxSplits:
-// curve[l] is the volume of the best l-split representation of o. One call
-// costs the same as DPSplit(o, maxSplits).
+// DPCurve is DPCurveMeasure under the paper's volume objective.
 func DPCurve(o *trajectory.Object, maxSplits int) []float64 {
-	n := o.Len()
-	k := ClampSplits(maxSplits, n)
-	s := dpFill(o, k, nil)
-	defer releaseDPScratch(s)
-	vol := s.vol
-	curve := make([]float64, maxSplits+1)
-	for l := 0; l <= maxSplits; l++ {
-		if l <= k {
-			curve[l] = vol[l][n]
-		} else {
-			curve[l] = vol[k][n]
-		}
-	}
-	return curve
+	return DPCurveMeasure(o, maxSplits, nil)
 }
 
 // Validate checks the structural invariants of a result against its object:

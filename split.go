@@ -85,31 +85,20 @@ func (r SplitReport) Gain() float64 {
 	return 1 - r.TotalVolume/r.UnsplitTotal
 }
 
-func (c SplitConfig) splitterFuncs() (alloc.CurveFunc, alloc.Splitter, error) {
-	if c.QueryAware != nil {
-		q := c.QueryAware
+// planner resolves the configured single-object algorithm and objective.
+func (c SplitConfig) planner() (split.Planner, split.Measure, error) {
+	var m split.Measure
+	if q := c.QueryAware; q != nil {
 		if q.ExtentX < 0 || q.ExtentY < 0 {
 			return nil, nil, fmt.Errorf("stindex: negative query extents in QueryAware profile")
 		}
-		m := split.QueryCostMeasure(q.ExtentX, q.ExtentY)
-		switch c.Splitter {
-		case SplitterMerge, "":
-			return split.QueryAwareCurve(m), split.QueryAwareSplitter(m), nil
-		case SplitterDP:
-			return func(o *trajectory.Object, maxSplits int) []float64 {
-					return split.DPCurveMeasure(o, maxSplits, m)
-				}, func(o *trajectory.Object, k int) split.Result {
-					return split.DPSplitMeasure(o, k, m)
-				}, nil
-		default:
-			return nil, nil, fmt.Errorf("stindex: unknown splitter %q", c.Splitter)
-		}
+		m = split.QueryCostMeasure(q.ExtentX, q.ExtentY)
 	}
 	switch c.Splitter {
 	case SplitterMerge, "":
-		return split.MergeCurve, split.MergeSplit, nil
+		return split.MergePlan, m, nil
 	case SplitterDP:
-		return split.DPCurve, split.DPSplit, nil
+		return split.DPPlan, m, nil
 	default:
 		return nil, nil, fmt.Errorf("stindex: unknown splitter %q", c.Splitter)
 	}
@@ -119,22 +108,22 @@ func (c SplitConfig) splitterFuncs() (alloc.CurveFunc, alloc.Splitter, error) {
 // returns the resulting MBR records (several per split object, all
 // carrying the object's ID) together with a report.
 func SplitDataset(objs []*Object, cfg SplitConfig) ([]Record, SplitReport, error) {
-	records, rep, _, err := splitDataset(innerObjects(objs), cfg)
-	return records, rep, err
+	inner := innerObjects(objs)
+	planner, m, err := cfg.planner()
+	if err != nil {
+		return nil, SplitReport{}, err
+	}
+	return splitPlanned(inner, alloc.PlanCurves(inner, planner, m, cfg.Parallelism), cfg)
 }
 
-// splitDataset is the internal-type version shared with the experiment
-// harness.
-func splitDataset(objs []*trajectory.Object, cfg SplitConfig) ([]Record, SplitReport, alloc.Assignment, error) {
+// splitPlanned distributes cfg.Budget over the planned collection and
+// reads the records off the plans: the per-budget half of SplitDataset,
+// which a caller trying several budgets repeats over one set of plans.
+func splitPlanned(objs []*trajectory.Object, curves *alloc.Curves, cfg SplitConfig) ([]Record, SplitReport, error) {
 	var rep SplitReport
-	curveFn, splitter, err := cfg.splitterFuncs()
-	if err != nil {
-		return nil, rep, alloc.Assignment{}, err
-	}
 	if cfg.Budget < 0 {
-		return nil, rep, alloc.Assignment{}, fmt.Errorf("stindex: negative split budget %d", cfg.Budget)
+		return nil, rep, fmt.Errorf("stindex: negative split budget %d", cfg.Budget)
 	}
-	curves := alloc.BuildCurvesParallel(objs, curveFn, cfg.Parallelism)
 	var a alloc.Assignment
 	switch cfg.Distribution {
 	case DistributionLAGreedy, "":
@@ -148,10 +137,13 @@ func splitDataset(objs []*trajectory.Object, cfg SplitConfig) ([]Record, SplitRe
 	case DistributionOptimal:
 		a = alloc.Optimal(curves, cfg.Budget)
 	default:
-		return nil, rep, a, fmt.Errorf("stindex: unknown distribution %q", cfg.Distribution)
+		return nil, rep, fmt.Errorf("stindex: unknown distribution %q", cfg.Distribution)
 	}
 
-	results := alloc.MaterializeParallel(objs, a, splitter, cfg.Parallelism)
+	results, err := curves.Materialize(a, cfg.Parallelism)
+	if err != nil {
+		return nil, rep, err
+	}
 	records := flattenResults(results)
 	for _, o := range objs {
 		rep.UnsplitTotal += o.MBR().Volume()
@@ -159,7 +151,7 @@ func splitDataset(objs []*trajectory.Object, cfg SplitConfig) ([]Record, SplitRe
 	rep.Records = len(records)
 	rep.UsedSplits = a.Used()
 	rep.TotalVolume = TotalVolume(records)
-	return records, rep, a, nil
+	return records, rep, nil
 }
 
 func flattenResults(results []split.Result) []Record {
