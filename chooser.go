@@ -149,7 +149,7 @@ func chooseBySampling(ctx context.Context, objs []*Object, queries []Query,
 			return BudgetCandidate{}, nil, err
 		}
 		scaled := int(float64(budget) * sampleFraction)
-		records, rep, err := splitPlanned(sample, curves, SplitConfig{Budget: scaled, Parallelism: cfg.Parallelism})
+		records, rep, err := splitPlanned(curves, SplitConfig{Budget: scaled, Parallelism: cfg.Parallelism})
 		if err != nil {
 			return BudgetCandidate{}, nil, err
 		}

@@ -86,8 +86,8 @@ func (b Box3) UnionBox3(o Box3) Box3 {
 	}
 	out := b
 	for d := 0; d < 3; d++ {
-		out.Min[d] = math.Min(out.Min[d], o.Min[d])
-		out.Max[d] = math.Max(out.Max[d], o.Max[d])
+		out.Min[d] = min(out.Min[d], o.Min[d])
+		out.Max[d] = max(out.Max[d], o.Max[d])
 	}
 	return out
 }
@@ -125,8 +125,8 @@ func (b Box3) Contains(o Box3) bool {
 func (b Box3) OverlapVolume(o Box3) float64 {
 	v := 1.0
 	for d := 0; d < 3; d++ {
-		lo := math.Max(b.Min[d], o.Min[d])
-		hi := math.Min(b.Max[d], o.Max[d])
+		lo := max(b.Min[d], o.Min[d])
+		hi := min(b.Max[d], o.Max[d])
 		if hi <= lo {
 			return 0
 		}

@@ -7,32 +7,73 @@ import (
 	"stindex/internal/geom"
 )
 
+// keySplitScratch is the arena a tree's key splits reuse: the records in
+// both sort orders of both axes, and the prefix and suffix MBRs of the
+// order being swept. The groups a split returns are views into it, valid
+// until the next split.
+type keySplitScratch struct {
+	orders         [2][2][]pentry // [axis][by upper bound]
+	prefix, suffix []geom.Rect
+}
+
 // keySplit partitions records into two spatially coherent groups, each of
 // size at least m, using the R* split heuristic on the 2D rectangles:
 // choose the axis with the smallest margin sum over candidate
 // distributions, then the distribution with the least overlap (ties:
-// least total area).
-func keySplit(entries []pentry, m int) (g1, g2 []pentry) {
+// least total area). Axis choice sorts each axis by lower and by upper
+// bound; index choice reads the winning axis's two orders where axis
+// choice left them.
+func (s *keySplitScratch) keySplit(entries []pentry, m int) (g1, g2 []pentry) {
+	n := len(entries)
 	if m < 1 {
 		m = 1
 	}
-	if m > len(entries)/2 {
-		m = len(entries) / 2
+	if m > n/2 {
+		m = n / 2
 	}
-	axis := chooseKeyAxis(entries, m)
-	return chooseKeyIndex(entries, m, axis)
+	axis, bestMargin := 0, 0.0
+	for a := 0; a < 2; a++ {
+		margin := 0.0
+		for u := 0; u < 2; u++ {
+			s.orders[a][u] = sortPEntries(s.orders[a][u][:0], entries, a, u == 1)
+			s.sweep(s.orders[a][u])
+			for k := m; k <= n-m; k++ {
+				margin += s.prefix[k].Perimeter() + s.suffix[k].Perimeter()
+			}
+		}
+		if a == 0 || margin < bestMargin {
+			axis, bestMargin = a, margin
+		}
+	}
+
+	var best []pentry
+	bestK, bestOverlap, bestArea := -1, 0.0, 0.0
+	for u := 0; u < 2; u++ {
+		sorted := s.orders[axis][u]
+		s.sweep(sorted)
+		for k := m; k <= n-m; k++ {
+			b1, b2 := s.prefix[k], s.suffix[k]
+			overlap := b1.OverlapArea(b2)
+			area := b1.Area() + b2.Area()
+			if bestK == -1 || overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
+				best, bestK, bestOverlap, bestArea = sorted, k, overlap, area
+			}
+		}
+	}
+	return best[:bestK], best[bestK:]
 }
 
-func sortPEntries(entries []pentry, axis int, byUpper bool) []pentry {
-	out := make([]pentry, len(entries))
-	copy(out, entries)
+// sortPEntries appends entries to dst stably sorted along axis by (lower,
+// upper) bound, or by (upper, lower) when byUpper.
+func sortPEntries(dst, entries []pentry, axis int, byUpper bool) []pentry {
+	dst = append(dst, entries...)
 	key := func(e pentry) (lo, hi float64) {
 		if axis == 0 {
 			return e.rect.MinX, e.rect.MaxX
 		}
 		return e.rect.MinY, e.rect.MaxY
 	}
-	slices.SortStableFunc(out, func(a, b pentry) int {
+	slices.SortStableFunc(dst, func(a, b pentry) int {
 		la, ha := key(a)
 		lb, hb := key(b)
 		if byUpper {
@@ -40,63 +81,19 @@ func sortPEntries(entries []pentry, axis int, byUpper bool) []pentry {
 		}
 		return cmp.Or(cmp.Compare(la, lb), cmp.Compare(ha, hb))
 	})
-	return out
+	return dst
 }
 
-func forEachKeyDistribution(sorted []pentry, m int, fn func(k int, b1, b2 geom.Rect)) {
+// sweep fills prefix[k] with the MBR of sorted[:k] and suffix[k] with
+// that of sorted[k:], the two groups of the distribution cut at k.
+func (s *keySplitScratch) sweep(sorted []pentry) {
 	n := len(sorted)
-	prefix := make([]geom.Rect, n+1)
-	suffix := make([]geom.Rect, n+1)
-	prefix[0] = geom.EmptyRect()
-	suffix[n] = geom.EmptyRect()
+	s.prefix = slices.Grow(s.prefix[:0], n+1)[:n+1]
+	s.suffix = slices.Grow(s.suffix[:0], n+1)[:n+1]
+	s.prefix[0] = geom.EmptyRect()
+	s.suffix[n] = geom.EmptyRect()
 	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i].Union(sorted[i].rect)
-		suffix[n-1-i] = suffix[n-i].Union(sorted[n-1-i].rect)
+		s.prefix[i+1] = s.prefix[i].Union(sorted[i].rect)
+		s.suffix[n-1-i] = s.suffix[n-i].Union(sorted[n-1-i].rect)
 	}
-	for k := m; k <= n-m; k++ {
-		fn(k, prefix[k], suffix[k])
-	}
-}
-
-func chooseKeyAxis(entries []pentry, m int) int {
-	bestAxis, bestMargin := 0, 0.0
-	for axis := 0; axis < 2; axis++ {
-		margin := 0.0
-		for _, byUpper := range [2]bool{false, true} {
-			sorted := sortPEntries(entries, axis, byUpper)
-			forEachKeyDistribution(sorted, m, func(_ int, b1, b2 geom.Rect) {
-				margin += b1.Perimeter() + b2.Perimeter()
-			})
-		}
-		if axis == 0 || margin < bestMargin {
-			bestAxis, bestMargin = axis, margin
-		}
-	}
-	return bestAxis
-}
-
-func chooseKeyIndex(entries []pentry, m, axis int) (g1, g2 []pentry) {
-	type best struct {
-		sorted  []pentry
-		k       int
-		overlap float64
-		area    float64
-		set     bool
-	}
-	var b best
-	for _, byUpper := range [2]bool{false, true} {
-		sorted := sortPEntries(entries, axis, byUpper)
-		forEachKeyDistribution(sorted, m, func(k int, b1, b2 geom.Rect) {
-			overlap := b1.OverlapArea(b2)
-			area := b1.Area() + b2.Area()
-			if !b.set || overlap < b.overlap || (overlap == b.overlap && area < b.area) {
-				b = best{sorted: sorted, k: k, overlap: overlap, area: area, set: true}
-			}
-		})
-	}
-	g1 = make([]pentry, b.k)
-	copy(g1, b.sorted[:b.k])
-	g2 = make([]pentry, len(b.sorted)-b.k)
-	copy(g2, b.sorted[b.k:])
-	return g1, g2
 }

@@ -1,0 +1,315 @@
+package pprtree
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"stindex/internal/geom"
+)
+
+// applyOne applies one replay event the way applyEvents does.
+func applyOne(t *testing.T, tree *Tree, recs []Record, ev recordEvent) {
+	t.Helper()
+	r := recs[ev.rec]
+	if ev.insert {
+		if err := tree.Insert(r.Rect, r.Ref, ev.time); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if ok, err := tree.Delete(r.Rect, r.Ref, ev.time); err != nil || !ok {
+		t.Fatalf("deleting record %d (ref %d) at %d: found %v, %v", ev.rec, r.Ref, ev.time, ok, err)
+	}
+}
+
+// writeThrough builds the records' tree one update at a time outside any
+// bracket — no resident table, no locator — and returns it.
+func writeThrough(t *testing.T, opts Options, recs []Record) *Tree {
+	t.Helper()
+	events, start, err := recordEvents(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(opts, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		applyOne(t, tree, recs, ev)
+	}
+	return tree
+}
+
+// withTwins appends, for every step-th record, a second record of the
+// same rectangle and ref that starts while the first is alive and ends
+// after it: two alive copies the search can only tell apart by where it
+// meets them.
+func withTwins(recs []Record, step int, horizon int64) []Record {
+	out := slices.Clone(recs)
+	for i := 0; i < len(recs); i += step {
+		r := recs[i]
+		if r.Interval.Length() < 3 {
+			continue
+		}
+		r.Interval.Start += r.Interval.Length() / 2
+		r.Interval.End = min(r.Interval.End+7, horizon+7)
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestLocatorPicksTheSearchsEntry: all through an offline replay's
+// bracket the locator is complete — Validate holds it against the live
+// tree — and for every alive record it returns the very path and slot
+// the depth-first search returns.
+func TestLocatorPicksTheSearchsEntry(t *testing.T) {
+	for _, opts := range []Options{{}, {MaxEntries: 10}} {
+		recs := randRecords(rand.New(rand.NewSource(22)), 4000, 200)
+		events, start, err := recordEvents(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := New(opts, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alive := map[int]bool{}
+		located, height := 0, 0
+		err = tree.Batch(func() error {
+			if tree.located == nil {
+				t.Fatal("a bracket opened on an empty tree keeps no locator")
+			}
+			for i, ev := range events {
+				applyOne(t, tree, recs, ev)
+				if alive[ev.rec] = ev.insert; !ev.insert {
+					delete(alive, ev.rec)
+				}
+				height = max(height, tree.Height())
+				if i%61 != 0 {
+					continue
+				}
+				for rec := range alive {
+					r := recs[rec]
+					path, idx := tree.locateAliveRecord(r.Rect, r.Ref)
+					if path == nil {
+						t.Fatalf("MaxEntries %d, event %d: the locator does not know alive record %d", opts.MaxEntries, i, rec)
+					}
+					path = slices.Clone(path)
+					tree.path = tree.path[:0]
+					wantIdx, found, err := tree.findBelow(tree.liveRoot().page, r.Rect, r.Ref)
+					if err != nil || !found {
+						t.Fatalf("event %d: the search does not find alive record %d: %v", i, rec, err)
+					}
+					if idx != wantIdx || !slices.Equal(path, tree.path) {
+						t.Fatalf("MaxEntries %d, event %d, record %d: locator slot %d of leaf %d, search slot %d of leaf %d",
+							opts.MaxEntries, i, rec, idx, path[len(path)-1].id, wantIdx, tree.path[len(tree.path)-1].id)
+					}
+					located++
+				}
+				if i%1037 == 0 {
+					if _, err := tree.Validate(); err != nil {
+						t.Fatalf("MaxEntries %d, event %d: %v", opts.MaxEntries, i, err)
+					}
+				}
+			}
+			if len(tree.located) != tree.Alive() {
+				t.Fatalf("locator holds %d refs at the end of the bracket, %d records are alive", len(tree.located), tree.Alive())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.located != nil {
+			t.Fatal("the locator outlived its bracket")
+		}
+		if located == 0 || height < 2 {
+			t.Fatalf("nothing compared: %d lookups, height %d", located, height)
+		}
+		if !bytes.Equal(treeImage(t, tree), treeImage(t, writeThrough(t, opts, recs))) {
+			t.Errorf("MaxEntries %d: bracket with locator built a different tree than write-through", opts.MaxEntries)
+		}
+	}
+}
+
+// TestLocatorLeavesTwinsToTheSearch: with two alive copies of one (ref,
+// rect) the locator must not answer — which copy a delete closes is the
+// search's choice and shows in the pages. The replay's pages equal
+// write-through's, and the case really occurred: deletes met the two
+// copies in different leaves.
+func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
+	apart := 0
+	for _, opts := range []Options{{}, {MaxEntries: 10}} {
+		recs := withTwins(randRecords(rand.New(rand.NewSource(23)), 3000, 200), 5, 200)
+		built, err := BuildRecords(opts, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(treeImage(t, built), treeImage(t, writeThrough(t, opts, recs))) {
+			t.Errorf("MaxEntries %d: replay over twin records differs from write-through", opts.MaxEntries)
+		}
+
+		events, start, err := recordEvents(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := New(opts, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tree.Batch(func() error {
+			for _, ev := range events {
+				r := recs[ev.rec]
+				if !ev.insert && tree.located[r.Ref].copies == 2 {
+					if path, _ := tree.locateAliveRecord(r.Rect, r.Ref); path != nil {
+						t.Fatalf("the locator answered for ref %d, which has two alive copies", r.Ref)
+					}
+					leaves := 0
+					for _, n := range tree.resident {
+						if n.leaf && slices.ContainsFunc(n.entries, func(e pentry) bool { return e.alive() && e.ref == r.Ref }) {
+							leaves++
+						}
+					}
+					apart += leaves - 1
+				}
+				applyOne(t, tree, recs, ev)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if apart == 0 {
+		t.Error("no delete met its ref's two copies in different leaves")
+	}
+}
+
+// TestLocatorOnlyWhereTheBracketSawEveryRecord: a bracket over a tree
+// that already holds alive records keeps no locator — one of them may be
+// the twin of a record the bracket adds, in a leaf the bracket never
+// reads — and appending twins of still-alive records builds the pages
+// write-through builds.
+func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
+	opts := Options{MaxEntries: 10}
+	rng := rand.New(rand.NewSource(24))
+	early := randRecords(rng, 1500, 100)
+	for i := range early {
+		if i%3 == 0 {
+			early[i].Interval.End = geom.Now // alive when the second chunk starts
+		}
+	}
+	late := randRecords(rng, 3000, 200)
+	for i := range late {
+		late[i].Interval.Start += 100
+		late[i].Interval.End += 100
+		late[i].Ref += uint64(len(early))
+		if i%4 == 0 {
+			open := early[i/4*3%len(early)] // every third early record stays open
+			late[i].Rect, late[i].Ref = open.Rect, open.Ref
+		}
+	}
+
+	tree, err := BuildRecords(opts, early)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Batch(func() error {
+		if tree.located != nil {
+			t.Error("a bracket over alive records it never saw added keeps a locator")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AppendRecords(late); err != nil {
+		t.Fatal(err)
+	}
+
+	single := writeThrough(t, opts, early)
+	events, _, err := recordEvents(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		applyOne(t, single, late, ev)
+	}
+	if !bytes.Equal(treeImage(t, tree), treeImage(t, single)) {
+		t.Error("appending twins of alive records in a bracket differs from write-through")
+	}
+}
+
+// TestValidateCatchesStaleLocator: each of the locator checks Validate
+// makes inside a bracket fails when the locator is wrong.
+func TestValidateCatchesStaleLocator(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(25)), 600, 50)
+	for i := range recs {
+		recs[i].Interval.End = geom.Now
+	}
+	corrupt := func(name, want string, damage func(tree *Tree, leaf *pnode)) {
+		tree, err := New(Options{MaxEntries: 10}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tree.Batch(func() error {
+			if err := tree.applyEvents(recs, mustEvents(t, recs)); err != nil {
+				return err
+			}
+			if _, err := tree.Validate(); err != nil {
+				t.Fatalf("%s: before the damage: %v", name, err)
+			}
+			path, _ := tree.locateAliveRecord(recs[0].Rect, recs[0].Ref)
+			if len(path) < 2 {
+				t.Fatalf("%s: record 0 located at depth %d", name, len(path))
+			}
+			damage(tree, path[len(path)-1])
+			_, err := tree.Validate()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: Validate returned %v, want an error mentioning %q", name, err, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	otherLeaf := func(tree *Tree, not *pnode) *pnode {
+		for _, n := range tree.resident {
+			if n.leaf && n.live() && n != not {
+				return n
+			}
+		}
+		t.Fatal("the tree has one leaf")
+		return nil
+	}
+	corrupt("record in the wrong leaf", "locator places record", func(tree *Tree, leaf *pnode) {
+		tree.located[recs[0].Ref] = recLoc{leaf: otherLeaf(tree, leaf), copies: 1}
+	})
+	corrupt("entry for a record no longer alive", "alive copies", func(tree *Tree, leaf *pnode) {
+		tree.located[1<<40] = recLoc{leaf: leaf, copies: 1}
+	})
+	corrupt("alive record missing", "the locator knows", func(tree *Tree, leaf *pnode) {
+		delete(tree.located, recs[0].Ref)
+	})
+	corrupt("parent link to another node", "parent link names", func(tree *Tree, leaf *pnode) {
+		for _, n := range tree.resident {
+			if !n.leaf && n.live() && n != leaf.parent {
+				leaf.parent = n
+				return
+			}
+		}
+		leaf.parent = otherLeaf(tree, leaf)
+	})
+}
+
+func mustEvents(t *testing.T, recs []Record) []recordEvent {
+	t.Helper()
+	events, _, err := recordEvents(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}

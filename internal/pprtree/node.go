@@ -55,6 +55,9 @@ type pnode struct {
 	// on one decoded for queries, and it is not maintained there.
 	mbr   geom.Rect
 	dirty bool // in the write-back table and ahead of its page image
+	// parent is the resident directory node holding this node's alive
+	// entry, kept while the bracket keeps a record locator (locate.go).
+	parent *pnode
 }
 
 func (n *pnode) live() bool { return n.endT == geom.Now }
@@ -68,6 +71,17 @@ func (n *pnode) aliveCount() int {
 		}
 	}
 	return c
+}
+
+// aliveSlot returns the index of the first alive record (rect, ref) of a
+// leaf, or -1.
+func (n *pnode) aliveSlot(rect geom.Rect, ref uint64) int {
+	for i, e := range n.entries {
+		if e.alive() && e.ref == ref && e.rect == rect {
+			return i
+		}
+	}
+	return -1
 }
 
 // mbrAll returns the union of every record's rectangle, dead or alive —

@@ -101,6 +101,8 @@ type rootSpan struct {
 // order before Batch returns. So each live node is decoded at most once
 // and written at most once per bracket however many updates touch it.
 // The table holds live nodes only, so it is bounded by the live frontier.
+// A bracket that opens on a tree with no alive record also keeps a record
+// locator (locate.go), so a delete finds its record without a search.
 // An update made outside a bracket is write-through: every node it
 // touches is parsed from its page image and written back before the call
 // returns. Pages are allocated when nodes are created either way, so the
@@ -120,10 +122,15 @@ type Tree struct {
 	size   int        // records inserted (data inserts, not copies)
 	alive  int        // records currently alive
 	encBuf []byte
-	path   []*pnode // descent scratch of the update in progress
+	path   []*pnode        // descent scratch of the update in progress
+	copies []pentry        // version-split scratch: the records being moved
+	ks     keySplitScratch // key-split scratch
 	// resident is the open bracket's write-back table of decoded live
 	// nodes; nil while no bracket is open.
 	resident map[pagefile.PageID]*pnode
+	// located is the open bracket's record locator (locate.go); nil
+	// outside a bracket and in one that opened over alive records.
+	located map[uint64]recLoc
 	// failed poisons the tree after a failed bracket.
 	failed error
 	// backRefs maps a node to every directory page that ever referenced
@@ -266,6 +273,8 @@ func (t *Tree) QueryView() *Tree {
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
 	cp.path = nil
+	cp.copies = nil
+	cp.ks = keySplitScratch{}
 	cp.walk = treewalk.Scratch{}
 	return &cp
 }
@@ -303,11 +312,14 @@ func (t *Tree) Batch(fn func() error) error {
 		return fn()
 	}
 	t.resident = make(map[pagefile.PageID]*pnode)
+	if t.alive == 0 {
+		t.located = make(map[uint64]recLoc)
+	}
 	err := fn()
 	if err == nil {
 		err = t.flushResident()
 	}
-	t.resident = nil
+	t.resident, t.located = nil, nil
 	if err != nil {
 		t.failed = fmt.Errorf("pprtree: tree unusable after failed write-back bracket: %w", err)
 	}

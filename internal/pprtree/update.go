@@ -39,6 +39,7 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 	}
 	leaf := path[len(path)-1]
 	leaf.entries[idx].deleteT = time
+	t.untrackRecord(ref)
 	t.alive--
 	if err := t.fixup(path, time, nil, true); err != nil {
 		return false, err
@@ -68,8 +69,8 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 			if !e.alive() {
 				continue
 			}
-			enl := e.rect.Enlargement(rect)
 			area := e.rect.Area()
+			enl := e.rect.Union(rect).Area() - area // Enlargement, with the area it subtracts kept
 			if best == -1 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 				best, bestEnl, bestArea = i, enl, area
 			}
@@ -86,6 +87,9 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 // chooseLeafPath it returns the tree's path scratch, valid until the next
 // descent.
 func (t *Tree) findAliveRecord(rect geom.Rect, ref uint64) ([]*pnode, int, error) {
+	if path, idx := t.locateAliveRecord(rect, ref); path != nil {
+		return path, idx, nil
+	}
 	t.path = t.path[:0]
 	idx, found, err := t.findBelow(t.liveRoot().page, rect, ref)
 	if err != nil || !found {
@@ -105,10 +109,8 @@ func (t *Tree) findBelow(id pagefile.PageID, rect geom.Rect, ref uint64) (int, b
 	}
 	t.path = append(t.path, n)
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.alive() && e.ref == ref && e.rect == rect {
-				return i, true, nil
-			}
+		if i := n.aliveSlot(rect, ref); i != -1 {
+			return i, true, nil
 		}
 	} else {
 		for _, e := range n.entries {
@@ -142,6 +144,7 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 		}
 		n.appendEntries(adds)
 		t.trackBackRefs(n, adds)
+		t.trackLocation(n, adds)
 		adds = nil
 		if i > 0 && mayUnderflow && n.aliveCount() < t.opts.weakMin() {
 			var err error
@@ -172,8 +175,10 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 // count net-decreased (merge) so weak underflow must be checked there.
 func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, mayUnderflow bool) ([]pentry, bool, error) {
 	n := path[i]
-	copies := t.closeAndCopyAlive(n, time)
-	copies = append(copies, adds...)
+	// The records being moved are gathered in the tree's scratch; newNode
+	// copies what it is given.
+	t.copies = t.closeAndCopyAlive(t.copies[:0], n, time)
+	t.copies = append(t.copies, adds...)
 	if err := t.writeNode(n); err != nil {
 		return nil, false, err
 	}
@@ -188,23 +193,21 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 	}
 
 	merged := false
-	if !isRoot && len(copies) <= t.opts.svuMin() {
-		sibCopies, ok, err := t.mergeSibling(parent, n.id, copies, time)
+	if !isRoot && len(t.copies) <= t.opts.svuMin() {
+		var err error
+		merged, err = t.mergeSibling(parent, n.id, time)
 		if err != nil {
 			return nil, false, err
 		}
-		if ok {
-			copies = append(copies, sibCopies...)
-			merged = true
-		}
 	}
+	copies := t.copies
 
 	var fresh []*pnode
 	switch {
 	case len(copies) == 0:
 		// The subtree died entirely; nothing replaces it.
 	case len(copies) >= t.opts.svoMax() || len(copies) > t.opts.MaxEntries:
-		g1, g2 := keySplit(copies, t.keySplitMin(len(copies)))
+		g1, g2 := t.ks.keySplit(copies, t.keySplitMin(len(copies)))
 		fresh = []*pnode{t.newNode(n.leaf, time, g1), t.newNode(n.leaf, time, g2)}
 	default:
 		fresh = []*pnode{t.newNode(n.leaf, time, copies)}
@@ -229,28 +232,30 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 }
 
 // closeAndCopyAlive closes every alive record of n at time, marks the node
-// dead, and returns copies of those records alive from time onward.
-func (t *Tree) closeAndCopyAlive(n *pnode, time int64) []pentry {
-	var copies []pentry
+// dead, and appends to dst copies of those records alive from time onward.
+func (t *Tree) closeAndCopyAlive(dst []pentry, n *pnode, time int64) []pentry {
 	for j := range n.entries {
 		if n.entries[j].alive() {
 			c := n.entries[j]
 			c.insertT = time
-			copies = append(copies, c)
+			dst = append(dst, c)
 			n.entries[j].deleteT = time
+			if n.leaf {
+				t.untrackRecord(c.ref)
+			}
 		}
 	}
 	n.endT = time
-	return copies
+	return dst
 }
 
 // mergeSibling implements the strong version underflow rule: pick the
 // alive sibling (another alive child of parent) whose rectangle is closest
-// to the dying node's records, version-split it too, and hand its copies
-// over. Returns ok=false when no sibling exists.
-func (t *Tree) mergeSibling(parent *pnode, except pagefile.PageID, copies []pentry, time int64) ([]pentry, bool, error) {
+// to the dying node's records (t.copies), version-split it too, and append
+// its copies to them. Returns false when no sibling exists.
+func (t *Tree) mergeSibling(parent *pnode, except pagefile.PageID, time int64) (bool, error) {
 	mbr := geom.EmptyRect()
-	for _, c := range copies {
+	for _, c := range t.copies {
 		mbr = mbr.Union(c.rect)
 	}
 	best := -1
@@ -265,21 +270,21 @@ func (t *Tree) mergeSibling(parent *pnode, except pagefile.PageID, copies []pent
 		}
 	}
 	if best == -1 {
-		return nil, false, nil
+		return false, nil
 	}
 	sibID := pagefile.PageID(parent.entries[best].ref)
 	sib, err := t.readNode(sibID)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	sibCopies := t.closeAndCopyAlive(sib, time)
+	t.copies = t.closeAndCopyAlive(t.copies, sib, time)
 	if err := t.writeNode(sib); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if err := closeChildEntry(parent, sibID, time); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return sibCopies, true, nil
+	return true, nil
 }
 
 // replaceRoot installs the fresh node(s) produced by a root version split:
@@ -377,12 +382,16 @@ func closeChildEntry(parent *pnode, child pagefile.PageID, time int64) error {
 	return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, child)
 }
 
-// newNode allocates the page of a fresh live node holding entries and
-// registers the back-references of a directory node's.
+// newNode allocates the page of a fresh live node holding a copy of
+// entries, with room for everything the node can come to hold, and
+// registers a directory node's back-references and the entries' place in
+// the bracket's locator.
 func (t *Tree) newNode(leaf bool, time int64, entries []pentry) *pnode {
-	n := &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: entries}
+	own := append(make([]pentry, 0, max(t.opts.MaxEntries, len(entries))), entries...)
+	n := &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: own}
 	n.mbr = n.mbrAll()
-	t.trackBackRefs(n, entries)
+	t.trackBackRefs(n, own)
+	t.trackLocation(n, own)
 	return n
 }
 

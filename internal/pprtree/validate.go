@@ -36,7 +36,11 @@ type CheckReport struct {
 //     running MBR of every node resident in an open bracket equals the
 //     union of its entries' rectangles, and in online mode every
 //     directory entry's child has the node among its back-references
-//     (the sets may over-cover, never miss).
+//     (the sets may over-cover, never miss); and in a bracket that keeps
+//     a record locator, the locator counts exactly the alive copies of
+//     every ref the live tree holds and names the leaf of a ref with one
+//     (so no entry outlives its record or its leaf), and no parent link
+//     points anywhere but at the node holding the child's alive entry.
 //
 // Inside a bracket it walks the resident nodes, not their stale pages. It
 // returns a report of tree-shape statistics on success.
@@ -51,6 +55,7 @@ func (t *Tree) Validate() (CheckReport, error) {
 	}
 	recIntervals := make(map[uint64][]recSpan)
 	seen := make(map[pagefile.PageID]bool)
+	aliveCopies := make(map[uint64]int) // per ref, for the locator
 
 	var walk func(id pagefile.PageID, depth, wantLeafDepth int) error
 	walk = func(id pagefile.PageID, depth, wantLeafDepth int) error {
@@ -104,6 +109,12 @@ func (t *Tree) Validate() (CheckReport, error) {
 				if e.insertT < e.deleteT {
 					recIntervals[e.ref] = append(recIntervals[e.ref], recSpan{iv: e.interval()})
 				}
+				if t.located != nil && e.alive() {
+					aliveCopies[e.ref]++
+					if l := t.located[e.ref]; l.leaf != nil && l.leaf != n {
+						return fmt.Errorf("pprtree: locator places record %d in leaf %d, leaf %d holds it", e.ref, l.leaf.id, id)
+					}
+				}
 				continue
 			}
 			child, err := t.readShared(pagefile.PageID(e.ref))
@@ -112,6 +123,9 @@ func (t *Tree) Validate() (CheckReport, error) {
 			}
 			if _, ok := t.backRefs[child.id][id]; !ok && t.backRefs != nil {
 				return fmt.Errorf("pprtree: node %d references child %d, which has no back-reference to it", id, child.id)
+			}
+			if t.located != nil && e.alive() && child.parent != nil && child.parent != n {
+				return fmt.Errorf("pprtree: node %d holds the alive entry of child %d, whose parent link names node %d", id, child.id, child.parent.id)
 			}
 			if e.insertT < child.startT || e.deleteT > child.endT {
 				return fmt.Errorf("pprtree: node %d entry [%d,%d) not covered by child %d lifetime [%d,%d)",
@@ -154,6 +168,15 @@ func (t *Tree) Validate() (CheckReport, error) {
 		if err := walk(r.page, 1, r.height); err != nil {
 			return rep, err
 		}
+	}
+
+	for ref, l := range t.located {
+		if aliveCopies[ref] != l.copies {
+			return rep, fmt.Errorf("pprtree: locator counts %d alive copies of record %d, the live tree holds %d", l.copies, ref, aliveCopies[ref])
+		}
+	}
+	if len(aliveCopies) > len(t.located) {
+		return rep, fmt.Errorf("pprtree: %d refs are alive in the live tree, the locator knows %d", len(aliveCopies), len(t.located))
 	}
 
 	// Version copies of one record must not overlap in time.

@@ -72,8 +72,8 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 				}
 				overlapDelta += enlarged.OverlapVolume(o.box) - e.box.OverlapVolume(o.box)
 			}
-			enl := enlarged.Volume() - e.box.Volume()
 			vol := e.box.Volume()
+			enl := enlarged.Volume() - vol
 			if i == 0 || overlapDelta < bestOverlap ||
 				(overlapDelta == bestOverlap && (enl < bestEnl ||
 					(enl == bestEnl && vol < bestVol))) {
@@ -84,8 +84,8 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 	}
 	bestEnl, bestVol := 0.0, 0.0
 	for i, e := range n.entries {
-		enl := e.box.Enlargement3(b)
 		vol := e.box.Volume()
+		enl := e.box.UnionBox3(b).Volume() - vol // Enlargement3, with the volume it subtracts kept
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}

@@ -3,6 +3,8 @@ package split
 import (
 	"math/rand"
 	"testing"
+
+	"stindex/internal/datagen"
 )
 
 func BenchmarkDPSplit(b *testing.B) {
@@ -26,6 +28,25 @@ func BenchmarkMergeSplit(b *testing.B) {
 				MergeSplit(o, n/2)
 			}
 		})
+	}
+}
+
+// BenchmarkMergePlan is the split stage of an offline build on one core:
+// a full merge run per object over datagen.Random objects, whose linear
+// motion pieces give the candidate heap the exact ties generated data has
+// (random-walk objects have none). One op plans 2 000 objects (101 552
+// instants); each plan allocates its curve and its merge order.
+func BenchmarkMergePlan(b *testing.B) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 2000, Horizon: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range objs {
+			MergePlan(o, nil)
+		}
 	}
 }
 

@@ -114,39 +114,48 @@ type mergeScratch struct {
 // The candidate heap performs exactly container/heap's sift sequence
 // (Init, Push, Pop over a Less of "increase <"), so candidates of equal
 // increase pop in the order they always have and every cut is unchanged;
-// it only drops the interface boxing of each pushed and popped element.
+// it only drops the interface boxing of each pushed and popped element,
+// and a sift carries its element in a local and moves the hole — one
+// store per level where a swap makes two — which compares the same pairs
+// and leaves the same layout. The pop order among equal increases is
+// part of what a record file is (DESIGN.md, "Split plans"): do not
+// replace the queue by one that breaks ties differently.
 
 func (s *mergeScratch) heapInit() {
 	n := len(s.h)
 	for i := n/2 - 1; i >= 0; i-- {
-		s.heapDown(i, n)
+		s.heapDown(i, n, s.h[i])
 	}
 }
 
 func (s *mergeScratch) heapPush(c mergeCand) {
 	s.h = append(s.h, c)
 	h := s.h
-	for j := len(h) - 1; ; {
+	j := len(h) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].increase < h[i].increase) {
+		if !(c.increase < h[i].increase) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = c
 }
 
 func (s *mergeScratch) heapPop() mergeCand {
 	h := s.h
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	s.heapDown(0, n)
-	c := h[n]
+	c := h[0]
+	if n > 0 {
+		s.heapDown(0, n, h[n])
+	}
 	s.h = h[:n]
 	return c
 }
 
-func (s *mergeScratch) heapDown(i, n int) {
+// heapDown sifts x down from the hole at i within h[:n].
+func (s *mergeScratch) heapDown(i, n int, x mergeCand) {
 	h := s.h
 	for {
 		j := 2*i + 1
@@ -156,12 +165,13 @@ func (s *mergeScratch) heapDown(i, n int) {
 		if j2 := j + 1; j2 < n && h[j2].increase < h[j].increase {
 			j = j2
 		}
-		if !(h[j].increase < h[i].increase) {
+		if !(h[j].increase < x.increase) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = x
 }
 
 var mergeScratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}

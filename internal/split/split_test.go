@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"stindex/internal/datagen"
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
 )
@@ -103,6 +104,68 @@ func TestMergeSplitMatchesNaive(t *testing.T) {
 				trial, n, k, fast.Volume, naive.Volume)
 		}
 	}
+}
+
+// TestMergeDivergesFromNaiveOnlyAtTies runs the lazy heap where ties are
+// common: datagen.Random objects move in linear pieces, so neighbouring
+// merges often cost bit-equal increases. MergePlan's merge order is
+// replayed beside the rescan greedy, which takes the leftmost cheapest
+// pair; the two may part ways, and where they first do the heap's pair
+// must cost exactly what the leftmost cheapest costs — it chose among
+// equals, never a dearer merge. (After that the states differ and are
+// not comparable.) This is also why the heap's pop order among equal
+// increases is pinned: it decides cuts on ordinary data.
+func TestMergeDivergesFromNaiveOnlyAtTies(t *testing.T) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 1500, Horizon: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seg struct {
+		lo, hi int
+		rect   geom.Rect
+		vol    float64
+	}
+	diverged := 0
+	for _, o := range objs {
+		n := o.Len()
+		segs := make([]seg, n)
+		for i := range segs {
+			r := o.InstantRect(i)
+			segs[i] = seg{lo: i, hi: i + 1, rect: r, vol: VolumeMeasure(r, 1)}
+		}
+		for j, cut := range MergePlan(o, nil).order {
+			naive, heap := -1, -1
+			var naiveInc, heapInc float64
+			for i := 0; i+1 < len(segs); i++ {
+				u := segs[i].rect.Union(segs[i+1].rect)
+				inc := VolumeMeasure(u, int64(segs[i+1].hi-segs[i].lo)) - segs[i].vol - segs[i+1].vol
+				if naive == -1 || inc < naiveInc {
+					naive, naiveInc = i, inc
+				}
+				if segs[i+1].lo == int(cut) {
+					heap, heapInc = i, inc
+				}
+			}
+			if heap == -1 {
+				t.Fatalf("object %d merge %d: the plan removes cut %d, which is not a boundary of the replayed state", o.ID, j, cut)
+			}
+			if heap != naive {
+				if math.Float64bits(heapInc) != math.Float64bits(naiveInc) {
+					t.Fatalf("object %d merge %d: the heap merges at cut %d for %v, the cheapest pair (cut %d) costs %v",
+						o.ID, j, cut, heapInc, segs[naive+1].lo, naiveInc)
+				}
+				diverged++
+				break
+			}
+			u := segs[heap].rect.Union(segs[heap+1].rect)
+			segs[heap] = seg{lo: segs[heap].lo, hi: segs[heap+1].hi, rect: u, vol: VolumeMeasure(u, int64(segs[heap+1].hi-segs[heap].lo))}
+			segs = append(segs[:heap+1], segs[heap+2:]...)
+		}
+	}
+	if diverged == 0 {
+		t.Fatal("the heap never met a tie it broke differently from the leftmost rule: this data no longer exercises ties")
+	}
+	t.Logf("%d of %d objects: heap and leftmost-tie greedy part ways, each time at an exact tie", diverged, len(objs))
 }
 
 func TestMergeCurveMatchesMergeSplit(t *testing.T) {

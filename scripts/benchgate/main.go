@@ -5,8 +5,8 @@
 // is a hard failure; ns/op depends on the runner and is only printed as a
 // warning when it is more than 25% above the row.
 //
-//	go test . ./internal/alloc ./internal/rstar ./internal/pprtree ./internal/stream -run NONE \
-//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkBuild$|BenchmarkStreamApply' \
+//	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/pprtree ./internal/stream -run NONE \
+//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkBuild$|BenchmarkStreamApply' \
 //	    -benchtime 3x | go run ./scripts/benchgate BENCH_parallel.json
 package main
 

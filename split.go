@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"stindex/internal/alloc"
+	"stindex/internal/geom"
 	"stindex/internal/split"
-	"stindex/internal/trajectory"
 )
 
 // Splitter selects the single-object splitting algorithm (paper §III-A).
@@ -113,13 +113,13 @@ func SplitDataset(objs []*Object, cfg SplitConfig) ([]Record, SplitReport, error
 	if err != nil {
 		return nil, SplitReport{}, err
 	}
-	return splitPlanned(inner, alloc.PlanCurves(inner, planner, m, cfg.Parallelism), cfg)
+	return splitPlanned(alloc.PlanCurves(inner, planner, m, cfg.Parallelism), cfg)
 }
 
 // splitPlanned distributes cfg.Budget over the planned collection and
 // reads the records off the plans: the per-budget half of SplitDataset,
 // which a caller trying several budgets repeats over one set of plans.
-func splitPlanned(objs []*trajectory.Object, curves *alloc.Curves, cfg SplitConfig) ([]Record, SplitReport, error) {
+func splitPlanned(curves *alloc.Curves, cfg SplitConfig) ([]Record, SplitReport, error) {
 	var rep SplitReport
 	if cfg.Budget < 0 {
 		return nil, rep, fmt.Errorf("stindex: negative split budget %d", cfg.Budget)
@@ -145,8 +145,15 @@ func splitPlanned(objs []*trajectory.Object, curves *alloc.Curves, cfg SplitConf
 		return nil, rep, err
 	}
 	records := flattenResults(results)
-	for _, o := range objs {
-		rep.UnsplitTotal += o.MBR().Volume()
+	for _, r := range results {
+		// An object's MBR is the union of its boxes under any splitting —
+		// min and max select a coordinate, they never round — so this is
+		// o.MBR() bit for bit without a second pass over every instant.
+		mbr := r.Boxes[0].Rect
+		for _, b := range r.Boxes[1:] {
+			mbr = mbr.Union(b.Rect)
+		}
+		rep.UnsplitTotal += geom.NewBox(mbr, r.Object.Lifetime()).Volume()
 	}
 	rep.Records = len(records)
 	rep.UsedSplits = a.Used()

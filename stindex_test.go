@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -115,6 +116,14 @@ func TestSplitConfigVariants(t *testing.T) {
 		{Budget: 120, Splitter: SplitterMerge, Distribution: DistributionGreedy},
 		{Budget: 120, Splitter: SplitterMerge, Distribution: DistributionLAGreedy, LookaheadDepth: 3},
 	}
+	// The report's unsplit volume is read off each splitting's boxes; it
+	// must be the sum of the objects' own MBR volumes in object order,
+	// to the bit, whatever the splitting.
+	unsplit := 0.0
+	for _, o := range objs {
+		unsplit += o.inner.MBR().Volume()
+	}
+	variants = append(variants, SplitConfig{Budget: 120, QueryAware: &QueryProfile{ExtentX: 0.05, ExtentY: 0.05, Duration: 1}})
 	var volumes []float64
 	for i, cfg := range variants {
 		records, rep, err := SplitDataset(objs, cfg)
@@ -123,6 +132,9 @@ func TestSplitConfigVariants(t *testing.T) {
 		}
 		if len(records) == 0 {
 			t.Fatalf("variant %d produced no records", i)
+		}
+		if math.Float64bits(rep.UnsplitTotal) != math.Float64bits(unsplit) {
+			t.Fatalf("variant %d: UnsplitTotal %v, the objects' MBRs sum to %v", i, rep.UnsplitTotal, unsplit)
 		}
 		volumes = append(volumes, rep.TotalVolume)
 	}
