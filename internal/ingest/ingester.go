@@ -212,13 +212,17 @@ func (in *Ingester) Submit(recs []Record) (uint64, error) {
 func (in *Ingester) SubmitObservations(obs []stio.Observation) (uint64, error) {
 	recs := make([]Record, len(obs))
 	for i, o := range obs {
-		if o.Final {
-			recs[i] = Record{Kind: RecFinish, ObjectID: o.ObjectID, T: o.T}
-		} else {
-			recs[i] = Record{Kind: RecObserve, ObjectID: o.ObjectID, T: o.T, Rect: o.Rect}
-		}
+		recs[i] = recordOf(o)
 	}
 	return in.Submit(recs)
+}
+
+// recordOf is the journal record of one feed event.
+func recordOf(o stio.Observation) Record {
+	if o.Final {
+		return Record{Kind: RecFinish, ObjectID: o.ObjectID, T: o.T}
+	}
+	return Record{Kind: RecObserve, ObjectID: o.ObjectID, T: o.T, Rect: o.Rect}
 }
 
 // writer is the single mutator: it drains the queue in groups, validates

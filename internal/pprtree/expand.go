@@ -79,22 +79,33 @@ func (t *Tree) ExpandAlive(oldRect geom.Rect, ref uint64, add geom.Rect, time in
 	return t.propagateGrowth(leaf.id, grown)
 }
 
+// growthStep is one node whose routing entries must come to contain rect.
+type growthStep struct {
+	child pagefile.PageID
+	rect  geom.Rect
+}
+
 // propagateGrowth walks the parent back-references breadth-first,
 // enlarging every entry that points at a grown child until all routing
-// rectangles contain the grown region again.
+// rectangles contain the grown region again. Every parent costs one
+// request of the pool, resident nodes aside; a historical parent is
+// decoded only when its image holds an entry to enlarge (growthNeedsNode).
 func (t *Tree) propagateGrowth(child pagefile.PageID, grown geom.Rect) error {
-	type work struct {
-		child pagefile.PageID
-		rect  geom.Rect
-	}
-	queue := []work{{child: child, rect: grown}}
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
+	t.growth = append(t.growth[:0], growthStep{child: child, rect: grown})
+	for head := 0; head < len(t.growth); head++ {
+		w := t.growth[head]
 		for parentID := range t.backRefs[w.child] {
-			parent, err := t.readNode(parentID)
+			parent, data, err := t.residentOrImage(parentID)
 			if err != nil {
 				return err
+			}
+			if parent == nil {
+				if !growthNeedsNode(data, w.child, w.rect) {
+					continue
+				}
+				if parent, err = t.decodeForUpdate(parentID, data); err != nil {
+					return err
+				}
 			}
 			changed := false
 			for i := range parent.entries {
@@ -110,7 +121,7 @@ func (t *Tree) propagateGrowth(child pagefile.PageID, grown geom.Rect) error {
 				if err := t.writeNode(parent); err != nil {
 					return err
 				}
-				queue = append(queue, work{child: parentID, rect: w.rect})
+				t.growth = append(t.growth, growthStep{child: parentID, rect: w.rect})
 			}
 		}
 	}

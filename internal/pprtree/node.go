@@ -74,10 +74,11 @@ func (n *pnode) aliveCount() int {
 }
 
 // aliveSlot returns the index of the first alive record (rect, ref) of a
-// leaf, or -1.
+// leaf, or -1. It tests the ref first and in place: nearly every entry
+// fails there, on one word, without being copied out of the slice.
 func (n *pnode) aliveSlot(rect geom.Rect, ref uint64) int {
-	for i, e := range n.entries {
-		if e.alive() && e.ref == ref && e.rect == rect {
+	for i := range n.entries {
+		if e := &n.entries[i]; e.ref == ref && e.alive() && e.rect == rect {
 			return i
 		}
 	}
@@ -143,6 +144,43 @@ func (n *pnode) encode(buf []byte) []byte {
 		off += pentrySize
 	}
 	return buf
+}
+
+// growthNeedsNode reports, off a parent's page image, whether
+// propagateGrowth has to decode it: the node is live (a live node joins
+// the open bracket's table on its first read, and later reads count on
+// finding it there), or one of its entries for child does not contain
+// rect yet, or the image is too short for its header or its count and
+// decodePNode is to word the error. A historical parent whose entries
+// for the child all contain the grown rectangle — most of them: a
+// rectangle grows by little and a routing rectangle covers many records —
+// needs nothing but this scan of its fixed-size entries.
+func growthNeedsNode(data []byte, child pagefile.PageID, rect geom.Rect) bool {
+	if len(data) < pnodeHeaderSize {
+		return true
+	}
+	count := int(binary.LittleEndian.Uint16(data[2:]))
+	if len(data) < pnodeHeaderSize+count*pentrySize {
+		return true
+	}
+	if int64(binary.LittleEndian.Uint64(data[16:])) == geom.Now {
+		return true
+	}
+	for off := pnodeHeaderSize; count > 0; count, off = count-1, off+pentrySize {
+		if binary.LittleEndian.Uint64(data[off+48:]) != uint64(child) {
+			continue
+		}
+		held := geom.Rect{
+			MinX: math.Float64frombits(binary.LittleEndian.Uint64(data[off:])),
+			MinY: math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
+			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
+			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(data[off+24:])),
+		}
+		if !held.Contains(rect) {
+			return true
+		}
+	}
+	return false
 }
 
 func decodePNode(id pagefile.PageID, data []byte) (*pnode, error) {

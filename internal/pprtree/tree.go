@@ -139,6 +139,7 @@ type Tree struct {
 	// registered when its entry is added to a directory node.
 	backRefs map[pagefile.PageID]map[pagefile.PageID]struct{}
 	walk     treewalk.Scratch // pooled query scratch
+	growth   []growthStep     // propagateGrowth's queue
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -216,16 +217,29 @@ func (t *Tree) rootAt(q int64) *rootSpan {
 // back: the resident node inside a bracket, otherwise a private copy
 // parsed fresh from the buffered image.
 func (t *Tree) readNode(id pagefile.PageID) (*pnode, error) {
+	n, data, err := t.residentOrImage(id)
+	if n != nil || err != nil {
+		return n, err
+	}
+	return t.decodeForUpdate(id, data)
+}
+
+// residentOrImage is the first half of readNode: the bracket's resident
+// node, or else the page's image through the pool — one request.
+func (t *Tree) residentOrImage(id pagefile.PageID) (*pnode, []byte, error) {
 	if t.failed != nil {
-		return nil, t.failed
+		return nil, nil, t.failed
 	}
 	if n, ok := t.resident[id]; ok {
-		return n, nil
+		return n, nil, nil
 	}
 	data, err := t.buf.Read(id)
-	if err != nil {
-		return nil, err
-	}
+	return nil, data, err
+}
+
+// decodeForUpdate is the second half: the parse, and for a live node the
+// running MBR and its place in the open bracket's table.
+func (t *Tree) decodeForUpdate(id pagefile.PageID, data []byte) (*pnode, error) {
 	n, err := decodePNode(id, data)
 	if err != nil {
 		return nil, err
@@ -275,6 +289,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.path = nil
 	cp.copies = nil
 	cp.ks = keySplitScratch{}
+	cp.growth = nil
 	cp.walk = treewalk.Scratch{}
 	return &cp
 }

@@ -21,7 +21,10 @@ type Observation struct {
 	Final    bool
 }
 
-type observationLine struct {
+// ObservationLine is the wire form of one event, in a feed file and in a
+// POST /ingest body alike: what encoding/json decodes an object into, and
+// what ScanObservations reads the canonical spelling of directly.
+type ObservationLine struct {
 	ObjectID int64   `json:"id"`
 	T        int64   `json:"t"`
 	MinX     float64 `json:"minx,omitempty"`
@@ -31,12 +34,22 @@ type observationLine struct {
 	Final    bool    `json:"final,omitempty"`
 }
 
+// Observation is the event the line spells; a final event has no
+// rectangle, whatever coordinates came with it.
+func (l ObservationLine) Observation() Observation {
+	o := Observation{ObjectID: l.ObjectID, T: l.T, Final: l.Final}
+	if !l.Final {
+		o.Rect = geom.Rect{MinX: l.MinX, MinY: l.MinY, MaxX: l.MaxX, MaxY: l.MaxY}
+	}
+	return o
+}
+
 // WriteObservations streams events to w, one JSON object per line.
 func WriteObservations(w io.Writer, obs []Observation) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, o := range obs {
-		line := observationLine{ObjectID: o.ObjectID, T: o.T, Final: o.Final}
+		line := ObservationLine{ObjectID: o.ObjectID, T: o.T, Final: o.Final}
 		if !o.Final {
 			line.MinX, line.MinY, line.MaxX, line.MaxY = o.Rect.MinX, o.Rect.MinY, o.Rect.MaxX, o.Rect.MaxY
 		}
@@ -52,18 +65,15 @@ func ReadObservations(r io.Reader) ([]Observation, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var out []Observation
 	for lineNo := 1; ; lineNo++ {
-		var line observationLine
+		var line ObservationLine
 		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("stio: observation %d: %w", lineNo, err)
 		}
-		o := Observation{ObjectID: line.ObjectID, T: line.T, Final: line.Final}
-		if !line.Final {
-			o.Rect = geom.Rect{MinX: line.MinX, MinY: line.MinY, MaxX: line.MaxX, MaxY: line.MaxY}
-			if !o.Rect.Valid() {
-				return nil, fmt.Errorf("stio: observation %d: invalid rect", lineNo)
-			}
+		o := line.Observation()
+		if !o.Final && !o.Rect.Valid() {
+			return nil, fmt.Errorf("stio: observation %d: invalid rect", lineNo)
 		}
 		out = append(out, o)
 	}

@@ -1,13 +1,18 @@
 package stindex
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"stindex/internal/datagen"
+	"stindex/internal/stio"
 )
 
 // The digests below were recorded on the commit before the offline build
@@ -117,6 +122,74 @@ func TestBuildBytesPinned(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Errorf("seed %d: %d digests computed, %d pinned", seed, len(got), len(want))
+		}
+	}
+}
+
+// The stream-image pins were recorded on the commit before ExpandAlive
+// began reading historical parents off their page images: the two paths
+// TestBracketGroupsMatchWriteThrough compares both run that code, so a
+// peek that is wrong the same way twice shows only here.
+var pinnedStreamImages = map[string]string{
+	"identity":   "b5def4b22088aca1437932ba0de23e8bacaebe1897c1529bbbdf013a751d2992",
+	"compressed": "180e600b22cb22aa710dc7f382ceb9d643c49f71ed6f7e4f9fc0579567817803",
+	"pool":       "requests=16349 writes=11997",
+}
+
+// TestStreamImagePinned feeds a stream index a generated feed in brackets
+// of 256 events, as ingest commit groups do, and pins the encoded image
+// under both codecs and the page traffic of the tree's pool. Eight-entry
+// nodes make the history deep. Of the pool's statistics the requests
+// (hits + misses) and the writes are pinned: a parent read skipped or
+// added moves them. How the requests divide into hits and misses is not
+// a constant of the feed — a grown node's parents are visited in map
+// order, and the order decides what a sixteen-page pool still holds.
+func TestStreamImagePinned(t *testing.T) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 400, Horizon: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := stio.ObservationsFromObjects(objs)
+	six, err := NewStreamIndex(StreamOptions{Lambda: 0.01, PPR: PPROptions{MaxEntries: 8, BufferPages: 16}}, obs[0].T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(obs); lo += 256 {
+		group := obs[lo:min(lo+256, len(obs))]
+		err := six.Tree().Batch(func() error {
+			for _, o := range group {
+				var err error
+				if o.Final {
+					err = six.Finish(o.ObjectID, o.T)
+				} else {
+					err = six.Observe(o.ObjectID, o.T, Rect{MinX: o.Rect.MinX, MinY: o.Rect.MinY, MaxX: o.Rect.MaxX, MaxY: o.Rect.MaxY})
+				}
+				if err != nil {
+					return fmt.Errorf("object %d at %d: %w", o.ObjectID, o.T, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := six.Tree().Buffer().Stats()
+	got := map[string]string{"pool": fmt.Sprintf("requests=%d writes=%d", st.Reads+st.Hits, st.Writes)}
+	if _, err := six.Tree().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, codec := range map[string]Codec{"identity": CodecIdentity, "compressed": CodecCompressed} {
+		var buf bytes.Buffer
+		if _, err := EncodeIndexOptions(&buf, six, SaveOptions{Codec: codec}); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[name] = hex.EncodeToString(sum[:])
+	}
+	for name, want := range pinnedStreamImages {
+		if got[name] != want {
+			t.Errorf("%s: %s, pinned %s", name, got[name], want)
 		}
 	}
 }

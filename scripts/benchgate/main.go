@@ -1,12 +1,13 @@
 // Command benchgate holds `go test -bench` output, piped on stdin, to the
 // rows committed in a BENCH file: every benchmark the file records must
 // have run, and none may allocate more than 25% above its committed
-// "after" row. Allocation counts repeat exactly from run to run, so that
-// is a hard failure; ns/op depends on the runner and is only printed as a
-// warning when it is more than 25% above the row.
+// "after" row — in allocs/op, and in B/op where the row records it.
+// Allocation counts and sizes repeat from run to run, so that is a hard
+// failure; ns/op depends on the runner and is only printed as a warning
+// when it is more than 25% above the row.
 //
-//	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/pprtree ./internal/stream -run NONE \
-//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkBuild$|BenchmarkStreamApply' \
+//	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/pprtree ./internal/stream ./internal/ingest -run NONE \
+//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkBuild$|BenchmarkStreamApply|BenchmarkDecodeBatch' \
 //	    -benchtime 3x | go run ./scripts/benchgate BENCH_parallel.json
 package main
 
@@ -24,6 +25,7 @@ import (
 type row struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"` // 0: not recorded, not held
 }
 
 type benchFile struct {
@@ -70,6 +72,8 @@ func main() {
 				r.NsPerOp = v
 			case "allocs/op":
 				r.AllocsPerOp = v
+			case "B/op":
+				r.BytesPerOp = v
 			}
 		}
 		measured[procSuffix.ReplaceAllString(f[0], "")] = r
@@ -97,6 +101,10 @@ func main() {
 			fmt.Printf("FAIL: %s allocates %.0f allocs/op, committed row %.0f (+25%% allowed)\n",
 				name, got.AllocsPerOp, want.AllocsPerOp)
 			failed = true
+		case want.BytesPerOp > 0 && got.BytesPerOp > want.BytesPerOp*slack:
+			fmt.Printf("FAIL: %s allocates %.0f B/op, committed row %.0f (+25%% allowed)\n",
+				name, got.BytesPerOp, want.BytesPerOp)
+			failed = true
 		case got.NsPerOp > want.NsPerOp*slack:
 			fmt.Printf("warning: %s took %.0f ns/op, committed row %.0f (wall clock is not gated)\n",
 				name, got.NsPerOp, want.NsPerOp)
@@ -105,7 +113,7 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks within 25%% of their committed allocs/op\n", len(names))
+	fmt.Printf("benchgate: %d benchmarks within 25%% of their committed allocs/op and B/op\n", len(names))
 }
 
 func die(format string, args ...interface{}) {
