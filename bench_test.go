@@ -9,6 +9,7 @@ package stindex_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"stindex/internal/alloc"
 	"stindex/internal/datagen"
 	"stindex/internal/experiments"
+	"stindex/internal/pagefile"
 	"stindex/internal/split"
 )
 
@@ -714,4 +716,132 @@ func BenchmarkMeasureWorkloadParallel(b *testing.B) {
 			b.ReportMetric(base.AvgIO, "avg-io")
 		})
 	}
+}
+
+// reopenCompressed saves idx under the compressed codec and reopens the
+// container lazily with the given read flavour; the benchmark's cleanup
+// closes it.
+func reopenCompressed(b *testing.B, idx stx.Index, backend stx.Backend) stx.Index {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "idx.sti")
+	if err := stx.SaveIndexOptions(path, idx, stx.SaveOptions{Codec: stx.CodecCompressed}); err != nil {
+		b.Fatal(err)
+	}
+	opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: backend})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { stx.CloseIndex(opened) })
+	return opened
+}
+
+// coldBenchRecords is the record set behind the two cold-read benchmarks:
+// 8 000 random objects split at a 150% budget.
+func coldBenchRecords(b *testing.B) []stx.Record {
+	b.Helper()
+	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: 8000, Horizon: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	records, _, err := stx.SplitDataset(objs, stx.SplitConfig{Budget: 12000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return records
+}
+
+// BenchmarkDecodePage is the cost of one pool miss over a compressed
+// container, less the read syscall: every live page of a built, saved and
+// mapped tree of each layout read through its store — a copy out of the
+// mapping and the codec decode. Built pages, not random ones: neighbours
+// in a packed or time-ordered node XOR to short coordinates, and the
+// decoder's cost follows their lengths.
+func BenchmarkDecodePage(b *testing.B) {
+	records := coldBenchRecords(b)
+	for _, kind := range []struct {
+		name  string
+		store func() pagefile.Store
+	}{
+		{"rstar", func() pagefile.Store {
+			idx, err := stx.BuildRStarPacked(records, stx.RStarOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return reopenCompressed(b, idx, stx.BackendMmap).(*stx.RStarIndex).Tree().Store()
+		}},
+		{"ppr", func() pagefile.Store {
+			idx, err := stx.BuildPPR(records, stx.PPROptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return reopenCompressed(b, idx, stx.BackendMmap).(*stx.PPRIndex).Tree().Store()
+		}},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			store := kind.store()
+			var live []pagefile.PageID
+			for id := 0; id < store.NumAllocated(); id++ {
+				if store.Check(pagefile.PageID(id)) == nil {
+					live = append(live, pagefile.PageID(id))
+				}
+			}
+			page := make([]byte, store.PageSize())
+			b.SetBytes(int64(len(page)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := store.ReadPage(live[i%len(live)], page); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkColdRange is serve-cold's query in process: a packed R*-tree
+// in a compressed container opened for positioned reads, the ten-page
+// buffer reset before each query, so every node visited is a pread and a
+// decode. One operation is one pass over a fixed list shaped like the
+// benchmark's — wide snapshot windows alternating with narrower ranges of
+// up to a tenth of the horizon.
+func BenchmarkColdRange(b *testing.B) {
+	built, err := stx.BuildRStarPacked(coldBenchRecords(b), stx.RStarOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := reopenCompressed(b, built, stx.BackendDisk)
+	rng := rand.New(rand.NewSource(3))
+	window := func(lo, hi float64) stx.Rect {
+		w, h := lo+rng.Float64()*(hi-lo), lo+rng.Float64()*(hi-lo)
+		x, y := rng.Float64()*(1-w), rng.Float64()*(1-h)
+		return stx.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
+	}
+	queries := make([]stx.Query, 64)
+	for i := range queries {
+		if i%2 == 0 {
+			t := rng.Int63n(1000)
+			queries[i] = stx.Query{Rect: window(0.3, 0.6), Interval: stx.Interval{Start: t, End: t + 1}}
+		} else {
+			d := 40 + rng.Int63n(61)
+			t := rng.Int63n(1000 - d)
+			queries[i] = stx.Query{Rect: window(0.08, 0.2), Interval: stx.Interval{Start: t, End: t + d}}
+		}
+	}
+	ids, reads := 0, int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, reads = 0, 0
+		for _, q := range queries {
+			idx.ResetBuffer() // empties the pool and zeroes its counters
+			got, err := idx.Range(q.Rect, q.Interval)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids += len(got)
+			reads += idx.IOStats().Reads
+		}
+	}
+	b.ReportMetric(float64(reads)/float64(len(queries)), "reads/query")
+	b.ReportMetric(float64(ids)/float64(len(queries)), "ids/query")
 }

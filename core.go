@@ -100,6 +100,37 @@ type treeIndex[O ownerTable] struct {
 	search refSearch
 	owners O
 	kind   string
+	// Answer scratch, pooled on the index (or the query view of it) like
+	// the tree's treewalk.Scratch and no safer for concurrent use: the set
+	// of owners a window query has emitted, and the per-owner piece counts
+	// of a trajectory query.
+	seen   map[int64]bool
+	counts map[int64]int
+}
+
+// pooledAnswerCap is the largest answer whose scratch map goes back to
+// the pool. A wider one is left to the collector: a map never shrinks,
+// and every view of every shard would otherwise hold on to the footprint
+// of the widest answer it ever gave.
+const pooledAnswerCap = 1024
+
+// borrowMap takes the pooled map, cleared, leaving the pool empty — a
+// query started from inside a callback makes its own. Pair with
+// returnMap.
+func borrowMap[V any](pool *map[int64]V) map[int64]V {
+	m := *pool
+	*pool = nil
+	if m == nil {
+		return make(map[int64]V)
+	}
+	clear(m)
+	return m
+}
+
+func returnMap[V any](pool *map[int64]V, m map[int64]V) {
+	if len(m) <= pooledAnswerCap {
+		*pool = m
+	}
 }
 
 // owner is the one owner lookup of the query path. A reference the table
@@ -120,7 +151,8 @@ func (c *treeIndex[O]) owner(ref uint64, dangling *error) (id int64, ok bool) {
 func (c *treeIndex[O]) ids(search func(emit func(geom.Rect, uint64) bool) error) ([]int64, error) {
 	var out []int64
 	var dangling error
-	seen := make(map[int64]bool)
+	seen := borrowMap(&c.seen)
+	defer func() { returnMap(&c.seen, seen) }()
 	err := search(func(_ geom.Rect, ref uint64) bool {
 		id, ok := c.owner(ref, &dangling)
 		if ok && !seen[id] {
@@ -174,7 +206,8 @@ func (c *treeIndex[O]) Nearest(x, y float64, t int64, k int) ([]Neighbor, error)
 // piece) once, so counting references per owner yields the multi-entry
 // trajectory answer.
 func (c *treeIndex[O]) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	counts := make(map[int64]int)
+	counts := borrowMap(&c.counts)
+	defer func() { returnMap(&c.counts, counts) }()
 	var dangling error
 	err := c.search.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
 		id, ok := c.owner(ref, &dangling)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"stindex/internal/service"
 	"stindex/internal/stio"
 )
 
@@ -40,7 +41,7 @@ func NewHandler(in *Ingester) http.Handler {
 		}
 		recs, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBody), r.ContentLength)
 		if err != nil {
-			httpError(w, bodyStatus(err), err.Error())
+			httpError(w, service.BodyStatus(err), err.Error())
 			return
 		}
 		seq, err := in.Submit(recs)
@@ -60,7 +61,7 @@ func NewHandler(in *Ingester) http.Handler {
 			T        int64  `json:"t"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			httpError(w, bodyStatus(err), fmt.Sprintf("parsing finish request: %v", err))
+			httpError(w, service.BodyStatus(err), fmt.Sprintf("parsing finish request: %v", err))
 			return
 		}
 		rec := Record{Kind: RecFinishAll, T: req.T}
@@ -181,17 +182,6 @@ func decodeJSON(obs []stio.Observation, data []byte) ([]stio.Observation, error)
 		}
 		obs = append(obs, line.Observation())
 	}
-}
-
-// bodyStatus maps a failure to read or parse a request body to its HTTP
-// status: 413 when the body is over the limit — the client should cut the
-// batch and resend — 400 when it is malformed.
-func bodyStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // ingestStatus maps a Submit error to its HTTP status.

@@ -3,6 +3,7 @@ package pagefile
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -56,7 +57,7 @@ func writeLayoutPage(buf []byte, layout Layout, count int, leaf bool, rng *rand.
 			binary.LittleEndian.PutUint64(buf[off+40:], uint64(dt))
 		}
 		ref += uint64(rng.Intn(5) + 1)
-		binary.LittleEndian.PutUint64(buf[off+sp.refOff():], ref)
+		binary.LittleEndian.PutUint64(buf[off+cpRefOff:], ref)
 	}
 }
 
@@ -494,10 +495,160 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 	}
 }
 
+// refDecodeEntry is decodeEntry as it stood before the word-at-a-time
+// kernel: every field through the checked cursor, each coordinate
+// assembled a byte at a time. It is the reference FuzzDecodePage holds the
+// decoder to, so it shares nothing with it but the cursor.
+func refDecodeEntry(r *cpReader, dst []byte, off, prevOff int, sp layoutSpec) {
+	var lens [6]int
+	for i := 0; i < sp.coords; i += 2 {
+		b := r.u8()
+		lens[i] = int(b >> 4)
+		lens[i+1] = int(b & 0x0f)
+	}
+	half := sp.coords / 2
+	for i := 0; i < sp.coords; i++ {
+		if lens[i] > 8 {
+			r.err = true
+			return
+		}
+		raw := r.take(lens[i])
+		if r.err {
+			return
+		}
+		var x uint64
+		for j, bb := range raw {
+			x |= uint64(bb) << (8 * j)
+		}
+		var ref uint64
+		if i < half {
+			if prevOff >= 0 {
+				ref = binary.LittleEndian.Uint64(dst[prevOff+8*i:])
+			}
+		} else {
+			ref = binary.LittleEndian.Uint64(dst[off+8*(i-half):])
+		}
+		binary.LittleEndian.PutUint64(dst[off+8*i:], x^ref)
+	}
+	if sp.times {
+		var prevIt int64
+		if prevOff >= 0 {
+			prevIt = int64(binary.LittleEndian.Uint64(dst[prevOff+32:]))
+		}
+		it := prevIt + unzigzag(r.uvarint())
+		dt := cpNowSentinel
+		if d := r.uvarint(); d != 0 {
+			dt = it + unzigzag(d-1)
+		}
+		binary.LittleEndian.PutUint64(dst[off+32:], uint64(it))
+		binary.LittleEndian.PutUint64(dst[off+40:], uint64(dt))
+	}
+	var prevRef uint64
+	if prevOff >= 0 {
+		prevRef = binary.LittleEndian.Uint64(dst[prevOff+cpRefOff:])
+	}
+	binary.LittleEndian.PutUint64(dst[off+cpRefOff:], prevRef+uint64(unzigzag(r.uvarint())))
+}
+
+// refDecodeStruct is the reference decoder of the two modes that hold
+// struct-coded entries (struct, and delta's literal entries): the whole
+// frame cleared first, then the header and refDecodeEntry per entry. enc
+// must start with one of those two mode bytes.
+func refDecodeStruct(enc, dst []byte, sp layoutSpec, structOK bool, id uint32, fetchBase func(uint32) ([]byte, error)) error {
+	if !structOK {
+		return fmt.Errorf("struct-coded page %d in opaque extent", id)
+	}
+	r := &cpReader{b: enc, off: 1}
+	var img []byte
+	baseCount := 0
+	if enc[0] == cpModeDelta {
+		base := r.uvarint()
+		if r.err || base >= uint64(id) {
+			return fmt.Errorf("corrupt delta page %d", id)
+		}
+		var err error
+		if img, err = fetchBase(uint32(base)); err != nil {
+			return err
+		}
+		var ok bool
+		if baseCount, ok = parsePage(img, sp); !ok {
+			return fmt.Errorf("base %d not structured", base)
+		}
+	}
+	for i := range dst {
+		dst[i] = 0
+	}
+	dst[0] = r.u8()
+	c := r.uvarint()
+	if r.err || c > uint64((len(dst)-sp.hdr)/sp.entry) {
+		return fmt.Errorf("corrupt header of page %d", id)
+	}
+	binary.LittleEndian.PutUint16(dst[2:], uint16(c))
+	if sp.times {
+		startT := unzigzag(r.uvarint())
+		endT := cpNowSentinel
+		if d := r.uvarint(); d != 0 {
+			endT = startT + unzigzag(d-1)
+		}
+		binary.LittleEndian.PutUint64(dst[8:], uint64(startT))
+		binary.LittleEndian.PutUint64(dst[16:], uint64(endT))
+	}
+	prev := -1
+	for i := 0; i < int(c); i++ {
+		off := sp.hdr + i*sp.entry
+		op := uint64(0)
+		if img != nil {
+			op = r.uvarint()
+		}
+		if op == 0 {
+			refDecodeEntry(r, dst, off, prev, sp)
+		} else {
+			k := int(op - 1)
+			if k >= baseCount {
+				return fmt.Errorf("entry op %d beyond base count %d", op, baseCount)
+			}
+			bOff := sp.hdr + k*sp.entry
+			copy(dst[off:off+sp.entry], img[bOff:bOff+sp.entry])
+		}
+		prev = off
+	}
+	if !r.done() {
+		return fmt.Errorf("corrupt page %d", id)
+	}
+	return nil
+}
+
+func staleFrame() []byte { return bytes.Repeat([]byte{0xAA}, DefaultPageSize) }
+
+// TestStructRoundTripStaleFrame decodes struct pages into a frame that
+// still holds another page's bytes — what a buffer pool hands the decoder
+// — and expects the source image back, tail and header padding included.
+func TestStructRoundTripStaleFrame(t *testing.T) {
+	noBase := func(uint32) ([]byte, error) { return nil, ErrBadPage }
+	for _, layout := range []Layout{LayoutPPR, LayoutRStar} {
+		sp, _ := cpSpec(layout, DefaultPageSize)
+		rng := rand.New(rand.NewSource(int64(layout)))
+		for _, count := range []int{0, 1, (DefaultPageSize - sp.hdr) / sp.entry} {
+			page := make([]byte, DefaultPageSize)
+			writeLayoutPage(page, layout, count, count%2 == 1, rng)
+			enc := cpEncodeStruct(nil, page, count, sp)
+			got := staleFrame()
+			if err := cpDecodePage(enc, got, sp, true, 0, noBase); err != nil {
+				t.Fatalf("layout %d, %d entries: %v", layout, count, err)
+			}
+			if !bytes.Equal(got, page) {
+				t.Fatalf("layout %d, %d entries: decode into a stale frame differs from the source page", layout, count)
+			}
+		}
+	}
+}
+
 // FuzzDecodePage drives the single-page decompressor with arbitrary
 // bytes under every layout. The decoder must never panic and never
 // allocate beyond its fixed page-size buffers, no matter what the
-// encoded lengths claim.
+// encoded lengths claim; and on the modes that hold struct-coded entries
+// it must agree with refDecodeStruct — on accept or reject, and on every
+// byte of an accepted page — over a frame that starts out dirty.
 func FuzzDecodePage(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	basePage := make([]byte, DefaultPageSize)
@@ -508,6 +659,35 @@ func FuzzDecodePage(f *testing.F) {
 		enc := newCpEncoder(layout, DefaultPageSize)
 		f.Add(byte(layout), enc.encodePage(0, page))
 		f.Add(byte(layout), cpEncodeRaw(nil, page))
+
+		// Where the word loads must give way to the checked tail: every
+		// truncation of a short page (among them the one whose last
+		// coordinate ends on the buffer's last byte), a trailing byte, and
+		// the two ends of the illegal nibble range.
+		sp, _ := specFor(layout)
+		writeLayoutPage(page, layout, 4, true, rng)
+		short := cpEncodeStruct(nil, page, 4, sp)
+		for n := range short {
+			f.Add(byte(layout), short[:n])
+		}
+		f.Add(byte(layout), append(append([]byte(nil), short...), 0))
+		firstNibbles := len(encodeStructHeader([]byte{cpModeStruct}, page, 4, sp))
+		for _, nibbles := range []byte{0x91, 0x1f} {
+			bad := append([]byte(nil), short...)
+			bad[firstNibbles] = nibbles
+			f.Add(byte(layout), bad)
+		}
+		// One entry whose coordinates are all eight bytes long, whole and
+		// cut just before its reference varint: the last coordinate's
+		// word is the last eight bytes of the buffer.
+		writeLayoutPage(page, layout, 1, true, rng)
+		for c := 0; c < sp.coords; c++ {
+			binary.LittleEndian.PutUint64(page[sp.hdr+8*c:], math.Float64bits(-1.5-float64(c)))
+		}
+		binary.LittleEndian.PutUint64(page[sp.hdr+cpRefOff:], 1)
+		one := cpEncodeStruct(nil, page, 1, sp)
+		f.Add(byte(layout), one)
+		f.Add(byte(layout), one[:len(one)-1])
 	}
 	// The read-only modes: a dup, a truncated delta, and a delta of the
 	// fuzz target's own base page (a near-copy resolved against base 2).
@@ -517,16 +697,30 @@ func FuzzDecodePage(f *testing.F) {
 	mutateEntries(nearCopy, LayoutPPR, 2, rng)
 	ppr, _ := specFor(LayoutPPR)
 	f.Add(byte(LayoutPPR), testEncodeDelta(nearCopy, 2, basePage, ppr))
-	f.Fuzz(func(t *testing.T, layoutByte byte, data []byte) {
-		layout := Layout(layoutByte % 4)
-		sp, ok := cpSpec(layout, DefaultPageSize)
-		dst := make([]byte, DefaultPageSize)
-		fetch := func(base uint32) ([]byte, error) {
-			if base%2 == 0 {
-				return basePage, nil
-			}
-			return nil, ErrBadPage
+	fetch := func(base uint32) ([]byte, error) {
+		if base%2 == 0 {
+			return basePage, nil
 		}
-		_ = cpDecodePage(data, dst, sp, ok, 7, fetch)
+		return nil, ErrBadPage
+	}
+	f.Fuzz(func(t *testing.T, layoutByte byte, data []byte) {
+		// Both structured layouts on every input; the byte adds the opaque
+		// and unknown ones.
+		for _, layout := range []Layout{LayoutPPR, LayoutRStar, Layout(layoutByte % 4)} {
+			sp, ok := cpSpec(layout, DefaultPageSize)
+			got := staleFrame()
+			err := cpDecodePage(data, got, sp, ok, 7, fetch)
+			if len(data) == 0 || (data[0] != cpModeStruct && data[0] != cpModeDelta) {
+				continue
+			}
+			want := staleFrame()
+			refErr := refDecodeStruct(data, want, sp, ok, 7, fetch)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("layout %d: decoder says %v, reference says %v", layout, err, refErr)
+			}
+			if err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("layout %d: accepted page differs from the reference's", layout)
+			}
+		}
 	})
 }

@@ -90,15 +90,26 @@ type layoutSpec struct {
 	times  bool // PPR: node interval in header, insert/delete times per entry
 }
 
+// Entry geometry of the two node layouts. specFor is built from these,
+// and the per-layout decode kernels use them as compile-time constants.
+// Both entries are 56 bytes with the reference in the last eight: four
+// coordinates and two times before it (PPR), or six coordinates (R*).
+const (
+	cpEntrySize = 56
+	cpRefOff    = cpEntrySize - 8 // the reference field within an entry
+	pprCoords   = 4
+	rstarCoords = 6
+)
+
 // specFor returns the structural spec of a layout; ok is false for
 // LayoutOpaque (and anything unknown), which compresses pages with the
 // raw mode only.
 func specFor(l Layout) (layoutSpec, bool) {
 	switch l {
 	case LayoutPPR:
-		return layoutSpec{hdr: 24, entry: 56, coords: 4, times: true}, true
+		return layoutSpec{hdr: 24, entry: cpEntrySize, coords: pprCoords, times: true}, true
 	case LayoutRStar:
-		return layoutSpec{hdr: 8, entry: 56, coords: 6}, true
+		return layoutSpec{hdr: 8, entry: cpEntrySize, coords: rstarCoords}, true
 	}
 	return layoutSpec{}, false
 }
@@ -111,15 +122,6 @@ func cpSpec(l Layout, pageSize int) (layoutSpec, bool) {
 		return layoutSpec{}, false
 	}
 	return sp, true
-}
-
-// refOff returns the byte offset of the reference field within an entry.
-func (sp layoutSpec) refOff() int {
-	off := 8 * sp.coords
-	if sp.times {
-		off += 16
-	}
-	return off
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -219,18 +221,175 @@ func encodeEntry(dst []byte, page []byte, off, prevOff int, sp layoutSpec) []byt
 			dst = binary.AppendUvarint(dst, 1+zigzag(dt-it))
 		}
 	}
-	ref := binary.LittleEndian.Uint64(page[off+sp.refOff():])
+	ref := binary.LittleEndian.Uint64(page[off+cpRefOff:])
 	var prevRef uint64
 	if prevOff >= 0 {
-		prevRef = binary.LittleEndian.Uint64(page[prevOff+sp.refOff():])
+		prevRef = binary.LittleEndian.Uint64(page[prevOff+cpRefOff:])
 	}
 	return binary.AppendUvarint(dst, zigzag(int64(ref-prevRef)))
 }
 
+// The longest struct encoding of one entry: the nibble bytes, every
+// coordinate at its full eight bytes, every varint at its full ten.
+const (
+	pprMaxEntryEnc   = pprCoords/2 + 8*pprCoords + 3*binary.MaxVarintLen64
+	rstarMaxEntryEnc = rstarCoords/2 + 8*rstarCoords + binary.MaxVarintLen64
+)
+
 // decodeEntry reads one struct-encoded entry into dst at off, mirroring
 // encodeEntry. The previous entry is read back from dst (already
-// decoded); prevOff -1 selects the zero context.
+// decoded); prevOff -1 selects the zero context. Every byte of the entry
+// is written.
+//
+// While the longest possible entry still fits in what is left of the
+// encoded page — one test, which covers every load below it — the
+// layout's kernel reads each coordinate as a masked word. The last
+// entries of a page, where it may not, go through decodeEntryChecked.
 func decodeEntry(r *cpReader, dst []byte, off, prevOff int, sp layoutSpec) {
+	switch {
+	case r.err: // an earlier entry failed; the page is rejected after the last
+	case sp.times && len(r.b)-r.off >= pprMaxEntryEnc:
+		decodeEntryPPR(r, dst[off:off+cpEntrySize], prevEntry(dst, prevOff))
+	case !sp.times && len(r.b)-r.off >= rstarMaxEntryEnc:
+		decodeEntryRStar(r, dst[off:off+cpEntrySize], prevEntry(dst, prevOff))
+	default:
+		decodeEntryChecked(r, dst, off, prevOff, sp)
+	}
+}
+
+// zeroEntry is the previous entry of a page's first: the zero context.
+var zeroEntry [cpEntrySize]byte
+
+func prevEntry(dst []byte, prevOff int) []byte {
+	if prevOff < 0 {
+		return zeroEntry[:]
+	}
+	return dst[prevOff : prevOff+cpEntrySize]
+}
+
+// lowBytes returns the low n (≤ 8) bytes of the little-endian word at
+// b[p:]. The caller has established that the whole word is in bounds.
+func lowBytes(b []byte, p, n int) uint64 {
+	return binary.LittleEndian.Uint64(b[p:]) &^ (^uint64(0) << (8 * uint(n)))
+}
+
+// nibbleOver8 reports whether either nibble of a length byte exceeds 8,
+// the longest a coordinate can be.
+func nibbleOver8(nb byte) bool { return nb>>4 > 8 || nb&0x0f > 8 }
+
+// uvarintLong is cpReader.uvarint on a bare cursor, for the kernels'
+// varints of more than one byte (they test for the one-byte case
+// themselves): p < 0 afterwards marks a malformed or overrunning varint.
+func uvarintLong(b []byte, p int) (uint64, int) {
+	v, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, p + n
+}
+
+// decodeEntryRStar is decodeEntry's kernel for LayoutRStar: e and prev
+// are the entry and its predecessor, and at least rstarMaxEntryEnc bytes
+// are left in r. Three mins against the predecessor's, three maxes
+// against the entry's own mins, the reference delta.
+func decodeEntryRStar(r *cpReader, e, prev []byte) {
+	b, p := r.b, r.off+rstarCoords/2
+	n01, n23, n45 := b[r.off], b[r.off+1], b[r.off+2]
+	if nibbleOver8(n01) || nibbleOver8(n23) || nibbleOver8(n45) {
+		r.err = true
+		return
+	}
+	e, prev = e[:cpEntrySize], prev[:cpEntrySize] // the constant offsets below need no further check
+	n := int(n01 >> 4)
+	x0 := lowBytes(b, p, n) ^ binary.LittleEndian.Uint64(prev[0:])
+	p += n
+	n = int(n01 & 0x0f)
+	x1 := lowBytes(b, p, n) ^ binary.LittleEndian.Uint64(prev[8:])
+	p += n
+	n = int(n23 >> 4)
+	x2 := lowBytes(b, p, n) ^ binary.LittleEndian.Uint64(prev[16:])
+	p += n
+	n = int(n23 & 0x0f)
+	x3 := lowBytes(b, p, n) ^ x0
+	p += n
+	n = int(n45 >> 4)
+	x4 := lowBytes(b, p, n) ^ x1
+	p += n
+	n = int(n45 & 0x0f)
+	x5 := lowBytes(b, p, n) ^ x2
+	p += n
+	d := uint64(b[p])
+	if p++; d >= 0x80 {
+		if d, p = uvarintLong(b, p-1); p < 0 {
+			r.err = true
+			return
+		}
+	}
+	binary.LittleEndian.PutUint64(e[0:], x0)
+	binary.LittleEndian.PutUint64(e[8:], x1)
+	binary.LittleEndian.PutUint64(e[16:], x2)
+	binary.LittleEndian.PutUint64(e[24:], x3)
+	binary.LittleEndian.PutUint64(e[32:], x4)
+	binary.LittleEndian.PutUint64(e[40:], x5)
+	binary.LittleEndian.PutUint64(e[cpRefOff:], binary.LittleEndian.Uint64(prev[cpRefOff:])+uint64(unzigzag(d)))
+	r.off = p
+}
+
+// decodeEntryPPR is decodeEntry's kernel for LayoutPPR, under the same
+// contract with pprMaxEntryEnc: two mins, two maxes, the insertion time
+// against the predecessor's, the deletion time against the insertion
+// time (0 for the open end), the reference delta.
+func decodeEntryPPR(r *cpReader, e, prev []byte) {
+	const itOff, dtOff = 8 * pprCoords, 8*pprCoords + 8
+	b, p := r.b, r.off+pprCoords/2
+	n01, n23 := b[r.off], b[r.off+1]
+	if nibbleOver8(n01) || nibbleOver8(n23) {
+		r.err = true
+		return
+	}
+	e, prev = e[:cpEntrySize], prev[:cpEntrySize]
+	n := int(n01 >> 4)
+	x0 := lowBytes(b, p, n) ^ binary.LittleEndian.Uint64(prev[0:])
+	p += n
+	n = int(n01 & 0x0f)
+	x1 := lowBytes(b, p, n) ^ binary.LittleEndian.Uint64(prev[8:])
+	p += n
+	n = int(n23 >> 4)
+	x2 := lowBytes(b, p, n) ^ x0
+	p += n
+	n = int(n23 & 0x0f)
+	x3 := lowBytes(b, p, n) ^ x1
+	p += n
+	var v [3]uint64 // insertion, deletion and reference deltas
+	for i := range v {
+		v[i] = uint64(b[p])
+		if p++; v[i] >= 0x80 {
+			if v[i], p = uvarintLong(b, p-1); p < 0 {
+				r.err = true
+				return
+			}
+		}
+	}
+	dIt, dDt, dRef := v[0], v[1], v[2]
+	it := int64(binary.LittleEndian.Uint64(prev[itOff:])) + unzigzag(dIt)
+	dt := cpNowSentinel
+	if dDt != 0 {
+		dt = it + unzigzag(dDt-1)
+	}
+	binary.LittleEndian.PutUint64(e[0:], x0)
+	binary.LittleEndian.PutUint64(e[8:], x1)
+	binary.LittleEndian.PutUint64(e[16:], x2)
+	binary.LittleEndian.PutUint64(e[24:], x3)
+	binary.LittleEndian.PutUint64(e[itOff:], uint64(it))
+	binary.LittleEndian.PutUint64(e[dtOff:], uint64(dt))
+	binary.LittleEndian.PutUint64(e[cpRefOff:], binary.LittleEndian.Uint64(prev[cpRefOff:])+uint64(unzigzag(dRef)))
+	r.off = p
+}
+
+// decodeEntryChecked is decodeEntry with every field read through the
+// bounds-checked cursor and every coordinate assembled a byte at a time:
+// the path of a page's last entries, of either layout.
+func decodeEntryChecked(r *cpReader, dst []byte, off, prevOff int, sp layoutSpec) {
 	var lens [6]int
 	for i := 0; i < sp.coords; i += 2 {
 		b := r.u8()
@@ -276,9 +435,9 @@ func decodeEntry(r *cpReader, dst []byte, off, prevOff int, sp layoutSpec) {
 	}
 	var prevRef uint64
 	if prevOff >= 0 {
-		prevRef = binary.LittleEndian.Uint64(dst[prevOff+sp.refOff():])
+		prevRef = binary.LittleEndian.Uint64(dst[prevOff+cpRefOff:])
 	}
-	binary.LittleEndian.PutUint64(dst[off+sp.refOff():], prevRef+uint64(unzigzag(r.uvarint())))
+	binary.LittleEndian.PutUint64(dst[off+cpRefOff:], prevRef+uint64(unzigzag(r.uvarint())))
 }
 
 // parsePage checks whether a raw page image matches the layout's node
@@ -318,7 +477,8 @@ func encodeStructHeader(dst []byte, page []byte, count int, sp layoutSpec) []byt
 	return dst
 }
 
-// decodeStructHeader mirrors encodeStructHeader into a zeroed dst page,
+// decodeStructHeader mirrors encodeStructHeader into dst, writing all
+// sp.hdr bytes — the padding parsePage insists on as zeroes — and
 // returning the entry count (bounds-checked against the page size).
 func decodeStructHeader(r *cpReader, dst []byte, sp layoutSpec) (count int, ok bool) {
 	dst[0] = r.u8()
@@ -327,7 +487,9 @@ func decodeStructHeader(r *cpReader, dst []byte, sp layoutSpec) (count int, ok b
 		r.err = true
 		return 0, false
 	}
+	dst[1] = 0
 	binary.LittleEndian.PutUint16(dst[2:], uint16(c))
+	binary.LittleEndian.PutUint32(dst[4:], 0)
 	if sp.times {
 		startT := unzigzag(r.uvarint())
 		endT := cpNowSentinel
@@ -385,16 +547,11 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 			return fmt.Errorf("pagefile: corrupt raw page %d", id)
 		}
 		copy(dst, data)
-		for i := int(n); i < len(dst); i++ {
-			dst[i] = 0
-		}
+		clear(dst[n:])
 		return nil
 	case cpModeStruct:
 		if !structOK {
 			return fmt.Errorf("pagefile: struct page %d in opaque extent", id)
-		}
-		for i := range dst {
-			dst[i] = 0
 		}
 		count, ok := decodeStructHeader(r, dst, sp)
 		if !ok {
@@ -409,6 +566,7 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 		if !r.done() {
 			return fmt.Errorf("pagefile: corrupt struct page %d", id)
 		}
+		clear(dst[sp.hdr+count*sp.entry:])
 		return nil
 	case cpModeDup:
 		base := r.uvarint()
@@ -437,9 +595,6 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 		if !ok {
 			return fmt.Errorf("pagefile: delta page %d: base %d not structured", id, base)
 		}
-		for i := range dst {
-			dst[i] = 0
-		}
 		count, ok := decodeStructHeader(r, dst, sp)
 		if !ok {
 			return fmt.Errorf("pagefile: corrupt delta page %d", id)
@@ -466,6 +621,7 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 		if !r.done() {
 			return fmt.Errorf("pagefile: corrupt delta page %d", id)
 		}
+		clear(dst[sp.hdr+count*sp.entry:])
 		return nil
 	}
 	return fmt.Errorf("pagefile: page %d has unknown encoding mode %#x", id, enc[0])
@@ -800,7 +956,7 @@ func (c *CompressedStore) Version(PageID) uint64 { return 0 }
 
 // Check implements Store.
 func (c *CompressedStore) Check(id PageID) error {
-	if int(id) >= c.n || c.freed[id] {
+	if int(id) >= c.n || (len(c.freed) > 0 && c.freed[id]) {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
 	return nil

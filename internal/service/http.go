@@ -308,7 +308,7 @@ func handleQuery(s *Service, w http.ResponseWriter, r *http.Request) {
 		qr, err = parseQueryGET(r)
 	case http.MethodPost:
 		var body queryRequestJSON
-		if err = json.NewDecoder(r.Body).Decode(&body); err == nil {
+		if err = decodeJSONBody(w, r, &body); err == nil {
 			qr = body.request()
 			if format, ok := queryParam(r.URL.RawQuery, "format"); ok && format == "binary" {
 				qr.Binary = true
@@ -319,7 +319,7 @@ func handleQuery(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, BodyStatus(err), err.Error())
 		return
 	}
 	name, q, err := qr.toQuery()
@@ -359,8 +359,8 @@ func handleLoad(s *Service, w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if err := decodeJSONBody(w, r, &req); err != nil {
+		httpError(w, BodyStatus(err), err.Error())
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -383,8 +383,8 @@ func handleDrop(s *Service, w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if err := decodeJSONBody(w, r, &req); err != nil {
+		httpError(w, BodyStatus(err), err.Error())
 		return
 	}
 	if err := s.Registry().Drop(req.Name); err != nil {
@@ -392,6 +392,29 @@ func handleDrop(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"dropped": req.Name})
+}
+
+// maxJSONBody bounds the JSON request bodies of /query and the snapshot
+// routes: a query or a name and a path, never more than a few hundred
+// bytes from an honest client.
+const maxJSONBody = 1 << 20
+
+// decodeJSONBody decodes the request's JSON body into v, reading at most
+// maxJSONBody bytes of it.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+}
+
+// BodyStatus maps a failure to read or parse a request body to its HTTP
+// status: 413 when the body is over the route's limit — the client
+// should send less — 400 when it is malformed. The ingest routes share
+// it.
+func BodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // statusFor maps service errors onto HTTP statuses.

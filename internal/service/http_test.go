@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,5 +203,41 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestJSONBodyTooLarge: the three routes that decode a JSON body read at
+// most maxJSONBody of it, and answer a longer one — one string value a
+// client can make as long as it likes — with 413, sized or chunked. What
+// is merely malformed stays a 400.
+func TestJSONBodyTooLarge(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 1})
+	defer svc.Close()
+	h := NewHandler(svc)
+	post := func(path, body string, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.ContentLength = length
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	huge := `{"name":"` + strings.Repeat("a", maxJSONBody) + `"}`
+	for _, route := range []string{"/query", "/snapshots/load", "/snapshots/drop"} {
+		t.Run(route, func(t *testing.T) {
+			for _, length := range []int64{int64(len(huge)), -1} {
+				w := post(route, huge, length)
+				if want := `{"error":"http: request body too large"}` + "\n"; w.Code != http.StatusRequestEntityTooLarge || w.Body.String() != want {
+					t.Errorf("body over the limit (length %d): %d %q", length, w.Code, w.Body.String())
+				}
+			}
+			if w := post(route, `{"name":`, 8); w.Code != http.StatusBadRequest {
+				t.Errorf("truncated body: %d %q", w.Code, w.Body.String())
+			}
+			// Within the limit the body is the route's to judge: no such
+			// snapshot, or no path to load.
+			if w := post(route, `{"name":"nowhere"}`, 18); w.Code == http.StatusRequestEntityTooLarge || w.Code == http.StatusOK {
+				t.Errorf("small body: %d %q", w.Code, w.Body.String())
+			}
+		})
 	}
 }

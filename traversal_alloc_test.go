@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"math/bits"
 	"testing"
 
 	"stindex/internal/geom"
@@ -10,7 +11,8 @@ import (
 // once the pooled scratch has grown and every page has been decoded, a
 // snapshot, interval or nearest search on any of the three trees —
 // through the reference-emitting view the query core runs on — allocates
-// nothing.
+// nothing; and that the query core above it allocates the answer and a
+// fixed three cells a query, nothing that grows with the answer.
 func TestTraversalZeroAllocs(t *testing.T) {
 	ppr, rst, hr := goldenWorkload(t)
 	snapshots := goldenQueries(t, QuerySnapshotMixed)[:50]
@@ -60,6 +62,39 @@ func TestTraversalZeroAllocs(t *testing.T) {
 				t.Errorf("%s/%s: %v allocations per pass of %d queries, want 0",
 					kind.name, row.name, allocs, len(row.queries))
 			}
+		}
+	}
+
+	// One level up, through the query core: Index.Range on a warmed view
+	// allocates the answer and three fixed cells (the emit closure and the
+	// two variables it writes) — the owner set is the view's, cleared.
+	// The answer grows by append, so it costs one allocation per doubling.
+	for _, kind := range []struct {
+		name string
+		idx  Index
+	}{{"ppr", ppr}, {"rstar", rst}, {"hr", hr}} {
+		view := kind.idx.(QueryViewer).QueryView()
+		bound := 0
+		for _, q := range ranges { // the warm-up pass, and the bound it earns
+			ids, err := view.Range(q.Rect, q.Interval)
+			if err != nil {
+				t.Fatalf("%s/range: %v", kind.name, err)
+			}
+			bound += 3
+			if n := len(ids); n > 0 {
+				bound += bits.Len(uint(n-1)) + 1
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, q := range ranges {
+				if _, err := view.Range(q.Rect, q.Interval); err != nil {
+					t.Fatalf("%s/range: %v", kind.name, err)
+				}
+			}
+		})
+		if allocs > float64(bound) {
+			t.Errorf("%s/range: %v allocations per pass of %d queries, want at most %d (the answers and 3 a query)",
+				kind.name, allocs, len(ranges), bound)
 		}
 	}
 }
