@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -186,7 +185,7 @@ func serveIndex(addr string, idx stx.Index) error {
 	if _, err := svc.Registry().Publish("default", idx); err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: service.NewHandler(svc)}
+	srv := service.NewServer(addr, service.NewHandler(svc))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serving %s index on %s (snapshot \"default\"); SIGINT drains\n", idx.Kind(), addr)

@@ -20,6 +20,7 @@
 //	POST /snapshots/drop   {"name"}
 //	GET  /metrics          QPS, latency percentiles, hit rates, queue depth
 //	GET  /healthz
+//	GET  /debug/pprof/     runtime profiles (net/http/pprof)
 //
 // With -ingest NAME the server additionally runs the live ingestion
 // pipeline (see internal/ingest): a WAL-backed ingest endpoint whose
@@ -50,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -128,7 +130,13 @@ func main() {
 	}
 
 	var in *ingest.Ingester
-	handler := http.Handler(service.NewHandler(svc))
+	mux := http.NewServeMux()
+	mux.Handle("/", service.NewHandler(svc))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if *ingestName != "" {
 		var err error
 		in, err = ingest.Open(ingest.Config{
@@ -152,15 +160,12 @@ func main() {
 			st := in.Stats()
 			return &st
 		})
-		mux := http.NewServeMux()
 		ih := ingest.NewHandler(in)
 		mux.Handle("/ingest", ih)
 		mux.Handle("/ingest/", ih)
-		mux.Handle("/", handler)
-		handler = mux
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: handler}
+	srv := service.NewServer(*listen, mux)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "stserve: listening on %s\n", *listen)

@@ -1,9 +1,13 @@
 package stindex
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"stindex/internal/geom"
+	"stindex/internal/owner"
 	"stindex/internal/pagefile"
 	"stindex/internal/rstar"
 )
@@ -13,8 +17,9 @@ import (
 // methods and the buffer/space statistics of Index once, over two small
 // views of what the kind is made of: its tree as searches that emit
 // record references (refSearch), and the table that says which object a
-// reference belongs to (ownerTable). A new tree kind supplies those two
-// and a name; it writes no query method.
+// reference belongs to (owner.Table). A new tree kind supplies those two
+// and a name; it writes no query method. Window and trajectory answers
+// come out in ascending id order.
 
 // refSearch is a tree seen as searches that emit record references (and
 // the rectangle stored with each, which the query core ignores).
@@ -71,111 +76,146 @@ func (s timeSlab) NearestSearch(x, y float64, at int64, fn func(dist2 float64, r
 	return s.Tree.NearestSearch(x, y, (float64(at)+0.5)*s.scale, fn)
 }
 
-// ownerTable maps record references to the objects they belong to.
-// stream.Indexer is one (references are handed out as pieces are cut);
-// recordOwners is the other.
-type ownerTable interface {
-	OwnerRef(ref uint64) (int64, bool)
-	Records() int
-}
-
-// recordOwners is the owner table of an index built from a record slice:
-// record i carries reference i and belongs to object recordOwners[i].
-type recordOwners []int64
-
-// OwnerRef implements ownerTable.
-func (o recordOwners) OwnerRef(ref uint64) (int64, bool) {
-	if ref >= uint64(len(o)) {
-		return 0, false
-	}
-	return o[ref], true
-}
-
-// Records implements ownerTable.
-func (o recordOwners) Records() int { return len(o) }
-
 // treeIndex is the query core (see the top of this file).
-type treeIndex[O ownerTable] struct {
+type treeIndex struct {
 	fileHandle
 	search refSearch
-	owners O
+	// owners is the index's owner table, shared by every view of it. A
+	// stream index points at its indexer's table, which grows as pieces
+	// are cut.
+	owners *owner.Table
 	kind   string
-	// Answer scratch, pooled on the index (or the query view of it) like
-	// the tree's treewalk.Scratch and no safer for concurrent use: the set
-	// of owners a window query has emitted, and the per-owner piece counts
-	// of a trajectory query.
-	seen   map[int64]bool
-	counts map[int64]int
+	// answers is the view's answer collector, pooled like the tree's
+	// treewalk.Scratch and no safer for concurrent use.
+	answers *answerSet
 }
 
-// pooledAnswerCap is the largest answer whose scratch map goes back to
-// the pool. A wider one is left to the collector: a map never shrinks,
-// and every view of every shard would otherwise hold on to the footprint
-// of the widest answer it ever gave.
-const pooledAnswerCap = 1024
+// answerSet collects the distinct owners of one window search as a
+// bitset over owner ordinals. Bit j of sum[i] is set when bits[64i+j] is
+// non-zero, so a drain visits only the words a query touched, in
+// ascending ordinal order, and leaves both clear for the next query.
+// counts holds a trajectory query's pieces per ordinal, zeroed as its
+// bits drain.
+type answerSet struct {
+	bits   []uint64
+	sum    []uint64
+	counts []uint32
+	n      int // ordinals set
+}
 
-// borrowMap takes the pooled map, cleared, leaving the pool empty — a
-// query started from inside a callback makes its own. Pair with
-// returnMap.
-func borrowMap[V any](pool *map[int64]V) map[int64]V {
-	m := *pool
-	*pool = nil
-	if m == nil {
-		return make(map[int64]V)
+// borrowSet takes the view's collector, sized for objects ordinals,
+// leaving the pool empty — a query started from inside a callback makes
+// its own. The caller puts it back in c.answers once it has drained it.
+func (c *treeIndex) borrowSet(objects int, counts bool) *answerSet {
+	s := c.answers
+	c.answers = nil
+	if s == nil {
+		s = new(answerSet)
 	}
-	clear(m)
-	return m
+	if words := (objects + 63) >> 6; len(s.bits) < words {
+		s.bits = make([]uint64, words)
+		s.sum = make([]uint64, (words+63)>>6)
+		s.counts = nil
+	}
+	if counts && len(s.counts) < objects {
+		s.counts = make([]uint32, len(s.bits)<<6)
+	}
+	return s
 }
 
-func returnMap[V any](pool *map[int64]V, m map[int64]V) {
-	if len(m) <= pooledAnswerCap {
-		*pool = m
+func (s *answerSet) add(o uint32) {
+	w := o >> 6
+	if m := uint64(1) << (o & 63); s.bits[w]&m == 0 {
+		s.bits[w] |= m
+		s.sum[w>>6] |= 1 << (w & 63)
+		s.n++
 	}
 }
 
-// owner is the one owner lookup of the query path. A reference the table
-// does not know means a corrupt or mismatched image: it must surface as
-// the query's error (left in *dangling, and ok=false stops the search),
-// not as a panic or as object 0.
-func (c *treeIndex[O]) owner(ref uint64, dangling *error) (id int64, ok bool) {
-	id, ok = c.owners.OwnerRef(ref)
-	if !ok {
-		*dangling = fmt.Errorf("stindex: %s record ref %d has no owner among %d records (corrupt index image?)",
-			c.kind, ref, c.owners.Records())
-	}
-	return id, ok
-}
-
-// ids collects the distinct owners of the references one window search
-// emits, in emission order.
-func (c *treeIndex[O]) ids(search func(emit func(geom.Rect, uint64) bool) error) ([]int64, error) {
-	var out []int64
-	var dangling error
-	seen := borrowMap(&c.seen)
-	defer func() { returnMap(&c.seen, seen) }()
-	err := search(func(_ geom.Rect, ref uint64) bool {
-		id, ok := c.owner(ref, &dangling)
-		if ok && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// drain calls fn with every ordinal set, in ascending order, and clears
+// the set.
+func (s *answerSet) drain(fn func(o int)) {
+	for i, sw := range s.sum {
+		if sw == 0 {
+			continue
 		}
-		return ok
+		s.sum[i] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			w := i<<6 | bits.TrailingZeros64(sw)
+			b := s.bits[w]
+			s.bits[w] = 0
+			for ; b != 0; b &= b - 1 {
+				fn(w<<6 | bits.TrailingZeros64(b))
+			}
+		}
+	}
+	s.n = 0
+}
+
+// collect runs one window search into set: the owner ordinal of every
+// reference it emits, and for a trajectory query its piece count. A
+// reference the table does not know means a corrupt or mismatched image:
+// it must surface as the query's error (the search stops there), not as
+// a panic or as object 0, and it leaves set cleared.
+func (c *treeIndex) collect(tab *owner.Table, set *answerSet, count bool, search func(emit func(geom.Rect, uint64) bool) error) error {
+	ord := tab.Ord
+	var dangling error
+	err := search(func(_ geom.Rect, ref uint64) bool {
+		if ref >= uint64(len(ord)) {
+			dangling = c.danglingRef(tab, ref)
+			return false
+		}
+		o := ord[ref]
+		set.add(o)
+		if count {
+			set.counts[o]++
+		}
+		return true
 	})
 	if err == nil {
 		err = dangling
 	}
-	return out, err
+	if err != nil {
+		set.drain(func(o int) {
+			if count {
+				set.counts[o] = 0
+			}
+		})
+	}
+	return err
+}
+
+func (c *treeIndex) danglingRef(tab *owner.Table, ref uint64) error {
+	return fmt.Errorf("stindex: %s record ref %d has no owner among %d records (corrupt index image?)",
+		c.kind, ref, tab.Records())
+}
+
+// ids collects the distinct owners of the references one window search
+// emits, in ascending order.
+func (c *treeIndex) ids(search func(emit func(geom.Rect, uint64) bool) error) ([]int64, error) {
+	tab := c.owners
+	set := c.borrowSet(len(tab.IDs), false)
+	defer func() { c.answers = set }()
+	if err := c.collect(tab, set, false, search); err != nil || set.n == 0 {
+		return nil, err
+	}
+	out := make([]int64, 0, set.n)
+	set.drain(func(o int) { out = append(out, tab.IDs[o]) })
+	if !tab.Ascending && !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
+	return out, nil
 }
 
 // Snapshot implements Index.
-func (c *treeIndex[O]) Snapshot(r Rect, t int64) ([]int64, error) {
+func (c *treeIndex) Snapshot(r Rect, t int64) ([]int64, error) {
 	return c.ids(func(emit func(geom.Rect, uint64) bool) error {
 		return c.search.SnapshotSearch(r.internal(), t, emit)
 	})
 }
 
 // Range implements Index.
-func (c *treeIndex[O]) Range(r Rect, iv Interval) ([]int64, error) {
+func (c *treeIndex) Range(r Rect, iv Interval) ([]int64, error) {
 	return c.ids(func(emit func(geom.Rect, uint64) bool) error {
 		return c.search.IntervalSearch(r.internal(), iv.internal(), emit)
 	})
@@ -183,14 +223,18 @@ func (c *treeIndex[O]) Range(r Rect, iv Interval) ([]int64, error) {
 
 // Nearest implements Index: best-first search at instant t, cut off by
 // the collector once the k-th best distance is exceeded.
-func (c *treeIndex[O]) Nearest(x, y float64, t int64, k int) ([]Neighbor, error) {
+func (c *treeIndex) Nearest(x, y float64, t int64, k int) ([]Neighbor, error) {
 	if err := ValidateKNN(x, y, k); err != nil {
 		return nil, err
 	}
+	tab := c.owners
 	col := knnCollector{k: k}
 	var dangling error
 	err := c.search.NearestSearch(x, y, t, func(d2 float64, ref uint64) bool {
-		id, ok := c.owner(ref, &dangling)
+		id, ok := tab.Owner(ref)
+		if !ok {
+			dangling = c.danglingRef(tab, ref)
+		}
 		return ok && col.add(d2, id)
 	})
 	if err == nil {
@@ -205,44 +249,46 @@ func (c *treeIndex[O]) Nearest(x, y float64, t int64, k int) ([]Neighbor, error)
 // Trajectory implements Index: a window search reports each record (split
 // piece) once, so counting references per owner yields the multi-entry
 // trajectory answer.
-func (c *treeIndex[O]) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
-	counts := borrowMap(&c.counts)
-	defer func() { returnMap(&c.counts, counts) }()
-	var dangling error
-	err := c.search.IntervalSearch(r.internal(), iv.internal(), func(_ geom.Rect, ref uint64) bool {
-		id, ok := c.owner(ref, &dangling)
-		if ok {
-			counts[id]++
-		}
-		return ok
+func (c *treeIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) {
+	tab := c.owners
+	set := c.borrowSet(len(tab.IDs), true)
+	defer func() { c.answers = set }()
+	err := c.collect(tab, set, true, func(emit func(geom.Rect, uint64) bool) error {
+		return c.search.IntervalSearch(r.internal(), iv.internal(), emit)
 	})
-	if err == nil {
-		err = dangling
-	}
-	if err != nil {
+	if err != nil || set.n == 0 {
 		return nil, err
 	}
-	return trajectoryHits(counts), nil
+	out := make([]TrajectoryHit, 0, set.n)
+	set.drain(func(o int) {
+		out = append(out, TrajectoryHit{ObjectID: tab.IDs[o], Pieces: int(set.counts[o])})
+		set.counts[o] = 0
+	})
+	byID := func(a, b TrajectoryHit) int { return cmp.Compare(a.ObjectID, b.ObjectID) }
+	if !tab.Ascending && !slices.IsSortedFunc(out, byID) {
+		slices.SortFunc(out, byID)
+	}
+	return out, nil
 }
 
 // ResetBuffer implements Index.
-func (c *treeIndex[O]) ResetBuffer() { c.search.Buffer().Reset() }
+func (c *treeIndex) ResetBuffer() { c.search.Buffer().Reset() }
 
 // IOStats implements Index.
-func (c *treeIndex[O]) IOStats() IOStats {
+func (c *treeIndex) IOStats() IOStats {
 	s := c.search.Buffer().Stats()
 	return IOStats{Reads: s.Reads, Writes: s.Writes, Hits: s.Hits}
 }
 
 // Pages implements Index.
-func (c *treeIndex[O]) Pages() int { return c.search.Store().NumPages() }
+func (c *treeIndex) Pages() int { return c.search.Store().NumPages() }
 
 // Bytes implements Index.
-func (c *treeIndex[O]) Bytes() int64 { return c.search.Store().Bytes() }
+func (c *treeIndex) Bytes() int64 { return c.search.Store().Bytes() }
 
 // Records implements Index: the number of MBR records (for a stream
 // index, lifetime pieces) indexed so far.
-func (c *treeIndex[O]) Records() int { return c.owners.Records() }
+func (c *treeIndex) Records() int { return c.owners.Records() }
 
 // Kind implements Index.
-func (c *treeIndex[O]) Kind() string { return c.kind }
+func (c *treeIndex) Kind() string { return c.kind }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"stindex/internal/hrtree"
+	"stindex/internal/owner"
 	"stindex/internal/pprtree"
 )
 
@@ -28,13 +29,13 @@ type HROptions struct {
 // for interval queries; BuildHR exists so those costs can be measured
 // against the PPR-tree (`stbench -exp overlap`).
 type HRIndex struct {
-	treeIndex[recordOwners]
+	treeIndex
 	tree *hrtree.Tree
 }
 
-func newHRIndex(tree *hrtree.Tree, owners []int64) *HRIndex {
+func newHRIndex(tree *hrtree.Tree, owners *owner.Table) *HRIndex {
 	return &HRIndex{
-		treeIndex: treeIndex[recordOwners]{search: tree, owners: owners, kind: "hr"},
+		treeIndex: treeIndex{search: tree, owners: owners, kind: "hr"},
 		tree:      tree,
 	}
 }
@@ -46,10 +47,8 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
 	recs := make([]pprtree.Record, len(records))
-	owners := make([]int64, len(records))
 	for i, r := range records {
 		recs[i] = pprtree.Record{Rect: r.Rect.internal(), Interval: r.Interval.internal(), Ref: uint64(i)}
-		owners[i] = r.ObjectID
 	}
 	tree, err := buildHRFromRecords(hrtree.Options{
 		MaxEntries:  opts.MaxEntries,
@@ -61,7 +60,7 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newHRIndex(tree, owners), nil
+	return newHRIndex(tree, ownersOf(records)), nil
 }
 
 // buildHRFromRecords replays records in chronological order (deletions

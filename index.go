@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"stindex/internal/geom"
+	"stindex/internal/owner"
 	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 	"stindex/internal/rstar"
@@ -121,10 +122,11 @@ func (s IOStats) IO() int64 { return s.Reads + s.Writes }
 // small LRU buffer pool, which ResetBuffer empties — the paper's
 // cold-cache measurement discipline.
 type Index interface {
-	// Snapshot returns the IDs of the objects intersecting r at instant t.
+	// Snapshot returns the IDs of the objects intersecting r at instant t,
+	// distinct and in ascending order.
 	Snapshot(r Rect, t int64) ([]int64, error)
 	// Range returns the IDs of the objects intersecting r at some instant
-	// of the half-open interval iv.
+	// of the half-open interval iv, distinct and in ascending order.
 	Range(r Rect, iv Interval) ([]int64, error)
 	// Nearest returns the k objects alive at instant t whose rectangles
 	// are nearest to the point (x, y), in ascending (Dist2, ObjectID)
@@ -178,15 +180,22 @@ type PPROptions struct {
 
 // PPRIndex is a partially persistent R-tree over the record set.
 type PPRIndex struct {
-	treeIndex[recordOwners]
+	treeIndex
 	tree *pprtree.Tree
 }
 
-func newPPRIndex(tree *pprtree.Tree, owners []int64) *PPRIndex {
+func newPPRIndex(tree *pprtree.Tree, owners *owner.Table) *PPRIndex {
 	return &PPRIndex{
-		treeIndex: treeIndex[recordOwners]{search: tree, owners: owners, kind: "ppr"},
+		treeIndex: treeIndex{search: tree, owners: owners, kind: "ppr"},
 		tree:      tree,
 	}
+}
+
+// ownersOf numbers the owners of a record slice (record i carries
+// reference i) by the rank of their ids.
+func ownersOf(records []Record) *owner.Table {
+	t := owner.ByRank(len(records), func(r int) int64 { return records[r].ObjectID })
+	return &t
 }
 
 // BuildPPR indexes the records with a partially persistent R-tree,
@@ -196,14 +205,12 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
 	recs := make([]pprtree.Record, len(records))
-	owners := make([]int64, len(records))
 	for i, r := range records {
 		recs[i] = pprtree.Record{
 			Rect:     r.Rect.internal(),
 			Interval: r.Interval.internal(),
 			Ref:      uint64(i),
 		}
-		owners[i] = r.ObjectID
 	}
 	tree, err := pprtree.BuildRecords(pprtree.Options{
 		MaxEntries:  opts.MaxEntries,
@@ -217,7 +224,7 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPPRIndex(tree, owners), nil
+	return newPPRIndex(tree, ownersOf(records)), nil
 }
 
 // Append indexes additional records into an existing PPR index. Partial
@@ -225,25 +232,32 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 // begin at or after the index's current time. Useful for chunked builds
 // and for extending a reloaded index as the evolution continues. On an
 // index opened read-only from a container, Append fails with ErrReadOnly.
+// The appended objects' ids may interleave with the index's, so the owner
+// table is numbered afresh by rank.
 func (x *PPRIndex) Append(records []Record) error {
 	if readOnlyStore(x.tree.Store()) {
 		return fmt.Errorf("stindex: appending to opened index: %w", ErrReadOnly)
 	}
 	recs := make([]pprtree.Record, len(records))
-	base := uint64(len(x.owners))
-	newOwners := make([]int64, len(records))
+	old := x.owners
+	base := old.Records()
 	for i, r := range records {
 		recs[i] = pprtree.Record{
 			Rect:     r.Rect.internal(),
 			Interval: r.Interval.internal(),
-			Ref:      base + uint64(i),
+			Ref:      uint64(base + i),
 		}
-		newOwners[i] = r.ObjectID
 	}
 	if err := x.tree.AppendRecords(recs); err != nil {
 		return err
 	}
-	x.owners = append(x.owners, newOwners...)
+	t := owner.ByRank(base+len(records), func(r int) int64 {
+		if r < base {
+			return old.IDs[old.Ord[r]]
+		}
+		return records[r-base].ObjectID
+	})
+	x.owners = &t
 	return nil
 }
 
@@ -283,14 +297,14 @@ type RStarOptions struct {
 // RStarIndex is a 3-dimensional R*-tree over the record set, time as the
 // third axis.
 type RStarIndex struct {
-	treeIndex[recordOwners]
+	treeIndex
 	slab timeSlab
 }
 
-func newRStarIndex(tree *rstar.Tree, owners []int64, timeScale float64) *RStarIndex {
+func newRStarIndex(tree *rstar.Tree, owners *owner.Table, timeScale float64) *RStarIndex {
 	slab := timeSlab{Tree: tree, scale: timeScale}
 	return &RStarIndex{
-		treeIndex: treeIndex[recordOwners]{search: slab, owners: owners, kind: "rstar"},
+		treeIndex: treeIndex{search: slab, owners: owners, kind: "rstar"},
 		slab:      slab,
 	}
 }
@@ -333,17 +347,15 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	owners := make([]int64, len(records))
 	order := rand.New(rand.NewSource(opts.ShuffleSeed)).Perm(len(records))
 	for _, i := range order {
 		r := records[i]
-		owners[i] = r.ObjectID
 		box := geom.Box3FromBox(geom.NewBox(r.Rect.internal(), r.Interval.internal()), scale)
 		if err := tree.Insert(box, uint64(i)); err != nil {
 			return nil, err
 		}
 	}
-	return newRStarIndex(tree, owners, scale), nil
+	return newRStarIndex(tree, ownersOf(records), scale), nil
 }
 
 // BuildRStarPacked bulk-loads the records into a packed 3D R-tree with
@@ -359,9 +371,7 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 	}
 	scale := unitTimeScale(records, opts)
 	items := make([]rstar.Item, len(records))
-	owners := make([]int64, len(records))
 	for i, r := range records {
-		owners[i] = r.ObjectID
 		items[i] = rstar.Item{
 			Box: geom.Box3FromBox(geom.NewBox(r.Rect.internal(), r.Interval.internal()), scale),
 			Ref: uint64(i),
@@ -379,7 +389,7 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 	if err != nil {
 		return nil, err
 	}
-	return newRStarIndex(tree, owners, scale), nil
+	return newRStarIndex(tree, ownersOf(records), scale), nil
 }
 
 // Tree exposes the underlying R*-tree for advanced inspection.

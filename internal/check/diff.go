@@ -183,9 +183,10 @@ func diffPass(idx stx.Index, wl *Workload, exp *Expected, parallelism int) error
 }
 
 // diffRange checks queries lo, lo+stride, lo+2*stride, … of every
-// family: window answers as sets, kNN answers verbatim (the pinned
-// (Dist2, ObjectID) order with bit-exact distances), trajectory answers
-// verbatim (ascending ObjectID with exact piece counts).
+// family: window answers as sets and strictly ascending, kNN answers
+// verbatim (the pinned (Dist2, ObjectID) order with bit-exact distances),
+// trajectory answers verbatim (ascending ObjectID with exact piece
+// counts).
 func diffRange(idx stx.Index, wl *Workload, exp *Expected, lo, stride int) error {
 	for i := lo; i < len(wl.Queries); i += stride {
 		got, err := stx.RunQuery(idx, wl.Queries[i])
@@ -195,6 +196,9 @@ func diffRange(idx stx.Index, wl *Workload, exp *Expected, lo, stride int) error
 		if !SameIDs(got, exp.Window[i]) {
 			return fmt.Errorf("query %d (%+v): index returned %v, oracle says %v",
 				i, wl.Queries[i], SortedIDs(got), exp.Window[i])
+		}
+		if !StrictlyAscending(got) {
+			return fmt.Errorf("query %d (%+v): answer %v is not strictly ascending", i, wl.Queries[i], got)
 		}
 	}
 	for i := lo; i < len(wl.KNNQueries); i += stride {

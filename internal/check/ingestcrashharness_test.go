@@ -367,6 +367,9 @@ func sameStreamState(got, want *stx.StreamIndex) error {
 		if !SameIDs(g, w) {
 			return fmt.Errorf("probe %d: got %v, want %v", qi, SortedIDs(g), SortedIDs(w))
 		}
+		if !StrictlyAscending(g) || !StrictlyAscending(w) {
+			return fmt.Errorf("probe %d: answers %v and %v are not both strictly ascending", qi, g, w)
+		}
 	}
 	return nil
 }

@@ -164,6 +164,17 @@ func SameIDs(a, b []int64) bool {
 	return true
 }
 
+// StrictlyAscending reports whether ids is a window answer in its pinned
+// order: distinct ids, ascending. Every execution path must answer so.
+func StrictlyAscending(ids []int64) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // SameNeighbors reports whether two kNN answers are identical —
 // including order and bit-exact distances. The answer order is pinned
 // (ascending Dist2, then ObjectID), so serial, sharded and HTTP paths

@@ -128,6 +128,9 @@ func httpCheckPass(wl *check.Workload) (int, error) {
 				return checked, fmt.Errorf("kind %s query %d over HTTP: got %v, oracle says %v",
 					kind, i, check.SortedIDs(ids), exp.Window[i])
 			}
+			if !check.StrictlyAscending(ids) {
+				return checked, fmt.Errorf("kind %s query %d over HTTP: answer %v is not strictly ascending", kind, i, ids)
+			}
 			checked++
 		}
 		for i, q := range wl.KNNQueries {

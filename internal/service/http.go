@@ -69,6 +69,22 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
+// The slow-client limits of NewServer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer is the http.Server every binary serving this API listens
+// with: a client that has not sent a request's whole header within
+// readHeaderTimeout is dropped, and so is a keep-alive connection left
+// idle for idleTimeout, so clients that trickle bytes cannot hold
+// connections open for ever. Bodies are bounded per route (413), not by a
+// read deadline, so a large POST /ingest over a slow link still lands.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // queryRequest is the parsed /query input; GET parameters and the POST
 // JSON body map onto the same fields. Value fields plus presence flags
 // (instead of pointers) keep the steady-state GET parse allocation-free.

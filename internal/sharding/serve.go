@@ -156,9 +156,9 @@ func (s *Sharded) Snapshot(r stx.Rect, t int64) ([]int64, error) {
 }
 
 // Range implements stx.Index: prune, scatter, gather, merge. The merge
-// de-duplicates (partitioning is at object granularity, but the merge
-// stays correct for any layout) and sorts, so the answer is deterministic
-// whatever order the shards finished in.
+// of the shards' ascending answers de-duplicates (partitioning is at
+// object granularity, but the merge stays correct for any layout), so the
+// answer is deterministic whatever order the shards finished in.
 func (s *Sharded) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 	results, err := scatter(s, r, iv, func(idx stx.Index) ([]int64, error) { return idx.Range(r, iv) })
 	if err != nil {

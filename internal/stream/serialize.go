@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"stindex/internal/geom"
+	"stindex/internal/owner"
 	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 )
@@ -22,7 +23,8 @@ import (
 //	live    count u32, then per open piece (sorted by object id):
 //	        objID i64, ref u64, rect MinX/MinY/MaxX/MaxY f64,
 //	        start i64, lastT i64, length u64
-//	owners  count u32, then per record (sorted by ref): ref u64, objID i64
+//	owners  count u32 (= nextRef), then per record in ref order 0, 1, …:
+//	        ref u64, objID i64
 //	tree    pprtree meta (pprtree.WriteMeta)
 //	pagefile extent (pagefile.WriteExtent)
 //
@@ -73,7 +75,7 @@ func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
 	for _, step := range []error{
 		u32(streamVersion),
 		f64(ix.opts.Lambda),
-		u64(ix.nextRef), u64(uint64(ix.cuts)),
+		u64(uint64(ix.owners.Records())), u64(uint64(ix.cuts)),
 		u32(uint32(len(ix.live))),
 	} {
 		if step != nil {
@@ -97,19 +99,14 @@ func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	if err := u32(uint32(len(ix.owners))); err != nil {
+	if err := u32(uint32(ix.owners.Records())); err != nil {
 		return n, err
 	}
-	refs := make([]uint64, 0, len(ix.owners))
-	for ref := range ix.owners {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	for _, ref := range refs {
-		if err := u64(ref); err != nil {
+	for ref, o := range ix.owners.Ord {
+		if err := u64(uint64(ref)); err != nil {
 			return n, err
 		}
-		if err := u64(uint64(ix.owners[ref])); err != nil {
+		if err := u64(uint64(ix.owners.IDs[o])); err != nil {
 			return n, err
 		}
 	}
@@ -172,17 +169,15 @@ func ReadMeta(r io.Reader) (*Indexer, error) {
 	if imgVersion != streamVersion {
 		return nil, fmt.Errorf("stream: unsupported version %d", imgVersion)
 	}
-	ix := &Indexer{
-		live:   make(map[int64]*pieceState),
-		owners: make(map[uint64]int64),
-	}
+	ix := &Indexer{live: make(map[int64]*pieceState)}
 	if ix.opts.Lambda, err = f64(); err != nil {
 		return nil, err
 	}
 	if ix.opts.Lambda < 0 || math.IsNaN(ix.opts.Lambda) {
 		return nil, fmt.Errorf("stream: stored lambda %g invalid", ix.opts.Lambda)
 	}
-	if ix.nextRef, err = u64(); err != nil {
+	nextRef, err := u64()
+	if err != nil {
 		return nil, err
 	}
 	if v, err := u64(); err != nil {
@@ -205,8 +200,8 @@ func ReadMeta(r io.Reader) (*Indexer, error) {
 		if st.ref, err = u64(); err != nil {
 			return nil, err
 		}
-		if st.ref >= ix.nextRef {
-			return nil, fmt.Errorf("stream: live piece ref %d beyond nextRef %d", st.ref, ix.nextRef)
+		if st.ref >= nextRef {
+			return nil, fmt.Errorf("stream: live piece ref %d beyond nextRef %d", st.ref, nextRef)
 		}
 		var rect geom.Rect
 		if rect.MinX, err = f64(); err != nil {
@@ -252,20 +247,26 @@ func ReadMeta(r io.Reader) (*Indexer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if uint64(numOwners) != nextRef {
+		return nil, fmt.Errorf("stream: %d owners for %d record refs", numOwners, nextRef)
+	}
+	// The count is untrusted input: let reading drive the allocation.
+	var ids []int64
 	for i := uint32(0); i < numOwners; i++ {
 		ref, err := u64()
 		if err != nil {
 			return nil, err
 		}
-		if ref >= ix.nextRef {
-			return nil, fmt.Errorf("stream: owner ref %d beyond nextRef %d", ref, ix.nextRef)
+		if ref != uint64(i) {
+			return nil, fmt.Errorf("stream: owner ref %d out of order (want %d)", ref, i)
 		}
 		v, err := u64()
 		if err != nil {
 			return nil, err
 		}
-		ix.owners[ref] = int64(v)
+		ids = append(ids, int64(v))
 	}
+	ix.owners = owner.ByRank(len(ids), func(r int) int64 { return ids[r] })
 	tree, err := pprtree.ReadMeta(r)
 	if err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"stindex/internal/geom"
+	"stindex/internal/owner"
 	"stindex/internal/pprtree"
 )
 
@@ -43,12 +44,15 @@ type pieceState struct {
 // Indexer ingests a time-ordered stream of object observations and
 // maintains a queryable historical index.
 type Indexer struct {
-	opts    Options
-	tree    *pprtree.Tree
-	live    map[int64]*pieceState
-	owners  map[uint64]int64 // record ref -> object id
-	nextRef uint64
-	cuts    int
+	opts Options
+	tree *pprtree.Tree
+	live map[int64]*pieceState
+	// owners maps the dense record references handed out so far to their
+	// objects, numbered in the order they first appeared; ords numbers an
+	// object id (nil after a load until the first new piece needs it).
+	owners owner.Table
+	ords   map[int64]uint32
+	cuts   int
 }
 
 // New creates an empty streaming indexer whose history begins at
@@ -65,10 +69,9 @@ func New(opts Options, startTime int64) (*Indexer, error) {
 		return nil, err
 	}
 	return &Indexer{
-		opts:   opts,
-		tree:   tree,
-		live:   make(map[int64]*pieceState),
-		owners: make(map[uint64]int64),
+		opts: opts,
+		tree: tree,
+		live: make(map[int64]*pieceState),
 	}, nil
 }
 
@@ -83,7 +86,7 @@ func (ix *Indexer) Observe(objID, t int64, rect geom.Rect) error {
 	st, ok := ix.live[objID]
 	if !ok {
 		// Object appears: open its first piece.
-		ref := ix.newRef(objID)
+		ref := ix.firstRef(objID)
 		if err := ix.tree.Insert(rect, ref, t); err != nil {
 			return err
 		}
@@ -103,7 +106,7 @@ func (ix *Indexer) Observe(objID, t int64, rect geom.Rect) error {
 		if err := ix.closePiece(objID, st, t); err != nil {
 			return err
 		}
-		ref := ix.newRef(objID)
+		ref := ix.owners.Add(ix.owners.Ord[st.ref])
 		if err := ix.tree.Insert(rect, ref, t); err != nil {
 			return err
 		}
@@ -168,16 +171,27 @@ func (ix *Indexer) closePiece(objID int64, st *pieceState, t int64) error {
 	return nil
 }
 
-func (ix *Indexer) newRef(objID int64) uint64 {
-	ref := ix.nextRef
-	ix.nextRef++
-	ix.owners[ref] = objID
-	return ref
+// firstRef hands out the reference of an appearing object's first piece.
+// An object that appeared before keeps its ordinal, so it answers as one
+// id however often it reappears.
+func (ix *Indexer) firstRef(objID int64) uint64 {
+	if ix.ords == nil {
+		ix.ords = make(map[int64]uint32, len(ix.owners.IDs))
+		for o, id := range ix.owners.IDs {
+			ix.ords[id] = uint32(o)
+		}
+	}
+	o, ok := ix.ords[objID]
+	if !ok {
+		o = ix.owners.NewObject(objID)
+		ix.ords[objID] = o
+	}
+	return ix.owners.Add(o)
 }
 
 // Records returns the number of lifetime pieces created so far (closed
 // and open).
-func (ix *Indexer) Records() int { return int(ix.nextRef) }
+func (ix *Indexer) Records() int { return ix.owners.Records() }
 
 // Cuts returns the number of artificial splits the online rule performed.
 func (ix *Indexer) Cuts() int { return ix.cuts }
@@ -250,13 +264,17 @@ func (ix *Indexer) Pieces() ([]pprtree.Record, error) {
 
 // Owner returns the object that owns a record reference, or 0 for an
 // unknown reference; OwnerRef distinguishes the two.
-func (ix *Indexer) Owner(ref uint64) int64 { return ix.owners[ref] }
+func (ix *Indexer) Owner(ref uint64) int64 {
+	id, _ := ix.owners.Owner(ref)
+	return id
+}
 
 // OwnerRef returns the object owning a record reference and whether the
-// reference is known. The facade's query core resolves every reference a
-// tree search emits through it, so a dangling reference in a corrupt
-// image surfaces as an error instead of silently becoming object 0.
-func (ix *Indexer) OwnerRef(ref uint64) (int64, bool) {
-	id, ok := ix.owners[ref]
-	return id, ok
-}
+// reference is known.
+func (ix *Indexer) OwnerRef(ref uint64) (int64, bool) { return ix.owners.Owner(ref) }
+
+// Owners returns the indexer's owner table, which the facade's query
+// core resolves every emitted reference through. It grows in place as
+// pieces are cut: its ordinals follow first appearance, so they are in id
+// order only while objects appear in ascending id order.
+func (ix *Indexer) Owners() *owner.Table { return &ix.owners }

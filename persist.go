@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 
+	"stindex/internal/owner"
 	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 	"stindex/internal/rstar"
@@ -46,7 +47,9 @@ import (
 //	stream  stream meta (owners and open pieces live inside it)
 //
 // An owner table is count u64 followed by count object ids (i64): the
-// record-ref → object mapping of the facade index.
+// record-ref → object mapping of the facade index, one id per record in
+// reference order. Opening numbers the objects by the rank of their ids
+// (owner.ByRank).
 //
 // Page extents sit at the end so OpenIndex can map them lazily: only the
 // meta section is read at open time; pages are faulted in on demand by
@@ -106,34 +109,36 @@ const containerHeaderSize = 4 + 4 + 1 + 1 + 2 + 8
 // maxOwners bounds the owner count accepted from untrusted images.
 const maxOwners = 1 << 32
 
-func appendOwners(buf []byte, owners []int64) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(owners)))
-	for _, id := range owners {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+func appendOwners(buf []byte, owners *owner.Table) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(owners.Ord)))
+	for _, o := range owners.Ord {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(owners.IDs[o]))
 	}
 	return buf
 }
 
-func readOwners(r io.Reader) ([]int64, error) {
+// readOwners reads the owner table at mr's position in meta, numbering
+// the objects straight off the meta bytes.
+func readOwners(meta []byte, mr *bytes.Reader) (*owner.Table, error) {
 	var cnt [8]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+	if _, err := io.ReadFull(mr, cnt[:]); err != nil {
 		return nil, fmt.Errorf("stindex: reading owner count: %w", err)
 	}
 	count := binary.LittleEndian.Uint64(cnt[:])
 	if count > maxOwners {
 		return nil, fmt.Errorf("stindex: implausible owner count %d", count)
 	}
-	// The count is untrusted input: let reading drive the allocation
-	// instead of pre-sizing from the header.
-	var owners []int64
-	var v [8]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(r, v[:]); err != nil {
-			return nil, fmt.Errorf("stindex: reading owner table: %w", err)
-		}
-		owners = append(owners, int64(binary.LittleEndian.Uint64(v[:])))
+	// The count is untrusted input: it must fit in the bytes present.
+	if count > uint64(mr.Len())/8 {
+		return nil, fmt.Errorf("stindex: reading owner table: %w", io.ErrUnexpectedEOF)
 	}
-	return owners, nil
+	off := len(meta) - mr.Len()
+	ids := meta[off : off+8*int(count)]
+	if _, err := mr.Seek(int64(len(ids)), io.SeekCurrent); err != nil {
+		return nil, err
+	}
+	t := owner.ByRank(int(count), func(r int) int64 { return int64(binary.LittleEndian.Uint64(ids[8*r:])) })
+	return &t, nil
 }
 
 // encodeContainerMeta dispatches on the concrete index type, returning
@@ -193,7 +198,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 	var attach []func(pagefile.Store) error
 	switch kind {
 	case kindPPR:
-		owners, err := readOwners(mr)
+		owners, err := readOwners(meta, mr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -212,7 +217,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 			return nil, nil, fmt.Errorf("stindex: implausible stored time scale %g", scale)
 		}
-		owners, err := readOwners(mr)
+		owners, err := readOwners(meta, mr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -237,7 +242,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 			return nil, nil, fmt.Errorf("stindex: implausible stored time scale %g", scale)
 		}
-		owners, err := readOwners(mr)
+		owners, err := readOwners(meta, mr)
 		if err != nil {
 			return nil, nil, err
 		}

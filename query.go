@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -219,50 +218,69 @@ func MergeNeighbors(dst, src []Neighbor, k int) []Neighbor {
 
 // MergeIDs unions per-part window answers (shards, or the frozen and live
 // halves of an ingesting stream) into one de-duplicated, ascending id
-// list — the same answer whatever order the parts finished in. It
-// consumes the lists: the result may reuse their memory.
+// list — the same answer whatever order the parts finished in. Every part
+// must itself be ascending, as every Index's window answer is; the union
+// is a k-way merge of them. It consumes the lists: the result may be one
+// of them.
 func MergeIDs(lists ...[]int64) []int64 {
-	var merged []int64
-	for _, ids := range lists {
-		if len(merged) == 0 {
-			merged = ids // a single non-empty part is sorted where it is
-		} else {
-			merged = append(merged, ids...)
-		}
-	}
-	if len(merged) == 0 {
-		return nil
-	}
-	slices.Sort(merged)
-	return slices.Compact(merged)
+	return mergeAscending(lists, func(h int64) int64 { return h }, func(*int64, int64) {})
 }
 
 // MergeTrajectories sums per-part trajectory answers into one, ascending
 // by ObjectID. Every record lives in exactly one part, so an object's
-// piece counts add up to what a single index would report.
+// piece counts add up to what a single index would report. Like MergeIDs
+// it merges ascending parts and may return one of them.
 func MergeTrajectories(lists ...[]TrajectoryHit) []TrajectoryHit {
-	if len(lists) == 1 {
-		return lists[0]
-	}
-	counts := make(map[int64]int)
-	for _, hits := range lists {
-		for _, h := range hits {
-			counts[h.ObjectID] += h.Pieces
-		}
-	}
-	return trajectoryHits(counts)
+	return mergeAscending(lists, func(h TrajectoryHit) int64 { return h.ObjectID },
+		func(dst *TrajectoryHit, h TrajectoryHit) { dst.Pieces += h.Pieces })
 }
 
-// trajectoryHits converts a per-object piece-count map into the sorted
-// answer slice shared by every Trajectory implementation.
-func trajectoryHits(counts map[int64]int) []TrajectoryHit {
-	if len(counts) == 0 {
+// mergeAscending is the k-way merge behind MergeIDs and MergeTrajectories:
+// it repeatedly takes the smallest head of the parts, each ascending by
+// key, and folds an element whose key equals the last one taken into it
+// with same. A lone non-empty part is returned as it is.
+func mergeAscending[T any](lists [][]T, key func(T) int64, same func(dst *T, src T)) []T {
+	total, last := 0, -1
+	heads := make([][]T, 0, len(lists))
+	for i, l := range lists {
+		if len(l) > 0 {
+			total += len(l)
+			last = i
+			heads = append(heads, l)
+		}
+	}
+	switch len(heads) {
+	case 0:
 		return nil
+	case 1:
+		return lists[last]
 	}
-	out := make([]TrajectoryHit, 0, len(counts))
-	for id, n := range counts {
-		out = append(out, TrajectoryHit{ObjectID: id, Pieces: n})
+	keys := make([]int64, len(heads)) // keys[i] = key(heads[i][0])
+	for i, h := range heads {
+		keys[i] = key(h[0])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID < out[j].ObjectID })
+	out := make([]T, 0, total)
+	var prev int64 // the key of out's last element
+	for len(heads) > 0 {
+		m := 0
+		for i := 1; i < len(keys); i++ {
+			if keys[i] < keys[m] {
+				m = i
+			}
+		}
+		if n := len(out); n > 0 && prev == keys[m] {
+			same(&out[n-1], heads[m][0])
+		} else {
+			out = append(out, heads[m][0])
+			prev = keys[m]
+		}
+		if heads[m] = heads[m][1:]; len(heads[m]) > 0 {
+			keys[m] = key(heads[m][0])
+			continue
+		}
+		end := len(heads) - 1
+		heads[m], keys[m] = heads[end], keys[end]
+		heads, keys = heads[:end], keys[:end]
+	}
 	return out
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for stserve: build the CLIs, generate and save a
 # container, serve it, fire >= 1000 queries from >= 8 concurrent clients,
-# check /metrics and hot-swap, and shut down gracefully with SIGTERM.
+# check /metrics, /debug/pprof/ and hot-swap, and shut down gracefully
+# with SIGTERM.
 # With SMOKE_SHARDED=1 (the default) it also builds a 3-shard snapshot
 # from the same dataset, serves it next to the flat container, proves the
 # scatter-gather answers are identical, hot-swaps the manifest and checks
@@ -82,6 +83,10 @@ traj=$(curl -sf "http://$ADDR/query?kind=trajectory&rect=0.3,0.3,0.7,0.7&from=50
 grep -q '"trajectories":\[{"id":' <<<"$traj" \
   || { echo "FAIL: trajectory answer missing hits: $traj"; exit 1; }
 echo "   knn + trajectory ok"
+
+echo "== runtime profiles (net/http/pprof)"
+status=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/debug/pprof/cmdline")
+[ "$status" = "200" ] || { echo "FAIL: /debug/pprof/cmdline answered $status, want 200"; exit 1; }
 
 echo "== hot-swapping the snapshot"
 curl -sf -X POST "http://$ADDR/snapshots/load" \

@@ -27,13 +27,13 @@ type StreamOptions struct {
 // range queries are answerable at any moment, including for still-live
 // objects.
 type StreamIndex struct {
-	treeIndex[*stream.Indexer]
+	treeIndex
 	ix *stream.Indexer
 }
 
 func newStreamIndex(ix *stream.Indexer) *StreamIndex {
 	return &StreamIndex{
-		treeIndex: treeIndex[*stream.Indexer]{search: ix.Tree(), owners: ix, kind: "stream-ppr"},
+		treeIndex: treeIndex{search: ix.Tree(), owners: ix.Owners(), kind: "stream-ppr"},
 		ix:        ix,
 	}
 }

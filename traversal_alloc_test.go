@@ -1,7 +1,6 @@
 package stindex
 
 import (
-	"math/bits"
 	"testing"
 
 	"stindex/internal/geom"
@@ -11,8 +10,9 @@ import (
 // once the pooled scratch has grown and every page has been decoded, a
 // snapshot, interval or nearest search on any of the three trees —
 // through the reference-emitting view the query core runs on — allocates
-// nothing; and that the query core above it allocates the answer and a
-// fixed three cells a query, nothing that grows with the answer.
+// nothing; and that the query core above it allocates the answer, sized
+// once, and a fixed two cells a query, nothing that grows with the
+// answer.
 func TestTraversalZeroAllocs(t *testing.T) {
 	ppr, rst, hr := goldenWorkload(t)
 	snapshots := goldenQueries(t, QuerySnapshotMixed)[:50]
@@ -66,9 +66,9 @@ func TestTraversalZeroAllocs(t *testing.T) {
 	}
 
 	// One level up, through the query core: Index.Range on a warmed view
-	// allocates the answer and three fixed cells (the emit closure and the
-	// two variables it writes) — the owner set is the view's, cleared.
-	// The answer grows by append, so it costs one allocation per doubling.
+	// allocates the answer and two fixed cells (the emit closure and the
+	// error it may write) — the owner bitset is the view's, drained clear.
+	// The answer is sized from the bitset's count: one allocation.
 	for _, kind := range []struct {
 		name string
 		idx  Index
@@ -80,9 +80,9 @@ func TestTraversalZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/range: %v", kind.name, err)
 			}
-			bound += 3
-			if n := len(ids); n > 0 {
-				bound += bits.Len(uint(n-1)) + 1
+			bound += 2
+			if len(ids) > 0 {
+				bound++
 			}
 		}
 		allocs := testing.AllocsPerRun(3, func() {
@@ -93,7 +93,7 @@ func TestTraversalZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs > float64(bound) {
-			t.Errorf("%s/range: %v allocations per pass of %d queries, want at most %d (the answers and 3 a query)",
+			t.Errorf("%s/range: %v allocations per pass of %d queries, want at most %d (the answers and 2 a query)",
 				kind.name, allocs, len(ranges), bound)
 		}
 	}
