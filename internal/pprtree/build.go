@@ -1,9 +1,7 @@
 package pprtree
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"stindex/internal/geom"
 )
@@ -59,7 +57,20 @@ type recordEvent struct {
 	rec    int
 }
 
+// recordEvents returns the records' insertions and deletions in replay
+// order, the total key (time, deletions first, record index) — a record
+// contributes at most one event of each kind — and the earliest time.
+// The order is built by stable LSD radix passes: the pass on the insert
+// flag is made while the events are laid out (deletions in record order,
+// then insertions in record order), then one counting pass per byte of
+// uint64(time) − uint64(earliest), low byte first, up to the highest byte
+// the span of times reaches.
 func recordEvents(records []Record) ([]recordEvent, int64, error) {
+	if len(records) == 0 {
+		return nil, 0, nil
+	}
+	dels := 0
+	lo, hi := records[0].Interval.Start, records[0].Interval.Start
 	for i, r := range records {
 		if !r.Rect.Valid() {
 			return nil, 0, fmt.Errorf("pprtree: record %d has invalid rect %v", i, r.Rect)
@@ -67,32 +78,42 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 		if !r.Interval.ValidInterval() {
 			return nil, 0, fmt.Errorf("pprtree: record %d has empty interval %v", i, r.Interval)
 		}
-	}
-	events := make([]recordEvent, 0, 2*len(records))
-	for i, r := range records {
-		events = append(events, recordEvent{time: r.Interval.Start, insert: true, rec: i})
+		lo, hi = min(lo, r.Interval.Start), max(hi, r.Interval.Start)
 		if r.Interval.End != geom.Now {
-			events = append(events, recordEvent{time: r.Interval.End, insert: false, rec: i})
+			dels++
+			hi = max(hi, r.Interval.End)
 		}
 	}
-	// (time, insert, rec) is a total key — a record contributes at most one
-	// event of each kind — and is the order a stable sort by (time, insert)
-	// gives the events as appended above, without a stable sort's cost.
-	slices.SortFunc(events, func(a, b recordEvent) int {
-		if a.time != b.time {
-			return cmp.Compare(a.time, b.time)
+	n := dels + len(records)
+	both := make([]recordEvent, 2*n)
+	events, spare := both[:n:n], both[n:]
+	d := 0
+	for i, r := range records {
+		if r.Interval.End != geom.Now {
+			events[d] = recordEvent{time: r.Interval.End, insert: false, rec: i}
+			d++
 		}
-		// Deletions first within an instant.
-		if a.insert != b.insert {
-			return cmp.Compare(btoi(a.insert), btoi(b.insert))
-		}
-		return cmp.Compare(a.rec, b.rec)
-	})
-	start := int64(0)
-	if len(events) > 0 {
-		start = events[0].time
+		events[dels+i] = recordEvent{time: r.Interval.Start, insert: true, rec: i}
 	}
-	return events, start, nil
+	span := uint64(hi) - uint64(lo)
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		var count [256]int
+		for i := range events {
+			count[byte((uint64(events[i].time)-uint64(lo))>>shift)]++
+		}
+		sum := 0
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for i := range events {
+			b := byte((uint64(events[i].time) - uint64(lo)) >> shift)
+			spare[count[b]] = events[i]
+			count[b]++
+		}
+		events, spare = spare, events
+	}
+	return events, lo, nil
 }
 
 // replay applies the events in order inside one write-back bracket.

@@ -1,19 +1,26 @@
 package pprtree
 
 import (
-	"cmp"
 	"slices"
 
 	"stindex/internal/geom"
 )
 
 // keySplitScratch is the arena a tree's key splits reuse: the records in
-// both sort orders of both axes, and the prefix and suffix MBRs of the
-// order being swept. The groups a split returns are views into it, valid
-// until the next split.
+// both sort orders of both axes, the sort keys of the order being built,
+// and the prefix and suffix MBRs of the order being swept. The groups a
+// split returns are views into it, valid until the next split.
 type keySplitScratch struct {
 	orders         [2][2][]pentry // [axis][by upper bound]
+	keys           []sortKey
 	prefix, suffix []geom.Rect
+}
+
+// sortKey is one record's place in a key-split order: its first and
+// second bound on the axis, in comparison order, and its input index.
+type sortKey struct {
+	first, second float64
+	i             int
 }
 
 // keySplit partitions records into two spatially coherent groups, each of
@@ -35,7 +42,7 @@ func (s *keySplitScratch) keySplit(entries []pentry, m int) (g1, g2 []pentry) {
 	for a := 0; a < 2; a++ {
 		margin := 0.0
 		for u := 0; u < 2; u++ {
-			s.orders[a][u] = sortPEntries(s.orders[a][u][:0], entries, a, u == 1)
+			s.orders[a][u] = s.sortPEntries(s.orders[a][u][:0], entries, a, u == 1)
 			s.sweep(s.orders[a][u])
 			for k := m; k <= n-m; k++ {
 				margin += s.prefix[k].Perimeter() + s.suffix[k].Perimeter()
@@ -64,23 +71,38 @@ func (s *keySplitScratch) keySplit(entries []pentry, m int) (g1, g2 []pentry) {
 }
 
 // sortPEntries appends entries to dst stably sorted along axis by (lower,
-// upper) bound, or by (upper, lower) when byUpper.
-func sortPEntries(dst, entries []pentry, axis int, byUpper bool) []pentry {
-	dst = append(dst, entries...)
-	key := func(e pentry) (lo, hi float64) {
-		if axis == 0 {
-			return e.rect.MinX, e.rect.MaxX
+// upper) bound, or by (upper, lower) when byUpper. A node holds at most
+// MaxEntries+1 records, so it insertion-sorts their keys — two floats and
+// an index, not the 56-byte entries — and gathers the entries once.
+// Rect.Valid refuses NaN wherever rectangles enter, and without NaN `<`
+// orders exactly as cmp.Compare does, −0 and +0 equal included.
+func (s *keySplitScratch) sortPEntries(dst, entries []pentry, axis int, byUpper bool) []pentry {
+	keys := slices.Grow(s.keys[:0], len(entries))
+	dst = slices.Grow(dst, len(entries))
+	for i := range entries {
+		r := &entries[i].rect
+		k := sortKey{first: r.MinX, second: r.MaxX, i: i}
+		if axis == 1 {
+			k.first, k.second = r.MinY, r.MaxY
 		}
-		return e.rect.MinY, e.rect.MaxY
-	}
-	slices.SortStableFunc(dst, func(a, b pentry) int {
-		la, ha := key(a)
-		lb, hb := key(b)
 		if byUpper {
-			return cmp.Or(cmp.Compare(ha, hb), cmp.Compare(la, lb))
+			k.first, k.second = k.second, k.first
 		}
-		return cmp.Or(cmp.Compare(la, lb), cmp.Compare(ha, hb))
-	})
+		keys = append(keys, k)
+		j := i
+		for ; j > 0; j-- {
+			p := &keys[j-1]
+			if !(k.first < p.first || (k.first == p.first && k.second < p.second)) {
+				break
+			}
+			keys[j] = *p
+		}
+		keys[j] = k
+	}
+	for _, k := range keys {
+		dst = append(dst, entries[k.i])
+	}
+	s.keys = keys
 	return dst
 }
 

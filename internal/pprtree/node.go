@@ -55,6 +55,12 @@ type pnode struct {
 	// on one decoded for queries, and it is not maintained there.
 	mbr   geom.Rect
 	dirty bool // in the write-back table and ahead of its page image
+	// nalive counts the alive entries under the same rule as mbr: set
+	// where a live node is decoded for an update or created, raised by
+	// appendEntries and lowered where an entry closes (Delete,
+	// closeAndCopyAlive, maybeShrinkRoot, closeChildEntry). An int32 in
+	// dirty's padding word keeps the node at 96 bytes.
+	nalive int32
 	// parent is the resident directory node holding this node's alive
 	// entry, kept while the bracket keeps a record locator (locate.go).
 	parent *pnode
@@ -62,7 +68,9 @@ type pnode struct {
 
 func (n *pnode) live() bool { return n.endT == geom.Now }
 
-// aliveCount returns the number of currently-alive records.
+// aliveCount recounts the currently-alive records. The update path reads
+// n.nalive instead; this is what n.nalive starts from and what Validate
+// holds it against.
 func (n *pnode) aliveCount() int {
 	c := 0
 	for _, e := range n.entries {
@@ -97,11 +105,15 @@ func (n *pnode) mbrAll() geom.Rect {
 	return r
 }
 
-// appendEntries adds entries to the node and their rectangles to its MBR.
+// appendEntries adds entries to the node, their rectangles to its MBR and
+// the alive ones to its count.
 func (n *pnode) appendEntries(adds []pentry) {
 	n.entries = append(n.entries, adds...)
 	for _, e := range adds {
 		n.mbr = n.mbr.Union(e.rect)
+		if e.alive() {
+			n.nalive++
+		}
 	}
 }
 

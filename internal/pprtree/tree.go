@@ -238,7 +238,7 @@ func (t *Tree) residentOrImage(id pagefile.PageID) (*pnode, []byte, error) {
 }
 
 // decodeForUpdate is the second half: the parse, and for a live node the
-// running MBR and its place in the open bracket's table.
+// running MBR, the alive count and its place in the open bracket's table.
 func (t *Tree) decodeForUpdate(id pagefile.PageID, data []byte) (*pnode, error) {
 	n, err := decodePNode(id, data)
 	if err != nil {
@@ -246,6 +246,7 @@ func (t *Tree) decodeForUpdate(id pagefile.PageID, data []byte) (*pnode, error) 
 	}
 	if n.live() {
 		n.mbr = n.mbrAll()
+		n.nalive = int32(n.aliveCount())
 		if t.resident != nil {
 			t.resident[id] = n
 		}

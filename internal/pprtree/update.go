@@ -39,6 +39,7 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 	}
 	leaf := path[len(path)-1]
 	leaf.entries[idx].deleteT = time
+	leaf.nalive--
 	t.untrackRecord(ref)
 	t.alive--
 	if err := t.fixup(path, time, nil, true); err != nil {
@@ -146,7 +147,7 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 		t.trackBackRefs(n, adds)
 		t.trackLocation(n, adds)
 		adds = nil
-		if i > 0 && mayUnderflow && n.aliveCount() < t.opts.weakMin() {
+		if i > 0 && mayUnderflow && int(n.nalive) < t.opts.weakMin() {
 			var err error
 			adds, mayUnderflow, err = t.versionSplit(path, i, time, nil, mayUnderflow)
 			if err != nil {
@@ -245,6 +246,7 @@ func (t *Tree) closeAndCopyAlive(dst []pentry, n *pnode, time int64) []pentry {
 			}
 		}
 	}
+	n.nalive = 0
 	n.endT = time
 	return dst
 }
@@ -338,7 +340,7 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 		if err != nil {
 			return err
 		}
-		if root.aliveCount() != 1 {
+		if root.nalive != 1 {
 			return nil
 		}
 		var child pagefile.PageID
@@ -349,6 +351,7 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 				break
 			}
 		}
+		root.nalive = 0
 		root.endT = time
 		if err := t.writeNode(root); err != nil {
 			return err
@@ -376,6 +379,7 @@ func closeChildEntry(parent *pnode, child pagefile.PageID, time int64) error {
 	for j := range parent.entries {
 		if parent.entries[j].alive() && pagefile.PageID(parent.entries[j].ref) == child {
 			parent.entries[j].deleteT = time
+			parent.nalive--
 			return nil
 		}
 	}
@@ -390,6 +394,7 @@ func (t *Tree) newNode(leaf bool, time int64, entries []pentry) *pnode {
 	own := append(make([]pentry, 0, max(t.opts.MaxEntries, len(entries))), entries...)
 	n := &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: own}
 	n.mbr = n.mbrAll()
+	n.nalive = int32(n.aliveCount())
 	t.trackBackRefs(n, own)
 	t.trackLocation(n, own)
 	return n

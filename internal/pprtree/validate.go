@@ -34,7 +34,8 @@ type CheckReport struct {
 //   - version copies of the same data record never overlap in time;
 //   - the cached state agrees with the entries it is derived from: the
 //     running MBR of every node resident in an open bracket equals the
-//     union of its entries' rectangles, and in online mode every
+//     union of its entries' rectangles and its alive count the number of
+//     its alive entries, and in online mode every
 //     directory entry's child has the node among its back-references
 //     (the sets may over-cover, never miss); and in a bracket that keeps
 //     a record locator, the locator counts exactly the alive copies of
@@ -80,6 +81,9 @@ func (t *Tree) Validate() (CheckReport, error) {
 			}
 			if t.resident[id] == n && n.mbr != n.mbrAll() {
 				return fmt.Errorf("pprtree: resident node %d carries MBR %v, its entries span %v", id, n.mbr, n.mbrAll())
+			}
+			if t.resident[id] == n && int(n.nalive) != n.aliveCount() {
+				return fmt.Errorf("pprtree: resident node %d counts %d alive entries, it holds %d", id, n.nalive, n.aliveCount())
 			}
 		}
 		if n.leaf {

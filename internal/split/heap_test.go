@@ -58,8 +58,8 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 	targetSplits = ClampSplits(targetSplits, n)
 	segs := make([]mergeSeg, n)
 	total := 0.0
-	for i := 0; i < n; i++ {
-		r := o.InstantRect(i)
+	for i := int32(0); i < int32(n); i++ {
+		r := o.InstantRect(int(i))
 		segs[i] = mergeSeg{lo: i, hi: i + 1, rect: r, vol: m(r, 1), prev: i - 1, next: i + 1}
 		total += segs[i].vol
 	}
@@ -68,7 +68,7 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 		observe(n-1, total)
 	}
 	var cands []mergeCand
-	for i := 0; i+1 < n; i++ {
+	for i := int32(0); i+1 < int32(n); i++ {
 		cands = append(cands, candidate(segs, i, m))
 	}
 	q.init(cands)
@@ -112,10 +112,10 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 			break
 		}
 	}
-	for i := 0; i != -1 && i < n; {
+	for i := int32(0); i != -1 && int(i) < n; {
 		s := segs[i]
 		if s.lo > 0 {
-			cuts = append(cuts, s.lo)
+			cuts = append(cuts, int(s.lo))
 		}
 		i = s.next
 	}

@@ -91,22 +91,24 @@ func MergeCurve(o *trajectory.Object, maxSplits int) []float64 {
 	return curve
 }
 
-// mergeSeg is a live segment in the doubly linked list of boxes.
+// mergeSeg is a live segment in the doubly linked list of boxes. Its
+// indices are int32 (a plan's merge order already is), which makes a
+// segment one 64-byte cache line.
 type mergeSeg struct {
-	lo, hi     int // instant range [lo, hi)
+	lo, hi     int32 // instant range [lo, hi)
 	rect       geom.Rect
 	vol        float64
-	prev, next int // indices into the segment arena, -1 at the ends
-	version    int // bumped on every change, for lazy heap invalidation
+	prev, next int32 // indices into the segment arena, -1 at the ends
+	version    int32 // bumped on every change, for lazy heap invalidation
 	dead       bool
 }
 
 // mergeCand is a heap entry proposing to merge segment seg with its
 // successor. It is stale when either side's version changed since push.
+// 24 bytes, where int fields made 32.
 type mergeCand struct {
-	seg        int
-	verA, verB int
-	increase   float64
+	increase        float64
+	seg, verA, verB int32
 }
 
 // mergeRun performs the merge process down to targetSplits splits (i.e.
@@ -132,8 +134,8 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 	defer releaseMergeScratch(scratch)
 	segs := scratch.segs
 	total := 0.0
-	for i := 0; i < n; i++ {
-		r := o.InstantRect(i)
+	for i := int32(0); i < int32(n); i++ {
+		r := o.InstantRect(int(i))
 		segs[i] = mergeSeg{lo: i, hi: i + 1, rect: r, vol: m(r, 1), prev: i - 1, next: i + 1}
 		total += segs[i].vol
 	}
@@ -142,7 +144,7 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 		observe(n-1, total)
 	}
 
-	for i := 0; i+1 < n; i++ {
+	for i := int32(0); i+1 < int32(n); i++ {
 		scratch.h = append(scratch.h, candidate(segs, i, m))
 	}
 	scratch.heapInit()
@@ -164,7 +166,7 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 		}
 		// Merge b into a.
 		if order != nil {
-			order[n-live] = int32(b.lo)
+			order[n-live] = b.lo
 		}
 		union := a.rect.Union(b.rect)
 		newVol := m(union, int64(b.hi-a.lo))
@@ -195,10 +197,10 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 	}
 
 	cuts := make([]int, 0, live-1)
-	for i := 0; i != -1 && i < n; {
-		s := segs[i]
+	for i := int32(0); i != -1 && int(i) < n; {
+		s := &segs[i]
 		if s.lo > 0 {
-			cuts = append(cuts, s.lo)
+			cuts = append(cuts, int(s.lo))
 		}
 		i = s.next
 	}
@@ -206,7 +208,7 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 }
 
 // candidate builds a heap entry for merging segs[i] with its successor.
-func candidate(segs []mergeSeg, i int, m Measure) mergeCand {
+func candidate(segs []mergeSeg, i int32, m Measure) mergeCand {
 	a := &segs[i]
 	b := &segs[a.next]
 	union := a.rect.Union(b.rect)

@@ -117,9 +117,11 @@ type mergeScratch struct {
 // it only drops the interface boxing of each pushed and popped element,
 // and a sift carries its element in a local and moves the hole — one
 // store per level where a swap makes two — which compares the same pairs
-// and leaves the same layout. The pop order among equal increases is
-// part of what a record file is (DESIGN.md, "Split plans"): do not
-// replace the queue by one that breaks ties differently.
+// and leaves the same layout. Narrower elements (a 24-byte mergeCand, a
+// 64-byte mergeSeg) move less memory per sift and change no comparison.
+// The pop order among equal increases is part of what a record file is
+// (DESIGN.md, "Split plans"): do not replace the queue by one that breaks
+// ties differently.
 
 func (s *mergeScratch) heapInit() {
 	n := len(s.h)
