@@ -17,7 +17,7 @@ func buildTools(t *testing.T) string {
 	}
 	dir := t.TempDir()
 	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"./cmd/stgen", "./cmd/stsplit", "./cmd/stquery", "./cmd/stbench", "./cmd/ststream")
+		"./cmd/stgen", "./cmd/stsplit", "./cmd/stquery", "./cmd/stbench", "./cmd/ststream", "./cmd/stcheck")
 	cmd.Dir = "."
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -90,15 +90,29 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("describe output: %s", so)
 	}
 
-	// hr is an in-memory baseline: it builds and answers, but neither
-	// saves nor shards.
-	for _, args := range [][]string{
-		{"stquery", "-i", records, "-index", "hr", "-save", filepath.Join(work, "hr.sti")},
-		{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hr", "-o", filepath.Join(work, "hr.manifest")},
+	// hr and hybrid are built in memory: they build and answer, but
+	// neither saves nor shards, and the harness runs neither.
+	so, _ = run(t, filepath.Join(bin, "stquery"), "-i", records, "-index", "hybrid",
+		"-rect", "0.2,0.2,0.6,0.6", "-from", "100", "-to", "400")
+	if !strings.Contains(so, "results=") {
+		t.Fatalf("hybrid single query output: %s", so)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"stquery", "-i", records, "-index", "hr", "-save", filepath.Join(work, "hr.sti")}, "hr"},
+		{[]string{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hr", "-o", filepath.Join(work, "hr.manifest")}, "hr"},
+		{[]string{"stquery", "-i", records, "-index", "hybrid", "-save", filepath.Join(work, "hybrid.sti")},
+			`index kind "hybrid" is no longer persisted`},
+		{[]string{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hybrid", "-o", filepath.Join(work, "hybrid.manifest")},
+			`unknown shard index kind "hybrid"`},
+		{[]string{"stcheck", "-kinds", "hybrid", "-n", "40", "-queries", "8", "-seeds", "1", "-nofaults"},
+			`unknown index kind "hybrid"`},
 	} {
-		out, err := exec.Command(filepath.Join(bin, args[0]), args[1:]...).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "hr") {
-			t.Fatalf("%v: want a failure naming hr, got err=%v\n%s", args, err, out)
+		out, err := exec.Command(filepath.Join(bin, c.args[0]), c.args[1:]...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Fatalf("%v: want a failure containing %q, got err=%v\n%s", c.args, c.want, err, out)
 		}
 	}
 

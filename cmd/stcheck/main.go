@@ -34,7 +34,7 @@ func main() {
 		horizon     = flag.Int64("horizon", 1000, "evolution length in time instants")
 		seed        = flag.Int64("seed", 1, "first workload seed")
 		seeds       = flag.Int("seeds", 3, "number of consecutive seeds to run")
-		kinds       = flag.String("kinds", "", "comma-separated index kinds (default: ppr,rstar,hybrid,stream)")
+		kinds       = flag.String("kinds", "", "comma-separated index kinds (default: ppr,rstar,stream)")
 		backend     = flag.String("backend", "both", "page-store backend to check: mem | disk | both")
 		parallelism = flag.String("parallelism", "1,4", "comma-separated worker counts for the parallel passes")
 		nofaults    = flag.Bool("nofaults", false, "skip the fault-injection matrix")

@@ -11,7 +11,7 @@
 //	stquery -i records.jsonl -index ppr -rect 0.4,0.4,0.6,0.6 -t 500
 //	stquery -i records.jsonl -index ppr -knn 0.5,0.5 -k 10 -t 500   # k nearest at an instant
 //	stquery -i records.jsonl -index hr -traj -rect 0.4,0.4,0.6,0.6 -from 100 -to 400
-//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr: in-memory baseline)
+//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr or hybrid: built in memory only)
 //	stquery -load idx.sti -set snapshot-mixed               # reopen lazily (kind autodetected)
 //	stquery -i records.jsonl -index ppr -backend disk ...   # build on the disk backend
 //	stquery -i records.jsonl -index ppr -serve :8080        # build, then serve it over HTTP
@@ -38,9 +38,9 @@ import (
 func main() {
 	var (
 		in       = flag.String("i", "", "input records (JSON lines from stsplit; default stdin)")
-		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hybrid | hr")
+		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hybrid | hr (hybrid and hr are built in memory only)")
 		par      = flag.Int("parallelism", 0, "worker count for bulk loading (rstar-packed) and workload measurement: 0 = all cores, 1 = serial; tree and averages are identical either way")
-		save     = flag.String("save", "", "write the built index container to this file (any kind but hr, the in-memory baseline)")
+		save     = flag.String("save", "", "write the built index container to this file (any kind but hybrid and hr, which are built in memory only)")
 		load     = flag.String("load", "", "open a saved index container lazily instead of building from records (kind autodetected; -index is ignored)")
 		backend  = flag.String("backend", "", "page-store backend for building: mem | disk (default: $STINDEX_BACKEND, then mem)")
 		describe = flag.Bool("describe", false, "print the index's physical shape and exit")

@@ -45,7 +45,7 @@ func main() {
 		qy       = flag.Float64("qy", 0, "query-aware objective: expected query y-extent")
 		par      = flag.Int("parallelism", 0, "worker count for curve construction and materialization (0 = all cores, 1 = serial; output is identical either way)")
 		shards   = flag.Int("shards", 0, "partition the records into this many shards and build a sharded snapshot at -o (0 = write records)")
-		indexK   = flag.String("index", "ppr", "shard container index kind: ppr | rstar | rstar-packed | hybrid")
+		indexK   = flag.String("index", "ppr", "shard container index kind: ppr | rstar | rstar-packed")
 		pages    = flag.Int("pages", 0, "global buffer-page budget distributed across the shards (0 = 10 per shard)")
 		codec    = flag.String("codec", "", "shard container page codec: identity | compressed (default: compressed, or $STINDEX_CODEC)")
 	)

@@ -91,26 +91,28 @@ func (x *RefinedIndex) refine(r Rect, iv Interval, candidates func() ([]int64, e
 	}
 	out := ids[:0]
 	for _, id := range ids {
-		o, ok := x.objs[id]
-		if !ok {
-			continue // unknown object: drop rather than over-report
-		}
-		lt := o.Lifetime()
-		lo, hi := iv.Start, iv.End
-		if lt.Start > lo {
-			lo = lt.Start
-		}
-		if lt.End < hi {
-			hi = lt.End
-		}
-		for t := lo; t < hi; t++ {
-			if g, ok := o.At(t); ok && g.Intersects(r) {
-				out = append(out, id)
-				break
-			}
+		if x.crosses(id, r, iv) {
+			out = append(out, id)
 		}
 	}
 	return out, nil
+}
+
+// crosses reports whether the object's exact rectangle intersects r at
+// some instant of iv. An unknown object does not: it is dropped rather
+// than over-reported.
+func (x *RefinedIndex) crosses(id int64, r Rect, iv Interval) bool {
+	o, ok := x.objs[id]
+	if !ok {
+		return false
+	}
+	lt := o.Lifetime()
+	for t := max(iv.Start, lt.Start); t < min(iv.End, lt.End); t++ {
+		if g, ok := o.At(t); ok && g.Intersects(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // Trajectory implements Index: candidate hits from the underlying index,
@@ -122,21 +124,9 @@ func (x *RefinedIndex) Trajectory(r Rect, iv Interval) ([]TrajectoryHit, error) 
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, len(hits))
-	for i, h := range hits {
-		ids[i] = h.ObjectID
-	}
-	kept, err := x.refine(r, iv, func() ([]int64, error) { return ids, nil })
-	if err != nil {
-		return nil, err
-	}
-	keep := make(map[int64]bool, len(kept))
-	for _, id := range kept {
-		keep[id] = true
-	}
 	out := hits[:0]
 	for _, h := range hits {
-		if keep[h.ObjectID] {
+		if x.crosses(h.ObjectID, r, iv) {
 			out = append(out, h)
 		}
 	}

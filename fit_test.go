@@ -91,6 +91,66 @@ func TestRefinedIndexRemovesFalsePositives(t *testing.T) {
 	}
 }
 
+// TestRefinedTrajectoryFiltersBaseHits pins the refined trajectory answer
+// to the two answers it is made of: exactly the base index's hits whose
+// objects appear in the refined Range over the same window, in the base
+// order, each with its MBR-level piece count unchanged.
+func TestRefinedTrajectoryFiltersBaseHits(t *testing.T) {
+	objs := genObjects(t, 400, 57)
+	records, _, err := SplitDataset(objs, SplitConfig{Budget: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildPPR(records, PPROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined := Refined(base, objs)
+	queries, err := GenerateQueries(QueryRangeMedium, 1000, 59)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, multiPiece := false, false
+	for qi, q := range queries[:120] {
+		hits, err := base.Trajectory(q.Rect, q.Interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := refined.Range(q.Rect, q.Interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inRange := make(map[int64]bool, len(exact))
+		for _, id := range exact {
+			inRange[id] = true
+		}
+		var want []TrajectoryHit
+		for _, h := range hits {
+			if inRange[h.ObjectID] {
+				want = append(want, h)
+			} else {
+				dropped = true
+			}
+			multiPiece = multiPiece || h.Pieces > 1
+		}
+		got, err := refined.Trajectory(q.Rect, q.Interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: refined trajectory has %d hits, want %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query %d: hit %d is %+v, want %+v", qi, i, got[i], want[i])
+			}
+		}
+	}
+	if !dropped || !multiPiece {
+		t.Fatalf("workload too easy: a hit dropped %v, a hit of several pieces %v", dropped, multiPiece)
+	}
+}
+
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

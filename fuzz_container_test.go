@@ -12,7 +12,9 @@ import (
 )
 
 // containerSeeds encodes one valid STIC container per index kind and
-// page codec — the corpus both fuzz targets mutate.
+// page codec, plus the version-1 spelling of the first identity image and
+// the legacy containers under testdata — the corpus both fuzz targets
+// mutate.
 func containerSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	wl, err := check.GenerateWorkload(60, 200, 19, 4)
@@ -33,8 +35,14 @@ func containerSeeds(f *testing.F) [][]byte {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
+	// A version-1 container had a zero where the codec byte sits and opens
+	// through the identity codec unchanged.
+	v1 := bytes.Clone(seeds[0])
+	v1[4] = 1
+	seeds = append(seeds, v1)
 	// Containers written before this codec stopped producing delta pages
-	// and before hr stopped being persisted: the decode-only paths.
+	// and before hr and hybrid stopped being persisted: the decode-only
+	// and refusal paths.
 	legacy, err := filepath.Glob(filepath.Join("testdata", "*.sti"))
 	if err != nil || len(legacy) == 0 {
 		f.Fatalf("no legacy containers under testdata: %v", err)

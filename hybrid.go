@@ -24,9 +24,9 @@ type HybridOptions struct {
 // 3D tree.
 //
 // The price is the combined storage of both structures; the benefit is
-// uniformly good performance across query durations.
+// uniformly good performance across query durations. The composition is
+// built in memory and never saved: each component persists on its own.
 type HybridIndex struct {
-	fileHandle
 	ppr       *PPRIndex
 	rstar     *RStarIndex
 	threshold int64

@@ -28,8 +28,8 @@ func readOnlyStore(s pagefile.Store) bool {
 }
 
 // fileHandle guards the container file of a lazily opened index; it is
-// empty for built indexes and query views. Every index kind embeds one,
-// which is what gives it Close.
+// empty for built indexes and query views. Every persisted index kind
+// embeds one, which is what gives it Close.
 type fileHandle struct {
 	mu sync.Mutex
 	c  io.Closer

@@ -16,10 +16,10 @@ func TestRunDiffSmall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", rep.Seed, err)
 	}
-	// 3 backends x 4 kinds x 2 parallelism levels + 4 container
-	// round-trips + 4 shared-cache round-trips + 4 kinds x 2 codecs x 3
-	// open backends + 4 sharded passes.
-	if want := 3*4*2 + 4 + 4 + 4*2*3 + 4; rep.Passes != want {
+	// 3 backends x 3 kinds x 2 parallelism levels + 3 container
+	// round-trips + 3 shared-cache round-trips + 3 kinds x 2 codecs x 3
+	// open backends + 3 sharded passes.
+	if want := 3*3*2 + 3 + 3 + 3*2*3 + 3; rep.Passes != want {
 		t.Errorf("Passes = %d, want %d", rep.Passes, want)
 	}
 	if rep.Compared == 0 || rep.Queries == 0 {

@@ -21,7 +21,7 @@ var (
 // Validate) — and then sweeps every record through the facade's
 // owner-checked query path, so a dangling record reference (a ref beyond
 // the owner table) surfaces too. It accepts every persisted kind: ppr,
-// rstar, hybrid and stream-ppr.
+// rstar and stream-ppr.
 func CheckInvariants(x stx.Index) error {
 	switch ix := x.(type) {
 	case *stx.PPRIndex:
@@ -32,14 +32,6 @@ func CheckInvariants(x stx.Index) error {
 		if err := ix.Tree().Validate(); err != nil {
 			return fmt.Errorf("check: rstar invariants: %w", err)
 		}
-	case *stx.HybridIndex:
-		if err := CheckInvariants(ix.PPR()); err != nil {
-			return fmt.Errorf("check: hybrid ppr component: %w", err)
-		}
-		if err := CheckInvariants(ix.RStar()); err != nil {
-			return fmt.Errorf("check: hybrid rstar component: %w", err)
-		}
-		return nil // both components already swept below
 	case *stx.StreamIndex:
 		if _, err := ix.Tree().Validate(); err != nil {
 			return fmt.Errorf("check: stream invariants: %w", err)

@@ -8,7 +8,7 @@ import (
 )
 
 // AllKinds lists every index kind the harness covers.
-var AllKinds = []string{"ppr", "rstar", "hybrid", "stream"}
+var AllKinds = []string{"ppr", "rstar", "stream"}
 
 // Workload is one seeded differential workload: a generated dataset, the
 // offline split records the batch-built kinds index, and a mixed query
@@ -99,11 +99,6 @@ func BuildKind(kind string, wl *Workload, backend stx.Backend) (stx.Index, error
 		return stx.BuildPPR(wl.Records, stx.PPROptions{Backend: backend})
 	case "rstar":
 		return stx.BuildRStar(wl.Records, stx.RStarOptions{ShuffleSeed: 42, Backend: backend})
-	case "hybrid":
-		return stx.BuildHybrid(wl.Records, stx.HybridOptions{
-			PPR:   stx.PPROptions{Backend: backend},
-			RStar: stx.RStarOptions{ShuffleSeed: 42, Backend: backend},
-		})
 	case "stream", "stream-ppr":
 		return buildStream(wl.Objects, backend)
 	}

@@ -73,9 +73,6 @@ func Persist(cfg Config) ([]PersistRow, error) {
 		}{
 			{"ppr", func() (stx.Index, error) { return stx.BuildPPR(records, stx.PPROptions{}) }},
 			{"rstar", func() (stx.Index, error) { return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42}) }},
-			{"hybrid", func() (stx.Index, error) {
-				return stx.BuildHybrid(records, stx.HybridOptions{RStar: stx.RStarOptions{ShuffleSeed: 42}})
-			}},
 		}
 		for _, b := range builders {
 			built, err := b.build()

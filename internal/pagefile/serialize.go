@@ -139,10 +139,6 @@ func ReadExtentMem(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// ReadFile deserialises a page extent into memory. Kept for callers of
-// the pre-backend API; new code should choose ReadExtentMem or OpenExtent.
-func ReadFile(r io.Reader) (*File, error) { return ReadExtentMem(r) }
-
 // OpenExtent wraps the page extent at offset off of f as a lazily read,
 // read-only DiskStore: only the header and free list are read here; page
 // images stay on disk until a Buffer faults them in. The caller retains

@@ -31,7 +31,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadFile(&buf)
+	g, err := ReadExtentMem(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileRejectsGarbage(t *testing.T) {
-	if _, err := ReadFile(strings.NewReader("nope")); err == nil {
+	if _, err := ReadExtentMem(strings.NewReader("nope")); err == nil {
 		t.Fatal("accepted short garbage")
 	}
-	if _, err := ReadFile(strings.NewReader("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
+	if _, err := ReadExtentMem(strings.NewReader("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
 		t.Fatal("accepted bad magic")
 	}
 	// Truncated page area.
@@ -77,7 +77,7 @@ func TestReadFileRejectsGarbage(t *testing.T) {
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); err == nil {
+	if _, err := ReadExtentMem(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); err == nil {
 		t.Fatal("accepted truncated image")
 	}
 }

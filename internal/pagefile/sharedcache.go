@@ -17,11 +17,11 @@ const cacheEntryOverhead = 96
 
 // pageKey identifies one cached page globally: the owning snapshot
 // generation (registry-wide unique, bumped on every load and hot-swap),
-// the extent ordinal within the container (a hybrid container has two
-// extents whose PageIDs overlap), and the page id. Because the
-// generation is part of the key, a lookup can never return a retired
-// generation's page to a newer one — hot-swap safety is structural, not
-// a protocol.
+// the extent ordinal within the snapshot (a sharded snapshot numbers the
+// extents of its shard containers in turn, and their PageIDs overlap),
+// and the page id. Because the generation is part of the key, a lookup
+// can never return a retired generation's page to a newer one — hot-swap
+// safety is structural, not a protocol.
 type pageKey struct {
 	gen uint64
 	ext uint32

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +122,36 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if snap.refs.Load() != 0 {
 		t.Fatalf("dropped snapshot still holds %d refs", snap.refs.Load())
+	}
+}
+
+// TestLoadRefusesRetiredHybridContainer loads a hybrid container written
+// before the kind stopped being persisted, both under a fresh name and as
+// a hot-swap over a served one: each load fails with the error naming the
+// removal and installs nothing, so the served snapshot stays in place.
+func TestLoadRefusesRetiredHybridContainer(t *testing.T) {
+	retired := filepath.Join("..", "..", "testdata", "hybrid-v2-compressed.sti")
+	reg := NewRegistryConfig(RegistryConfig{CacheBytes: 1 << 20})
+	defer reg.Close()
+	snap, err := reg.Load("data", saveContainer(t, buildIndex(t, stx.BackendMemory)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fresh", "data"} {
+		if _, err := reg.Load(name, retired); err == nil || !strings.Contains(err.Error(), `index kind "hybrid" is no longer persisted`) {
+			t.Fatalf("Load(%q, hybrid container) = %v, want the error naming the removal", name, err)
+		}
+	}
+	if names := reg.Names(); len(names) != 1 || names[0] != "data" {
+		t.Fatalf("Names = %v after the refused loads, want [data]", names)
+	}
+	lease, err := reg.Acquire("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	if lease.Snapshot() != snap {
+		t.Fatalf("a refused hot-swap replaced generation %d", snap.Gen())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // BuildConfig parameterises Build.
 type BuildConfig struct {
 	// Kind is the index kind every shard container holds: ppr (default),
-	// rstar, rstar-packed or hybrid.
+	// rstar or rstar-packed.
 	Kind string
 	// BufferBudget is the global buffer-pool page budget distributed
 	// across the shards (default 10 pages per shard — the paper's buffer
@@ -32,7 +32,7 @@ type BuildConfig struct {
 }
 
 // ShardKinds lists the index kinds Build accepts.
-var ShardKinds = []string{"ppr", "rstar", "rstar-packed", "hybrid"}
+var ShardKinds = []string{"ppr", "rstar", "rstar-packed"}
 
 // Build materialises a plan: it distributes the buffer budget over the
 // shards, builds and saves one container per shard next to manifestPath
@@ -144,11 +144,6 @@ func buildShardIndex(kind string, records []stx.Record, bufferPages, parallelism
 		return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42, BufferPages: bufferPages})
 	case "rstar-packed":
 		return stx.BuildRStarPacked(records, stx.RStarOptions{BufferPages: bufferPages, Parallelism: parallelism})
-	case "hybrid":
-		return stx.BuildHybrid(records, stx.HybridOptions{
-			PPR:   stx.PPROptions{BufferPages: bufferPages},
-			RStar: stx.RStarOptions{ShuffleSeed: 42, BufferPages: bufferPages},
-		})
 	}
 	return nil, fmt.Errorf("sharding: unknown shard index kind %q (want one of %v)", kind, ShardKinds)
 }

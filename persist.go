@@ -22,10 +22,11 @@ import (
 //
 //	magic    [4]byte "STIC"
 //	version  u32  2 (1 accepted: the pre-codec format)
-//	kind     u8   1 = ppr, 2 = rstar, 4 = hybrid, 5 = stream (3 = hr is
-//	              reserved: written before the HR-tree became an in-memory
-//	              baseline, refused on open)
-//	extents  u8   page extents following the meta section (2 for hybrid)
+//	kind     u8   1 = ppr, 2 = rstar, 5 = stream (3 = hr and 4 = hybrid
+//	              are reserved: written before those kinds became in-memory
+//	              compositions, refused on open)
+//	extents  u8   page extents following the meta section (1; 2 in a
+//	              retired hybrid container)
 //	codec    u8   0 = identity (raw STPF extents), 1 = compressed (STPC)
 //	reserved u8   0
 //	metaLen  u64
@@ -41,9 +42,6 @@ import (
 //
 //	ppr     owner table, pprtree meta
 //	rstar   timeScale f64, owner table, rstar meta
-//	hybrid  threshold i64, timeScale f64, owner table (shared by both
-//	        components), pprtree meta, rstar meta (extent order: ppr,
-//	        rstar)
 //	stream  stream meta (owners and open pieces live inside it)
 //
 // An owner table is count u64 followed by count object ids (i64): the
@@ -62,14 +60,19 @@ const (
 	kindPPR    byte = 1
 	kindRStar  byte = 2
 	kindHR     byte = 3 // reserved, see errHRNotPersisted
-	kindHybrid byte = 4
+	kindHybrid byte = 4 // reserved, see errHybridNotPersisted
 	kindStream byte = 5
 )
 
 // errHRNotPersisted is what saving an HRIndex and opening an hr container
 // report: the overlapping HR-tree is the related-work baseline of
 // `stbench -exp overlap`, built and queried in memory.
-var errHRNotPersisted = errors.New("stindex: index kind \"hr\" is no longer persisted: the HR-tree is an in-memory baseline (BuildHR); save and serve ppr, rstar or hybrid")
+var errHRNotPersisted = errors.New("stindex: index kind \"hr\" is no longer persisted: the HR-tree is an in-memory baseline (BuildHR); save and serve ppr or rstar")
+
+// errHybridNotPersisted is what saving a HybridIndex and opening a hybrid
+// container report: the MV3R-style composition is built in memory from
+// its two components (BuildHybrid), each of which persists on its own.
+var errHybridNotPersisted = errors.New("stindex: index kind \"hybrid\" is no longer persisted: the hybrid is an in-memory composition (BuildHybrid); save and serve ppr or rstar")
 
 // kindName maps a container kind byte to the facade Kind() string.
 func kindName(kind byte) string {
@@ -88,20 +91,14 @@ func kindName(kind byte) string {
 	return fmt.Sprintf("unknown(%d)", kind)
 }
 
-// kindLayouts returns the page layout of each extent of a container
-// kind, in on-disk order — the structural hint the compressed codec
-// exploits (the stream indexer persists through a pprtree, so its pages
-// share that layout).
-func kindLayouts(kind byte) []pagefile.Layout {
-	switch kind {
-	case kindPPR, kindStream:
-		return []pagefile.Layout{pagefile.LayoutPPR}
-	case kindRStar:
-		return []pagefile.Layout{pagefile.LayoutRStar}
-	case kindHybrid:
-		return []pagefile.Layout{pagefile.LayoutPPR, pagefile.LayoutRStar}
+// kindLayout returns the page layout of a container kind's extent — the
+// structural hint the compressed codec exploits (the stream indexer
+// persists through a pprtree, so its pages share that layout).
+func kindLayout(kind byte) pagefile.Layout {
+	if kind == kindRStar {
+		return pagefile.LayoutRStar
 	}
-	return nil
+	return pagefile.LayoutPPR
 }
 
 const containerHeaderSize = 4 + 4 + 1 + 1 + 2 + 8
@@ -143,8 +140,8 @@ func readOwners(meta []byte, mr *bytes.Reader) (*owner.Table, error) {
 
 // encodeContainerMeta dispatches on the concrete index type, returning
 // the container kind byte, the kind-specific meta blob and the page
-// stores to append as extents (in on-disk order).
-func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
+// store to append as the extent.
+func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
 	var meta bytes.Buffer
 	switch ix := x.(type) {
 	case *PPRIndex:
@@ -152,7 +149,7 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 		if _, err := ix.tree.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		return kindPPR, meta.Bytes(), []pagefile.Store{ix.tree.Store()}, nil
+		return kindPPR, meta.Bytes(), ix.tree.Store(), nil
 	case *RStarIndex:
 		var head [8]byte
 		binary.LittleEndian.PutUint64(head[:], math.Float64bits(ix.slab.scale))
@@ -161,41 +158,27 @@ func encodeContainerMeta(x Index) (byte, []byte, []pagefile.Store, error) {
 		if _, err := ix.slab.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		return kindRStar, meta.Bytes(), []pagefile.Store{ix.slab.Store()}, nil
+		return kindRStar, meta.Bytes(), ix.slab.Store(), nil
 	case *HRIndex:
 		return 0, nil, nil, errHRNotPersisted
 	case *HybridIndex:
-		var head [16]byte
-		binary.LittleEndian.PutUint64(head[:8], uint64(ix.threshold))
-		binary.LittleEndian.PutUint64(head[8:], math.Float64bits(ix.rstar.slab.scale))
-		meta.Write(head[:])
-		// Both components index the same records, so one owner table
-		// serves both (shared again on load).
-		meta.Write(appendOwners(nil, ix.ppr.owners))
-		if _, err := ix.ppr.tree.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		if _, err := ix.rstar.slab.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		return kindHybrid, meta.Bytes(), []pagefile.Store{ix.ppr.tree.Store(), ix.rstar.slab.Store()}, nil
+		return 0, nil, nil, errHybridNotPersisted
 	case *StreamIndex:
 		if _, err := ix.ix.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
 		}
-		return kindStream, meta.Bytes(), []pagefile.Store{ix.ix.Tree().Store()}, nil
+		return kindStream, meta.Bytes(), ix.ix.Tree().Store(), nil
 	default:
 		return 0, nil, nil, fmt.Errorf("stindex: cannot serialise index kind %q (%T)", x.Kind(), x)
 	}
 }
 
 // decodeContainerMeta parses a kind-specific meta blob into a store-less
-// index plus one attach callback per expected page extent (in on-disk
-// order).
-func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) error, error) {
+// index plus the callback that attaches its page extent.
+func decodeContainerMeta(kind byte, meta []byte) (Index, func(pagefile.Store) error, error) {
 	mr := bytes.NewReader(meta)
 	var x Index
-	var attach []func(pagefile.Store) error
+	var attach func(pagefile.Store) error
 	switch kind {
 	case kindPPR:
 		owners, err := readOwners(meta, mr)
@@ -206,8 +189,7 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: ppr meta: %w", err)
 		}
-		x = newPPRIndex(tree, owners)
-		attach = []func(pagefile.Store) error{tree.AttachStore}
+		x, attach = newPPRIndex(tree, owners), tree.AttachStore
 	case kindRStar:
 		var head [8]byte
 		if _, err := io.ReadFull(mr, head[:]); err != nil {
@@ -225,48 +207,17 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, []func(pagefile.Store) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: rstar meta: %w", err)
 		}
-		x = newRStarIndex(tree, owners, scale)
-		attach = []func(pagefile.Store) error{tree.AttachStore}
+		x, attach = newRStarIndex(tree, owners, scale), tree.AttachStore
 	case kindHR:
 		return nil, nil, errHRNotPersisted
 	case kindHybrid:
-		var head [16]byte
-		if _, err := io.ReadFull(mr, head[:]); err != nil {
-			return nil, nil, fmt.Errorf("stindex: hybrid meta: %w", err)
-		}
-		threshold := int64(binary.LittleEndian.Uint64(head[:8]))
-		if threshold < 0 {
-			return nil, nil, fmt.Errorf("stindex: negative stored interval threshold %d", threshold)
-		}
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(head[8:]))
-		if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-			return nil, nil, fmt.Errorf("stindex: implausible stored time scale %g", scale)
-		}
-		owners, err := readOwners(meta, mr)
-		if err != nil {
-			return nil, nil, err
-		}
-		pt, err := pprtree.ReadMeta(mr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stindex: hybrid ppr meta: %w", err)
-		}
-		rt, err := rstar.ReadMeta(mr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stindex: hybrid rstar meta: %w", err)
-		}
-		x = &HybridIndex{
-			ppr:       newPPRIndex(pt, owners),
-			rstar:     newRStarIndex(rt, owners, scale),
-			threshold: threshold,
-		}
-		attach = []func(pagefile.Store) error{pt.AttachStore, rt.AttachStore}
+		return nil, nil, errHybridNotPersisted
 	case kindStream:
 		ix, err := stream.ReadMeta(mr)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stindex: stream meta: %w", err)
 		}
-		x = newStreamIndex(ix)
-		attach = []func(pagefile.Store) error{ix.AttachStore}
+		x, attach = newStreamIndex(ix), ix.AttachStore
 	default:
 		return nil, nil, fmt.Errorf("stindex: unknown index kind %d", kind)
 	}
@@ -285,9 +236,9 @@ type SaveOptions struct {
 	Codec Codec
 }
 
-// EncodeIndex serialises an index — ppr, rstar, hybrid, or a snapshot of
-// a stream index — as a self-describing container to w, using the
-// default codec (an HRIndex is an in-memory baseline and is refused).
+// EncodeIndex serialises an index — ppr, rstar, or a snapshot of a
+// stream index — as a self-describing container to w, using the default
+// codec (an HRIndex or a HybridIndex is built in memory and is refused).
 // DecodeIndex and OpenIndex read it back; the kind and codec are
 // autodetected.
 func EncodeIndex(w io.Writer, x Index) (int64, error) {
@@ -300,16 +251,15 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	kind, meta, stores, err := encodeContainerMeta(x)
+	kind, meta, store, err := encodeContainerMeta(x)
 	if err != nil {
 		return 0, err
 	}
-	layouts := kindLayouts(kind)
 	header := make([]byte, containerHeaderSize)
 	copy(header, containerMagic)
 	binary.LittleEndian.PutUint32(header[4:], containerVersion)
 	header[8] = kind
-	header[9] = byte(len(stores))
+	header[9] = 1
 	header[10] = codec.ID()
 	binary.LittleEndian.PutUint64(header[12:], uint64(len(meta)))
 	m, err := w.Write(header)
@@ -322,14 +272,8 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	for i, s := range stores {
-		en, err := codec.WriteExtent(w, s, layouts[i])
-		n += en
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	en, err := codec.WriteExtent(w, store, kindLayout(kind))
+	return n + en, err
 }
 
 // SaveIndex writes the index's container image to path with the default
@@ -408,7 +352,7 @@ func DecodeIndex(r io.Reader) (Index, error) {
 	if _, err := io.ReadFull(br, header); err != nil {
 		return nil, fmt.Errorf("stindex: reading container header: %w", err)
 	}
-	_, extents, codec, metaLen, err := parseContainerHeader(header)
+	kind, _, codec, metaLen, err := parseContainerHeader(header)
 	if err != nil {
 		return nil, err
 	}
@@ -418,18 +362,16 @@ func DecodeIndex(r io.Reader) (Index, error) {
 	if _, err := io.CopyN(&metaBuf, br, int64(metaLen)); err != nil {
 		return nil, fmt.Errorf("stindex: reading container meta: %w", err)
 	}
-	x, attach, err := decodeContainerMeta(header[8], metaBuf.Bytes())
+	x, attach, err := decodeContainerMeta(kind, metaBuf.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < extents; i++ {
-		file, err := codec.ReadExtentMem(br)
-		if err != nil {
-			return nil, fmt.Errorf("stindex: reading page extent %d: %w", i, err)
-		}
-		if err := attach[i](file); err != nil {
-			return nil, err
-		}
+	file, err := codec.ReadExtentMem(br)
+	if err != nil {
+		return nil, fmt.Errorf("stindex: reading page extent: %w", err)
+	}
+	if err := attach(file); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -490,24 +432,19 @@ func OpenIndexOptions(path string, opts OpenOptions) (Index, error) {
 	return x, nil
 }
 
-// multiCloser closes the extent stores of an opened container (mappings
-// need an munmap) before releasing the container file itself.
+// multiCloser closes the extent store of an opened container (a mapping
+// needs its munmap) before releasing the container file itself.
 type multiCloser struct {
-	stores []pagefile.Store
-	f      *os.File
+	store pagefile.Store
+	f     *os.File
 }
 
 func (m *multiCloser) Close() error {
-	var first error
-	for _, s := range m.stores {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
+	err := m.store.Close()
+	if ferr := m.f.Close(); err == nil {
+		err = ferr
 	}
-	if err := m.f.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return err
 }
 
 func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
@@ -519,7 +456,7 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 	if _, err := f.ReadAt(header, 0); err != nil {
 		return nil, fmt.Errorf("stindex: reading container header: %w", err)
 	}
-	kind, extents, codec, metaLen, err := parseContainerHeader(header)
+	kind, _, codec, metaLen, err := parseContainerHeader(header)
 	if err != nil {
 		return nil, err
 	}
@@ -538,32 +475,19 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 	if backend == pagefile.BackendDefault {
 		backend = pagefile.DefaultOpenBackend()
 	}
-	closer := &multiCloser{f: f}
-	// On a partial failure only the stores are released here (a mapping
-	// needs its munmap); the caller owns and closes f.
-	closeStores := func() {
-		for _, s := range closer.stores {
-			s.Close()
-		}
+	store, _, err := codec.OpenExtent(f, int64(containerHeaderSize)+int64(metaLen), backend)
+	if err != nil {
+		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
-	off := int64(containerHeaderSize) + int64(metaLen)
-	for i := 0; i < extents; i++ {
-		store, length, err := codec.OpenExtent(f, off, backend)
-		if err != nil {
-			closeStores()
-			return nil, fmt.Errorf("stindex: opening page extent %d: %w", i, err)
-		}
-		closer.stores = append(closer.stores, store)
-		if opts.Wrap != nil {
-			store = opts.Wrap(store)
-		}
-		if err := attach[i](store); err != nil {
-			closeStores()
-			return nil, err
-		}
-		off += length
+	wrapped := store
+	if opts.Wrap != nil {
+		wrapped = opts.Wrap(store)
 	}
-	x.(interface{ set(io.Closer) }).set(closer)
+	if err := attach(wrapped); err != nil {
+		store.Close() // a mapping needs its munmap; the caller owns and closes f
+		return nil, err
+	}
+	x.(interface{ set(io.Closer) }).set(&multiCloser{store: store, f: f})
 	return x, nil
 }
 
@@ -573,10 +497,10 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 // are the extents' encoded size on disk, which the compressed codec
 // makes smaller.
 type ContainerInfo struct {
-	Kind         string // "ppr", "rstar", "hybrid", "stream" ("hr": a retired container)
+	Kind         string // "ppr", "rstar", "stream" ("hr", "hybrid": a retired container)
 	Version      int    // container format version
 	Codec        string // "identity" or "compressed"
-	Extents      int    // page extents (2 for hybrid)
+	Extents      int    // page extents (2 in a retired hybrid container)
 	MetaBytes    int64  // kind-specific meta section size
 	PageSize     int    // page size of the first extent
 	Pages        int    // live pages across all extents

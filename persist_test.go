@@ -11,8 +11,8 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// persistFixtures builds one index of every container kind over the same
-// dataset on the given backend.
+// persistFixtures builds one index of every built container kind over
+// the same dataset on the given backend.
 func persistFixtures(t *testing.T, backend Backend) map[string]Index {
 	t.Helper()
 	objs := genObjects(t, 300, 21)
@@ -28,14 +28,7 @@ func persistFixtures(t *testing.T, backend Backend) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := BuildHybrid(records, HybridOptions{
-		PPR:   PPROptions{Backend: backend},
-		RStar: RStarOptions{ShuffleSeed: 5, Backend: backend},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Index{"ppr": ppr, "rstar": rstar, "hybrid": hybrid}
+	return map[string]Index{"ppr": ppr, "rstar": rstar}
 }
 
 func persistQueries(t *testing.T) []Query {
@@ -390,18 +383,25 @@ func TestStreamSnapshotRoundTrip(t *testing.T) {
 // TestPersistRejectsGarbage feeds the container readers malformed input:
 // they must return errors — never panic, never mis-load.
 func TestPersistRejectsGarbage(t *testing.T) {
-	hr, err := BuildHR(UnsplitRecords(genObjects(t, 20, 3)), HROptions{})
+	dir := t.TempDir()
+	small := UnsplitRecords(genObjects(t, 20, 3))
+	hr, err := BuildHR(small, HROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hrPath := filepath.Join(t.TempDir(), "hr.sti")
-	if err := SaveIndex(hrPath, hr); !errors.Is(err, errHRNotPersisted) {
+	if err := SaveIndex(filepath.Join(dir, "hr.sti"), hr); !errors.Is(err, errHRNotPersisted) {
 		t.Fatalf("SaveIndex(hr) = %v, want the error naming the kind's removal", err)
+	}
+	hybrid, err := BuildHybrid(small, HybridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveIndex(filepath.Join(dir, "hybrid.sti"), hybrid); !errors.Is(err, errHybridNotPersisted) {
+		t.Fatalf("SaveIndex(hybrid) = %v, want the error naming the kind's removal", err)
 	}
 	if _, err := DecodeIndex(strings.NewReader("garbage data stream")); err == nil {
 		t.Fatal("accepted garbage as a container")
 	}
-	dir := t.TempDir()
 	garbagePath := filepath.Join(dir, "garbage.sti")
 	if err := os.WriteFile(garbagePath, []byte("garbage data stream"), 0o644); err != nil {
 		t.Fatal(err)
@@ -448,8 +448,8 @@ func TestPersistRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted an unknown index kind")
 	}
 
-	// Kind/extent mismatch: a hybrid header claims two extents but a ppr
-	// image carries one.
+	// Kind/extent mismatch: a retired hybrid header claims two extents but
+	// a ppr image carries one.
 	bad = bytes.Clone(image)
 	bad[8] = 4
 	if _, err := DecodeIndex(bytes.NewReader(bad)); err == nil {
@@ -502,9 +502,22 @@ func FuzzOpenIndex(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
-	seed(BuildPPR(records, PPROptions{}))
+	ppr, err := BuildPPR(records, PPROptions{})
+	seed(ppr, err)
 	seed(BuildRStar(records, RStarOptions{ShuffleSeed: 5}))
-	seed(BuildHybrid(records, HybridOptions{}))
+	// A retired two-extent container (refused on open) and the pre-codec
+	// version-1 spelling of an identity image (opened unchanged).
+	retired, err := os.ReadFile(filepath.Join("testdata", "hybrid-v2-compressed.sti"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
+	var v1 bytes.Buffer
+	if _, err := EncodeIndexOptions(&v1, ppr, SaveOptions{Codec: CodecIdentity}); err != nil {
+		f.Fatal(err)
+	}
+	v1.Bytes()[4] = containerVersionOld
+	f.Add(v1.Bytes())
 	f.Add([]byte("STIC"))
 	f.Add([]byte{})
 

@@ -29,8 +29,6 @@ var pinnedBuildDigests = map[int64]map[string]string{
 		"ppr/compressed":          "139964170c5dabd0fa64455514a03617c63abd8005bd45784395fca996f52eb1",
 		"rstar-packed/identity":   "0579de0f7cc9842c665fcea4c569b097332a2feebb47f62cc1414bf61f55a5f1",
 		"rstar-packed/compressed": "6df5bf34f8e322f74aeaa6fd05227821d87349ac3b012d40b6c8ec1dd81b2e96",
-		"hybrid/identity":         "879e3ab2aa053316b70277f147721541e3beb03a06974ad54688c85f1fee1b6e",
-		"hybrid/compressed":       "bba99cb029ab777070dcd39cfbbfd8ce0954e69ef3c07298b410a601e2474047",
 	},
 	2: {
 		"records/merge-lagreedy":  "8ebe81eda393977711ca8be975d0c91b45899e9afd951c400a70d157bf653ee2",
@@ -39,8 +37,6 @@ var pinnedBuildDigests = map[int64]map[string]string{
 		"ppr/compressed":          "0d9aec14e6f987aaa03d37645adb2329a70e6df27842b8b6ea543e3c134fe900",
 		"rstar-packed/identity":   "1aa15fa14689804dfeeb9480432baaf48f43c4fd26a979bd06a69ea8e74d53a9",
 		"rstar-packed/compressed": "10b9d64b9cde6eebab88e32c80d613fc35d4055a22fc6b7d03d6d3e5b2e0d633",
-		"hybrid/identity":         "e945e36c2650a6eeed7a39a9a27dacdfbfba2e93ee030b74aa6934a1821e4d57",
-		"hybrid/compressed":       "19ed91512c063e4729c2b73bd8a90296e45394c2d2909016a5ae951fb3f9f2fe",
 	},
 }
 
@@ -75,7 +71,7 @@ func savedDigest(t *testing.T, idx Index, codec Codec) string {
 
 // TestBuildBytesPinned pins the offline pipeline's output byte for byte:
 // the split records (merge splitter under both greedy distributions) and
-// the saved containers of the three build paths, under both codecs.
+// the saved containers of the two build paths, under both codecs.
 func TestBuildBytesPinned(t *testing.T) {
 	for seed, want := range pinnedBuildDigests {
 		objs := genObjects(t, 1500, seed)
@@ -106,11 +102,7 @@ func TestBuildBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hybrid, err := BuildHybrid(records, HybridOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for kind, idx := range map[string]Index{"ppr": ppr, "rstar-packed": packed, "hybrid": hybrid} {
+		for kind, idx := range map[string]Index{"ppr": ppr, "rstar-packed": packed} {
 			got[kind+"/identity"] = savedDigest(t, idx, CodecIdentity)
 			got[kind+"/compressed"] = savedDigest(t, idx, CodecCompressed)
 		}

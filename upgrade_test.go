@@ -13,8 +13,9 @@ import (
 
 // The containers under testdata/ were written by the commit before the
 // compressed codec stopped producing delta pages and before "hr" stopped
-// being a persisted kind (see testdata/README.md); they are the input an
-// upgraded binary meets in an ingest journal or a snapshot directory.
+// being a persisted kind, and by the commit before "hybrid" did (see
+// testdata/README.md); they are the input an upgraded binary meets in an
+// ingest journal or a snapshot directory.
 
 // legacyModeCounts returns how many pages of a compressed container's
 // first extent were written in each STPC mode.
@@ -146,5 +147,42 @@ func TestHRContainerRefused(t *testing.T) {
 	}
 	if info.Kind != "hr" || info.Version != 2 || info.Codec != "compressed" || info.Pages == 0 {
 		t.Fatalf("inspect reports %+v, want a version-2 compressed hr container", info)
+	}
+}
+
+// TestHybridContainerRefused pins the retirement of the "hybrid"
+// container kind, the one kind written with two page extents: a
+// version-2 hybrid container fails on the eager path and both lazy
+// flavours with the error that names the kind and says it is no longer
+// persisted, while InspectContainer still identifies the file and counts
+// the pages of both extents.
+func TestHybridContainerRefused(t *testing.T) {
+	path := filepath.Join("testdata", "hybrid-v2-compressed.sti")
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := map[string]func() (Index, error){
+		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(image)) },
+		"disk":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendDisk}) },
+		"mmap":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendMmap}) },
+	}
+	for label, open := range attempts {
+		x, err := open()
+		if err == nil {
+			CloseIndex(x)
+			t.Fatalf("%s: opened a hybrid container", label)
+		}
+		if !errors.Is(err, errHybridNotPersisted) ||
+			!strings.Contains(err.Error(), `"hybrid"`) || !strings.Contains(err.Error(), "no longer persisted") {
+			t.Fatalf("%s: error does not name the removal: %v", label, err)
+		}
+	}
+	info, err := InspectContainer(path)
+	if err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if info.Kind != "hybrid" || info.Version != 2 || info.Codec != "compressed" || info.Extents != 2 || info.Pages == 0 {
+		t.Fatalf("inspect reports %+v, want a version-2 compressed hybrid container of two extents", info)
 	}
 }
