@@ -444,25 +444,56 @@ func BenchmarkAblationPacking(b *testing.B) {
 	})
 }
 
+// buildHybridPair indexes the records with both of the paper's
+// structures, the two trees the MV3R-style hybrid routes between.
+func buildHybridPair(tb testing.TB, records []stx.Record) (*stx.PPRIndex, *stx.RStarIndex) {
+	tb.Helper()
+	ppr, err := stx.BuildPPR(records, stx.PPROptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rst, err := stx.BuildRStar(records, stx.RStarOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ppr, rst
+}
+
+// routeByDuration is the hybrid's one rule, after the MV3R-tree (the
+// paper's reference [25]): a query of at most 50 instants — the longest
+// duration in the paper's query sets, where the PPR-tree still wins —
+// goes to the partially persistent tree, a longer one to the 3D R*-tree,
+// which reads each record once instead of walking many versions.
+func routeByDuration(ppr, rst stx.Index, iv stx.Interval) stx.Index {
+	if iv.End-iv.Start <= 50 {
+		return ppr
+	}
+	return rst
+}
+
 // BenchmarkHybridDurationSweep sweeps the query duration to show the
 // crossover motivating the MV3R-style hybrid: the PPR-tree wins short
-// intervals, the 3D R*-tree wins very long ones, the hybrid tracks the
-// winner on both sides.
+// intervals, the 3D R*-tree wins very long ones, and routing by duration
+// tracks the winner on both sides.
 func BenchmarkHybridDurationSweep(b *testing.B) {
 	objs := benchObjects(b, 800)
 	records, _, err := stx.SplitDataset(objs, stx.SplitConfig{Budget: 1200})
 	if err != nil {
 		b.Fatal(err)
 	}
-	hyb, err := stx.BuildHybrid(records, stx.HybridOptions{IntervalThreshold: 50})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ppr, rst := buildHybridPair(b, records)
 	rng := rand.New(rand.NewSource(23))
 	for _, dur := range []int64{1, 10, 50, 250, 800} {
 		dur := dur
 		b.Run(map[int64]string{1: "dur1", 10: "dur10", 50: "dur50", 250: "dur250", 800: "dur800"}[dur], func(b *testing.B) {
 			var pprIO, rstIO, hybIO float64
+			coldIO := func(idx stx.Index, q stx.Query) int64 {
+				idx.ResetBuffer()
+				if _, err := idx.Range(q.Rect, q.Interval); err != nil {
+					b.Fatal(err)
+				}
+				return idx.IOStats().IO()
+			}
 			queries := make([]stx.Query, 100)
 			for i := range queries {
 				x, y := rng.Float64()*0.95, rng.Float64()*0.95
@@ -475,21 +506,9 @@ func BenchmarkHybridDurationSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var p, r, h int64
 				for _, q := range queries {
-					hyb.ResetBuffer()
-					if _, err := hyb.PPR().Range(q.Rect, q.Interval); err != nil {
-						b.Fatal(err)
-					}
-					p += hyb.PPR().IOStats().IO()
-					hyb.ResetBuffer()
-					if _, err := hyb.RStar().Range(q.Rect, q.Interval); err != nil {
-						b.Fatal(err)
-					}
-					r += hyb.RStar().IOStats().IO()
-					hyb.ResetBuffer()
-					if _, err := hyb.Range(q.Rect, q.Interval); err != nil {
-						b.Fatal(err)
-					}
-					h += hyb.IOStats().IO()
+					p += coldIO(ppr, q)
+					r += coldIO(rst, q)
+					h += coldIO(routeByDuration(ppr, rst, q.Interval), q)
 				}
 				pprIO = float64(p) / float64(len(queries))
 				rstIO = float64(r) / float64(len(queries))

@@ -90,21 +90,16 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("describe output: %s", so)
 	}
 
-	// hr and hybrid are built in memory: they build and answer, but
-	// neither saves nor shards, and the harness runs neither.
-	so, _ = run(t, filepath.Join(bin, "stquery"), "-i", records, "-index", "hybrid",
-		"-rect", "0.2,0.2,0.6,0.6", "-from", "100", "-to", "400")
-	if !strings.Contains(so, "results=") {
-		t.Fatalf("hybrid single query output: %s", so)
-	}
+	// hr is built in memory: it builds and answers, but neither saves nor
+	// shards. hybrid is no index kind at all, on any tool.
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"stquery", "-i", records, "-index", "hr", "-save", filepath.Join(work, "hr.sti")}, "hr"},
 		{[]string{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hr", "-o", filepath.Join(work, "hr.manifest")}, "hr"},
-		{[]string{"stquery", "-i", records, "-index", "hybrid", "-save", filepath.Join(work, "hybrid.sti")},
-			`index kind "hybrid" is no longer persisted`},
+		{[]string{"stquery", "-i", records, "-index", "hybrid", "-rect", "0.2,0.2,0.6,0.6", "-from", "100", "-to", "400"},
+			`unknown index "hybrid"`},
 		{[]string{"stsplit", "-i", dataset, "-budget", "450", "-shards", "2", "-index", "hybrid", "-o", filepath.Join(work, "hybrid.manifest")},
 			`unknown shard index kind "hybrid"`},
 		{[]string{"stcheck", "-kinds", "hybrid", "-n", "40", "-queries", "8", "-seeds", "1", "-nofaults"},
@@ -122,6 +117,18 @@ func TestCLIPipeline(t *testing.T) {
 		"-set", "snapshot-small", "-queries", "100")
 	if !strings.Contains(se, "calibrated lambda") || !strings.Contains(so, "set=snapshot-small") {
 		t.Fatalf("ststream output: %s / %s", so, se)
+	}
+
+	// Every ingest freeze writes a stream snapshot; -describe reads one.
+	journal := filepath.Join(work, "journal")
+	run(t, filepath.Join(bin, "ststream"), "-i", feed, "-wal", journal)
+	frozen, err := filepath.Glob(filepath.Join(journal, "freeze-*.sti"))
+	if err != nil || len(frozen) == 0 {
+		t.Fatalf("no frozen snapshot in %s: %v", journal, err)
+	}
+	so, _ = run(t, filepath.Join(bin, "stquery"), "-load", frozen[len(frozen)-1], "-describe")
+	if !strings.Contains(so, "stream-ppr: records=") {
+		t.Fatalf("stream snapshot describe output: %s", so)
 	}
 
 	// stbench runs a single small experiment.

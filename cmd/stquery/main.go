@@ -7,11 +7,10 @@
 //	stquery -i records.jsonl -index ppr   -set snapshot-mixed
 //	stquery -i records.jsonl -index rstar -set range-small -queries 500
 //	stquery -i records.jsonl -index rstar-packed -parallelism 8 -set range-small
-//	stquery -i records.jsonl -index hybrid -set range-medium
 //	stquery -i records.jsonl -index ppr -rect 0.4,0.4,0.6,0.6 -t 500
 //	stquery -i records.jsonl -index ppr -knn 0.5,0.5 -k 10 -t 500   # k nearest at an instant
 //	stquery -i records.jsonl -index hr -traj -rect 0.4,0.4,0.6,0.6 -from 100 -to 400
-//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr or hybrid: built in memory only)
+//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr: built in memory only)
 //	stquery -load idx.sti -set snapshot-mixed               # reopen lazily (kind autodetected)
 //	stquery -i records.jsonl -index ppr -backend disk ...   # build on the disk backend
 //	stquery -i records.jsonl -index ppr -serve :8080        # build, then serve it over HTTP
@@ -38,9 +37,9 @@ import (
 func main() {
 	var (
 		in       = flag.String("i", "", "input records (JSON lines from stsplit; default stdin)")
-		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hybrid | hr (hybrid and hr are built in memory only)")
+		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hr (hr is built in memory only)")
 		par      = flag.Int("parallelism", 0, "worker count for bulk loading (rstar-packed) and workload measurement: 0 = all cores, 1 = serial; tree and averages are identical either way")
-		save     = flag.String("save", "", "write the built index container to this file (any kind but hybrid and hr, which are built in memory only)")
+		save     = flag.String("save", "", "write the built index container to this file (any kind but hr, which is built in memory only)")
 		load     = flag.String("load", "", "open a saved index container lazily instead of building from records (kind autodetected; -index is ignored)")
 		backend  = flag.String("backend", "", "page-store backend for building: mem | disk (default: $STINDEX_BACKEND, then mem)")
 		describe = flag.Bool("describe", false, "print the index's physical shape and exit")
@@ -213,15 +212,10 @@ func build(kind string, records []stx.Record, parallelism int, backend stx.Backe
 		return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42, Backend: backend})
 	case "rstar-packed":
 		return stx.BuildRStarPacked(records, stx.RStarOptions{Parallelism: parallelism, Backend: backend})
-	case "hybrid":
-		return stx.BuildHybrid(records, stx.HybridOptions{
-			PPR:   stx.PPROptions{Backend: backend},
-			RStar: stx.RStarOptions{ShuffleSeed: 42, Backend: backend},
-		})
 	case "hr":
 		return stx.BuildHR(records, stx.HROptions{Backend: backend})
 	default:
-		return nil, fmt.Errorf("unknown index %q (want ppr, rstar, rstar-packed, hybrid or hr)", kind)
+		return nil, fmt.Errorf("unknown index %q (want ppr, rstar, rstar-packed or hr)", kind)
 	}
 }
 

@@ -36,9 +36,6 @@ func cutOwners(t *testing.T, idx Index) (restore func()) {
 		return short(&x.treeIndex)
 	case *HRIndex:
 		return short(&x.treeIndex)
-	case *HybridIndex:
-		ppr, rstar := cutOwners(t, x.ppr), cutOwners(t, x.rstar)
-		return func() { ppr(); rstar() }
 	case *StreamIndex:
 		return short(&x.treeIndex)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stindex/internal/datagen"
+	"stindex/internal/pprtree"
 )
 
 // GenerateCommuter creates the mixed commuter/wanderer dataset: a share
@@ -45,8 +46,8 @@ type IndexDescription struct {
 	Pages   int
 	Bytes   int64
 	Height  int
-	// Nodes is the number of distinct reachable tree nodes. For the
-	// PPR-tree it splits into live and dead (historical) nodes and
+	// Nodes is the number of distinct reachable tree nodes. For a
+	// PPR-tree (ppr, stream) it splits into live and dead nodes and
 	// counts RootSpans in the root log; those fields stay zero for the
 	// R*-tree.
 	Nodes     int
@@ -60,8 +61,8 @@ type IndexDescription struct {
 }
 
 // Describe walks an index and reports its physical shape. Supported for
-// PPRIndex, RStarIndex and wrappers exposing one of them; the walk goes
-// through the buffer pool, so reset I/O counters afterwards if measuring.
+// the ppr, rstar, hr and stream kinds; the walk goes through the buffer
+// pool, so reset I/O counters afterwards if measuring.
 func Describe(idx Index) (IndexDescription, error) {
 	d := IndexDescription{
 		Kind:    idx.Kind(),
@@ -70,16 +71,18 @@ func Describe(idx Index) (IndexDescription, error) {
 		Bytes:   idx.Bytes(),
 	}
 	switch x := idx.(type) {
-	case *PPRIndex:
-		rep, err := x.Tree().Validate()
+	case *PPRIndex, *StreamIndex:
+		// The stream indexer keeps its pieces in a PPR-tree: same walk.
+		tree := x.(interface{ Tree() *pprtree.Tree }).Tree()
+		rep, err := tree.Validate()
 		if err != nil {
 			return d, fmt.Errorf("stindex: describing a corrupt index: %w", err)
 		}
-		d.Height = x.Tree().Height()
+		d.Height = tree.Height()
 		d.Nodes = rep.Nodes
 		d.LiveNodes = rep.LiveNodes
 		d.DeadNodes = rep.DeadNodes
-		d.RootSpans = x.Tree().NumRoots()
+		d.RootSpans = tree.NumRoots()
 		return d, nil
 	case *RStarIndex:
 		levels, err := x.Tree().Levels()
@@ -98,29 +101,12 @@ func Describe(idx Index) (IndexDescription, error) {
 			}
 		}
 		return d, nil
-	case *HybridIndex:
-		// Describe the PPR side (the primary structure); callers can
-		// Describe the components individually for more detail.
-		inner, err := Describe(x.PPR())
-		if err != nil {
-			return d, err
-		}
-		inner.Kind = d.Kind
-		inner.Pages = d.Pages
-		inner.Bytes = d.Bytes
-		return inner, nil
 	case *HRIndex:
 		if err := x.Tree().Validate(); err != nil {
 			return d, fmt.Errorf("stindex: describing a corrupt index: %w", err)
 		}
 		d.RootSpans = x.Tree().NumVersions()
 		return d, nil
-	case *RefinedIndex:
-		return Describe(x.inner)
-	case *SyncIndex:
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		return Describe(x.idx)
 	default:
 		return d, fmt.Errorf("stindex: Describe does not support %T", idx)
 	}

@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,24 +43,29 @@ func TestDescribeIndexes(t *testing.T) {
 		t.Fatalf("rstar description implausible: %+v", d)
 	}
 
-	hyb, err := BuildHybrid(records, HybridOptions{})
+	// The stream kind keeps its pieces in a PPR-tree and is described by
+	// the same walk, built and after a save and lazy reopen alike.
+	six := replayStream(t, objs)
+	path := filepath.Join(t.TempDir(), "stream.sti")
+	if err := SaveIndex(path, six); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = Describe(hyb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != "hybrid" || d.Pages != hyb.Pages() {
-		t.Fatalf("hybrid description implausible: %+v", d)
-	}
-
-	// Wrappers delegate.
-	if d, err = Describe(Synchronized(ppr)); err != nil || d.Kind != "ppr" {
-		t.Fatalf("sync describe: %+v %v", d, err)
-	}
-	if d, err = Describe(Refined(rst, objs)); err != nil || d.Kind != "rstar" {
-		t.Fatalf("refined describe: %+v %v", d, err)
+	defer CloseIndex(reopened)
+	for _, idx := range []Index{six, reopened} {
+		d, err := Describe(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Kind != "stream-ppr" || d.Nodes == 0 || d.RootSpans == 0 {
+			t.Fatalf("stream description implausible: %+v", d)
+		}
+		if d.LiveNodes+d.DeadNodes != d.Nodes {
+			t.Fatalf("stream: live %d + dead %d != nodes %d", d.LiveNodes, d.DeadNodes, d.Nodes)
+		}
 	}
 }
 

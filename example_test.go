@@ -70,37 +70,6 @@ func ExampleNewObjectFromSegments() {
 	// center x at t=0: 0.10, at t=10: 0.20
 }
 
-func ExampleHybridIndex() {
-	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: 400, Seed: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	records, _, err := stx.SplitDataset(objs, stx.SplitConfig{Budget: 600})
-	if err != nil {
-		log.Fatal(err)
-	}
-	idx, err := stx.BuildHybrid(records, stx.HybridOptions{IntervalThreshold: 50})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r := stx.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.4, MaxY: 0.4}
-
-	idx.ResetBuffer()
-	if _, err := idx.Range(r, stx.Interval{Start: 500, End: 510}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("short interval went to: ppr=%v\n", idx.PPR().IOStats().Reads > 0)
-
-	idx.ResetBuffer()
-	if _, err := idx.Range(r, stx.Interval{Start: 100, End: 900}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("long interval went to: rstar=%v\n", idx.RStar().IOStats().Reads > 0)
-	// Output:
-	// short interval went to: ppr=true
-	// long interval went to: rstar=true
-}
-
 func ExampleNewStreamIndex() {
 	ix, err := stx.NewStreamIndex(stx.StreamOptions{Lambda: 0.001}, 0)
 	if err != nil {

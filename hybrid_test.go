@@ -1,214 +1,76 @@
-package stindex
+package stindex_test
 
-import "testing"
+import (
+	"slices"
+	"testing"
 
+	stx "stindex"
+)
+
+// hybridRecords splits n random objects at a 150% budget.
+func hybridRecords(t *testing.T, n int, seed int64) []stx.Record {
+	t.Helper()
+	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := stx.SplitDataset(objs, stx.SplitConfig{Budget: n * 3 / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
+// TestHybridMatchesComponents shows that routing by duration never
+// changes an answer: both trees answer every query alike, so the rule
+// only picks the cheaper traversal.
 func TestHybridMatchesComponents(t *testing.T) {
-	objs := genObjects(t, 400, 11)
-	records, _, err := SplitDataset(objs, SplitConfig{Budget: 600})
-	if err != nil {
-		t.Fatal(err)
+	ppr, rst := buildHybridPair(t, hybridRecords(t, 400, 11))
+	queries := []stx.Query{
+		{Rect: stx.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: stx.Interval{Start: 500, End: 501}},  // snapshot
+		{Rect: stx.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: stx.Interval{Start: 500, End: 515}},  // short
+		{Rect: stx.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: stx.Interval{Start: 400, End: 700}},  // long
+		{Rect: stx.Rect{MinX: 0.0, MinY: 0.0, MaxX: 0.05, MaxY: 0.05}, Interval: stx.Interval{Start: 0, End: 1000}}, // whole horizon
 	}
-	hyb, err := BuildHybrid(records, HybridOptions{IntervalThreshold: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{Rect: Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: Interval{Start: 500, End: 501}},  // snapshot
-		{Rect: Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: Interval{Start: 500, End: 515}},  // short
-		{Rect: Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, Interval: Interval{Start: 400, End: 700}},  // long
-		{Rect: Rect{MinX: 0.0, MinY: 0.0, MaxX: 0.05, MaxY: 0.05}, Interval: Interval{Start: 0, End: 1000}}, // whole horizon
+	answer := func(idx stx.Index, q stx.Query) []int64 {
+		ids, err := stx.RunQuery(idx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(ids)
+		return ids
 	}
 	for qi, q := range queries {
-		want := bruteQuery(records, q)
-		got, err := RunQuery(hyb, q)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		if !equalIDs(sortedIDs(got), want) {
-			t.Fatalf("query %d: hybrid returned %d objects, brute force %d", qi, len(got), len(want))
+		routed, p, r := answer(routeByDuration(ppr, rst, q.Interval), q), answer(ppr, q), answer(rst, q)
+		if len(p) == 0 || !slices.Equal(routed, p) || !slices.Equal(routed, r) {
+			t.Fatalf("query %d: routed %d objects, ppr %d, rstar %d", qi, len(routed), len(p), len(r))
 		}
 	}
 }
 
+// TestHybridRouting pins the rule's two directions: a short query reads
+// only the PPR-tree, a long one only the R*-tree.
 func TestHybridRouting(t *testing.T) {
-	objs := genObjects(t, 300, 12)
-	records, _, err := SplitDataset(objs, SplitConfig{Budget: 450})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := BuildHybrid(records, HybridOptions{IntervalThreshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.5, MaxY: 0.5}
-
-	// A short query must only touch the PPR component.
-	hyb.ResetBuffer()
-	if _, err := hyb.Range(r, Interval{Start: 500, End: 505}); err != nil {
-		t.Fatal(err)
-	}
-	if hyb.RStar().IOStats().Reads != 0 {
-		t.Fatal("short query leaked into the R*-tree")
-	}
-	if hyb.PPR().IOStats().Reads == 0 {
-		t.Fatal("short query did not touch the PPR-tree")
-	}
-
-	// A long query must only touch the R* component.
-	hyb.ResetBuffer()
-	if _, err := hyb.Range(r, Interval{Start: 100, End: 900}); err != nil {
-		t.Fatal(err)
-	}
-	if hyb.PPR().IOStats().Reads != 0 {
-		t.Fatal("long query leaked into the PPR-tree")
-	}
-	if hyb.RStar().IOStats().Reads == 0 {
-		t.Fatal("long query did not touch the R*-tree")
-	}
-
-	// Combined accounting.
-	if hyb.Pages() != hyb.PPR().Pages()+hyb.RStar().Pages() {
-		t.Fatal("Pages should sum components")
-	}
-	if hyb.Records() != len(records) {
-		t.Fatalf("Records = %d, want %d", hyb.Records(), len(records))
-	}
-	if hyb.Kind() != "hybrid" {
-		t.Fatalf("Kind = %q", hyb.Kind())
-	}
-	if _, err := BuildHybrid(records, HybridOptions{IntervalThreshold: -1}); err == nil {
-		t.Fatal("accepted negative threshold")
-	}
-}
-
-func TestHRIndexMatchesBruteForce(t *testing.T) {
-	objs := genObjects(t, 300, 14)
-	records, _, err := SplitDataset(objs, SplitConfig{Budget: 450})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := BuildHR(records, HROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hr.Tree().Validate(); err != nil {
-		t.Fatalf("HR tree invalid: %v", err)
-	}
-	queries, err := GenerateQueries(QueryRangeSmall, 1000, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries[:60] {
-		want := bruteQuery(records, q)
-		got, err := RunQuery(hr, q)
-		if err != nil {
+	ppr, rst := buildHybridPair(t, hybridRecords(t, 300, 12))
+	r := stx.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.5, MaxY: 0.5}
+	for _, c := range []struct {
+		name        string
+		iv          stx.Interval
+		read, spare stx.Index
+	}{
+		{"short", stx.Interval{Start: 500, End: 505}, ppr, rst},
+		{"long", stx.Interval{Start: 100, End: 900}, rst, ppr},
+	} {
+		ppr.ResetBuffer()
+		rst.ResetBuffer()
+		if _, err := routeByDuration(ppr, rst, c.iv).Range(r, c.iv); err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(sortedIDs(got), want) {
-			t.Fatalf("query %d: hr returned %d objects, brute force %d", qi, len(got), len(want))
+		if c.spare.IOStats().Reads != 0 {
+			t.Fatalf("%s query leaked into the %s tree", c.name, c.spare.Kind())
 		}
-	}
-	// The overlapping structure's storage dwarfs the multi-version one's.
-	ppr, err := BuildPPR(records, PPROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.Pages() < ppr.Pages()*3 {
-		t.Fatalf("HR %d pages vs PPR %d — expected the overlapping blowup", hr.Pages(), ppr.Pages())
-	}
-	if hr.Kind() != "hr" || hr.Records() != len(records) {
-		t.Fatal("HR accessors wrong")
-	}
-	if _, err := BuildHR(nil, HROptions{}); err == nil {
-		t.Fatal("accepted empty records")
-	}
-}
-
-func TestStreamIndexFacade(t *testing.T) {
-	objs := genObjects(t, 120, 13)
-	lambda, err := CalibrateLambda(objs[:40], 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lambda < 0 {
-		t.Fatalf("lambda = %g", lambda)
-	}
-	six, err := NewStreamIndex(StreamOptions{Lambda: lambda}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed the objects in time order.
-	type ev struct {
-		t     int64
-		obj   int
-		final bool
-	}
-	var events []ev
-	for i, o := range objs {
-		lt := o.Lifetime()
-		for tm := lt.Start; tm < lt.End; tm++ {
-			events = append(events, ev{t: tm, obj: i})
+		if c.read.IOStats().Reads == 0 {
+			t.Fatalf("%s query did not touch the %s tree", c.name, c.read.Kind())
 		}
-		events = append(events, ev{t: lt.End, obj: i, final: true})
-	}
-	sortEvents := func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
-		}
-		return events[a].final && !events[b].final
-	}
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && sortEvents(j, j-1); j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-	for _, e := range events {
-		o := objs[e.obj]
-		if e.final {
-			if err := six.Finish(o.ID(), e.t); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		r, _ := o.At(e.t)
-		if err := six.Observe(o.ID(), e.t, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if six.Live() != 0 {
-		t.Fatalf("%d live objects after replay", six.Live())
-	}
-	if six.Records() < len(objs) {
-		t.Fatalf("only %d records for %d objects", six.Records(), len(objs))
-	}
-
-	// No false negatives against true geometry.
-	six.ResetBuffer()
-	q := Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
-	got, err := six.Snapshot(q, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSet := make(map[int64]bool)
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for _, o := range objs {
-		if r, ok := o.At(500); ok && r.Intersects(q) && !gotSet[o.ID()] {
-			t.Fatalf("object %d missing from streaming snapshot", o.ID())
-		}
-	}
-	if six.IOStats().Reads == 0 {
-		t.Fatal("snapshot performed no reads")
-	}
-	if six.Pages() == 0 || six.Bytes() == 0 {
-		t.Fatal("empty footprint")
-	}
-	if six.Kind() != "stream-ppr" {
-		t.Fatalf("Kind = %q", six.Kind())
-	}
-
-	if _, err := CalibrateLambda(nil, 2); err == nil {
-		t.Fatal("accepted empty calibration sample")
 	}
 }

@@ -146,9 +146,9 @@ type Index interface {
 	Bytes() int64
 	// Records returns the number of MBR records indexed.
 	Records() int
-	// Kind names the index implementation: "ppr", "rstar", "hr", "hybrid"
-	// or "stream-ppr" for the structures, and a name of their own for the
-	// wrappers ("sharded", "live", the inner kind + "+refine").
+	// Kind names the index implementation: "ppr", "rstar", "hr" or
+	// "stream-ppr" for the structures, and a name of their own for the
+	// wrappers ("sharded", "live"); Synchronized keeps the inner kind.
 	Kind() string
 }
 

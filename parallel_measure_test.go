@@ -134,37 +134,6 @@ func TestMeasureWorkloadParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMeasureWorkloadParallelHybrid covers the composite index's view
-// plumbing (two component trees per view).
-func TestMeasureWorkloadParallelHybrid(t *testing.T) {
-	objs, err := GenerateRandom(RandomDatasetConfig{N: 400, Horizon: 1000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, _, err := SplitDataset(objs, SplitConfig{Budget: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := BuildHybrid(records, HybridOptions{RStar: RStarOptions{ShuffleSeed: 42}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := goldenQueries(t, QueryRangeMedium)
-	want, err := MeasureWorkload(idx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 0} {
-		got, err := MeasureWorkloadParallel(idx, qs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: %+v, want %+v", w, got, want)
-		}
-	}
-}
-
 // opaqueIndex hides the QueryViewer implementation, forcing the serial
 // fallback path.
 type opaqueIndex struct{ Index }

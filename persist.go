@@ -69,10 +69,10 @@ const (
 // `stbench -exp overlap`, built and queried in memory.
 var errHRNotPersisted = errors.New("stindex: index kind \"hr\" is no longer persisted: the HR-tree is an in-memory baseline (BuildHR); save and serve ppr or rstar")
 
-// errHybridNotPersisted is what saving a HybridIndex and opening a hybrid
-// container report: the MV3R-style composition is built in memory from
-// its two components (BuildHybrid), each of which persists on its own.
-var errHybridNotPersisted = errors.New("stindex: index kind \"hybrid\" is no longer persisted: the hybrid is an in-memory composition (BuildHybrid); save and serve ppr or rstar")
+// errHybridNotPersisted is what opening a hybrid container reports: the
+// MV3R-style pairing of a PPR-tree and a 3D R*-tree is no index kind, so
+// its two trees are built and saved separately.
+var errHybridNotPersisted = errors.New("stindex: index kind \"hybrid\" is no longer persisted: build and save ppr and rstar separately")
 
 // kindName maps a container kind byte to the facade Kind() string.
 func kindName(kind byte) string {
@@ -161,8 +161,6 @@ func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
 		return kindRStar, meta.Bytes(), ix.slab.Store(), nil
 	case *HRIndex:
 		return 0, nil, nil, errHRNotPersisted
-	case *HybridIndex:
-		return 0, nil, nil, errHybridNotPersisted
 	case *StreamIndex:
 		if _, err := ix.ix.WriteMeta(&meta); err != nil {
 			return 0, nil, nil, err
@@ -238,7 +236,7 @@ type SaveOptions struct {
 
 // EncodeIndex serialises an index — ppr, rstar, or a snapshot of a
 // stream index — as a self-describing container to w, using the default
-// codec (an HRIndex or a HybridIndex is built in memory and is refused).
+// codec (an HRIndex is built in memory and is refused).
 // DecodeIndex and OpenIndex read it back; the kind and codec are
 // autodetected.
 func EncodeIndex(w io.Writer, x Index) (int64, error) {

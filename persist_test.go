@@ -392,13 +392,6 @@ func TestPersistRejectsGarbage(t *testing.T) {
 	if err := SaveIndex(filepath.Join(dir, "hr.sti"), hr); !errors.Is(err, errHRNotPersisted) {
 		t.Fatalf("SaveIndex(hr) = %v, want the error naming the kind's removal", err)
 	}
-	hybrid, err := BuildHybrid(small, HybridOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveIndex(filepath.Join(dir, "hybrid.sti"), hybrid); !errors.Is(err, errHybridNotPersisted) {
-		t.Fatalf("SaveIndex(hybrid) = %v, want the error naming the kind's removal", err)
-	}
 	if _, err := DecodeIndex(strings.NewReader("garbage data stream")); err == nil {
 		t.Fatal("accepted garbage as a container")
 	}

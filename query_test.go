@@ -16,7 +16,7 @@ type queryTestKind struct {
 	records []Record
 }
 
-// buildQueryTestKinds builds all five index kinds over one random
+// buildQueryTestKinds builds all four index kinds over one random
 // dataset, so the kNN/trajectory properties are asserted against every
 // answer path.
 func buildQueryTestKinds(t *testing.T, objs []*Object) []queryTestKind {
@@ -37,10 +37,6 @@ func buildQueryTestKinds(t *testing.T, objs []*Object) []queryTestKind {
 	if err != nil {
 		t.Fatalf("BuildHR: %v", err)
 	}
-	hybrid, err := BuildHybrid(records, HybridOptions{RStar: RStarOptions{ShuffleSeed: 42}})
-	if err != nil {
-		t.Fatalf("BuildHybrid: %v", err)
-	}
 	six := replayStream(t, objs)
 	pieces, err := six.PieceRecords()
 	if err != nil {
@@ -50,7 +46,6 @@ func buildQueryTestKinds(t *testing.T, objs []*Object) []queryTestKind {
 		{"ppr", ppr, records},
 		{"rstar", rstar, records},
 		{"hr", hr, records},
-		{"hybrid", hybrid, records},
 		{"stream", six, pieces},
 	}
 }
@@ -310,14 +305,10 @@ func TestKNNValidation(t *testing.T) {
 			}
 		}
 	}
-	// The wrappers validate too.
+	// The wrapper validates too.
 	sync := Synchronized(kinds[0].idx)
 	if _, err := sync.Nearest(math.NaN(), 0, 0, 1); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("SyncIndex: got %v, want ErrBadQuery", err)
-	}
-	ref := Refined(kinds[0].idx, objs)
-	if _, err := ref.Nearest(0.5, 0.5, 0, -1); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("RefinedIndex: got %v, want ErrBadQuery", err)
 	}
 }
 

@@ -5,9 +5,7 @@ import "sync"
 // Synchronized wraps an index for concurrent use. The underlying
 // structures are not safe for concurrent access — even read-only queries
 // mutate the shared LRU buffer pool — so the wrapper serialises every
-// operation behind one mutex. Per-query I/O accounting (reset, query,
-// read stats) needs to be atomic anyway, which is why the wrapper also
-// provides Measure.
+// operation behind one mutex.
 func Synchronized(idx Index) *SyncIndex {
 	return &SyncIndex{idx: idx}
 }
@@ -83,19 +81,5 @@ func (s *SyncIndex) Records() int {
 
 // Kind implements Index.
 func (s *SyncIndex) Kind() string { return s.idx.Kind() }
-
-// Measure runs one query with the cold-buffer discipline atomically:
-// reset, query, read the I/O counters — all under the lock, so concurrent
-// measurements do not interleave.
-func (s *SyncIndex) Measure(q Query) (ids []int64, io int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idx.ResetBuffer()
-	ids, err = RunQuery(s.idx, q)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ids, s.idx.IOStats().IO(), nil
-}
 
 var _ Index = (*SyncIndex)(nil)

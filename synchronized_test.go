@@ -26,7 +26,7 @@ func TestSynchronizedConcurrentQueries(t *testing.T) {
 	// Sequential ground truth.
 	want := make([][]int64, len(queries))
 	for i, q := range queries {
-		ids, _, err := idx.Measure(q)
+		ids, err := RunQuery(idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestSynchronizedConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(queries); i += 8 {
-				ids, _, err := idx.Measure(queries[i])
+				ids, err := RunQuery(idx, queries[i])
 				if err != nil {
 					errs <- err
 					return
