@@ -12,9 +12,8 @@ import (
 )
 
 // containerSeeds encodes one valid STIC container per index kind and
-// page codec, plus the version-1 spelling of the first identity image and
-// the legacy containers under testdata — the corpus both fuzz targets
-// mutate.
+// page codec, plus the legacy containers under testdata (among them a
+// version-1 identity container) — the corpus both fuzz targets mutate.
 func containerSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	wl, err := check.GenerateWorkload(60, 200, 19, 4)
@@ -35,14 +34,10 @@ func containerSeeds(f *testing.F) [][]byte {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
-	// A version-1 container had a zero where the codec byte sits and opens
-	// through the identity codec unchanged.
-	v1 := bytes.Clone(seeds[0])
-	v1[4] = 1
-	seeds = append(seeds, v1)
 	// Containers written before this codec stopped producing delta pages
-	// and before hr and hybrid stopped being persisted: the decode-only
-	// and refusal paths.
+	// and before hr and hybrid stopped being persisted (the decode-only
+	// and refusal paths), and a version-1 container, which has a zero
+	// where the codec byte sits and opens through the identity codec.
 	legacy, err := filepath.Glob(filepath.Join("testdata", "*.sti"))
 	if err != nil || len(legacy) == 0 {
 		f.Fatalf("no legacy containers under testdata: %v", err)

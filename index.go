@@ -21,7 +21,7 @@ import (
 var ErrReadOnly = pagefile.ErrReadOnly
 
 // readOnlyStore reports whether a page store rejects mutation (the
-// read-only window of a lazily opened container).
+// frozen extent store of an opened container).
 func readOnlyStore(s pagefile.Store) bool {
 	ro, ok := s.(interface{ ReadOnly() bool })
 	return ok && ro.ReadOnly()
@@ -100,8 +100,8 @@ const (
 	// extent format, byte-compatible with pre-codec containers.
 	CodecIdentity Codec = "identity"
 	// CodecCompressed stores structurally compressed pages: delta-encoded
-	// MBR coordinates, varint counts/refs/intervals and cross-page entry
-	// dedup of shared subtrees (the STPC extent format).
+	// MBR coordinates and varint counts/refs/intervals (the STPC extent
+	// format).
 	CodecCompressed Codec = "compressed"
 )
 

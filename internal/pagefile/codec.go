@@ -35,9 +35,9 @@ type Codec interface {
 	// as oversized allocations.
 	ReadExtentMem(r io.Reader) (*File, error)
 	// OpenExtent opens the extent at offset off of f as a read-only
-	// store of the requested open flavour (disk/mmap/mem, as
-	// OpenExtentBackend). The caller retains ownership of f. Returns the
-	// store and the total extent length in bytes.
+	// store of the requested open flavour (disk/mmap/mem, see
+	// extentStore.open). The caller retains ownership of f. Returns the
+	// store and the total extent length in bytes, its at-rest size.
 	OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error)
 }
 
@@ -138,25 +138,5 @@ func (identityCodec) ReadExtentMem(r io.Reader) (*File, error) {
 }
 
 func (identityCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
-	return OpenExtentBackend(f, off, flavour)
-}
-
-// StoredSizer is implemented by read-only stores that know their
-// physical (encoded, at-rest) extent size, which for a compressed store
-// is smaller than the logical Bytes. Inspection and benchmarks use it;
-// nothing on the query path does.
-type StoredSizer interface {
-	// StoredBytes returns the total encoded extent size in bytes,
-	// header and free list included.
-	StoredBytes() int64
-}
-
-// StoredBytes reports a store's physical extent size: its StoredSizer
-// size when it has one, its logical Bytes otherwise (a raw store's
-// at-rest pages are its live pages).
-func StoredBytes(s Store) int64 {
-	if ss, ok := s.(StoredSizer); ok {
-		return ss.StoredBytes()
-	}
-	return s.Bytes()
+	return OpenExtent(f, off, flavour)
 }

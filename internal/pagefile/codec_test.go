@@ -191,38 +191,8 @@ func TestCompressedExtentRoundTrip(t *testing.T) {
 		if !bytes.Equal(encoded, buf2.Bytes()) {
 			t.Fatalf("layout %d: re-encode differs: %d vs %d bytes", layout, buf2.Len(), len(encoded))
 		}
-
-		path := filepath.Join(t.TempDir(), "extent")
-		if err := os.WriteFile(path, encoded, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		file, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer file.Close()
-		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			s, length, err := CodecCompressed.OpenExtent(file, 0, flavour)
-			if err != nil {
-				t.Fatalf("layout %d, flavour %s: %v", layout, flavour, err)
-			}
-			if length != int64(len(encoded)) {
-				t.Fatalf("flavour %s: extent length %d, want %d", flavour, length, len(encoded))
-			}
-			assertStoresEqual(t, f, s, string(flavour))
-			if s.Allocate() != InvalidPage {
-				t.Fatalf("flavour %s: allocate succeeded on frozen store", flavour)
-			}
-			if err := s.WritePage(0, make([]byte, DefaultPageSize)); err != ErrReadOnly {
-				t.Fatalf("flavour %s: write returned %v, want ErrReadOnly", flavour, err)
-			}
-			if v := s.Version(0); v != 0 {
-				t.Fatalf("flavour %s: version %d on frozen store", flavour, v)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// TestOpenExtentBackendFlavours opens these same extents through
+		// every open flavour.
 	}
 }
 
@@ -265,36 +235,24 @@ func TestCompressedShrinksStructuredPages(t *testing.T) {
 	}
 }
 
+// TestCompressedStoredBytes: the stored size of a compressed extent is
+// the length OpenExtent returns, while the opened store's Bytes stays the
+// logical footprint.
 func TestCompressedStoredBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := New(DefaultPageSize)
 	buildCodecWorkload(t, f, LayoutPPR, rng)
-	var buf bytes.Buffer
-	if _, err := CodecCompressed.WriteExtent(&buf, f, LayoutPPR); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "extent")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	s, _, err := CodecCompressed.OpenExtent(file, 0, BackendDisk)
+	file, off, enc := writeTestExtent(t, CodecCompressed, LayoutPPR, f)
+	s, length, err := CodecCompressed.OpenExtent(file, off, BackendDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := StoredBytes(s); got != int64(buf.Len()) {
-		t.Fatalf("StoredBytes %d, want extent length %d", got, buf.Len())
+	if length != int64(len(enc)) {
+		t.Fatalf("extent length %d, want %d", length, len(enc))
 	}
 	if s.Bytes() != int64(s.NumPages())*int64(s.PageSize()) {
 		t.Fatalf("Bytes %d is not the logical footprint", s.Bytes())
-	}
-	if StoredBytes(f) != f.Bytes() {
-		t.Fatal("StoredBytes of a raw store should be its logical bytes")
 	}
 }
 

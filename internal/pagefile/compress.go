@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
 )
 
 // Compressed page-extent layout (little endian) — the STPC section of a
@@ -845,190 +844,11 @@ func (compressedCodec) ReadExtentMem(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// cpSource abstracts where a lazy compressed store reads encoded bytes
-// from: a positioned file read or a memory mapping.
-type cpSource interface {
-	readAt(p []byte, off int64) error
-	close() error
-}
-
-type cpFileSource struct {
-	f    *os.File
-	base int64 // file offset of the payload region
-}
-
-func (s cpFileSource) readAt(p []byte, off int64) error {
-	// Encoded extents never read past their validated length, so EOF
-	// here is corruption, not an unwritten tail.
-	_, err := s.f.ReadAt(p, s.base+off)
-	return err
-}
-
-func (s cpFileSource) close() error { return nil }
-
-type cpMmapSource struct {
-	mu      sync.Mutex
-	mapping []byte
-	data    []byte
-}
-
-func (s *cpMmapSource) readAt(p []byte, off int64) error {
-	data := s.data
-	if data == nil || off < 0 || off+int64(len(p)) > int64(len(data)) {
-		return fmt.Errorf("pagefile: compressed read out of mapped range")
-	}
-	copy(p, data[off:])
-	return nil
-}
-
-func (s *cpMmapSource) close() error {
-	s.mu.Lock()
-	mapping := s.mapping
-	s.mapping = nil
-	s.data = nil
-	s.mu.Unlock()
-	if mapping == nil {
-		return nil
-	}
-	return munmapFile(mapping)
-}
-
-// cpScratch is the per-read working set of a lazy compressed store.
-type cpScratch struct {
-	enc     []byte
-	baseEnc []byte
-	base    []byte
-}
-
-// CompressedStore is the read-only lazy open flavour of an STPC extent:
-// pages stay compressed at rest (on disk or in the mapping) and are
-// decoded per read, below the Buffer — so with a Buffer or the shared
-// cache on top, each page is decoded once per cache residency and cached
-// decoded. Observationally it matches the raw read-only windows: same
-// page ids and free list, version 0 everywhere, ErrReadOnly on mutation,
-// logical Bytes (the decoded footprint). Safe for concurrent readers.
-type CompressedStore struct {
-	src      cpSource
-	sp       layoutSpec
-	structOK bool
-	pageSize int
-	n        int
-	freed    map[PageID]bool
-	freeList []PageID
-	offs     []int64 // offs[i] is page i's offset within src; offs[n] ends the payload
-	stored   int64   // total extent length, header included
-	pool     sync.Pool
-}
-
-// PageSize implements Store.
-func (c *CompressedStore) PageSize() int { return c.pageSize }
-
-// NumPages implements Store.
-func (c *CompressedStore) NumPages() int { return c.n - len(c.freeList) }
-
-// NumAllocated implements Store.
-func (c *CompressedStore) NumAllocated() int { return c.n }
-
-// Bytes implements Store: the logical live footprint, like every other
-// backend — codecs change at-rest size, not store observables.
-func (c *CompressedStore) Bytes() int64 { return int64(c.NumPages()) * int64(c.pageSize) }
-
-// StoredBytes implements StoredSizer: the physical encoded extent size.
-func (c *CompressedStore) StoredBytes() int64 { return c.stored }
-
-// FreeList implements Store.
-func (c *CompressedStore) FreeList() []PageID { return append([]PageID(nil), c.freeList...) }
-
-// ReadOnly reports that the store rejects mutation.
-func (c *CompressedStore) ReadOnly() bool { return true }
-
-// Allocate implements Store; compressed extents are frozen.
-func (c *CompressedStore) Allocate() PageID { return InvalidPage }
-
-// Free implements Store; compressed extents are frozen.
-func (c *CompressedStore) Free(PageID) error { return ErrReadOnly }
-
-// WritePage implements Store; compressed extents are frozen.
-func (c *CompressedStore) WritePage(PageID, []byte) error { return ErrReadOnly }
-
-// Version implements Store; frozen pages never change.
-func (c *CompressedStore) Version(PageID) uint64 { return 0 }
-
-// Check implements Store.
-func (c *CompressedStore) Check(id PageID) error {
-	if int(id) >= c.n || (len(c.freed) > 0 && c.freed[id]) {
-		return fmt.Errorf("%w: %d", ErrBadPage, id)
-	}
-	return nil
-}
-
-func (c *CompressedStore) scratch() *cpScratch {
-	if s, ok := c.pool.Get().(*cpScratch); ok {
-		return s
-	}
-	return &cpScratch{base: make([]byte, c.pageSize)}
-}
-
-func (c *CompressedStore) readEnc(id PageID, buf []byte) ([]byte, error) {
-	l := int(c.offs[id+1] - c.offs[id])
-	if cap(buf) < l {
-		buf = make([]byte, l)
-	}
-	buf = buf[:l]
-	if err := c.src.readAt(buf, c.offs[id]); err != nil {
-		return buf, fmt.Errorf("pagefile: reading compressed page %d: %w", id, err)
-	}
-	return buf, nil
-}
-
-// ReadPage implements Store: one (or for delta/dup pages two) reads of
-// the encoded bytes, then a decode into dst.
-func (c *CompressedStore) ReadPage(id PageID, dst []byte) error {
-	if err := c.Check(id); err != nil {
-		return err
-	}
-	s := c.scratch()
-	defer c.pool.Put(s)
-	var err error
-	if s.enc, err = c.readEnc(id, s.enc); err != nil {
-		return err
-	}
-	return cpDecodePage(s.enc, dst[:c.pageSize], c.sp, c.structOK, uint32(id), func(base uint32) ([]byte, error) {
-		if c.Check(PageID(base)) != nil {
-			return nil, fmt.Errorf("base %d is freed or out of range", base)
-		}
-		if s.baseEnc, err = c.readEnc(PageID(base), s.baseEnc); err != nil {
-			return nil, err
-		}
-		// A base must be a raw or struct page: its own decode is given no
-		// way to chase a further base, so a chain fails here.
-		noBase := func(uint32) ([]byte, error) {
-			return nil, fmt.Errorf("base %d is not a raw or struct page", base)
-		}
-		if err := cpDecodePage(s.baseEnc, s.base, c.sp, c.structOK, base, noBase); err != nil {
-			return nil, err
-		}
-		return s.base, nil
-	})
-}
-
-// Close implements Store, releasing the source (the mapping, for mmap;
-// nothing for the pread flavour — the container file stays owned by
-// whoever opened it).
-func (c *CompressedStore) Close() error { return c.src.close() }
-
-var (
-	_ Store       = (*CompressedStore)(nil)
-	_ StoredSizer = (*CompressedStore)(nil)
-)
-
 // OpenExtent implements Codec: it opens the STPC extent at offset off of
-// f as a read-only store of the requested flavour. Only the header, free
-// list and length table are read eagerly (the length table is the page
-// directory; at 4 bytes a page it is ~0.1% of the logical size); encoded
-// pages stay at rest until read. BackendMmap maps the extent and falls
-// back to pread when mapping is unavailable; BackendMemory materialises
-// every page eagerly and drops the compressed image.
+// f as a read-only store of the requested flavour (see extentStore.open).
+// Only the header, free list and length table are read eagerly (the
+// length table is the page directory; at 4 bytes a page it is ~0.1% of
+// the logical size); encoded pages stay at rest until read.
 func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, cpHeaderSize)
 	if _, err := f.ReadAt(header, off); err != nil {
@@ -1046,87 +866,38 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 	if off+tableLen > fi.Size() {
 		return nil, 0, fmt.Errorf("pagefile: compressed extent directory truncated at file size %d", fi.Size())
 	}
-	sp, structOK := cpSpec(layout, pageSize)
-	c := &CompressedStore{
-		sp:       sp,
-		structOK: structOK,
-		pageSize: pageSize,
-		n:        numPages,
-		freed:    make(map[PageID]bool, numFree),
-		freeList: make([]PageID, 0, numFree),
-	}
 	// tableLen is bounded by the file size, so the directory is one read.
 	dir := make([]byte, tableLen-cpHeaderSize)
 	if _, err := f.ReadAt(dir, off+cpHeaderSize); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading compressed extent directory: %w", err)
 	}
-	for i := 0; i < numFree; i++ {
-		id := PageID(binary.LittleEndian.Uint32(dir[4*i:]))
-		if int(id) >= numPages {
-			return nil, 0, fmt.Errorf("pagefile: free page %d out of range", id)
-		}
-		c.freed[id] = true
-		c.freeList = append(c.freeList, id)
+	e, err := newExtentStore(pageSize, numPages, numFree, dir)
+	if err != nil {
+		return nil, 0, err
 	}
+	e.sp, e.structOK = cpSpec(layout, pageSize)
 	lens := dir[4*numFree:]
-	c.offs = make([]int64, 0, numPages+1)
-	c.offs = append(c.offs, 0)
+	e.offs = make([]int64, 0, numPages+1)
+	e.offs = append(e.offs, 0)
 	var payload int64
 	for i := 0; i < numPages; i++ {
 		l := binary.LittleEndian.Uint32(lens[4*i:])
 		if int64(l) > int64(pageSize)+cpMaxEncodedSlack {
 			return nil, 0, fmt.Errorf("pagefile: page %d encoded length %d implausible for page size %d", i, l, pageSize)
 		}
-		if (l == 0) != c.freed[PageID(i)] {
+		if (l == 0) != e.freed[PageID(i)] {
 			return nil, 0, fmt.Errorf("pagefile: page %d length %d inconsistent with free list", i, l)
 		}
 		payload += int64(l)
-		c.offs = append(c.offs, payload)
+		e.offs = append(e.offs, payload)
 	}
 	length := tableLen + payload
 	if off+length > fi.Size() {
 		return nil, 0, fmt.Errorf("pagefile: compressed extent of %d payload bytes truncated at file size %d", payload, fi.Size())
 	}
-	c.stored = length
-	base := off + tableLen // file offset of the payload; offs stay payload-relative
-
-	switch flavour {
-	case BackendMmap:
-		if src, merr := newCpMmapSource(f, base, payload); merr == nil {
-			c.src = src
-			return c, length, nil
-		}
-		c.src = cpFileSource{f: f, base: base}
-		return c, length, nil // graceful fallback to pread
-	case BackendMemory:
-		c.src = cpFileSource{f: f, base: base}
-		mem, merr := materializeStore(c)
-		if merr != nil {
-			return nil, 0, merr
-		}
-		return mem, length, nil
-	default:
-		c.src = cpFileSource{f: f, base: base}
-		return c, length, nil
+	s, err := e.open(f, off+tableLen, payload, flavour)
+	if err != nil {
+		return nil, 0, err
 	}
-}
-
-// newCpMmapSource maps the payload region of the extent; reads address
-// it with the same payload-relative offsets the pread source uses.
-func newCpMmapSource(f *os.File, base, payload int64) (*cpMmapSource, error) {
-	if !mmapSupported {
-		return nil, errMmapUnsupported
-	}
-	src := &cpMmapSource{}
-	if payload > 0 {
-		align := int64(os.Getpagesize())
-		aligned := base &^ (align - 1)
-		mapping, err := mmapFile(f, aligned, int(base-aligned+payload))
-		if err != nil {
-			return nil, fmt.Errorf("pagefile: mapping compressed extent: %w", err)
-		}
-		src.mapping = mapping
-		src.data = mapping[base-aligned:]
-	}
-	return src, nil
+	return s, length, nil
 }

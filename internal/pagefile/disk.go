@@ -7,33 +7,26 @@ import (
 	"runtime"
 )
 
-// DiskStore is the file-backed Store: pages live in a real file and are
-// read lazily on demand with ReadAt, so opening a saved index never
-// materialises the whole image. It comes in two flavours:
-//
-//   - a read-write store over an unlinked temporary file (NewDiskStore),
-//     used when an index is *built* with the disk backend;
-//   - a read-only window into a region of an index container file
-//     (openDiskRegion via OpenExtent), used when a saved index is opened
-//     lazily. Mutating operations return ErrReadOnly.
+// DiskStore is the file-backed build Store: pages live in an unlinked
+// temporary file and are read on demand with ReadAt, so an index built
+// with the disk backend never holds its whole image in memory. (Opened
+// containers are read by the frozen extent store instead; see
+// OpenExtent.)
 //
 // Allocation, the free list and page versions follow exactly the
 // in-memory File's semantics (LIFO reuse, version bump on write and on
 // id reuse), so tree layouts — and with them every Buffer I/O count —
 // are bit-identical across backends.
 //
-// Like File, a frozen DiskStore is safe for concurrent readers (ReadAt
-// is atomic per call); mutation is single-writer.
+// Like File, a DiskStore no longer being mutated is safe for concurrent
+// readers (ReadAt is atomic per call); mutation is single-writer.
 type DiskStore struct {
 	f        *os.File
 	pageSize int
-	base     int64 // offset of page 0 within f
-	n        int   // pages ever allocated
+	n        int // pages ever allocated
 	freed    map[PageID]bool
 	freeList []PageID
 	versions []uint64
-	readOnly bool
-	owns     bool // Close closes f (temp-file flavour)
 	scratch  []byte
 }
 
@@ -51,29 +44,11 @@ func NewDiskStore(pageSize int) (*DiskStore, error) {
 	// Unlink immediately: the fd keeps the space alive, nothing leaks on
 	// crash. (Linux-style semantics; the container platform guarantees it.)
 	_ = os.Remove(f.Name())
-	d := &DiskStore{f: f, pageSize: pageSize, freed: make(map[PageID]bool), owns: true}
+	d := &DiskStore{f: f, pageSize: pageSize, freed: make(map[PageID]bool)}
 	// Builds routinely abandon stores without closing them (indexes have
 	// no mandatory Close); let the GC reclaim the descriptor.
 	runtime.SetFinalizer(d, func(d *DiskStore) { _ = d.Close() })
 	return d, nil
-}
-
-// openDiskRegion wraps a region of an existing file as a read-only
-// store. The caller retains ownership of f.
-func openDiskRegion(f *os.File, base int64, pageSize, numAlloc int, freeList []PageID) *DiskStore {
-	freed := make(map[PageID]bool, len(freeList))
-	for _, id := range freeList {
-		freed[id] = true
-	}
-	return &DiskStore{
-		f:        f,
-		pageSize: pageSize,
-		base:     base,
-		n:        numAlloc,
-		freed:    freed,
-		freeList: freeList,
-		readOnly: true,
-	}
 }
 
 // PageSize implements Store.
@@ -91,17 +66,8 @@ func (d *DiskStore) Bytes() int64 { return int64(d.NumPages()) * int64(d.pageSiz
 // FreeList implements Store.
 func (d *DiskStore) FreeList() []PageID { return append([]PageID(nil), d.freeList...) }
 
-// ReadOnly reports whether the store rejects mutation (a lazily opened
-// container region).
-func (d *DiskStore) ReadOnly() bool { return d.readOnly }
-
-// Allocate implements Store. On a read-only store it returns
-// InvalidPage; the write that necessarily follows any allocation then
-// fails with ErrReadOnly.
+// Allocate implements Store.
 func (d *DiskStore) Allocate() PageID {
-	if d.readOnly {
-		return InvalidPage
-	}
 	if n := len(d.freeList); n > 0 {
 		id := d.freeList[n-1]
 		d.freeList = d.freeList[:n-1]
@@ -117,9 +83,6 @@ func (d *DiskStore) Allocate() PageID {
 
 // Free implements Store.
 func (d *DiskStore) Free(id PageID) error {
-	if d.readOnly {
-		return ErrReadOnly
-	}
 	if err := d.Check(id); err != nil {
 		return err
 	}
@@ -144,7 +107,7 @@ func (d *DiskStore) ReadPage(id PageID, dst []byte) error {
 		return err
 	}
 	dst = dst[:d.pageSize]
-	n, err := d.f.ReadAt(dst, d.base+int64(id)*int64(d.pageSize))
+	n, err := d.f.ReadAt(dst, int64(id)*int64(d.pageSize))
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		for i := n; i < len(dst); i++ {
 			dst[i] = 0
@@ -160,9 +123,6 @@ func (d *DiskStore) ReadPage(id PageID, dst []byte) error {
 // WritePage implements Store with one positioned write of a full page;
 // shorter images are zero-padded, as a real page overwrite would be.
 func (d *DiskStore) WritePage(id PageID, data []byte) error {
-	if d.readOnly {
-		return ErrReadOnly
-	}
 	if err := d.Check(id); err != nil {
 		return err
 	}
@@ -179,28 +139,26 @@ func (d *DiskStore) WritePage(id PageID, data []byte) error {
 		}
 		data = d.scratch
 	}
-	if _, err := d.f.WriteAt(data, d.base+int64(id)*int64(d.pageSize)); err != nil {
+	if _, err := d.f.WriteAt(data, int64(id)*int64(d.pageSize)); err != nil {
 		return fmt.Errorf("pagefile: writing page %d: %w", id, err)
 	}
 	d.versions[id]++
 	return nil
 }
 
-// Version implements Store. Read-only stores are frozen, so every page
-// stays at version 0 forever and decodes never go stale. As with File, an
-// out-of-range id reports version 0 instead of panicking.
+// Version implements Store. As with File, an out-of-range id reports
+// version 0 instead of panicking.
 func (d *DiskStore) Version(id PageID) uint64 {
-	if d.readOnly || int(id) >= len(d.versions) {
+	if int(id) >= len(d.versions) {
 		return 0
 	}
 	return d.versions[id]
 }
 
-// Close implements Store. Temp-file stores close (and thereby delete)
-// their backing file; read-only container regions do not own the file —
-// the index handle that opened the container closes it.
+// Close implements Store, closing (and thereby deleting) the backing
+// temporary file. Idempotent.
 func (d *DiskStore) Close() error {
-	if !d.owns || d.f == nil {
+	if d.f == nil {
 		return nil
 	}
 	runtime.SetFinalizer(d, nil)

@@ -1,0 +1,311 @@
+package pagefile
+
+import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"sync"
+)
+
+// source abstracts where an opened extent's page bytes are read from: a
+// positioned file read or a memory mapping. Offsets are relative to the
+// extent's payload.
+type source interface {
+	readAt(p []byte, off int64) error
+	close() error
+}
+
+type fileSource struct {
+	f    *os.File
+	base int64 // file offset of the payload region
+}
+
+func (s fileSource) readAt(p []byte, off int64) error {
+	// An opened extent never reads past its validated length, so EOF here
+	// is a truncated or corrupt container, not an unwritten tail.
+	_, err := s.f.ReadAt(p, s.base+off)
+	return err
+}
+
+func (s fileSource) close() error { return nil }
+
+type mmapSource struct {
+	mu      sync.Mutex
+	mapping []byte // full page-aligned mapping; munmap target
+	data    []byte // the payload region within mapping
+}
+
+func (s *mmapSource) readAt(p []byte, off int64) error {
+	data := s.data
+	if data == nil || off < 0 || off+int64(len(p)) > int64(len(data)) {
+		return fmt.Errorf("pagefile: read out of mapped range")
+	}
+	copy(p, data[off:])
+	return nil
+}
+
+// close unmaps the region. Idempotent and safe for concurrent callers;
+// reads racing a close observe either the mapping or a clean error, but
+// the serving layer's refcounting never lets that race happen.
+func (s *mmapSource) close() error {
+	s.mu.Lock()
+	mapping := s.mapping
+	s.mapping = nil
+	s.data = nil
+	s.mu.Unlock()
+	if mapping == nil {
+		return nil
+	}
+	return munmapFile(mapping)
+}
+
+// newMmapSource maps the payload region of an extent read-only; reads
+// address it with the same payload-relative offsets the pread source
+// uses. It fails where mmap is unavailable (platform or filesystem).
+func newMmapSource(f *os.File, base, payload int64) (*mmapSource, error) {
+	if !mmapSupported {
+		return nil, errMmapUnsupported
+	}
+	src := &mmapSource{}
+	if payload > 0 {
+		align := int64(os.Getpagesize())
+		aligned := base &^ (align - 1)
+		mapping, err := mmapFile(f, aligned, int(base-aligned+payload))
+		if err != nil {
+			return nil, fmt.Errorf("pagefile: mapping extent: %w", err)
+		}
+		src.mapping = mapping
+		src.data = mapping[base-aligned:]
+	}
+	return src, nil
+}
+
+// cpScratch is the per-read working set of a compressed extent.
+type cpScratch struct {
+	enc     []byte
+	baseEnc []byte
+	base    []byte
+}
+
+// extentStore is the read-only store of an opened page extent, whatever
+// its codec. Pages stay at rest in their on-disk form (in the file or the
+// mapping) and are read per ReadPage, below the Buffer. An STPF extent has
+// no directory: page i is the pageSize bytes at i·pageSize, read straight
+// into the caller's frame. An STPC extent has a length directory and each
+// page is decoded on read, so with a Buffer or the shared cache on top a
+// page is decoded once per cache residency.
+//
+// The store is frozen: same page ids and free list as the store that was
+// saved, version 0 everywhere, ErrReadOnly on mutation, logical Bytes.
+// Safe for any number of concurrent readers each owning a private Buffer.
+// Close releases the mapping, if any; the container file stays owned by
+// whoever opened it.
+type extentStore struct {
+	src      source
+	sp       layoutSpec
+	structOK bool
+	pageSize int
+	n        int // pages ever allocated
+	freed    map[PageID]bool
+	freeList []PageID
+	offs     []int64 // STPC: offs[i] is page i's offset within src, offs[n] ends the payload; nil for STPF
+	pool     sync.Pool
+}
+
+// newExtentStore starts the store of an extent of n allocated pages from
+// the numFree page ids at the front of dir, the extent's free list.
+func newExtentStore(pageSize, n, numFree int, dir []byte) (*extentStore, error) {
+	e := &extentStore{
+		pageSize: pageSize,
+		n:        n,
+		freed:    make(map[PageID]bool, numFree),
+		freeList: make([]PageID, 0, numFree),
+	}
+	for i := 0; i < numFree; i++ {
+		id := PageID(binary.LittleEndian.Uint32(dir[4*i:]))
+		if int(id) >= n {
+			return nil, fmt.Errorf("pagefile: free page %d out of range", id)
+		}
+		e.freed[id] = true
+		e.freeList = append(e.freeList, id)
+	}
+	return e, nil
+}
+
+// open attaches the source of the requested flavour to a store whose
+// directory is parsed; base is the file offset of the page payload and
+// payload its length:
+//
+//   - BackendMmap maps the payload — zero read syscalls — and falls back
+//     to pread where mapping is unavailable;
+//   - BackendMemory materialises every page into a frozen in-memory File
+//     and drops the at-rest image;
+//   - anything else reads each page with one positioned read.
+func (e *extentStore) open(f *os.File, base, payload int64, flavour Backend) (Store, error) {
+	e.src = fileSource{f: f, base: base}
+	switch flavour {
+	case BackendMmap:
+		if src, err := newMmapSource(f, base, payload); err == nil {
+			e.src = src
+		}
+	case BackendMemory:
+		return materializeStore(e)
+	}
+	return e, nil
+}
+
+// PageSize implements Store.
+func (e *extentStore) PageSize() int { return e.pageSize }
+
+// NumPages implements Store.
+func (e *extentStore) NumPages() int { return e.n - len(e.freeList) }
+
+// NumAllocated implements Store.
+func (e *extentStore) NumAllocated() int { return e.n }
+
+// Bytes implements Store: the logical live footprint, like every other
+// backend — codecs change at-rest size, not store observables.
+func (e *extentStore) Bytes() int64 { return int64(e.NumPages()) * int64(e.pageSize) }
+
+// FreeList implements Store.
+func (e *extentStore) FreeList() []PageID { return append([]PageID(nil), e.freeList...) }
+
+// ReadOnly reports that the store rejects mutation.
+func (e *extentStore) ReadOnly() bool { return true }
+
+// Allocate implements Store; opened extents are frozen.
+func (e *extentStore) Allocate() PageID { return InvalidPage }
+
+// Free implements Store; opened extents are frozen.
+func (e *extentStore) Free(PageID) error { return ErrReadOnly }
+
+// WritePage implements Store; opened extents are frozen.
+func (e *extentStore) WritePage(PageID, []byte) error { return ErrReadOnly }
+
+// Version implements Store; frozen pages never change, so decodes never
+// go stale.
+func (e *extentStore) Version(PageID) uint64 { return 0 }
+
+// Check implements Store.
+func (e *extentStore) Check(id PageID) error {
+	if int(id) >= e.n || (len(e.freed) > 0 && e.freed[id]) {
+		return fmt.Errorf("%w: %d", ErrBadPage, id)
+	}
+	return nil
+}
+
+func (e *extentStore) scratch() *cpScratch {
+	if s, ok := e.pool.Get().(*cpScratch); ok {
+		return s
+	}
+	return &cpScratch{base: make([]byte, e.pageSize)}
+}
+
+func (e *extentStore) readEnc(id PageID, buf []byte) ([]byte, error) {
+	l := int(e.offs[id+1] - e.offs[id])
+	if cap(buf) < l {
+		buf = make([]byte, l)
+	}
+	buf = buf[:l]
+	if err := e.src.readAt(buf, e.offs[id]); err != nil {
+		return buf, fmt.Errorf("pagefile: reading compressed page %d: %w", id, err)
+	}
+	return buf, nil
+}
+
+// ReadPage implements Store. An STPF page is one read into dst; an STPC
+// page is one (for delta/dup pages two) reads of the encoded bytes, then a
+// decode into dst.
+func (e *extentStore) ReadPage(id PageID, dst []byte) error {
+	if err := e.Check(id); err != nil {
+		return err
+	}
+	if e.offs == nil {
+		if err := e.src.readAt(dst[:e.pageSize], int64(id)*int64(e.pageSize)); err != nil {
+			return fmt.Errorf("pagefile: reading page %d: %w", id, err)
+		}
+		return nil
+	}
+	s := e.scratch()
+	defer e.pool.Put(s)
+	var err error
+	if s.enc, err = e.readEnc(id, s.enc); err != nil {
+		return err
+	}
+	return cpDecodePage(s.enc, dst[:e.pageSize], e.sp, e.structOK, uint32(id), func(base uint32) ([]byte, error) {
+		if e.Check(PageID(base)) != nil {
+			return nil, fmt.Errorf("base %d is freed or out of range", base)
+		}
+		if s.baseEnc, err = e.readEnc(PageID(base), s.baseEnc); err != nil {
+			return nil, err
+		}
+		// A base must be a raw or struct page: its own decode is given no
+		// way to chase a further base, so a chain fails here.
+		noBase := func(uint32) ([]byte, error) {
+			return nil, fmt.Errorf("base %d is not a raw or struct page", base)
+		}
+		if err := cpDecodePage(s.baseEnc, s.base, e.sp, e.structOK, base, noBase); err != nil {
+			return nil, err
+		}
+		return s.base, nil
+	})
+}
+
+// Close implements Store, releasing the source (the mapping, for mmap;
+// nothing for pread).
+func (e *extentStore) Close() error { return e.src.close() }
+
+var _ Store = (*extentStore)(nil)
+
+// roStore freezes an in-memory File that was materialised from a saved
+// container: reads pass through, mutation fails with ErrReadOnly, and
+// every page reports version 0 — the same observable contract as the
+// lazily read extent store.
+type roStore struct {
+	Store
+}
+
+// Allocate implements Store; the materialised extent is frozen.
+func (r *roStore) Allocate() PageID { return InvalidPage }
+
+// Free implements Store; the materialised extent is frozen.
+func (r *roStore) Free(PageID) error { return ErrReadOnly }
+
+// WritePage implements Store; the materialised extent is frozen.
+func (r *roStore) WritePage(PageID, []byte) error { return ErrReadOnly }
+
+// Version implements Store; frozen pages never change.
+func (r *roStore) Version(PageID) uint64 { return 0 }
+
+// ReadOnly reports that the store rejects mutation.
+func (r *roStore) ReadOnly() bool { return true }
+
+// materializeStore copies every live page of a read-only extent store
+// into an in-memory File with the identical allocation state (page ids,
+// free list, reuse order), wrapped read-only. Re-encoding the result is
+// byte-identical to re-encoding the store it came from.
+func materializeStore(s Store) (Store, error) {
+	f := New(s.PageSize())
+	for i := 0; i < s.NumAllocated(); i++ {
+		f.Allocate()
+	}
+	buf := make([]byte, s.PageSize())
+	for i := 0; i < s.NumAllocated(); i++ {
+		id := PageID(i)
+		if s.Check(id) != nil {
+			continue
+		}
+		if err := s.ReadPage(id, buf); err != nil {
+			return nil, err
+		}
+		if err := f.WritePage(id, buf); err != nil {
+			return nil, err
+		}
+	}
+	for _, id := range s.FreeList() {
+		if err := f.Free(id); err != nil {
+			return nil, err
+		}
+	}
+	return &roStore{Store: f}, nil
+}

@@ -1,0 +1,304 @@
+package pagefile
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// buildTestFile builds a File with a mixed allocate/write/free history.
+func buildTestFile(t *testing.T, pageSize, pages, frees int) *File {
+	t.Helper()
+	src := New(pageSize)
+	for i := 0; i < pages; i++ {
+		id := src.Allocate()
+		img := bytes.Repeat([]byte{byte(i + 1)}, pageSize)
+		img[0] = byte(id)
+		if err := src.WritePage(id, img); err != nil {
+			t.Fatalf("WritePage(%d): %v", id, err)
+		}
+	}
+	for i := 0; i < frees; i++ {
+		if err := src.Free(PageID(i * 2)); err != nil {
+			t.Fatalf("Free(%d): %v", i*2, err)
+		}
+	}
+	return src
+}
+
+// writeTestExtent saves src as an extent under codec in a temp file,
+// returning the file (opened for reading), the extent offset and the
+// encoded extent. The file is closed at cleanup.
+func writeTestExtent(t *testing.T, codec Codec, layout Layout, src Store) (*os.File, int64, []byte) {
+	t.Helper()
+	var enc bytes.Buffer
+	if _, err := codec.WriteExtent(&enc, src, layout); err != nil {
+		t.Fatalf("WriteExtent: %v", err)
+	}
+	// Leave an unaligned prefix before the extent so the mmap path has to
+	// exercise its offset-alignment arithmetic.
+	prefix := []byte("prefix-bytes-to-misalign!")
+	path := filepath.Join(t.TempDir(), "extent")
+	if err := os.WriteFile(path, append(prefix, enc.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f, int64(len(prefix)), enc.Bytes()
+}
+
+// mapped reports whether s reads its pages out of a memory mapping.
+func mapped(s Store) bool {
+	e, ok := s.(*extentStore)
+	if !ok {
+		return false
+	}
+	_, ok = e.src.(*mmapSource)
+	return ok
+}
+
+// assertFrozenParity checks that got is observationally identical to the
+// source store it was opened from: same shape, same free list, same live
+// page images, version 0 everywhere, and ErrReadOnly/InvalidPage on
+// mutation.
+func assertFrozenParity(t *testing.T, got Store, src *File) {
+	t.Helper()
+	if got.PageSize() != src.PageSize() {
+		t.Fatalf("PageSize = %d, want %d", got.PageSize(), src.PageSize())
+	}
+	if got.NumPages() != src.NumPages() {
+		t.Errorf("NumPages = %d, want %d", got.NumPages(), src.NumPages())
+	}
+	if got.NumAllocated() != src.NumAllocated() {
+		t.Errorf("NumAllocated = %d, want %d", got.NumAllocated(), src.NumAllocated())
+	}
+	if got.Bytes() != src.Bytes() {
+		t.Errorf("Bytes = %d, want %d", got.Bytes(), src.Bytes())
+	}
+	gf, sf := got.FreeList(), src.FreeList()
+	if len(gf) != len(sf) {
+		t.Fatalf("FreeList len = %d, want %d", len(gf), len(sf))
+	}
+	for i := range gf {
+		if gf[i] != sf[i] {
+			t.Errorf("FreeList[%d] = %d, want %d", i, gf[i], sf[i])
+		}
+	}
+	want := make([]byte, src.PageSize())
+	have := make([]byte, src.PageSize())
+	for i := 0; i < src.NumAllocated(); i++ {
+		id := PageID(i)
+		serr, gerr := src.Check(id), got.Check(id)
+		if (serr == nil) != (gerr == nil) {
+			t.Fatalf("Check(%d): src %v, got %v", id, serr, gerr)
+		}
+		if serr != nil {
+			continue
+		}
+		if err := src.ReadPage(id, want); err != nil {
+			t.Fatalf("src.ReadPage(%d): %v", id, err)
+		}
+		if err := got.ReadPage(id, have); err != nil {
+			t.Fatalf("got.ReadPage(%d): %v", id, err)
+		}
+		if !bytes.Equal(want, have) {
+			t.Errorf("page %d image differs", id)
+		}
+		if v := got.Version(id); v != 0 {
+			t.Errorf("Version(%d) = %d, want 0", id, v)
+		}
+	}
+	if id := got.Allocate(); id != InvalidPage {
+		t.Errorf("Allocate = %d, want InvalidPage", id)
+	}
+	if err := got.WritePage(0, want); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("WritePage err = %v, want ErrReadOnly", err)
+	}
+	liveID := PageID(src.NumAllocated() - 1)
+	if err := got.Free(liveID); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("Free err = %v, want ErrReadOnly", err)
+	}
+	ro, ok := got.(interface{ ReadOnly() bool })
+	if !ok || !ro.ReadOnly() {
+		t.Errorf("store does not report ReadOnly")
+	}
+}
+
+// TestOpenExtentBackendFlavours opens one extent per codec and layout
+// through every open flavour: each is observationally identical to the
+// store it was saved from, reports the encoded length, and re-encodes to
+// the same bytes.
+func TestOpenExtentBackendFlavours(t *testing.T) {
+	type extent struct {
+		name   string
+		codec  Codec
+		layout Layout
+		src    *File
+		f      *os.File
+		off    int64
+		enc    []byte
+	}
+	extents := []*extent{
+		{name: "identity", codec: CodecIdentity, layout: LayoutOpaque},
+		{name: "compressed-opaque", codec: CodecCompressed, layout: LayoutOpaque},
+		{name: "compressed-ppr", codec: CodecCompressed, layout: LayoutPPR},
+		{name: "compressed-rstar", codec: CodecCompressed, layout: LayoutRStar},
+	}
+	for _, x := range extents {
+		x.src = New(DefaultPageSize)
+		buildCodecWorkload(t, x.src, x.layout, rand.New(rand.NewSource(int64(x.layout)+7)))
+		x.f, x.off, x.enc = writeTestExtent(t, x.codec, x.layout, x.src)
+	}
+	for _, flavour := range []Backend{BackendDefault, BackendDisk, BackendMmap, BackendMemory} {
+		t.Run(string(flavour), func(t *testing.T) {
+			for _, x := range extents {
+				s, n, err := x.codec.OpenExtent(x.f, x.off, flavour)
+				if err != nil {
+					t.Fatalf("%s: OpenExtent: %v", x.name, err)
+				}
+				if n != int64(len(x.enc)) {
+					t.Fatalf("%s: extent length = %d, want %d", x.name, n, len(x.enc))
+				}
+				if flavour == BackendMmap && mmapSupported && !mapped(s) {
+					t.Fatalf("%s: flavour mmap took no mapping (%T)", x.name, s)
+				}
+				assertFrozenParity(t, s, x.src)
+
+				// Re-encoding the opened store must be byte-identical to
+				// the saved extent, whatever the flavour.
+				var got bytes.Buffer
+				if _, err := x.codec.WriteExtent(&got, s, x.layout); err != nil {
+					t.Fatalf("%s: WriteExtent: %v", x.name, err)
+				}
+				if !bytes.Equal(got.Bytes(), x.enc) {
+					t.Errorf("%s: re-encode differs from the saved extent", x.name)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatalf("%s: Close: %v", x.name, err)
+				}
+			}
+		})
+	}
+}
+
+// eachCodec runs fn once per codec.
+func eachCodec(t *testing.T, fn func(t *testing.T, codec Codec)) {
+	for _, codec := range codecs {
+		t.Run(codec.Name(), func(t *testing.T) { fn(t, codec) })
+	}
+}
+
+func TestMmapStoreEmptyExtent(t *testing.T) {
+	eachCodec(t, func(t *testing.T, codec Codec) {
+		src := buildTestFile(t, 128, 0, 0)
+		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
+		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		if err != nil {
+			t.Fatalf("OpenExtent: %v", err)
+		}
+		defer s.Close()
+		assertFrozenParity(t, s, src)
+	})
+}
+
+func TestMmapStoreCloseIdempotent(t *testing.T) {
+	if !mmapSupported {
+		t.Skip("mmap not supported on this platform")
+	}
+	eachCodec(t, func(t *testing.T, codec Codec) {
+		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, buildTestFile(t, 128, 4, 0))
+		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		if err != nil {
+			t.Fatalf("OpenExtent: %v", err)
+		}
+		if !mapped(s) {
+			t.Fatalf("got %T with no mapping", s)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+		buf := make([]byte, s.PageSize())
+		if err := s.ReadPage(0, buf); err == nil {
+			t.Fatalf("ReadPage after Close succeeded")
+		}
+	})
+}
+
+func TestMmapStoreConcurrentReaders(t *testing.T) {
+	eachCodec(t, func(t *testing.T, codec Codec) {
+		src := buildTestFile(t, 256, 16, 4)
+		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
+		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		if err != nil {
+			t.Fatalf("OpenExtent: %v", err)
+		}
+		defer s.Close()
+
+		done := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				buf := make([]byte, s.PageSize())
+				want := make([]byte, s.PageSize())
+				for iter := 0; iter < 200; iter++ {
+					for i := 0; i < src.NumAllocated(); i++ {
+						id := PageID(i)
+						if src.Check(id) != nil {
+							continue
+						}
+						if err := s.ReadPage(id, buf); err != nil {
+							done <- err
+							return
+						}
+						src.ReadPage(id, want)
+						if !bytes.Equal(buf, want) {
+							done <- errors.New("page image mismatch under concurrency")
+							return
+						}
+					}
+				}
+				done <- nil
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+func TestDefaultOpenBackend(t *testing.T) {
+	t.Setenv(EnvBackend, "")
+	if b := DefaultOpenBackend(); b != BackendDisk {
+		t.Errorf("default open backend = %q, want disk", b)
+	}
+	t.Setenv(EnvBackend, "mem")
+	if b := DefaultOpenBackend(); b != BackendDisk {
+		t.Errorf("open backend under mem = %q, want disk", b)
+	}
+	t.Setenv(EnvBackend, "mmap")
+	if b := DefaultOpenBackend(); b != BackendMmap {
+		t.Errorf("open backend under mmap = %q, want mmap", b)
+	}
+	// Builds under mmap land on the disk store.
+	if b := DefaultBackend(); b != BackendDisk {
+		t.Errorf("build backend under mmap = %q, want disk", b)
+	}
+	s, err := NewStore(BackendMmap, 128)
+	if err != nil {
+		t.Fatalf("NewStore(mmap): %v", err)
+	}
+	defer s.Close()
+	if _, ok := s.(*DiskStore); !ok {
+		t.Errorf("NewStore(mmap) = %T, want *DiskStore", s)
+	}
+}

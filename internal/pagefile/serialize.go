@@ -139,13 +139,13 @@ func ReadExtentMem(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// OpenExtent wraps the page extent at offset off of f as a lazily read,
-// read-only DiskStore: only the header and free list are read here; page
-// images stay on disk until a Buffer faults them in. The caller retains
-// ownership of f (it must stay open for the store's lifetime). Returns
-// the store and the total extent length in bytes, so callers can locate
-// any following section.
-func OpenExtent(f *os.File, off int64) (*DiskStore, int64, error) {
+// OpenExtent opens the STPF extent at offset off of f as a read-only
+// store of the requested flavour (see extentStore.open): only the header
+// and free list are read here; page images stay at rest until a Buffer
+// faults them in. The caller retains ownership of f (it must stay open
+// for the store's lifetime). Returns the store and the total extent
+// length in bytes, so callers can locate any following section.
+func OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, extentHeaderSize)
 	if _, err := f.ReadAt(header, off); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading extent header: %w", err)
@@ -154,8 +154,9 @@ func OpenExtent(f *os.File, off int64) (*DiskStore, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	base := off + extentHeaderSize + 4*int64(numFree)
-	length := base - off + int64(numPages)*int64(pageSize)
+	dirLen := 4 * int64(numFree)
+	payload := int64(numPages) * int64(pageSize)
+	length := extentHeaderSize + dirLen + payload
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, 0, fmt.Errorf("pagefile: sizing extent: %w", err)
@@ -163,20 +164,17 @@ func OpenExtent(f *os.File, off int64) (*DiskStore, int64, error) {
 	if off+length > fi.Size() {
 		return nil, 0, fmt.Errorf("pagefile: extent of %d pages × %d bytes truncated at file size %d", numPages, pageSize, fi.Size())
 	}
-	var freeList []PageID
-	if numFree > 0 {
-		raw := make([]byte, 4*numFree)
-		if _, err := f.ReadAt(raw, off+extentHeaderSize); err != nil {
-			return nil, 0, fmt.Errorf("pagefile: reading free list: %w", err)
-		}
-		freeList = make([]PageID, numFree)
-		for i := range freeList {
-			id := PageID(binary.LittleEndian.Uint32(raw[4*i:]))
-			if int(id) >= numPages {
-				return nil, 0, fmt.Errorf("pagefile: free page %d out of range", id)
-			}
-			freeList[i] = id
-		}
+	dir := make([]byte, dirLen)
+	if _, err := f.ReadAt(dir, off+extentHeaderSize); err != nil {
+		return nil, 0, fmt.Errorf("pagefile: reading free list: %w", err)
 	}
-	return openDiskRegion(f, base, pageSize, numPages, freeList), length, nil
+	e, err := newExtentStore(pageSize, numPages, numFree, dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	s, err := e.open(f, off+extentHeaderSize+dirLen, payload, flavour)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, length, nil
 }

@@ -18,8 +18,8 @@ const (
 	// real file and are read lazily on demand.
 	BackendDisk Backend = "disk"
 	// BackendMmap is the memory-mapped flavour of the container window:
-	// opened extents are mapped read-only (MmapStore), so page reads cost
-	// zero syscalls. It only exists as an *open* flavour — building an
+	// opened extents are mapped read-only, so page reads cost zero
+	// syscalls. It only exists as an *open* flavour — building an
 	// index with BackendMmap uses the file-backed DiskStore (a build
 	// mutates pages, which a mapping cannot), and the mmap choice takes
 	// effect when the saved container is opened.
@@ -49,8 +49,9 @@ var ErrReadOnly = errors.New("pagefile: store is read-only")
 // readers, each owning its own Buffer. Concretely, Check, ReadPage,
 // Version, PageSize, NumPages, NumAllocated, Bytes and FreeList may all
 // be called from any goroutine against a frozen store without locking;
-// both implementations uphold this (File reads immutable slices, DiskStore
-// uses positioned ReadAt, atomic per call). Mutation requires external
+// every implementation upholds this (File reads immutable slices,
+// DiskStore and the opened extent store use positioned ReadAt, atomic per
+// call, or a read-only mapping). Mutation requires external
 // synchronisation and invalidates the guarantee while it is in flight.
 // The serving layer's session pool relies on exactly this contract: one
 // frozen store, many per-worker Buffers.

@@ -3,6 +3,7 @@ package stindex
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -474,6 +475,44 @@ func TestPersistRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestTruncatedContainerFailsStop truncates a lazily opened container
+// under the open index: a query that reaches a page past the new end
+// fails with io.EOF on both codecs, never answers from zero-filled pages.
+// (A truncated mapping faults instead, so mmap is left out.)
+func TestTruncatedContainerFailsStop(t *testing.T) {
+	ppr, err := BuildPPR(UnsplitRecords(genObjects(t, 300, 21)), PPROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	span := Interval{Start: 0, End: 1 << 40}
+	for _, codec := range []Codec{CodecIdentity, CodecCompressed} {
+		t.Run(string(codec), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ppr.sti")
+			if err := SaveIndexOptions(path, ppr, SaveOptions{Codec: codec}); err != nil {
+				t.Fatal(err)
+			}
+			x, err := OpenIndexOptions(path, OpenOptions{Backend: BackendDisk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer CloseIndex(x)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+			x.ResetBuffer()
+			ids, err := x.Range(all, span)
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("query over a truncated container: %d ids, err %v; want io.EOF", len(ids), err)
+			}
+		})
+	}
+}
+
 // FuzzOpenIndex drives both container readers with mutated images. The
 // property under test is "errors, not panics": any byte stream must
 // either load into a queryable index or be rejected cleanly.
@@ -499,18 +538,15 @@ func FuzzOpenIndex(f *testing.F) {
 	seed(ppr, err)
 	seed(BuildRStar(records, RStarOptions{ShuffleSeed: 5}))
 	// A retired two-extent container (refused on open) and the pre-codec
-	// version-1 spelling of an identity image (opened unchanged).
-	retired, err := os.ReadFile(filepath.Join("testdata", "hybrid-v2-compressed.sti"))
-	if err != nil {
-		f.Fatal(err)
+	// version-1 spelling of an identity image of the ppr above (opened
+	// unchanged).
+	for _, name := range []string{"hybrid-v2-compressed.sti", "ppr-v1-identity.sti"} {
+		image, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(image)
 	}
-	f.Add(retired)
-	var v1 bytes.Buffer
-	if _, err := EncodeIndexOptions(&v1, ppr, SaveOptions{Codec: CodecIdentity}); err != nil {
-		f.Fatal(err)
-	}
-	v1.Bytes()[4] = containerVersionOld
-	f.Add(v1.Bytes())
 	f.Add([]byte("STIC"))
 	f.Add([]byte{})
 

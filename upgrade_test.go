@@ -115,6 +115,73 @@ func TestLegacyDeltaContainerReopens(t *testing.T) {
 	}
 }
 
+// TestIdentityContainersOpenEveryFlavour opens the identity containers
+// under testdata — a version-1 ppr container and a version-2 mid-history
+// stream snapshot — through the eager reader and every open flavour:
+// each answers a fixed query list like the eager decode and re-encodes,
+// under the identity codec, to the version-2 bytes of the fixture.
+func TestIdentityContainersOpenEveryFlavour(t *testing.T) {
+	window := Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
+	queries := []Query{
+		{Rect: window, Interval: Interval{Start: 5, End: 6}},
+		{Rect: window, Interval: Interval{Start: 44, End: 45}},
+		{Rect: window, Interval: Interval{Start: 500, End: 501}},
+		{Rect: Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval: Interval{Start: 0, End: 1 << 20}},
+		{Rect: Rect{MinX: 0.3, MinY: 0.2, MaxX: 0.7, MaxY: 0.8}, Interval: Interval{Start: 10, End: 300}},
+		KNNQuery(0.5, 0.5, 20, 5),
+		KNNQuery(0.1, 0.9, 400, 50),
+		TrajectoryQuery(window, Interval{Start: 0, End: 1 << 20}),
+	}
+	for _, name := range []string{"ppr-v1-identity.sti", "stream-delta-identity.sti"} {
+		path := filepath.Join("testdata", name)
+		image, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := bytes.Clone(image)
+		binary.LittleEndian.PutUint32(v2[4:], containerVersion)
+		want, err := DecodeIndex(bytes.NewReader(image))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+			got, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, backend, err)
+			}
+			if got.Kind() != want.Kind() || got.Records() != want.Records() || got.Pages() != want.Pages() {
+				t.Fatalf("%s, %s: %s with %d records on %d pages, decode gives %s with %d on %d", name, backend,
+					got.Kind(), got.Records(), got.Pages(), want.Kind(), want.Records(), want.Pages())
+			}
+			for qi, q := range queries {
+				a, err := RunQueryResult(want, q)
+				if err != nil {
+					t.Fatalf("%s: decoded query %d: %v", name, qi, err)
+				}
+				b, err := RunQueryResult(got, q)
+				if err != nil {
+					t.Fatalf("%s, %s: query %d: %v", name, backend, qi, err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s, %s: query %d differs from the decode:\n got %+v\nwant %+v", name, backend, qi, b, a)
+				}
+			}
+			for label, x := range map[string]Index{"decode": want, string(backend): got} {
+				var reencoded bytes.Buffer
+				if _, err := EncodeIndexOptions(&reencoded, x, SaveOptions{Codec: CodecIdentity}); err != nil {
+					t.Fatalf("%s, %s: re-encoding: %v", name, label, err)
+				}
+				if !bytes.Equal(reencoded.Bytes(), v2) {
+					t.Fatalf("%s, %s: identity re-encoding differs from the version-2 bytes", name, label)
+				}
+			}
+			if err := CloseIndex(got); err != nil {
+				t.Fatalf("%s, %s: close: %v", name, backend, err)
+			}
+		}
+	}
+}
+
 // TestHRContainerRefused pins the retirement of the "hr" container kind:
 // a version-2 hr container fails on the eager path and both lazy
 // flavours with the error that names the kind and says it is no longer
