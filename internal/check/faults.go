@@ -275,7 +275,8 @@ func readCount(stores *[]*FaultStore) uint64 {
 // documents: a failed write leaves the buffered copy and the stats
 // untouched, a torn write is visible on re-read exactly as the torn
 // image (never the stale pre-tear decode), a failed read leaves nothing
-// resident, and a failing Close propagates.
+// resident — also the image-less read of a page whose decode is cached —
+// and a failing Close propagates.
 func VerifyBufferFaults() error {
 	for _, backend := range []pagefile.Backend{pagefile.BackendMemory, pagefile.BackendDisk} {
 		if err := verifyBufferFaultsOn(backend); err != nil {
@@ -385,6 +386,48 @@ func verifyBufferFaultsOn(backend pagefile.Backend) error {
 	}
 	if got, err := buf3.Read(q); err != nil || !bytes.Equal(got, pageA) {
 		return fmt.Errorf("retry after failed read: %v", err)
+	}
+
+	// Image-less read: once a page is decoded, a pool miss reads it
+	// without asking for its image. A fault on that read propagates,
+	// charges nothing and leaves nothing resident; the retry reaches the
+	// store again and answers from the cached decode, not a second parse.
+	inner4, err := pagefile.NewStore(backend, pageSize)
+	if err != nil {
+		return err
+	}
+	defer inner4.Close()
+	fs4 := NewFaultStore(inner4, MustSchedule("read@2"))
+	buf4 := pagefile.NewBuffer(fs4, 2)
+	r := fs4.Allocate()
+	if err := buf4.Write(r, pageA); err != nil {
+		return fmt.Errorf("seed write: %v", err)
+	}
+	decodes = 0
+	buf4.Reset()
+	first, err := buf4.ReadDecoded(r, decode)
+	if err != nil {
+		return fmt.Errorf("seed decode: %v", err)
+	}
+	buf4.Reset()
+	if _, err := buf4.ReadDecoded(r, decode); !errors.Is(err, ErrInjected) {
+		return fmt.Errorf("read@2 under a cached decode did not propagate, got %v", err)
+	}
+	if st := buf4.Stats(); st != (pagefile.Stats{}) {
+		return fmt.Errorf("failed image-less read perturbed stats: %+v", st)
+	}
+	v, err = buf4.ReadDecoded(r, decode)
+	if err != nil {
+		return fmt.Errorf("retry after failed image-less read: %v", err)
+	}
+	if st := buf4.Stats(); st != (pagefile.Stats{Reads: 1}) {
+		return fmt.Errorf("retry after failed image-less read charged %+v, want one miss (was the page left resident?)", st)
+	}
+	if reads, _, _ := fs4.Ops(); reads != 3 {
+		return fmt.Errorf("%d store reads, want 3 (seed, failed, retry)", reads)
+	}
+	if decodes != 1 || !bytes.Equal(v.([]byte), first.([]byte)) {
+		return fmt.Errorf("retry after failed image-less read decoded again (%d decodes)", decodes)
 	}
 	return nil
 }

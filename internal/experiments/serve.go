@@ -51,7 +51,8 @@ type ServeRow struct {
 // serving path keeps session buffers warm. With a budget a page is read
 // and decoded once per view at most, or not at all when another view
 // published its node (the shared-hit column); without one every miss of
-// a session's pool reads the store and only the parse is saved.
+// a session's pool reads the store, and only a decode miss expands the
+// page into its image.
 func Serve(cfg Config) ([]ServeRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]

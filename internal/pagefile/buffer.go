@@ -59,10 +59,11 @@ type decodedPage struct {
 // store's per-page version. Stats{Reads,Writes,Hits} are accounted by
 // exactly the same hit/miss logic whether or not a decode is reused, so
 // every I/O figure is bit-identical with and without it. Over a plain
-// store the table saves the parse and nothing else: a pool miss fetches
-// the page, as the paper's buffer does. Over a store that carries a shared
-// decode tier (a cache budget was configured) the decodes are what serves
-// a query, and the page's bytes are fetched only for a reader: a decode
+// store a pool miss reads the page, as the paper's buffer does, and the
+// table saves the parse and the page codec's work: an image is produced
+// only for a decode miss or a raw Read. Over a store that carries a
+// shared decode tier (a cache budget was configured) the decodes are what
+// serves a query, and the store is reached only for a reader: a decode
 // miss, or a raw Read. Reset deliberately keeps the decode cache:
 // resetting simulates cold *disk buffers*, not a change to the page
 // images, and the version stamp already invalidates a decode exactly when
@@ -86,9 +87,9 @@ type Buffer struct {
 
 	// shared is the cross-buffer decode tier, present when the store
 	// implements SharedDecodeCache (the serving layer's shared cache
-	// wrapper). With it ReadDecoded looks decodes up — the private map,
-	// then the tier — before it touches the store; fresh decodes are
-	// published back to it.
+	// wrapper). With it ReadDecoded looks decodes up in the private map,
+	// then the tier, and a request they answer never touches the store;
+	// fresh decodes are published back to it.
 	shared SharedDecodeCache
 }
 
@@ -264,10 +265,13 @@ func (b *Buffer) Read(id PageID) ([]byte, error) {
 }
 
 // cachedDecode returns the decode of the page at version ver from the
-// private map or, failing that, from the shared tier.
+// private map or, failing that, from the shared tier, if there is one.
 func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 	if d, ok := b.decoded[id]; ok && d.version == ver {
 		return d.value, true
+	}
+	if b.shared == nil {
+		return nil, false
 	}
 	if v, ok := b.shared.CachedDecode(id, ver); ok {
 		b.decoded[id] = decodedPage{version: ver, value: v}
@@ -282,13 +286,13 @@ func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 // reuses the cached parse as long as the image is unchanged.
 //
 // The buffer traffic accounting is exactly Read's: the pool hit/miss and
-// the Stats counters do not depend on the decode cache. Whether the store
-// is read does, once a shared decode tier is configured: a request a
-// cached decode answers is then charged to the pool (its slot becomes
-// resident without an image) and never reaches the store; the image is
-// fetched only when there is no decode to reuse. Over a plain store the
-// request is a Read — a pool miss fetches the page — and the private map
-// saves the parse alone.
+// the Stats counters do not depend on the decode cache. The cached decode
+// is looked up first; a request it answers that misses the pool admits
+// its slot without an image. Whether that miss reaches the store depends
+// on the store: under a shared decode tier it does not, over a plain
+// store it reads the page as the paper's buffer does, but asks for no
+// image (ReadPage with a nil dst), so the page codec never runs. An image
+// is produced only for a decode miss or a raw Read.
 //
 // decode must treat data as read-only and must not retain it; the slice
 // aliases the buffered frame (see Read). The returned value is shared
@@ -296,34 +300,35 @@ func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
 // must not mutate it — mutating paths should Read and parse a private
 // copy instead.
 func (b *Buffer) ReadDecoded(id PageID, decode func(id PageID, data []byte) (any, error)) (any, error) {
-	// Decode-first only under a decode tier; DESIGN.md ('Decoded-node
-	// cache') says why a plain store keeps the fetch on every pool miss.
-	if b.shared != nil {
-		i, resident := b.index[id]
-		if !resident {
-			// As in Read: a bad id is refused before anything is charged.
-			if err := b.store.Check(id); err != nil {
+	i, resident := b.index[id]
+	if !resident {
+		// As in Read: a bad id is refused before anything is charged.
+		if err := b.store.Check(id); err != nil {
+			return nil, err
+		}
+	}
+	ver := b.store.Version(id)
+	if v, ok := b.cachedDecode(id, ver); ok {
+		if resident {
+			b.moveToFront(i)
+			b.stats.Hits++
+			return v, nil
+		}
+		// DESIGN.md ('Decoded-node cache') says why a plain store keeps
+		// the read on every pool miss. A failed read leaves nothing
+		// resident and charges nothing.
+		if b.shared == nil {
+			if err := b.store.ReadPage(id, nil); err != nil {
 				return nil, err
 			}
 		}
-		if v, ok := b.cachedDecode(id, b.store.Version(id)); ok {
-			if resident {
-				b.moveToFront(i)
-				b.stats.Hits++
-			} else {
-				b.stats.Reads++
-				b.admit(b.take(), id, false)
-			}
-			return v, nil
-		}
+		b.stats.Reads++
+		b.admit(b.take(), id, false)
+		return v, nil
 	}
 	data, err := b.Read(id)
 	if err != nil {
 		return nil, err
-	}
-	ver := b.store.Version(id)
-	if d, ok := b.decoded[id]; ok && d.version == ver {
-		return d.value, nil
 	}
 	v, err := decode(id, data)
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 // read-only store (same page ids, free list, page images, version 0,
 // ErrReadOnly on mutation), regardless of flavour. Decoding happens at
 // the store boundary, below the Buffer and the SharedCache, so cached
-// pages are always decoded images and a compressed extent is decoded at
-// most once per cache residency.
+// pages are always decoded images, and only a read that asks for an image
+// decodes: a Buffer miss whose node is already decoded reads the page's
+// bytes without expanding them.
 type Codec interface {
 	// Name is the stable external name ("identity", "compressed") used by
 	// flags and the STINDEX_CODEC environment variable.

@@ -16,14 +16,18 @@ func countingDecode(calls *int) func(PageID, []byte) (any, error) {
 	}
 }
 
-// countingStore counts the page images fetched through it.
+// countingStore counts the page reads that reach it and, of those, the
+// ones that asked for an image (a non-nil dst).
 type countingStore struct {
 	Store
-	reads int
+	reads, images int
 }
 
 func (c *countingStore) ReadPage(id PageID, dst []byte) error {
 	c.reads++
+	if dst != nil {
+		c.images++
+	}
 	return c.Store.ReadPage(id, dst)
 }
 
@@ -120,7 +124,7 @@ func TestReadDecodedAccountingMatchesRead(t *testing.T) {
 // (Reset) and is charged the same misses every time. Under a decode tier
 // the store is read once per distinct page — when its node is first
 // decoded — and never again; over a plain store every charged miss is a
-// fetch and only the parse is saved.
+// read, but only a decode miss asks for the page's image.
 func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 	f := New(16)
 	var pages []PageID
@@ -167,8 +171,8 @@ func TestReadDecodedFetchesOnlyOnDecodeMiss(t *testing.T) {
 			t.Fatalf("round %d: %d store reads, %d decodes under the decode tier, want 6 of each (distinct pages)", round, under.reads, calls)
 		}
 		misses += int(plain.Stats().Reads)
-		if bare.reads != misses || bareCalls != 6 {
-			t.Fatalf("round %d: %d store reads, %d decodes over the plain store, want %d (the charged misses) and 6", round, bare.reads, bareCalls, misses)
+		if bare.reads != misses || bare.images != 6 || bareCalls != 6 {
+			t.Fatalf("round %d: %d store reads, %d images, %d decodes over the plain store, want %d (the charged misses), 6 and 6", round, bare.reads, bare.images, bareCalls, misses)
 		}
 	}
 	if st := cached.Stats(); st.Reads == 0 || st.Hits == 0 {

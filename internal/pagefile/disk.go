@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
 )
 
 // DiskStore is the file-backed build Store: pages live in an unlinked
@@ -28,6 +29,9 @@ type DiskStore struct {
 	freeList []PageID
 	versions []uint64
 	scratch  []byte
+	// pages holds *[]byte page buffers for image-less reads (ReadPage with
+	// a nil dst); query views of a built index read concurrently.
+	pages sync.Pool
 }
 
 // NewDiskStore creates an empty read-write store backed by an unlinked
@@ -101,10 +105,19 @@ func (d *DiskStore) Check(id PageID) error {
 
 // ReadPage implements Store, reading the page with one positioned read.
 // A page allocated but never written reads as zeros (the region beyond
-// the file's current end).
+// the file's current end). A nil dst reads into a pooled page buffer.
 func (d *DiskStore) ReadPage(id PageID, dst []byte) error {
 	if err := d.Check(id); err != nil {
 		return err
+	}
+	if dst == nil {
+		p, ok := d.pages.Get().(*[]byte)
+		if !ok {
+			buf := make([]byte, d.pageSize)
+			p = &buf
+		}
+		defer d.pages.Put(p)
+		dst = *p
 	}
 	dst = dst[:d.pageSize]
 	n, err := d.f.ReadAt(dst, int64(id)*int64(d.pageSize))

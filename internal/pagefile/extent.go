@@ -92,8 +92,9 @@ type cpScratch struct {
 // mapping) and are read per ReadPage, below the Buffer. An STPF extent has
 // no directory: page i is the pageSize bytes at i·pageSize, read straight
 // into the caller's frame. An STPC extent has a length directory and each
-// page is decoded on read, so with a Buffer or the shared cache on top a
-// page is decoded once per cache residency.
+// page is decoded on a read that asks for its image; with a Buffer on top
+// that is a decode miss or a raw Read, so a page whose node is cached is
+// read but not decoded again.
 //
 // The store is frozen: same page ids and free list as the store that was
 // saved, version 0 everywhere, ErrReadOnly on mutation, logical Bytes.
@@ -215,12 +216,18 @@ func (e *extentStore) readEnc(id PageID, buf []byte) ([]byte, error) {
 
 // ReadPage implements Store. An STPF page is one read into dst; an STPC
 // page is one (for delta/dup pages two) reads of the encoded bytes, then a
-// decode into dst.
+// decode into dst. With a nil dst either reads the page's own bytes into
+// the pooled scratch and stops there.
 func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 	if err := e.Check(id); err != nil {
 		return err
 	}
 	if e.offs == nil {
+		if dst == nil {
+			s := e.scratch()
+			defer e.pool.Put(s)
+			dst = s.base
+		}
 		if err := e.src.readAt(dst[:e.pageSize], int64(id)*int64(e.pageSize)); err != nil {
 			return fmt.Errorf("pagefile: reading page %d: %w", id, err)
 		}
@@ -231,6 +238,9 @@ func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 	var err error
 	if s.enc, err = e.readEnc(id, s.enc); err != nil {
 		return err
+	}
+	if dst == nil {
+		return nil
 	}
 	return cpDecodePage(s.enc, dst[:e.pageSize], e.sp, e.structOK, uint32(id), func(base uint32) ([]byte, error) {
 		if e.Check(PageID(base)) != nil {

@@ -254,6 +254,12 @@ func TestMmapStoreConcurrentReaders(t *testing.T) {
 						if src.Check(id) != nil {
 							continue
 						}
+						// The image-less read shares the pooled scratch
+						// with the decoding one.
+						if err := s.ReadPage(id, nil); err != nil {
+							done <- err
+							return
+						}
 						if err := s.ReadPage(id, buf); err != nil {
 							done <- err
 							return

@@ -303,12 +303,12 @@ func (c *CacheCounters) Load() CacheCounterValues {
 
 // SharedDecodeCache is implemented by stores that can share decoded page
 // forms across buffers (the shared-cache store wrapper). Buffer wires it
-// into ReadDecoded automatically, and its presence is what switches
-// ReadDecoded to decode-first: private decode map, then the shared tier,
-// reading and decoding the page only when both miss. Implementations only
-// share version-0 (frozen) pages — a nonzero version means the page can
-// still change, and cross-buffer invalidation is not worth the
-// coordination.
+// into ReadDecoded automatically, and its presence is what lets a decode
+// answer a pool miss without reading the store: private decode map, then
+// the shared tier, reading and decoding the page only when both miss.
+// Implementations only share version-0 (frozen) pages — a nonzero version
+// means the page can still change, and cross-buffer invalidation is not
+// worth the coordination.
 type SharedDecodeCache interface {
 	// CachedDecode returns the shared decoded form of the page, if any.
 	CachedDecode(id PageID, version uint64) (any, bool)

@@ -76,7 +76,8 @@ type Store interface {
 	// Check reports whether id addresses a live page, without touching it.
 	Check(id PageID) error
 	// ReadPage copies the page image into dst, which must hold exactly
-	// PageSize bytes.
+	// PageSize bytes. A nil dst reads the page without producing its
+	// image: the same read, with the same errors, minus the codec work.
 	ReadPage(id PageID, dst []byte) error
 	// WritePage stores a page image; images shorter than PageSize are
 	// zero-padded.

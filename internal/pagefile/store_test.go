@@ -158,6 +158,46 @@ func TestDiskStoreZeroFill(t *testing.T) {
 	}
 }
 
+// TestDiskStoreConcurrentImagelessReads: query views of a built index
+// read one DiskStore concurrently, and a read without an image (nil dst)
+// borrows a pooled page buffer, so concurrent readers must neither race
+// nor fail.
+func TestDiskStoreConcurrentImagelessReads(t *testing.T) {
+	d, err := NewDiskStore(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 8; i++ {
+		if err := d.WritePage(d.Allocate(), []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Allocate() // never written: reads past the file's end
+	done := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for iter := 0; iter < 200; iter++ {
+				for id := PageID(0); id < PageID(d.NumAllocated()); id++ {
+					if err := d.ReadPage(id, nil); err != nil {
+						done <- err
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.ReadPage(PageID(d.NumAllocated()), nil); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("image-less read of an unallocated page: %v, want ErrBadPage", err)
+	}
+}
+
 // TestBufferCapacityOne drives the degenerate one-frame pool on both
 // backends: every distinct page access evicts the previous one, repeat
 // reads of the same page hit.

@@ -478,7 +478,10 @@ func TestPersistRejectsGarbage(t *testing.T) {
 // TestTruncatedContainerFailsStop truncates a lazily opened container
 // under the open index: a query that reaches a page past the new end
 // fails with io.EOF on both codecs, never answers from zero-filled pages.
-// (A truncated mapping faults instead, so mmap is left out.)
+// The warm case answers the query once first, so every node it reaches is
+// decoded already: a pool miss over the plain store must still read the
+// page, and fail on the truncated file. (A truncated mapping faults
+// instead, so mmap is left out.)
 func TestTruncatedContainerFailsStop(t *testing.T) {
 	ppr, err := BuildPPR(UnsplitRecords(genObjects(t, 300, 21)), PPROptions{})
 	if err != nil {
@@ -488,26 +491,35 @@ func TestTruncatedContainerFailsStop(t *testing.T) {
 	span := Interval{Start: 0, End: 1 << 40}
 	for _, codec := range []Codec{CodecIdentity, CodecCompressed} {
 		t.Run(string(codec), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "ppr.sti")
-			if err := SaveIndexOptions(path, ppr, SaveOptions{Codec: codec}); err != nil {
-				t.Fatal(err)
-			}
-			x, err := OpenIndexOptions(path, OpenOptions{Backend: BackendDisk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer CloseIndex(x)
-			fi, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(path, fi.Size()/2); err != nil {
-				t.Fatal(err)
-			}
-			x.ResetBuffer()
-			ids, err := x.Range(all, span)
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("query over a truncated container: %d ids, err %v; want io.EOF", len(ids), err)
+			for _, pass := range []string{"cold", "warm"} {
+				t.Run(pass, func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "ppr.sti")
+					if err := SaveIndexOptions(path, ppr, SaveOptions{Codec: codec}); err != nil {
+						t.Fatal(err)
+					}
+					x, err := OpenIndexOptions(path, OpenOptions{Backend: BackendDisk})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer CloseIndex(x)
+					if pass == "warm" {
+						if _, err := x.Range(all, span); err != nil {
+							t.Fatal(err)
+						}
+					}
+					fi, err := os.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.Truncate(path, fi.Size()/2); err != nil {
+						t.Fatal(err)
+					}
+					x.ResetBuffer()
+					ids, err := x.Range(all, span)
+					if !errors.Is(err, io.EOF) {
+						t.Fatalf("query over a truncated container: %d ids, err %v; want io.EOF", len(ids), err)
+					}
+				})
 			}
 		})
 	}
