@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	stx "stindex"
@@ -52,25 +53,56 @@ func containerSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
+// mutatedQueries are the two queries every opened mutation answers.
+var mutatedQueries = []func(stx.Index) ([]int64, error){
+	func(x stx.Index) ([]int64, error) {
+		return x.Snapshot(stx.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 100)
+	},
+	func(x stx.Index) ([]int64, error) {
+		return x.Range(stx.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9},
+			stx.Interval{Start: -(1 << 40), End: 1 << 40})
+	},
+}
+
 // openMutated writes the mutated image to disk and opens it: any outcome
 // is acceptable except a panic. When the open succeeds, the index must
 // remain safely usable — the invariant walk and queries may report
 // errors (the mutation may have corrupted structure the lazy open cannot
 // see), but must never crash — and the container must close cleanly.
+// The eager decode and the materialising open read the image through one
+// extent store, so they must agree: both refuse it, or both answer the
+// queries alike.
 func openMutated(t *testing.T, data []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fuzz.stic")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	decoded, derr := stx.DecodeIndex(bytes.NewReader(data))
+	mem, merr := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: stx.BackendMemory})
+	if (derr == nil) != (merr == nil) {
+		t.Fatalf("eager decode says %v, materialising open says %v", derr, merr)
+	}
+	if derr == nil {
+		for qi, query := range mutatedQueries {
+			a, aerr := query(decoded)
+			b, berr := query(mem)
+			if (aerr == nil) != (berr == nil) || !reflect.DeepEqual(a, b) {
+				t.Fatalf("query %d: eager decode answers %v, %v; materialising open %v, %v", qi, a, aerr, b, berr)
+			}
+		}
+		if err := stx.CloseIndex(mem); err != nil {
+			t.Errorf("closing materialised container: %v", err)
+		}
+	}
 	idx, err := stx.OpenIndex(path)
 	if err != nil {
 		return // a clean error is a correct answer to a corrupt container
 	}
 	_ = check.CheckInvariants(idx)
-	_, _ = idx.Snapshot(stx.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 100)
-	_, _ = idx.Range(stx.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9},
-		stx.Interval{Start: -(1 << 40), End: 1 << 40})
+	for _, query := range mutatedQueries {
+		_, _ = query(idx)
+	}
 	if err := stx.CloseIndex(idx); err != nil {
 		t.Errorf("closing opened container: %v", err)
 	}

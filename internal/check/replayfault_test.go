@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 )
 
@@ -72,7 +73,10 @@ func TestReplayFailStop(t *testing.T) {
 	}
 	image := func(tree *pprtree.Tree) []byte {
 		var buf bytes.Buffer
-		if _, err := tree.WriteTo(&buf); err != nil {
+		if _, err := tree.WriteMeta(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -122,7 +126,7 @@ func TestReplayFailStop(t *testing.T) {
 			_, refusals["CountInterval"] = tree.CountInterval(everywhere, geom.Interval{Start: 0, End: 200})
 			_, refusals["view.CountSnapshot"] = view.CountSnapshot(everywhere, 150)
 			_, refusals["Validate"] = tree.Validate()
-			_, refusals["WriteTo"] = tree.WriteTo(&bytes.Buffer{})
+			_, refusals["WriteMeta"] = tree.WriteMeta(&bytes.Buffer{})
 			for op, err := range refusals {
 				if !errors.Is(err, ErrInjected) {
 					t.Errorf("%s: %s after the failed replay returned %v, want the replay's failure", name, op, err)
@@ -236,7 +240,7 @@ func TestBatchFailStop(t *testing.T) {
 		_, refusals["Delete"] = tree.Delete(last.rect, last.ref, 1000)
 		_, refusals["CountSnapshot"] = tree.CountSnapshot(everywhere, 30)
 		_, refusals["Validate"] = tree.Validate()
-		_, refusals["WriteTo"] = tree.WriteTo(&bytes.Buffer{})
+		_, refusals["WriteMeta"] = tree.WriteMeta(&bytes.Buffer{})
 		for op, err := range refusals {
 			if !errors.Is(err, want) {
 				t.Errorf("%q: %s after the failed bracket returned %v, want the bracket's failure", sched, op, err)

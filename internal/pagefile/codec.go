@@ -30,16 +30,14 @@ type Codec interface {
 	// generic encoding for any page that does not match, so a wrong or
 	// LayoutOpaque hint costs compression, never correctness.
 	WriteExtent(w io.Writer, s Store, layout Layout) (int64, error)
-	// ReadExtentMem deserialises an extent from a stream into an
-	// in-memory File, materialising every page. Allocation must be
-	// read-driven: corrupt headers and lengths surface as errors, never
-	// as oversized allocations.
-	ReadExtentMem(r io.Reader) (*File, error)
-	// OpenExtent opens the extent at offset off of f as a read-only
-	// store of the requested open flavour (disk/mmap/mem, see
-	// extentStore.open). The caller retains ownership of f. Returns the
-	// store and the total extent length in bytes, its at-rest size.
-	OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error)
+	// OpenExtent opens the extent at offset off of r, a container of size
+	// bytes (a file, or an image in memory), as a read-only store of the
+	// requested open flavour (disk/mmap/mem, see extentStore.open). Only
+	// the header and directory are read here, and an extent claiming more
+	// bytes than size holds is refused. The caller retains ownership of r.
+	// Returns the store and the total extent length in bytes, its at-rest
+	// size.
+	OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error)
 }
 
 // Layout hints which node format an extent's pages hold, so the
@@ -134,10 +132,6 @@ func (identityCodec) WriteExtent(w io.Writer, s Store, _ Layout) (int64, error) 
 	return WriteExtent(w, s)
 }
 
-func (identityCodec) ReadExtentMem(r io.Reader) (*File, error) {
-	return ReadExtentMem(r)
-}
-
-func (identityCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
-	return OpenExtent(f, off, flavour)
+func (identityCodec) OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
+	return OpenExtent(r, off, size, flavour)
 }

@@ -176,7 +176,7 @@ func TestCompressedExtentRoundTrip(t *testing.T) {
 		}
 		encoded := append([]byte(nil), buf.Bytes()...)
 
-		mem, err := CodecCompressed.ReadExtentMem(bytes.NewReader(encoded))
+		mem, err := readExtent(CodecCompressed, encoded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestCompressedShrinksStructuredPages(t *testing.T) {
 			t.Fatalf("layout %d: compressed %d bytes, identity %d: expected ≥ %.1fx shrink on node pages",
 				tc.layout, compressed.Len(), identity.Len(), float64(tc.tenths)/10)
 		}
-		got, err := CodecCompressed.ReadExtentMem(&compressed)
+		got, err := readExtent(CodecCompressed, compressed.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestCompressedStoredBytes(t *testing.T) {
 	f := New(DefaultPageSize)
 	buildCodecWorkload(t, f, LayoutPPR, rng)
 	file, off, enc := writeTestExtent(t, CodecCompressed, LayoutPPR, f)
-	s, length, err := CodecCompressed.OpenExtent(file, off, BackendDisk)
+	s, length, err := CodecCompressed.OpenExtent(file, off, sizeOf(t, file), BackendDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCompressedRejectsCorruptExtent(t *testing.T) {
 	encoded := buf.Bytes()
 	// Truncations anywhere must error, never panic or over-allocate.
 	for _, cut := range []int{0, 3, cpHeaderSize - 1, cpHeaderSize + 2, len(encoded) / 2, len(encoded) - 1} {
-		if _, err := CodecCompressed.ReadExtentMem(bytes.NewReader(encoded[:cut])); err == nil {
+		if _, err := readExtent(CodecCompressed, encoded[:cut]); err == nil {
 			t.Fatalf("accepted extent truncated to %d bytes", cut)
 		}
 	}
@@ -303,12 +303,12 @@ func TestCompressedRejectsCorruptExtent(t *testing.T) {
 	for pos := 0; pos < cpHeaderSize; pos++ {
 		mut := append([]byte(nil), encoded...)
 		mut[pos] ^= 0xff
-		_, _ = CodecCompressed.ReadExtentMem(bytes.NewReader(mut))
+		_, _ = readExtent(CodecCompressed, mut)
 	}
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), encoded...)
 		mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
-		_, _ = CodecCompressed.ReadExtentMem(bytes.NewReader(mut))
+		_, _ = readExtent(CodecCompressed, mut)
 	}
 }
 
@@ -361,10 +361,10 @@ func testExtent(pageSize int, layout Layout, encs [][]byte) []byte {
 
 // TestCompressedReadsLegacyModes covers the two read-only modes from
 // hand-built extents: a delta and a dup page against a struct base decode
-// to the original images through the eager reader and every lazy
-// flavour, and a delta or dup page that names a delta or dup base — a
-// chain — is rejected fail-stop by both, with no per-page mode directory
-// to consult.
+// to the original images through every open flavour, and a delta or dup
+// page that names a delta or dup base — a chain — is rejected fail-stop,
+// by the materialising open and by a lazy flavour's read of that page,
+// with no per-page mode directory to consult.
 func TestCompressedReadsLegacyModes(t *testing.T) {
 	const pageSize = 1024
 	for _, layout := range []Layout{LayoutPPR, LayoutRStar} {
@@ -384,10 +384,6 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 		want := [][]byte{basePage, nearCopy, basePage}
 
 		valid := testExtent(pageSize, layout, [][]byte{baseEnc, deltaEnc, dupEnc})
-		mem, err := CodecCompressed.ReadExtentMem(bytes.NewReader(valid))
-		if err != nil {
-			t.Fatalf("layout %d: eager read of delta/dup extent: %v", layout, err)
-		}
 		got := make([]byte, pageSize)
 		checkPages := func(s Store, label string) {
 			t.Helper()
@@ -400,7 +396,6 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 				}
 			}
 		}
-		checkPages(mem, "eager")
 		openExtent := func(encoded []byte, flavour Backend) (Store, error) {
 			t.Helper()
 			path := filepath.Join(t.TempDir(), "extent")
@@ -412,7 +407,7 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { file.Close() })
-			s, _, err := CodecCompressed.OpenExtent(file, 0, flavour)
+			s, _, err := CodecCompressed.OpenExtent(file, 0, int64(len(encoded)), flavour)
 			return s, err
 		}
 		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
@@ -432,9 +427,6 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 			"dup-on-dup":     {cpModeDup, 2},
 		} {
 			chained := testExtent(pageSize, layout, [][]byte{baseEnc, deltaEnc, dupEnc, enc})
-			if _, err := CodecCompressed.ReadExtentMem(bytes.NewReader(chained)); err == nil {
-				t.Fatalf("layout %d: eager read accepted a %s chain", layout, name)
-			}
 			if _, err := openExtent(chained, BackendMemory); err == nil {
 				t.Fatalf("layout %d: materialising open accepted a %s chain", layout, name)
 			}

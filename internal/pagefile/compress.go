@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"os"
 )
 
 // Compressed page-extent layout (little endian) — the STPC section of a
@@ -760,115 +759,29 @@ func readCpHeader(header []byte) (pageSize, numPages, numFree int, layout Layout
 	return pageSize, numPages, numFree, layout, nil
 }
 
-// ReadExtentMem implements Codec, streaming an STPC extent into an
-// in-memory File. Allocation is read-driven throughout: free list,
-// length table and pages grow only as bytes are actually read, and each
-// page's encoded length is bounded, so corrupt counts hit EOF or a
-// bounds error instead of over-allocating.
-func (compressedCodec) ReadExtentMem(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	header := make([]byte, cpHeaderSize)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, fmt.Errorf("pagefile: reading compressed header: %w", err)
-	}
-	pageSize, numPages, numFree, layout, err := readCpHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	sp, structOK := cpSpec(layout, pageSize)
-	f := New(pageSize)
-	buf4 := make([]byte, 4)
-	for i := 0; i < numFree; i++ {
-		if _, err := io.ReadFull(br, buf4); err != nil {
-			return nil, fmt.Errorf("pagefile: reading free list: %w", err)
-		}
-		id := PageID(binary.LittleEndian.Uint32(buf4))
-		if int(id) >= numPages {
-			return nil, fmt.Errorf("pagefile: free page %d out of range", id)
-		}
-		f.freeList = append(f.freeList, id)
-		f.freed[id] = true
-	}
-	var lens []uint32
-	for i := 0; i < numPages; i++ {
-		if _, err := io.ReadFull(br, buf4); err != nil {
-			return nil, fmt.Errorf("pagefile: reading page lengths: %w", err)
-		}
-		l := binary.LittleEndian.Uint32(buf4)
-		if int64(l) > int64(pageSize)+cpMaxEncodedSlack {
-			return nil, fmt.Errorf("pagefile: page %d encoded length %d implausible for page size %d", i, l, pageSize)
-		}
-		lens = append(lens, l)
-	}
-	var enc []byte
-	modes := make([]byte, 0, len(lens))
-	for i := 0; i < numPages; i++ {
-		p := make([]byte, pageSize)
-		if lens[i] == 0 {
-			if !f.freed[PageID(i)] {
-				return nil, fmt.Errorf("pagefile: live page %d has no encoding", i)
-			}
-			f.pages = append(f.pages, p)
-			f.versions = append(f.versions, 0)
-			modes = append(modes, cpModeRaw)
-			continue
-		}
-		if f.freed[PageID(i)] {
-			return nil, fmt.Errorf("pagefile: freed page %d has an encoding", i)
-		}
-		if cap(enc) < int(lens[i]) {
-			enc = make([]byte, lens[i])
-		}
-		enc = enc[:lens[i]]
-		if _, err := io.ReadFull(br, enc); err != nil {
-			return nil, fmt.Errorf("pagefile: reading page %d: %w", i, err)
-		}
-		err := cpDecodePage(enc, p, sp, structOK, uint32(i), func(base uint32) ([]byte, error) {
-			// Earlier pages are already decoded; reject delta/dup chains
-			// and freed bases like the lazy store does.
-			if modes[base] != cpModeRaw && modes[base] != cpModeStruct {
-				return nil, fmt.Errorf("base %d is not a raw or struct page", base)
-			}
-			if f.freed[PageID(base)] {
-				return nil, fmt.Errorf("base %d is freed", base)
-			}
-			return f.pages[base], nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.pages = append(f.pages, p)
-		f.versions = append(f.versions, 0)
-		modes = append(modes, enc[0])
-	}
-	return f, nil
-}
-
 // OpenExtent implements Codec: it opens the STPC extent at offset off of
-// f as a read-only store of the requested flavour (see extentStore.open).
-// Only the header, free list and length table are read eagerly (the
-// length table is the page directory; at 4 bytes a page it is ~0.1% of
-// the logical size); encoded pages stay at rest until read.
-func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
+// r, a container of size bytes, as a read-only store of the requested
+// flavour (see extentStore.open). Only the header, free list and length
+// table are read eagerly (the length table is the page directory; at 4
+// bytes a page it is ~0.1% of the logical size); encoded pages stay at
+// rest until read.
+func (compressedCodec) OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, cpHeaderSize)
-	if _, err := f.ReadAt(header, off); err != nil {
+	if err := readFullAt(r, header, off); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading compressed extent header: %w", err)
 	}
 	pageSize, numPages, numFree, layout, err := readCpHeader(header)
 	if err != nil {
 		return nil, 0, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("pagefile: sizing compressed extent: %w", err)
-	}
 	tableLen := int64(cpHeaderSize) + 4*int64(numFree) + 4*int64(numPages)
-	if off+tableLen > fi.Size() {
-		return nil, 0, fmt.Errorf("pagefile: compressed extent directory truncated at file size %d", fi.Size())
+	if off+tableLen > size {
+		return nil, 0, fmt.Errorf("pagefile: compressed extent directory truncated at container size %d", size)
 	}
-	// tableLen is bounded by the file size, so the directory is one read.
+	// tableLen is bounded by the container size, so the directory is one
+	// read.
 	dir := make([]byte, tableLen-cpHeaderSize)
-	if _, err := f.ReadAt(dir, off+cpHeaderSize); err != nil {
+	if err := readFullAt(r, dir, off+cpHeaderSize); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading compressed extent directory: %w", err)
 	}
 	e, err := newExtentStore(pageSize, numPages, numFree, dir)
@@ -892,10 +805,10 @@ func (compressedCodec) OpenExtent(f *os.File, off int64, flavour Backend) (Store
 		e.offs = append(e.offs, payload)
 	}
 	length := tableLen + payload
-	if off+length > fi.Size() {
-		return nil, 0, fmt.Errorf("pagefile: compressed extent of %d payload bytes truncated at file size %d", payload, fi.Size())
+	if off+length > size {
+		return nil, 0, fmt.Errorf("pagefile: compressed extent of %d payload bytes truncated at container size %d", payload, size)
 	}
-	s, err := e.open(f, off+tableLen, payload, flavour)
+	s, err := e.open(r, off+tableLen, payload, flavour)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,31 +3,44 @@ package pagefile
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
 
 // source abstracts where an opened extent's page bytes are read from: a
-// positioned file read or a memory mapping. Offsets are relative to the
+// positioned read or a memory mapping. Offsets are relative to the
 // extent's payload.
 type source interface {
 	readAt(p []byte, off int64) error
 	close() error
 }
 
-type fileSource struct {
-	f    *os.File
-	base int64 // file offset of the payload region
+// readerSource reads with positioned reads of the container: a file, or a
+// container image held in memory.
+type readerSource struct {
+	r    io.ReaderAt
+	base int64 // container offset of the payload region
 }
 
-func (s fileSource) readAt(p []byte, off int64) error {
+func (s readerSource) readAt(p []byte, off int64) error {
 	// An opened extent never reads past its validated length, so EOF here
 	// is a truncated or corrupt container, not an unwritten tail.
-	_, err := s.f.ReadAt(p, s.base+off)
-	return err
+	return readFullAt(s.r, p, s.base+off)
 }
 
-func (s fileSource) close() error { return nil }
+func (s readerSource) close() error { return nil }
+
+// readFullAt fills p from r at off. A read that fills p succeeds even if r
+// reports io.EOF with it, as io.ReaderAt allows at the end of the input
+// (a bytes.Reader does so for an empty p there).
+func readFullAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	return err
+}
 
 type mmapSource struct {
 	mu      sync.Mutex
@@ -134,23 +147,30 @@ func newExtentStore(pageSize, n, numFree int, dir []byte) (*extentStore, error) 
 }
 
 // open attaches the source of the requested flavour to a store whose
-// directory is parsed; base is the file offset of the page payload and
+// directory is parsed; base is the offset of the page payload in r and
 // payload its length:
 //
-//   - BackendMmap maps the payload — zero read syscalls — and falls back
-//     to pread where mapping is unavailable;
-//   - BackendMemory materialises every page into a frozen in-memory File
-//     and drops the at-rest image;
+//   - BackendMmap maps the payload of a container file — zero read
+//     syscalls — and falls back to pread where mapping is unavailable or
+//     r is no file;
+//   - BackendMemory materialises every page into an in-memory File,
+//     frozen read-only, and drops the at-rest image;
 //   - anything else reads each page with one positioned read.
-func (e *extentStore) open(f *os.File, base, payload int64, flavour Backend) (Store, error) {
-	e.src = fileSource{f: f, base: base}
+func (e *extentStore) open(r io.ReaderAt, base, payload int64, flavour Backend) (Store, error) {
+	e.src = readerSource{r: r, base: base}
 	switch flavour {
 	case BackendMmap:
-		if src, err := newMmapSource(f, base, payload); err == nil {
-			e.src = src
+		if f, ok := r.(*os.File); ok {
+			if src, err := newMmapSource(f, base, payload); err == nil {
+				e.src = src
+			}
 		}
 	case BackendMemory:
-		return materializeStore(e)
+		f, err := Materialize(e)
+		if err != nil {
+			return nil, err
+		}
+		return &roStore{Store: f}, nil
 	}
 	return e, nil
 }
@@ -290,25 +310,20 @@ func (r *roStore) Version(PageID) uint64 { return 0 }
 // ReadOnly reports that the store rejects mutation.
 func (r *roStore) ReadOnly() bool { return true }
 
-// materializeStore copies every live page of a read-only extent store
-// into an in-memory File with the identical allocation state (page ids,
-// free list, reuse order), wrapped read-only. Re-encoding the result is
-// byte-identical to re-encoding the store it came from.
-func materializeStore(s Store) (Store, error) {
+// Materialize copies every live page of a store into a new in-memory File
+// with the identical allocation state (page ids, free list, reuse order),
+// every page at version 0. Re-encoding the result is byte-identical to
+// re-encoding the store it came from. Over an opened extent it is the
+// eager load: the File is writable, and the mem open flavour is the same
+// File frozen read-only.
+func Materialize(s Store) (*File, error) {
 	f := New(s.PageSize())
 	for i := 0; i < s.NumAllocated(); i++ {
-		f.Allocate()
-	}
-	buf := make([]byte, s.PageSize())
-	for i := 0; i < s.NumAllocated(); i++ {
-		id := PageID(i)
+		id := f.Allocate()
 		if s.Check(id) != nil {
 			continue
 		}
-		if err := s.ReadPage(id, buf); err != nil {
-			return nil, err
-		}
-		if err := f.WritePage(id, buf); err != nil {
+		if err := s.ReadPage(id, f.pages[id]); err != nil {
 			return nil, err
 		}
 	}
@@ -317,5 +332,5 @@ func materializeStore(s Store) (Store, error) {
 			return nil, err
 		}
 	}
-	return &roStore{Store: f}, nil
+	return f, nil
 }

@@ -53,6 +53,27 @@ func writeTestExtent(t *testing.T, codec Codec, layout Layout, src Store) (*os.F
 	return f, int64(len(prefix)), enc.Bytes()
 }
 
+// sizeOf is the size of a test extent's file, the container size
+// OpenExtent is given.
+func sizeOf(t *testing.T, f *os.File) int64 {
+	t.Helper()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// readExtent is the eager load of an encoded extent held in memory: the
+// extent opened like a container and materialised into a writable File.
+func readExtent(codec Codec, enc []byte) (*File, error) {
+	s, _, err := codec.OpenExtent(bytes.NewReader(enc), 0, int64(len(enc)), BackendDisk)
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(s)
+}
+
 // mapped reports whether s reads its pages out of a memory mapping.
 func mapped(s Store) bool {
 	e, ok := s.(*extentStore)
@@ -158,7 +179,7 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 	for _, flavour := range []Backend{BackendDefault, BackendDisk, BackendMmap, BackendMemory} {
 		t.Run(string(flavour), func(t *testing.T) {
 			for _, x := range extents {
-				s, n, err := x.codec.OpenExtent(x.f, x.off, flavour)
+				s, n, err := x.codec.OpenExtent(x.f, x.off, sizeOf(t, x.f), flavour)
 				if err != nil {
 					t.Fatalf("%s: OpenExtent: %v", x.name, err)
 				}
@@ -198,7 +219,7 @@ func TestMmapStoreEmptyExtent(t *testing.T) {
 	eachCodec(t, func(t *testing.T, codec Codec) {
 		src := buildTestFile(t, 128, 0, 0)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
-		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
 		if err != nil {
 			t.Fatalf("OpenExtent: %v", err)
 		}
@@ -213,7 +234,7 @@ func TestMmapStoreCloseIdempotent(t *testing.T) {
 	}
 	eachCodec(t, func(t *testing.T, codec Codec) {
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, buildTestFile(t, 128, 4, 0))
-		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
 		if err != nil {
 			t.Fatalf("OpenExtent: %v", err)
 		}
@@ -237,7 +258,7 @@ func TestMmapStoreConcurrentReaders(t *testing.T) {
 	eachCodec(t, func(t *testing.T, codec Codec) {
 		src := buildTestFile(t, 256, 16, 4)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
-		s, _, err := codec.OpenExtent(f, off, BackendMmap)
+		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
 		if err != nil {
 			t.Fatalf("OpenExtent: %v", err)
 		}

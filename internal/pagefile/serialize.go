@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Page-extent layout (little endian) — the page-store section of a saved
@@ -77,9 +76,6 @@ func WriteExtent(w io.Writer, s Store) (int64, error) {
 	return n, bw.Flush()
 }
 
-// WriteTo serialises the file as a page extent. Implements io.WriterTo.
-func (f *File) WriteTo(w io.Writer) (int64, error) { return WriteExtent(w, f) }
-
 // readExtentHeader parses and validates the fixed extent header.
 func readExtentHeader(header []byte) (pageSize, numPages, numFree int, err error) {
 	if string(header[:4]) != fileMagic {
@@ -100,54 +96,16 @@ func readExtentHeader(header []byte) (pageSize, numPages, numFree int, err error
 	return pageSize, numPages, numFree, nil
 }
 
-// ReadExtentMem deserialises a page extent into an in-memory File,
-// materialising every page.
-func ReadExtentMem(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
+// OpenExtent opens the STPF extent at offset off of r, a container of
+// size bytes, as a read-only store of the requested flavour (see
+// extentStore.open): only the header and free list are read here; page
+// images stay at rest until a Buffer faults them in. The caller retains
+// ownership of r (it must stay open for the store's lifetime). Returns the
+// store and the total extent length in bytes, so callers can locate any
+// following section.
+func OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, extentHeaderSize)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, fmt.Errorf("pagefile: reading header: %w", err)
-	}
-	pageSize, numPages, numFree, err := readExtentHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	f := New(pageSize)
-	buf4 := make([]byte, 4)
-	for i := 0; i < numFree; i++ {
-		if _, err := io.ReadFull(br, buf4); err != nil {
-			return nil, fmt.Errorf("pagefile: reading free list: %w", err)
-		}
-		id := PageID(binary.LittleEndian.Uint32(buf4))
-		if int(id) >= numPages {
-			return nil, fmt.Errorf("pagefile: free page %d out of range", id)
-		}
-		f.freeList = append(f.freeList, id)
-		f.freed[id] = true
-	}
-	// Grow incrementally: numPages is untrusted input, so it must not be
-	// used as an allocation size up front (a corrupt header could demand
-	// gigabytes); reading drives the allocation instead.
-	for i := 0; i < numPages; i++ {
-		p := make([]byte, pageSize)
-		if _, err := io.ReadFull(br, p); err != nil {
-			return nil, fmt.Errorf("pagefile: reading page %d: %w", i, err)
-		}
-		f.pages = append(f.pages, p)
-		f.versions = append(f.versions, 0)
-	}
-	return f, nil
-}
-
-// OpenExtent opens the STPF extent at offset off of f as a read-only
-// store of the requested flavour (see extentStore.open): only the header
-// and free list are read here; page images stay at rest until a Buffer
-// faults them in. The caller retains ownership of f (it must stay open
-// for the store's lifetime). Returns the store and the total extent
-// length in bytes, so callers can locate any following section.
-func OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
-	header := make([]byte, extentHeaderSize)
-	if _, err := f.ReadAt(header, off); err != nil {
+	if err := readFullAt(r, header, off); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading extent header: %w", err)
 	}
 	pageSize, numPages, numFree, err := readExtentHeader(header)
@@ -157,22 +115,18 @@ func OpenExtent(f *os.File, off int64, flavour Backend) (Store, int64, error) {
 	dirLen := 4 * int64(numFree)
 	payload := int64(numPages) * int64(pageSize)
 	length := extentHeaderSize + dirLen + payload
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("pagefile: sizing extent: %w", err)
-	}
-	if off+length > fi.Size() {
-		return nil, 0, fmt.Errorf("pagefile: extent of %d pages × %d bytes truncated at file size %d", numPages, pageSize, fi.Size())
+	if off+length > size {
+		return nil, 0, fmt.Errorf("pagefile: extent of %d pages × %d bytes truncated at container size %d", numPages, pageSize, size)
 	}
 	dir := make([]byte, dirLen)
-	if _, err := f.ReadAt(dir, off+extentHeaderSize); err != nil {
+	if err := readFullAt(r, dir, off+extentHeaderSize); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading free list: %w", err)
 	}
 	e, err := newExtentStore(pageSize, numPages, numFree, dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := e.open(f, off+extentHeaderSize+dirLen, payload, flavour)
+	s, err := e.open(r, off+extentHeaderSize+dirLen, payload, flavour)
 	if err != nil {
 		return nil, 0, err
 	}

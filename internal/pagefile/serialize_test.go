@@ -3,7 +3,6 @@ package pagefile
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -28,10 +27,10 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
+	if _, err := WriteExtent(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadExtentMem(&buf)
+	g, err := readExtent(CodecIdentity, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +63,20 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileRejectsGarbage(t *testing.T) {
-	if _, err := ReadExtentMem(strings.NewReader("nope")); err == nil {
+	if _, err := readExtent(CodecIdentity, []byte("nope")); err == nil {
 		t.Fatal("accepted short garbage")
 	}
-	if _, err := ReadExtentMem(strings.NewReader("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
+	if _, err := readExtent(CodecIdentity, []byte("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
 		t.Fatal("accepted bad magic")
 	}
 	// Truncated page area.
 	f := New(32)
 	f.Allocate()
 	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
+	if _, err := WriteExtent(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadExtentMem(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); err == nil {
+	if _, err := readExtent(CodecIdentity, buf.Bytes()[:buf.Len()-10]); err == nil {
 		t.Fatal("accepted truncated image")
 	}
 }

@@ -14,8 +14,10 @@ const (
 	BackendDefault Backend = ""
 	// BackendMemory is the in-memory simulated disk (File).
 	BackendMemory Backend = "mem"
-	// BackendDisk is the file-backed store (DiskStore): pages live in a
-	// real file and are read lazily on demand.
+	// BackendDisk is the file-backed flavour: a build writes its pages to
+	// a real file (DiskStore), and an opened container's pages stay in the
+	// container file and are read lazily on demand, one positioned read a
+	// page (the frozen extent store, see OpenExtent).
 	BackendDisk Backend = "disk"
 	// BackendMmap is the memory-mapped flavour of the container window:
 	// opened extents are mapped read-only, so page reads cost zero
@@ -37,11 +39,13 @@ var ErrReadOnly = errors.New("pagefile: store is read-only")
 
 // Store is the pluggable page-store backend underneath the index
 // structures: a page-addressed collection of fixed-size pages with a
-// LIFO free list and per-page version counters. The two implementations
-// — the in-memory File and the file-backed DiskStore — are required to
-// be observationally identical for every allocate/free/read/write
-// sequence, so the Buffer's I/O accounting (the paper's AvgIO metric) is
-// bit-identical regardless of backend.
+// LIFO free list and per-page version counters. There are three
+// implementations: the in-memory File and the file-backed DiskStore, the
+// two a build writes, and the frozen extent store an opened container is
+// read through. The two build stores are required to be observationally
+// identical for every allocate/free/read/write sequence, and the frozen
+// store to the store that was saved, so the Buffer's I/O accounting (the
+// paper's AvgIO metric) is bit-identical regardless of backend.
 //
 // Concurrent-read guarantee: a Store whose pages are no longer being
 // mutated — no Allocate, Free or WritePage in flight, the frozen state of

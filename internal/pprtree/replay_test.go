@@ -13,13 +13,41 @@ import (
 	"stindex/internal/pagefile"
 )
 
+// treeImage is the tree's meta section followed by its identity page
+// extent: the bytes its container holds, less the container's framing.
 func treeImage(t *testing.T, tree *Tree) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
+	if _, err := tree.WriteMeta(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// readTree is the eager load of a treeImage: ReadMeta, then the extent
+// after it opened in memory and materialised into a writable File.
+func readTree(t *testing.T, image []byte) *Tree {
+	t.Helper()
+	r := bytes.NewReader(image)
+	tree, err := ReadMeta(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := pagefile.CodecIdentity.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.BackendDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := pagefile.Materialize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.AttachStore(file); err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // TestRecordEventsOrderIsStableOrder: recordEvents sorts by the total key

@@ -11,7 +11,7 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// Tree image layout (little endian):
+// Tree meta layout (little endian), written by WriteMeta:
 //
 //	magic     [4]byte "STPP"
 //	version   uint32  1
@@ -20,10 +20,10 @@ import (
 //	roots     count u32, then per span: page u32, start i64, end i64, height u32
 //	backRefs  present u8; if 1: count u32, then per child: child u32,
 //	          parents count u32, parents u32...
-//	pagefile  extent (pagefile.WriteExtent)
 //
-// WriteMeta/ReadMeta handle everything up to the page extent; the index
-// container stores the extent separately so it can be opened lazily.
+// The pages are not part of it: the index container stores them after the
+// meta section as a page extent, written by a page codec, and hands the
+// opened extent to AttachStore.
 const (
 	treeMagic   = "STPP"
 	treeVersion = 1
@@ -32,17 +32,6 @@ const (
 	// untrusted container input and sizes an eager allocation.
 	maxStoredBufferPages = 1 << 20
 )
-
-// WriteTo serialises the whole tree — options, root log, online-mode back
-// references, and every page — to w. Implements io.WriterTo.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	n, err := t.WriteMeta(w)
-	if err != nil {
-		return n, err
-	}
-	fn, err := pagefile.WriteExtent(w, t.file)
-	return n + fn, err
-}
 
 // WriteMeta serialises everything except the page extent: options, state,
 // root log and online-mode back references.
@@ -137,24 +126,6 @@ func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
-}
-
-// ReadTree deserialises a tree image produced by WriteTo. The buffer pool
-// starts cold.
-func ReadTree(r io.Reader) (*Tree, error) {
-	br := bufio.NewReader(r)
-	t, err := ReadMeta(br)
-	if err != nil {
-		return nil, err
-	}
-	file, err := pagefile.ReadExtentMem(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.AttachStore(file); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less tree; the

@@ -1,7 +1,6 @@
 package pprtree
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -15,14 +14,7 @@ func TestTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := readTree(t, treeImage(t, orig))
 	if loaded.Len() != orig.Len() || loaded.Alive() != orig.Alive() ||
 		loaded.Now() != orig.Now() || loaded.NumRoots() != orig.NumRoots() ||
 		loaded.Height() != orig.Height() {
@@ -72,14 +64,7 @@ func TestOnlineTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := readTree(t, treeImage(t, tree))
 	// Expansion must still work after reload: the back references were
 	// persisted.
 	grown := rects[10].Union(geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.95, MaxY: 0.95})

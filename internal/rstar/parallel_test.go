@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"stindex/internal/pagefile"
 )
 
 // TestParallelSortMatchesStableSort checks the load-bearing claim of the
@@ -44,16 +46,27 @@ func TestParallelSortMatchesStableSort(t *testing.T) {
 }
 
 // TestParallelBulkLoadMatchesSerial bulk-loads the same seeded item set
-// with worker counts 1, 2 and NumCPU and asserts the serialized trees are
-// byte-identical — the determinism guarantee of the parallel pipeline.
+// with worker counts 1, 2 and NumCPU and asserts the serialized trees —
+// meta section and identity page extent — are byte-identical: the
+// determinism guarantee of the parallel pipeline.
 func TestParallelBulkLoadMatchesSerial(t *testing.T) {
+	image := func(tree *Tree) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := tree.WriteMeta(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{40, 900, 12000} {
 		items := make([]Item, n)
 		for i := range items {
 			items[i] = Item{Box: randBox3(rng), Ref: uint64(i)}
 		}
-		var serial bytes.Buffer
 		ref, err := BulkLoadSTR(Options{BufferPages: 64, Parallelism: 1}, append([]Item(nil), items...))
 		if err != nil {
 			t.Fatal(err)
@@ -61,19 +74,13 @@ func TestParallelBulkLoadMatchesSerial(t *testing.T) {
 		if err := ref.Validate(); err != nil {
 			t.Fatalf("n=%d serial tree invalid: %v", n, err)
 		}
-		if _, err := ref.WriteTo(&serial); err != nil {
-			t.Fatal(err)
-		}
+		serial := image(ref)
 		for _, workers := range []int{2, runtime.NumCPU(), 0} {
-			var par bytes.Buffer
 			tree, err := BulkLoadSTR(Options{BufferPages: 64, Parallelism: workers}, append([]Item(nil), items...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tree.WriteTo(&par); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Bytes(), par.Bytes()) {
+			if !bytes.Equal(serial, image(tree)) {
 				t.Fatalf("n=%d: tree built with Parallelism=%d differs from serial build", n, workers)
 			}
 		}

@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,16 +8,16 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// Tree image layout (little endian):
+// Tree meta layout (little endian), written by WriteMeta:
 //
 //	magic    [4]byte "STRS"
 //	version  uint32 1
 //	options  MaxEntries, MinEntries, ReinsertCount, PageSize, BufferPages (u32 each)
 //	state    root u32, height u32, size u64
-//	pagefile extent (pagefile.WriteExtent)
 //
-// WriteMeta/ReadMeta handle everything up to the page extent; the index
-// container stores the extent separately so it can be opened lazily.
+// The pages are not part of it: the index container stores them after the
+// meta section as a page extent, written by a page codec, and hands the
+// opened extent to AttachStore.
 const (
 	rstarMagic   = "STRS"
 	rstarVersion = 1
@@ -29,16 +28,6 @@ const (
 )
 
 const rstarMetaSize = 4 + 4 + 5*4 + 4 + 4 + 8
-
-// WriteTo serialises the whole tree to w. Implements io.WriterTo.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	n, err := t.WriteMeta(w)
-	if err != nil {
-		return n, err
-	}
-	fn, err := pagefile.WriteExtent(w, t.file)
-	return n + fn, err
-}
 
 // WriteMeta serialises everything except the page extent: options and
 // root/height/size state.
@@ -62,24 +51,6 @@ func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
 
 	m, err := w.Write(header)
 	return int64(m), err
-}
-
-// ReadTree deserialises a tree image produced by WriteTo. The buffer pool
-// starts cold.
-func ReadTree(r io.Reader) (*Tree, error) {
-	br := bufio.NewReader(r)
-	t, err := ReadMeta(br)
-	if err != nil {
-		return nil, err
-	}
-	file, err := pagefile.ReadExtentMem(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.AttachStore(file); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less tree; the

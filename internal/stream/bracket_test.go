@@ -10,6 +10,7 @@ import (
 
 	"stindex/internal/datagen"
 	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 	"stindex/internal/stio"
 )
@@ -113,13 +114,42 @@ func applyGrouped(ix *Indexer, evs []midEvent, sizes []int, mid, after func(appl
 	return nil
 }
 
+// indexerImage is the indexer's meta section followed by its tree's
+// identity page extent: the bytes its container holds, less the
+// container's framing.
 func indexerImage(t testing.TB, ix *Indexer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WriteMeta(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pagefile.WriteExtent(&buf, ix.tree.Store()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// readIndexer is the eager load of an indexerImage: ReadMeta, then the
+// extent after it opened in memory and materialised into a writable File.
+func readIndexer(t testing.TB, image []byte) *Indexer {
+	t.Helper()
+	r := bytes.NewReader(image)
+	ix, err := ReadMeta(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := pagefile.CodecIdentity.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.BackendDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := pagefile.Materialize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.AttachStore(file); err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 func sortedPieces(t testing.TB, ix *Indexer) []pprtree.Record {

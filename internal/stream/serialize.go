@@ -14,7 +14,7 @@ import (
 	"stindex/internal/pprtree"
 )
 
-// Indexer image layout (little endian):
+// Indexer meta layout (little endian), written by WriteMeta:
 //
 //	magic   [4]byte "STSM"
 //	version uint32 1
@@ -26,29 +26,18 @@ import (
 //	owners  count u32 (= nextRef), then per record in ref order 0, 1, …:
 //	        ref u64, objID i64
 //	tree    pprtree meta (pprtree.WriteMeta)
-//	pagefile extent (pagefile.WriteExtent)
 //
-// Maps are serialised in sorted order so the image is deterministic.
-//
-// WriteMeta/ReadMeta handle everything up to the page extent; the index
-// container stores the extent separately so it can be opened lazily.
+// Maps are serialised in sorted order so the image is deterministic. The
+// tree's pages are not part of it: the index container stores them after
+// the meta section as a page extent, written by a page codec, and hands
+// the opened extent to AttachStore.
 const (
 	streamMagic   = "STSM"
 	streamVersion = 1
 )
 
-// WriteTo serialises the whole indexer — split-rule state, open pieces,
-// record ownership and the underlying tree. Implements io.WriterTo.
-func (ix *Indexer) WriteTo(w io.Writer) (int64, error) {
-	n, err := ix.WriteMeta(w)
-	if err != nil {
-		return n, err
-	}
-	fn, err := pagefile.WriteExtent(w, ix.tree.Store())
-	return n + fn, err
-}
-
-// WriteMeta serialises everything except the page extent.
+// WriteMeta serialises everything except the page extent: split-rule
+// state, open pieces, record ownership and the tree's meta.
 func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -115,23 +104,6 @@ func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
 	}
 	tn, err := ix.tree.WriteMeta(w)
 	return n + tn, err
-}
-
-// ReadIndexer deserialises an indexer image produced by WriteTo.
-func ReadIndexer(r io.Reader) (*Indexer, error) {
-	br := bufio.NewReader(r)
-	ix, err := ReadMeta(br)
-	if err != nil {
-		return nil, err
-	}
-	file, err := pagefile.ReadExtentMem(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.AttachStore(file); err != nil {
-		return nil, err
-	}
-	return ix, nil
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less indexer; the

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -116,14 +115,7 @@ func TestMidflightRoundTrip(t *testing.T) {
 		t.Fatal("want live objects at the serialization point")
 	}
 
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	copyIx, err := ReadIndexer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	copyIx := readIndexer(t, indexerImage(t, ix))
 	if copyIx.Live() != ix.Live() || copyIx.Records() != ix.Records() || copyIx.Cuts() != ix.Cuts() {
 		t.Fatalf("state mismatch after round-trip: live %d/%d records %d/%d cuts %d/%d",
 			copyIx.Live(), ix.Live(), copyIx.Records(), ix.Records(), copyIx.Cuts(), ix.Cuts())
@@ -152,14 +144,7 @@ func TestMidflightRoundTripContinues(t *testing.T) {
 	}
 	applyMid(t, ix, feed[:cut])
 
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	copyIx, err := ReadIndexer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	copyIx := readIndexer(t, indexerImage(t, ix))
 
 	applyMid(t, ix, feed[cut:])
 	applyMid(t, copyIx, feed[cut:])

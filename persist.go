@@ -342,29 +342,20 @@ func parseContainerHeader(header []byte) (kind byte, extents int, codec pagefile
 type StoreWrapper func(pagefile.Store) pagefile.Store
 
 // DecodeIndex reads a container image from r, materialising every page
-// in memory (the eager counterpart of OpenIndex). The kind is
-// autodetected; type-assert the result for kind-specific APIs.
+// in memory (the eager counterpart of OpenIndex). The image is parsed like
+// a container file, so its pages come through the extent store a lazy open
+// reads (see containerAt for how r is read). The result is writable. The
+// kind is autodetected; type-assert the result for kind-specific APIs.
 func DecodeIndex(r io.Reader) (Index, error) {
-	br := bufio.NewReader(r)
-	header := make([]byte, containerHeaderSize)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, fmt.Errorf("stindex: reading container header: %w", err)
-	}
-	kind, _, codec, metaLen, err := parseContainerHeader(header)
+	image, size, err := containerAt(r)
 	if err != nil {
 		return nil, err
 	}
-	// metaLen is untrusted: copy through a bounded reader so allocation is
-	// driven by bytes actually present, not by the header's claim.
-	var metaBuf bytes.Buffer
-	if _, err := io.CopyN(&metaBuf, br, int64(metaLen)); err != nil {
-		return nil, fmt.Errorf("stindex: reading container meta: %w", err)
-	}
-	x, attach, err := decodeContainerMeta(kind, metaBuf.Bytes())
+	x, attach, store, err := readContainer(image, size, pagefile.BackendDisk)
 	if err != nil {
 		return nil, err
 	}
-	file, err := codec.ReadExtentMem(br)
+	file, err := pagefile.Materialize(store)
 	if err != nil {
 		return nil, fmt.Errorf("stindex: reading page extent: %w", err)
 	}
@@ -372,6 +363,60 @@ func DecodeIndex(r io.Reader) (Index, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// containerAt gives positioned access to the container image r delivers.
+// A regular file is read in place from its current offset, as a lazy open
+// reads it; any other reader is copied whole into memory (in one
+// allocation where r writes itself out, as a bytes.Reader or Buffer
+// does). Either way allocation follows the bytes present, never a length
+// the header claims.
+func containerAt(r io.Reader) (io.ReaderAt, int64, error) {
+	if f, ok := r.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			pos, err := f.Seek(0, io.SeekCurrent)
+			if err != nil {
+				return nil, 0, fmt.Errorf("stindex: reading container: %w", err)
+			}
+			return io.NewSectionReader(f, pos, fi.Size()-pos), fi.Size() - pos, nil
+		}
+	}
+	var image bytes.Buffer
+	if _, err := io.Copy(&image, r); err != nil {
+		return nil, 0, fmt.Errorf("stindex: reading container: %w", err)
+	}
+	return bytes.NewReader(image.Bytes()), int64(image.Len()), nil
+}
+
+// readContainer parses the container of size bytes behind r — header,
+// meta section and the page extent's directory — into a store-less index,
+// the callback that attaches its pages, and the extent's read-only store
+// of the given open flavour.
+func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, func(pagefile.Store) error, pagefile.Store, error) {
+	header := make([]byte, containerHeaderSize)
+	if _, err := r.ReadAt(header, 0); err != nil {
+		return nil, nil, nil, fmt.Errorf("stindex: reading container header: %w", err)
+	}
+	kind, _, codec, metaLen, err := parseContainerHeader(header)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if int64(metaLen) < 0 || containerHeaderSize+int64(metaLen) > size {
+		return nil, nil, nil, fmt.Errorf("stindex: container meta of %d bytes truncated at container size %d", metaLen, size)
+	}
+	meta := make([]byte, metaLen)
+	if _, err := r.ReadAt(meta, containerHeaderSize); err != nil {
+		return nil, nil, nil, fmt.Errorf("stindex: reading container meta: %w", err)
+	}
+	x, attach, err := decodeContainerMeta(kind, meta)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	store, _, err := codec.OpenExtent(r, int64(containerHeaderSize)+int64(metaLen), size, backend)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("stindex: opening page extent: %w", err)
+	}
+	return x, attach, store, nil
 }
 
 // OpenIndex opens a saved container lazily: only the header and meta
@@ -450,32 +495,13 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stindex: opening index: %w", err)
 	}
-	header := make([]byte, containerHeaderSize)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		return nil, fmt.Errorf("stindex: reading container header: %w", err)
-	}
-	kind, _, codec, metaLen, err := parseContainerHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	if int64(metaLen) < 0 || containerHeaderSize+int64(metaLen) > fi.Size() {
-		return nil, fmt.Errorf("stindex: container meta of %d bytes truncated at file size %d", metaLen, fi.Size())
-	}
-	meta := make([]byte, metaLen)
-	if _, err := f.ReadAt(meta, containerHeaderSize); err != nil {
-		return nil, fmt.Errorf("stindex: reading container meta: %w", err)
-	}
-	x, attach, err := decodeContainerMeta(kind, meta)
-	if err != nil {
-		return nil, err
-	}
 	backend := opts.Backend.internal()
 	if backend == pagefile.BackendDefault {
 		backend = pagefile.DefaultOpenBackend()
 	}
-	store, _, err := codec.OpenExtent(f, int64(containerHeaderSize)+int64(metaLen), backend)
+	x, attach, store, err := readContainer(f, fi.Size(), backend)
 	if err != nil {
-		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+		return nil, err
 	}
 	wrapped := store
 	if opts.Wrap != nil {
@@ -537,7 +563,7 @@ func InspectContainer(path string) (ContainerInfo, error) {
 	info.FileBytes = fi.Size()
 	off := int64(containerHeaderSize) + int64(metaLen)
 	for i := 0; i < extents; i++ {
-		s, length, err := codec.OpenExtent(f, off, pagefile.BackendDisk)
+		s, length, err := codec.OpenExtent(f, off, fi.Size(), pagefile.BackendDisk)
 		if err != nil {
 			return info, fmt.Errorf("stindex: opening page extent %d: %w", i, err)
 		}

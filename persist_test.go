@@ -131,6 +131,50 @@ func TestContainerRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// TestDecodeIndexReadsFileInPlace decodes a container from a regular file
+// whose offset sits past a prefix, since DecodeIndex reads a file in
+// place from its current offset: the decode answers like the built index,
+// outlives the file, and re-encodes to the same bytes, and the same file
+// cut short by one byte is refused.
+func TestDecodeIndexReadsFileInPlace(t *testing.T) {
+	orig := persistFixtures(t, BackendMemory)["ppr"]
+	var image bytes.Buffer
+	if _, err := EncodeIndex(&image, orig); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("not a container")
+	decode := func(image []byte) (Index, error) {
+		path := filepath.Join(t.TempDir(), "prefixed.sti")
+		if err := os.WriteFile(path, append(append([]byte(nil), prefix...), image...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Seek(int64(len(prefix)), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		return DecodeIndex(f)
+	}
+	decoded, err := decode(image.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectSameAnswers(t, "file", orig, decoded, persistQueries(t))
+	var again bytes.Buffer
+	if _, err := EncodeIndex(&again, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), image.Bytes()) {
+		t.Fatal("re-encoding the index decoded from a file differs from the container")
+	}
+	if _, err := decode(image.Bytes()[:image.Len()-1]); err == nil {
+		t.Fatal("decoded a container cut short by one byte")
+	}
+}
+
 // TestCrossBackendBitIdentical builds the same indexes on the in-memory
 // and disk-backed stores and demands byte-identical container images —
 // the two backends must produce the same page layout, free list and

@@ -41,8 +41,8 @@ func legacyModeCounts(t *testing.T, image []byte) map[byte]int {
 }
 
 // TestLegacyDeltaContainerReopens opens a compressed mid-history stream
-// snapshot that holds delta pages through the eager reader and both lazy
-// flavours: every path answers a fixed query list exactly like the
+// snapshot that holds delta pages through the eager reader and every open
+// flavour: every path answers a fixed query list exactly like the
 // snapshot's identity-codec twin and re-encodes to the twin byte for
 // byte, so every delta page still decodes to its original image.
 func TestLegacyDeltaContainerReopens(t *testing.T) {
@@ -79,6 +79,7 @@ func TestLegacyDeltaContainerReopens(t *testing.T) {
 		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(compressed)) },
 		"disk":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendDisk}) },
 		"mmap":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendMmap}) },
+		"mem":    func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendMemory}) },
 	}
 	for label, open := range opened {
 		got, err := open()
