@@ -41,34 +41,26 @@ var runners = []struct {
 	{"overlap", func(c experiments.Config) error { _, err := experiments.Overlap(c); return err }},
 	{"build", func(c experiments.Config) error { _, err := experiments.Build(c); return err }},
 	{"persist", func(c experiments.Config) error { _, err := experiments.Persist(c); return err }},
-	{"serve", func(c experiments.Config) error { _, err := experiments.Serve(c); return err }},
 	{"shard", func(c experiments.Config) error { _, err := experiments.Shard(c); return err }},
 	{"check", func(c experiments.Config) error { _, err := experiments.Check(c); return err }},
 }
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build | persist | serve | shard (scatter-gather sweep) | check (differential oracle + fault matrix)")
+		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build | persist | shard (scatter-gather sweep) | check (differential oracle + fault matrix)")
 		full    = flag.Bool("full", false, "use the paper's dataset sizes (10k..80k); hours of CPU")
 		sizes   = flag.String("sizes", "", "comma-separated dataset sizes overriding the defaults")
 		queries = flag.Int("queries", 0, "queries per set (default 1000)")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		par     = flag.Int("parallelism", 0, "worker count for the split pipeline and workload measurement (0 = all cores, 1 = serial; results are identical either way)")
-		backend = flag.String("backend", "", "page-store backend for every index build: mem | disk (default: $STINDEX_BACKEND, then mem; results and AvgIO are identical either way)")
 		codec   = flag.String("codec", "", "default page codec for every container save: identity | compressed (default: $STINDEX_CODEC, then compressed; -exp persist always measures both)")
 		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shard (default 1,4,16)")
 	)
 	flag.Parse()
-	if *backend != "" {
-		// The experiments build through the facade's default backend, so
-		// the flag just routes through the same environment switch.
-		if err := os.Setenv("STINDEX_BACKEND", *backend); err != nil {
-			fatal(err)
-		}
-	}
 	if *codec != "" {
-		// Same routing for the default page codec: experiments that save
-		// containers pick it up through pagefile.DefaultCodec.
+		// Experiments that save containers pick the default page codec up
+		// through pagefile.DefaultCodec, so the flag routes through the
+		// STINDEX_CODEC environment switch.
 		if err := os.Setenv("STINDEX_CODEC", *codec); err != nil {
 			fatal(err)
 		}

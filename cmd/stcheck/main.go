@@ -1,13 +1,13 @@
 // Command stcheck runs the correctness harness: the differential query
-// oracle (every index kind vs a brute-force scan, both page-store
-// backends, serial and parallel), the structural invariant walkers, and
-// the fault-injection matrix. It exits non-zero on the first
-// discrepancy, printing the workload seed — and fault schedule, when one
-// was armed — needed to replay it.
+// oracle (every index kind vs a brute-force scan — built in memory, and
+// reopened through each read flavour — serial and parallel), the
+// structural invariant walkers, and the fault-injection matrix. It exits
+// non-zero on the first discrepancy, printing the workload seed — and
+// fault schedule, when one was armed — needed to replay it.
 //
 // Usage:
 //
-//	stcheck                                  # 3 seeds, all kinds, both backends
+//	stcheck                                  # 3 seeds, all kinds, every flavour
 //	stcheck -seed 42 -seeds 1                # replay one failing seed
 //	stcheck -kinds ppr,stream -n 1000        # focus on two kinds, bigger data
 //	stcheck -nofaults                        # oracle only, skip the fault matrix
@@ -35,7 +35,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "first workload seed")
 		seeds       = flag.Int("seeds", 3, "number of consecutive seeds to run")
 		kinds       = flag.String("kinds", "", "comma-separated index kinds (default: ppr,rstar,stream)")
-		backend     = flag.String("backend", "both", "page-store backend to check: mem | disk | both")
+		backend     = flag.String("backend", "both", "what to check: mem (built in memory) | disk (built in memory, reopened through the pread window) | both (mem, disk and mmap)")
 		parallelism = flag.String("parallelism", "1,4", "comma-separated worker counts for the parallel passes")
 		nofaults    = flag.Bool("nofaults", false, "skip the fault-injection matrix")
 		schedules   = flag.String("schedules", "", "comma-separated fault schedules overriding the defaults (see DESIGN.md for the grammar); ';' separates rules within one schedule")

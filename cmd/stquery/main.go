@@ -10,44 +10,37 @@
 //	stquery -i records.jsonl -index ppr -rect 0.4,0.4,0.6,0.6 -t 500
 //	stquery -i records.jsonl -index ppr -knn 0.5,0.5 -k 10 -t 500   # k nearest at an instant
 //	stquery -i records.jsonl -index hr -traj -rect 0.4,0.4,0.6,0.6 -from 100 -to 400
-//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr: built in memory only)
+//	stquery -i records.jsonl -index ppr -save idx.sti       # persist the built index (not hr: it has no container)
 //	stquery -load idx.sti -set snapshot-mixed               # reopen lazily (kind autodetected)
-//	stquery -i records.jsonl -index ppr -backend disk ...   # build on the disk backend
-//	stquery -i records.jsonl -index ppr -serve :8080        # build, then serve it over HTTP
+//
+// To serve a saved container over HTTP, run stserve -load on it.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	stx "stindex"
 
-	"stindex/internal/service"
 	"stindex/internal/stio"
 )
 
 func main() {
 	var (
 		in       = flag.String("i", "", "input records (JSON lines from stsplit; default stdin)")
-		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hr (hr is built in memory only)")
+		kind     = flag.String("index", "ppr", "index structure: ppr | rstar | rstar-packed | hr (hr cannot be saved)")
 		par      = flag.Int("parallelism", 0, "worker count for bulk loading (rstar-packed) and workload measurement: 0 = all cores, 1 = serial; tree and averages are identical either way")
-		save     = flag.String("save", "", "write the built index container to this file (any kind but hr, which is built in memory only)")
+		save     = flag.String("save", "", "write the built index container to this file (any kind but hr, which has no container)")
 		load     = flag.String("load", "", "open a saved index container lazily instead of building from records (kind autodetected; -index is ignored)")
-		backend  = flag.String("backend", "", "page-store backend for building: mem | disk (default: $STINDEX_BACKEND, then mem)")
 		describe = flag.Bool("describe", false, "print the index's physical shape and exit")
 		set      = flag.String("set", "", "standard query set (snapshot-tiny|snapshot-small|snapshot-mixed|snapshot-large|range-small|range-medium)")
 		queries  = flag.Int("queries", 1000, "number of queries from the set")
 		seed     = flag.Int64("seed", 1, "query generation seed")
 		horizon  = flag.Int64("horizon", 1000, "time horizon for query placement")
-		serve    = flag.String("serve", "", "serve the built or loaded index over HTTP on this address (snapshot name \"default\"; same endpoints as stserve)")
 		rect     = flag.String("rect", "", "single query rectangle: minx,miny,maxx,maxy")
 		at       = flag.Int64("t", -1, "single snapshot query time")
 		from     = flag.Int64("from", -1, "single range query start")
@@ -71,7 +64,7 @@ func main() {
 		if rerr != nil {
 			fatal(rerr)
 		}
-		idx, err = build(*kind, records, *par, stx.Backend(*backend))
+		idx, err = build(*kind, records, *par)
 		if err != nil {
 			fatal(err)
 		}
@@ -91,13 +84,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(d)
-		return
-	}
-
-	if *serve != "" {
-		if err := serveIndex(*serve, idx); err != nil {
-			fatal(err)
-		}
 		return
 	}
 
@@ -175,45 +161,16 @@ func main() {
 	fmt.Printf("set=%s queries=%d avg-io=%.2f avg-results=%.1f\n", *set, res.Queries, res.AvgIO, res.AvgResult)
 }
 
-// serveIndex publishes idx as snapshot "default" and serves the stserve
-// HTTP API on addr until SIGINT/SIGTERM, then drains gracefully. The
-// service takes ownership of the index (closing is idempotent, so the
-// caller's deferred CloseIndex stays safe).
-func serveIndex(addr string, idx stx.Index) error {
-	svc := service.New(service.Config{})
-	if _, err := svc.Registry().Publish("default", idx); err != nil {
-		return err
-	}
-	srv := service.NewServer(addr, service.NewHandler(svc))
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "serving %s index on %s (snapshot \"default\"); SIGINT drains\n", idx.Kind(), addr)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case <-sigCh:
-	case err := <-errCh:
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "stquery: shutdown: %v\n", err)
-	}
-	return svc.Close()
-}
-
-func build(kind string, records []stx.Record, parallelism int, backend stx.Backend) (stx.Index, error) {
+func build(kind string, records []stx.Record, parallelism int) (stx.Index, error) {
 	switch kind {
 	case "ppr":
-		return stx.BuildPPR(records, stx.PPROptions{Backend: backend})
+		return stx.BuildPPR(records, stx.PPROptions{})
 	case "rstar":
-		return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42, Backend: backend})
+		return stx.BuildRStar(records, stx.RStarOptions{ShuffleSeed: 42})
 	case "rstar-packed":
-		return stx.BuildRStarPacked(records, stx.RStarOptions{Parallelism: parallelism, Backend: backend})
+		return stx.BuildRStarPacked(records, stx.RStarOptions{Parallelism: parallelism})
 	case "hr":
-		return stx.BuildHR(records, stx.HROptions{Backend: backend})
+		return stx.BuildHR(records, stx.HROptions{})
 	default:
 		return nil, fmt.Errorf("unknown index %q (want ppr, rstar, rstar-packed or hr)", kind)
 	}

@@ -15,8 +15,6 @@ type HROptions struct {
 	MinEntries  int
 	PageSize    int
 	BufferPages int
-	// Backend selects where the tree's pages live (memory or disk).
-	Backend Backend
 }
 
 // HRIndex is an overlapping (historical) R-tree over the record set — the
@@ -55,7 +53,6 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 		MinEntries:  opts.MinEntries,
 		PageSize:    opts.PageSize,
 		BufferPages: opts.BufferPages,
-		Backend:     opts.Backend.internal(),
 	}, recs)
 	if err != nil {
 		return nil, err

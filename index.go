@@ -60,25 +60,27 @@ func (h *fileHandle) Close() error {
 	return c.Close()
 }
 
-// Backend names a page-store implementation for the index structures.
-// The default ("") consults the STINDEX_BACKEND environment variable and
-// falls back to memory. The backend choice never affects query results
-// or I/O statistics — only where the pages physically live.
+// Backend names the open flavour of a saved container: how
+// OpenIndexOptions reads its page extents. Every build writes its pages
+// to memory; the flavour only decides where an opened container's pages
+// are read from. The default ("") consults the STINDEX_BACKEND
+// environment variable. The flavour never affects query results or I/O
+// statistics.
 type Backend string
 
 const (
-	// BackendDefault defers to STINDEX_BACKEND, then memory.
+	// BackendDefault defers to STINDEX_BACKEND: "mmap" maps, anything
+	// else reads through the pread window (BackendDisk).
 	BackendDefault Backend = ""
-	// BackendMemory keeps pages in memory (the simulated disk).
+	// BackendMemory loads every page of the container into memory at
+	// open time.
 	BackendMemory Backend = "mem"
-	// BackendDisk keeps pages in a temporary file, read lazily on demand.
+	// BackendDisk leaves the pages in the container file and reads each
+	// lazily, one positioned read a page: the pread window.
 	BackendDisk Backend = "disk"
-	// BackendMmap memory-maps a saved container's page extents when
-	// opening it (OpenIndexOptions): page reads cost zero syscalls, the
-	// kernel's page cache is the disk buffer. As a *build* backend it is
-	// identical to BackendDisk — building mutates pages, which a read-only
-	// mapping cannot; the mmap choice takes effect at open time. Falls
-	// back to the lazily read window where mmap is unavailable.
+	// BackendMmap memory-maps the container's page extents: page reads
+	// cost zero syscalls, the kernel's page cache is the disk buffer.
+	// Falls back to the pread window where mmap is unavailable.
 	BackendMmap Backend = "mmap"
 )
 
@@ -174,8 +176,6 @@ type PPROptions struct {
 	PSvu        float64
 	PageSize    int
 	BufferPages int
-	// Backend selects where the tree's pages live (memory or disk).
-	Backend Backend
 }
 
 // PPRIndex is a partially persistent R-tree over the record set.
@@ -219,7 +219,6 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 		PSvu:        opts.PSvu,
 		PageSize:    opts.PageSize,
 		BufferPages: opts.BufferPages,
-		Backend:     opts.Backend.internal(),
 	}, recs)
 	if err != nil {
 		return nil, err
@@ -290,8 +289,6 @@ type RStarOptions struct {
 	// byte-identical for every setting. One-by-one insertion (BuildRStar)
 	// is inherently sequential and ignores it.
 	Parallelism int
-	// Backend selects where the tree's pages live (memory or disk).
-	Backend Backend
 }
 
 // RStarIndex is a 3-dimensional R*-tree over the record set, time as the
@@ -342,7 +339,6 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 		ReinsertCount: opts.ReinsertCount,
 		PageSize:      opts.PageSize,
 		BufferPages:   opts.BufferPages,
-		Backend:       opts.Backend.internal(),
 	})
 	if err != nil {
 		return nil, err
@@ -384,7 +380,6 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 		PageSize:      opts.PageSize,
 		BufferPages:   opts.BufferPages,
 		Parallelism:   opts.Parallelism,
-		Backend:       opts.Backend.internal(),
 	}, items)
 	if err != nil {
 		return nil, err

@@ -11,8 +11,9 @@ import (
 )
 
 // DiffConfig parameterises one differential run. The zero value is
-// filled in by withDefaults: every kind, all three backends (memory,
-// disk, mmap-opened), both page codecs, parallelism 1 and 4, a
+// filled in by withDefaults: every kind, all three backends (built in
+// memory, reopened through the pread window, reopened mapped), both page
+// codecs, parallelism 1 and 4, a
 // 400-object workload over horizon 1000 with 200 queries.
 type DiffConfig struct {
 	Kinds       []string
@@ -63,8 +64,9 @@ type DiffReport struct {
 }
 
 // RunDiff cross-checks every configured index kind against the
-// brute-force oracle: build on each backend (BackendMmap builds in
-// memory and reopens the saved container memory-mapped), validate
+// brute-force oracle: build each kind in memory, reopened from a saved
+// container with each configured backend but BackendMemory (see
+// BuildKind), validate
 // structural invariants, compare every query answer at each parallelism
 // level, and round-trip each kind through a saved container twice — once
 // plain (OpenIndex) and once with a shared page cache interposed, whose

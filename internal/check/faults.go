@@ -269,36 +269,48 @@ func readCount(stores *[]*FaultStore) uint64 {
 	return n
 }
 
-// VerifyBufferFaults drives the Buffer directly over a FaultStore on
-// both backends, through the write-path rules the query-only matrix
-// cannot reach, and asserts the exact failure semantics the Buffer
-// documents: a failed write leaves the buffered copy and the stats
-// untouched, a torn write is visible on re-read exactly as the torn
-// image (never the stale pre-tear decode), a failed read leaves nothing
-// resident — also the image-less read of a page whose decode is cached —
-// and a failing Close propagates.
+// VerifyBufferFaults drives the Buffer directly over a FaultStore,
+// through the write-path rules the query-only matrix cannot reach, and
+// asserts the exact failure semantics the Buffer documents: a failed
+// write leaves the buffered copy and the stats untouched, a torn write is
+// visible on re-read exactly as the torn image (never the stale pre-tear
+// decode), a failed read leaves nothing resident — also the image-less
+// read of a page whose decode is cached — and a failing Close propagates.
+// The write-path cases run on File, the only store that takes writes; the
+// image-less read runs on File and again over an extent of each codec
+// opened through the pread window and the mapping, so it also has a file
+// under it.
 func VerifyBufferFaults() error {
-	for _, backend := range []pagefile.Backend{pagefile.BackendMemory, pagefile.BackendDisk} {
-		if err := verifyBufferFaultsOn(backend); err != nil {
-			return fmt.Errorf("check: buffer faults on %s: %w", backend, err)
+	if err := verifyWriteFaults(); err != nil {
+		return fmt.Errorf("check: buffer faults: %w", err)
+	}
+	const pageSize = 128
+	f := pagefile.New(pageSize)
+	r := f.Allocate()
+	if err := f.WritePage(r, bytes.Repeat([]byte{0xA1}, pageSize)); err != nil {
+		return err
+	}
+	if err := verifyImagelessReadFault(f, r); err != nil {
+		return fmt.Errorf("check: buffer faults on mem: %w", err)
+	}
+	for _, codec := range []pagefile.Codec{pagefile.CodecIdentity, pagefile.CodecCompressed} {
+		for _, flavour := range []pagefile.Backend{pagefile.BackendDisk, pagefile.BackendMmap} {
+			if err := imagelessReadFaultOnExtent(f, r, codec, flavour); err != nil {
+				return fmt.Errorf("check: buffer faults on %s extent (%s): %w", codec.Name(), flavour, err)
+			}
 		}
 	}
 	return nil
 }
 
-func verifyBufferFaultsOn(backend pagefile.Backend) error {
+func verifyWriteFaults() error {
 	const pageSize = 128
 	pageA := bytes.Repeat([]byte{0xA1}, pageSize)
 	pageB := bytes.Repeat([]byte{0xB2}, pageSize)
 
 	// Failed write: write@2 fails the second write before the store sees
 	// it; the first page's image and the write stats must be untouched.
-	inner, err := pagefile.NewStore(backend, pageSize)
-	if err != nil {
-		return err
-	}
-	defer inner.Close()
-	fs := NewFaultStore(inner, MustSchedule("write@2,close@1"))
+	fs := NewFaultStore(pagefile.New(pageSize), MustSchedule("write@2,close@1"))
 	buf := pagefile.NewBuffer(fs, 4)
 	a, b := fs.Allocate(), fs.Allocate()
 	if err := buf.Write(a, pageA); err != nil {
@@ -323,12 +335,7 @@ func verifyBufferFaultsOn(backend pagefile.Backend) error {
 	// zeroed, the error surfaced — and a fresh read sees exactly the torn
 	// image, with the decode cache re-decoding (the version advanced), not
 	// serving the pre-tear parse.
-	inner2, err := pagefile.NewStore(backend, pageSize)
-	if err != nil {
-		return err
-	}
-	defer inner2.Close()
-	fs2 := NewFaultStore(inner2, MustSchedule("torn@2"))
+	fs2 := NewFaultStore(pagefile.New(pageSize), MustSchedule("torn@2"))
 	buf2 := pagefile.NewBuffer(fs2, 4)
 	p := fs2.Allocate()
 	if err := buf2.Write(p, pageA); err != nil {
@@ -360,12 +367,7 @@ func verifyBufferFaultsOn(backend pagefile.Backend) error {
 
 	// Periodic write failure: write/3 fails writes 3, 6, 9, … and only
 	// those; failed reads leave nothing resident (the retry succeeds).
-	inner3, err := pagefile.NewStore(backend, pageSize)
-	if err != nil {
-		return err
-	}
-	defer inner3.Close()
-	fs3 := NewFaultStore(inner3, MustSchedule("write/3,read@1"))
+	fs3 := NewFaultStore(pagefile.New(pageSize), MustSchedule("write/3,read@1"))
 	buf3 := pagefile.NewBuffer(fs3, 2)
 	q := fs3.Allocate()
 	failures := 0
@@ -387,43 +389,65 @@ func verifyBufferFaultsOn(backend pagefile.Backend) error {
 	if got, err := buf3.Read(q); err != nil || !bytes.Equal(got, pageA) {
 		return fmt.Errorf("retry after failed read: %v", err)
 	}
+	return nil
+}
 
-	// Image-less read: once a page is decoded, a pool miss reads it
-	// without asking for its image. A fault on that read propagates,
-	// charges nothing and leaves nothing resident; the retry reaches the
-	// store again and answers from the cached decode, not a second parse.
-	inner4, err := pagefile.NewStore(backend, pageSize)
+// imagelessReadFaultOnExtent saves f as one extent with the codec, opens
+// it with the flavour and runs verifyImagelessReadFault over it.
+func imagelessReadFaultOnExtent(f *pagefile.File, r pagefile.PageID, codec pagefile.Codec, flavour pagefile.Backend) error {
+	tmp, err := os.CreateTemp("", "stcheck-extent-*")
 	if err != nil {
 		return err
 	}
-	defer inner4.Close()
-	fs4 := NewFaultStore(inner4, MustSchedule("read@2"))
-	buf4 := pagefile.NewBuffer(fs4, 2)
-	r := fs4.Allocate()
-	if err := buf4.Write(r, pageA); err != nil {
-		return fmt.Errorf("seed write: %v", err)
+	defer os.Remove(tmp.Name())
+	defer tmp.Close()
+	size, err := codec.WriteExtent(tmp, f, pagefile.LayoutOpaque)
+	if err != nil {
+		return err
 	}
-	decodes = 0
-	buf4.Reset()
-	first, err := buf4.ReadDecoded(r, decode)
+	s, _, err := codec.OpenExtent(tmp, 0, size, flavour)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	return verifyImagelessReadFault(s, r)
+}
+
+// verifyImagelessReadFault: once a page is decoded, a pool miss reads it
+// without asking for its image. A fault on that read propagates, charges
+// nothing and leaves nothing resident; the retry reaches the store again
+// and answers from the cached decode, not a second parse. Page r of s
+// must hold 0xA1 bytes.
+func verifyImagelessReadFault(s pagefile.Store, r pagefile.PageID) error {
+	fs := NewFaultStore(s, MustSchedule("read@2"))
+	buf := pagefile.NewBuffer(fs, 2)
+	decodes := 0
+	decode := func(id pagefile.PageID, data []byte) (any, error) {
+		decodes++
+		return append([]byte(nil), data...), nil
+	}
+	first, err := buf.ReadDecoded(r, decode)
 	if err != nil {
 		return fmt.Errorf("seed decode: %v", err)
 	}
-	buf4.Reset()
-	if _, err := buf4.ReadDecoded(r, decode); !errors.Is(err, ErrInjected) {
+	if !bytes.Equal(first.([]byte), bytes.Repeat([]byte{0xA1}, s.PageSize())) {
+		return fmt.Errorf("seed decode read a wrong image")
+	}
+	buf.Reset()
+	if _, err := buf.ReadDecoded(r, decode); !errors.Is(err, ErrInjected) {
 		return fmt.Errorf("read@2 under a cached decode did not propagate, got %v", err)
 	}
-	if st := buf4.Stats(); st != (pagefile.Stats{}) {
+	if st := buf.Stats(); st != (pagefile.Stats{}) {
 		return fmt.Errorf("failed image-less read perturbed stats: %+v", st)
 	}
-	v, err = buf4.ReadDecoded(r, decode)
+	v, err := buf.ReadDecoded(r, decode)
 	if err != nil {
 		return fmt.Errorf("retry after failed image-less read: %v", err)
 	}
-	if st := buf4.Stats(); st != (pagefile.Stats{Reads: 1}) {
+	if st := buf.Stats(); st != (pagefile.Stats{Reads: 1}) {
 		return fmt.Errorf("retry after failed image-less read charged %+v, want one miss (was the page left resident?)", st)
 	}
-	if reads, _, _ := fs4.Ops(); reads != 3 {
+	if reads, _, _ := fs.Ops(); reads != 3 {
 		return fmt.Errorf("%d store reads, want 3 (seed, failed, retry)", reads)
 	}
 	if decodes != 1 || !bytes.Equal(v.([]byte), first.([]byte)) {

@@ -32,18 +32,9 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 }
 
-func newMemStore(t *testing.T, pageSize int) pagefile.Store {
-	t.Helper()
-	s, err := pagefile.NewStore(pagefile.BackendMemory, pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestFaultStoreDeterministicRules(t *testing.T) {
 	const pageSize = 64
-	inner := newMemStore(t, pageSize)
+	inner := pagefile.New(pageSize)
 	fs := NewFaultStore(inner, MustSchedule("read@2,write@3,close@2"))
 	id := fs.Allocate()
 	img := bytes.Repeat([]byte{7}, pageSize)
@@ -84,7 +75,7 @@ func TestFaultStoreDeterministicRules(t *testing.T) {
 
 func TestFaultStoreShortRead(t *testing.T) {
 	const pageSize = 64
-	inner := newMemStore(t, pageSize)
+	inner := pagefile.New(pageSize)
 	fs := NewFaultStore(inner, MustSchedule("short@1"))
 	id := fs.Allocate()
 	img := bytes.Repeat([]byte{9}, pageSize)
@@ -107,7 +98,7 @@ func TestFaultStoreShortRead(t *testing.T) {
 
 func TestFaultStoreTornWrite(t *testing.T) {
 	const pageSize = 64
-	inner := newMemStore(t, pageSize)
+	inner := pagefile.New(pageSize)
 	fs := NewFaultStore(inner, MustSchedule("torn@1"))
 	id := fs.Allocate()
 	img := bytes.Repeat([]byte{5}, pageSize)
@@ -129,7 +120,7 @@ func TestFaultStoreTornWrite(t *testing.T) {
 
 func TestFaultStoreDisarm(t *testing.T) {
 	const pageSize = 64
-	inner := newMemStore(t, pageSize)
+	inner := pagefile.New(pageSize)
 	fs := NewFaultStore(inner, MustSchedule("read/1")) // every read fails
 	id := fs.Allocate()
 	if err := fs.WritePage(id, bytes.Repeat([]byte{1}, pageSize)); err != nil {

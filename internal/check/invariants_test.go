@@ -36,7 +36,7 @@ func TestMutationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := stx.UnsplitRecords(objs) // one record per object: a corrupted entry is a guaranteed miss
-	idx, err := stx.BuildPPR(records, stx.PPROptions{Backend: stx.BackendMemory})
+	idx, err := stx.BuildPPR(records, stx.PPROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,8 +96,8 @@ func shardedRecordsFor(idx stx.Index, wl *Workload) ([]stx.Record, error) {
 // a dropped or truncated shard answer can never surface as a silently
 // partial merge (it would differ from the oracle and fail the
 // comparison). After disarming and clearing the buffers, every query
-// must be oracle-exact again. Runs on the disk backend, where read
-// faults reach the pread path.
+// must be oracle-exact again. Opens the shards through the pread window,
+// where read faults reach the pread path.
 func shardedFaultPass(wl *Workload, exp *Expected, schedules []string) (uint64, error) {
 	plan, err := sharding.Partition(wl.Records, sharding.PlanConfig{Shards: shardedDiffShards})
 	if err != nil {

@@ -81,26 +81,27 @@ func GenerateWorkload(objects int, horizon, seed int64, queries int) (*Workload,
 	return wl, nil
 }
 
-// BuildKind builds one index kind over the workload on the given backend.
-// The batch kinds index the workload's offline split records; the stream
+// BuildKind builds one index kind over the workload in memory. The
+// batch kinds index the workload's offline split records; the stream
 // kind replays the objects through the online rule observation by
 // observation (its piece set — and therefore its reference answers — is
 // its own, see StreamIndex.PieceRecords).
 //
-// BackendMmap is an open-time flavour, not a build flavour: the kind is
-// built in memory, saved to a container, and reopened memory-mapped, so
-// diffing it exercises the mmap read path end to end.
+// Any backend but BackendMemory names an open flavour: the kind is
+// built in memory, saved to a container, and reopened with that flavour
+// (the pread window for BackendDisk, a mapping for BackendMmap), so
+// diffing it exercises that read path end to end.
 func BuildKind(kind string, wl *Workload, backend stx.Backend) (stx.Index, error) {
-	if backend == stx.BackendMmap {
+	if backend != stx.BackendMemory {
 		return buildKindOpened(kind, wl, backend)
 	}
 	switch kind {
 	case "ppr":
-		return stx.BuildPPR(wl.Records, stx.PPROptions{Backend: backend})
+		return stx.BuildPPR(wl.Records, stx.PPROptions{})
 	case "rstar":
-		return stx.BuildRStar(wl.Records, stx.RStarOptions{ShuffleSeed: 42, Backend: backend})
+		return stx.BuildRStar(wl.Records, stx.RStarOptions{ShuffleSeed: 42})
 	case "stream", "stream-ppr":
-		return buildStream(wl.Objects, backend)
+		return buildStream(wl.Objects)
 	}
 	return nil, fmt.Errorf("check: unknown index kind %q", kind)
 }
@@ -129,7 +130,7 @@ func buildKindOpened(kind string, wl *Workload, backend stx.Backend) (stx.Index,
 
 // buildStream replays the objects in global time order through the
 // online indexer (eager cutting: Lambda 0 exercises the most pieces).
-func buildStream(objs []*stx.Object, backend stx.Backend) (*stx.StreamIndex, error) {
+func buildStream(objs []*stx.Object) (*stx.StreamIndex, error) {
 	if len(objs) == 0 {
 		return nil, fmt.Errorf("check: no objects to stream")
 	}
@@ -143,7 +144,7 @@ func buildStream(objs []*stx.Object, backend stx.Backend) (*stx.StreamIndex, err
 			end = lt.End
 		}
 	}
-	six, err := stx.NewStreamIndex(stx.StreamOptions{PPR: stx.PPROptions{Backend: backend}}, start)
+	six, err := stx.NewStreamIndex(stx.StreamOptions{}, start)
 	if err != nil {
 		return nil, err
 	}

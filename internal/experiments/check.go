@@ -25,7 +25,8 @@ type CheckRow struct {
 
 // Check is the correctness experiment (`stbench -exp check`): for three
 // seeded workloads it cross-checks every index kind against the
-// brute-force oracle on both backends at parallelism 1 and 4, repeats the
+// brute-force oracle — built in memory, and reopened through the pread
+// window and the mapping — at parallelism 1 and 4, repeats the
 // comparison through the stserve HTTP path, and drives the
 // fault-injection matrix; buffer fault semantics are verified once at the
 // end. Any failure message carries the workload seed (and fault schedule

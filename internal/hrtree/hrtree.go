@@ -112,10 +112,6 @@ type Options struct {
 	MinEntries  int
 	PageSize    int
 	BufferPages int
-	// Backend selects the page-store implementation (memory or disk).
-	// The default consults the STINDEX_BACKEND environment variable and
-	// falls back to memory. The choice never affects I/O accounting.
-	Backend pagefile.Backend
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -177,10 +173,7 @@ func New(opts Options, startTime int64) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	file, err := pagefile.NewStore(opts.Backend, opts.PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("hrtree: %w", err)
-	}
+	file := pagefile.New(opts.PageSize)
 	t := &Tree{
 		opts:  opts,
 		file:  file,

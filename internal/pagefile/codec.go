@@ -114,7 +114,7 @@ func CodecByName(name string) (Codec, error) {
 // DefaultCodec returns the *save* codec selected by the STINDEX_CODEC
 // environment variable, defaulting to compressed — new writes compress;
 // old containers always open through the codec named in their header.
-// Unknown values fall back to the default, mirroring DefaultBackend.
+// Unknown values fall back to the default, as DefaultOpenBackend's do.
 func DefaultCodec() Codec {
 	if os.Getenv(EnvCodec) == CodecIdentity.Name() {
 		return CodecIdentity

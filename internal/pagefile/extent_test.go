@@ -254,53 +254,70 @@ func TestMmapStoreCloseIdempotent(t *testing.T) {
 	})
 }
 
+// TestMmapStoreConcurrentReaders reads one frozen store from many
+// goroutines, with and without an image, for every codec and open
+// flavour: the mapping, the pread window that serves cold opens, and the
+// eager copy.
 func TestMmapStoreConcurrentReaders(t *testing.T) {
 	eachCodec(t, func(t *testing.T, codec Codec) {
 		src := buildTestFile(t, 256, 16, 4)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
-		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
-		if err != nil {
-			t.Fatalf("OpenExtent: %v", err)
-		}
-		defer s.Close()
-
-		done := make(chan error, 8)
-		for g := 0; g < 8; g++ {
-			go func() {
-				buf := make([]byte, s.PageSize())
-				want := make([]byte, s.PageSize())
-				for iter := 0; iter < 200; iter++ {
-					for i := 0; i < src.NumAllocated(); i++ {
-						id := PageID(i)
-						if src.Check(id) != nil {
-							continue
-						}
-						// The image-less read shares the pooled scratch
-						// with the decoding one.
-						if err := s.ReadPage(id, nil); err != nil {
-							done <- err
-							return
-						}
-						if err := s.ReadPage(id, buf); err != nil {
-							done <- err
-							return
-						}
-						src.ReadPage(id, want)
-						if !bytes.Equal(buf, want) {
-							done <- errors.New("page image mismatch under concurrency")
-							return
-						}
-					}
+		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+			t.Run(string(flavour), func(t *testing.T) {
+				s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), flavour)
+				if err != nil {
+					t.Fatalf("OpenExtent: %v", err)
 				}
-				done <- nil
-			}()
-		}
-		for g := 0; g < 8; g++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
+				defer s.Close()
+				concurrentReads(t, s, src)
+			})
 		}
 	})
+}
+
+// concurrentReads has 8 goroutines read every live page of s, with and
+// without an image, and compares each image with src's.
+func concurrentReads(t *testing.T, s Store, src *File) {
+	t.Helper()
+	done := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			buf := make([]byte, s.PageSize())
+			want := make([]byte, s.PageSize())
+			for iter := 0; iter < 200; iter++ {
+				for i := 0; i < src.NumAllocated(); i++ {
+					id := PageID(i)
+					if src.Check(id) != nil {
+						continue
+					}
+					// The image-less read shares the pooled scratch with
+					// the decoding one.
+					if err := s.ReadPage(id, nil); err != nil {
+						done <- err
+						return
+					}
+					if err := s.ReadPage(id, buf); err != nil {
+						done <- err
+						return
+					}
+					src.ReadPage(id, want)
+					if !bytes.Equal(buf, want) {
+						done <- errors.New("page image mismatch under concurrency")
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.ReadPage(PageID(src.NumAllocated()), nil); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("image-less read of an unallocated page: %v, want ErrBadPage", err)
+	}
 }
 
 func TestDefaultOpenBackend(t *testing.T) {
@@ -315,17 +332,5 @@ func TestDefaultOpenBackend(t *testing.T) {
 	t.Setenv(EnvBackend, "mmap")
 	if b := DefaultOpenBackend(); b != BackendMmap {
 		t.Errorf("open backend under mmap = %q, want mmap", b)
-	}
-	// Builds under mmap land on the disk store.
-	if b := DefaultBackend(); b != BackendDisk {
-		t.Errorf("build backend under mmap = %q, want disk", b)
-	}
-	s, err := NewStore(BackendMmap, 128)
-	if err != nil {
-		t.Fatalf("NewStore(mmap): %v", err)
-	}
-	defer s.Close()
-	if _, ok := s.(*DiskStore); !ok {
-		t.Errorf("NewStore(mmap) = %T, want *DiskStore", s)
 	}
 }

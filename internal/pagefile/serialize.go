@@ -8,7 +8,7 @@ import (
 )
 
 // Page-extent layout (little endian) — the page-store section of a saved
-// index, identical for both backends:
+// index:
 //
 //	magic   [4]byte  "STPF"
 //	version uint32   1

@@ -29,10 +29,6 @@ type Options struct {
 	// wall clock, never structure. Queries and inserts are unaffected
 	// (the tree itself is not safe for concurrent use).
 	Parallelism int
-	// Backend selects the page-store implementation (memory or disk).
-	// The default consults the STINDEX_BACKEND environment variable and
-	// falls back to memory. The choice never affects I/O accounting.
-	Backend pagefile.Backend
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -87,10 +83,7 @@ func New(opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	file, err := pagefile.NewStore(opts.Backend, opts.PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("rstar: %w", err)
-	}
+	file := pagefile.New(opts.PageSize)
 	t := &Tree{
 		opts:   opts,
 		file:   file,

@@ -22,7 +22,7 @@ func buildIndexSeed(t *testing.T, seed int64) stx.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := stx.BuildPPR(records, stx.PPROptions{Backend: stx.BackendMemory})
+	idx, err := stx.BuildPPR(records, stx.PPROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

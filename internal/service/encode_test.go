@@ -314,7 +314,7 @@ func BenchmarkParseQueryGET(b *testing.B) {
 // selectors (Accept header and ?format=binary) return a parseable frame
 // whose ids match the JSON answer.
 func TestHTTPBinaryProtocol(t *testing.T) {
-	idx := buildIndex(t, "mem")
+	idx := buildIndex(t)
 	path := saveContainer(t, idx)
 	q := testQueries(t, 1)[0]
 	want, err := stx.RunQuery(idx, q)

@@ -16,7 +16,7 @@ import (
 // against the engine queried directly — the wire encoding must not
 // perturb a single bit (ids, dist2 floats, piece counts, order).
 func TestHTTPQueryKinds(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	path := saveContainer(t, idx)
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
@@ -154,7 +154,7 @@ func checkTrajectories(t *testing.T, label string, got queryResponse, want []stx
 // containers hold the same index, so answers are generation-invariant),
 // and the race detector must stay silent across the swap boundary.
 func TestHotSwapDuringKNN(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	pathA := saveContainer(t, idx)
 	pathB := saveContainer(t, idx)
 	want, err := idx.Nearest(0.5, 0.5, 250, 10)

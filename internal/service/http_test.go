@@ -52,7 +52,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 // serial baseline, hot-swap and drop snapshots through the management
 // endpoints, and scrape live metrics.
 func TestHTTPEndToEnd(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	pathA := saveContainer(t, idx)
 	pathB := saveContainer(t, idx)
 	queries := testQueries(t, 25)

@@ -18,7 +18,7 @@ import (
 )
 
 // buildIndex builds a small PPR index over a fixed dataset.
-func buildIndex(t *testing.T, backend stx.Backend) stx.Index {
+func buildIndex(t *testing.T) stx.Index {
 	t.Helper()
 	objs, err := stx.GenerateRandom(stx.RandomDatasetConfig{N: 400, Horizon: 500, Seed: 11})
 	if err != nil {
@@ -28,7 +28,7 @@ func buildIndex(t *testing.T, backend stx.Backend) stx.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := stx.BuildPPR(records, stx.PPROptions{Backend: backend})
+	idx, err := stx.BuildPPR(records, stx.PPROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func sameIDs(a, b []int64) bool {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	path := saveContainer(t, buildIndex(t, stx.BackendMemory))
+	path := saveContainer(t, buildIndex(t))
 	reg := NewRegistry()
 
 	if _, err := reg.Acquire("nope"); !errors.Is(err, ErrUnknownSnapshot) {
@@ -133,7 +133,7 @@ func TestLoadRefusesRetiredHybridContainer(t *testing.T) {
 	retired := filepath.Join("..", "..", "testdata", "hybrid-v2-compressed.sti")
 	reg := NewRegistryConfig(RegistryConfig{CacheBytes: 1 << 20})
 	defer reg.Close()
-	snap, err := reg.Load("data", saveContainer(t, buildIndex(t, stx.BackendMemory)))
+	snap, err := reg.Load("data", saveContainer(t, buildIndex(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLoadRefusesRetiredHybridContainer(t *testing.T) {
 // swap, in-flight leases on the old generation keep answering correctly
 // and the old container closes only when the last lease releases.
 func TestHotSwapDrainsOldSnapshot(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	pathA := saveContainer(t, idx)
 	pathB := saveContainer(t, idx)
 	q := testQueries(t, 1)[0]
@@ -218,15 +218,16 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 }
 
 // TestConcurrentQueriesAcrossHotSwap is the satellite -race test: many
-// goroutines query one registered read-only container (on both the
-// memory and disk page-store backends) while the main goroutine
-// hot-swaps the snapshot underneath them. Every answer must be
-// bit-identical to the serial baseline and nothing may touch a closed
-// store (the race detector and CloseIndex's idempotence guard that).
+// goroutines query one registered read-only container (opened through
+// each read flavour: eager memory, the pread window, the mapping) while
+// the main goroutine hot-swaps the snapshot underneath them. Every
+// answer must be bit-identical to the serial baseline and nothing may
+// touch a closed store (the race detector and CloseIndex's idempotence
+// guard that).
 func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
-	for _, backend := range []stx.Backend{stx.BackendMemory, stx.BackendDisk} {
+	for _, backend := range []stx.Backend{stx.BackendMemory, stx.BackendDisk, stx.BackendMmap} {
 		t.Run(string(backend), func(t *testing.T) {
-			idx := buildIndex(t, backend)
+			idx := buildIndex(t)
 			queries := testQueries(t, 100)
 			// Serial baseline on the build itself.
 			want := make([][]int64, len(queries))
@@ -238,12 +239,11 @@ func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
 				want[i] = ids
 			}
 
-			// Two identical containers to swap between, plus the build
-			// itself published directly: the opened containers exercise
-			// the lazy on-disk store, the published one the build backend.
+			// Two identical containers to swap between, opened with the
+			// flavour, plus the build itself published directly.
 			pathA := saveContainer(t, idx)
 			pathB := saveContainer(t, idx)
-			reg := NewRegistry()
+			reg := NewRegistryConfig(RegistryConfig{OpenBackend: backend})
 			if _, err := reg.Load("data", pathA); err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func snapshotQuery() stx.Query {
 }
 
 func TestServiceServesAndMeters(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	queries := testQueries(t, 50)
 	want := make([][]int64, len(queries))
 	for i, q := range queries {
@@ -478,7 +478,7 @@ func TestServiceTimeout(t *testing.T) {
 }
 
 func TestServiceCloseIsGracefulAndIdempotent(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	svc := New(Config{Workers: 2})
 	snap, err := svc.Registry().Publish("default", idx)
 	if err != nil {
@@ -503,7 +503,7 @@ func TestServiceCloseIsGracefulAndIdempotent(t *testing.T) {
 }
 
 func TestSessionViewFollowsGeneration(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	path := saveContainer(t, idx)
 	q := testQueries(t, 1)[0]
 	want, err := stx.RunQuery(idx, q)
@@ -576,7 +576,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // the failing snapshot still drains normally: its refcount reaches zero
 // and its container file closes without deadlock.
 func TestHotSwapUnderStoreFaults(t *testing.T) {
-	idx := buildIndex(t, stx.BackendMemory)
+	idx := buildIndex(t)
 	queries := testQueries(t, 40)
 	want := make([][]int64, len(queries))
 	for i, q := range queries {

@@ -50,7 +50,6 @@ func NewStreamIndex(opts StreamOptions, startTime int64) (*StreamIndex, error) {
 			PSvu:        opts.PPR.PSvu,
 			PageSize:    opts.PPR.PageSize,
 			BufferPages: opts.PPR.BufferPages,
-			Backend:     opts.PPR.Backend.internal(),
 		},
 	}, startTime)
 	if err != nil {
