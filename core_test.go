@@ -5,15 +5,11 @@ import (
 	"testing"
 )
 
-// freshCore returns idx behind a query core of its own — a query view,
-// or for the stream kind (which has none) a second facade over the same
-// indexer — so its answers owe nothing to earlier queries.
+// freshCore returns idx behind a query core of its own — a query view —
+// so its answers owe nothing to earlier queries.
 func freshCore(t *testing.T, idx Index) Index {
 	t.Helper()
-	if six, ok := idx.(*StreamIndex); ok {
-		return newStreamIndex(six.ix)
-	}
-	return idx.(QueryViewer).QueryView()
+	return idx.QueryView()
 }
 
 // cutOwners makes the index's owner table miss the reference of its last

@@ -183,9 +183,6 @@ func MeasureWorkloadCtx(ctx context.Context, idx Index, queries []Query) (Worklo
 // result-count) pair into slot i, so the aggregate is bit-identical for
 // every worker count, including 1; parallelism changes wall clock, never
 // the reported numbers.
-//
-// Indexes that do not implement QueryViewer fall back to the serial
-// MeasureWorkload.
 func MeasureWorkloadParallel(idx Index, queries []Query, workers int) (WorkloadResult, error) {
 	return MeasureWorkloadParallelCtx(context.Background(), idx, queries, workers)
 }
@@ -197,13 +194,12 @@ func MeasureWorkloadParallel(idx Index, queries []Query, workers int) (WorkloadR
 // measurement.
 func MeasureWorkloadParallelCtx(ctx context.Context, idx Index, queries []Query, workers int) (WorkloadResult, error) {
 	workers = parallel.Workers(workers, len(queries))
-	qv, ok := idx.(QueryViewer)
-	if workers <= 1 || !ok {
+	if workers <= 1 {
 		return MeasureWorkloadCtx(ctx, idx, queries)
 	}
 	views := make([]Index, workers)
 	for w := range views {
-		views[w] = qv.QueryView()
+		views[w] = idx.QueryView()
 	}
 	ios := make([]int64, len(queries))
 	counts := make([]int, len(queries))

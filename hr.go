@@ -114,8 +114,8 @@ func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.
 // Tree exposes the underlying overlapping R-tree.
 func (x *HRIndex) Tree() *hrtree.Tree { return x.tree }
 
-// QueryView implements QueryViewer: a read-only view with its own buffer
-// pool over the shared page file, for concurrent query measurement.
+// QueryView implements Index: a read-only view with its own buffer pool
+// over the shared page file.
 func (x *HRIndex) QueryView() Index { return newHRIndex(x.tree.QueryView(), x.owners) }
 
 var _ Index = (*HRIndex)(nil)

@@ -150,17 +150,19 @@ type Index interface {
 	Records() int
 	// Kind names the index implementation: "ppr", "rstar", "hr" or
 	// "stream-ppr" for the structures, and a name of their own for the
-	// wrappers ("sharded", "live"); Synchronized keeps the inner kind.
+	// wrappers ("sharded", "live"). A view has its parent's kind.
 	Kind() string
+	QueryViewer
 }
 
-// QueryViewer is implemented by indexes that can produce independent
-// read-only views of themselves: same pages, same layout, but a private
-// buffer pool (and decode cache) per view over the shared page file. A
-// built index is frozen storage, so any number of views may answer
-// queries concurrently — this is what MeasureWorkloadParallel fans out
-// over. Views must only be used for queries; mutating through a view is a
-// misuse.
+// QueryViewer is the one method by which every index hands out
+// independent read-only views of itself: same pages, same layout, but a
+// private buffer pool (and decode cache) per view over the shared page
+// file. An index is not safe for concurrent use, but any number of views
+// may answer queries concurrently as long as nobody writes the index
+// while a view is open — this is what MeasureWorkloadParallel, the
+// serving sessions and the oracle's diff pass fan out over. Views must
+// only be used for queries; mutating through a view is a misuse.
 type QueryViewer interface {
 	// QueryView returns a new independent read-only view of the index.
 	QueryView() Index
@@ -264,8 +266,8 @@ func (x *PPRIndex) Append(records []Record) error {
 // inspection (validation walks, ephemeral level statistics).
 func (x *PPRIndex) Tree() *pprtree.Tree { return x.tree }
 
-// QueryView implements QueryViewer: a read-only view with its own buffer
-// pool over the shared page file, for concurrent query measurement.
+// QueryView implements Index: a read-only view with its own buffer pool
+// over the shared page file.
 func (x *PPRIndex) QueryView() Index { return newPPRIndex(x.tree.QueryView(), x.owners) }
 
 // RStarOptions configures BuildRStar. The zero value reproduces the
@@ -390,8 +392,8 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 // Tree exposes the underlying R*-tree for advanced inspection.
 func (x *RStarIndex) Tree() *rstar.Tree { return x.slab.Tree }
 
-// QueryView implements QueryViewer: a read-only view with its own buffer
-// pool over the shared page file, for concurrent query measurement.
+// QueryView implements Index: a read-only view with its own buffer pool
+// over the shared page file.
 func (x *RStarIndex) QueryView() Index {
 	return newRStarIndex(x.slab.QueryView(), x.owners, x.slab.scale)
 }

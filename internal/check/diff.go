@@ -150,30 +150,20 @@ func RunDiff(cfg DiffConfig) (DiffReport, error) {
 
 // diffPass compares every query answer against the oracle. Parallelism
 // above 1 partitions the queries across goroutines, each holding its own
-// QueryView (kinds without views — the stream index — share a
-// mutex-synchronized wrapper), so the concurrent traversal, buffer and
-// decode-cache paths are the ones exercised.
+// QueryView, so the concurrent traversal, buffer and decode-cache paths
+// are the ones exercised.
 func diffPass(idx stx.Index, wl *Workload, exp *Expected, parallelism int) error {
 	if parallelism <= 1 {
 		return diffRange(idx, wl, exp, 0, 1)
 	}
-	qv, viewer := idx.(stx.QueryViewer)
-	var shared stx.Index
-	if !viewer {
-		shared = stx.Synchronized(idx)
-	}
 	errs := make([]error, parallelism)
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
-		view := shared
-		if viewer {
-			view = qv.QueryView()
-		}
 		wg.Add(1)
 		go func(w int, view stx.Index) {
 			defer wg.Done()
 			errs[w] = diffRange(view, wl, exp, w, parallelism)
-		}(w, view)
+		}(w, idx.QueryView())
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	stx "stindex"
 
@@ -23,11 +22,10 @@ const shardChunk = 50_000
 // over one dataset, measured with the paper's cold-buffer discipline
 // (buffers reset before every query).
 type ShardRow struct {
-	Objects  int
-	Records  int
-	Shards   int     // built shards (= requested count here)
-	BuildSec float64 // partition + build + save, all shards
-	Pages    int     // total container pages across shards
+	Objects int
+	Records int
+	Shards  int // built shards (= requested count here)
+	Pages   int // total container pages across shards
 	// AvgReads is the average page reads per query across all shards,
 	// cold buffers (the paper's AvgIO discipline, summed over the
 	// fan-out).
@@ -63,8 +61,8 @@ func Shard(cfg Config) ([]ShardRow, error) {
 	}
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	cfg.printf("Sharded serving — scatter-gather fan-out, %d objects (150%% splits, %d-object chunks), cold buffers\n", n, shardChunk)
-	cfg.printf("%8s | %9s %8s | %10s %10s %11s %10s | %8s %9s %9s\n",
-		"shards", "build-s", "pages", "reads/q", "disp/q", "pruned-frac", "results/q",
+	cfg.printf("%8s | %8s | %10s %10s %11s %10s | %8s %9s %9s\n",
+		"shards", "pages", "reads/q", "disp/q", "pruned-frac", "results/q",
 		"1shard-q", "reads/1q", "base/1q")
 
 	records, err := chunkedRandomRecords(cfg, n)
@@ -111,8 +109,8 @@ func Shard(cfg Config) ([]ShardRow, error) {
 			}
 		}
 		rows = append(rows, row)
-		cfg.printf("%8d | %9.1f %8d | %10.1f %10.2f %11.3f %10.1f | %8d %9.1f %9.1f\n",
-			row.Shards, row.BuildSec, row.Pages,
+		cfg.printf("%8d | %8d | %10.1f %10.2f %11.3f %10.1f | %8d %9.1f %9.1f\n",
+			row.Shards, row.Pages,
 			row.AvgReads, row.AvgDispatched, row.PrunedFrac, row.AvgResult,
 			row.SingleShard, row.AvgReadsSingle, row.BaselineSingle)
 	}
@@ -145,7 +143,6 @@ func chunkedRandomRecords(cfg Config, n int) ([]stx.Record, error) {
 // shardOnce builds and measures one shard-count cell, returning the row plus each query's page reads and dispatch width (how
 // many shards the router actually fanned it to).
 func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int) (ShardRow, []int64, []int, error) {
-	start := time.Now()
 	plan, err := sharding.Partition(records, sharding.PlanConfig{Shards: k})
 	if err != nil {
 		return ShardRow{}, nil, nil, err
@@ -154,7 +151,6 @@ func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int) 
 	if _, err := sharding.Build(manifest, plan, sharding.BuildConfig{Kind: "rstar-packed"}); err != nil {
 		return ShardRow{}, nil, nil, err
 	}
-	buildSec := time.Since(start).Seconds()
 
 	sidx, err := sharding.OpenSharded(manifest, stx.OpenOptions{Backend: stx.BackendDisk})
 	if err != nil {
@@ -193,7 +189,6 @@ func shardOnce(dir string, records []stx.Record, queries []stx.Query, n, k int) 
 	row := ShardRow{
 		Objects: n, Records: len(records),
 		Shards:        len(plan.Shards),
-		BuildSec:      buildSec,
 		Pages:         sidx.Pages(),
 		AvgReads:      float64(reads) / nq,
 		AvgDispatched: float64(dispatched) / nq,

@@ -26,16 +26,14 @@ type streamState struct {
 }
 
 // Handle owns the mutable live stream index. One writer goroutine
-// mutates it; any number of query goroutines (the combined Live view)
-// and the freezer read it — all under one mutex, because the stream
-// indexer's query path shares the tree's buffer pool with its write
-// path.
+// mutates it; any number of query goroutines (the views of the combined
+// Live) and the freezer read it — all under one mutex, because the
+// stream indexer's query path shares the tree's buffer pool with its
+// write path. Each query charges its own pool traffic to its view's
+// counter; what the writer and the freezer move stays out.
 type Handle struct {
 	mu sync.Mutex
 	streamState
-	// queryIO sums the pool traffic of the query calls alone; what the
-	// writer and the freezer move through the shared pool stays out.
-	queryIO stx.IOStats
 }
 
 func newHandle(opts stx.StreamOptions) *Handle {
@@ -234,41 +232,33 @@ func (s *streamState) apply(batches [][]Record) error {
 	return nil
 }
 
-// chargeQuery adds the pool traffic since before to the query counter.
-// Query methods defer it under h.mu, so the delta is the query's own.
-func (h *Handle) chargeQuery(before stx.IOStats) {
+// chargeQuery adds the pool traffic since before to the calling view's
+// counter. Query methods defer it under h.mu, so the delta is the query's
+// own and the counter is only ever written under the lock.
+func (h *Handle) chargeQuery(io *stx.IOStats, before stx.IOStats) {
 	after := h.ix.IOStats()
-	h.queryIO.Reads += after.Reads - before.Reads
-	h.queryIO.Writes += after.Writes - before.Writes
-	h.queryIO.Hits += after.Hits - before.Hits
+	io.Reads += after.Reads - before.Reads
+	io.Writes += after.Writes - before.Writes
+	io.Hits += after.Hits - before.Hits
 }
 
-// Snapshot answers an instant query over the full live history.
-func (h *Handle) Snapshot(r stx.Rect, t int64) ([]int64, error) {
+// Range answers an interval query over the full live history, charging
+// its pool traffic to io.
+func (h *Handle) Range(r stx.Rect, iv stx.Interval, io *stx.IOStats) ([]int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.ix == nil {
 		return nil, nil
 	}
-	defer h.chargeQuery(h.ix.IOStats())
-	return h.ix.Snapshot(r, t)
-}
-
-// Range answers an interval query over the full live history.
-func (h *Handle) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.ix == nil {
-		return nil, nil
-	}
-	defer h.chargeQuery(h.ix.IOStats())
+	defer h.chargeQuery(io, h.ix.IOStats())
 	return h.ix.Range(r, iv)
 }
 
-// Nearest answers a kNN query over the full live history. Arguments are
-// validated even on an empty stream, so a malformed query is a client
-// error (400), never a silent empty answer.
-func (h *Handle) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) {
+// Nearest answers a kNN query over the full live history, charging its
+// pool traffic to io. Arguments are validated even on an empty stream,
+// so a malformed query is a client error (400), never a silent empty
+// answer.
+func (h *Handle) Nearest(x, y float64, t int64, k int, io *stx.IOStats) ([]stx.Neighbor, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.ix == nil {
@@ -277,18 +267,19 @@ func (h *Handle) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) {
 		}
 		return nil, nil
 	}
-	defer h.chargeQuery(h.ix.IOStats())
+	defer h.chargeQuery(io, h.ix.IOStats())
 	return h.ix.Nearest(x, y, t, k)
 }
 
-// Trajectory answers a trajectory query over the full live history.
-func (h *Handle) Trajectory(r stx.Rect, iv stx.Interval) ([]stx.TrajectoryHit, error) {
+// Trajectory answers a trajectory query over the full live history,
+// charging its pool traffic to io.
+func (h *Handle) Trajectory(r stx.Rect, iv stx.Interval, io *stx.IOStats) ([]stx.TrajectoryHit, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.ix == nil {
 		return nil, nil
 	}
-	defer h.chargeQuery(h.ix.IOStats())
+	defer h.chargeQuery(io, h.ix.IOStats())
 	return h.ix.Trajectory(r, iv)
 }
 
@@ -318,13 +309,12 @@ func (h *Handle) pagesBytes() (int, int64) {
 	return h.ix.Pages(), h.ix.Bytes()
 }
 
-// ioStats reports the pool traffic of the live index's queries, summed
-// over all readers (sessions sharing the view see each other's, never the
-// writer's).
-func (h *Handle) ioStats() stx.IOStats {
+// locked runs fn under the lock the query methods charge their views'
+// counters under.
+func (h *Handle) locked(fn func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.queryIO
+	fn()
 }
 
 // epoch returns the stream epoch once known.

@@ -22,28 +22,33 @@ import (
 // before the clock), which makes their open-ended frozen form intersect
 // a clipped query exactly when their true form does.
 //
-// Live is safe for concurrent use as-is (the frozen part is wrapped in a
-// mutex, the live part queries under the handle's lock), so QueryView
-// returns the receiver: every session shares one view. Each freeze
-// publishes a fresh Live under the serving name; the registry's
-// refcounted hot-swap retires the old one with zero downtime.
+// Live is an index like any other: the published parent owns the opened
+// container, and every session queries through its own QueryView — a
+// Live that shares the handle and the boundary and whose frozen part is
+// a private view of the container, so each view's IOStats is its own
+// queries' traffic. Each freeze publishes a fresh Live under the serving
+// name; the registry's refcounted hot-swap retires the old one with zero
+// downtime.
 type Live struct {
-	handle    *Handle
-	frozenIdx stx.Index      // the opened container; closed with this Live
-	frozen    *stx.SyncIndex // serialised query access to frozenIdx
-	boundary  int64
-	closed    atomic.Bool
+	handle *Handle
+	// frozen answers the instants before boundary: the opened container
+	// on the parent, a private view of it on a view; nil before the
+	// first freeze.
+	frozen stx.Index
+	// owned is the container the parent closes; nil on views.
+	owned    stx.Index
+	boundary int64
+	// liveIO is the pool traffic of this view's live-tail queries,
+	// written and read under the handle's lock.
+	liveIO stx.IOStats
+	closed atomic.Bool
 }
 
 // NewLive combines the mutable handle with an opened frozen container
 // (nil before the first freeze) whose image covers every instant up to
-// boundary (exclusive).
+// boundary (exclusive). The Live owns the container.
 func NewLive(h *Handle, frozen stx.Index, boundary int64) *Live {
-	l := &Live{handle: h, frozenIdx: frozen, boundary: boundary}
-	if frozen != nil {
-		l.frozen = stx.Synchronized(frozen)
-	}
-	return l
+	return &Live{handle: h, frozen: frozen, owned: frozen, boundary: boundary}
 }
 
 // Snapshot implements stx.Index.
@@ -71,7 +76,7 @@ func (l *Live) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 		liveStart = l.boundary
 	}
 	if liveStart < iv.End {
-		ids, err := l.handle.Range(r, stx.Interval{Start: liveStart, End: iv.End})
+		ids, err := l.handle.Range(r, stx.Interval{Start: liveStart, End: iv.End}, &l.liveIO)
 		if err != nil {
 			return nil, err
 		}
@@ -87,41 +92,40 @@ func (l *Live) Range(r stx.Rect, iv stx.Interval) ([]int64, error) {
 // across the boundary would double-count pieces that span it, since the
 // frozen image stores them in boundary-clipped form.
 func (l *Live) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) {
-	return l.handle.Nearest(x, y, t, k)
+	return l.handle.Nearest(x, y, t, k, &l.liveIO)
 }
 
 // Trajectory implements stx.Index; see Nearest for why it queries the
 // live index directly.
 func (l *Live) Trajectory(r stx.Rect, iv stx.Interval) ([]stx.TrajectoryHit, error) {
-	return l.handle.Trajectory(r, iv)
+	return l.handle.Trajectory(r, iv, &l.liveIO)
 }
 
-// ResetBuffer implements stx.Index for the frozen part only; the live
-// tail's pool is shared with the ingest path and is not a per-view
-// resource.
+// ResetBuffer implements stx.Index: it empties the frozen part's pool
+// and zeroes both counters. The live tail's pool is shared with the
+// ingest path and is not a per-view resource, so it stays warm.
 func (l *Live) ResetBuffer() {
 	if l.frozen != nil {
 		l.frozen.ResetBuffer()
 	}
+	l.handle.locked(func() { l.liveIO = stx.IOStats{} })
 }
 
-// IOStats implements stx.Index: frozen-part traffic plus what the live
-// tail's queries moved through its pool. The ingest writer and the
-// freezer share that pool, and their traffic is not a query's: it is left
-// out, so the delta a session takes around a query is the query's own
-// (plus, as for any view shared between sessions, concurrent queries').
+// IOStats implements stx.Index: the frozen part's traffic plus what this
+// view's live-tail queries moved through the shared pool. The ingest
+// writer, the freezer and other views share that pool, and their traffic
+// is not this view's: it is left out, so the delta a session takes
+// around a query is the query's own.
 func (l *Live) IOStats() stx.IOStats {
 	var st stx.IOStats
 	if l.frozen != nil {
-		fs := l.frozen.IOStats()
-		st.Reads += fs.Reads
-		st.Writes += fs.Writes
-		st.Hits += fs.Hits
+		st = l.frozen.IOStats()
 	}
-	hs := l.handle.ioStats()
-	st.Reads += hs.Reads
-	st.Writes += hs.Writes
-	st.Hits += hs.Hits
+	l.handle.locked(func() {
+		st.Reads += l.liveIO.Reads
+		st.Writes += l.liveIO.Writes
+		st.Hits += l.liveIO.Hits
+	})
 	return st
 }
 
@@ -153,27 +157,29 @@ func (l *Live) Records() int {
 // Kind implements stx.Index.
 func (l *Live) Kind() string { return "live" }
 
-// QueryView implements stx.QueryViewer. Live is internally synchronised,
-// so all sessions share the receiver.
-func (l *Live) QueryView() stx.Index { return l }
+// QueryView implements stx.Index: a Live over the same handle and
+// boundary whose frozen part is a private view of the container. The
+// view owns nothing, so its Close does nothing.
+func (l *Live) QueryView() stx.Index {
+	v := &Live{handle: l.handle, boundary: l.boundary}
+	if l.frozen != nil {
+		v.frozen = l.frozen.QueryView()
+	}
+	return v
+}
 
 // Boundary returns the freeze-boundary instant (0 before any freeze).
 func (l *Live) Boundary() int64 { return l.boundary }
 
-// Close releases the frozen container. The registry calls it when the
-// snapshot generation retires after its last lease drains; the shared
-// handle is owned by the Ingester and unaffected.
+// Close releases the frozen container the parent owns, once; on a view
+// it does nothing. The registry calls it when the snapshot generation
+// retires after its last lease drains; the shared handle is owned by the
+// Ingester and unaffected.
 func (l *Live) Close() error {
-	if !l.closed.CompareAndSwap(false, true) {
+	if l.owned == nil || !l.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if l.frozenIdx != nil {
-		return stx.CloseIndex(l.frozenIdx)
-	}
-	return nil
+	return stx.CloseIndex(l.owned)
 }
 
-var (
-	_ stx.Index       = (*Live)(nil)
-	_ stx.QueryViewer = (*Live)(nil)
-)
+var _ stx.Index = (*Live)(nil)

@@ -82,9 +82,6 @@ type Snapshot struct {
 	gen  uint64 // registry-wide unique; bumped on every load/swap
 	path string // source container, "" for Publish
 	idx  stx.Index
-	// shared serialises queries for index kinds that cannot produce
-	// per-worker views (no QueryViewer); nil otherwise.
-	shared *stx.SyncIndex
 	// refs counts the registry's own reference plus one per live lease;
 	// the container closes when it reaches zero.
 	refs    atomic.Int64
@@ -143,17 +140,12 @@ func (l *Lease) Snapshot() *Snapshot { return l.snap }
 // treat it as read-only and must not retain it past Release.
 func (l *Lease) Index() stx.Index { return l.snap.idx }
 
-// View returns an index through which this lease's holder may query: a
-// private read-only view (own buffer pool and decode cache over the
-// shared frozen store) when the kind supports it, else the snapshot's
-// mutex-guarded shared wrapper. The view must not outlive the snapshot's
-// generation — cache it keyed by (name, gen), as Session does.
-func (l *Lease) View() stx.Index {
-	if qv, ok := l.snap.idx.(stx.QueryViewer); ok {
-		return qv.QueryView()
-	}
-	return l.snap.shared
-}
+// View returns a private read-only view through which this lease's
+// holder may query: its own buffer pool and decode cache over the
+// snapshot's shared frozen store. The view must not outlive the
+// snapshot's generation — cache it keyed by (name, gen), as Session
+// does.
+func (l *Lease) View() stx.Index { return l.snap.idx.QueryView() }
 
 // Release returns the lease's reference. The error is non-nil only when
 // this release was the one that closed a retired snapshot's container
@@ -276,9 +268,6 @@ func (r *Registry) install(name, path string, idx stx.Index, gen uint64, cstats 
 	}
 	if cstats != nil {
 		snap.cache = r.cache
-	}
-	if _, ok := idx.(stx.QueryViewer); !ok {
-		snap.shared = stx.Synchronized(idx)
 	}
 	snap.refs.Store(1) // the registry's reference
 	r.mu.Lock()

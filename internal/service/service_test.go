@@ -339,6 +339,7 @@ func (g *gateIndex) Pages() int           { return 1 }
 func (g *gateIndex) Bytes() int64         { return 1 }
 func (g *gateIndex) Records() int         { return 1 }
 func (g *gateIndex) Kind() string         { return "gate" }
+func (g *gateIndex) QueryView() stx.Index { return g }
 
 func snapshotQuery() stx.Query {
 	return stx.Query{

@@ -53,9 +53,9 @@ type Result struct {
 	// (Kind == stx.KindTrajectory only).
 	Trajectories []stx.TrajectoryHit
 	// IO is the number of disk accesses this query cost through the
-	// session's warm buffer pool. For snapshot kinds without per-worker
-	// views (no QueryViewer — e.g. stream indexes) concurrent queries
-	// share one pool and IO is only an approximation.
+	// session's warm buffer pool. On a live name the live tail's pool is
+	// shared with the ingest writer and other sessions, but IO counts
+	// only this query's own misses in it.
 	IO int64
 	// Snapshot and Gen identify which snapshot (and which generation of
 	// it, across hot-swaps) answered.

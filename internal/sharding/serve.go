@@ -21,10 +21,9 @@ import (
 // result set is never returned (internal/check's sharded fault pass
 // proves it).
 //
-// Sharded implements stx.Index and stx.QueryViewer, so the serving
-// registry handles it exactly like a single container: per-worker views
-// (each holding private views of every shard), lease refcounts,
-// hot-swap. Pruning and dispatch counters are shared between the parent
+// Sharded implements stx.Index, so the serving registry handles it
+// exactly like a single container: per-worker views (each holding
+// private views of every shard), lease refcounts, hot-swap. Pruning and dispatch counters are shared between the parent
 // and all its views — they are per-shard serving totals, surfaced in
 // /metrics.
 type Sharded struct {
@@ -99,14 +98,8 @@ func OpenShardedPerShard(path string, optsFor func(shard int) stx.OpenOptions) (
 			return nil, fmt.Errorf("sharding: opening shard %d (%s): %w", i, info.Path, err)
 		}
 		s.owned = append(s.owned, idx)
-		view := idx
-		if _, ok := idx.(stx.QueryViewer); !ok {
-			// No per-worker views for this kind: every view of the
-			// snapshot shares one synchronized wrapper.
-			view = stx.Synchronized(idx)
-		}
 		s.shards = append(s.shards, shardRef{
-			idx:      view,
+			idx:      idx,
 			rect:     info.Rect,
 			interval: info.Interval,
 			stats:    &shardCounters{},
@@ -123,9 +116,8 @@ func OpenShardedPerShard(path string, optsFor func(shard int) stx.OpenOptions) (
 func (s *Sharded) Manifest() *Manifest { return s.man }
 
 // ShardIndexes returns the underlying shard containers in manifest
-// order, unwrapped (no synchronization) — for structural checks on the
-// parent snapshot; views own no containers and return nil. Treat the
-// indexes as read-only.
+// order — for structural checks on the parent snapshot; views own no
+// containers and return nil. Treat the indexes as read-only.
 func (s *Sharded) ShardIndexes() []stx.Index {
 	return s.owned
 }
@@ -348,19 +340,14 @@ func (s *Sharded) Records() int {
 // Kind implements stx.Index.
 func (s *Sharded) Kind() string { return "sharded" }
 
-// QueryView implements stx.QueryViewer: a view holds a private view of
-// every shard (kinds without views share the snapshot's synchronized
-// wrapper) and the parent's shared counters, so any number of sessions
-// can scatter-gather concurrently over the frozen shard stores.
+// QueryView implements stx.Index: a view holds a private view of every
+// shard and the parent's shared counters, so any number of sessions can
+// scatter-gather concurrently over the frozen shard stores.
 func (s *Sharded) QueryView() stx.Index {
 	v := &Sharded{man: s.man, queries: s.queries, fanout: s.fanout}
 	v.shards = make([]shardRef, len(s.shards))
 	for i, sh := range s.shards {
-		view := sh.idx
-		if qv, ok := sh.idx.(stx.QueryViewer); ok {
-			view = qv.QueryView()
-		}
-		v.shards[i] = shardRef{idx: view, rect: sh.rect, interval: sh.interval, stats: sh.stats}
+		v.shards[i] = shardRef{idx: sh.idx.QueryView(), rect: sh.rect, interval: sh.interval, stats: sh.stats}
 	}
 	return v
 }
@@ -378,7 +365,4 @@ func (s *Sharded) Close() error {
 	return s.closeErr
 }
 
-var (
-	_ stx.Index       = (*Sharded)(nil)
-	_ stx.QueryViewer = (*Sharded)(nil)
-)
+var _ stx.Index = (*Sharded)(nil)

@@ -133,23 +133,3 @@ func TestMeasureWorkloadParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// opaqueIndex hides the QueryViewer implementation, forcing the serial
-// fallback path.
-type opaqueIndex struct{ Index }
-
-func TestMeasureWorkloadParallelFallback(t *testing.T) {
-	ppr, _, _ := goldenWorkload(t)
-	qs := goldenQueries(t, QuerySnapshotMixed)[:50]
-	want, err := MeasureWorkload(ppr, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MeasureWorkloadParallel(opaqueIndex{ppr}, qs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("fallback: %+v, want %+v", got, want)
-	}
-}

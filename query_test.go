@@ -305,11 +305,6 @@ func TestKNNValidation(t *testing.T) {
 			}
 		}
 	}
-	// The wrapper validates too.
-	sync := Synchronized(kinds[0].idx)
-	if _, err := sync.Nearest(math.NaN(), 0, 0, 1); !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("SyncIndex: got %v, want ErrBadQuery", err)
-	}
 }
 
 // TestQueryViewKNNAgreement proves per-goroutine query views answer the
@@ -319,11 +314,7 @@ func TestQueryViewKNNAgreement(t *testing.T) {
 	objs := genObjects(t, 120, 11)
 	kinds := buildQueryTestKinds(t, objs)
 	for _, kind := range kinds {
-		qv, ok := kind.idx.(QueryViewer)
-		if !ok {
-			continue
-		}
-		view := qv.QueryView()
+		view := kind.idx.QueryView()
 		for _, at := range []int64{0, 250, 750} {
 			want, err := kind.idx.Nearest(0.4, 0.6, at, 9)
 			if err != nil {

@@ -10,7 +10,8 @@
 # then runs the live-ingestion crash drill: stream observations into a
 # WAL-backed server, freeze mid-stream, record the live answers, kill -9,
 # restart over the same journal and require the replayed answers to be
-# identical. Exits non-zero on any failure. Used by CI; runnable locally:
+# identical, then serve the final freeze as a plain snapshot and require
+# the same answers from it. Exits non-zero on any failure. Used by CI; runnable locally:
 #
 #   ./scripts/smoke_stserve.sh
 set -euo pipefail
@@ -213,5 +214,20 @@ if [ "$SMOKE_INGEST" = "1" ]; then
   wait "$serve_pid" 2>/dev/null || true
   serve_pid=""
   grep -q "bye" "$workdir/ingest2.log" || { echo "no graceful exit line"; cat "$workdir/ingest2.log"; exit 1; }
+
+  # The final freeze holds the whole stream, so served as a plain
+  # snapshot — a stream container queried through per-worker views —
+  # it must give the recorded live answers too.
+  frozen=$(ls "$workdir/journal"/freeze-*.sti | sort | tail -n 1)
+  echo "== serving the final freeze $(basename "$frozen") as a plain snapshot"
+  "$workdir/stserve" -listen "$ADDR" -workers 4 -load "frozen=$frozen" \
+    2>"$workdir/frozen.log" &
+  serve_pid=$!
+  wait_up "$workdir/frozen.log"
+  go run ./scripts/comparesnaps -replay "$workdir/answers.json" "http://$ADDR" frozen 80
+  kill -TERM "$serve_pid"
+  wait "$serve_pid" 2>/dev/null || true
+  serve_pid=""
+  grep -q "bye" "$workdir/frozen.log" || { echo "no graceful exit line"; cat "$workdir/frozen.log"; exit 1; }
 fi
 echo "SMOKE OK"

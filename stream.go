@@ -149,8 +149,19 @@ func (s *StreamIndex) PieceRecords() ([]Record, error) {
 	return out, nil
 }
 
-// StreamIndex satisfies Index, so the measurement helpers and wrappers
-// (MeasureWorkload, Synchronized) work on it too.
+// QueryView implements Index: a read-only view of the tree as it stands,
+// with its own buffer pool over the shared page file and the indexer's
+// owner table. Writing the stream while a view is open is a misuse, as
+// for every index.
+func (s *StreamIndex) QueryView() Index {
+	return &StreamIndex{
+		treeIndex: treeIndex{search: s.ix.Tree().QueryView(), owners: s.ix.Owners(), kind: "stream-ppr"},
+		ix:        s.ix,
+	}
+}
+
+// StreamIndex satisfies Index, so the measurement helpers and the
+// serving layer work on it too.
 var _ Index = (*StreamIndex)(nil)
 
 // CalibrateLambda finds, by bisection on a sample of the objects, a
