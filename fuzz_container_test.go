@@ -14,7 +14,8 @@ import (
 
 // containerSeeds encodes one valid STIC container per index kind and
 // page codec, plus the legacy containers under testdata (among them a
-// version-1 identity container) — the corpus both fuzz targets mutate.
+// version-1 identity container) — the corpus every container fuzz
+// target mutates.
 func containerSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	wl, err := check.GenerateWorkload(60, 200, 19, 4)
@@ -35,10 +36,11 @@ func containerSeeds(f *testing.F) [][]byte {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
-	// Containers written before this codec stopped producing delta pages
-	// and before hr and hybrid stopped being persisted (the decode-only
-	// and refusal paths), and a version-1 container, which has a zero
-	// where the codec byte sits and opens through the identity codec.
+	// Containers written before the codec stopped producing delta pages
+	// and before hr and hybrid stopped being persisted (the refusal
+	// paths), the identity twin of the delta one, and a version-1 container,
+	// which has a zero where the codec byte sits and opens through the
+	// identity codec.
 	legacy, err := filepath.Glob(filepath.Join("testdata", "*.sti"))
 	if err != nil || len(legacy) == 0 {
 		f.Fatalf("no legacy containers under testdata: %v", err)
@@ -106,6 +108,14 @@ func openMutated(t *testing.T, data []byte) {
 	if err := stx.CloseIndex(idx); err != nil {
 		t.Errorf("closing opened container: %v", err)
 	}
+}
+
+// FuzzOpenIndex opens arbitrary mutations of a valid container.
+func FuzzOpenIndex(f *testing.F) {
+	for _, seed := range containerSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(openMutated)
 }
 
 // FuzzOpenIndexTruncated feeds OpenIndex every prefix of a valid

@@ -14,6 +14,7 @@ import (
 
 	"stindex/internal/check"
 	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 	"stindex/internal/service"
 )
 
@@ -486,6 +487,31 @@ func TestRecoverLambdaConflict(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: dir, Lambda: testLambda * 3, Tree: testStreamOptions().PPR}); err == nil {
 		t.Fatal("Open accepted a conflicting lambda")
+	}
+}
+
+// TestRecoverRefusesRetiredPageMode recovers a journal directory whose
+// CURRENT names a freeze container written before the compressed codec
+// stopped producing delta pages: recovery decodes every page of the
+// snapshot, so it fails with pagefile.ErrRetiredPageMode.
+func TestRecoverRefusesRetiredPageMode(t *testing.T) {
+	image, err := os.ReadFile(filepath.Join("..", "..", "testdata", "stream-delta-compressed.sti"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const name = "freeze-0000000000000001.sti"
+	if err := os.WriteFile(filepath.Join(dir, name), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCurrent(dir, currentState{Container: name, Seq: 1, MaxT: 45, Lambda: testLambda}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Recover(dir, RecoverOptions{Tree: testStreamOptions().PPR}); !errors.Is(err, pagefile.ErrRetiredPageMode) {
+		if err == nil {
+			rec.WAL.Close()
+		}
+		t.Fatalf("Recover says %v, want ErrRetiredPageMode", err)
 	}
 }
 

@@ -3,11 +3,13 @@ package pagefile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -312,10 +314,9 @@ func TestCompressedRejectsCorruptExtent(t *testing.T) {
 	}
 }
 
-// testEncodeDelta hand-builds a delta-mode page against base: entries
-// found in the base image become copy ops, the rest literals. The
-// encoder no longer writes this mode; containers from before it stopped
-// hold such pages, so the decoder is tested against it.
+// testEncodeDelta hand-builds a page in the retired delta mode against
+// base: entries found in the base image become copy ops, the rest
+// literals — the bytes an older encoder wrote, which the reader refuses.
 func testEncodeDelta(page []byte, base uint32, baseImg []byte, sp layoutSpec) []byte {
 	count, _ := parsePage(page, sp)
 	baseCount, _ := parsePage(baseImg, sp)
@@ -359,13 +360,11 @@ func testExtent(pageSize int, layout Layout, encs [][]byte) []byte {
 	return out
 }
 
-// TestCompressedReadsLegacyModes covers the two read-only modes from
-// hand-built extents: a delta and a dup page against a struct base decode
-// to the original images through every open flavour, and a delta or dup
-// page that names a delta or dup base — a chain — is rejected fail-stop,
-// by the materialising open and by a lazy flavour's read of that page,
-// with no per-page mode directory to consult.
-func TestCompressedReadsLegacyModes(t *testing.T) {
+// TestCompressedRefusesRetiredModes reads a hand-built extent of a
+// struct page and a delta and a dup page on it: the lazy flavours open it
+// and read the struct page, and fail each retired page with
+// ErrRetiredPageMode; the materialising open fails with it.
+func TestCompressedRefusesRetiredModes(t *testing.T) {
 	const pageSize = 1024
 	for _, layout := range []Layout{LayoutPPR, LayoutRStar} {
 		sp, _ := cpSpec(layout, pageSize)
@@ -379,68 +378,44 @@ func TestCompressedReadsLegacyModes(t *testing.T) {
 		if baseEnc[0] != cpModeStruct {
 			t.Fatalf("layout %d: base page encoded in mode %#x, want struct", layout, baseEnc[0])
 		}
-		deltaEnc := testEncodeDelta(nearCopy, 0, basePage, sp)
-		dupEnc := []byte{cpModeDup, 0}
-		want := [][]byte{basePage, nearCopy, basePage}
-
-		valid := testExtent(pageSize, layout, [][]byte{baseEnc, deltaEnc, dupEnc})
-		got := make([]byte, pageSize)
-		checkPages := func(s Store, label string) {
-			t.Helper()
-			for id, img := range want {
-				if err := s.ReadPage(PageID(id), got); err != nil {
-					t.Fatalf("layout %d, %s: page %d: %v", layout, label, id, err)
-				}
-				if !bytes.Equal(got, img) {
-					t.Fatalf("layout %d, %s: page %d decoded wrong", layout, label, id)
-				}
-			}
+		extent := testExtent(pageSize, layout, [][]byte{baseEnc, testEncodeDelta(nearCopy, 0, basePage, sp), {cpModeDup, 0}})
+		path := filepath.Join(t.TempDir(), "extent")
+		if err := os.WriteFile(path, extent, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		openExtent := func(encoded []byte, flavour Backend) (Store, error) {
-			t.Helper()
-			path := filepath.Join(t.TempDir(), "extent")
-			if err := os.WriteFile(path, encoded, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			file, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { file.Close() })
-			s, _, err := CodecCompressed.OpenExtent(file, 0, int64(len(encoded)), flavour)
-			return s, err
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer file.Close()
 		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			s, err := openExtent(valid, flavour)
+			s, _, err := CodecCompressed.OpenExtent(file, 0, int64(len(extent)), flavour)
+			if flavour == BackendMemory {
+				if !errors.Is(err, ErrRetiredPageMode) {
+					t.Fatalf("layout %d: materialising open says %v, want ErrRetiredPageMode", layout, err)
+				}
+				continue
+			}
 			if err != nil {
-				t.Fatalf("layout %d, flavour %s: %v", layout, flavour, err)
+				t.Fatalf("layout %d, flavour %s: lazy open reads no page, got %v", layout, flavour, err)
 			}
-			checkPages(s, string(flavour))
+			got := make([]byte, pageSize)
+			if err := s.ReadPage(0, got); err != nil || !bytes.Equal(got, basePage) {
+				t.Fatalf("layout %d, flavour %s: struct page: %v", layout, flavour, err)
+			}
+			for id, mode := range map[PageID]string{1: "delta", 2: "dup"} {
+				err := s.ReadPage(id, got)
+				if !errors.Is(err, ErrRetiredPageMode) {
+					t.Fatalf("layout %d, flavour %s: page %d says %v, want ErrRetiredPageMode", layout, flavour, id, err)
+				}
+				// The error names the page and its mode, and the remedy.
+				for _, part := range []string{fmt.Sprintf("page %d is a %s page", id, mode), "stquery -load OLD -save NEW"} {
+					if !strings.Contains(err.Error(), part) {
+						t.Fatalf("layout %d, flavour %s: error %q does not say %q", layout, flavour, err, part)
+					}
+				}
+			}
 			s.Close()
-		}
-
-		// Chains: page 3 names page 1 (delta) or page 2 (dup) as its base.
-		for name, enc := range map[string][]byte{
-			"delta-on-delta": testEncodeDelta(nearCopy, 1, nearCopy, sp),
-			"delta-on-dup":   testEncodeDelta(basePage, 2, basePage, sp),
-			"dup-on-delta":   {cpModeDup, 1},
-			"dup-on-dup":     {cpModeDup, 2},
-		} {
-			chained := testExtent(pageSize, layout, [][]byte{baseEnc, deltaEnc, dupEnc, enc})
-			if _, err := openExtent(chained, BackendMemory); err == nil {
-				t.Fatalf("layout %d: materialising open accepted a %s chain", layout, name)
-			}
-			for _, flavour := range []Backend{BackendDisk, BackendMmap} {
-				s, err := openExtent(chained, flavour)
-				if err != nil {
-					t.Fatalf("layout %d, flavour %s: lazy open reads no page, got %v", layout, flavour, err)
-				}
-				checkPages(s, string(flavour))
-				if err := s.ReadPage(3, got); err == nil {
-					t.Fatalf("layout %d, flavour %s: ReadPage accepted a %s chain", layout, flavour, name)
-				}
-				s.Close()
-			}
 		}
 	}
 }
@@ -500,31 +475,14 @@ func refDecodeEntry(r *cpReader, dst []byte, off, prevOff int, sp layoutSpec) {
 	binary.LittleEndian.PutUint64(dst[off+cpRefOff:], prevRef+uint64(unzigzag(r.uvarint())))
 }
 
-// refDecodeStruct is the reference decoder of the two modes that hold
-// struct-coded entries (struct, and delta's literal entries): the whole
+// refDecodeStruct is the reference decoder of the struct mode: the whole
 // frame cleared first, then the header and refDecodeEntry per entry. enc
-// must start with one of those two mode bytes.
-func refDecodeStruct(enc, dst []byte, sp layoutSpec, structOK bool, id uint32, fetchBase func(uint32) ([]byte, error)) error {
+// must start with the struct mode byte.
+func refDecodeStruct(enc, dst []byte, sp layoutSpec, structOK bool, id uint32) error {
 	if !structOK {
-		return fmt.Errorf("struct-coded page %d in opaque extent", id)
+		return fmt.Errorf("struct page %d in opaque extent", id)
 	}
 	r := &cpReader{b: enc, off: 1}
-	var img []byte
-	baseCount := 0
-	if enc[0] == cpModeDelta {
-		base := r.uvarint()
-		if r.err || base >= uint64(id) {
-			return fmt.Errorf("corrupt delta page %d", id)
-		}
-		var err error
-		if img, err = fetchBase(uint32(base)); err != nil {
-			return err
-		}
-		var ok bool
-		if baseCount, ok = parsePage(img, sp); !ok {
-			return fmt.Errorf("base %d not structured", base)
-		}
-	}
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -546,20 +504,7 @@ func refDecodeStruct(enc, dst []byte, sp layoutSpec, structOK bool, id uint32, f
 	prev := -1
 	for i := 0; i < int(c); i++ {
 		off := sp.hdr + i*sp.entry
-		op := uint64(0)
-		if img != nil {
-			op = r.uvarint()
-		}
-		if op == 0 {
-			refDecodeEntry(r, dst, off, prev, sp)
-		} else {
-			k := int(op - 1)
-			if k >= baseCount {
-				return fmt.Errorf("entry op %d beyond base count %d", op, baseCount)
-			}
-			bOff := sp.hdr + k*sp.entry
-			copy(dst[off:off+sp.entry], img[bOff:bOff+sp.entry])
-		}
+		refDecodeEntry(r, dst, off, prev, sp)
 		prev = off
 	}
 	if !r.done() {
@@ -574,7 +519,6 @@ func staleFrame() []byte { return bytes.Repeat([]byte{0xAA}, DefaultPageSize) }
 // still holds another page's bytes — what a buffer pool hands the decoder
 // — and expects the source image back, tail and header padding included.
 func TestStructRoundTripStaleFrame(t *testing.T) {
-	noBase := func(uint32) ([]byte, error) { return nil, ErrBadPage }
 	for _, layout := range []Layout{LayoutPPR, LayoutRStar} {
 		sp, _ := cpSpec(layout, DefaultPageSize)
 		rng := rand.New(rand.NewSource(int64(layout)))
@@ -583,7 +527,7 @@ func TestStructRoundTripStaleFrame(t *testing.T) {
 			writeLayoutPage(page, layout, count, count%2 == 1, rng)
 			enc := cpEncodeStruct(nil, page, count, sp)
 			got := staleFrame()
-			if err := cpDecodePage(enc, got, sp, true, 0, noBase); err != nil {
+			if err := cpDecodePage(enc, got, sp, true, 0); err != nil {
 				t.Fatalf("layout %d, %d entries: %v", layout, count, err)
 			}
 			if !bytes.Equal(got, page) {
@@ -596,9 +540,10 @@ func TestStructRoundTripStaleFrame(t *testing.T) {
 // FuzzDecodePage drives the single-page decompressor with arbitrary
 // bytes under every layout. The decoder must never panic and never
 // allocate beyond its fixed page-size buffers, no matter what the
-// encoded lengths claim; and on the modes that hold struct-coded entries
-// it must agree with refDecodeStruct — on accept or reject, and on every
-// byte of an accepted page — over a frame that starts out dirty.
+// encoded lengths claim; it must refuse every page in a retired mode
+// with ErrRetiredPageMode; and on struct pages it must agree with
+// refDecodeStruct — on accept or reject, and on every byte of an
+// accepted page — over a frame that starts out dirty.
 func FuzzDecodePage(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	basePage := make([]byte, DefaultPageSize)
@@ -639,37 +584,40 @@ func FuzzDecodePage(f *testing.F) {
 		f.Add(byte(layout), one)
 		f.Add(byte(layout), one[:len(one)-1])
 	}
-	// The read-only modes: a dup, a truncated delta, and a delta of the
-	// fuzz target's own base page (a near-copy resolved against base 2).
+	// The retired modes: a dup, a truncated delta, and a delta of a
+	// near-copy of a base page.
 	f.Add(byte(LayoutOpaque), []byte{cpModeDup, 2})
 	f.Add(byte(LayoutPPR), []byte{cpModeDelta, 1, 0, 3})
 	nearCopy := append([]byte(nil), basePage...)
 	mutateEntries(nearCopy, LayoutPPR, 2, rng)
 	ppr, _ := specFor(LayoutPPR)
 	f.Add(byte(LayoutPPR), testEncodeDelta(nearCopy, 2, basePage, ppr))
-	fetch := func(base uint32) ([]byte, error) {
-		if base%2 == 0 {
-			return basePage, nil
-		}
-		return nil, ErrBadPage
-	}
+	// A raw page under the opaque layout, whose extents hold no other mode.
+	f.Add(byte(LayoutOpaque), cpEncodeRaw(nil, basePage))
 	f.Fuzz(func(t *testing.T, layoutByte byte, data []byte) {
 		// Both structured layouts on every input; the byte adds the opaque
 		// and unknown ones.
 		for _, layout := range []Layout{LayoutPPR, LayoutRStar, Layout(layoutByte % 4)} {
 			sp, ok := cpSpec(layout, DefaultPageSize)
 			got := staleFrame()
-			err := cpDecodePage(data, got, sp, ok, 7, fetch)
-			if len(data) == 0 || (data[0] != cpModeStruct && data[0] != cpModeDelta) {
+			err := cpDecodePage(data, got, sp, ok, 7)
+			if len(data) == 0 {
 				continue
 			}
-			want := staleFrame()
-			refErr := refDecodeStruct(data, want, sp, ok, 7, fetch)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("layout %d: decoder says %v, reference says %v", layout, err, refErr)
-			}
-			if err == nil && !bytes.Equal(got, want) {
-				t.Fatalf("layout %d: accepted page differs from the reference's", layout)
+			switch data[0] {
+			case cpModeDelta, cpModeDup:
+				if !errors.Is(err, ErrRetiredPageMode) {
+					t.Fatalf("layout %d: retired mode %#x says %v, want ErrRetiredPageMode", layout, data[0], err)
+				}
+			case cpModeStruct:
+				want := staleFrame()
+				refErr := refDecodeStruct(data, want, sp, ok, 7)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("layout %d: decoder says %v, reference says %v", layout, err, refErr)
+				}
+				if err == nil && !bytes.Equal(got, want) {
+					t.Fatalf("layout %d: accepted page differs from the reference's", layout)
+				}
 			}
 		}
 	})

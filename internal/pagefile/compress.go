@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,35 +40,33 @@ import (
 //	             nibble-packed significant-byte lengths, zigzag-varint
 //	             interval deltas (with the open-ended sentinel folded to
 //	             one byte) and zigzag-varint reference deltas.
-//	0x02 delta:  uvarint base page id (an earlier raw/struct page), then
-//	             the struct header and, per entry, uvarint op: op ≥ 1
-//	             copies base entry op-1 verbatim; op 0 is followed by a
-//	             literal entry in the struct encoding.
-//	0x03 dup:    uvarint base page id — this page is byte-identical to
-//	             that (raw/struct) page.
 //
-// The encoder writes raw and struct only: it decode-verifies the struct
-// candidate against the original image and keeps the smaller of the two,
-// so compression is a pure size optimisation, lossless for arbitrary
-// page content under any layout hint. Delta and dup are read-only modes:
-// containers written before the encoder stopped producing them (freeze
-// containers in an ingest journal, streamed PPR snapshots) still hold
-// such pages and must reopen. Their bases are always earlier, non-delta
-// pages, so decode needs at most one level of base resolution and
-// corrupt chains are rejected.
+// The encoder decode-verifies the struct candidate against the original
+// image and keeps the smaller of the two, so compression is a pure size
+// optimisation, lossless for arbitrary page content under any layout
+// hint.
+//
+// Modes 0x02 (delta) and 0x03 (dup) named an earlier page as their base.
+// Only older encoders wrote them; the reader refuses them with
+// ErrRetiredPageMode. Any other mode byte is corrupt.
 const (
 	cpMagic      = "STPC"
 	cpVersion    = 1
 	cpHeaderSize = 4 + 4 + 4 + 4 + 4 + 4
 )
 
-// Page encoding modes.
+// Page encoding modes; delta and dup are retired.
 const (
 	cpModeRaw    byte = 0x00
 	cpModeStruct byte = 0x01
 	cpModeDelta  byte = 0x02
 	cpModeDup    byte = 0x03
 )
+
+// ErrRetiredPageMode is returned for a page written in a mode the reader
+// no longer decodes. The file opens again once re-saved by a build that
+// still reads the mode.
+var ErrRetiredPageMode = errors.New("pagefile: retired page encoding mode")
 
 // cpNowSentinel mirrors geom.Now, the "still alive" timestamp of
 // open-ended intervals; it appears in most live PPR entries and in open
@@ -526,10 +525,8 @@ func cpEncodeStruct(dst []byte, page []byte, count int, sp layoutSpec) []byte {
 }
 
 // cpDecodePage decodes one encoded page into dst (exactly pageSize
-// bytes, any content — it is fully overwritten). fetchBase returns the
-// decoded raw image of an earlier, non-delta page for the delta and dup
-// modes; it enforces base validity for its own context.
-func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint32, fetchBase func(base uint32) ([]byte, error)) error {
+// bytes, any content — it is fully overwritten).
+func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint32) error {
 	if len(enc) == 0 {
 		return fmt.Errorf("pagefile: empty encoded page %d", id)
 	}
@@ -566,61 +563,13 @@ func cpDecodePage(enc []byte, dst []byte, sp layoutSpec, structOK bool, id uint3
 		}
 		clear(dst[sp.hdr+count*sp.entry:])
 		return nil
-	case cpModeDup:
-		base := r.uvarint()
-		if r.err || !r.done() || base >= uint64(id) {
-			return fmt.Errorf("pagefile: corrupt dup page %d", id)
+	case cpModeDelta, cpModeDup:
+		name := "delta"
+		if enc[0] == cpModeDup {
+			name = "dup"
 		}
-		img, err := fetchBase(uint32(base))
-		if err != nil {
-			return fmt.Errorf("pagefile: dup page %d: %w", id, err)
-		}
-		copy(dst, img)
-		return nil
-	case cpModeDelta:
-		if !structOK {
-			return fmt.Errorf("pagefile: delta page %d in opaque extent", id)
-		}
-		base := r.uvarint()
-		if r.err || base >= uint64(id) {
-			return fmt.Errorf("pagefile: corrupt delta page %d", id)
-		}
-		img, err := fetchBase(uint32(base))
-		if err != nil {
-			return fmt.Errorf("pagefile: delta page %d: %w", id, err)
-		}
-		baseCount, ok := parsePage(img, sp)
-		if !ok {
-			return fmt.Errorf("pagefile: delta page %d: base %d not structured", id, base)
-		}
-		count, ok := decodeStructHeader(r, dst, sp)
-		if !ok {
-			return fmt.Errorf("pagefile: corrupt delta page %d", id)
-		}
-		prev := -1
-		for i := 0; i < count; i++ {
-			off := sp.hdr + i*sp.entry
-			op := r.uvarint()
-			if r.err {
-				return fmt.Errorf("pagefile: corrupt delta page %d", id)
-			}
-			if op == 0 {
-				decodeEntry(r, dst, off, prev, sp)
-			} else {
-				k := int(op - 1)
-				if k >= baseCount {
-					return fmt.Errorf("pagefile: delta page %d: entry op %d beyond base count %d", id, op, baseCount)
-				}
-				bOff := sp.hdr + k*sp.entry
-				copy(dst[off:off+sp.entry], img[bOff:bOff+sp.entry])
-			}
-			prev = off
-		}
-		if !r.done() {
-			return fmt.Errorf("pagefile: corrupt delta page %d", id)
-		}
-		clear(dst[sp.hdr+count*sp.entry:])
-		return nil
+		return fmt.Errorf("%w: page %d is a %s page (mode %#02x); re-save the file with `stquery -load OLD -save NEW` from a build at f67187a or earlier",
+			ErrRetiredPageMode, id, name, enc[0])
 	}
 	return fmt.Errorf("pagefile: page %d has unknown encoding mode %#x", id, enc[0])
 }
@@ -661,10 +610,7 @@ func (e *cpEncoder) encodePage(id uint32, page []byte) []byte {
 
 // verifies decodes a struct candidate and compares it to the original.
 func (e *cpEncoder) verifies(id uint32, cand, page []byte) bool {
-	err := cpDecodePage(cand, e.verify, e.sp, e.structOK, id, func(uint32) ([]byte, error) {
-		return nil, fmt.Errorf("pagefile: no base")
-	})
-	return err == nil && bytes.Equal(e.verify, page)
+	return cpDecodePage(cand, e.verify, e.sp, e.structOK, id) == nil && bytes.Equal(e.verify, page)
 }
 
 // compressedCodec implements Codec with the STPC format.

@@ -93,11 +93,11 @@ func newMmapSource(f *os.File, base, payload int64) (*mmapSource, error) {
 	return src, nil
 }
 
-// cpScratch is the per-read working set of a compressed extent.
+// cpScratch is the per-read working set of an extent: the encoded bytes
+// of an STPC page, and the frame an image-less STPF read lands in.
 type cpScratch struct {
-	enc     []byte
-	baseEnc []byte
-	base    []byte
+	enc  []byte
+	page []byte
 }
 
 // extentStore is the read-only store of an opened page extent, whatever
@@ -219,25 +219,13 @@ func (e *extentStore) scratch() *cpScratch {
 	if s, ok := e.pool.Get().(*cpScratch); ok {
 		return s
 	}
-	return &cpScratch{base: make([]byte, e.pageSize)}
+	return &cpScratch{page: make([]byte, e.pageSize)}
 }
 
-func (e *extentStore) readEnc(id PageID, buf []byte) ([]byte, error) {
-	l := int(e.offs[id+1] - e.offs[id])
-	if cap(buf) < l {
-		buf = make([]byte, l)
-	}
-	buf = buf[:l]
-	if err := e.src.readAt(buf, e.offs[id]); err != nil {
-		return buf, fmt.Errorf("pagefile: reading compressed page %d: %w", id, err)
-	}
-	return buf, nil
-}
-
-// ReadPage implements Store. An STPF page is one read into dst; an STPC
-// page is one (for delta/dup pages two) reads of the encoded bytes, then a
-// decode into dst. With a nil dst either reads the page's own bytes into
-// the pooled scratch and stops there.
+// ReadPage implements Store with one read of the source per call. An
+// STPF page is read into dst; an STPC page's encoded bytes are read, then
+// decoded into dst. With a nil dst either reads the page's bytes into the
+// pooled scratch and stops there.
 func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 	if err := e.Check(id); err != nil {
 		return err
@@ -246,7 +234,7 @@ func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 		if dst == nil {
 			s := e.scratch()
 			defer e.pool.Put(s)
-			dst = s.base
+			dst = s.page
 		}
 		if err := e.src.readAt(dst[:e.pageSize], int64(id)*int64(e.pageSize)); err != nil {
 			return fmt.Errorf("pagefile: reading page %d: %w", id, err)
@@ -255,30 +243,18 @@ func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 	}
 	s := e.scratch()
 	defer e.pool.Put(s)
-	var err error
-	if s.enc, err = e.readEnc(id, s.enc); err != nil {
-		return err
+	l := int(e.offs[id+1] - e.offs[id])
+	if cap(s.enc) < l {
+		s.enc = make([]byte, l)
+	}
+	s.enc = s.enc[:l]
+	if err := e.src.readAt(s.enc, e.offs[id]); err != nil {
+		return fmt.Errorf("pagefile: reading compressed page %d: %w", id, err)
 	}
 	if dst == nil {
 		return nil
 	}
-	return cpDecodePage(s.enc, dst[:e.pageSize], e.sp, e.structOK, uint32(id), func(base uint32) ([]byte, error) {
-		if e.Check(PageID(base)) != nil {
-			return nil, fmt.Errorf("base %d is freed or out of range", base)
-		}
-		if s.baseEnc, err = e.readEnc(PageID(base), s.baseEnc); err != nil {
-			return nil, err
-		}
-		// A base must be a raw or struct page: its own decode is given no
-		// way to chase a further base, so a chain fails here.
-		noBase := func(uint32) ([]byte, error) {
-			return nil, fmt.Errorf("base %d is not a raw or struct page", base)
-		}
-		if err := cpDecodePage(s.baseEnc, s.base, e.sp, e.structOK, base, noBase); err != nil {
-			return nil, err
-		}
-		return s.base, nil
-	})
+	return cpDecodePage(s.enc, dst[:e.pageSize], e.sp, e.structOK, uint32(id))
 }
 
 // Close implements Store, releasing the source (the mapping, for mmap;

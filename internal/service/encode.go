@@ -232,20 +232,11 @@ func appendQueryResponseBinary(buf []byte, res Result, elapsedUS int64) []byte {
 	return buf
 }
 
-// DecodeBinaryResponse parses a window-kind binary /query frame — the
-// client-side counterpart of the encoder, used by tests and benchmark
-// drivers. Frames carrying another kind (or trailing payload bytes) are
-// rejected with ok=false; DecodeBinaryResponseFull handles every kind.
-func DecodeBinaryResponse(frame []byte) (snapshot string, gen uint64, ids []int64, io, elapsedUS int64, ok bool) {
-	res, elapsedUS, ok := DecodeBinaryResponseFull(frame)
-	if !ok || res.Kind != stx.KindWindow {
-		return "", 0, nil, 0, 0, false
-	}
-	return res.Snapshot, res.Gen, res.IDs, res.IO, elapsedUS, true
-}
-
-// DecodeBinaryResponseFull parses any binary /query frame into a Result.
-func DecodeBinaryResponseFull(frame []byte) (res Result, elapsedUS int64, ok bool) {
+// DecodeBinaryResponse parses a binary /query frame of any kind into a
+// Result — the client-side counterpart of the encoder. A frame with an
+// unknown kind, or with fewer or more bytes than its count calls for, is
+// rejected with ok=false.
+func DecodeBinaryResponse(frame []byte) (res Result, elapsedUS int64, ok bool) {
 	const head = 4 + 4 + 8 + 8 + 8 + 2
 	if len(frame) < head || string(frame[:4]) != binaryMagic {
 		return Result{}, 0, false

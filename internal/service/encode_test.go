@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -86,33 +87,33 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	ids := []int64{5, -17, 0, math.MaxInt64, math.MinInt64}
 	frame := appendQueryResponseBinary(nil, Result{Snapshot: "snap-1", Gen: 77, IDs: ids, IO: 123}, 456)
-	name, gen, gotIDs, io, elapsed, ok := DecodeBinaryResponse(frame)
+	res, elapsed, ok := DecodeBinaryResponse(frame)
 	if !ok {
 		t.Fatal("frame did not decode")
 	}
-	if name != "snap-1" || gen != 77 || io != 123 || elapsed != 456 {
-		t.Fatalf("envelope: name=%q gen=%d io=%d elapsed=%d", name, gen, io, elapsed)
+	if res.Kind != stx.KindWindow || res.Snapshot != "snap-1" || res.Gen != 77 || res.IO != 123 || elapsed != 456 {
+		t.Fatalf("envelope: %+v, elapsed=%d", res, elapsed)
 	}
-	if !reflect.DeepEqual(gotIDs, ids) {
-		t.Fatalf("ids: got %v, want %v", gotIDs, ids)
+	if !reflect.DeepEqual(res.IDs, ids) {
+		t.Fatalf("ids: got %v, want %v", res.IDs, ids)
 	}
 
 	// Truncated and corrupted frames are rejected, not misparsed.
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, _, _, _, ok := DecodeBinaryResponse(frame[:cut]); ok {
+		if _, _, ok := DecodeBinaryResponse(frame[:cut]); ok {
 			t.Fatalf("truncated frame of %d bytes decoded", cut)
 		}
 	}
 	bad := append([]byte(nil), frame...)
 	bad[0] = 'X'
-	if _, _, _, _, _, ok := DecodeBinaryResponse(bad); ok {
+	if _, _, ok := DecodeBinaryResponse(bad); ok {
 		t.Fatal("bad magic decoded")
 	}
 }
 
 // TestBinaryResponseKindsRoundTrip covers the kNN and trajectory frame
-// payloads: full decode restores the Result exactly, the window-only
-// decoder rejects non-window frames, and truncations fail closed.
+// payloads: decode restores the Result exactly, and truncations fail
+// closed.
 func TestBinaryResponseKindsRoundTrip(t *testing.T) {
 	cases := []Result{
 		{Kind: stx.KindKNN, Snapshot: "k", Gen: 9, IDs: []int64{4, 2, 9}, IO: 3,
@@ -124,7 +125,7 @@ func TestBinaryResponseKindsRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		frame := appendQueryResponseBinary(nil, c, 42)
-		res, elapsed, ok := DecodeBinaryResponseFull(frame)
+		res, elapsed, ok := DecodeBinaryResponse(frame)
 		if !ok {
 			t.Fatalf("kind %v frame did not decode", c.Kind)
 		}
@@ -143,11 +144,8 @@ func TestBinaryResponseKindsRoundTrip(t *testing.T) {
 		if len(c.Trajectories) > 0 && !reflect.DeepEqual(res.Trajectories, c.Trajectories) {
 			t.Fatalf("trajectories: got %v, want %v", res.Trajectories, c.Trajectories)
 		}
-		if _, _, _, _, _, ok := DecodeBinaryResponse(frame); ok {
-			t.Fatalf("window-only decoder accepted a kind-%v frame", c.Kind)
-		}
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, ok := DecodeBinaryResponseFull(frame[:cut]); ok {
+			if _, _, ok := DecodeBinaryResponse(frame[:cut]); ok {
 				t.Fatalf("kind %v: truncated frame of %d bytes decoded", c.Kind, cut)
 			}
 		}
@@ -156,9 +154,37 @@ func TestBinaryResponseKindsRoundTrip(t *testing.T) {
 	// An unknown kind word is rejected outright.
 	frame := appendQueryResponseBinary(nil, Result{Snapshot: "w", IDs: []int64{1}}, 1)
 	frame[4] = 3
-	if _, _, ok := DecodeBinaryResponseFull(frame); ok {
+	if _, _, ok := DecodeBinaryResponse(frame); ok {
 		t.Fatal("unknown kind decoded")
 	}
+}
+
+// FuzzDecodeBinaryResponse feeds the STQ1 decoder arbitrary bytes,
+// seeded with a frame of every kind and each of their truncations. It
+// must never panic, and every frame it accepts must re-encode to the
+// same bytes.
+func FuzzDecodeBinaryResponse(f *testing.F) {
+	for _, res := range []Result{
+		{Kind: stx.KindWindow, Snapshot: "w", Gen: 3, IDs: []int64{-1, 0, math.MaxInt64}, IO: 4},
+		{Kind: stx.KindKNN, Snapshot: "k", Gen: 9, IDs: []int64{4, 2}, IO: 3,
+			Neighbors: []stx.Neighbor{{ObjectID: 4, Dist2: 0.25}, {ObjectID: 2, Dist2: math.Inf(1)}}},
+		{Kind: stx.KindTrajectory, Snapshot: "t", Gen: 5, IDs: []int64{1, 7}, IO: 2,
+			Trajectories: []stx.TrajectoryHit{{ObjectID: 1, Pieces: 3}, {ObjectID: 7, Pieces: 1}}},
+	} {
+		frame := appendQueryResponseBinary(nil, res, 42)
+		for cut := 0; cut <= len(frame); cut++ {
+			f.Add(frame[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		res, elapsedUS, ok := DecodeBinaryResponse(frame)
+		if !ok {
+			return
+		}
+		if again := appendQueryResponseBinary(nil, res, elapsedUS); !bytes.Equal(again, frame) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", again, frame)
+		}
+	})
 }
 
 // TestQueryEncodePathZeroAllocs is the acceptance gate: at steady state
@@ -360,15 +386,15 @@ func TestHTTPBinaryProtocol(t *testing.T) {
 	}
 
 	for _, frame := range [][]byte{fetch(BinaryContentType, ""), fetch("", "&format=binary")} {
-		name, _, ids, _, _, ok := DecodeBinaryResponse(frame)
+		res, _, ok := DecodeBinaryResponse(frame)
 		if !ok {
 			t.Fatal("binary frame did not decode")
 		}
-		if name != "default" {
-			t.Fatalf("snapshot %q", name)
+		if res.Snapshot != "default" {
+			t.Fatalf("snapshot %q", res.Snapshot)
 		}
-		if !sameIDs(ids, want) {
-			t.Fatalf("binary ids %v, want %v", ids, want)
+		if !sameIDs(res.IDs, want) {
+			t.Fatalf("binary ids %v, want %v", res.IDs, want)
 		}
 	}
 }

@@ -302,7 +302,9 @@ func SaveIndexOptions(path string, x Index, opts SaveOptions) error {
 	return nil
 }
 
-func parseContainerHeader(header []byte) (kind byte, extents int, codec pagefile.Codec, metaLen uint64, err error) {
+// parseContainerHeader parses the header of a container of size bytes;
+// the meta section it declares must fit in what follows the header.
+func parseContainerHeader(header []byte, size int64) (kind byte, extents int, codec pagefile.Codec, metaLen int64, err error) {
 	if string(header[:4]) != containerMagic {
 		return 0, 0, nil, 0, fmt.Errorf("stindex: bad container magic %q", header[:4])
 	}
@@ -322,7 +324,10 @@ func parseContainerHeader(header []byte) (kind byte, extents int, codec pagefile
 	if header[11] != 0 {
 		return 0, 0, nil, 0, fmt.Errorf("stindex: nonzero reserved byte in container header")
 	}
-	metaLen = binary.LittleEndian.Uint64(header[12:])
+	metaLen = int64(binary.LittleEndian.Uint64(header[12:]))
+	if metaLen < 0 || metaLen > size-containerHeaderSize {
+		return 0, 0, nil, 0, fmt.Errorf("stindex: container meta of %d bytes truncated at container size %d", uint64(metaLen), size)
+	}
 	wantExtents := 1
 	if kind == kindHybrid {
 		wantExtents = 2
@@ -397,12 +402,9 @@ func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, 
 	if _, err := r.ReadAt(header, 0); err != nil {
 		return nil, nil, nil, fmt.Errorf("stindex: reading container header: %w", err)
 	}
-	kind, _, codec, metaLen, err := parseContainerHeader(header)
+	kind, _, codec, metaLen, err := parseContainerHeader(header, size)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if int64(metaLen) < 0 || containerHeaderSize+int64(metaLen) > size {
-		return nil, nil, nil, fmt.Errorf("stindex: container meta of %d bytes truncated at container size %d", metaLen, size)
 	}
 	meta := make([]byte, metaLen)
 	if _, err := r.ReadAt(meta, containerHeaderSize); err != nil {
@@ -412,7 +414,7 @@ func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	store, _, err := codec.OpenExtent(r, int64(containerHeaderSize)+int64(metaLen), size, backend)
+	store, _, err := codec.OpenExtent(r, containerHeaderSize+metaLen, size, backend)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
@@ -551,7 +553,7 @@ func InspectContainer(path string) (ContainerInfo, error) {
 	if _, err := f.ReadAt(header, 0); err != nil {
 		return info, fmt.Errorf("stindex: reading container header: %w", err)
 	}
-	kind, extents, codec, metaLen, err := parseContainerHeader(header)
+	kind, extents, codec, metaLen, err := parseContainerHeader(header, fi.Size())
 	if err != nil {
 		return info, err
 	}
@@ -559,9 +561,9 @@ func InspectContainer(path string) (ContainerInfo, error) {
 	info.Version = int(binary.LittleEndian.Uint32(header[4:]))
 	info.Codec = codec.Name()
 	info.Extents = extents
-	info.MetaBytes = int64(metaLen)
+	info.MetaBytes = metaLen
 	info.FileBytes = fi.Size()
-	off := int64(containerHeaderSize) + int64(metaLen)
+	off := containerHeaderSize + metaLen
 	for i := 0; i < extents; i++ {
 		s, length, err := codec.OpenExtent(f, off, fi.Size(), pagefile.BackendDisk)
 		if err != nil {

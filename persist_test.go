@@ -575,57 +575,3 @@ func TestTruncatedContainerFailsStop(t *testing.T) {
 		})
 	}
 }
-
-// FuzzOpenIndex drives both container readers with mutated images. The
-// property under test is "errors, not panics": any byte stream must
-// either load into a queryable index or be rejected cleanly.
-func FuzzOpenIndex(f *testing.F) {
-	objs, err := GenerateRandom(RandomDatasetConfig{N: 40, Seed: 9})
-	if err != nil {
-		f.Fatal(err)
-	}
-	records := UnsplitRecords(objs)
-	seed := func(x Index, err error) {
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, codec := range []Codec{CodecIdentity, CodecCompressed} {
-			var buf bytes.Buffer
-			if _, err := EncodeIndexOptions(&buf, x, SaveOptions{Codec: codec}); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
-		}
-	}
-	ppr, err := BuildPPR(records, PPROptions{})
-	seed(ppr, err)
-	seed(BuildRStar(records, RStarOptions{ShuffleSeed: 5}))
-	// A retired two-extent container (refused on open) and the pre-codec
-	// version-1 spelling of an identity image of the ppr above (opened
-	// unchanged).
-	for _, name := range []string{"hybrid-v2-compressed.sti", "ppr-v1-identity.sti"} {
-		image, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(image)
-	}
-	f.Add([]byte("STIC"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if x, err := DecodeIndex(bytes.NewReader(data)); err == nil {
-			_, _ = x.Snapshot(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8}, 10)
-			_, _ = x.Range(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval{Start: 0, End: 100})
-		}
-		path := filepath.Join(t.TempDir(), "fuzz.sti")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if x, err := OpenIndex(path); err == nil {
-			_, _ = x.Snapshot(Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8}, 10)
-			_, _ = x.Range(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval{Start: 0, End: 100})
-			CloseIndex(x)
-		}
-	})
-}

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"stindex/internal/pagefile"
 )
 
 // The containers under testdata/ were written by the commit before the
@@ -40,79 +42,54 @@ func legacyModeCounts(t *testing.T, image []byte) map[byte]int {
 	return counts
 }
 
-// TestLegacyDeltaContainerReopens opens a compressed mid-history stream
-// snapshot that holds delta pages through the eager reader and every open
-// flavour: every path answers a fixed query list exactly like the
-// snapshot's identity-codec twin and re-encodes to the twin byte for
-// byte, so every delta page still decodes to its original image.
-func TestLegacyDeltaContainerReopens(t *testing.T) {
-	compressedPath := filepath.Join("testdata", "stream-delta-compressed.sti")
-	compressed, err := os.ReadFile(compressedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := os.ReadFile(filepath.Join("testdata", "stream-delta-identity.sti"))
+// TestLegacyDeltaContainerRefused pins the retirement of the delta page
+// mode on a compressed mid-history stream snapshot that holds delta
+// pages: the eager reader and the mem flavour, which read every page at
+// open, fail with pagefile.ErrRetiredPageMode; the lazy flavours open it
+// and fail with the same error on the first query that reads a delta
+// page; and InspectContainer, which decodes no page, still describes it.
+func TestLegacyDeltaContainerRefused(t *testing.T) {
+	path := filepath.Join("testdata", "stream-delta-compressed.sti")
+	image, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const modeDelta = 0x02
-	if n := legacyModeCounts(t, compressed)[modeDelta]; n < 1 {
+	if n := legacyModeCounts(t, image)[modeDelta]; n < 1 {
 		t.Fatalf("fixture holds %d delta pages, want at least one", n)
 	}
-	want, err := DecodeIndex(bytes.NewReader(twin))
-	if err != nil {
-		t.Fatalf("identity twin: %v", err)
+	eager := map[string]func() (Index, error){
+		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(image)) },
+		"mem":    func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendMemory}) },
 	}
-
-	window := Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
-	queries := []Query{
-		{Rect: window, Interval: Interval{Start: 5, End: 6}},
-		{Rect: window, Interval: Interval{Start: 44, End: 45}},
-		{Rect: Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval: Interval{Start: 0, End: 46}},
-		{Rect: Rect{MinX: 0.3, MinY: 0.2, MaxX: 0.7, MaxY: 0.8}, Interval: Interval{Start: 10, End: 30}},
-		KNNQuery(0.5, 0.5, 20, 5),
-		KNNQuery(0.1, 0.9, 40, 50),
-		TrajectoryQuery(window, Interval{Start: 0, End: 46}),
+	for label, open := range eager {
+		if x, err := open(); !errors.Is(err, pagefile.ErrRetiredPageMode) {
+			if err == nil {
+				CloseIndex(x)
+			}
+			t.Fatalf("%s: open says %v, want ErrRetiredPageMode", label, err)
+		}
 	}
-
-	opened := map[string]func() (Index, error){
-		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(compressed)) },
-		"disk":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendDisk}) },
-		"mmap":   func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendMmap}) },
-		"mem":    func() (Index, error) { return OpenIndexOptions(compressedPath, OpenOptions{Backend: BackendMemory}) },
-	}
-	for label, open := range opened {
-		got, err := open()
+	// This query reads pages 16 and 68, the fixture's two delta pages.
+	all := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	for _, backend := range []Backend{BackendDisk, BackendMmap} {
+		x, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatalf("%s: lazy open reads no page, got %v", backend, err)
 		}
-		if got.Kind() != want.Kind() || got.Records() != want.Records() || got.Pages() != want.Pages() {
-			t.Fatalf("%s: %s with %d records on %d pages, twin is %s with %d on %d", label,
-				got.Kind(), got.Records(), got.Pages(), want.Kind(), want.Records(), want.Pages())
+		if _, err := x.Range(all, Interval{Start: 0, End: 46}); !errors.Is(err, pagefile.ErrRetiredPageMode) {
+			t.Fatalf("%s: query says %v, want ErrRetiredPageMode", backend, err)
 		}
-		for qi, q := range queries {
-			a, err := RunQueryResult(want, q)
-			if err != nil {
-				t.Fatalf("twin query %d: %v", qi, err)
-			}
-			b, err := RunQueryResult(got, q)
-			if err != nil {
-				t.Fatalf("%s query %d: %v", label, qi, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s query %d: answer differs from the identity twin:\n got %+v\nwant %+v", label, qi, b, a)
-			}
+		if err := CloseIndex(x); err != nil {
+			t.Fatalf("%s: close: %v", backend, err)
 		}
-		var reencoded bytes.Buffer
-		if _, err := EncodeIndexOptions(&reencoded, got, SaveOptions{Codec: CodecIdentity}); err != nil {
-			t.Fatalf("%s: re-encoding: %v", label, err)
-		}
-		if !bytes.Equal(reencoded.Bytes(), twin) {
-			t.Fatalf("%s: identity re-encoding differs from the twin written beside it", label)
-		}
-		if err := CloseIndex(got); err != nil {
-			t.Fatalf("%s: close: %v", label, err)
-		}
+	}
+	info, err := InspectContainer(path)
+	if err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if info.Kind != "stream" || info.Version != 2 || info.Codec != "compressed" || info.Pages != 84 {
+		t.Fatalf("inspect reports %+v, want a version-2 compressed stream container of 84 pages", info)
 	}
 }
 
