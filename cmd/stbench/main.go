@@ -53,18 +53,9 @@ func main() {
 		queries = flag.Int("queries", 0, "queries per set (default 1000)")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		par     = flag.Int("parallelism", 0, "worker count for the split pipeline and workload measurement (0 = all cores, 1 = serial; results are identical either way)")
-		codec   = flag.String("codec", "", "default page codec for every container save: identity | compressed (default: $STINDEX_CODEC, then compressed; -exp persist always measures both)")
 		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shard (default 1,4,16)")
 	)
 	flag.Parse()
-	if *codec != "" {
-		// Experiments that save containers pick the default page codec up
-		// through pagefile.DefaultCodec, so the flag routes through the
-		// STINDEX_CODEC environment switch.
-		if err := os.Setenv("STINDEX_CODEC", *codec); err != nil {
-			fatal(err)
-		}
-	}
 
 	cfg := experiments.Config{FullScale: *full, Queries: *queries, Seed: *seed, Parallelism: *par, Out: os.Stdout}
 	fmt.Fprintf(os.Stderr, "stbench: split pipeline running on %d worker(s)\n", parallel.Workers(*par, -1))

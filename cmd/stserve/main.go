@@ -34,11 +34,11 @@
 //	POST /ingest/finish    {"t":T} ends all live objects; {"id":I,"t":T} one
 //	POST /ingest/freeze    force a snapshot + journal truncation
 //
-// Containers saved with either page codec load transparently: the codec
-// is recorded in the container header and autodetected at open, so a
-// registry can serve identity and compressed snapshots side by side
-// (compressed ones stay compressed at rest and decode once per page at
-// the cache boundary).
+// Containers are saved with compressed pages, which stay compressed at
+// rest and decode once per page at the cache boundary. Identity
+// containers written by older builds still load: the codec is recorded
+// in the container header and autodetected at open, so a registry can
+// serve both side by side.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight and queued queries finish,
 // the ingestion pipeline freezes one last time, then the containers
@@ -144,7 +144,6 @@ func main() {
 			Name:           *ingestName,
 			Registry:       svc.Registry(),
 			Lambda:         *ingestLambda,
-			Codec:          stx.CodecCompressed,
 			QueueDepth:     *ingestQueue,
 			SegmentBytes:   int64(*walSegmentKB) << 10,
 			FreezeEvery:    *freezeEvery,

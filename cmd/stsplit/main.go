@@ -10,9 +10,9 @@
 //
 // With -shards N the split records are not written as JSON: they are
 // partitioned into N temporal shards (object granularity, equal-count
-// epochs) and -o names a shard manifest; one -index kind
-// container is built and saved per shard next to it. stserve -load
-// serves such a manifest as one scatter-gather snapshot:
+// epochs) and -o names a shard manifest; one -index kind container, with
+// compressed pages, is built and saved per shard next to it. stserve
+// -load serves such a manifest as one scatter-gather snapshot:
 //
 //	stsplit -i random10k.jsonl -budget 15000 -shards 4 -o snap.stm
 package main
@@ -47,7 +47,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "partition the records into this many shards and build a sharded snapshot at -o (0 = write records)")
 		indexK   = flag.String("index", "ppr", "shard container index kind: ppr | rstar | rstar-packed")
 		pages    = flag.Int("pages", 0, "global buffer-page budget distributed across the shards (0 = 10 per shard)")
-		codec    = flag.String("codec", "", "shard container page codec: identity | compressed (default: compressed, or $STINDEX_CODEC)")
 	)
 	flag.Parse()
 
@@ -91,7 +90,7 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-shards needs -o (the manifest path)"))
 		}
-		if err := buildSharded(records, *out, *shards, *indexK, *codec, *pages, *par); err != nil {
+		if err := buildSharded(records, *out, *shards, *indexK, *pages, *par); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "objects=%d records=%d volume=%.4f sharded into %d temporal shards at %s\n",
@@ -142,7 +141,7 @@ func runPipeline(objs []*trajectory.Object, budget int, splitter, dist string, q
 
 // buildSharded partitions the split records and builds one container
 // per shard plus the manifest stserve loads.
-func buildSharded(records []stio.Record, manifest string, shards int, kind, codec string, pages, par int) error {
+func buildSharded(records []stio.Record, manifest string, shards int, kind string, pages, par int) error {
 	recs := make([]stx.Record, len(records))
 	for i, r := range records {
 		recs[i] = stx.Record{
@@ -156,7 +155,7 @@ func buildSharded(records []stio.Record, manifest string, shards int, kind, code
 		return err
 	}
 	_, err = sharding.Build(manifest, plan, sharding.BuildConfig{
-		Kind: kind, BufferBudget: pages, Parallelism: par, Codec: stx.Codec(codec),
+		Kind: kind, BufferBudget: pages, Parallelism: par,
 	})
 	return err
 }

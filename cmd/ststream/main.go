@@ -146,7 +146,7 @@ func main() {
 // acknowledged, with a final freeze on close so a rerun recovers from
 // the container instead of replaying the whole journal.
 func runThroughWAL(dir string, lambda float64, obs []stio.Observation, last int64, finish bool, every int64) *stx.StreamIndex {
-	in, err := ingest.Open(ingest.Config{Dir: dir, Lambda: lambda, Codec: stx.CodecCompressed})
+	in, err := ingest.Open(ingest.Config{Dir: dir, Lambda: lambda})
 	if err != nil {
 		fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // containerSeeds encodes one valid STIC container per index kind and
-// page codec, plus the legacy containers under testdata (among them a
-// version-1 identity container) — the corpus every container fuzz
-// target mutates.
+// page codec — the identity one through the test-side EncodeIdentity —
+// plus the legacy containers under testdata (among them the identity
+// fixtures) — the corpus every container fuzz target mutates.
 func containerSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	wl, err := check.GenerateWorkload(60, 200, 19, 4)
@@ -28,19 +28,21 @@ func containerSeeds(f *testing.F) [][]byte {
 		if err != nil {
 			f.Fatalf("building %s: %v", kind, err)
 		}
-		for _, codec := range []stx.Codec{stx.CodecIdentity, stx.CodecCompressed} {
-			var buf bytes.Buffer
-			if _, err := stx.EncodeIndexOptions(&buf, idx, stx.SaveOptions{Codec: codec}); err != nil {
-				f.Fatalf("encoding %s with %s: %v", kind, codec, err)
-			}
-			seeds = append(seeds, buf.Bytes())
+		identity, err := stx.EncodeIdentity(idx)
+		if err != nil {
+			f.Fatalf("encoding %s as identity: %v", kind, err)
 		}
+		var buf bytes.Buffer
+		if _, err := stx.EncodeIndex(&buf, idx); err != nil {
+			f.Fatalf("encoding %s: %v", kind, err)
+		}
+		seeds = append(seeds, identity, buf.Bytes())
 	}
 	// Containers written before the codec stopped producing delta pages
 	// and before hr and hybrid stopped being persisted (the refusal
-	// paths), the identity twin of the delta one, and a version-1 container,
-	// which has a zero where the codec byte sits and opens through the
-	// identity codec.
+	// paths), the identity twin of the delta one, an identity packed
+	// R*-tree, and a version-1 container, which has a zero where the codec
+	// byte sits and opens through the identity reader.
 	legacy, err := filepath.Glob(filepath.Join("testdata", "*.sti"))
 	if err != nil || len(legacy) == 0 {
 		f.Fatalf("no legacy containers under testdata: %v", err)

@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -86,28 +87,34 @@ const (
 
 func (b Backend) internal() pagefile.Backend { return pagefile.Backend(b) }
 
-// Codec names the page-extent codec of a saved container. The default
-// ("") consults the STINDEX_CODEC environment variable and falls back to
-// compressed. The codec choice never affects query results or I/O
-// statistics — decoded pages, tree layout and buffer accounting are
-// bit-identical; only the at-rest bytes differ. A container always opens
-// through the codec named in its own header, so the selection matters
-// only when saving.
+// Codec names the page-extent codec a container is saved with. Every
+// save writes compressed pages; identity containers, which older builds
+// wrote, still open but are decode-only. The codec never affects query
+// results or I/O statistics — decoded pages, tree layout and buffer
+// accounting are bit-identical; only the at-rest bytes differ. A
+// container always opens through the codec named in its own header.
 type Codec string
 
 const (
-	// CodecDefault defers to STINDEX_CODEC, then compressed.
+	// CodecDefault is compressed.
 	CodecDefault Codec = ""
-	// CodecIdentity stores raw fixed-size pages — the historical STPF
-	// extent format, byte-compatible with pre-codec containers.
-	CodecIdentity Codec = "identity"
 	// CodecCompressed stores structurally compressed pages: delta-encoded
 	// MBR coordinates and varint counts/refs/intervals (the STPC extent
 	// format).
 	CodecCompressed Codec = "compressed"
 )
 
-func (c Codec) internal() (pagefile.Codec, error) { return pagefile.CodecByName(string(c)) }
+// errDecodeOnlyCodec is what saving with any codec but compressed
+// reports.
+var errDecodeOnlyCodec = errors.New("identity is decode-only and new saves are compressed")
+
+// Check reports whether containers can be saved with c.
+func (c Codec) Check() error {
+	if c == CodecDefault || c == CodecCompressed {
+		return nil
+	}
+	return fmt.Errorf("stindex: cannot save with codec %q: %w", string(c), errDecodeOnlyCodec)
+}
 
 // IOStats reports buffer-pool traffic: Reads and Writes are disk accesses,
 // Hits were served from the pool.

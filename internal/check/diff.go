@@ -12,13 +12,12 @@ import (
 
 // DiffConfig parameterises one differential run. The zero value is
 // filled in by withDefaults: every kind, all three backends (built in
-// memory, reopened through the pread window, reopened mapped), both page
-// codecs, parallelism 1 and 4, a
-// 400-object workload over horizon 1000 with 200 queries.
+// memory, reopened through the pread window, reopened mapped),
+// parallelism 1 and 4, a 400-object workload over horizon 1000 with 200
+// queries.
 type DiffConfig struct {
 	Kinds       []string
 	Backends    []stx.Backend
-	Codecs      []stx.Codec
 	Parallelism []int
 	Objects     int
 	Horizon     int64
@@ -33,9 +32,6 @@ func (c DiffConfig) withDefaults() DiffConfig {
 	}
 	if len(c.Backends) == 0 {
 		c.Backends = []stx.Backend{stx.BackendMemory, stx.BackendDisk, stx.BackendMmap}
-	}
-	if len(c.Codecs) == 0 {
-		c.Codecs = []stx.Codec{stx.CodecIdentity, stx.CodecCompressed}
 	}
 	if len(c.Parallelism) == 0 {
 		c.Parallelism = []int{1, 4}
@@ -70,10 +66,10 @@ type DiffReport struct {
 // structural invariants, compare every query answer at each parallelism
 // level, and round-trip each kind through a saved container twice — once
 // plain (OpenIndex) and once with a shared page cache interposed, whose
-// cache-served second pass must still be oracle-exact. Each kind is
-// additionally saved once per configured codec and proven deterministic
-// (decode + re-encode reproduces the image byte for byte) and
-// oracle-exact through every open backend. Any mismatch
+// cache-served second pass must still be oracle-exact. Each kind's
+// container image is additionally proven deterministic (decode +
+// re-encode reproduces it byte for byte) and oracle-exact through every
+// open backend. Any mismatch
 // error names the seed, kind, backend, parallelism and query index —
 // everything needed to reproduce it.
 func RunDiff(cfg DiffConfig) (DiffReport, error) {
@@ -118,15 +114,13 @@ func RunDiff(cfg DiffConfig) (DiffReport, error) {
 				}
 				rep.Passes++
 				rep.Compared += 2 * wl.TotalQueries()
-				for _, codec := range cfg.Codecs {
-					cfg.Logf("diff seed=%d kind=%s codec=%s round-trip", cfg.Seed, kind, codec)
-					passes, err := codecPass(idx, wl, exp, codec, cfg.Backends)
-					if err != nil {
-						return rep, fmt.Errorf("check: seed %d: %s codec %s: %w", cfg.Seed, kind, codec, err)
-					}
-					rep.Passes += passes
-					rep.Compared += passes * wl.TotalQueries()
+				cfg.Logf("diff seed=%d kind=%s image round-trip", cfg.Seed, kind)
+				passes, err := imagePass(idx, wl, exp, cfg.Backends)
+				if err != nil {
+					return rep, fmt.Errorf("check: seed %d: %s image round-trip: %w", cfg.Seed, kind, err)
 				}
+				rep.Passes += passes
+				rep.Compared += passes * wl.TotalQueries()
 				cfg.Logf("diff seed=%d kind=%s sharded scatter-gather", cfg.Seed, kind)
 				records, err := shardedRecordsFor(idx, wl)
 				if err != nil {
@@ -246,15 +240,15 @@ func containerPass(idx stx.Index, wl *Workload, exp *Expected) error {
 	return stx.CloseIndex(opened)
 }
 
-// codecPass proves one codec's container image is trustworthy end to
-// end: the index is encoded with the codec, the image is decoded and
-// re-encoded — the codecs are deterministic, so the second encoding
-// must reproduce the container byte for byte — and the image is then
-// opened through every backend flavour and diffed against the oracle.
-// It returns how many oracle-diffed passes it ran.
-func codecPass(idx stx.Index, wl *Workload, exp *Expected, codec stx.Codec, backends []stx.Backend) (int, error) {
+// imagePass proves the index's container image is trustworthy end to
+// end: the image is decoded and re-encoded — the encoder is
+// deterministic, so the second encoding must reproduce the container
+// byte for byte — and then opened through every backend flavour and
+// diffed against the oracle. It returns how many oracle-diffed passes it
+// ran.
+func imagePass(idx stx.Index, wl *Workload, exp *Expected, backends []stx.Backend) (int, error) {
 	var buf bytes.Buffer
-	if _, err := stx.EncodeIndexOptions(&buf, idx, stx.SaveOptions{Codec: codec}); err != nil {
+	if _, err := stx.EncodeIndex(&buf, idx); err != nil {
 		return 0, fmt.Errorf("encoding: %w", err)
 	}
 	image := buf.Bytes()
@@ -263,7 +257,7 @@ func codecPass(idx stx.Index, wl *Workload, exp *Expected, codec stx.Codec, back
 		return 0, fmt.Errorf("decoding own image: %w", err)
 	}
 	var again bytes.Buffer
-	_, err = stx.EncodeIndexOptions(&again, decoded, stx.SaveOptions{Codec: codec})
+	_, err = stx.EncodeIndex(&again, decoded)
 	if cerr := stx.CloseIndex(decoded); err == nil {
 		err = cerr
 	}
@@ -273,7 +267,7 @@ func codecPass(idx stx.Index, wl *Workload, exp *Expected, codec stx.Codec, back
 	if !bytes.Equal(image, again.Bytes()) {
 		return 0, fmt.Errorf("re-encode not byte-identical: %d vs %d bytes", len(image), again.Len())
 	}
-	f, err := os.CreateTemp("", "stcheck-codec-*.stic")
+	f, err := os.CreateTemp("", "stcheck-image-*.stic")
 	if err != nil {
 		return 0, err
 	}

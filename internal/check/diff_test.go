@@ -17,9 +17,9 @@ func TestRunDiffSmall(t *testing.T) {
 		t.Fatalf("seed %d: %v", rep.Seed, err)
 	}
 	// 3 backends x 3 kinds x 2 parallelism levels + 3 container
-	// round-trips + 3 shared-cache round-trips + 3 kinds x 2 codecs x 3
-	// open backends + 3 sharded passes.
-	if want := 3*3*2 + 3 + 3 + 3*2*3 + 3; rep.Passes != want {
+	// round-trips + 3 shared-cache round-trips + 3 kinds x 3 open
+	// backends + 3 sharded passes.
+	if want := 3*3*2 + 3 + 3 + 3*3 + 3; rep.Passes != want {
 		t.Errorf("Passes = %d, want %d", rep.Passes, want)
 	}
 	if rep.Compared == 0 || rep.Queries == 0 {
@@ -39,9 +39,8 @@ func TestRunFaultMatrixSmall(t *testing.T) {
 		t.Fatalf("seed %d: %v", rep.Seed, err)
 	}
 	// Every kind runs every schedule in every open flavour (pread, mmap,
-	// disk + shared cache) for both codecs, plus the sharded fail-stop
-	// pass's schedules.
-	if want := (len(AllKinds)*2*len(faultVariants) + 1) * len(DefaultReadSchedules); rep.Schedules != want {
+	// disk + shared cache), plus the sharded fail-stop pass's schedules.
+	if want := (len(AllKinds)*len(faultVariants) + 1) * len(DefaultReadSchedules); rep.Schedules != want {
 		t.Errorf("Schedules = %d, want %d", rep.Schedules, want)
 	}
 	if rep.Injected == 0 {

@@ -49,12 +49,11 @@ type FaultReport struct {
 }
 
 // RunFaultMatrix proves every index kind degrades cleanly under storage
-// faults. For each kind it saves one container per configured codec,
-// reopens each in each flavour of faultVariants with each schedule of
-// DefaultReadSchedules injected under the page stores (so faults land
-// on already-decoded pages — the lazily decompressing store must
-// compose with injection exactly like the identity one), and requires
-// that under faults every query
+// faults. For each kind it saves one container, reopens it in each
+// flavour of faultVariants with each schedule of DefaultReadSchedules
+// injected under the page stores (so faults land on already-decoded
+// pages — the lazily decompressing store must compose with injection),
+// and requires that under faults every query
 // either matches the oracle or fails with an error wrapping ErrInjected
 // — never a panic, never a silently wrong answer. It then disarms the
 // faults, resets the buffer pool, and requires every query to match the
@@ -79,32 +78,30 @@ func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("check: seed %d: %s: %w", cfg.Seed, kind, err)
 		}
-		for _, codec := range cfg.Codecs {
-			f, err := os.CreateTemp("", "stcheck-fault-*.stic")
-			if err != nil {
-				return rep, err
-			}
-			path := f.Name()
-			f.Close()
-			if err := stx.SaveIndexOptions(path, built, stx.SaveOptions{Codec: codec}); err != nil {
-				os.Remove(path)
-				return rep, fmt.Errorf("check: seed %d: saving %s container (codec %s): %w", cfg.Seed, kind, codec, err)
-			}
-			for _, variant := range faultVariants {
-				for _, schedStr := range DefaultReadSchedules {
-					cfg.Logf("faults seed=%d kind=%s codec=%s variant=%s schedule=%s", cfg.Seed, kind, codec, variant, schedStr)
-					injected, err := runFaultSchedule(kind, path, schedStr, wl, exp, variant)
-					rep.Injected += injected
-					if err != nil {
-						os.Remove(path)
-						return rep, fmt.Errorf("check: seed %d: kind %s codec %s variant %s schedule %s: %w",
-							cfg.Seed, kind, codec, variant, schedStr, err)
-					}
-					rep.Schedules++
-				}
-			}
-			os.Remove(path)
+		f, err := os.CreateTemp("", "stcheck-fault-*.stic")
+		if err != nil {
+			return rep, err
 		}
+		path := f.Name()
+		f.Close()
+		if err := stx.SaveIndex(path, built); err != nil {
+			os.Remove(path)
+			return rep, fmt.Errorf("check: seed %d: saving %s container: %w", cfg.Seed, kind, err)
+		}
+		for _, variant := range faultVariants {
+			for _, schedStr := range DefaultReadSchedules {
+				cfg.Logf("faults seed=%d kind=%s variant=%s schedule=%s", cfg.Seed, kind, variant, schedStr)
+				injected, err := runFaultSchedule(kind, path, schedStr, wl, exp, variant)
+				rep.Injected += injected
+				if err != nil {
+					os.Remove(path)
+					return rep, fmt.Errorf("check: seed %d: kind %s variant %s schedule %s: %w",
+						cfg.Seed, kind, variant, schedStr, err)
+				}
+				rep.Schedules++
+			}
+		}
+		os.Remove(path)
 	}
 	// Sharded fan-out fail-stop: one shard's injected fault must fail
 	// the whole query, never surface as a silently partial merge. One
@@ -277,9 +274,9 @@ func readCount(stores *[]*FaultStore) uint64 {
 // decode), a failed read leaves nothing resident — also the image-less
 // read of a page whose decode is cached — and a failing Close propagates.
 // The write-path cases run on File, the only store that takes writes; the
-// image-less read runs on File and again over an extent of each codec
-// opened through the pread window and the mapping, so it also has a file
-// under it.
+// image-less read runs on File and again over a saved extent opened
+// through the pread window and the mapping, so it also has a file under
+// it.
 func VerifyBufferFaults() error {
 	if err := verifyWriteFaults(); err != nil {
 		return fmt.Errorf("check: buffer faults: %w", err)
@@ -293,11 +290,9 @@ func VerifyBufferFaults() error {
 	if err := verifyImagelessReadFault(f, r); err != nil {
 		return fmt.Errorf("check: buffer faults on mem: %w", err)
 	}
-	for _, codec := range []pagefile.Codec{pagefile.CodecIdentity, pagefile.CodecCompressed} {
-		for _, flavour := range []pagefile.Backend{pagefile.BackendDisk, pagefile.BackendMmap} {
-			if err := imagelessReadFaultOnExtent(f, r, codec, flavour); err != nil {
-				return fmt.Errorf("check: buffer faults on %s extent (%s): %w", codec.Name(), flavour, err)
-			}
+	for _, flavour := range []pagefile.Backend{pagefile.BackendDisk, pagefile.BackendMmap} {
+		if err := imagelessReadFaultOnExtent(f, r, flavour); err != nil {
+			return fmt.Errorf("check: buffer faults on extent (%s): %w", flavour, err)
 		}
 	}
 	return nil
@@ -392,20 +387,20 @@ func verifyWriteFaults() error {
 	return nil
 }
 
-// imagelessReadFaultOnExtent saves f as one extent with the codec, opens
-// it with the flavour and runs verifyImagelessReadFault over it.
-func imagelessReadFaultOnExtent(f *pagefile.File, r pagefile.PageID, codec pagefile.Codec, flavour pagefile.Backend) error {
+// imagelessReadFaultOnExtent saves f as one extent, opens it with the
+// flavour and runs verifyImagelessReadFault over it.
+func imagelessReadFaultOnExtent(f *pagefile.File, r pagefile.PageID, flavour pagefile.Backend) error {
 	tmp, err := os.CreateTemp("", "stcheck-extent-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	defer tmp.Close()
-	size, err := codec.WriteExtent(tmp, f, pagefile.LayoutOpaque)
+	size, err := pagefile.WriteExtent(tmp, f, pagefile.LayoutOpaque)
 	if err != nil {
 		return err
 	}
-	s, _, err := codec.OpenExtent(tmp, 0, size, flavour)
+	s, _, err := pagefile.OpenExtent(tmp, 0, size, pagefile.CodecIDCompressed, flavour)
 	if err != nil {
 		return err
 	}

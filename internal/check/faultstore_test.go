@@ -2,7 +2,10 @@ package check
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"stindex/internal/pagefile"
@@ -173,5 +176,40 @@ func TestRandRuleDeterministic(t *testing.T) {
 func TestVerifyBufferFaults(t *testing.T) {
 	if err := VerifyBufferFaults(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestImagelessReadFaultOnIdentityExtent runs VerifyBufferFaults'
+// image-less read check over a decode-only identity extent, opened
+// through the pread window and the mapping. Nothing writes STPF any
+// more, so the one-page extent is assembled here from the layout in
+// internal/pagefile/serialize.go: magic, version 1, page size, one
+// allocated page, no free pages, then the page.
+func TestImagelessReadFaultOnIdentityExtent(t *testing.T) {
+	const pageSize = 128
+	le := binary.LittleEndian
+	extent := le.AppendUint32([]byte("STPF"), 1)
+	extent = le.AppendUint32(le.AppendUint32(le.AppendUint32(extent, pageSize), 1), 0)
+	extent = append(extent, bytes.Repeat([]byte{0xA1}, pageSize)...)
+	path := filepath.Join(t.TempDir(), "identity.extent")
+	if err := os.WriteFile(path, extent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, flavour := range []pagefile.Backend{pagefile.BackendDisk, pagefile.BackendMmap} {
+		s, _, err := pagefile.OpenExtent(f, 0, int64(len(extent)), pagefile.CodecIDIdentity, flavour)
+		if err != nil {
+			t.Fatalf("%s: %v", flavour, err)
+		}
+		if err := verifyImagelessReadFault(s, 0); err != nil {
+			t.Errorf("%s: %v", flavour, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

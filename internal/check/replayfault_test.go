@@ -76,7 +76,7 @@ func TestReplayFailStop(t *testing.T) {
 		if _, err := tree.WriteMeta(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
+		if _, err := pagefile.WriteExtent(&buf, tree.Store(), pagefile.LayoutPPR); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

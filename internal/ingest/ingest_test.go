@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	stx "stindex"
@@ -487,6 +488,31 @@ func TestRecoverLambdaConflict(t *testing.T) {
 	}
 	if _, err := Open(Config{Dir: dir, Lambda: testLambda * 3, Tree: testStreamOptions().PPR}); err == nil {
 		t.Fatal("Open accepted a conflicting lambda")
+	}
+}
+
+// TestOpenRefusesUnwritableCodec: every freeze saves with Config.Codec,
+// so a codec no save accepts must fail Open before Recover creates or
+// replays anything, not later as failed freezes that never truncate the
+// journal.
+func TestOpenRefusesUnwritableCodec(t *testing.T) {
+	for _, codec := range []stx.Codec{"bogus", "identity"} {
+		dir := t.TempDir()
+		in, err := Open(Config{Dir: dir, Lambda: testLambda, Tree: testStreamOptions().PPR, Codec: codec})
+		if err == nil {
+			in.Close()
+			t.Fatalf("Open accepted codec %q", codec)
+		}
+		if !strings.Contains(err.Error(), "decode-only") {
+			t.Fatalf("codec %q: error does not say identity is decode-only: %v", codec, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("codec %q: Open left %d entries in the directory", codec, len(entries))
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ type Config struct {
 	// its journaled lambda (a conflicting value is an open error).
 	Lambda float64
 	Tree   stx.PPROptions
-	// Codec is the freeze container codec ("" = default, compressed).
+	// Codec is the freeze container codec: "" or compressed, the one
+	// codec written. Kept for callers that name it.
 	Codec stx.Codec
 	// QueueDepth bounds the admission queue in batches (default 64); a
 	// full queue fails fast with ErrBacklog.
@@ -105,6 +106,11 @@ type Ingester struct {
 // cfg.Name (when a registry is configured) and starts the pipeline.
 func Open(cfg Config) (*Ingester, error) {
 	cfg = cfg.withDefaults()
+	// Every freeze saves with the codec, so a bad one must fail here,
+	// before Recover touches the directory.
+	if err := cfg.Codec.Check(); err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
+	}
 	rec, err := Recover(cfg.Dir, RecoverOptions{
 		Lambda: cfg.Lambda,
 		Tree:   cfg.Tree,

@@ -3,46 +3,24 @@ package pagefile
 import (
 	"fmt"
 	"io"
-	"os"
 )
 
-// Codec is the page-extent serialisation boundary underneath the index
-// structures: it owns the on-disk byte format of a page extent (the
-// page-store section of a saved STIC container) while everything above —
-// Store semantics, Buffer accounting, the shared cache — keeps operating
-// on raw page images. A codec must round-trip exactly: for every store,
-// opening what WriteExtent produced yields an observationally identical
-// read-only store (same page ids, free list, page images, version 0,
-// ErrReadOnly on mutation), regardless of flavour. Decoding happens at
-// the store boundary, below the Buffer and the SharedCache, so cached
-// pages are always decoded images, and only a read that asks for an image
-// decodes: a Buffer miss whose node is already decoded reads the page's
-// bytes without expanding them.
-type Codec interface {
-	// Name is the stable external name ("identity", "compressed") used by
-	// flags and the STINDEX_CODEC environment variable.
-	Name() string
-	// ID is the stable byte written into the container header.
-	ID() byte
-	// WriteExtent serialises a store's pages — including freed slots, so
-	// page ids stay stable — to w. The layout hint names the node format
-	// the pages hold; codecs that exploit it must fall back to a lossless
-	// generic encoding for any page that does not match, so a wrong or
-	// LayoutOpaque hint costs compression, never correctness.
-	WriteExtent(w io.Writer, s Store, layout Layout) (int64, error)
-	// OpenExtent opens the extent at offset off of r, a container of size
-	// bytes (a file, or an image in memory), as a read-only store of the
-	// requested open flavour (disk/mmap/mem, see extentStore.open). Only
-	// the header and directory are read here, and an extent claiming more
-	// bytes than size holds is refused. The caller retains ownership of r.
-	// Returns the store and the total extent length in bytes, its at-rest
-	// size.
-	OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error)
-}
+// A page extent is the page-store section of a saved STIC container.
+// Its byte format sits underneath the index structures: everything above
+// — Store semantics, Buffer accounting, the shared cache — operates on
+// raw page images. WriteExtent writes the compressed STPC format
+// (compress.go); OpenExtent also reads the identity STPF format
+// (serialize.go) that older builds wrote. Opening what WriteExtent
+// produced yields an observationally identical read-only store (same page
+// ids, free list, page images, version 0, ErrReadOnly on mutation) in
+// every flavour. Decoding happens at the store boundary, below the Buffer
+// and the SharedCache, so cached pages are always decoded images, and
+// only a read that asks for an image decodes: a Buffer miss whose node is
+// already decoded reads the page's bytes without expanding them.
 
 // Layout hints which node format an extent's pages hold, so the
 // compressed codec can apply its structural encoders. It is advisory:
-// every codec is lossless for arbitrary page content under any hint.
+// the encoding is lossless for arbitrary page content under any hint.
 type Layout byte
 
 const (
@@ -65,73 +43,39 @@ const (
 
 // Codec IDs as written into container headers. Identity is 0 so that
 // version-1 containers — written before the codec byte existed, with the
-// byte position reserved-as-zero — parse uniformly as identity.
+// byte position reserved-as-zero — parse uniformly as identity. Every
+// save writes compressed; identity is decode-only.
 const (
 	CodecIDIdentity   byte = 0
 	CodecIDCompressed byte = 1
 )
 
-// EnvCodec is the environment variable consulted by DefaultCodec.
-// Setting STINDEX_CODEC=identity saves every default-configured
-// container — including the whole test suite — uncompressed.
-const EnvCodec = "STINDEX_CODEC"
-
-// CodecIdentity is the pass-through codec: raw fixed-size pages in the
-// historical STPF extent format. Containers it writes are byte-identical
-// to pre-codec (version 1) containers.
-var CodecIdentity Codec = identityCodec{}
-
-// CodecCompressed is the compressing codec: the STPC extent format with
-// per-page structural compression (XOR-delta-encoded MBR coordinates,
-// varint counts/refs/intervals).
-var CodecCompressed Codec = compressedCodec{}
-
-// codecs is the registry, indexed by header ID.
-var codecs = []Codec{CodecIdentity, CodecCompressed}
-
-// CodecByID resolves a container header's codec byte.
-func CodecByID(id byte) (Codec, error) {
-	if int(id) < len(codecs) {
-		return codecs[id], nil
+// CodecName is the stable name of a container header's codec byte, as
+// InspectContainer reports it.
+func CodecName(id byte) (string, error) {
+	switch id {
+	case CodecIDIdentity:
+		return "identity", nil
+	case CodecIDCompressed:
+		return "compressed", nil
 	}
-	return nil, fmt.Errorf("pagefile: unknown codec id %d", id)
+	return "", fmt.Errorf("pagefile: unknown codec id %d", id)
 }
 
-// CodecByName resolves a codec flag or STINDEX_CODEC value. The empty
-// name selects the default.
-func CodecByName(name string) (Codec, error) {
-	if name == "" {
-		return DefaultCodec(), nil
+// OpenExtent opens the extent at offset off of r, a container of size
+// bytes (a file, or an image in memory), as a read-only store of the
+// requested open flavour (disk/mmap/mem, see extentStore.open). codec is
+// the container header's codec byte and picks the directory parse. Only
+// the header and directory are read here, and an extent claiming more
+// bytes than size holds is refused. The caller retains ownership of r.
+// Returns the store and the total extent length in bytes, its at-rest
+// size.
+func OpenExtent(r io.ReaderAt, off, size int64, codec byte, flavour Backend) (Store, int64, error) {
+	switch codec {
+	case CodecIDIdentity:
+		return openIdentityExtent(r, off, size, flavour)
+	case CodecIDCompressed:
+		return openCompressedExtent(r, off, size, flavour)
 	}
-	for _, c := range codecs {
-		if c.Name() == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("pagefile: unknown codec %q", name)
-}
-
-// DefaultCodec returns the *save* codec selected by the STINDEX_CODEC
-// environment variable, defaulting to compressed — new writes compress;
-// old containers always open through the codec named in their header.
-// Unknown values fall back to the default, as DefaultOpenBackend's do.
-func DefaultCodec() Codec {
-	if os.Getenv(EnvCodec) == CodecIdentity.Name() {
-		return CodecIdentity
-	}
-	return CodecCompressed
-}
-
-// identityCodec wraps the historical STPF raw-page extent functions.
-type identityCodec struct{}
-
-func (identityCodec) Name() string { return "identity" }
-func (identityCodec) ID() byte     { return CodecIDIdentity }
-
-func (identityCodec) WriteExtent(w io.Writer, s Store, _ Layout) (int64, error) {
-	return WriteExtent(w, s)
-}
-
-func (identityCodec) OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
-	return OpenExtent(r, off, size, flavour)
+	return nil, 0, fmt.Errorf("pagefile: unknown codec id %d", codec)
 }

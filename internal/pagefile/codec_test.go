@@ -173,12 +173,12 @@ func TestCompressedExtentRoundTrip(t *testing.T) {
 		buildCodecWorkload(t, f, layout, rng)
 
 		var buf bytes.Buffer
-		if _, err := CodecCompressed.WriteExtent(&buf, f, layout); err != nil {
+		if _, err := WriteExtent(&buf, f, layout); err != nil {
 			t.Fatal(err)
 		}
 		encoded := append([]byte(nil), buf.Bytes()...)
 
-		mem, err := readExtent(CodecCompressed, encoded)
+		mem, err := readExtent(stpc, encoded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestCompressedExtentRoundTrip(t *testing.T) {
 		// Re-encode must be byte-identical: the codec is a pure function
 		// of the page population.
 		var buf2 bytes.Buffer
-		if _, err := CodecCompressed.WriteExtent(&buf2, mem, layout); err != nil {
+		if _, err := WriteExtent(&buf2, mem, layout); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encoded, buf2.Bytes()) {
@@ -219,17 +219,17 @@ func TestCompressedShrinksStructuredPages(t *testing.T) {
 			}
 		}
 		var compressed, identity bytes.Buffer
-		if _, err := CodecCompressed.WriteExtent(&compressed, f, tc.layout); err != nil {
+		if _, err := WriteExtent(&compressed, f, tc.layout); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CodecIdentity.WriteExtent(&identity, f, tc.layout); err != nil {
+		if _, err := writeSTPF(&identity, f, tc.layout); err != nil {
 			t.Fatal(err)
 		}
 		if compressed.Len()*tc.tenths > identity.Len()*10 {
 			t.Fatalf("layout %d: compressed %d bytes, identity %d: expected ≥ %.1fx shrink on node pages",
 				tc.layout, compressed.Len(), identity.Len(), float64(tc.tenths)/10)
 		}
-		got, err := readExtent(CodecCompressed, compressed.Bytes())
+		got, err := readExtent(stpc, compressed.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +244,8 @@ func TestCompressedStoredBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := New(DefaultPageSize)
 	buildCodecWorkload(t, f, LayoutPPR, rng)
-	file, off, enc := writeTestExtent(t, CodecCompressed, LayoutPPR, f)
-	s, length, err := CodecCompressed.OpenExtent(file, off, sizeOf(t, file), BackendDisk)
+	file, off, enc := writeTestExtent(t, stpc, LayoutPPR, f)
+	s, length, err := stpc.open(file, off, sizeOf(t, file), BackendDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,30 +258,29 @@ func TestCompressedStoredBytes(t *testing.T) {
 	}
 }
 
+// TestCodecRegistry checks the container codec byte: each readable
+// format has its name, each directory parse refuses the other format's
+// extent, and an unknown byte is refused.
 func TestCodecRegistry(t *testing.T) {
-	for _, c := range []Codec{CodecIdentity, CodecCompressed} {
-		byID, err := CodecByID(c.ID())
-		if err != nil || byID.Name() != c.Name() {
-			t.Fatalf("CodecByID(%d) = %v, %v", c.ID(), byID, err)
+	f := buildTestFile(t, 64, 3, 1)
+	for _, c := range testCodecs {
+		if name, err := CodecName(c.id); err != nil || name != c.name {
+			t.Fatalf("CodecName(%d) = %q, %v, want %q", c.id, name, err, c.name)
 		}
-		byName, err := CodecByName(c.Name())
-		if err != nil || byName.ID() != c.ID() {
-			t.Fatalf("CodecByName(%q) = %v, %v", c.Name(), byName, err)
+		var buf bytes.Buffer
+		if _, err := c.write(&buf, f, LayoutOpaque); err != nil {
+			t.Fatal(err)
+		}
+		other := CodecIDIdentity + CodecIDCompressed - c.id
+		if _, _, err := OpenExtent(bytes.NewReader(buf.Bytes()), 0, int64(buf.Len()), other, BackendDisk); err == nil {
+			t.Fatalf("%s extent opened as codec %d", c.name, other)
 		}
 	}
-	if _, err := CodecByID(250); err == nil {
-		t.Fatal("unknown codec id accepted")
+	if _, err := CodecName(250); err == nil {
+		t.Fatal("CodecName accepted an unknown id")
 	}
-	if _, err := CodecByName("gzip"); err == nil {
-		t.Fatal("unknown codec name accepted")
-	}
-	t.Setenv(EnvCodec, "identity")
-	if DefaultCodec() != CodecIdentity {
-		t.Fatal("STINDEX_CODEC=identity ignored")
-	}
-	t.Setenv(EnvCodec, "")
-	if DefaultCodec() != CodecCompressed {
-		t.Fatal("default codec should be compressed")
+	if _, _, err := OpenExtent(bytes.NewReader(make([]byte, 64)), 0, 64, 250, BackendDisk); err == nil {
+		t.Fatal("OpenExtent accepted an unknown codec id")
 	}
 }
 
@@ -290,13 +289,13 @@ func TestCompressedRejectsCorruptExtent(t *testing.T) {
 	f := New(256)
 	buildCodecWorkload(t, f, LayoutPPR, rng)
 	var buf bytes.Buffer
-	if _, err := CodecCompressed.WriteExtent(&buf, f, LayoutPPR); err != nil {
+	if _, err := WriteExtent(&buf, f, LayoutPPR); err != nil {
 		t.Fatal(err)
 	}
 	encoded := buf.Bytes()
 	// Truncations anywhere must error, never panic or over-allocate.
 	for _, cut := range []int{0, 3, cpHeaderSize - 1, cpHeaderSize + 2, len(encoded) / 2, len(encoded) - 1} {
-		if _, err := readExtent(CodecCompressed, encoded[:cut]); err == nil {
+		if _, err := readExtent(stpc, encoded[:cut]); err == nil {
 			t.Fatalf("accepted extent truncated to %d bytes", cut)
 		}
 	}
@@ -305,12 +304,12 @@ func TestCompressedRejectsCorruptExtent(t *testing.T) {
 	for pos := 0; pos < cpHeaderSize; pos++ {
 		mut := append([]byte(nil), encoded...)
 		mut[pos] ^= 0xff
-		_, _ = readExtent(CodecCompressed, mut)
+		_, _ = readExtent(stpc, mut)
 	}
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), encoded...)
 		mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
-		_, _ = readExtent(CodecCompressed, mut)
+		_, _ = readExtent(stpc, mut)
 	}
 }
 
@@ -389,7 +388,7 @@ func TestCompressedRefusesRetiredModes(t *testing.T) {
 		}
 		defer file.Close()
 		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			s, _, err := CodecCompressed.OpenExtent(file, 0, int64(len(extent)), flavour)
+			s, _, err := stpc.open(file, 0, int64(len(extent)), flavour)
 			if flavour == BackendMemory {
 				if !errors.Is(err, ErrRetiredPageMode) {
 					t.Fatalf("layout %d: materialising open says %v, want ErrRetiredPageMode", layout, err)

@@ -12,7 +12,7 @@ import (
 )
 
 // Compressed page-extent layout (little endian) — the STPC section of a
-// saved index when the compressed codec is selected:
+// saved index, the one extent format written:
 //
 //	magic    [4]byte  "STPC"
 //	version  uint32   1
@@ -613,15 +613,13 @@ func (e *cpEncoder) verifies(id uint32, cand, page []byte) bool {
 	return cpDecodePage(cand, e.verify, e.sp, e.structOK, id) == nil && bytes.Equal(e.verify, page)
 }
 
-// compressedCodec implements Codec with the STPC format.
-type compressedCodec struct{}
-
-func (compressedCodec) Name() string { return "compressed" }
-func (compressedCodec) ID() byte     { return CodecIDCompressed }
-
-// WriteExtent implements Codec. The encoded payload is buffered in
-// memory (lengths precede pages in the stream); the raw pages are not.
-func (compressedCodec) WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
+// WriteExtent serialises a store's pages — including freed slots, so
+// page ids stay stable — to w as an STPC extent. The layout hint names
+// the node format the pages hold; a page that does not match it is
+// written raw, so a wrong or LayoutOpaque hint costs compression, never
+// correctness. The encoded payload is buffered in memory (lengths
+// precede pages in the stream); the raw pages are not.
+func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 	freeList := s.FreeList()
 	numPages := s.NumAllocated()
 	enc := newCpEncoder(layout, s.PageSize())
@@ -705,13 +703,11 @@ func readCpHeader(header []byte) (pageSize, numPages, numFree int, layout Layout
 	return pageSize, numPages, numFree, layout, nil
 }
 
-// OpenExtent implements Codec: it opens the STPC extent at offset off of
-// r, a container of size bytes, as a read-only store of the requested
-// flavour (see extentStore.open). Only the header, free list and length
-// table are read eagerly (the length table is the page directory; at 4
-// bytes a page it is ~0.1% of the logical size); encoded pages stay at
-// rest until read.
-func (compressedCodec) OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
+// openCompressedExtent opens the STPC extent at offset off of r (see
+// OpenExtent). Only the header, free list and length table are read
+// eagerly (the length table is the page directory; at 4 bytes a page it
+// is ~0.1% of the logical size); encoded pages stay at rest until read.
+func openCompressedExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, cpHeaderSize)
 	if err := readFullAt(r, header, off); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading compressed extent header: %w", err)

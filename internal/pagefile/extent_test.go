@@ -32,10 +32,10 @@ func buildTestFile(t *testing.T, pageSize, pages, frees int) *File {
 // writeTestExtent saves src as an extent under codec in a temp file,
 // returning the file (opened for reading), the extent offset and the
 // encoded extent. The file is closed at cleanup.
-func writeTestExtent(t *testing.T, codec Codec, layout Layout, src Store) (*os.File, int64, []byte) {
+func writeTestExtent(t *testing.T, codec testCodec, layout Layout, src Store) (*os.File, int64, []byte) {
 	t.Helper()
 	var enc bytes.Buffer
-	if _, err := codec.WriteExtent(&enc, src, layout); err != nil {
+	if _, err := codec.write(&enc, src, layout); err != nil {
 		t.Fatalf("WriteExtent: %v", err)
 	}
 	// Leave an unaligned prefix before the extent so the mmap path has to
@@ -66,8 +66,8 @@ func sizeOf(t *testing.T, f *os.File) int64 {
 
 // readExtent is the eager load of an encoded extent held in memory: the
 // extent opened like a container and materialised into a writable File.
-func readExtent(codec Codec, enc []byte) (*File, error) {
-	s, _, err := codec.OpenExtent(bytes.NewReader(enc), 0, int64(len(enc)), BackendDisk)
+func readExtent(codec testCodec, enc []byte) (*File, error) {
+	s, _, err := codec.open(bytes.NewReader(enc), 0, int64(len(enc)), BackendDisk)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func assertFrozenParity(t *testing.T, got Store, src *File) {
 func TestOpenExtentBackendFlavours(t *testing.T) {
 	type extent struct {
 		name   string
-		codec  Codec
+		codec  testCodec
 		layout Layout
 		src    *File
 		f      *os.File
@@ -166,10 +166,10 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 		enc    []byte
 	}
 	extents := []*extent{
-		{name: "identity", codec: CodecIdentity, layout: LayoutOpaque},
-		{name: "compressed-opaque", codec: CodecCompressed, layout: LayoutOpaque},
-		{name: "compressed-ppr", codec: CodecCompressed, layout: LayoutPPR},
-		{name: "compressed-rstar", codec: CodecCompressed, layout: LayoutRStar},
+		{name: "identity", codec: stpf, layout: LayoutOpaque},
+		{name: "compressed-opaque", codec: stpc, layout: LayoutOpaque},
+		{name: "compressed-ppr", codec: stpc, layout: LayoutPPR},
+		{name: "compressed-rstar", codec: stpc, layout: LayoutRStar},
 	}
 	for _, x := range extents {
 		x.src = New(DefaultPageSize)
@@ -179,7 +179,7 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 	for _, flavour := range []Backend{BackendDefault, BackendDisk, BackendMmap, BackendMemory} {
 		t.Run(string(flavour), func(t *testing.T) {
 			for _, x := range extents {
-				s, n, err := x.codec.OpenExtent(x.f, x.off, sizeOf(t, x.f), flavour)
+				s, n, err := x.codec.open(x.f, x.off, sizeOf(t, x.f), flavour)
 				if err != nil {
 					t.Fatalf("%s: OpenExtent: %v", x.name, err)
 				}
@@ -194,7 +194,7 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 				// Re-encoding the opened store must be byte-identical to
 				// the saved extent, whatever the flavour.
 				var got bytes.Buffer
-				if _, err := x.codec.WriteExtent(&got, s, x.layout); err != nil {
+				if _, err := x.codec.write(&got, s, x.layout); err != nil {
 					t.Fatalf("%s: WriteExtent: %v", x.name, err)
 				}
 				if !bytes.Equal(got.Bytes(), x.enc) {
@@ -209,17 +209,17 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 }
 
 // eachCodec runs fn once per codec.
-func eachCodec(t *testing.T, fn func(t *testing.T, codec Codec)) {
-	for _, codec := range codecs {
-		t.Run(codec.Name(), func(t *testing.T) { fn(t, codec) })
+func eachCodec(t *testing.T, fn func(t *testing.T, codec testCodec)) {
+	for _, codec := range testCodecs {
+		t.Run(codec.name, func(t *testing.T) { fn(t, codec) })
 	}
 }
 
 func TestMmapStoreEmptyExtent(t *testing.T) {
-	eachCodec(t, func(t *testing.T, codec Codec) {
+	eachCodec(t, func(t *testing.T, codec testCodec) {
 		src := buildTestFile(t, 128, 0, 0)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
-		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
+		s, _, err := codec.open(f, off, sizeOf(t, f), BackendMmap)
 		if err != nil {
 			t.Fatalf("OpenExtent: %v", err)
 		}
@@ -232,9 +232,9 @@ func TestMmapStoreCloseIdempotent(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("mmap not supported on this platform")
 	}
-	eachCodec(t, func(t *testing.T, codec Codec) {
+	eachCodec(t, func(t *testing.T, codec testCodec) {
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, buildTestFile(t, 128, 4, 0))
-		s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), BackendMmap)
+		s, _, err := codec.open(f, off, sizeOf(t, f), BackendMmap)
 		if err != nil {
 			t.Fatalf("OpenExtent: %v", err)
 		}
@@ -259,12 +259,12 @@ func TestMmapStoreCloseIdempotent(t *testing.T) {
 // flavour: the mapping, the pread window that serves cold opens, and the
 // eager copy.
 func TestMmapStoreConcurrentReaders(t *testing.T) {
-	eachCodec(t, func(t *testing.T, codec Codec) {
+	eachCodec(t, func(t *testing.T, codec testCodec) {
 		src := buildTestFile(t, 256, 16, 4)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
 		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
 			t.Run(string(flavour), func(t *testing.T) {
-				s, _, err := codec.OpenExtent(f, off, sizeOf(t, f), flavour)
+				s, _, err := codec.open(f, off, sizeOf(t, f), flavour)
 				if err != nil {
 					t.Fatalf("OpenExtent: %v", err)
 				}

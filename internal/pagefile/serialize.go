@@ -1,14 +1,14 @@
 package pagefile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Page-extent layout (little endian) — the page-store section of a saved
-// index:
+// Identity page-extent layout (little endian) — the page-store section
+// of a container whose header names codec 0. Builds before compressed
+// became the only written codec wrote it; it is decode-only:
 //
 //	magic   [4]byte  "STPF"
 //	version uint32   1
@@ -31,51 +31,6 @@ const extentHeaderSize = 4 + 4 + 4 + 4 + 4
 // maxPageSize bounds the page size accepted from untrusted images.
 const maxPageSize = 1 << 22
 
-// WriteExtent serialises a store's pages — including freed slots, so page
-// ids stay stable — to w. Works for either backend.
-func WriteExtent(w io.Writer, s Store) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(data []byte) error {
-		m, err := bw.Write(data)
-		n += int64(m)
-		return err
-	}
-	freeList := s.FreeList()
-	numPages := s.NumAllocated()
-	header := make([]byte, extentHeaderSize)
-	copy(header, fileMagic)
-	binary.LittleEndian.PutUint32(header[4:], fileVersion)
-	binary.LittleEndian.PutUint32(header[8:], uint32(s.PageSize()))
-	binary.LittleEndian.PutUint32(header[12:], uint32(numPages))
-	binary.LittleEndian.PutUint32(header[16:], uint32(len(freeList)))
-	if err := write(header); err != nil {
-		return n, err
-	}
-	buf4 := make([]byte, 4)
-	for _, id := range freeList {
-		binary.LittleEndian.PutUint32(buf4, uint32(id))
-		if err := write(buf4); err != nil {
-			return n, err
-		}
-	}
-	page := make([]byte, s.PageSize())
-	zero := make([]byte, s.PageSize())
-	for i := 0; i < numPages; i++ {
-		data := zero
-		if err := s.Check(PageID(i)); err == nil {
-			if err := s.ReadPage(PageID(i), page); err != nil {
-				return n, err
-			}
-			data = page
-		}
-		if err := write(data); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
 // readExtentHeader parses and validates the fixed extent header.
 func readExtentHeader(header []byte) (pageSize, numPages, numFree int, err error) {
 	if string(header[:4]) != fileMagic {
@@ -96,14 +51,10 @@ func readExtentHeader(header []byte) (pageSize, numPages, numFree int, err error
 	return pageSize, numPages, numFree, nil
 }
 
-// OpenExtent opens the STPF extent at offset off of r, a container of
-// size bytes, as a read-only store of the requested flavour (see
-// extentStore.open): only the header and free list are read here; page
-// images stay at rest until a Buffer faults them in. The caller retains
-// ownership of r (it must stay open for the store's lifetime). Returns the
-// store and the total extent length in bytes, so callers can locate any
-// following section.
-func OpenExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
+// openIdentityExtent opens the STPF extent at offset off of r (see
+// OpenExtent): only the header and free list are read here; page images
+// stay at rest until a Buffer faults them in.
+func openIdentityExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
 	header := make([]byte, extentHeaderSize)
 	if err := readFullAt(r, header, off); err != nil {
 		return nil, 0, fmt.Errorf("pagefile: reading extent header: %w", err)

@@ -2,9 +2,57 @@ package pagefile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 )
+
+// testCodec is one extent format under test: the codec byte a container
+// header names it by, and a writer.
+type testCodec struct {
+	name  string
+	id    byte
+	write func(w io.Writer, s Store, layout Layout) (int64, error)
+}
+
+// stpf and stpc are the two formats OpenExtent reads. Only STPC has a
+// writer outside tests; writeSTPF keeps the decode-only identity reader
+// covered.
+var (
+	stpf       = testCodec{"identity", CodecIDIdentity, writeSTPF}
+	stpc       = testCodec{"compressed", CodecIDCompressed, WriteExtent}
+	testCodecs = []testCodec{stpf, stpc}
+)
+
+func (c testCodec) open(r io.ReaderAt, off, size int64, flavour Backend) (Store, int64, error) {
+	return OpenExtent(r, off, size, c.id, flavour)
+}
+
+// writeSTPF assembles an identity extent of s as the layout comment in
+// serialize.go describes it: header, free list, then every allocated
+// page, a freed one as zeros.
+func writeSTPF(w io.Writer, s Store, _ Layout) (int64, error) {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte(fileMagic), fileVersion)
+	b = le.AppendUint32(b, uint32(s.PageSize()))
+	b = le.AppendUint32(b, uint32(s.NumAllocated()))
+	b = le.AppendUint32(b, uint32(len(s.FreeList())))
+	for _, id := range s.FreeList() {
+		b = le.AppendUint32(b, uint32(id))
+	}
+	for i := 0; i < s.NumAllocated(); i++ {
+		page := make([]byte, s.PageSize())
+		if s.Check(PageID(i)) == nil {
+			if err := s.ReadPage(PageID(i), page); err != nil {
+				return 0, err
+			}
+		}
+		b = append(b, page...)
+	}
+	n, err := w.Write(b)
+	return int64(n), err
+}
 
 func TestFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -27,10 +75,10 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := WriteExtent(&buf, f); err != nil {
+	if _, err := writeSTPF(&buf, f, LayoutOpaque); err != nil {
 		t.Fatal(err)
 	}
-	g, err := readExtent(CodecIdentity, buf.Bytes())
+	g, err := readExtent(stpf, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +111,20 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileRejectsGarbage(t *testing.T) {
-	if _, err := readExtent(CodecIdentity, []byte("nope")); err == nil {
+	if _, err := readExtent(stpf, []byte("nope")); err == nil {
 		t.Fatal("accepted short garbage")
 	}
-	if _, err := readExtent(CodecIdentity, []byte("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
+	if _, err := readExtent(stpf, []byte("XXXXaaaaaaaaaaaaaaaaaaaa")); err == nil {
 		t.Fatal("accepted bad magic")
 	}
 	// Truncated page area.
 	f := New(32)
 	f.Allocate()
 	var buf bytes.Buffer
-	if _, err := WriteExtent(&buf, f); err != nil {
+	if _, err := writeSTPF(&buf, f, LayoutOpaque); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readExtent(CodecIdentity, buf.Bytes()[:buf.Len()-10]); err == nil {
+	if _, err := readExtent(stpf, buf.Bytes()[:buf.Len()-10]); err == nil {
 		t.Fatal("accepted truncated image")
 	}
 }

@@ -19,9 +19,8 @@ func eachBackend(t *testing.T, pageSize int, seed func(t *testing.T, f *File), f
 	t.Run("disk", func(t *testing.T) {
 		f := New(pageSize)
 		seed(t, f)
-		codec := DefaultCodec()
-		x, off, _ := writeTestExtent(t, codec, LayoutOpaque, f)
-		s, _, err := codec.OpenExtent(x, off, sizeOf(t, x), BackendDisk)
+		x, off, _ := writeTestExtent(t, stpc, LayoutOpaque, f)
+		s, _, err := stpc.open(x, off, sizeOf(t, x), BackendDisk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,10 +132,10 @@ func TestStoreSemanticsMatch(t *testing.T) {
 	if err := f.Free(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	eachCodec(t, func(t *testing.T, codec Codec) {
+	eachCodec(t, func(t *testing.T, codec testCodec) {
 		x, off, _ := writeTestExtent(t, codec, LayoutOpaque, f)
 		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			s, _, err := codec.OpenExtent(x, off, sizeOf(t, x), flavour)
+			s, _, err := codec.open(x, off, sizeOf(t, x), flavour)
 			if err != nil {
 				t.Fatalf("%s: %v", flavour, err)
 			}

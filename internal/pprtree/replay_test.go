@@ -13,7 +13,7 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// treeImage is the tree's meta section followed by its identity page
+// treeImage is the tree's meta section followed by its page
 // extent: the bytes its container holds, less the container's framing.
 func treeImage(t *testing.T, tree *Tree) []byte {
 	t.Helper()
@@ -21,7 +21,7 @@ func treeImage(t *testing.T, tree *Tree) []byte {
 	if _, err := tree.WriteMeta(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
+	if _, err := pagefile.WriteExtent(&buf, tree.Store(), pagefile.LayoutPPR); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -36,7 +36,7 @@ func readTree(t *testing.T, image []byte) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := pagefile.CodecIdentity.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.BackendDisk)
+	s, _, err := pagefile.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.CodecIDCompressed, pagefile.BackendDisk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestParallelSortMatchesStableSort(t *testing.T) {
 
 // TestParallelBulkLoadMatchesSerial bulk-loads the same seeded item set
 // with worker counts 1, 2 and NumCPU and asserts the serialized trees —
-// meta section and identity page extent — are byte-identical: the
+// meta section and page extent — are byte-identical: the
 // determinism guarantee of the parallel pipeline.
 func TestParallelBulkLoadMatchesSerial(t *testing.T) {
 	image := func(tree *Tree) []byte {
@@ -56,7 +56,7 @@ func TestParallelBulkLoadMatchesSerial(t *testing.T) {
 		if _, err := tree.WriteMeta(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pagefile.WriteExtent(&buf, tree.Store()); err != nil {
+		if _, err := pagefile.WriteExtent(&buf, tree.Store(), pagefile.LayoutRStar); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -25,9 +25,10 @@ type BuildConfig struct {
 	// shard (the packed R-tree bulk loader); shards themselves build
 	// sequentially to bound peak memory. 0 = GOMAXPROCS.
 	Parallelism int
-	// Codec selects the page codec the shard containers are saved with
-	// (empty = the process default; stserve autodetects per container
-	// from the header, so mixed-codec manifests load fine).
+	// Codec is the shard containers' page codec: "" or compressed, the
+	// one codec written. Kept for callers that name it; stserve
+	// autodetects per container from the header, so manifests whose
+	// shards older builds saved as identity load fine.
 	Codec stx.Codec
 }
 

@@ -114,16 +114,15 @@ func applyGrouped(ix *Indexer, evs []midEvent, sizes []int, mid, after func(appl
 	return nil
 }
 
-// indexerImage is the indexer's meta section followed by its tree's
-// identity page extent: the bytes its container holds, less the
-// container's framing.
+// indexerImage is the indexer's meta section followed by its tree's page
+// extent: the bytes its container holds, less the container's framing.
 func indexerImage(t testing.TB, ix *Indexer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := ix.WriteMeta(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pagefile.WriteExtent(&buf, ix.tree.Store()); err != nil {
+	if _, err := pagefile.WriteExtent(&buf, ix.tree.Store(), pagefile.LayoutPPR); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -138,7 +137,7 @@ func readIndexer(t testing.TB, image []byte) *Indexer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := pagefile.CodecIdentity.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.BackendDisk)
+	s, _, err := pagefile.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.CodecIDCompressed, pagefile.BackendDisk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ import (
 //
 // Version 1 containers had a reserved u16 of zero where the codec byte
 // now sits, so they parse uniformly as codec 0 and open unchanged
-// through the identity codec; new writes default to the compressed
-// codec (STINDEX_CODEC / SaveOptions select it explicitly).
+// through the identity reader. Every save writes codec 1; identity is
+// decode-only.
 //
 // Meta sections:
 //
@@ -227,16 +227,14 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, func(pagefile.Store) er
 
 // SaveOptions configures how a container is written.
 type SaveOptions struct {
-	// Codec selects the page-extent codec; CodecDefault consults the
-	// STINDEX_CODEC environment variable and falls back to compressed.
-	// The container records the choice in its header, so opening needs
-	// no configuration.
+	// Codec is the page-extent codec: CodecDefault or CodecCompressed,
+	// the one codec written.
 	Codec Codec
 }
 
 // EncodeIndex serialises an index — ppr, rstar, or a snapshot of a
-// stream index — as a self-describing container to w, using the default
-// codec (an HRIndex is built in memory and is refused).
+// stream index — as a self-describing container to w, with compressed
+// pages (an HRIndex is built in memory and is refused).
 // DecodeIndex and OpenIndex read it back; the kind and codec are
 // autodetected.
 func EncodeIndex(w io.Writer, x Index) (int64, error) {
@@ -245,8 +243,7 @@ func EncodeIndex(w io.Writer, x Index) (int64, error) {
 
 // EncodeIndexOptions is EncodeIndex with an explicit save configuration.
 func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
-	codec, err := opts.Codec.internal()
-	if err != nil {
+	if err := opts.Codec.Check(); err != nil {
 		return 0, err
 	}
 	kind, meta, store, err := encodeContainerMeta(x)
@@ -258,7 +255,7 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	binary.LittleEndian.PutUint32(header[4:], containerVersion)
 	header[8] = kind
 	header[9] = 1
-	header[10] = codec.ID()
+	header[10] = pagefile.CodecIDCompressed
 	binary.LittleEndian.PutUint64(header[12:], uint64(len(meta)))
 	m, err := w.Write(header)
 	n := int64(m)
@@ -270,12 +267,11 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	en, err := codec.WriteExtent(w, store, kindLayout(kind))
+	en, err := pagefile.WriteExtent(w, store, kindLayout(kind))
 	return n + en, err
 }
 
-// SaveIndex writes the index's container image to path with the default
-// codec. An interrupted write leaves a truncated file, which OpenIndex
+// SaveIndex writes the index's container image to path. An interrupted write leaves a truncated file, which OpenIndex
 // and DecodeIndex reject.
 func SaveIndex(path string, x Index) error {
 	return SaveIndexOptions(path, x, SaveOptions{})
@@ -283,6 +279,9 @@ func SaveIndex(path string, x Index) error {
 
 // SaveIndexOptions is SaveIndex with an explicit save configuration.
 func SaveIndexOptions(path string, x Index, opts SaveOptions) error {
+	if err := opts.Codec.Check(); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("stindex: saving index: %w", err)
@@ -304,36 +303,36 @@ func SaveIndexOptions(path string, x Index, opts SaveOptions) error {
 
 // parseContainerHeader parses the header of a container of size bytes;
 // the meta section it declares must fit in what follows the header.
-func parseContainerHeader(header []byte, size int64) (kind byte, extents int, codec pagefile.Codec, metaLen int64, err error) {
+func parseContainerHeader(header []byte, size int64) (kind byte, extents int, codec byte, metaLen int64, err error) {
 	if string(header[:4]) != containerMagic {
-		return 0, 0, nil, 0, fmt.Errorf("stindex: bad container magic %q", header[:4])
+		return 0, 0, 0, 0, fmt.Errorf("stindex: bad container magic %q", header[:4])
 	}
 	switch v := binary.LittleEndian.Uint32(header[4:]); v {
 	case containerVersion, containerVersionOld:
 		// Version 1 wrote zeros where the codec byte now sits, so both
 		// versions share one parse: codec 0 is identity.
 	default:
-		return 0, 0, nil, 0, fmt.Errorf("stindex: unsupported container version %d", v)
+		return 0, 0, 0, 0, fmt.Errorf("stindex: unsupported container version %d", v)
 	}
 	kind = header[8]
 	extents = int(header[9])
-	codec, err = pagefile.CodecByID(header[10])
-	if err != nil {
-		return 0, 0, nil, 0, fmt.Errorf("stindex: %w", err)
+	codec = header[10]
+	if _, err := pagefile.CodecName(codec); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("stindex: %w", err)
 	}
 	if header[11] != 0 {
-		return 0, 0, nil, 0, fmt.Errorf("stindex: nonzero reserved byte in container header")
+		return 0, 0, 0, 0, fmt.Errorf("stindex: nonzero reserved byte in container header")
 	}
 	metaLen = int64(binary.LittleEndian.Uint64(header[12:]))
 	if metaLen < 0 || metaLen > size-containerHeaderSize {
-		return 0, 0, nil, 0, fmt.Errorf("stindex: container meta of %d bytes truncated at container size %d", uint64(metaLen), size)
+		return 0, 0, 0, 0, fmt.Errorf("stindex: container meta of %d bytes truncated at container size %d", uint64(metaLen), size)
 	}
 	wantExtents := 1
 	if kind == kindHybrid {
 		wantExtents = 2
 	}
 	if extents != wantExtents {
-		return 0, 0, nil, 0, fmt.Errorf("stindex: kind %d container with %d extents, want %d", kind, extents, wantExtents)
+		return 0, 0, 0, 0, fmt.Errorf("stindex: kind %d container with %d extents, want %d", kind, extents, wantExtents)
 	}
 	return kind, extents, codec, metaLen, nil
 }
@@ -414,7 +413,7 @@ func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	store, _, err := codec.OpenExtent(r, containerHeaderSize+metaLen, size, backend)
+	store, _, err := pagefile.OpenExtent(r, containerHeaderSize+metaLen, size, codec, backend)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
@@ -559,13 +558,13 @@ func InspectContainer(path string) (ContainerInfo, error) {
 	}
 	info.Kind = kindName(kind)
 	info.Version = int(binary.LittleEndian.Uint32(header[4:]))
-	info.Codec = codec.Name()
+	info.Codec, _ = pagefile.CodecName(codec) // parseContainerHeader checked it
 	info.Extents = extents
 	info.MetaBytes = metaLen
 	info.FileBytes = fi.Size()
 	off := containerHeaderSize + metaLen
 	for i := 0; i < extents; i++ {
-		s, length, err := codec.OpenExtent(f, off, fi.Size(), pagefile.BackendDisk)
+		s, length, err := pagefile.OpenExtent(f, off, fi.Size(), codec, pagefile.BackendDisk)
 		if err != nil {
 			return info, fmt.Errorf("stindex: opening page extent %d: %w", i, err)
 		}

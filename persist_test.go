@@ -240,33 +240,36 @@ func (c pageReadCounter) ReadPage(id pagefile.PageID, dst []byte) error {
 	return c.Store.ReadPage(id, dst)
 }
 
-// TestCrossCodecBitIdentical saves every kind with both page codecs and
-// demands the codec be invisible above the store and deterministic
+// TestCrossCodecBitIdentical encodes every kind as a compressed
+// container and as an identity one (EncodeIdentity) and demands the
+// codec be invisible above the store and the encoder deterministic
 // below it: a container opened through any backend answers every query
 // identically to the built index with identical cold-buffer I/O, and
-// re-encoding the opened container with its own codec reproduces the
-// saved image byte for byte. The compressed image must also actually be
-// smaller — node pages are structured, so a codec that failed to shrink
-// them would mean the delta/dup encoder silently fell back to raw.
+// re-saving the opened container reproduces the compressed image byte
+// for byte. The compressed image must also actually be smaller — node
+// pages are structured, so a codec that failed to shrink them would mean
+// the struct encoder silently fell back to raw.
 func TestCrossCodecBitIdentical(t *testing.T) {
 	queries := persistQueries(t)
 	fixtures := persistFixtures(t, BackendMemory)
 	dir := t.TempDir()
 	for kind, orig := range fixtures {
-		sizes := map[Codec]int{}
-		for _, codec := range []Codec{CodecIdentity, CodecCompressed} {
-			var buf bytes.Buffer
-			if _, err := EncodeIndexOptions(&buf, orig, SaveOptions{Codec: codec}); err != nil {
-				t.Fatalf("%s/%s: encode: %v", kind, codec, err)
-			}
-			image := buf.Bytes()
-			sizes[codec] = len(image)
-			path := filepath.Join(dir, kind+"-"+string(codec)+".stic")
+		var buf bytes.Buffer
+		if _, err := EncodeIndex(&buf, orig); err != nil {
+			t.Fatalf("%s: encode: %v", kind, err)
+		}
+		identity, err := EncodeIdentity(orig)
+		if err != nil {
+			t.Fatalf("%s: identity encode: %v", kind, err)
+		}
+		images := map[string][]byte{"identity": identity, "compressed": buf.Bytes()}
+		for codec, image := range images {
+			path := filepath.Join(dir, kind+"-"+codec+".stic")
 			if err := os.WriteFile(path, image, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-				label := kind + "/" + string(codec) + "/" + string(backend)
+				label := kind + "/" + codec + "/" + string(backend)
 				// Opened the way a registry with a cache budget opens it: a
 				// decode tier over every extent, the counter underneath.
 				storeReads, extents := 0, uint32(0)
@@ -296,21 +299,21 @@ func TestCrossCodecBitIdentical(t *testing.T) {
 					t.Fatalf("%s: warm replay fetched %d pages from the store, want 0", label, storeReads-warm)
 				}
 				var re bytes.Buffer
-				if _, err := EncodeIndexOptions(&re, ox, SaveOptions{Codec: codec}); err != nil {
+				if _, err := EncodeIndex(&re, ox); err != nil {
 					t.Fatalf("%s: re-encode: %v", label, err)
 				}
-				if !bytes.Equal(image, re.Bytes()) {
+				if !bytes.Equal(images["compressed"], re.Bytes()) {
 					t.Fatalf("%s: re-encode produced a different image (%d vs %d bytes)",
-						label, len(image), re.Len())
+						label, len(images["compressed"]), re.Len())
 				}
 				if err := CloseIndex(ox); err != nil {
 					t.Fatalf("%s: close: %v", label, err)
 				}
 			}
 		}
-		if sizes[CodecCompressed] >= sizes[CodecIdentity] {
+		if len(images["compressed"]) >= len(identity) {
 			t.Errorf("%s: compressed container (%d bytes) not smaller than identity (%d bytes)",
-				kind, sizes[CodecCompressed], sizes[CodecIdentity])
+				kind, len(images["compressed"]), len(identity))
 		}
 	}
 }
@@ -526,9 +529,38 @@ func TestPersistRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSaveRefusesDecodeOnlyCodec: identity containers open but are no
+// longer written, so a save naming identity — or any codec but
+// compressed — fails with the decode-only error and creates no file.
+func TestSaveRefusesDecodeOnlyCodec(t *testing.T) {
+	ppr, err := BuildPPR(UnsplitRecords(genObjects(t, 40, 9)), PPROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []Codec{"identity", "gzip"} {
+		path := filepath.Join(t.TempDir(), "x.sti")
+		err := SaveIndexOptions(path, ppr, SaveOptions{Codec: codec})
+		if !errors.Is(err, errDecodeOnlyCodec) || !strings.Contains(err.Error(), string(codec)) {
+			t.Fatalf("saving with %q: %v, want the decode-only error naming it", codec, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("saving with %q left a file behind (%v)", codec, err)
+		}
+		if _, err := EncodeIndexOptions(io.Discard, ppr, SaveOptions{Codec: codec}); !errors.Is(err, errDecodeOnlyCodec) {
+			t.Fatalf("encoding with %q: %v", codec, err)
+		}
+	}
+	for _, codec := range []Codec{CodecDefault, CodecCompressed} {
+		if err := SaveIndexOptions(filepath.Join(t.TempDir(), "x.sti"), ppr, SaveOptions{Codec: codec}); err != nil {
+			t.Fatalf("saving with %q: %v", codec, err)
+		}
+	}
+}
+
 // TestTruncatedContainerFailsStop truncates a lazily opened container
-// under the open index: a query that reaches a page past the new end
-// fails with io.EOF on both codecs, never answers from zero-filled pages.
+// under the open index — a fresh compressed save, and a copy of the
+// multi-page identity fixture — and a query that reaches a page past the
+// new end fails with io.EOF, never answers from zero-filled pages.
 // The warm case answers the query once first, so every node it reaches is
 // decoded already: a pool miss over the plain store must still read the
 // page, and fail on the truncated file. (A truncated mapping faults
@@ -538,14 +570,22 @@ func TestTruncatedContainerFailsStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "rstar-v2-identity.sti"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves := map[string]func(path string) error{
+		"identity":   func(path string) error { return os.WriteFile(path, fixture, 0o644) },
+		"compressed": func(path string) error { return SaveIndex(path, ppr) },
+	}
 	all := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	span := Interval{Start: 0, End: 1 << 40}
-	for _, codec := range []Codec{CodecIdentity, CodecCompressed} {
-		t.Run(string(codec), func(t *testing.T) {
+	for codec, save := range saves {
+		t.Run(codec, func(t *testing.T) {
 			for _, pass := range []string{"cold", "warm"} {
 				t.Run(pass, func(t *testing.T) {
-					path := filepath.Join(t.TempDir(), "ppr.sti")
-					if err := SaveIndexOptions(path, ppr, SaveOptions{Codec: codec}); err != nil {
+					path := filepath.Join(t.TempDir(), "index.sti")
+					if err := save(path); err != nil {
 						t.Fatal(err)
 					}
 					x, err := OpenIndexOptions(path, OpenOptions{Backend: BackendDisk})

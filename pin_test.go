@@ -12,30 +12,32 @@ import (
 	"testing"
 
 	"stindex/internal/datagen"
+	"stindex/internal/pagefile"
 	"stindex/internal/stio"
 )
 
 // The digests below were recorded on the commit before the offline build
 // was optimised (write-back replay table in pprtree, typed MergeSplit
 // heap): a build-side change that alters a cut, an insertion order, a
-// page image or an encoded byte fails here. They hold for every page
-// store backend and do not depend on STINDEX_CODEC (the codec is passed
-// explicitly).
+// page image or an encoded byte fails here. The "*/pages" digests pin
+// what the pages hold (pageImageDigest); they were recorded on the last
+// commit that still wrote identity containers, whose digests they
+// replace.
 var pinnedBuildDigests = map[int64]map[string]string{
 	1: {
 		"records/merge-lagreedy":  "55665d9fecacf48e8496cb72908022f97fafb2ec4f7cbc2fcdcd30f05f931d0a",
 		"records/merge-greedy":    "9a87dfde1252942e7fb8bd6b5346e5ce839237165ee7f7cdc16fba25a4be84cc",
-		"ppr/identity":            "cba29d63b47eaecb2a96268f32548b557d1118e05df459d3934f206460adcbc2",
+		"ppr/pages":               "2bc1b688186b33691ca29099f58adb509ff26757cbe59b1486904c68c3d477a8",
 		"ppr/compressed":          "139964170c5dabd0fa64455514a03617c63abd8005bd45784395fca996f52eb1",
-		"rstar-packed/identity":   "0579de0f7cc9842c665fcea4c569b097332a2feebb47f62cc1414bf61f55a5f1",
+		"rstar-packed/pages":      "4619230751da08e21cd5aa7f3513745e5e520696a201decca62bd272550afced",
 		"rstar-packed/compressed": "6df5bf34f8e322f74aeaa6fd05227821d87349ac3b012d40b6c8ec1dd81b2e96",
 	},
 	2: {
 		"records/merge-lagreedy":  "8ebe81eda393977711ca8be975d0c91b45899e9afd951c400a70d157bf653ee2",
 		"records/merge-greedy":    "a86148f9e765baa2342ad427fa3d73e66ac507c3977c40fd005d7e33d63042b0",
-		"ppr/identity":            "8a6c57c755d8460b5308047591e98c28ee2274a9114989f530aaef1b2bd16c16",
+		"ppr/pages":               "2f1bf2319846393df85ebcb5cfe98d6f6f91e5b48e7479c1eba672719bd9b298",
 		"ppr/compressed":          "0d9aec14e6f987aaa03d37645adb2329a70e6df27842b8b6ea543e3c134fe900",
-		"rstar-packed/identity":   "1aa15fa14689804dfeeb9480432baaf48f43c4fd26a979bd06a69ea8e74d53a9",
+		"rstar-packed/pages":      "f396490cc6067f4a2c07c2e3c5bfcc1d852d0a4a92ac3b662b594cadcbab9a9d",
 		"rstar-packed/compressed": "10b9d64b9cde6eebab88e32c80d613fc35d4055a22fc6b7d03d6d3e5b2e0d633",
 	},
 }
@@ -55,11 +57,11 @@ func recordsDigest(records []Record) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func savedDigest(t *testing.T, idx Index, codec Codec) string {
+func savedDigest(t *testing.T, idx Index) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pin.sti")
-	if err := SaveIndexOptions(path, idx, SaveOptions{Codec: codec}); err != nil {
-		t.Fatalf("SaveIndexOptions: %v", err)
+	if err := SaveIndex(path, idx); err != nil {
+		t.Fatalf("SaveIndex: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -69,9 +71,39 @@ func savedDigest(t *testing.T, idx Index, codec Codec) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// pageImageDigest hashes what an index's container extent encodes,
+// whatever the page codec: the meta section, the free list (count, then
+// ids) and every live page image of the index's store, in id order.
+func pageImageDigest(t *testing.T, idx Index) string {
+	t.Helper()
+	_, meta, store, err := encodeContainerMeta(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(meta)
+	free := store.FreeList()
+	h.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(free))))
+	for _, id := range free {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
+	}
+	page := make([]byte, store.PageSize())
+	for i := 0; i < store.NumAllocated(); i++ {
+		id := pagefile.PageID(i)
+		if store.Check(id) != nil {
+			continue
+		}
+		if err := store.ReadPage(id, page); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(page)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestBuildBytesPinned pins the offline pipeline's output byte for byte:
 // the split records (merge splitter under both greedy distributions) and
-// the saved containers of the two build paths, under both codecs.
+// the page images and saved containers of the two build paths.
 func TestBuildBytesPinned(t *testing.T) {
 	for seed, want := range pinnedBuildDigests {
 		objs := genObjects(t, 1500, seed)
@@ -103,8 +135,8 @@ func TestBuildBytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for kind, idx := range map[string]Index{"ppr": ppr, "rstar-packed": packed} {
-			got[kind+"/identity"] = savedDigest(t, idx, CodecIdentity)
-			got[kind+"/compressed"] = savedDigest(t, idx, CodecCompressed)
+			got[kind+"/pages"] = pageImageDigest(t, idx)
+			got[kind+"/compressed"] = savedDigest(t, idx)
 		}
 
 		for name, w := range want {
@@ -123,14 +155,14 @@ func TestBuildBytesPinned(t *testing.T) {
 // TestBracketGroupsMatchWriteThrough compares both run that code, so a
 // peek that is wrong the same way twice shows only here.
 var pinnedStreamImages = map[string]string{
-	"identity":   "b5def4b22088aca1437932ba0de23e8bacaebe1897c1529bbbdf013a751d2992",
+	"pages":      "7f124b27b2f06316858a8aba047ab62f6274c65eae3764ed2044f70b0b161dc5",
 	"compressed": "180e600b22cb22aa710dc7f382ceb9d643c49f71ed6f7e4f9fc0579567817803",
 	"pool":       "requests=16349 writes=11997",
 }
 
 // TestStreamImagePinned feeds a stream index a generated feed in brackets
-// of 256 events, as ingest commit groups do, and pins the encoded image
-// under both codecs and the page traffic of the tree's pool. Eight-entry
+// of 256 events, as ingest commit groups do, and pins its page images,
+// its encoded container and the page traffic of the tree's pool. Eight-entry
 // nodes make the history deep. Of the pool's statistics the requests
 // (hits + misses) and the writes are pinned: a parent read skipped or
 // added moves them. How the requests divide into hits and misses is not
@@ -171,14 +203,13 @@ func TestStreamImagePinned(t *testing.T) {
 	if _, err := six.Tree().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for name, codec := range map[string]Codec{"identity": CodecIdentity, "compressed": CodecCompressed} {
-		var buf bytes.Buffer
-		if _, err := EncodeIndexOptions(&buf, six, SaveOptions{Codec: codec}); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		got[name] = hex.EncodeToString(sum[:])
+	got["pages"] = pageImageDigest(t, six)
+	var buf bytes.Buffer
+	if _, err := EncodeIndex(&buf, six); err != nil {
+		t.Fatal(err)
 	}
+	sum := sha256.Sum256(buf.Bytes())
+	got["compressed"] = hex.EncodeToString(sum[:])
 	for name, want := range pinnedStreamImages {
 		if got[name] != want {
 			t.Errorf("%s: %s, pinned %s", name, got[name], want)

@@ -93,11 +93,51 @@ func TestLegacyDeltaContainerRefused(t *testing.T) {
 	}
 }
 
-// TestIdentityContainersOpenEveryFlavour opens the identity containers
-// under testdata — a version-1 ppr container and a version-2 mid-history
-// stream snapshot — through the eager reader and every open flavour:
-// each answers a fixed query list like the eager decode and re-encodes,
-// under the identity codec, to the version-2 bytes of the fixture.
+// EncodeIdentity writes x as an identity container: a version-2 header
+// naming codec 0 and an STPF extent, spelled as the layout comments in
+// persist.go and internal/pagefile/serialize.go describe them. No save
+// writes identity any more; tests use it to keep the decode-only reader
+// covered on fresh images of every kind.
+func EncodeIdentity(x Index) ([]byte, error) {
+	kind, meta, store, err := encodeContainerMeta(x)
+	if err != nil {
+		return nil, err
+	}
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte(containerMagic), containerVersion)
+	b = append(b, kind, 1, pagefile.CodecIDIdentity, 0)
+	b = append(le.AppendUint64(b, uint64(len(meta))), meta...)
+	b = le.AppendUint32(append(b, "STPF"...), 1)
+	b = le.AppendUint32(b, uint32(store.PageSize()))
+	b = le.AppendUint32(b, uint32(store.NumAllocated()))
+	b = le.AppendUint32(b, uint32(len(store.FreeList())))
+	for _, id := range store.FreeList() {
+		b = le.AppendUint32(b, uint32(id))
+	}
+	for i := 0; i < store.NumAllocated(); i++ {
+		page := make([]byte, store.PageSize())
+		if store.Check(pagefile.PageID(i)) == nil {
+			if err := store.ReadPage(pagefile.PageID(i), page); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, page...)
+	}
+	return b, nil
+}
+
+// identityFixtures are the identity containers under testdata: a
+// version-1 ppr container, a version-2 mid-history stream snapshot and a
+// version-2 multi-page packed R*-tree.
+var identityFixtures = []string{"ppr-v1-identity.sti", "stream-delta-identity.sti", "rstar-v2-identity.sti"}
+
+// TestIdentityContainersOpenEveryFlavour opens the identity fixtures
+// through the eager reader and every open flavour: each answers a fixed
+// query list like the eager decode. Each re-saves compressed, and the
+// re-saved container reopens with the fixture's meta and page images and
+// answers the same queries. EncodeIdentity of the decode reproduces the
+// fixture's version-2 bytes, so the test-side writer spells the format
+// as the last identity writer did.
 func TestIdentityContainersOpenEveryFlavour(t *testing.T) {
 	window := Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
 	queries := []Query{
@@ -110,51 +150,72 @@ func TestIdentityContainersOpenEveryFlavour(t *testing.T) {
 		KNNQuery(0.1, 0.9, 400, 50),
 		TrajectoryQuery(window, Interval{Start: 0, End: 1 << 20}),
 	}
-	for _, name := range []string{"ppr-v1-identity.sti", "stream-delta-identity.sti"} {
+	sameAnswers := func(label string, want, got Index) {
+		t.Helper()
+		if got.Kind() != want.Kind() || got.Records() != want.Records() || got.Pages() != want.Pages() {
+			t.Fatalf("%s: %s with %d records on %d pages, decode gives %s with %d on %d", label,
+				got.Kind(), got.Records(), got.Pages(), want.Kind(), want.Records(), want.Pages())
+		}
+		for qi, q := range queries {
+			a, err := RunQueryResult(want, q)
+			if err != nil {
+				t.Fatalf("%s: decoded query %d: %v", label, qi, err)
+			}
+			b, err := RunQueryResult(got, q)
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", label, qi, err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: query %d differs from the decode:\n got %+v\nwant %+v", label, qi, b, a)
+			}
+		}
+	}
+	for _, name := range identityFixtures {
 		path := filepath.Join("testdata", name)
 		image, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2 := bytes.Clone(image)
-		binary.LittleEndian.PutUint32(v2[4:], containerVersion)
+		if info, err := InspectContainer(path); err != nil || info.Codec != "identity" || info.Pages < 1 {
+			t.Fatalf("%s: inspect reports %+v, %v; want an identity container", name, info, err)
+		}
 		want, err := DecodeIndex(bytes.NewReader(image))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
+		v2 := bytes.Clone(image)
+		binary.LittleEndian.PutUint32(v2[4:], containerVersion)
+		if again, err := EncodeIdentity(want); err != nil || !bytes.Equal(again, v2) {
+			t.Fatalf("%s: EncodeIdentity differs from the version-2 bytes (%v)", name, err)
+		}
+		pages := pageImageDigest(t, want)
 		for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+			label := name + ", " + string(backend)
 			got, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
 			if err != nil {
-				t.Fatalf("%s, %s: %v", name, backend, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if got.Kind() != want.Kind() || got.Records() != want.Records() || got.Pages() != want.Pages() {
-				t.Fatalf("%s, %s: %s with %d records on %d pages, decode gives %s with %d on %d", name, backend,
-					got.Kind(), got.Records(), got.Pages(), want.Kind(), want.Records(), want.Pages())
-			}
-			for qi, q := range queries {
-				a, err := RunQueryResult(want, q)
-				if err != nil {
-					t.Fatalf("%s: decoded query %d: %v", name, qi, err)
-				}
-				b, err := RunQueryResult(got, q)
-				if err != nil {
-					t.Fatalf("%s, %s: query %d: %v", name, backend, qi, err)
-				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s, %s: query %d differs from the decode:\n got %+v\nwant %+v", name, backend, qi, b, a)
-				}
-			}
-			for label, x := range map[string]Index{"decode": want, string(backend): got} {
-				var reencoded bytes.Buffer
-				if _, err := EncodeIndexOptions(&reencoded, x, SaveOptions{Codec: CodecIdentity}); err != nil {
-					t.Fatalf("%s, %s: re-encoding: %v", name, label, err)
-				}
-				if !bytes.Equal(reencoded.Bytes(), v2) {
-					t.Fatalf("%s, %s: identity re-encoding differs from the version-2 bytes", name, label)
-				}
+			sameAnswers(label, want, got)
+			resaved := filepath.Join(t.TempDir(), "resaved.sti")
+			if err := SaveIndex(resaved, got); err != nil {
+				t.Fatalf("%s: re-saving: %v", label, err)
 			}
 			if err := CloseIndex(got); err != nil {
-				t.Fatalf("%s, %s: close: %v", name, backend, err)
+				t.Fatalf("%s: close: %v", label, err)
+			}
+			reopened, err := OpenIndexOptions(resaved, OpenOptions{Backend: backend})
+			if err != nil {
+				t.Fatalf("%s: reopening the compressed re-save: %v", label, err)
+			}
+			if info, err := InspectContainer(resaved); err != nil || info.Codec != "compressed" {
+				t.Fatalf("%s: re-save inspects as %+v, %v", label, info, err)
+			}
+			if pageImageDigest(t, reopened) != pages {
+				t.Fatalf("%s: the compressed re-save holds other meta or page images", label)
+			}
+			sameAnswers(label+" re-saved", want, reopened)
+			if err := CloseIndex(reopened); err != nil {
+				t.Fatalf("%s: close re-save: %v", label, err)
 			}
 		}
 	}
