@@ -40,14 +40,12 @@ var runners = []struct {
 	{"chooser", func(c experiments.Config) error { _, err := experiments.Chooser(c); return err }},
 	{"overlap", func(c experiments.Config) error { _, err := experiments.Overlap(c); return err }},
 	{"build", func(c experiments.Config) error { _, err := experiments.Build(c); return err }},
-	{"persist", func(c experiments.Config) error { _, err := experiments.Persist(c); return err }},
 	{"shard", func(c experiments.Config) error { _, err := experiments.Shard(c); return err }},
-	{"check", func(c experiments.Config) error { _, err := experiments.Check(c); return err }},
 }
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build | persist | shard (scatter-gather sweep) | check (differential oracle + fault matrix)")
+		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build | shard (scatter-gather sweep)")
 		full    = flag.Bool("full", false, "use the paper's dataset sizes (10k..80k); hours of CPU")
 		sizes   = flag.String("sizes", "", "comma-separated dataset sizes overriding the defaults")
 		queries = flag.Int("queries", 0, "queries per set (default 1000)")

@@ -1,14 +1,17 @@
-// Command stcheck runs the correctness harness: the differential query
-// oracle (every index kind vs a brute-force scan — built in memory, and
-// reopened through each read flavour — serial and parallel), the
-// structural invariant walkers, and the fault-injection matrix. It exits
-// non-zero on the first discrepancy, printing the workload seed — and
-// fault schedule, when one was armed — needed to replay it.
+// Command stcheck runs the correctness harness (check.Run) seed by seed:
+// the differential query oracle (every index kind vs a brute-force scan
+// — built in memory, reopened from its one saved container through each
+// read flavour with the built index's cold-buffer I/O, serial and
+// parallel, sharded and over HTTP), the structural invariant walkers,
+// and the fault-injection matrix. It exits non-zero on the first
+// discrepancy, printing the workload seed — and fault schedule, when one
+// was armed — needed to replay it.
 //
 // Usage:
 //
 //	stcheck                                  # 3 seeds, all kinds, every flavour
 //	stcheck -seed 42 -seeds 1                # replay one failing seed
+//	stcheck -backend mmap                    # reopen through the mapping only
 //	stcheck -kinds ppr,stream -n 1000        # focus on two kinds, bigger data
 //	stcheck -nofaults                        # oracle only, skip the fault matrix
 //	stcheck -schedules read@1,rand:7:0.1     # custom fault schedules
@@ -35,7 +38,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "first workload seed")
 		seeds       = flag.Int("seeds", 3, "number of consecutive seeds to run")
 		kinds       = flag.String("kinds", "", "comma-separated index kinds (default: ppr,rstar,stream)")
-		backend     = flag.String("backend", "both", "what to check: mem (built in memory) | disk (built in memory, reopened through the pread window) | both (mem, disk and mmap)")
+		backend     = flag.String("backend", "all", "open flavours each saved container is reopened with: disk (pread window) | mmap | mem (eager load) | all; the built index is always checked")
 		parallelism = flag.String("parallelism", "1,4", "comma-separated worker counts for the parallel passes")
 		nofaults    = flag.Bool("nofaults", false, "skip the fault-injection matrix")
 		schedules   = flag.String("schedules", "", "comma-separated fault schedules overriding the defaults (see DESIGN.md for the grammar); ';' separates rules within one schedule")
@@ -72,14 +75,12 @@ func main() {
 			cfg.Kinds = append(cfg.Kinds, strings.TrimSpace(k))
 		}
 	}
-	switch *backend {
-	case "mem":
-		cfg.Backends = []stx.Backend{stx.BackendMemory}
-	case "disk":
-		cfg.Backends = []stx.Backend{stx.BackendDisk}
-	case "both", "":
+	switch b := stx.Backend(*backend); b {
+	case stx.BackendDisk, stx.BackendMmap, stx.BackendMemory:
+		cfg.Backends = []stx.Backend{b}
+	case "all":
 	default:
-		fatal(fmt.Errorf("unknown backend %q (want mem, disk or both)", *backend))
+		fatal(fmt.Errorf("unknown backend %q (want disk, mmap, mem or all)", *backend))
 	}
 	for _, p := range strings.Split(*parallelism, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(p))
@@ -104,24 +105,23 @@ func main() {
 		}
 		check.DefaultReadSchedules = scheds
 	}
+	if *nofaults {
+		check.DefaultReadSchedules = nil
+	}
 
 	for i := 0; i < *seeds; i++ {
 		cfg.Seed = *seed + int64(i)
-		drep, err := check.RunDiff(cfg)
+		rep, err := check.Run(cfg)
 		if err != nil {
-			fatal(fmt.Errorf("differential check FAILED — replay with -seed %d -seeds 1: %w", cfg.Seed, err))
+			fatal(fmt.Errorf("FAILED — replay with -seed %d -seeds 1: %w", cfg.Seed, err))
 		}
 		fmt.Printf("stcheck: seed %d: %d oracle passes, %d comparisons ok\n",
-			cfg.Seed, drep.Passes, drep.Compared)
-		if *nofaults {
-			continue
+			cfg.Seed, rep.Passes, rep.Compared)
+		fmt.Printf("stcheck: seed %d: %d queries ok over HTTP\n", cfg.Seed, rep.HTTPChecked)
+		if !*nofaults {
+			fmt.Printf("stcheck: seed %d: %d fault schedules ok, %d faults injected and contained\n",
+				cfg.Seed, rep.Schedules, rep.Injected)
 		}
-		frep, err := check.RunFaultMatrix(cfg)
-		if err != nil {
-			fatal(fmt.Errorf("fault matrix FAILED — replay with -seed %d -seeds 1: %w", cfg.Seed, err))
-		}
-		fmt.Printf("stcheck: seed %d: %d fault schedules ok, %d faults injected and contained\n",
-			cfg.Seed, frep.Schedules, frep.Injected)
 	}
 	if !*nofaults {
 		if err := check.VerifyBufferFaults(); err != nil {

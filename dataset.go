@@ -152,34 +152,16 @@ func MeasureWorkload(idx Index, queries []Query) (WorkloadResult, error) {
 // within one query's work of ctx being cancelled, returning the context's
 // error.
 func MeasureWorkloadCtx(ctx context.Context, idx Index, queries []Query) (WorkloadResult, error) {
-	var res WorkloadResult
-	totalIO, totalResults := int64(0), 0
-	for _, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		idx.ResetBuffer()
-		ids, err := RunQuery(idx, q)
-		if err != nil {
-			return res, err
-		}
-		totalIO += idx.IOStats().IO()
-		totalResults += len(ids)
-	}
-	res.Queries = len(queries)
-	if len(queries) > 0 {
-		res.AvgIO = float64(totalIO) / float64(len(queries))
-		res.AvgResult = float64(totalResults) / float64(len(queries))
-	}
-	return res, nil
+	return MeasureWorkloadParallelCtx(ctx, idx, queries, 1)
 }
 
 // MeasureWorkloadParallel is MeasureWorkload across the given number of
 // workers (resolved via the Parallelism convention: <= 0 means
-// GOMAXPROCS, clamped to the query count). Each worker queries its own
-// read-only view of the index — a private buffer pool and decode cache
-// over the shared, frozen page file — so the cold-buffer discipline holds
-// per query exactly as in the serial loop. Query i writes its (I/O,
+// GOMAXPROCS, clamped to the query count). One worker queries idx
+// itself; more each query their own read-only view of the index — a
+// private buffer pool and decode cache over the shared, frozen page file
+// — so the cold-buffer discipline holds per query exactly as in the
+// serial loop. Query i writes its (I/O,
 // result-count) pair into slot i, so the aggregate is bit-identical for
 // every worker count, including 1; parallelism changes wall clock, never
 // the reported numbers.
@@ -194,12 +176,12 @@ func MeasureWorkloadParallel(idx Index, queries []Query, workers int) (WorkloadR
 // measurement.
 func MeasureWorkloadParallelCtx(ctx context.Context, idx Index, queries []Query, workers int) (WorkloadResult, error) {
 	workers = parallel.Workers(workers, len(queries))
-	if workers <= 1 {
-		return MeasureWorkloadCtx(ctx, idx, queries)
-	}
-	views := make([]Index, workers)
-	for w := range views {
-		views[w] = idx.QueryView()
+	views := []Index{idx}
+	if workers > 1 {
+		views = make([]Index, workers)
+		for w := range views {
+			views[w] = idx.QueryView()
+		}
 	}
 	ios := make([]int64, len(queries))
 	counts := make([]int, len(queries))

@@ -24,7 +24,7 @@ func containerSeeds(f *testing.F) [][]byte {
 	}
 	var seeds [][]byte
 	for _, kind := range check.AllKinds {
-		idx, err := check.BuildKind(kind, wl, stx.BackendMemory)
+		idx, err := check.BuildKind(kind, wl)
 		if err != nil {
 			f.Fatalf("building %s: %v", kind, err)
 		}

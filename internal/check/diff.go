@@ -4,19 +4,21 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	stx "stindex"
 	"stindex/internal/pagefile"
 )
 
-// DiffConfig parameterises one differential run. The zero value is
-// filled in by withDefaults: every kind, all three backends (built in
-// memory, reopened through the pread window, reopened mapped),
-// parallelism 1 and 4, a 400-object workload over horizon 1000 with 200
-// queries.
+// DiffConfig parameterises one seed's run. The zero value is filled in
+// by withDefaults: every kind, all three open flavours (the pread
+// window, the mapping, the eager load), parallelism 1 and 4, a
+// 400-object workload over horizon 1000 with 200 queries.
 type DiffConfig struct {
-	Kinds       []string
+	Kinds []string
+	// Backends are the open flavours each kind's saved container is
+	// reopened with; the built index is checked whatever they are.
 	Backends    []stx.Backend
 	Parallelism []int
 	Objects     int
@@ -31,7 +33,7 @@ func (c DiffConfig) withDefaults() DiffConfig {
 		c.Kinds = AllKinds
 	}
 	if len(c.Backends) == 0 {
-		c.Backends = []stx.Backend{stx.BackendMemory, stx.BackendDisk, stx.BackendMmap}
+		c.Backends = []stx.Backend{stx.BackendDisk, stx.BackendMmap, stx.BackendMemory}
 	}
 	if len(c.Parallelism) == 0 {
 		c.Parallelism = []int{1, 4}
@@ -51,95 +53,187 @@ func (c DiffConfig) withDefaults() DiffConfig {
 	return c
 }
 
-// DiffReport summarises a completed differential run.
-type DiffReport struct {
-	Seed     int64
-	Queries  int
-	Passes   int // (kind, backend, parallelism) combinations compared
-	Compared int // individual query comparisons
+// Report summarises one seed's run.
+type Report struct {
+	Seed        int64
+	Queries     int    // window queries in the workload
+	Passes      int    // oracle-diffed passes over the whole workload
+	Compared    int    // index-vs-oracle comparisons in those passes
+	HTTPChecked int    // comparisons made over the HTTP serving path
+	Schedules   int    // (kind, variant, schedule) fault combinations driven, plus the sharded ones
+	Injected    uint64 // faults that fired across them
 }
 
-// RunDiff cross-checks every configured index kind against the
-// brute-force oracle: build each kind in memory, reopened from a saved
-// container with each configured backend but BackendMemory (see
-// BuildKind), validate
-// structural invariants, compare every query answer at each parallelism
-// level, and round-trip each kind through a saved container twice — once
-// plain (OpenIndex) and once with a shared page cache interposed, whose
-// cache-served second pass must still be oracle-exact. Each kind's
-// container image is additionally proven deterministic (decode +
-// re-encode reproduces it byte for byte) and oracle-exact through every
-// open backend. Any mismatch
-// error names the seed, kind, backend, parallelism and query index —
-// everything needed to reproduce it.
-func RunDiff(cfg DiffConfig) (DiffReport, error) {
+// Run is the correctness harness for one seed. It generates the
+// workload once and takes every configured kind through one pipeline:
+//
+//   - build it in memory and compute its oracle answers, once;
+//   - check the built index's invariants and diff it at every
+//     parallelism level;
+//   - encode it once, prove the encoding deterministic (decode +
+//     re-encode is byte-identical) and write that image to one file;
+//   - reopen the file with every flavour of cfg.Backends: invariants,
+//     the diff at every parallelism level, and every window query's
+//     cold-buffer I/O equal to the built index's (the paper's AvgIO must
+//     not depend on how the container is read);
+//   - over the same file, two shared-cache sessions and the fault
+//     matrix (skipped when DefaultReadSchedules is empty);
+//   - a sharded snapshot carved from the kind's records, diffed serially
+//     and in parallel;
+//   - the built index published into a service and diffed over HTTP.
+//
+// With faults on, a sharded fail-stop pass closes the run. Every error
+// names the seed, kind, flavour, parallelism and query index —
+// everything needed to replay it with stcheck.
+func Run(cfg DiffConfig) (Report, error) {
 	cfg = cfg.withDefaults()
-	rep := DiffReport{Seed: cfg.Seed}
+	r := &run{cfg: cfg, rep: Report{Seed: cfg.Seed}}
 	wl, err := GenerateWorkload(cfg.Objects, cfg.Horizon, cfg.Seed, cfg.Queries)
 	if err != nil {
-		return rep, err
+		return r.rep, err
 	}
-	rep.Queries = len(wl.Queries)
-	for bi, backend := range cfg.Backends {
-		for _, kind := range cfg.Kinds {
-			idx, err := BuildKind(kind, wl, backend)
-			if err != nil {
-				return rep, fmt.Errorf("check: seed %d: building %s/%s: %w", cfg.Seed, kind, backend, err)
-			}
-			exp, err := ExpectedAnswers(idx, wl)
-			if err != nil {
-				return rep, fmt.Errorf("check: seed %d: %s/%s: %w", cfg.Seed, kind, backend, err)
-			}
-			if err := CheckInvariants(idx); err != nil {
-				return rep, fmt.Errorf("check: seed %d: %s/%s: %w", cfg.Seed, kind, backend, err)
-			}
-			for _, par := range cfg.Parallelism {
-				cfg.Logf("diff seed=%d kind=%s backend=%s parallelism=%d", cfg.Seed, kind, backend, par)
-				if err := diffPass(idx, wl, exp, par); err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s/%s x%d: %w", cfg.Seed, kind, backend, par, err)
-				}
-				rep.Passes++
-				rep.Compared += wl.TotalQueries()
-			}
-			if bi == 0 {
-				cfg.Logf("diff seed=%d kind=%s container round-trip", cfg.Seed, kind)
-				if err := containerPass(idx, wl, exp); err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s container round-trip: %w", cfg.Seed, kind, err)
-				}
-				rep.Passes++
-				rep.Compared += wl.TotalQueries()
-				cfg.Logf("diff seed=%d kind=%s shared-cache round-trip", cfg.Seed, kind)
-				if err := sharedCachePass(idx, wl, exp); err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s shared-cache round-trip: %w", cfg.Seed, kind, err)
-				}
-				rep.Passes++
-				rep.Compared += 2 * wl.TotalQueries()
-				cfg.Logf("diff seed=%d kind=%s image round-trip", cfg.Seed, kind)
-				passes, err := imagePass(idx, wl, exp, cfg.Backends)
-				if err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s image round-trip: %w", cfg.Seed, kind, err)
-				}
-				rep.Passes += passes
-				rep.Compared += passes * wl.TotalQueries()
-				cfg.Logf("diff seed=%d kind=%s sharded scatter-gather", cfg.Seed, kind)
-				records, err := shardedRecordsFor(idx, wl)
-				if err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s sharded records: %w", cfg.Seed, kind, err)
-				}
-				if err := shardedDiffPass(kind, records, wl, exp); err != nil {
-					return rep, fmt.Errorf("check: seed %d: %s sharded scatter-gather: %w", cfg.Seed, kind, err)
-				}
-				rep.Passes++
-				rep.Compared += 2 * wl.TotalQueries()
-			}
-			// Mmap-flavoured kinds hold the container file and mapping;
-			// in-memory builds make this a no-op.
-			if err := stx.CloseIndex(idx); err != nil {
-				return rep, fmt.Errorf("check: seed %d: closing %s/%s: %w", cfg.Seed, kind, backend, err)
-			}
+	r.wl = wl
+	r.rep.Queries = len(wl.Queries)
+	if r.dir, err = os.MkdirTemp("", "stcheck-"); err != nil {
+		return r.rep, err
+	}
+	defer os.RemoveAll(r.dir)
+	if r.http, err = startHTTP(); err != nil {
+		return r.rep, err
+	}
+	defer r.http.close()
+	for _, kind := range cfg.Kinds {
+		if err := r.kind(kind); err != nil {
+			return r.rep, fmt.Errorf("check: seed %d: %s: %w", cfg.Seed, kind, err)
 		}
 	}
-	return rep, nil
+	if len(DefaultReadSchedules) > 0 {
+		// Sharded fan-out fail-stop: one shard's injected fault must fail
+		// the whole query, never surface as a silently partial merge. One
+		// pass over the PPR shard kind covers the scatter-gather layer;
+		// the per-kind matrix covers every container kind's own faults.
+		cfg.Logf("faults seed=%d sharded scatter-gather fail-stop", cfg.Seed)
+		injected, err := shardedFaultPass(wl, r.batchExpected(), DefaultReadSchedules)
+		r.rep.Injected += injected
+		if err != nil {
+			return r.rep, fmt.Errorf("check: seed %d: sharded fault pass: %w", cfg.Seed, err)
+		}
+		r.rep.Schedules += len(DefaultReadSchedules)
+	}
+	return r.rep, nil
+}
+
+// run is one seed's state: the workload, the directory holding each
+// kind's one container, the HTTP front end and the report so far.
+type run struct {
+	cfg   DiffConfig
+	wl    *Workload
+	dir   string
+	http  *httpServer
+	batch *Expected
+	rep   Report
+}
+
+// batchExpected is the oracle over the workload's offline split
+// records — the answers of every batch-built kind — computed once.
+func (r *run) batchExpected() *Expected {
+	if r.batch == nil {
+		r.batch = NewOracle(r.wl.Records).Expected(r.wl)
+	}
+	return r.batch
+}
+
+// kind runs Run's pipeline for one index kind.
+func (r *run) kind(kind string) error {
+	built, err := BuildKind(kind, r.wl)
+	if err != nil {
+		return fmt.Errorf("building: %w", err)
+	}
+	// The batch kinds answer like the workload's offline split records;
+	// the stream kind like the pieces it cut itself.
+	records, exp := r.wl.Records, r.batchExpected()
+	if s, ok := built.(*stx.StreamIndex); ok {
+		if records, err = s.PieceRecords(); err != nil {
+			return fmt.Errorf("extracting stream pieces: %w", err)
+		}
+		exp = NewOracle(records).Expected(r.wl)
+	}
+	if err := CheckInvariants(built); err != nil {
+		return fmt.Errorf("built: %w", err)
+	}
+	if err := r.diffAll(built, exp, "kind="+kind+" built"); err != nil {
+		return fmt.Errorf("built: %w", err)
+	}
+	cold, err := windowIO(built, r.wl)
+	if err != nil {
+		return fmt.Errorf("built: %w", err)
+	}
+	path := filepath.Join(r.dir, kind+".stic")
+	if err := saveImage(built, path); err != nil {
+		return fmt.Errorf("image: %w", err)
+	}
+	for _, backend := range r.cfg.Backends {
+		if err := r.reopened(path, backend, exp, cold, kind); err != nil {
+			return fmt.Errorf("opened %s: %w", backend, err)
+		}
+	}
+
+	r.cfg.Logf("diff seed=%d kind=%s shared-cache sessions", r.cfg.Seed, kind)
+	if err := sharedCachePass(path, r.wl, exp); err != nil {
+		return fmt.Errorf("shared-cache sessions: %w", err)
+	}
+	r.rep.Passes++
+	r.rep.Compared += 2 * r.wl.TotalQueries()
+
+	if err := r.faultMatrix(kind, path, exp); err != nil {
+		return err
+	}
+
+	r.cfg.Logf("diff seed=%d kind=%s sharded scatter-gather", r.cfg.Seed, kind)
+	if err := shardedDiffPass(kind, records, r.wl, exp); err != nil {
+		return fmt.Errorf("sharded scatter-gather: %w", err)
+	}
+	r.rep.Passes++
+	r.rep.Compared += 2 * r.wl.TotalQueries()
+
+	r.cfg.Logf("diff seed=%d kind=%s HTTP", r.cfg.Seed, kind)
+	checked, err := r.http.pass(kind, built, r.wl, exp)
+	r.rep.HTTPChecked += checked
+	return err
+}
+
+// diffAll diffs idx against the oracle at every parallelism level.
+func (r *run) diffAll(idx stx.Index, exp *Expected, label string) error {
+	for _, par := range r.cfg.Parallelism {
+		r.cfg.Logf("diff seed=%d %s parallelism=%d", r.cfg.Seed, label, par)
+		if err := diffPass(idx, r.wl, exp, par); err != nil {
+			return fmt.Errorf("x%d: %w", par, err)
+		}
+		r.rep.Passes++
+		r.rep.Compared += r.wl.TotalQueries()
+	}
+	return nil
+}
+
+// reopened opens the kind's container with one flavour and checks it
+// like the built index, plus every window query's cold-buffer I/O
+// against the built index's.
+func (r *run) reopened(path string, backend stx.Backend, exp *Expected, cold []stx.IOStats, kind string) error {
+	opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: backend})
+	if err != nil {
+		return err
+	}
+	defer stx.CloseIndex(opened)
+	if err := CheckInvariants(opened); err != nil {
+		return err
+	}
+	if err := r.diffAll(opened, exp, "kind="+kind+" opened "+string(backend)); err != nil {
+		return err
+	}
+	if err := sameWindowIO(opened, r.wl, cold); err != nil {
+		return err
+	}
+	return stx.CloseIndex(opened)
 }
 
 // diffPass compares every query answer against the oracle. Parallelism
@@ -212,49 +306,19 @@ func diffRange(idx stx.Index, wl *Workload, exp *Expected, lo, stride int) error
 	return nil
 }
 
-// containerPass round-trips the index through its on-disk container —
-// SaveIndex, lazy OpenIndex, invariants, a full serial diff — proving
-// the persisted image answers bit-identically to the built one.
-func containerPass(idx stx.Index, wl *Workload, exp *Expected) error {
-	f, err := os.CreateTemp("", "stcheck-*.stic")
-	if err != nil {
-		return err
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	if err := stx.SaveIndex(path, idx); err != nil {
-		return fmt.Errorf("saving container: %w", err)
-	}
-	opened, err := stx.OpenIndex(path)
-	if err != nil {
-		return fmt.Errorf("opening container: %w", err)
-	}
-	defer stx.CloseIndex(opened)
-	if err := CheckInvariants(opened); err != nil {
-		return fmt.Errorf("opened container: %w", err)
-	}
-	if err := diffRange(opened, wl, exp, 0, 1); err != nil {
-		return fmt.Errorf("opened container: %w", err)
-	}
-	return stx.CloseIndex(opened)
-}
-
-// imagePass proves the index's container image is trustworthy end to
-// end: the image is decoded and re-encoded — the encoder is
-// deterministic, so the second encoding must reproduce the container
-// byte for byte — and then opened through every backend flavour and
-// diffed against the oracle. It returns how many oracle-diffed passes it
-// ran.
-func imagePass(idx stx.Index, wl *Workload, exp *Expected, backends []stx.Backend) (int, error) {
+// saveImage encodes idx once, proves the encoder deterministic — the
+// image decoded and re-encoded reproduces it byte for byte — and writes
+// the image to path: the one container every reopen, shared-cache
+// session and fault schedule of the kind reads.
+func saveImage(idx stx.Index, path string) error {
 	var buf bytes.Buffer
 	if _, err := stx.EncodeIndex(&buf, idx); err != nil {
-		return 0, fmt.Errorf("encoding: %w", err)
+		return fmt.Errorf("encoding: %w", err)
 	}
 	image := buf.Bytes()
 	decoded, err := stx.DecodeIndex(bytes.NewReader(image))
 	if err != nil {
-		return 0, fmt.Errorf("decoding own image: %w", err)
+		return fmt.Errorf("decoding own image: %w", err)
 	}
 	var again bytes.Buffer
 	_, err = stx.EncodeIndex(&again, decoded)
@@ -262,44 +326,42 @@ func imagePass(idx stx.Index, wl *Workload, exp *Expected, backends []stx.Backen
 		err = cerr
 	}
 	if err != nil {
-		return 0, fmt.Errorf("re-encoding decoded image: %w", err)
+		return fmt.Errorf("re-encoding decoded image: %w", err)
 	}
 	if !bytes.Equal(image, again.Bytes()) {
-		return 0, fmt.Errorf("re-encode not byte-identical: %d vs %d bytes", len(image), again.Len())
+		return fmt.Errorf("re-encode not byte-identical: %d vs %d bytes", len(image), again.Len())
 	}
-	f, err := os.CreateTemp("", "stcheck-image-*.stic")
+	return os.WriteFile(path, image, 0o644)
+}
+
+// windowIO runs every window query of the workload on a cold buffer —
+// the paper's AvgIO discipline — and returns each query's I/O counters.
+func windowIO(idx stx.Index, wl *Workload) ([]stx.IOStats, error) {
+	out := make([]stx.IOStats, len(wl.Queries))
+	for i, q := range wl.Queries {
+		idx.ResetBuffer()
+		if _, err := stx.RunQuery(idx, q); err != nil {
+			return nil, fmt.Errorf("query %d (%+v): %w", i, q, err)
+		}
+		out[i] = idx.IOStats()
+	}
+	return out, nil
+}
+
+// sameWindowIO requires every window query to cost idx exactly the
+// cold-buffer I/O in want. A reopened container has its built index's
+// page layout and buffer policy, so no read flavour may change it.
+func sameWindowIO(idx stx.Index, wl *Workload, want []stx.IOStats) error {
+	got, err := windowIO(idx, wl)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	path := f.Name()
-	_, werr := f.Write(image)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("query %d (%+v): cold-buffer I/O %+v, built index %+v", i, wl.Queries[i], got[i], want[i])
+		}
 	}
-	defer os.Remove(path)
-	if werr != nil {
-		return 0, werr
-	}
-	passes := 0
-	for _, backend := range backends {
-		opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: backend})
-		if err != nil {
-			return passes, fmt.Errorf("opening as %s: %w", backend, err)
-		}
-		if err := CheckInvariants(opened); err != nil {
-			stx.CloseIndex(opened)
-			return passes, fmt.Errorf("opened as %s: %w", backend, err)
-		}
-		if err := diffRange(opened, wl, exp, 0, 1); err != nil {
-			stx.CloseIndex(opened)
-			return passes, fmt.Errorf("opened as %s: %w", backend, err)
-		}
-		if err := stx.CloseIndex(opened); err != nil {
-			return passes, fmt.Errorf("closing %s open: %w", backend, err)
-		}
-		passes++
-	}
-	return passes, nil
+	return nil
 }
 
 // sharedCacheWrap returns an open-time store wrapper that puts cache
@@ -319,24 +381,14 @@ func sharedCacheWrap(cache *pagefile.SharedCache, counters *pagefile.CacheCounte
 	}
 }
 
-// sharedCachePass round-trips the index through its container opened
-// with a registry-style shared cache beside its page stores. A first
-// pass warms the generation; a second session over it (the container
-// opened again under the same generation) must then be oracle-exact
-// without reading a page or decoding a node — every request is answered
-// by a node the first session published — and the retired generation
-// must release every entry.
-func sharedCachePass(idx stx.Index, wl *Workload, exp *Expected) error {
-	f, err := os.CreateTemp("", "stcheck-cache-*.stic")
-	if err != nil {
-		return err
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	if err := stx.SaveIndex(path, idx); err != nil {
-		return fmt.Errorf("saving container: %w", err)
-	}
+// sharedCachePass opens the container at path with a registry-style
+// shared cache beside its page stores. A first session warms the
+// generation; a second session over it (the container opened again
+// under the same generation) must then be oracle-exact without reading a
+// page or decoding a node — every request is answered by a node the
+// first session published — and the retired generation must release
+// every entry.
+func sharedCachePass(path string, wl *Workload, exp *Expected) error {
 	cache := pagefile.NewSharedCache(16 << 20)
 	counters := &pagefile.CacheCounters{}
 	session := func() error {

@@ -11,10 +11,10 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// DefaultReadSchedules are the read-path fault schedules RunFaultMatrix
-// drives every index kind through: first-read failure, a mid-traversal
-// failure, a periodic failure, a short (truncated) read, and a seeded
-// random 2% failure rate.
+// DefaultReadSchedules are the read-path fault schedules Run drives
+// every index kind through: first-read failure, a mid-traversal failure,
+// a periodic failure, a short (truncated) read, and a seeded random 2%
+// failure rate. With none, Run skips the fault matrix.
 var DefaultReadSchedules = []string{"read@1", "read@5", "read/7", "short@3", "rand:99:0.02"}
 
 // faultVariant is one open flavour the fault matrix drives each schedule
@@ -41,82 +41,32 @@ var faultVariants = []faultVariant{
 	{stx.BackendDisk, true},
 }
 
-// FaultReport summarises a fault-matrix run.
-type FaultReport struct {
-	Seed      int64
-	Schedules int    // (kind, variant, schedule) combinations driven
-	Injected  uint64 // total faults fired across all of them
-}
-
-// RunFaultMatrix proves every index kind degrades cleanly under storage
-// faults. For each kind it saves one container, reopens it in each
-// flavour of faultVariants with each schedule of DefaultReadSchedules
-// injected under the page stores (so faults land on already-decoded
-// pages — the lazily decompressing store must compose with injection),
-// and requires that under faults every query
-// either matches the oracle or fails with an error wrapping ErrInjected
-// — never a panic, never a silently wrong answer. It then disarms the
-// faults, resets the buffer pool, and requires every query to match the
-// oracle exactly, proving no fault left corrupted state behind (stale
-// cache frames, poisoned decode cache, broken traversal state). The
-// cached variant additionally proves a failed or short read never
-// publishes a decode: a second session, served from the shared cache
-// after disarm, must still be oracle-exact.
-func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
-	cfg = cfg.withDefaults()
-	rep := FaultReport{Seed: cfg.Seed}
-	wl, err := GenerateWorkload(cfg.Objects, cfg.Horizon, cfg.Seed, cfg.Queries)
-	if err != nil {
-		return rep, err
-	}
-	for _, kind := range cfg.Kinds {
-		built, err := BuildKind(kind, wl, stx.BackendMemory)
-		if err != nil {
-			return rep, fmt.Errorf("check: seed %d: building %s for fault matrix: %w", cfg.Seed, kind, err)
-		}
-		exp, err := ExpectedAnswers(built, wl)
-		if err != nil {
-			return rep, fmt.Errorf("check: seed %d: %s: %w", cfg.Seed, kind, err)
-		}
-		f, err := os.CreateTemp("", "stcheck-fault-*.stic")
-		if err != nil {
-			return rep, err
-		}
-		path := f.Name()
-		f.Close()
-		if err := stx.SaveIndex(path, built); err != nil {
-			os.Remove(path)
-			return rep, fmt.Errorf("check: seed %d: saving %s container: %w", cfg.Seed, kind, err)
-		}
-		for _, variant := range faultVariants {
-			for _, schedStr := range DefaultReadSchedules {
-				cfg.Logf("faults seed=%d kind=%s variant=%s schedule=%s", cfg.Seed, kind, variant, schedStr)
-				injected, err := runFaultSchedule(kind, path, schedStr, wl, exp, variant)
-				rep.Injected += injected
-				if err != nil {
-					os.Remove(path)
-					return rep, fmt.Errorf("check: seed %d: kind %s variant %s schedule %s: %w",
-						cfg.Seed, kind, variant, schedStr, err)
-				}
-				rep.Schedules++
+// faultMatrix proves the kind degrades cleanly under storage faults. It
+// reopens the kind's container in each flavour of faultVariants with
+// each schedule of DefaultReadSchedules injected under the page stores
+// (so faults land on already-decoded pages — the lazily decompressing
+// store must compose with injection), and requires that under faults
+// every query either matches the oracle or fails with an error wrapping
+// ErrInjected — never a panic, never a silently wrong answer. It then
+// disarms the faults, resets the buffer pool, and requires every query
+// to match the oracle exactly, proving no fault left corrupted state
+// behind (stale cache frames, poisoned decode cache, broken traversal
+// state). The cached variant additionally proves a failed or short read
+// never publishes a decode: a second session, served from the shared
+// cache after disarm, must still be oracle-exact.
+func (r *run) faultMatrix(kind, path string, exp *Expected) error {
+	for _, variant := range faultVariants {
+		for _, schedStr := range DefaultReadSchedules {
+			r.cfg.Logf("faults seed=%d kind=%s variant=%s schedule=%s", r.cfg.Seed, kind, variant, schedStr)
+			injected, err := runFaultSchedule(path, schedStr, r.wl, exp, variant)
+			r.rep.Injected += injected
+			if err != nil {
+				return fmt.Errorf("variant %s schedule %s: %w", variant, schedStr, err)
 			}
+			r.rep.Schedules++
 		}
-		os.Remove(path)
 	}
-	// Sharded fan-out fail-stop: one shard's injected fault must fail
-	// the whole query, never surface as a silently partial merge. One
-	// pass over the PPR shard kind covers the scatter-gather layer; the
-	// per-kind matrix above already covers every container kind's own
-	// fault behaviour.
-	shardedExpected := NewOracle(wl.Records).Expected(wl)
-	cfg.Logf("faults seed=%d sharded scatter-gather fail-stop", cfg.Seed)
-	injected, err := shardedFaultPass(wl, shardedExpected, DefaultReadSchedules)
-	rep.Injected += injected
-	if err != nil {
-		return rep, fmt.Errorf("check: seed %d: sharded fault pass: %w", cfg.Seed, err)
-	}
-	rep.Schedules += len(DefaultReadSchedules)
-	return rep, nil
+	return nil
 }
 
 // runFaultSchedule opens the container in the variant's flavour with one
@@ -125,7 +75,7 @@ func RunFaultMatrix(cfg DiffConfig) (FaultReport, error) {
 // decode misses reach the injector while hits are legally served — but
 // only pages that were read successfully ever publish a node, which the
 // disarmed oracle-exact recheck through a second session proves.
-func runFaultSchedule(kind, path, schedStr string, wl *Workload, exp *Expected, variant faultVariant) (uint64, error) {
+func runFaultSchedule(path, schedStr string, wl *Workload, exp *Expected, variant faultVariant) (uint64, error) {
 	sched, err := ParseSchedule(schedStr)
 	if err != nil {
 		return 0, err

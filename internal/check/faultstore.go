@@ -1,8 +1,8 @@
 // Package check is the correctness harness of the repository: a
 // deterministic fault-injecting page store (FaultStore), structural
 // invariant walkers for every index kind (CheckInvariants), and a
-// differential oracle that cross-checks every index kind, backend and
-// execution path against a brute-force linear scan (Oracle, RunDiff).
+// differential oracle that cross-checks every index kind, open flavour
+// and execution path against a brute-force linear scan (Oracle, Run).
 //
 // Everything is seeded and reproducible: a failing run prints its
 // workload seed and fault schedule, and replaying the same seed and

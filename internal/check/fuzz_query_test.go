@@ -33,7 +33,7 @@ func fuzzKinds(tb testing.TB) []fuzzKind {
 			return
 		}
 		for _, kind := range AllKinds {
-			idx, err := BuildKind(kind, wl, stx.BackendMemory)
+			idx, err := BuildKind(kind, wl)
 			if err != nil {
 				fuzzErr = err
 				return

@@ -15,7 +15,7 @@ func TestCheckInvariantsAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range AllKinds {
-		idx, err := BuildKind(kind, wl, stx.BackendMemory)
+		idx, err := BuildKind(kind, wl)
 		if err != nil {
 			t.Fatalf("building %s: %v", kind, err)
 		}

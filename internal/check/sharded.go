@@ -80,16 +80,6 @@ func shardedDiffPass(kind string, records []stx.Record, wl *Workload, exp *Expec
 	return sidx.Close()
 }
 
-// shardedRecordsFor returns the record set a sharded snapshot of this
-// built index must be carved from — the workload's offline split
-// records, or the stream index's own piece set.
-func shardedRecordsFor(idx stx.Index, wl *Workload) ([]stx.Record, error) {
-	if s, ok := idx.(*stx.StreamIndex); ok {
-		return s.PieceRecords()
-	}
-	return wl.Records, nil
-}
-
 // shardedFaultPass proves scatter-gather failure is fail-stop: with a
 // fault schedule armed under a single shard's page store, every query
 // either matches the oracle exactly or fails with the injected error —

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"os"
 
 	stx "stindex"
 )
@@ -86,15 +85,7 @@ func GenerateWorkload(objects int, horizon, seed int64, queries int) (*Workload,
 // kind replays the objects through the online rule observation by
 // observation (its piece set — and therefore its reference answers — is
 // its own, see StreamIndex.PieceRecords).
-//
-// Any backend but BackendMemory names an open flavour: the kind is
-// built in memory, saved to a container, and reopened with that flavour
-// (the pread window for BackendDisk, a mapping for BackendMmap), so
-// diffing it exercises that read path end to end.
-func BuildKind(kind string, wl *Workload, backend stx.Backend) (stx.Index, error) {
-	if backend != stx.BackendMemory {
-		return buildKindOpened(kind, wl, backend)
-	}
+func BuildKind(kind string, wl *Workload) (stx.Index, error) {
 	switch kind {
 	case "ppr":
 		return stx.BuildPPR(wl.Records, stx.PPROptions{})
@@ -104,28 +95,6 @@ func BuildKind(kind string, wl *Workload, backend stx.Backend) (stx.Index, error
 		return buildStream(wl.Objects)
 	}
 	return nil, fmt.Errorf("check: unknown index kind %q", kind)
-}
-
-// buildKindOpened builds the kind in memory, saves it to a temporary
-// container, and reopens it with the requested read flavour. The temp
-// file is unlinked right away — the open descriptor keeps the image
-// readable until the caller's CloseIndex.
-func buildKindOpened(kind string, wl *Workload, backend stx.Backend) (stx.Index, error) {
-	built, err := BuildKind(kind, wl, stx.BackendMemory)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.CreateTemp("", "stcheck-open-*.stic")
-	if err != nil {
-		return nil, err
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	if err := stx.SaveIndex(path, built); err != nil {
-		return nil, fmt.Errorf("check: saving %s container for %s open: %w", kind, backend, err)
-	}
-	return stx.OpenIndexOptions(path, stx.OpenOptions{Backend: backend})
 }
 
 // buildStream replays the objects in global time order through the
@@ -198,19 +167,4 @@ func (o *Oracle) Expected(wl *Workload) *Expected {
 		exp.Traj[i] = o.Trajectory(q.Rect, q.Interval)
 	}
 	return exp
-}
-
-// ExpectedAnswers computes the reference answers for an index over the
-// workload — window, kNN and trajectory families alike: the
-// offline-record oracle for the batch kinds, the index's own piece set
-// for the stream kind.
-func ExpectedAnswers(idx stx.Index, wl *Workload) (*Expected, error) {
-	if s, ok := idx.(*stx.StreamIndex); ok {
-		pieces, err := s.PieceRecords()
-		if err != nil {
-			return nil, fmt.Errorf("check: extracting stream pieces: %w", err)
-		}
-		return NewOracle(pieces).Expected(wl), nil
-	}
-	return NewOracle(wl.Records).Expected(wl), nil
 }

@@ -41,9 +41,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue in batches (default 64); a
 	// full queue fails fast with ErrBacklog.
 	QueueDepth int
-	// GroupCommit caps how many queued batches share one fsync
-	// (default 32).
-	GroupCommit int
 	// SegmentBytes rotates WAL segments (default 4 MiB).
 	SegmentBytes int64
 	// FreezeEvery freezes after that many accepted records (0 = only on
@@ -54,12 +51,12 @@ type Config struct {
 	FS FS
 }
 
+// groupCommit caps how many queued batches share one fsync.
+const groupCommit = 32
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.GroupCommit <= 0 {
-		c.GroupCommit = 32
 	}
 	return c
 }
@@ -238,11 +235,11 @@ func recordOf(o stio.Observation) Record {
 // applied ⊆ durable at every instant.
 func (in *Ingester) writer() {
 	defer close(in.writerDone)
-	group := make([]*submission, 0, in.cfg.GroupCommit)
+	group := make([]*submission, 0, groupCommit)
 	for sub := range in.submitCh {
 		group = append(group[:0], sub)
 	drain:
-		for len(group) < in.cfg.GroupCommit {
+		for len(group) < groupCommit {
 			select {
 			case more, ok := <-in.submitCh:
 				if !ok {

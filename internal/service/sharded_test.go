@@ -9,7 +9,6 @@ import (
 
 	stx "stindex"
 
-	"stindex/internal/check"
 	"stindex/internal/sharding"
 )
 
@@ -98,7 +97,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !check.SameIDs(got, want) {
+				if !sameIDs(got, want) {
 					t.Fatalf("query %d: sharded answer differs (%d vs %d ids)", qi, len(got), len(want))
 				}
 			}
@@ -169,7 +168,7 @@ func TestShardedQueryViewsConcurrent(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if !check.SameIDs(got, want[i]) {
+				if !sameIDs(got, want[i]) {
 					errCh <- errMismatch(i)
 					return
 				}
@@ -225,7 +224,7 @@ func TestRegistryLoadsManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !check.SameIDs(got, want) {
+		if !sameIDs(got, want) {
 			t.Fatalf("query %d: registry-served sharded answer differs", qi)
 		}
 	}

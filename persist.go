@@ -497,8 +497,13 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 		return nil, fmt.Errorf("stindex: opening index: %w", err)
 	}
 	backend := opts.Backend.internal()
-	if backend == pagefile.BackendDefault {
+	switch backend {
+	case pagefile.BackendDefault:
 		backend = pagefile.DefaultOpenBackend()
+	case pagefile.BackendDisk, pagefile.BackendMmap, pagefile.BackendMemory:
+	default:
+		return nil, fmt.Errorf("stindex: unknown open flavour %q (want %s, %s or %s)",
+			opts.Backend, BackendDisk, BackendMmap, BackendMemory)
 	}
 	x, attach, store, err := readContainer(f, fi.Size(), backend)
 	if err != nil {

@@ -13,10 +13,8 @@ import (
 )
 
 // persistFixtures builds one index of every built container kind over
-// the same dataset. Any backend but BackendMemory names an open flavour:
-// each index is then saved and reopened with it, and closed when the
-// test ends.
-func persistFixtures(t *testing.T, backend Backend) map[string]Index {
+// the same dataset.
+func persistFixtures(t *testing.T) map[string]Index {
 	t.Helper()
 	objs := genObjects(t, 300, 21)
 	records, _, err := SplitDataset(objs, SplitConfig{Budget: 450})
@@ -31,10 +29,14 @@ func persistFixtures(t *testing.T, backend Backend) map[string]Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures := map[string]Index{"ppr": ppr, "rstar": rstar}
-	if backend == BackendMemory {
-		return fixtures
-	}
+	return map[string]Index{"ppr": ppr, "rstar": rstar}
+}
+
+// reopenedFixtures saves each of persistFixtures' indexes and reopens it
+// with the flavour; the copies are closed when the test ends.
+func reopenedFixtures(t *testing.T, backend Backend) map[string]Index {
+	t.Helper()
+	fixtures := persistFixtures(t)
 	dir := t.TempDir()
 	for kind, built := range fixtures {
 		path := filepath.Join(dir, kind+".stic")
@@ -106,11 +108,14 @@ func expectSameAnswers(t *testing.T, label string, orig, loaded Index, queries [
 // demands identical answers and I/O.
 func TestContainerRoundTripAllKinds(t *testing.T) {
 	queries := persistQueries(t)
-	for _, backend := range []Backend{BackendMemory, BackendDisk} {
-		fixtures := persistFixtures(t, backend)
+	for _, from := range []string{"built", "disk"} {
+		fixtures := persistFixtures(t)
+		if from == "disk" {
+			fixtures = reopenedFixtures(t, BackendDisk)
+		}
 		dir := t.TempDir()
 		for kind, orig := range fixtures {
-			label := kind + "/" + string(backend)
+			label := kind + "/" + from
 
 			var buf bytes.Buffer
 			if _, err := EncodeIndex(&buf, orig); err != nil {
@@ -157,7 +162,7 @@ func TestContainerRoundTripAllKinds(t *testing.T) {
 // outlives the file, and re-encodes to the same bytes, and the same file
 // cut short by one byte is refused.
 func TestDecodeIndexReadsFileInPlace(t *testing.T) {
-	orig := persistFixtures(t, BackendMemory)["ppr"]
+	orig := persistFixtures(t)["ppr"]
 	var image bytes.Buffer
 	if _, err := EncodeIndex(&image, orig); err != nil {
 		t.Fatal(err)
@@ -200,7 +205,7 @@ func TestDecodeIndexReadsFileInPlace(t *testing.T) {
 // re-encodes to the identical image: the flavours must present the same
 // page layout, free list and allocation order.
 func TestCrossBackendBitIdentical(t *testing.T) {
-	for kind, a := range persistFixtures(t, BackendMemory) {
+	for kind, a := range persistFixtures(t) {
 		var abuf bytes.Buffer
 		if _, err := EncodeIndex(&abuf, a); err != nil {
 			t.Fatal(err)
@@ -229,6 +234,23 @@ func TestCrossBackendBitIdentical(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnknownFlavour: an open flavour that is none of disk,
+// mmap and mem is refused by name instead of read through pread.
+func TestOpenRefusesUnknownFlavour(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ppr.stic")
+	if err := SaveIndex(path, persistFixtures(t)["ppr"]); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenIndexOptions(path, OpenOptions{Backend: "mmpa"})
+	if err == nil {
+		CloseIndex(ix)
+		t.Fatal("opened a container with open flavour \"mmpa\"")
+	}
+	if !strings.Contains(err.Error(), `"mmpa"`) {
+		t.Fatalf("error %q does not name the flavour", err)
+	}
+}
+
 // pageReadCounter counts the page images fetched from an opened extent.
 type pageReadCounter struct {
 	pagefile.Store
@@ -251,7 +273,7 @@ func (c pageReadCounter) ReadPage(id pagefile.PageID, dst []byte) error {
 // the struct encoder silently fell back to raw.
 func TestCrossCodecBitIdentical(t *testing.T) {
 	queries := persistQueries(t)
-	fixtures := persistFixtures(t, BackendMemory)
+	fixtures := persistFixtures(t)
 	dir := t.TempDir()
 	for kind, orig := range fixtures {
 		var buf bytes.Buffer
