@@ -272,3 +272,72 @@ func TestBuildUnknownKindCleansUp(t *testing.T) {
 		t.Fatalf("failed build left %d files behind", len(entries))
 	}
 }
+
+// TestManifestFixture opens testdata/shards-spatial.stm, a manifest an
+// older build wrote over two shard containers whose bounds overlap. It
+// names the deleted spatial partitioner, which is only a label to the
+// reader. The loaded snapshot must answer window queries exactly as its
+// two containers opened directly do, and writing the loaded manifest must
+// give back the fixture's bytes.
+func TestManifestFixture(t *testing.T) {
+	path := filepath.Join("..", "..", "testdata", "shards-spatial.stm")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSharded(path, stx.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := s.Manifest()
+	if m.Partitioner != "spatial" || m.Kind != "ppr" || len(m.Shards) != 2 {
+		t.Fatalf("fixture manifest %+v", m)
+	}
+	var direct []stx.Index
+	for _, sh := range m.Shards {
+		idx, err := stx.OpenIndex(filepath.Join("..", "..", "testdata", sh.Path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stx.CloseIndex(idx)
+		direct = append(direct, idx)
+	}
+	hits := 0
+	for _, q := range []struct {
+		rect stx.Rect
+		iv   stx.Interval
+	}{
+		{stx.Rect{MaxX: 1, MaxY: 1}, stx.Interval{Start: 0, End: 60}},
+		{stx.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.7}, stx.Interval{Start: 10, End: 11}},
+		{stx.Rect{MinX: 0.45, MinY: 0, MaxX: 0.55, MaxY: 1}, stx.Interval{Start: 5, End: 40}},
+		{stx.Rect{MinX: 0.7, MinY: 0.1, MaxX: 0.9, MaxY: 0.5}, stx.Interval{Start: 30, End: 45}},
+	} {
+		got, err := s.Range(q.rect, q.iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts [][]int64
+		for _, idx := range direct {
+			ids, err := idx.Range(q.rect, q.iv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, ids)
+		}
+		if want := stx.MergeIDs(parts...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("range %v %v: sharded %v, shards opened directly %v", q.rect, q.iv, got, want)
+		}
+		hits += len(got)
+	}
+	if hits == 0 {
+		t.Fatal("no fixture query found an object")
+	}
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Fatal("writing the loaded fixture manifest does not give back its bytes")
+	}
+}
