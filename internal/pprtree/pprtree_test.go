@@ -240,32 +240,6 @@ func TestQueryIOAccounting(t *testing.T) {
 	}
 }
 
-func TestEphemeralLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const horizon = 200
-	recs := randRecords(rng, 1000, horizon)
-	tree, err := BuildRecords(Options{MaxEntries: 10, BufferPages: 64}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := int64(horizon / 2)
-	levels, err := tree.EphemeralLevels(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) == 0 {
-		t.Fatal("no levels at mid-history")
-	}
-	// The leaf level's alive records must cluster the alive set: count the
-	// alive records via brute force and require at least one leaf node.
-	if levels[len(levels)-1].Nodes == 0 {
-		t.Fatal("no leaf nodes alive at mid-history")
-	}
-	if levels[0].Nodes != 1 {
-		t.Fatalf("root level has %d nodes, want 1", levels[0].Nodes)
-	}
-}
-
 func TestPNodeRoundTrip(t *testing.T) {
 	n := &pnode{id: 3, leaf: false, startT: 5, endT: geom.Now}
 	for i := 0; i < 17; i++ {

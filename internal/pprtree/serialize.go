@@ -1,14 +1,13 @@
 package pprtree
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"stindex/internal/pagefile"
+	"stindex/internal/section"
 )
 
 // Tree meta layout (little endian), written by WriteMeta:
@@ -18,7 +17,7 @@ import (
 //	options   MaxEntries u32, PVersion/PSvo/PSvu f64, PageSize u32, BufferPages u32
 //	state     now i64, size u64, alive u64
 //	roots     count u32, then per span: page u32, start i64, end i64, height u32
-//	backRefs  present u8; if 1: count u32, then per child: child u32,
+//	backRefs  present u8 (0 or 1); if 1: count u32, then per child: child u32,
 //	          parents count u32, parents u32...
 //
 // The pages are not part of it: the index container stores them after the
@@ -31,6 +30,10 @@ const (
 	// maxStoredBufferPages bounds the deserialised pool size; the field is
 	// untrusted container input and sizes an eager allocation.
 	maxStoredBufferPages = 1 << 20
+
+	// maxPageIDs bounds the meta's counts: a root span, a back-referenced
+	// child and each of its parents name a page, and a page id is a u32.
+	maxPageIDs = math.MaxUint32
 )
 
 // WriteMeta serialises everything except the page extent: options, state,
@@ -42,241 +45,103 @@ func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
 	if t.resident != nil {
 		return 0, fmt.Errorf("pprtree: serialising inside an open write-back bracket (pages are behind the resident nodes)")
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	wr := func(data []byte) error {
-		m, err := bw.Write(data)
-		n += int64(m)
-		return err
-	}
-	u32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return wr(b[:])
-	}
-	u64 := func(v uint64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return wr(b[:])
-	}
-	f64 := func(v float64) error { return u64(math.Float64bits(v)) }
-
-	if err := wr([]byte(treeMagic)); err != nil {
-		return n, err
-	}
-	for _, step := range []error{
-		u32(treeVersion),
-		u32(uint32(t.opts.MaxEntries)),
-		f64(t.opts.PVersion), f64(t.opts.PSvo), f64(t.opts.PSvu),
-		u32(uint32(t.opts.PageSize)), u32(uint32(t.opts.BufferPages)),
-		u64(uint64(t.now)), u64(uint64(t.size)), u64(uint64(t.alive)),
-		u32(uint32(len(t.roots))),
-	} {
-		if step != nil {
-			return n, step
-		}
-	}
+	sw := section.NewWriter(w)
+	sw.Magic(treeMagic, treeVersion)
+	sw.U32(uint32(t.opts.MaxEntries))
+	sw.F64(t.opts.PVersion)
+	sw.F64(t.opts.PSvo)
+	sw.F64(t.opts.PSvu)
+	sw.U32(uint32(t.opts.PageSize))
+	sw.U32(uint32(t.opts.BufferPages))
+	sw.I64(t.now)
+	sw.U64(uint64(t.size))
+	sw.U64(uint64(t.alive))
+	sw.U32(uint32(len(t.roots)))
 	for _, r := range t.roots {
-		if err := u32(uint32(r.page)); err != nil {
-			return n, err
-		}
-		if err := u64(uint64(r.start)); err != nil {
-			return n, err
-		}
-		if err := u64(uint64(r.end)); err != nil {
-			return n, err
-		}
-		if err := u32(uint32(r.height)); err != nil {
-			return n, err
-		}
+		sw.U32(uint32(r.page))
+		sw.I64(r.start)
+		sw.I64(r.end)
+		sw.U32(uint32(r.height))
 	}
 	if t.backRefs == nil {
-		if err := wr([]byte{0}); err != nil {
-			return n, err
-		}
-	} else {
-		if err := wr([]byte{1}); err != nil {
-			return n, err
-		}
-		if err := u32(uint32(len(t.backRefs))); err != nil {
-			return n, err
-		}
-		children := make([]pagefile.PageID, 0, len(t.backRefs))
-		for c := range t.backRefs {
-			children = append(children, c)
-		}
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
-		for _, c := range children {
-			if err := u32(uint32(c)); err != nil {
-				return n, err
-			}
-			parents := make([]pagefile.PageID, 0, len(t.backRefs[c]))
-			for p := range t.backRefs[c] {
-				parents = append(parents, p)
-			}
-			sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
-			if err := u32(uint32(len(parents))); err != nil {
-				return n, err
-			}
-			for _, p := range parents {
-				if err := u32(uint32(p)); err != nil {
-					return n, err
-				}
-			}
+		sw.U8(0)
+		return sw.Flush()
+	}
+	sw.U8(1)
+	sw.U32(uint32(len(t.backRefs)))
+	for _, c := range sortedPages(t.backRefs) {
+		parents := sortedPages(t.backRefs[c])
+		sw.U32(uint32(c))
+		sw.U32(uint32(len(parents)))
+		for _, p := range parents {
+			sw.U32(uint32(p))
 		}
 	}
-	return n, bw.Flush()
+	return sw.Flush()
+}
+
+// sortedPages returns the keys of a page-keyed map in ascending order.
+func sortedPages[V any](m map[pagefile.PageID]V) []pagefile.PageID {
+	ids := make([]pagefile.PageID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less tree; the
-// caller must AttachStore before use. It performs plain unbuffered reads,
-// so a following section of the same stream is not consumed.
+// caller must AttachStore before use. Its reads are exact, so a following
+// section of the same stream is not consumed.
 func ReadMeta(r io.Reader) (*Tree, error) {
-	br := r
-	var scratch [8]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
+	sr := section.NewReader(r)
+	sr.Magic(treeMagic, treeVersion)
+	opts := Options{
+		MaxEntries:  int(sr.U32()),
+		PVersion:    sr.F64(),
+		PSvo:        sr.F64(),
+		PSvu:        sr.F64(),
+		PageSize:    int(sr.U32()),
+		BufferPages: int(sr.U32()),
+	}
+	t := &Tree{now: sr.I64(), size: int(sr.U64()), alive: int(sr.U64())}
+	numRoots := sr.Count32("root span count", maxPageIDs)
+	for i := 0; i < numRoots && sr.Err() == nil; i++ {
+		t.roots = append(t.roots, rootSpan{
+			page:   pagefile.PageID(sr.U32()),
+			start:  sr.I64(),
+			end:    sr.I64(),
+			height: int(sr.U32()),
+		})
+	}
+	switch flag := sr.U8(); flag {
+	case 0:
+	case 1:
+		t.backRefs = make(map[pagefile.PageID]map[pagefile.PageID]struct{})
+		children := sr.Count32("back-referenced child count", maxPageIDs)
+		for i := 0; i < children && sr.Err() == nil; i++ {
+			child := pagefile.PageID(sr.U32())
+			numParents := sr.Count32("parent count", maxPageIDs)
+			set := make(map[pagefile.PageID]struct{}, min(numParents, 1024)) // untrusted: cap the hint
+			for j := 0; j < numParents && sr.Err() == nil; j++ {
+				set[pagefile.PageID(sr.U32())] = struct{}{}
+			}
+			t.backRefs[child] = set
 		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
+	default:
+		sr.Fail(fmt.Errorf("back-references flag %d, want 0 or 1", flag))
 	}
-	u64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:8]), nil
-	}
-	f64 := func() (float64, error) {
-		v, err := u64()
-		return math.Float64frombits(v), err
-	}
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("pprtree: reading magic: %w", err)
-	}
-	if string(magic) != treeMagic {
-		return nil, fmt.Errorf("pprtree: bad magic %q", magic)
-	}
-	version, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != treeVersion {
-		return nil, fmt.Errorf("pprtree: unsupported version %d", version)
-	}
-	var opts Options
-	if v, err := u32(); err != nil {
-		return nil, err
-	} else {
-		opts.MaxEntries = int(v)
-	}
-	if opts.PVersion, err = f64(); err != nil {
-		return nil, err
-	}
-	if opts.PSvo, err = f64(); err != nil {
-		return nil, err
-	}
-	if opts.PSvu, err = f64(); err != nil {
-		return nil, err
-	}
-	if v, err := u32(); err != nil {
-		return nil, err
-	} else {
-		opts.PageSize = int(v)
-	}
-	if v, err := u32(); err != nil {
-		return nil, err
-	} else {
-		opts.BufferPages = int(v)
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("pprtree: reading meta: %w", err)
 	}
 	// The stored pool size is untrusted and sizes an eager allocation in
 	// AttachStore; a corrupt value must fail here, not OOM there.
 	if opts.BufferPages > maxStoredBufferPages {
 		return nil, fmt.Errorf("pprtree: stored buffer pool of %d pages is implausible", opts.BufferPages)
 	}
-	opts, err = opts.withDefaults()
-	if err != nil {
+	var err error
+	if t.opts, err = opts.withDefaults(); err != nil {
 		return nil, fmt.Errorf("pprtree: stored options invalid: %w", err)
-	}
-
-	t := &Tree{opts: opts}
-	if v, err := u64(); err != nil {
-		return nil, err
-	} else {
-		t.now = int64(v)
-	}
-	if v, err := u64(); err != nil {
-		return nil, err
-	} else {
-		t.size = int(v)
-	}
-	if v, err := u64(); err != nil {
-		return nil, err
-	} else {
-		t.alive = int(v)
-	}
-	numRoots, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < numRoots; i++ {
-		var span rootSpan
-		if v, err := u32(); err != nil {
-			return nil, err
-		} else {
-			span.page = pagefile.PageID(v)
-		}
-		if v, err := u64(); err != nil {
-			return nil, err
-		} else {
-			span.start = int64(v)
-		}
-		if v, err := u64(); err != nil {
-			return nil, err
-		} else {
-			span.end = int64(v)
-		}
-		if v, err := u32(); err != nil {
-			return nil, err
-		} else {
-			span.height = int(v)
-		}
-		t.roots = append(t.roots, span)
-	}
-	flag := make([]byte, 1)
-	if _, err := io.ReadFull(br, flag); err != nil {
-		return nil, err
-	}
-	if flag[0] == 1 {
-		t.backRefs = make(map[pagefile.PageID]map[pagefile.PageID]struct{})
-		count, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint32(0); i < count; i++ {
-			child, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			numParents, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			hint := numParents
-			if hint > 1024 {
-				hint = 1024 // untrusted count: cap the allocation hint
-			}
-			set := make(map[pagefile.PageID]struct{}, hint)
-			for j := uint32(0); j < numParents; j++ {
-				p, err := u32()
-				if err != nil {
-					return nil, err
-				}
-				set[pagefile.PageID(p)] = struct{}{}
-			}
-			t.backRefs[pagefile.PageID(child)] = set
-		}
 	}
 	return t, nil
 }

@@ -210,59 +210,13 @@ func (t *Tree) validateRootLog() error {
 			return fmt.Errorf("pprtree: root log gap between span %d (ends %d) and %d (starts %d)",
 				i-1, t.roots[i-1].end, i, r.start)
 		}
+		// A tree of height h has a page on each of its h levels.
+		if r.height < 1 || r.height > t.file.NumPages() {
+			return fmt.Errorf("pprtree: root span %d has height %d, want 1..%d (the store's pages)", i, r.height, t.file.NumPages())
+		}
 	}
 	if last := t.roots[len(t.roots)-1]; last.end != geom.Now {
 		return fmt.Errorf("pprtree: last root span ends at %d, want open", last.end)
 	}
 	return nil
-}
-
-// EphemeralLevel describes one level of the logical R-tree alive at one
-// time instant, for the analytical cost model: the number of alive nodes
-// and the MBRs of their alive records.
-type EphemeralLevel struct {
-	Level int // 1 = root level
-	Nodes int
-	MBRs  []geom.Rect
-}
-
-// EphemeralLevels reconstructs the logical (ephemeral) R-tree that the
-// structure represents at time at: only nodes and entries alive at that
-// instant. Returns nil when the time predates the tree.
-func (t *Tree) EphemeralLevels(at int64) ([]EphemeralLevel, error) {
-	root := t.rootAt(at)
-	if root == nil {
-		return nil, nil
-	}
-	levels := make([]EphemeralLevel, root.height)
-	for i := range levels {
-		levels[i].Level = i + 1
-	}
-	var walk func(id pagefile.PageID, depth int) error
-	walk = func(id pagefile.PageID, depth int) error {
-		n, err := t.readShared(id)
-		if err != nil {
-			return err
-		}
-		mbr := geom.EmptyRect()
-		for _, e := range n.entries {
-			if !e.aliveAt(at) {
-				continue
-			}
-			mbr = mbr.Union(e.rect)
-			if !n.leaf {
-				if err := walk(pagefile.PageID(e.ref), depth+1); err != nil {
-					return err
-				}
-			}
-		}
-		lv := &levels[depth-1]
-		lv.Nodes++
-		lv.MBRs = append(lv.MBRs, mbr)
-		return nil
-	}
-	if err := walk(root.page, 1); err != nil {
-		return nil, err
-	}
-	return levels, nil
 }

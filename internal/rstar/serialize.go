@@ -1,11 +1,11 @@
 package rstar
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"stindex/internal/pagefile"
+	"stindex/internal/section"
 )
 
 // Tree meta layout (little endian), written by WriteMeta:
@@ -27,80 +27,52 @@ const (
 	maxStoredBufferPages = 1 << 20
 )
 
-const rstarMetaSize = 4 + 4 + 5*4 + 4 + 4 + 8
-
 // WriteMeta serialises everything except the page extent: options and
 // root/height/size state.
 func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
-	header := make([]byte, rstarMetaSize)
-	copy(header, rstarMagic)
-	off := 4
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(header[off:], v)
-		off += 4
-	}
-	put32(rstarVersion)
-	put32(uint32(t.opts.MaxEntries))
-	put32(uint32(t.opts.MinEntries))
-	put32(uint32(t.opts.ReinsertCount))
-	put32(uint32(t.opts.PageSize))
-	put32(uint32(t.opts.BufferPages))
-	put32(uint32(t.root))
-	put32(uint32(t.height))
-	binary.LittleEndian.PutUint64(header[off:], uint64(t.size))
-
-	m, err := w.Write(header)
-	return int64(m), err
+	sw := section.NewWriter(w)
+	sw.Magic(rstarMagic, rstarVersion)
+	sw.U32(uint32(t.opts.MaxEntries))
+	sw.U32(uint32(t.opts.MinEntries))
+	sw.U32(uint32(t.opts.ReinsertCount))
+	sw.U32(uint32(t.opts.PageSize))
+	sw.U32(uint32(t.opts.BufferPages))
+	sw.U32(uint32(t.root))
+	sw.U32(uint32(t.height))
+	sw.U64(uint64(t.size))
+	return sw.Flush()
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less tree; the
-// caller must AttachStore before use. It performs a single exact-size
-// read, so a following section of the same stream is not consumed.
+// caller must AttachStore before use. Its reads are exact, so a following
+// section of the same stream is not consumed.
 func ReadMeta(r io.Reader) (*Tree, error) {
-	header := make([]byte, rstarMetaSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("rstar: reading header: %w", err)
-	}
-	if string(header[:4]) != rstarMagic {
-		return nil, fmt.Errorf("rstar: bad magic %q", header[:4])
-	}
-	off := 4
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(header[off:])
-		off += 4
-		return v
-	}
-	if v := get32(); v != rstarVersion {
-		return nil, fmt.Errorf("rstar: unsupported version %d", v)
-	}
+	sr := section.NewReader(r)
+	sr.Magic(rstarMagic, rstarVersion)
 	opts := Options{
-		MaxEntries:    int(get32()),
-		MinEntries:    int(get32()),
-		ReinsertCount: int(get32()),
-		PageSize:      int(get32()),
-		BufferPages:   int(get32()),
+		MaxEntries:    int(sr.U32()),
+		MinEntries:    int(sr.U32()),
+		ReinsertCount: int(sr.U32()),
+		PageSize:      int(sr.U32()),
+		BufferPages:   int(sr.U32()),
+	}
+	t := &Tree{root: pagefile.PageID(sr.U32()), height: int(sr.U32()), size: int(sr.U64())}
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("rstar: reading meta: %w", err)
 	}
 	// The stored pool size is untrusted and sizes an eager allocation in
 	// AttachStore; a corrupt value must fail here, not OOM there.
 	if opts.BufferPages > maxStoredBufferPages {
 		return nil, fmt.Errorf("rstar: stored buffer pool of %d pages is implausible", opts.BufferPages)
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
+	var err error
+	if t.opts, err = opts.withDefaults(); err != nil {
 		return nil, fmt.Errorf("rstar: stored options invalid: %w", err)
 	}
-	root := pagefile.PageID(get32())
-	height := int(get32())
-	size := int(binary.LittleEndian.Uint64(header[off:]))
-	if height < 1 || size < 0 {
-		return nil, fmt.Errorf("rstar: implausible stored state height=%d size=%d", height, size)
+	if t.height < 1 || t.size < 0 {
+		return nil, fmt.Errorf("rstar: implausible stored state height=%d size=%d", t.height, t.size)
 	}
-	return &Tree{
-		opts:   opts,
-		root:   root,
-		height: height,
-		size:   size,
-	}, nil
+	return t, nil
 }
 
 // AttachStore gives a ReadMeta tree its page store (either backend) and a
@@ -112,6 +84,10 @@ func (t *Tree) AttachStore(store pagefile.Store) error {
 	}
 	if err := store.Check(t.root); err != nil {
 		return fmt.Errorf("rstar: stored root invalid: %w", err)
+	}
+	// A tree of height h has a page on each of its h levels.
+	if t.height > store.NumPages() {
+		return fmt.Errorf("rstar: stored height %d above the store's %d pages", t.height, store.NumPages())
 	}
 	t.file = store
 	t.buf = pagefile.NewBuffer(store, t.opts.BufferPages)

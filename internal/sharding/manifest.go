@@ -2,7 +2,6 @@ package sharding
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +10,8 @@ import (
 	"strings"
 
 	stx "stindex"
+
+	"stindex/internal/section"
 )
 
 // Shard-manifest layout (little endian) — the tiny file a sharded
@@ -69,51 +70,38 @@ type Manifest struct {
 	Shards      []ShardInfo
 }
 
-func appendString(buf []byte, s string) ([]byte, error) {
-	if len(s) > maxManifestString {
-		return nil, fmt.Errorf("sharding: string of %d bytes exceeds the manifest limit", len(s))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
-}
-
 // WriteManifest serialises the manifest to w.
 func WriteManifest(w io.Writer, m *Manifest) error {
 	if len(m.Shards) == 0 || len(m.Shards) > MaxShards {
 		return fmt.Errorf("sharding: manifest with %d shards, want 1..%d", len(m.Shards), MaxShards)
 	}
-	buf := make([]byte, 0, 256)
-	buf = append(buf, ManifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
-	var err error
-	if buf, err = appendString(buf, m.Kind); err != nil {
-		return err
-	}
-	if buf, err = appendString(buf, m.Partitioner); err != nil {
-		return err
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Records))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Objects))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shards)))
+	sw := section.NewWriter(w)
+	sw.Magic(ManifestMagic, manifestVersion)
+	sw.String(m.Kind, maxManifestString)
+	sw.String(m.Partitioner, maxManifestString)
+	sw.U64(uint64(m.Records))
+	sw.U64(uint64(m.Objects))
+	sw.U32(uint32(len(m.Shards)))
 	for i := range m.Shards {
 		sh := &m.Shards[i]
 		if err := validShardPath(sh.Path); err != nil {
 			return err
 		}
-		if buf, err = appendString(buf, sh.Path); err != nil {
-			return err
-		}
-		for _, f := range [...]float64{sh.Rect.MinX, sh.Rect.MinY, sh.Rect.MaxX, sh.Rect.MaxY} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Interval.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Interval.End))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Records))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Objects))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(sh.BufferPages))
+		sw.String(sh.Path, maxManifestString)
+		sw.F64(sh.Rect.MinX)
+		sw.F64(sh.Rect.MinY)
+		sw.F64(sh.Rect.MaxX)
+		sw.F64(sh.Rect.MaxY)
+		sw.I64(sh.Interval.Start)
+		sw.I64(sh.Interval.End)
+		sw.U64(uint64(sh.Records))
+		sw.U64(uint64(sh.Objects))
+		sw.U32(uint32(sh.BufferPages))
 	}
-	_, err = w.Write(buf)
-	return err
+	if _, err := sw.Flush(); err != nil {
+		return fmt.Errorf("sharding: writing manifest: %w", err)
+	}
+	return nil
 }
 
 // validShardPath rejects shard paths that could escape the manifest's
@@ -134,104 +122,35 @@ func validShardPath(p string) error {
 	return nil
 }
 
-type manifestReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (mr *manifestReader) bytes(n int) []byte {
-	if mr.err != nil {
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(mr.r, buf); err != nil {
-		mr.err = err
-		return nil
-	}
-	return buf
-}
-
-func (mr *manifestReader) u16() uint16 {
-	b := mr.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (mr *manifestReader) u32() uint32 {
-	b := mr.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (mr *manifestReader) u64() uint64 {
-	b := mr.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (mr *manifestReader) f64() float64 { return math.Float64frombits(mr.u64()) }
-
-func (mr *manifestReader) str() string {
-	n := int(mr.u16())
-	if mr.err != nil {
-		return ""
-	}
-	if n > maxManifestString {
-		mr.err = fmt.Errorf("sharding: manifest string of %d bytes exceeds the limit", n)
-		return ""
-	}
-	return string(mr.bytes(n))
-}
-
-func (mr *manifestReader) count(what string, max uint64) int {
-	v := mr.u64()
-	if mr.err != nil {
-		return 0
-	}
-	if v > max {
-		mr.err = fmt.Errorf("sharding: implausible manifest %s %d", what, v)
-		return 0
-	}
-	return int(v)
-}
-
 // ReadManifest parses a manifest stream. Corrupt, truncated or
 // implausible input fails with an error — never a panic, never an
 // allocation driven by an unvalidated count.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	mr := &manifestReader{r: bufio.NewReader(r)}
-	if magic := mr.bytes(4); mr.err == nil && string(magic) != ManifestMagic {
-		return nil, fmt.Errorf("sharding: bad manifest magic %q", magic)
+	br := bufio.NewReader(r)
+	sr := section.NewReader(br)
+	sr.Magic(ManifestMagic, manifestVersion)
+	m := &Manifest{
+		Kind:        sr.String(maxManifestString),
+		Partitioner: sr.String(maxManifestString),
+		Records:     sr.Count64("record count", maxShardRecords),
+		Objects:     sr.Count64("object count", maxShardRecords),
 	}
-	if v := mr.u32(); mr.err == nil && v != manifestVersion {
-		return nil, fmt.Errorf("sharding: unsupported manifest version %d", v)
-	}
-	m := &Manifest{}
-	m.Kind = mr.str()
-	m.Partitioner = mr.str()
-	m.Records = mr.count("record count", maxShardRecords)
-	m.Objects = mr.count("object count", maxShardRecords)
-	shards := mr.u32()
-	if mr.err == nil && (shards == 0 || shards > MaxShards) {
-		return nil, fmt.Errorf("sharding: manifest names %d shards, want 1..%d", shards, MaxShards)
+	shards := sr.Count32("shard count", MaxShards)
+	if sr.Err() == nil && shards == 0 {
+		return nil, fmt.Errorf("sharding: manifest names no shards, want 1..%d", MaxShards)
 	}
 	// The shard count is untrusted: reading drives the allocation, not
 	// the header (a truncated stream stops growing the slice).
-	for i := uint32(0); i < shards && mr.err == nil; i++ {
-		var sh ShardInfo
-		sh.Path = mr.str()
-		sh.Rect = stx.Rect{MinX: mr.f64(), MinY: mr.f64(), MaxX: mr.f64(), MaxY: mr.f64()}
-		sh.Interval = stx.Interval{Start: int64(mr.u64()), End: int64(mr.u64())}
-		sh.Records = mr.count("shard record count", maxShardRecords)
-		sh.Objects = mr.count("shard object count", maxShardRecords)
-		sh.BufferPages = int(mr.u32())
-		if mr.err != nil {
+	for i := 0; i < shards && sr.Err() == nil; i++ {
+		sh := ShardInfo{
+			Path:        sr.String(maxManifestString),
+			Rect:        stx.Rect{MinX: sr.F64(), MinY: sr.F64(), MaxX: sr.F64(), MaxY: sr.F64()},
+			Interval:    stx.Interval{Start: sr.I64(), End: sr.I64()},
+			Records:     sr.Count64("shard record count", maxShardRecords),
+			Objects:     sr.Count64("shard object count", maxShardRecords),
+			BufferPages: int(sr.U32()),
+		}
+		if sr.Err() != nil {
 			break
 		}
 		if err := validShardPath(sh.Path); err != nil {
@@ -250,10 +169,10 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		}
 		m.Shards = append(m.Shards, sh)
 	}
-	if mr.err != nil {
-		return nil, fmt.Errorf("sharding: reading manifest: %w", mr.err)
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("sharding: reading manifest: %w", err)
 	}
-	if _, err := mr.r.ReadByte(); err != io.EOF {
+	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("sharding: trailing garbage after manifest")
 	}
 	return m, nil

@@ -14,6 +14,7 @@ import (
 	"stindex/internal/pagefile"
 	"stindex/internal/pprtree"
 	"stindex/internal/rstar"
+	"stindex/internal/section"
 	"stindex/internal/stream"
 )
 
@@ -106,35 +107,28 @@ const containerHeaderSize = 4 + 4 + 1 + 1 + 2 + 8
 // maxOwners bounds the owner count accepted from untrusted images.
 const maxOwners = 1 << 32
 
-func appendOwners(buf []byte, owners *owner.Table) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(owners.Ord)))
+// writeOwners writes the owner table.
+func writeOwners(sw *section.Writer, owners *owner.Table) {
+	sw.U64(uint64(len(owners.Ord)))
 	for _, o := range owners.Ord {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(owners.IDs[o]))
+		sw.I64(owners.IDs[o])
 	}
-	return buf
 }
 
 // readOwners reads the owner table at mr's position in meta, numbering
 // the objects straight off the meta bytes.
-func readOwners(meta []byte, mr *bytes.Reader) (*owner.Table, error) {
-	var cnt [8]byte
-	if _, err := io.ReadFull(mr, cnt[:]); err != nil {
-		return nil, fmt.Errorf("stindex: reading owner count: %w", err)
-	}
-	count := binary.LittleEndian.Uint64(cnt[:])
-	if count > maxOwners {
-		return nil, fmt.Errorf("stindex: implausible owner count %d", count)
+func readOwners(meta []byte, mr *bytes.Reader, sr *section.Reader) (*owner.Table, error) {
+	count := sr.Count64("owner count", maxOwners)
+	if err := sr.Err(); err != nil {
+		return nil, fmt.Errorf("stindex: reading meta: %w", err)
 	}
 	// The count is untrusted input: it must fit in the bytes present.
-	if count > uint64(mr.Len())/8 {
+	if count > mr.Len()/8 {
 		return nil, fmt.Errorf("stindex: reading owner table: %w", io.ErrUnexpectedEOF)
 	}
-	off := len(meta) - mr.Len()
-	ids := meta[off : off+8*int(count)]
-	if _, err := mr.Seek(int64(len(ids)), io.SeekCurrent); err != nil {
-		return nil, err
-	}
-	t := owner.ByRank(int(count), func(r int) int64 { return int64(binary.LittleEndian.Uint64(ids[8*r:])) })
+	ids := meta[len(meta)-mr.Len():][:8*count]
+	_, _ = mr.Seek(int64(len(ids)), io.SeekCurrent) // stays within meta: cannot fail
+	t := owner.ByRank(count, func(r int) int64 { return int64(binary.LittleEndian.Uint64(ids[8*r:])) })
 	return &t, nil
 }
 
@@ -143,43 +137,44 @@ func readOwners(meta []byte, mr *bytes.Reader) (*owner.Table, error) {
 // store to append as the extent.
 func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
 	var meta bytes.Buffer
+	sw := section.NewWriter(&meta)
+	var kind byte
+	var store pagefile.Store
+	var writeMeta func(io.Writer) (int64, error)
 	switch ix := x.(type) {
 	case *PPRIndex:
-		meta.Write(appendOwners(nil, ix.owners))
-		if _, err := ix.tree.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		return kindPPR, meta.Bytes(), ix.tree.Store(), nil
+		writeOwners(sw, ix.owners)
+		kind, store, writeMeta = kindPPR, ix.tree.Store(), ix.tree.WriteMeta
 	case *RStarIndex:
-		var head [8]byte
-		binary.LittleEndian.PutUint64(head[:], math.Float64bits(ix.slab.scale))
-		meta.Write(head[:])
-		meta.Write(appendOwners(nil, ix.owners))
-		if _, err := ix.slab.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		return kindRStar, meta.Bytes(), ix.slab.Store(), nil
+		sw.F64(ix.slab.scale)
+		writeOwners(sw, ix.owners)
+		kind, store, writeMeta = kindRStar, ix.slab.Store(), ix.slab.WriteMeta
 	case *HRIndex:
 		return 0, nil, nil, errHRNotPersisted
 	case *StreamIndex:
-		if _, err := ix.ix.WriteMeta(&meta); err != nil {
-			return 0, nil, nil, err
-		}
-		return kindStream, meta.Bytes(), ix.ix.Tree().Store(), nil
+		kind, store, writeMeta = kindStream, ix.ix.Tree().Store(), ix.ix.WriteMeta
 	default:
 		return 0, nil, nil, fmt.Errorf("stindex: cannot serialise index kind %q (%T)", x.Kind(), x)
 	}
+	if _, err := sw.Flush(); err != nil {
+		return 0, nil, nil, err
+	}
+	if _, err := writeMeta(&meta); err != nil {
+		return 0, nil, nil, err
+	}
+	return kind, meta.Bytes(), store, nil
 }
 
 // decodeContainerMeta parses a kind-specific meta blob into a store-less
 // index plus the callback that attaches its page extent.
 func decodeContainerMeta(kind byte, meta []byte) (Index, func(pagefile.Store) error, error) {
 	mr := bytes.NewReader(meta)
+	sr := section.NewReader(mr)
 	var x Index
 	var attach func(pagefile.Store) error
 	switch kind {
 	case kindPPR:
-		owners, err := readOwners(meta, mr)
+		owners, err := readOwners(meta, mr, sr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -189,15 +184,11 @@ func decodeContainerMeta(kind byte, meta []byte) (Index, func(pagefile.Store) er
 		}
 		x, attach = newPPRIndex(tree, owners), tree.AttachStore
 	case kindRStar:
-		var head [8]byte
-		if _, err := io.ReadFull(mr, head[:]); err != nil {
-			return nil, nil, fmt.Errorf("stindex: rstar meta: %w", err)
-		}
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(head[:]))
-		if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		scale := sr.F64()
+		if sr.Err() == nil && (scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0)) {
 			return nil, nil, fmt.Errorf("stindex: implausible stored time scale %g", scale)
 		}
-		owners, err := readOwners(meta, mr)
+		owners, err := readOwners(meta, mr, sr)
 		if err != nil {
 			return nil, nil, err
 		}
