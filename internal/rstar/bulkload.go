@@ -39,8 +39,8 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 		return New(opts)
 	}
 	for i, it := range items {
-		if it.Box.IsEmpty() {
-			return nil, fmt.Errorf("rstar: bulk load item %d has an empty box", i)
+		if !it.Box.Ordered() {
+			return nil, fmt.Errorf("rstar: bulk load item %d box %v: %w", i, it.Box, geom.ErrInvertedBox)
 		}
 	}
 	t, err := New(opts)

@@ -10,10 +10,11 @@ import (
 
 // Insert adds a data entry. The box's time axis should already be scaled to
 // match the spatial axes (see geom.Box3FromBox); the tree itself is purely
-// geometric.
+// geometric. A box that is inverted or holds a NaN is refused: it could
+// never match a query, and a node decoder refuses it on the page.
 func (t *Tree) Insert(b geom.Box3, ref uint64) error {
-	if b.IsEmpty() {
-		return fmt.Errorf("rstar: cannot insert empty box")
+	if !b.Ordered() {
+		return fmt.Errorf("rstar: cannot insert box %v: %w", b, geom.ErrInvertedBox)
 	}
 	t.size++
 	// reinserted tracks, per level, whether forced reinsertion already ran
