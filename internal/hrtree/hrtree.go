@@ -79,6 +79,8 @@ func (n *hnode) encode(buf []byte) []byte {
 	return buf
 }
 
+// decodeHNode parses a page image into a node. An entry rectangle that is
+// not Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodeHNode(id pagefile.PageID, data []byte) (*hnode, error) {
 	if len(data) < hnodeHeaderSize {
 		return nil, fmt.Errorf("hrtree: page %d too short", id)
@@ -99,6 +101,9 @@ func decodeHNode(id pagefile.PageID, data []byte) (*hnode, error) {
 				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(data[off+24:])),
 			},
 			ref: binary.LittleEndian.Uint64(data[off+32:]),
+		}
+		if r := &n.entries[i].rect; !r.Ordered() {
+			return nil, fmt.Errorf("hrtree: page %d entry %d rect %v: %w", id, i, *r, geom.ErrInvertedBox)
 		}
 		off += hentrySize
 	}

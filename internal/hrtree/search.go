@@ -34,9 +34,10 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 		return nil
 	}
 	// One version is a strict tree: sharing happens only across versions.
+	probe := query.AsQuery()
 	roots := append(t.walk.Roots(), uint64(v.page))
 	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
-		return t.expand(id, stack, query, fn)
+		return t.expand(id, stack, &probe, fn)
 	})
 }
 
@@ -57,6 +58,7 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 		seen[ref] = true
 		return fn(rect, ref)
 	}
+	probe := query.AsQuery()
 	roots := t.walk.Roots()
 	for i := len(t.versions) - 1; i >= 0; i-- {
 		v := &t.versions[i]
@@ -65,14 +67,16 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 		}
 	}
 	return t.walk.DFS(roots, t.file.NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
-		return t.expand(id, stack, query, once)
+		return t.expand(id, stack, &probe, once)
 	})
 }
 
 // expand is the depth-first step of both searches: an HR-tree entry
 // carries no time fields (the version root is the time predicate), so
-// only the rectangle is tested.
-func (t *Tree) expand(id pagefile.PageID, stack []uint64, query geom.Rect, fn func(rect geom.Rect, ref uint64) bool) ([]uint64, bool, error) {
+// only the rectangle is tested, with geom.Rect.Hits. The searches check
+// the query once (geom.Rect.AsQuery), and decodeHNode refuses an inverted
+// entry rectangle, so no emptiness test is left per entry.
+func (t *Tree) expand(id pagefile.PageID, stack []uint64, probe *geom.Rect, fn func(rect geom.Rect, ref uint64) bool) ([]uint64, bool, error) {
 	n, err := t.readShared(id)
 	if err != nil {
 		return stack, false, err
@@ -80,7 +84,7 @@ func (t *Tree) expand(id pagefile.PageID, stack []uint64, query geom.Rect, fn fu
 	if n.leaf {
 		for i := range n.entries {
 			e := &n.entries[i]
-			if e.rect.Intersects(query) && !fn(e.rect, e.ref) {
+			if probe.Hits(&e.rect) && !fn(e.rect, e.ref) {
 				return stack, false, nil
 			}
 		}
@@ -88,7 +92,7 @@ func (t *Tree) expand(id pagefile.PageID, stack []uint64, query geom.Rect, fn fu
 	}
 	for i := len(n.entries) - 1; i >= 0; i-- {
 		e := &n.entries[i]
-		if e.rect.Intersects(query) {
+		if probe.Hits(&e.rect) {
 			stack = append(stack, e.ref)
 		}
 	}

@@ -9,11 +9,14 @@ import (
 )
 
 // FuzzDecodePNode feeds arbitrary page images to the node decoder: it
-// must reject malformed pages with an error, never panic or over-read.
+// must reject malformed pages with an error, never panic or over-read,
+// and every rectangle of a node it accepts is Ordered.
 func FuzzDecodePNode(f *testing.F) {
 	good := &pnode{id: 1, leaf: true, startT: 0, endT: 100}
 	good.entries = append(good.entries, pentry{insertT: 1, deleteT: 50, ref: 9})
 	f.Add(good.encode(nil))
+	f.Add(invertedRectPage(disorderedRects["inverted-x"]))
+	f.Add(invertedRectPage(disorderedRects["nan-min-x"]))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(make([]byte, pnodeHeaderSize))
@@ -25,6 +28,11 @@ func FuzzDecodePNode(f *testing.F) {
 		// A successful decode must round-trip to the same entry count.
 		if len(n.entries) > maxEntriesFor(len(data))+1 {
 			t.Fatalf("decoded %d entries from %d bytes", len(n.entries), len(data))
+		}
+		for i := range n.entries {
+			if !n.entries[i].rect.Ordered() {
+				t.Fatalf("accepted entry %d with rect %v", i, n.entries[i].rect)
+			}
 		}
 	})
 }

@@ -195,6 +195,8 @@ func growthNeedsNode(data []byte, child pagefile.PageID, rect geom.Rect) bool {
 	return false
 }
 
+// decodePNode parses a page image into a node. An entry rectangle that is
+// not Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodePNode(id pagefile.PageID, data []byte) (*pnode, error) {
 	if len(data) < pnodeHeaderSize {
 		return nil, fmt.Errorf("pprtree: page %d too short (%d bytes)", id, len(data))
@@ -224,6 +226,9 @@ func decodePNode(id pagefile.PageID, data []byte) (*pnode, error) {
 			insertT: int64(binary.LittleEndian.Uint64(data[off+32:])),
 			deleteT: int64(binary.LittleEndian.Uint64(data[off+40:])),
 			ref:     binary.LittleEndian.Uint64(data[off+48:]),
+		}
+		if r := &n.entries[i].rect; !r.Ordered() {
+			return nil, fmt.Errorf("pprtree: page %d entry %d rect %v: %w", id, i, *r, geom.ErrInvertedBox)
 		}
 		off += pentrySize
 	}

@@ -10,12 +10,17 @@ import (
 // intersects query, stopping early when fn returns false. This is the
 // paper's snapshot query: it resolves the root that was live at t via the
 // root log and then behaves like an ephemeral R-tree search over the
-// records alive at t. Node visits go through the buffer pool.
+// records alive at t. Node visits go through the buffer pool. The query
+// is checked once (geom.Rect.AsQuery): an empty one reads the root and
+// matches nothing. Each entry then costs its lifetime test and one
+// geom.Rect.Hits, which needs no emptiness test because decodePNode
+// refuses an inverted entry rectangle.
 func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect, ref uint64) bool) error {
 	root := t.rootAt(at)
 	if root == nil {
 		return nil
 	}
+	probe := query.AsQuery()
 	// At one instant the alive structure is a strict tree.
 	roots := append(t.walk.Roots(), uint64(root.page))
 	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
@@ -26,7 +31,7 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 		if n.leaf {
 			for i := range n.entries {
 				e := &n.entries[i]
-				if e.aliveAt(at) && e.rect.Intersects(query) && !fn(e.rect, e.ref) {
+				if e.aliveAt(at) && probe.Hits(&e.rect) && !fn(e.rect, e.ref) {
 					return stack, false, nil
 				}
 			}
@@ -34,7 +39,7 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 		}
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			e := &n.entries[i]
-			if e.aliveAt(at) && e.rect.Intersects(query) {
+			if e.aliveAt(at) && probe.Hits(&e.rect) {
 				stack = append(stack, e.ref)
 			}
 		}
@@ -86,11 +91,13 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 // fn receives every version copy (rectangle, lifetime sub-interval,
 // reference) whose lifetime overlaps iv and whose rectangle intersects
 // query. Callers that need whole records aggregate the copies per
-// reference. It walks every root whose span overlaps iv, each page once.
+// reference. It walks every root whose span overlaps iv, each page once,
+// and checks the query once, as SnapshotSearch does.
 func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(rect geom.Rect, iv geom.Interval, ref uint64) bool) error {
 	if !iv.ValidInterval() {
 		return nil
 	}
+	probe := query.AsQuery()
 	roots := t.walk.Roots()
 	for r := len(t.roots) - 1; r >= 0; r-- {
 		root := &t.roots[r]
@@ -106,7 +113,7 @@ func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(
 		if n.leaf {
 			for i := range n.entries {
 				e := &n.entries[i]
-				if e.interval().Overlaps(iv) && e.rect.Intersects(query) && !fn(e.rect, e.interval(), e.ref) {
+				if e.interval().Overlaps(iv) && probe.Hits(&e.rect) && !fn(e.rect, e.interval(), e.ref) {
 					return stack, false, nil
 				}
 			}
@@ -114,7 +121,7 @@ func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(
 		}
 		for i := len(n.entries) - 1; i >= 0; i-- {
 			e := &n.entries[i]
-			if e.interval().Overlaps(iv) && e.rect.Intersects(query) {
+			if e.interval().Overlaps(iv) && probe.Hits(&e.rect) {
 				stack = append(stack, e.ref)
 			}
 		}

@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzDecodeNode feeds arbitrary page images to the node decoder.
+// FuzzDecodeNode feeds arbitrary page images to the node decoder. Every
+// box of a node it accepts is Ordered, which Search's kernel relies on.
 func FuzzDecodeNode(f *testing.F) {
 	good := &node{id: 1, leaf: true}
 	good.entries = append(good.entries, entry{ref: 42})
 	f.Add(good.encode(nil))
+	f.Add(invertedBoxPage(disorderedBoxes["inverted-x"]))
+	f.Add(invertedBoxPage(disorderedBoxes["nan-min-y"]))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -20,6 +23,11 @@ func FuzzDecodeNode(f *testing.F) {
 		}
 		if len(n.entries)*entrySize+nodeHeaderSize > len(data) {
 			t.Fatalf("decoded %d entries from %d bytes", len(n.entries), len(data))
+		}
+		for i := range n.entries {
+			if !n.entries[i].box.Ordered() {
+				t.Fatalf("accepted entry %d with box %v", i, n.entries[i].box)
+			}
 		}
 	})
 }

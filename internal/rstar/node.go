@@ -81,7 +81,8 @@ func (n *node) encode(buf []byte) []byte {
 	return buf
 }
 
-// decodeNode parses a page image into a node.
+// decodeNode parses a page image into a node. An entry box that is not
+// Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodeNode(id pagefile.PageID, data []byte) (*node, error) {
 	if len(data) < nodeHeaderSize {
 		return nil, fmt.Errorf("rstar: page %d too short (%d bytes)", id, len(data))
@@ -110,6 +111,9 @@ func decodeNode(id pagefile.PageID, data []byte) (*node, error) {
 		}
 		e.ref = binary.LittleEndian.Uint64(data[off:])
 		off += 8
+		if !e.box.Ordered() {
+			return nil, fmt.Errorf("rstar: page %d entry %d box %v: %w", id, i, e.box, geom.ErrInvertedBox)
+		}
 		n.entries[i] = e
 	}
 	return n, nil

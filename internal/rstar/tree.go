@@ -166,8 +166,12 @@ func (t *Tree) writeNode(n *node) error {
 
 // Search invokes fn for every data entry whose box intersects q, stopping
 // early when fn returns false. Node visits go through the buffer pool, so
-// t.Buffer().Stats() reflects the query's disk accesses.
+// t.Buffer().Stats() reflects the query's disk accesses. The query is
+// checked once (geom.Box3.AsQuery): an empty one reads the root and
+// matches nothing. Each entry then costs one geom.Box3.Hits, which needs
+// no emptiness test because decodeNode refuses an inverted entry box.
 func (t *Tree) Search(q geom.Box3, fn func(b geom.Box3, ref uint64) bool) error {
+	probe := q.AsQuery()
 	roots := append(t.walk.Roots(), uint64(t.root))
 	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
 		n, err := t.readShared(id)
@@ -176,14 +180,14 @@ func (t *Tree) Search(q geom.Box3, fn func(b geom.Box3, ref uint64) bool) error 
 		}
 		if n.leaf {
 			for i := range n.entries {
-				if e := &n.entries[i]; e.box.Intersects(q) && !fn(e.box, e.ref) {
+				if e := &n.entries[i]; probe.Hits(&e.box) && !fn(e.box, e.ref) {
 					return stack, false, nil
 				}
 			}
 			return stack, true, nil
 		}
 		for i := len(n.entries) - 1; i >= 0; i-- {
-			if e := &n.entries[i]; e.box.Intersects(q) {
+			if e := &n.entries[i]; probe.Hits(&e.box) {
 				stack = append(stack, e.ref)
 			}
 		}
