@@ -114,9 +114,9 @@ func (o *Oracle) Trajectory(r stx.Rect, iv stx.Interval) []stx.TrajectoryHit {
 	if iv.End <= iv.Start {
 		return nil
 	}
-	// An inverted (empty) region matches nothing — the traversals'
-	// Intersects carries the same IsEmpty guard. NaN coordinates fall out
-	// of the comparisons below on both sides.
+	// An inverted (empty) region matches nothing, as the traversals'
+	// AsQuery makes it. NaN coordinates fall out of the comparisons below
+	// on both sides.
 	if r.MinX > r.MaxX || r.MinY > r.MaxY {
 		return nil
 	}
