@@ -38,7 +38,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "first workload seed")
 		seeds       = flag.Int("seeds", 3, "number of consecutive seeds to run")
 		kinds       = flag.String("kinds", "", "comma-separated index kinds (default: ppr,rstar,stream)")
-		backend     = flag.String("backend", "all", "open flavours each saved container is reopened with: disk (pread window) | mmap | mem (eager load) | all; the built index is always checked")
+		backend     = flag.String("backend", "all", "open flavours each saved container is reopened with: disk (pread window) | mmap | all; the built and the decoded index are always checked")
 		parallelism = flag.String("parallelism", "1,4", "comma-separated worker counts for the parallel passes")
 		nofaults    = flag.Bool("nofaults", false, "skip the fault-injection matrix")
 		schedules   = flag.String("schedules", "", "comma-separated fault schedules overriding the defaults (see DESIGN.md for the grammar); ';' separates rules within one schedule")
@@ -75,12 +75,12 @@ func main() {
 			cfg.Kinds = append(cfg.Kinds, strings.TrimSpace(k))
 		}
 	}
-	switch b := stx.Backend(*backend); b {
-	case stx.BackendDisk, stx.BackendMmap, stx.BackendMemory:
+	if *backend != "all" {
+		b := stx.Backend(*backend)
+		if err := b.Check(); err != nil {
+			fatal(fmt.Errorf("-backend: %w", err))
+		}
 		cfg.Backends = []stx.Backend{b}
-	case "all":
-	default:
-		fatal(fmt.Errorf("unknown backend %q (want disk, mmap, mem or all)", *backend))
 	}
 	for _, p := range strings.Split(*parallelism, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(p))

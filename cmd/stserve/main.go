@@ -88,7 +88,7 @@ func main() {
 		reject  = flag.Bool("reject", false, "fail fast with 503 when the queue is full instead of blocking")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		cacheMB = flag.Int("cache-mb", 0, "budget in MiB for decoded nodes shared across sessions and snapshots (0 = no shared cache)")
-		backend = flag.String("backend", "", "container read flavour: disk (lazy pread), mmap, mem (eager); default STINDEX_BACKEND, then disk")
+		backend = flag.String("backend", "disk", "container read flavour: disk (lazy pread) or mmap")
 
 		ingestName     = flag.String("ingest", "", "serve a live ingestion pipeline under this snapshot name")
 		ingestDir      = flag.String("ingest-dir", "", "journal directory for -ingest (WAL segments, freezes, CURRENT)")
@@ -107,10 +107,8 @@ func main() {
 		fatal(errors.New("-ingest requires -ingest-dir"))
 	}
 
-	switch *backend {
-	case "", "disk", "mmap", "mem":
-	default:
-		fatal(fmt.Errorf("unknown -backend %q (want disk, mmap or mem)", *backend))
+	if err := stx.Backend(*backend).Check(); err != nil {
+		fatal(fmt.Errorf("-backend: %w", err))
 	}
 
 	svc := service.New(service.Config{

@@ -276,8 +276,7 @@ func (c *treeIndex) ResetBuffer() { c.search.Buffer().Reset() }
 
 // IOStats implements Index.
 func (c *treeIndex) IOStats() IOStats {
-	s := c.search.Buffer().Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes, Hits: s.Hits}
+	return c.search.Buffer().Stats()
 }
 
 // Pages implements Index.

@@ -196,7 +196,7 @@ func expectInvertedBox(t *testing.T, label string, image []byte) {
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+	for _, b := range []Backend{BackendDisk, BackendMmap} {
 		x, err := OpenIndexOptions(path, OpenOptions{Backend: b})
 		check(string(b), x, err)
 	}

@@ -62,30 +62,21 @@ func (h *fileHandle) Close() error {
 }
 
 // Backend names the open flavour of a saved container: how
-// OpenIndexOptions reads its page extents. Every build writes its pages
-// to memory; the flavour only decides where an opened container's pages
-// are read from. The default ("") consults the STINDEX_BACKEND
-// environment variable. The flavour never affects query results or I/O
-// statistics.
-type Backend string
+// OpenIndexOptions reads its page extents, BackendDisk (the zero value)
+// or BackendMmap. Every build writes its pages to memory, and the eager
+// load of a container is DecodeIndex. The flavour never affects query
+// results or I/O statistics. Backend.Check refuses any other name.
+type Backend = pagefile.Backend
 
 const (
-	// BackendDefault defers to STINDEX_BACKEND: "mmap" maps, anything
-	// else reads through the pread window (BackendDisk).
-	BackendDefault Backend = ""
-	// BackendMemory loads every page of the container into memory at
-	// open time.
-	BackendMemory Backend = "mem"
 	// BackendDisk leaves the pages in the container file and reads each
 	// lazily, one positioned read a page: the pread window.
-	BackendDisk Backend = "disk"
+	BackendDisk = pagefile.BackendDisk
 	// BackendMmap memory-maps the container's page extents: page reads
 	// cost zero syscalls, the kernel's page cache is the disk buffer.
 	// Falls back to the pread window where mmap is unavailable.
-	BackendMmap Backend = "mmap"
+	BackendMmap = pagefile.BackendMmap
 )
-
-func (b Backend) internal() pagefile.Backend { return pagefile.Backend(b) }
 
 // Codec names the page-extent codec a container is saved with. Every
 // save writes compressed pages; identity containers, which older builds
@@ -116,14 +107,9 @@ func (c Codec) Check() error {
 	return fmt.Errorf("stindex: cannot save with codec %q: %w", string(c), errDecodeOnlyCodec)
 }
 
-// IOStats reports buffer-pool traffic: Reads and Writes are disk accesses,
-// Hits were served from the pool.
-type IOStats struct {
-	Reads, Writes, Hits int64
-}
-
-// IO returns total disk accesses.
-func (s IOStats) IO() int64 { return s.Reads + s.Writes }
+// IOStats reports buffer-pool traffic: Reads and Writes are disk
+// accesses, Hits were served from the pool; IO is their total.
+type IOStats = pagefile.Stats
 
 // Index is a queryable historical spatiotemporal index. Every
 // implementation answers object-level queries (split records are

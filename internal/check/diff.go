@@ -12,13 +12,14 @@ import (
 )
 
 // DiffConfig parameterises one seed's run. The zero value is filled in
-// by withDefaults: every kind, all three open flavours (the pread
-// window, the mapping, the eager load), parallelism 1 and 4, a
-// 400-object workload over horizon 1000 with 200 queries.
+// by withDefaults: every kind, both open flavours (the pread window and
+// the mapping), parallelism 1 and 4, a 400-object workload over horizon
+// 1000 with 200 queries.
 type DiffConfig struct {
 	Kinds []string
 	// Backends are the open flavours each kind's saved container is
-	// reopened with; the built index is checked whatever they are.
+	// reopened with; the built and the decoded index are checked
+	// whatever they are.
 	Backends    []stx.Backend
 	Parallelism []int
 	Objects     int
@@ -33,7 +34,7 @@ func (c DiffConfig) withDefaults() DiffConfig {
 		c.Kinds = AllKinds
 	}
 	if len(c.Backends) == 0 {
-		c.Backends = []stx.Backend{stx.BackendDisk, stx.BackendMmap, stx.BackendMemory}
+		c.Backends = pagefile.Backends
 	}
 	if len(c.Parallelism) == 0 {
 		c.Parallelism = []int{1, 4}
@@ -72,10 +73,11 @@ type Report struct {
 //     parallelism level;
 //   - encode it once, prove the encoding deterministic (decode +
 //     re-encode is byte-identical) and write that image to one file;
-//   - reopen the file with every flavour of cfg.Backends: invariants,
-//     the diff at every parallelism level, and every window query's
-//     cold-buffer I/O equal to the built index's (the paper's AvgIO must
-//     not depend on how the container is read);
+//   - check the decoded image (DecodeIndex, the eager load) and the file
+//     reopened with every flavour of cfg.Backends like the built index:
+//     invariants, the diff at every parallelism level, and every window
+//     query's cold-buffer I/O equal to the built index's (the paper's
+//     AvgIO must not depend on how the container is read);
 //   - over the same file, two shared-cache sessions and the fault
 //     matrix (skipped when DefaultReadSchedules is empty);
 //   - a sharded snapshot carved from the kind's records, diffed serially
@@ -169,8 +171,12 @@ func (r *run) kind(kind string) error {
 		return fmt.Errorf("built: %w", err)
 	}
 	path := filepath.Join(r.dir, kind+".stic")
-	if err := saveImage(built, path); err != nil {
+	decoded, err := saveImage(built, path)
+	if err != nil {
 		return fmt.Errorf("image: %w", err)
+	}
+	if err := r.likeBuilt(decoded, exp, cold, "kind="+kind+" decoded"); err != nil {
+		return fmt.Errorf("decoded: %w", err)
 	}
 	for _, backend := range r.cfg.Backends {
 		if err := r.reopened(path, backend, exp, cold, kind); err != nil {
@@ -216,24 +222,30 @@ func (r *run) diffAll(idx stx.Index, exp *Expected, label string) error {
 }
 
 // reopened opens the kind's container with one flavour and checks it
-// like the built index, plus every window query's cold-buffer I/O
-// against the built index's.
+// like the built index.
 func (r *run) reopened(path string, backend stx.Backend, exp *Expected, cold []stx.IOStats, kind string) error {
 	opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: backend})
 	if err != nil {
 		return err
 	}
 	defer stx.CloseIndex(opened)
-	if err := CheckInvariants(opened); err != nil {
-		return err
-	}
-	if err := r.diffAll(opened, exp, "kind="+kind+" opened "+string(backend)); err != nil {
-		return err
-	}
-	if err := sameWindowIO(opened, r.wl, cold); err != nil {
+	if err := r.likeBuilt(opened, exp, cold, "kind="+kind+" opened "+string(backend)); err != nil {
 		return err
 	}
 	return stx.CloseIndex(opened)
+}
+
+// likeBuilt checks a decoded or reopened copy of the built index: its
+// invariants, the diff at every parallelism level, and every window
+// query's cold-buffer I/O against the built index's.
+func (r *run) likeBuilt(idx stx.Index, exp *Expected, cold []stx.IOStats, label string) error {
+	if err := CheckInvariants(idx); err != nil {
+		return err
+	}
+	if err := r.diffAll(idx, exp, label); err != nil {
+		return err
+	}
+	return sameWindowIO(idx, r.wl, cold)
 }
 
 // diffPass compares every query answer against the oracle. Parallelism
@@ -309,29 +321,26 @@ func diffRange(idx stx.Index, wl *Workload, exp *Expected, lo, stride int) error
 // saveImage encodes idx once, proves the encoder deterministic — the
 // image decoded and re-encoded reproduces it byte for byte — and writes
 // the image to path: the one container every reopen, shared-cache
-// session and fault schedule of the kind reads.
-func saveImage(idx stx.Index, path string) error {
+// session and fault schedule of the kind reads. It returns the decoded
+// index.
+func saveImage(idx stx.Index, path string) (stx.Index, error) {
 	var buf bytes.Buffer
 	if _, err := stx.EncodeIndex(&buf, idx); err != nil {
-		return fmt.Errorf("encoding: %w", err)
+		return nil, fmt.Errorf("encoding: %w", err)
 	}
 	image := buf.Bytes()
 	decoded, err := stx.DecodeIndex(bytes.NewReader(image))
 	if err != nil {
-		return fmt.Errorf("decoding own image: %w", err)
+		return nil, fmt.Errorf("decoding own image: %w", err)
 	}
 	var again bytes.Buffer
-	_, err = stx.EncodeIndex(&again, decoded)
-	if cerr := stx.CloseIndex(decoded); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("re-encoding decoded image: %w", err)
+	if _, err := stx.EncodeIndex(&again, decoded); err != nil {
+		return nil, fmt.Errorf("re-encoding decoded image: %w", err)
 	}
 	if !bytes.Equal(image, again.Bytes()) {
-		return fmt.Errorf("re-encode not byte-identical: %d vs %d bytes", len(image), again.Len())
+		return nil, fmt.Errorf("re-encode not byte-identical: %d vs %d bytes", len(image), again.Len())
 	}
-	return os.WriteFile(path, image, 0o644)
+	return decoded, os.WriteFile(path, image, 0o644)
 }
 
 // windowIO runs every window query of the workload on a cold buffer —

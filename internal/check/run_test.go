@@ -21,15 +21,16 @@ func TestRunDiffSmall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", rep.Seed, err)
 	}
-	kinds, flavours, levels := len(AllKinds), 3, 2
+	kinds, flavours, levels := len(AllKinds), 2, 2
 	total := 3 * rep.Queries // window, kNN and trajectory queries
-	// Per kind: the built index and each reopened flavour at every
-	// parallelism level, then the shared-cache sessions and the sharded
-	// pass, which each diff the workload twice.
-	if want := kinds * (levels*(1+flavours) + 2); rep.Passes != want {
+	// Per kind: the built index, the decoded one and each reopened
+	// flavour (disk, mmap) at every parallelism level, then the
+	// shared-cache sessions and the sharded pass, which each diff the
+	// workload twice.
+	if want := kinds * (levels*(2+flavours) + 2); rep.Passes != want {
 		t.Errorf("Passes = %d, want %d", rep.Passes, want)
 	}
-	if want := kinds * (levels*(1+flavours) + 2*2) * total; rep.Compared != want {
+	if want := kinds * (levels*(2+flavours) + 2*2) * total; rep.Compared != want {
 		t.Errorf("Compared = %d, want %d", rep.Compared, want)
 	}
 	if want := kinds * total; rep.HTTPChecked != want {
@@ -69,9 +70,9 @@ func (x extraReadIndex) IOStats() stx.IOStats {
 	return s
 }
 
-// TestSameWindowIODetectsMismatch: a reopened container passes the
-// cold-buffer I/O check against its built index, and an index whose
-// every query costs one read more fails it.
+// TestSameWindowIODetectsMismatch: a container reopened through the
+// mapping passes the cold-buffer I/O check against its built index, and
+// an index whose every query costs one read more fails it.
 func TestSameWindowIODetectsMismatch(t *testing.T) {
 	wl, err := GenerateWorkload(120, 400, 5, 40)
 	if err != nil {
@@ -87,10 +88,10 @@ func TestSameWindowIODetectsMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), kind+".stic")
-		if err := saveImage(built, path); err != nil {
+		if _, err := saveImage(built, path); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := stx.OpenIndex(path)
+		opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Backend: stx.BackendMmap})
 		if err != nil {
 			t.Fatal(err)
 		}

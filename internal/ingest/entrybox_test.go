@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -32,12 +33,16 @@ func TestFreezeWritesOrderedBoxes(t *testing.T) {
 		t.Fatalf("freezes %v, %v", names, err)
 	}
 	for _, name := range names {
-		x, err := stx.OpenIndexOptions(name, stx.OpenOptions{Backend: stx.BackendMemory})
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := stx.DecodeIndex(f)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep, err := x.(*stx.StreamIndex).Tree().Validate()
-		stx.CloseIndex(x)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

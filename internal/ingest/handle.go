@@ -236,10 +236,7 @@ func (s *streamState) apply(batches [][]Record) error {
 // counter. Query methods defer it under h.mu, so the delta is the query's
 // own and the counter is only ever written under the lock.
 func (h *Handle) chargeQuery(io *stx.IOStats, before stx.IOStats) {
-	after := h.ix.IOStats()
-	io.Reads += after.Reads - before.Reads
-	io.Writes += after.Writes - before.Writes
-	io.Hits += after.Hits - before.Hits
+	*io = io.Add(h.ix.IOStats().Sub(before))
 }
 
 // Range answers an interval query over the full live history, charging

@@ -121,11 +121,7 @@ func (l *Live) IOStats() stx.IOStats {
 	if l.frozen != nil {
 		st = l.frozen.IOStats()
 	}
-	l.handle.locked(func() {
-		st.Reads += l.liveIO.Reads
-		st.Writes += l.liveIO.Writes
-		st.Hits += l.liveIO.Hits
-	})
+	l.handle.locked(func() { st = st.Add(l.liveIO) })
 	return st
 }
 

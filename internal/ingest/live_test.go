@@ -259,7 +259,8 @@ func TestRecoveredViewServesReplayedTail(t *testing.T) {
 }
 
 // TestReopenServesImmediately: a restart publishes the recovered state
-// under the serving name before Open returns.
+// under the serving name before Open returns. The restarted registry
+// reads the frozen container through the mapping.
 func TestReopenServesImmediately(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Name: "live", Lambda: testLambda, Tree: testStreamOptions().PPR}
@@ -277,7 +278,7 @@ func TestReopenServesImmediately(t *testing.T) {
 	}
 	reg1.Close()
 
-	reg2 := service.NewRegistry()
+	reg2 := service.NewRegistryConfig(service.RegistryConfig{OpenBackend: stx.BackendMmap})
 	cfg.Registry = reg2
 	defer reg2.Close()
 	in2, err := Open(cfg)

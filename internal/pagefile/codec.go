@@ -64,7 +64,7 @@ func CodecName(id byte) (string, error) {
 
 // OpenExtent opens the extent at offset off of r, a container of size
 // bytes (a file, or an image in memory), as a read-only store of the
-// requested open flavour (disk/mmap/mem, see extentStore.open). codec is
+// requested open flavour (disk or mmap, see extentStore.open). codec is
 // the container header's codec byte and picks the directory parse. Only
 // the header and directory are read here, and an extent claiming more
 // bytes than size holds is refused. The caller retains ownership of r.

@@ -750,9 +750,5 @@ func openCompressedExtent(r io.ReaderAt, off, size int64, flavour Backend) (Stor
 	if off+length > size {
 		return nil, 0, fmt.Errorf("pagefile: compressed extent of %d payload bytes truncated at container size %d", payload, size)
 	}
-	s, err := e.open(r, off+tableLen, payload, flavour)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, length, nil
+	return e.open(r, off+tableLen, payload, flavour), length, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"sync"
 )
 
@@ -48,11 +49,20 @@ type mmapSource struct {
 	data    []byte // the payload region within mapping
 }
 
-func (s *mmapSource) readAt(p []byte, off int64) error {
+func (s *mmapSource) readAt(p []byte, off int64) (err error) {
 	data := s.data
 	if data == nil || off < 0 || off+int64(len(p)) > int64(len(data)) {
 		return fmt.Errorf("pagefile: read out of mapped range")
 	}
+	// A mapped OS page past the end of a file that shrank since it was
+	// mapped faults on access. That fails this read like the pread
+	// window's short read of the same bytes, not the process.
+	defer func() {
+		if recover() != nil {
+			err = fmt.Errorf("pagefile: mapped read past the end of the file: %w", io.EOF)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	copy(p, data[off:])
 	return nil
 }
@@ -153,27 +163,17 @@ func newExtentStore(pageSize, n, numFree int, dir []byte) (*extentStore, error) 
 //   - BackendMmap maps the payload of a container file — zero read
 //     syscalls — and falls back to pread where mapping is unavailable or
 //     r is no file;
-//   - BackendMemory materialises every page into an in-memory File,
-//     frozen read-only, and drops the at-rest image;
-//   - BackendDisk reads each page with one positioned read (the
-//     facade's openIndexFile refuses any flavour it does not name).
-func (e *extentStore) open(r io.ReaderAt, base, payload int64, flavour Backend) (Store, error) {
+//   - any other flavour reads each page with one positioned read (the
+//     facade's openIndexFile refuses a flavour Backend.Check does not
+//     name).
+func (e *extentStore) open(r io.ReaderAt, base, payload int64, flavour Backend) *extentStore {
 	e.src = readerSource{r: r, base: base}
-	switch flavour {
-	case BackendMmap:
-		if f, ok := r.(*os.File); ok {
-			if src, err := newMmapSource(f, base, payload); err == nil {
-				e.src = src
-			}
+	if f, ok := r.(*os.File); ok && flavour == BackendMmap {
+		if src, err := newMmapSource(f, base, payload); err == nil {
+			e.src = src
 		}
-	case BackendMemory:
-		f, err := Materialize(e)
-		if err != nil {
-			return nil, err
-		}
-		return &roStore{Store: f}, nil
 	}
-	return e, nil
+	return e
 }
 
 // PageSize implements Store.
@@ -264,35 +264,11 @@ func (e *extentStore) Close() error { return e.src.close() }
 
 var _ Store = (*extentStore)(nil)
 
-// roStore freezes an in-memory File that was materialised from a saved
-// container: reads pass through, mutation fails with ErrReadOnly, and
-// every page reports version 0 — the same observable contract as the
-// lazily read extent store.
-type roStore struct {
-	Store
-}
-
-// Allocate implements Store; the materialised extent is frozen.
-func (r *roStore) Allocate() PageID { return InvalidPage }
-
-// Free implements Store; the materialised extent is frozen.
-func (r *roStore) Free(PageID) error { return ErrReadOnly }
-
-// WritePage implements Store; the materialised extent is frozen.
-func (r *roStore) WritePage(PageID, []byte) error { return ErrReadOnly }
-
-// Version implements Store; frozen pages never change.
-func (r *roStore) Version(PageID) uint64 { return 0 }
-
-// ReadOnly reports that the store rejects mutation.
-func (r *roStore) ReadOnly() bool { return true }
-
 // Materialize copies every live page of a store into a new in-memory File
 // with the identical allocation state (page ids, free list, reuse order),
 // every page at version 0. Re-encoding the result is byte-identical to
 // re-encoding the store it came from. Over an opened extent it is the
-// eager load: the File is writable, and the mem open flavour is the same
-// File frozen read-only.
+// eager load (DecodeIndex), and the File is writable.
 func Materialize(s Store) (*File, error) {
 	f := New(s.PageSize())
 	for i := 0; i < s.NumAllocated(); i++ {

@@ -176,7 +176,7 @@ func TestOpenExtentBackendFlavours(t *testing.T) {
 		buildCodecWorkload(t, x.src, x.layout, rand.New(rand.NewSource(int64(x.layout)+7)))
 		x.f, x.off, x.enc = writeTestExtent(t, x.codec, x.layout, x.src)
 	}
-	for _, flavour := range []Backend{BackendDefault, BackendDisk, BackendMmap, BackendMemory} {
+	for _, flavour := range []Backend{"", BackendDisk, BackendMmap} {
 		t.Run(string(flavour), func(t *testing.T) {
 			for _, x := range extents {
 				s, n, err := x.codec.open(x.f, x.off, sizeOf(t, x.f), flavour)
@@ -256,22 +256,30 @@ func TestMmapStoreCloseIdempotent(t *testing.T) {
 
 // TestMmapStoreConcurrentReaders reads one frozen store from many
 // goroutines, with and without an image, for every codec and open
-// flavour: the mapping, the pread window that serves cold opens, and the
-// eager copy.
+// flavour — the mapping and the pread window that serves cold opens —
+// and the eager load's File.
 func TestMmapStoreConcurrentReaders(t *testing.T) {
 	eachCodec(t, func(t *testing.T, codec testCodec) {
 		src := buildTestFile(t, 256, 16, 4)
 		f, off, _ := writeTestExtent(t, codec, LayoutOpaque, src)
-		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			t.Run(string(flavour), func(t *testing.T) {
-				s, _, err := codec.open(f, off, sizeOf(t, f), flavour)
-				if err != nil {
-					t.Fatalf("OpenExtent: %v", err)
-				}
-				defer s.Close()
-				concurrentReads(t, s, src)
-			})
+		open := func(t *testing.T, flavour Backend) Store {
+			s, _, err := codec.open(f, off, sizeOf(t, f), flavour)
+			if err != nil {
+				t.Fatalf("OpenExtent: %v", err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
 		}
+		for _, flavour := range []Backend{BackendDisk, BackendMmap} {
+			t.Run(string(flavour), func(t *testing.T) { concurrentReads(t, open(t, flavour), src) })
+		}
+		t.Run("materialized", func(t *testing.T) {
+			m, err := Materialize(open(t, BackendDisk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			concurrentReads(t, m, src)
+		})
 	})
 }
 
@@ -317,20 +325,5 @@ func concurrentReads(t *testing.T, s Store, src *File) {
 	}
 	if err := s.ReadPage(PageID(src.NumAllocated()), nil); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("image-less read of an unallocated page: %v, want ErrBadPage", err)
-	}
-}
-
-func TestDefaultOpenBackend(t *testing.T) {
-	t.Setenv(EnvBackend, "")
-	if b := DefaultOpenBackend(); b != BackendDisk {
-		t.Errorf("default open backend = %q, want disk", b)
-	}
-	t.Setenv(EnvBackend, "mem")
-	if b := DefaultOpenBackend(); b != BackendDisk {
-		t.Errorf("open backend under mem = %q, want disk", b)
-	}
-	t.Setenv(EnvBackend, "mmap")
-	if b := DefaultOpenBackend(); b != BackendMmap {
-		t.Errorf("open backend under mmap = %q, want mmap", b)
 	}
 }

@@ -77,9 +77,5 @@ func openIdentityExtent(r io.ReaderAt, off, size int64, flavour Backend) (Store,
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := e.open(r, off+extentHeaderSize+dirLen, payload, flavour)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, length, nil
+	return e.open(r, off+extentHeaderSize+dirLen, payload, flavour), length, nil
 }

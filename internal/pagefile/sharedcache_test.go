@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// buildFrozenFile returns a read-only in-memory store with n distinct
-// pages, suitable as the backing tier under a shared cache.
-func buildFrozenFile(t *testing.T, pageSize, n int) Store {
+// buildFrozenStore returns a saved extent of n distinct pages, opened
+// read-only, as the backing tier under a shared cache.
+func buildFrozenStore(t *testing.T, pageSize, n int) Store {
 	t.Helper()
 	f := New(pageSize)
 	for i := 0; i < n; i++ {
@@ -18,7 +18,12 @@ func buildFrozenFile(t *testing.T, pageSize, n int) Store {
 			t.Fatalf("WritePage: %v", err)
 		}
 	}
-	return &roStore{Store: f}
+	x, off, _ := writeTestExtent(t, stpf, LayoutOpaque, f)
+	s, _, err := stpf.open(x, off, sizeOf(t, x), BackendDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestSharedCacheNilSafe(t *testing.T) {
@@ -37,7 +42,7 @@ func TestSharedCacheNilSafe(t *testing.T) {
 	if st := c.Stats(); st != (SharedCacheStats{}) {
 		t.Errorf("nil cache Stats = %+v", st)
 	}
-	base := buildFrozenFile(t, 64, 1)
+	base := buildFrozenStore(t, 64, 1)
 	if got := c.WrapStore(1, 0, base, nil); got != base {
 		t.Errorf("nil cache WrapStore did not pass through")
 	}
@@ -125,7 +130,7 @@ func TestSharedCacheRetire(t *testing.T) {
 
 func TestCachedStoreForwardsAndCounts(t *testing.T) {
 	const pageSize = 128
-	base := buildFrozenFile(t, pageSize, 8)
+	base := buildFrozenStore(t, pageSize, 8)
 	c := NewSharedCache(1 << 20)
 	var counters CacheCounters
 	s := c.WrapStore(7, 0, base, &counters)
@@ -166,7 +171,7 @@ func TestCachedStoreForwardsAndCounts(t *testing.T) {
 
 func TestSharedDecodeAcrossBuffers(t *testing.T) {
 	const pageSize = 128
-	base := buildFrozenFile(t, pageSize, 4)
+	base := buildFrozenStore(t, pageSize, 4)
 	c := NewSharedCache(1 << 20)
 	var counters CacheCounters
 	s := c.WrapStore(1, 0, base, &counters)
@@ -241,7 +246,7 @@ func TestSharedDecodeIgnoresMutableVersions(t *testing.T) {
 
 func TestSharedCacheConcurrent(t *testing.T) {
 	const pageSize = 256
-	base := buildFrozenFile(t, pageSize, 32)
+	base := buildFrozenStore(t, pageSize, 32)
 	c := NewSharedCache(1 << 20)
 	var counters CacheCounters
 	s := c.WrapStore(5, 0, base, &counters)

@@ -2,25 +2,21 @@ package pagefile
 
 import (
 	"errors"
-	"os"
+	"fmt"
+	"slices"
 )
 
 // Backend names the open flavour of a saved container's page extents:
 // how the frozen extent store reads its pages (see OpenExtent). Every
 // build writes to the in-memory File; the flavour only matters once a
-// container is opened.
+// container is opened, and never changes what a read returns. The eager
+// load is no flavour: it is Materialize over the opened store.
 type Backend string
 
 const (
-	// BackendDefault defers to the STINDEX_BACKEND environment variable
-	// (see DefaultOpenBackend).
-	BackendDefault Backend = ""
-	// BackendMemory materialises every page of an opened extent into an
-	// in-memory File, frozen read-only.
-	BackendMemory Backend = "mem"
-	// BackendDisk leaves an opened container's pages in the container
-	// file and reads them lazily, one positioned read a page: the pread
-	// window.
+	// BackendDisk, also the zero value, leaves an opened container's
+	// pages in the container file and reads them lazily, one positioned
+	// read a page: the pread window.
 	BackendDisk Backend = "disk"
 	// BackendMmap maps an opened container's page extents read-only, so
 	// page reads cost zero syscalls. It falls back to the pread window
@@ -28,10 +24,17 @@ const (
 	BackendMmap Backend = "mmap"
 )
 
-// EnvBackend is the environment variable consulted by DefaultOpenBackend.
-// Setting STINDEX_BACKEND=mmap opens every default-configured container —
-// including the whole test suite's — through memory mappings.
-const EnvBackend = "STINDEX_BACKEND"
+// Backends lists every open flavour by name.
+var Backends = []Backend{BackendDisk, BackendMmap}
+
+// Check reports whether b names an open flavour; the zero value is
+// BackendDisk. The error of an unknown name lists the flavours.
+func (b Backend) Check() error {
+	if b == "" || slices.Contains(Backends, b) {
+		return nil
+	}
+	return fmt.Errorf("unknown open flavour %q (want %s or %s)", string(b), BackendDisk, BackendMmap)
+}
 
 // ErrReadOnly is returned by mutating operations on a read-only store
 // (an index container opened lazily from disk).
@@ -94,16 +97,4 @@ type Store interface {
 	// Closing the in-memory store is a no-op. Closing a store shared by
 	// query views invalidates every view.
 	Close() error
-}
-
-// DefaultOpenBackend returns the *open* flavour selected by the
-// STINDEX_BACKEND environment variable: "mmap" opens saved containers
-// through memory mappings, anything else — "mem" included — through the
-// lazily read pread window. An eager open is only ever asked for
-// explicitly, with BackendMemory.
-func DefaultOpenBackend() Backend {
-	if Backend(os.Getenv(EnvBackend)) == BackendMmap {
-		return BackendMmap
-	}
-	return BackendDisk
 }

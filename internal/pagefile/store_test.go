@@ -134,7 +134,7 @@ func TestStoreSemanticsMatch(t *testing.T) {
 	}
 	eachCodec(t, func(t *testing.T, codec testCodec) {
 		x, off, _ := writeTestExtent(t, codec, LayoutOpaque, f)
-		for _, flavour := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+		for _, flavour := range []Backend{BackendDisk, BackendMmap} {
 			s, _, err := codec.open(x, off, sizeOf(t, x), flavour)
 			if err != nil {
 				t.Fatalf("%s: %v", flavour, err)

@@ -48,14 +48,14 @@ type RegistryConfig struct {
 	// disables the shared cache: each view decodes a page the first time
 	// it visits it and reads it on every miss of its buffer pool.
 	CacheBytes int64
-	// OpenBackend is the page-read flavour Load opens containers with
-	// (stx.BackendDisk lazy window, stx.BackendMmap mapping,
-	// stx.BackendMemory eager). Empty defers to STINDEX_BACKEND.
+	// OpenBackend is the page-read flavour Load opens containers with:
+	// stx.BackendDisk, the lazy window (also the zero value), or
+	// stx.BackendMmap, the mapping.
 	OpenBackend stx.Backend
 }
 
 // NewRegistry creates an empty snapshot registry with no shared cache
-// and the environment-selected open flavour.
+// that opens containers through the pread window.
 func NewRegistry() *Registry {
 	return NewRegistryConfig(RegistryConfig{})
 }

@@ -56,8 +56,7 @@ type Config struct {
 	// the shared cache.
 	CacheMB int
 	// OpenBackend is the container read flavour for snapshots loaded
-	// through the registry (lazy window, mmap, eager memory). Empty
-	// defers to STINDEX_BACKEND.
+	// through the registry: the lazy window (the zero value) or mmap.
 	OpenBackend stx.Backend
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -42,6 +43,16 @@ func saveContainer(t *testing.T, idx stx.Index) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// decodeContainer is the eager load of a saved container.
+func decodeContainer(path string) (stx.Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return stx.DecodeIndex(f)
 }
 
 // testQueries is a deterministic workload over the buildIndex dataset.
@@ -155,7 +166,7 @@ func TestLoadRefusesRetiredHybridContainer(t *testing.T) {
 }
 
 // TestLoadRefusesUnknownOpenFlavour: a service configured with an open
-// flavour that is none of disk, mmap and mem loads nothing.
+// flavour that is neither disk nor mmap loads nothing.
 func TestLoadRefusesUnknownOpenFlavour(t *testing.T) {
 	svc := New(Config{OpenBackend: "x"})
 	defer svc.Close()
@@ -227,15 +238,15 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 }
 
 // TestConcurrentQueriesAcrossHotSwap is the satellite -race test: many
-// goroutines query one registered read-only container (opened through
-// each read flavour: eager memory, the pread window, the mapping) while
-// the main goroutine hot-swaps the snapshot underneath them. Every
-// answer must be bit-identical to the serial baseline and nothing may
-// touch a closed store (the race detector and CloseIndex's idempotence
-// guard that).
+// goroutines query one registered read-only container (decoded eagerly
+// and published, or loaded through each open flavour: the pread window,
+// the mapping) while the main goroutine hot-swaps the snapshot
+// underneath them. Every answer must be bit-identical to the serial
+// baseline and nothing may touch a closed store (the race detector and
+// CloseIndex's idempotence guard that).
 func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
-	for _, backend := range []stx.Backend{stx.BackendMemory, stx.BackendDisk, stx.BackendMmap} {
-		t.Run(string(backend), func(t *testing.T) {
+	for _, leg := range []string{"decoded", "disk", "mmap"} {
+		t.Run(leg, func(t *testing.T) {
 			idx := buildIndex(t)
 			queries := testQueries(t, 100)
 			// Serial baseline on the build itself.
@@ -248,12 +259,26 @@ func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
 				want[i] = ids
 			}
 
-			// Two identical containers to swap between, opened with the
-			// flavour, plus the build itself published directly.
+			// Two identical containers to swap between, read the leg's
+			// way, plus the build itself published directly.
 			pathA := saveContainer(t, idx)
 			pathB := saveContainer(t, idx)
-			reg := NewRegistryConfig(RegistryConfig{OpenBackend: backend})
-			if _, err := reg.Load("data", pathA); err != nil {
+			reg := NewRegistry()
+			if leg != "decoded" {
+				reg = NewRegistryConfig(RegistryConfig{OpenBackend: stx.Backend(leg)})
+			}
+			load := func(path string) error {
+				if leg != "decoded" {
+					_, err := reg.Load("data", path)
+					return err
+				}
+				x, err := decodeContainer(path)
+				if err == nil {
+					_, err = reg.Publish("data", x)
+				}
+				return err
+			}
+			if err := load(pathA); err != nil {
 				t.Fatal(err)
 			}
 
@@ -291,7 +316,7 @@ func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
 				defer close(swapDone)
 				paths := []string{pathB, pathA}
 				for i := 0; i < 6; i++ {
-					if _, err := reg.Load("data", paths[i%2]); err != nil {
+					if err := load(paths[i%2]); err != nil {
 						errCh <- fmt.Errorf("swap %d: %w", i, err)
 						return
 					}

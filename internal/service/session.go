@@ -4,8 +4,6 @@ import (
 	"context"
 
 	stx "stindex"
-
-	"stindex/internal/pagefile"
 )
 
 // Session is one worker's private query state: for every snapshot it has
@@ -86,11 +84,7 @@ func (s *Session) Query(ctx context.Context, snapshot string, q stx.Query) (Resu
 	}
 	qr, err := stx.RunQueryResult(sv.view, q)
 	after := sv.view.IOStats()
-	delta := pagefile.Stats{
-		Reads:  after.Reads - sv.prev.Reads,
-		Writes: after.Writes - sv.prev.Writes,
-		Hits:   after.Hits - sv.prev.Hits,
-	}
+	delta := after.Sub(sv.prev)
 	sv.prev = after
 	s.views[snap.name] = sv
 	snap.recordQuery(delta)
@@ -102,7 +96,7 @@ func (s *Session) Query(ctx context.Context, snapshot string, q stx.Query) (Resu
 		IDs:          qr.IDs,
 		Neighbors:    qr.Neighbors,
 		Trajectories: qr.Trajectories,
-		IO:           delta.Reads + delta.Writes,
+		IO:           delta.IO(),
 		Snapshot:     snap.name,
 		Gen:          snap.gen,
 	}, nil

@@ -190,9 +190,12 @@ type errMismatch int
 
 func (e errMismatch) Error() string { return "sharded view answer differs from flat index" }
 
+// TestRegistryLoadsManifest serves a flat container and a sharded
+// manifest over the same records from one registry, both read through
+// the mapping, and they must answer alike.
 func TestRegistryLoadsManifest(t *testing.T) {
 	flat, manifest, _ := buildShardedFixture(t, "velocity", 3)
-	reg := NewRegistryConfig(RegistryConfig{CacheBytes: 1 << 20})
+	reg := NewRegistryConfig(RegistryConfig{CacheBytes: 1 << 20, OpenBackend: stx.BackendMmap})
 	defer reg.Close()
 	if _, err := reg.Load("flat", flat); err != nil {
 		t.Fatal(err)

@@ -302,10 +302,7 @@ func (s *Sharded) ResetBuffer() {
 func (s *Sharded) IOStats() stx.IOStats {
 	var total stx.IOStats
 	for i := range s.shards {
-		st := s.shards[i].idx.IOStats()
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.Hits += st.Hits
+		total = total.Add(s.shards[i].idx.IOStats())
 	}
 	return total
 }

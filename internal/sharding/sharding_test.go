@@ -276,16 +276,17 @@ func TestBuildUnknownKindCleansUp(t *testing.T) {
 // TestManifestFixture opens testdata/shards-spatial.stm, a manifest an
 // older build wrote over two shard containers whose bounds overlap. It
 // names the deleted spatial partitioner, which is only a label to the
-// reader. The loaded snapshot must answer window queries exactly as its
-// two containers opened directly do, and writing the loaded manifest must
-// give back the fixture's bytes.
+// reader. The loaded snapshot, read through the mapping, must answer
+// window queries exactly as its two containers opened directly (through
+// the pread window) do, and writing the loaded manifest must give back
+// the fixture's bytes.
 func TestManifestFixture(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "shards-spatial.stm")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSharded(path, stx.OpenOptions{})
+	s, err := OpenSharded(path, stx.OpenOptions{Backend: stx.BackendMmap})
 	if err != nil {
 		t.Fatal(err)
 	}

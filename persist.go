@@ -432,14 +432,11 @@ func OpenIndex(path string) (Index, error) {
 type OpenOptions struct {
 	// Backend selects the read flavour of the page extents:
 	//
-	//   - BackendDefault: STINDEX_BACKEND=mmap maps the extents, anything
-	//     else uses the lazily read window (the historical default).
-	//   - BackendDisk: the lazily read window — one positioned read
-	//     syscall per buffer miss.
+	//   - BackendDisk, or empty: the lazily read window — one positioned
+	//     read syscall per buffer miss.
 	//   - BackendMmap: a read-only memory mapping — zero read syscalls,
 	//     falling back to the lazily read window where mmap is
 	//     unavailable.
-	//   - BackendMemory: every page materialised eagerly into memory.
 	//
 	// The flavour never affects query results or I/O statistics — the
 	// stores are observationally identical; only the physical read path
@@ -452,8 +449,8 @@ type OpenOptions struct {
 }
 
 // OpenIndexOptions is OpenIndex with an explicit open configuration:
-// the page-read flavour (lazy window, mmap, or eager memory) and the
-// store-wrapping seam.
+// the page-read flavour (lazy window or mmap) and the store-wrapping
+// seam.
 func OpenIndexOptions(path string, opts OpenOptions) (Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -487,16 +484,10 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stindex: opening index: %w", err)
 	}
-	backend := opts.Backend.internal()
-	switch backend {
-	case pagefile.BackendDefault:
-		backend = pagefile.DefaultOpenBackend()
-	case pagefile.BackendDisk, pagefile.BackendMmap, pagefile.BackendMemory:
-	default:
-		return nil, fmt.Errorf("stindex: unknown open flavour %q (want %s, %s or %s)",
-			opts.Backend, BackendDisk, BackendMmap, BackendMemory)
+	if err := opts.Backend.Check(); err != nil {
+		return nil, fmt.Errorf("stindex: %w", err)
 	}
-	x, attach, store, err := readContainer(f, fi.Size(), backend)
+	x, attach, store, err := readContainer(f, fi.Size(), opts.Backend)
 	if err != nil {
 		return nil, err
 	}

@@ -204,10 +204,21 @@ func TestDecodeIndexReadsFileInPlace(t *testing.T) {
 	}
 }
 
+// decodeFile is the eager load of a saved container: DecodeIndex over
+// the file, read in place.
+func decodeFile(path string) (Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return DecodeIndex(f)
+}
+
 // TestCrossBackendBitIdentical saves every built kind and demands that
-// every open flavour of the container — lazy window, mmap, eager memory —
-// re-encodes to the identical image: the flavours must present the same
-// page layout, free list and allocation order.
+// every read of the container — the lazy window, mmap and the eager
+// DecodeIndex — re-encodes to the identical image: each must present the
+// same page layout, free list and allocation order.
 func TestCrossBackendBitIdentical(t *testing.T) {
 	for kind, a := range persistFixtures(t) {
 		var abuf bytes.Buffer
@@ -218,40 +229,50 @@ func TestCrossBackendBitIdentical(t *testing.T) {
 		if err := SaveIndex(path, a); err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
-			ox, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
+		opens := map[string]func() (Index, error){
+			"disk":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendDisk}) },
+			"mmap":   func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendMmap}) },
+			"decode": func() (Index, error) { return decodeFile(path) },
+		}
+		for read, open := range opens {
+			ox, err := open()
 			if err != nil {
-				t.Fatalf("%s: open backend %q: %v", kind, backend, err)
+				t.Fatalf("%s: %s: %v", kind, read, err)
 			}
 			var obuf bytes.Buffer
 			if _, err := EncodeIndex(&obuf, ox); err != nil {
-				t.Fatalf("%s: re-encode via %q: %v", kind, backend, err)
+				t.Fatalf("%s: re-encode via %s: %v", kind, read, err)
 			}
 			if !bytes.Equal(abuf.Bytes(), obuf.Bytes()) {
-				t.Fatalf("%s: open backend %q re-encoded a different image (%d vs %d bytes)",
-					kind, backend, abuf.Len(), obuf.Len())
+				t.Fatalf("%s: %s re-encoded a different image (%d vs %d bytes)",
+					kind, read, abuf.Len(), obuf.Len())
 			}
 			if err := CloseIndex(ox); err != nil {
-				t.Fatalf("%s: close %q: %v", kind, backend, err)
+				t.Fatalf("%s: close %s: %v", kind, read, err)
 			}
 		}
 	}
 }
 
-// TestOpenRefusesUnknownFlavour: an open flavour that is none of disk,
-// mmap and mem is refused by name instead of read through pread.
+// TestOpenRefusesUnknownFlavour: an open flavour that is neither disk
+// nor mmap — a typo, or the retired eager "mem" — is refused by name
+// instead of read through pread, and the error lists the flavours.
 func TestOpenRefusesUnknownFlavour(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ppr.stic")
 	if err := SaveIndex(path, persistFixtures(t)["ppr"]); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenIndexOptions(path, OpenOptions{Backend: "mmpa"})
-	if err == nil {
-		CloseIndex(ix)
-		t.Fatal("opened a container with open flavour \"mmpa\"")
-	}
-	if !strings.Contains(err.Error(), `"mmpa"`) {
-		t.Fatalf("error %q does not name the flavour", err)
+	for _, flavour := range []Backend{"mmpa", "mem"} {
+		ix, err := OpenIndexOptions(path, OpenOptions{Backend: flavour})
+		if err == nil {
+			CloseIndex(ix)
+			t.Fatalf("opened a container with open flavour %q", flavour)
+		}
+		for _, want := range []string{`"` + string(flavour) + `"`, "disk", "mmap"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		}
 	}
 }
 
@@ -294,7 +315,7 @@ func TestCrossCodecBitIdentical(t *testing.T) {
 			if err := os.WriteFile(path, image, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+			for _, backend := range []Backend{BackendDisk, BackendMmap} {
 				label := kind + "/" + codec + "/" + string(backend)
 				// Opened the way a registry with a cache budget opens it: a
 				// decode tier over every extent, the counter underneath.
@@ -589,8 +610,10 @@ func TestSaveRefusesDecodeOnlyCodec(t *testing.T) {
 // new end fails with io.EOF, never answers from zero-filled pages.
 // The warm case answers the query once first, so every node it reaches is
 // decoded already: a pool miss over the plain store must still read the
-// page, and fail on the truncated file. (A truncated mapping faults
-// instead, so mmap is left out.)
+// page, and fail on the truncated file. Each runs over the pread window
+// and over the mapping; the mapping's file is cut at an OS page boundary,
+// so a read past the new end touches only whole unbacked pages, which
+// fault, and the fault must fail the query, not the process.
 func TestTruncatedContainerFailsStop(t *testing.T) {
 	ppr, err := BuildPPR(UnsplitRecords(genObjects(t, 300, 21)), PPROptions{})
 	if err != nil {
@@ -610,31 +633,39 @@ func TestTruncatedContainerFailsStop(t *testing.T) {
 		t.Run(codec, func(t *testing.T) {
 			for _, pass := range []string{"cold", "warm"} {
 				t.Run(pass, func(t *testing.T) {
-					path := filepath.Join(t.TempDir(), "index.sti")
-					if err := save(path); err != nil {
-						t.Fatal(err)
-					}
-					x, err := OpenIndexOptions(path, OpenOptions{Backend: BackendDisk})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer CloseIndex(x)
-					if pass == "warm" {
-						if _, err := x.Range(all, span); err != nil {
-							t.Fatal(err)
-						}
-					}
-					fi, err := os.Stat(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.Truncate(path, fi.Size()/2); err != nil {
-						t.Fatal(err)
-					}
-					x.ResetBuffer()
-					ids, err := x.Range(all, span)
-					if !errors.Is(err, io.EOF) {
-						t.Fatalf("query over a truncated container: %d ids, err %v; want io.EOF", len(ids), err)
+					for _, backend := range []Backend{BackendDisk, BackendMmap} {
+						t.Run(string(backend), func(t *testing.T) {
+							path := filepath.Join(t.TempDir(), "index.sti")
+							if err := save(path); err != nil {
+								t.Fatal(err)
+							}
+							x, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer CloseIndex(x)
+							if pass == "warm" {
+								if _, err := x.Range(all, span); err != nil {
+									t.Fatal(err)
+								}
+							}
+							fi, err := os.Stat(path)
+							if err != nil {
+								t.Fatal(err)
+							}
+							cut := fi.Size() / 2
+							if backend == BackendMmap {
+								cut &^= int64(os.Getpagesize() - 1)
+							}
+							if err := os.Truncate(path, cut); err != nil {
+								t.Fatal(err)
+							}
+							x.ResetBuffer()
+							ids, err := x.Range(all, span)
+							if !errors.Is(err, io.EOF) {
+								t.Fatalf("query over a truncated container: %d ids, err %v; want io.EOF", len(ids), err)
+							}
+						})
 					}
 				})
 			}

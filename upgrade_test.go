@@ -44,8 +44,9 @@ func legacyModeCounts(t *testing.T, image []byte) map[byte]int {
 
 // TestLegacyDeltaContainerRefused pins the retirement of the delta page
 // mode on a compressed mid-history stream snapshot that holds delta
-// pages: the eager reader and the mem flavour, which read every page at
-// open, fail with pagefile.ErrRetiredPageMode; the lazy flavours open it
+// pages: the eager reader, over the image in memory or the file in
+// place, reads every page at open and fails with
+// pagefile.ErrRetiredPageMode; the lazy flavours open it
 // and fail with the same error on the first query that reads a delta
 // page; and InspectContainer, which decodes no page, still describes it.
 func TestLegacyDeltaContainerRefused(t *testing.T) {
@@ -60,7 +61,7 @@ func TestLegacyDeltaContainerRefused(t *testing.T) {
 	}
 	eager := map[string]func() (Index, error){
 		"decode": func() (Index, error) { return DecodeIndex(bytes.NewReader(image)) },
-		"mem":    func() (Index, error) { return OpenIndexOptions(path, OpenOptions{Backend: BackendMemory}) },
+		"file":   func() (Index, error) { return decodeFile(path) },
 	}
 	for label, open := range eager {
 		if x, err := open(); !errors.Is(err, pagefile.ErrRetiredPageMode) {
@@ -189,7 +190,7 @@ func TestIdentityContainersOpenEveryFlavour(t *testing.T) {
 			t.Fatalf("%s: EncodeIdentity differs from the version-2 bytes (%v)", name, err)
 		}
 		pages := pageImageDigest(t, want)
-		for _, backend := range []Backend{BackendDisk, BackendMmap, BackendMemory} {
+		for _, backend := range []Backend{BackendDisk, BackendMmap} {
 			label := name + ", " + string(backend)
 			got, err := OpenIndexOptions(path, OpenOptions{Backend: backend})
 			if err != nil {
