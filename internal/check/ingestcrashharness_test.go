@@ -17,9 +17,9 @@ import (
 // errWALFault marks an injected journal fault.
 var errWALFault = errors.New("check: injected wal fault")
 
-// walFaults is an ingest.FS that injects one fault at a configured
-// operation number and then, like a killed process, fails every
-// subsequent operation. With Short set, the triggering write lands half
+// walFaults is an ingest.FS (and ingest.Renamer) that injects one fault
+// at a configured operation number and then, like a killed process, fails
+// every subsequent operation — the journal's and the freeze's alike. With Short set, the triggering write lands half
 // its bytes first — a genuinely torn frame on the disk image.
 type walFaults struct {
 	mu     sync.Mutex
@@ -29,6 +29,8 @@ type walFaults struct {
 	dead   bool
 	fired  int
 }
+
+var _ ingest.Renamer = (*walFaults)(nil)
 
 func (f *walFaults) step() error {
 	f.mu.Lock()
@@ -72,6 +74,13 @@ func (f *walFaults) Remove(path string) error {
 		return err
 	}
 	return os.Remove(path)
+}
+
+func (f *walFaults) Rename(oldpath, newpath string) error {
+	if err := f.step(); err != nil {
+		return err
+	}
+	return os.Rename(oldpath, newpath)
 }
 
 func (f *walFaults) SyncDir(dir string) error {
@@ -238,7 +247,8 @@ func copyJournalDir(src, dst string) error {
 //     never-crashed replay of exactly the recovered prefix.
 //
 // The fault points sweep the whole pipeline: first writes, the segment
-// header, group-commit fsyncs, rotation, freeze-time truncation. Short
+// header, group-commit fsyncs, rotation, the freeze's container and
+// CURRENT writes (they go through the same FS), freeze-time truncation. Short
 // variants land half a frame before dying, so torn-tail truncation is
 // exercised on real mid-write images.
 func RunIngestCrashMatrix(scratch string, faultPoints []int, short bool) (IngestCrashReport, error) {

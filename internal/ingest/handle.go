@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -280,20 +279,23 @@ func (h *Handle) Trajectory(r stx.Rect, iv stx.Interval, io *stx.IOStats) ([]stx
 	return h.ix.Trajectory(r, iv)
 }
 
-// encodeState serialises the live index to a STIC container image under
-// the lock, returning the covered seq and clock alongside. data is nil
-// when there is nothing to freeze yet.
-func (h *Handle) encodeState(codec stx.Codec) (data []byte, seq uint64, maxT int64, err error) {
+// snapshot takes what a freeze needs of the live index under the lock,
+// and nothing more: a snapshot of its container (the meta encoded, the
+// pages shared copy-on-write) and the CURRENT fields it will cover — seq,
+// clock and epoch. The caller writes and closes the snapshot after the
+// lock is released. It returns nil when no record was applied beyond
+// frozen, the seq the newest freeze covers.
+func (h *Handle) snapshot(frozen uint64) (*stx.IndexSnapshot, currentState, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ix == nil || h.seq == 0 {
-		return nil, 0, 0, nil
+	if h.ix == nil || h.seq == 0 || h.seq == frozen {
+		return nil, currentState{}, nil
 	}
-	var buf bytes.Buffer
-	if _, err := stx.EncodeIndexOptions(&buf, h.ix, stx.SaveOptions{Codec: codec}); err != nil {
-		return nil, 0, 0, err
+	snap, err := stx.SnapshotIndex(h.ix)
+	if err != nil {
+		return nil, currentState{}, err
 	}
-	return buf.Bytes(), h.seq, h.maxT, nil
+	return snap, currentState{Seq: h.seq, MaxT: h.maxT, StartTime: h.startTime, Lambda: h.opts.Lambda}, nil
 }
 
 // pagesBytes reports the live index's in-memory page footprint.

@@ -530,7 +530,7 @@ func TestRecoverRefusesRetiredPageMode(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, name), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCurrent(dir, currentState{Container: name, Seq: 1, MaxT: 45, Lambda: testLambda}); err != nil {
+	if err := writeCurrent(osFS{}, dir, currentState{Container: name, Seq: 1, MaxT: 45, Lambda: testLambda}); err != nil {
 		t.Fatal(err)
 	}
 	if rec, err := Recover(dir, RecoverOptions{Tree: testStreamOptions().PPR}); !errors.Is(err, pagefile.ErrRetiredPageMode) {

@@ -3,7 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -47,7 +47,8 @@ type Config struct {
 	// demand / by interval); FreezeInterval adds a wall-clock trigger.
 	FreezeEvery    int
 	FreezeInterval time.Duration
-	// FS is the WAL file-operation seam for fault injection (nil = os).
+	// FS is the file-operation seam of the journal and the freezes, for
+	// fault injection (nil = os).
 	FS FS
 }
 
@@ -399,11 +400,19 @@ func (in *Ingester) Freeze() (bool, error) {
 	return froze, err
 }
 
+// freezeEncodeHook, when set, runs in every freeze between releasing the
+// handle lock and writing the container: tests hold it to show the encode
+// blocks neither applies nor live queries.
+var freezeEncodeHook func()
+
 // freeze is the freeze/publish/truncate protocol:
 //
-//  1. encode the index at seq S under the handle lock (compressed codec)
-//  2. write freeze-<S>.sti crash-atomically (temp, fsync, rename,
-//     fsync dir)
+//  1. under the handle lock, return if nothing was applied since the
+//     last freeze; else take the container meta, seq S, the clock, the
+//     epoch and a copy-on-write snapshot of the live pages, and unlock
+//  2. write freeze-<S>.sti from the snapshot through the FS seam,
+//     crash-atomically (temp file through a buffer, fsync, rename,
+//     fsync dir), then release the snapshot
 //  3. flip CURRENT to it the same way — from here recovery uses the new
 //     snapshot and replays only records past S
 //  4. publish a fresh Live view (hot-swap; zero downtime — the old
@@ -411,59 +420,54 @@ func (in *Ingester) Freeze() (bool, error) {
 //  5. delete journal segments fully covered by S, then older freezes
 //     (open file handles keep serving deleted files; unix semantics)
 //
-// A crash between any two steps recovers cleanly: before 3 the old
-// CURRENT plus the intact journal reproduce everything; after 3 the new
-// snapshot plus the journal tail do.
+// Applies and live queries wait only for step 1: the container is
+// encoded from the snapshot while they run. A crash between any two
+// steps recovers cleanly: before 3 the old CURRENT plus the intact
+// journal reproduce everything; after 3 the new snapshot plus the
+// journal tail do. Recover deletes a temp file a crash leaves.
 func (in *Ingester) freeze() (bool, error) {
 	in.freezeMu.Lock()
 	defer in.freezeMu.Unlock()
 
-	data, seq, maxT, err := in.handle.encodeState(in.cfg.Codec)
+	snap, cur, err := in.handle.snapshot(in.frozenSeq)
+	if snap == nil {
+		return false, err
+	}
+	if freezeEncodeHook != nil {
+		freezeEncodeHook()
+	}
+	fs := in.wal.cfg.FS
+	cur.Container = fmt.Sprintf("freeze-%016x.sti", cur.Seq)
+	err = writeAtomic(fs, in.cfg.Dir, cur.Container, func(w io.Writer) error {
+		_, err := snap.WriteTo(w)
+		return err
+	})
+	snap.Close()
 	if err != nil {
 		return false, err
 	}
-	if data == nil || seq == in.frozenSeq {
-		return false, nil
-	}
-	startTime, lambda, _ := in.handle.epoch()
-
-	name := fmt.Sprintf("freeze-%016x.sti", seq)
-	if err := atomicWrite(in.cfg.Dir, name, data); err != nil {
+	if err := writeCurrent(fs, in.cfg.Dir, cur); err != nil {
 		return false, err
 	}
-	if err := writeCurrent(in.cfg.Dir, currentState{
-		Container: name,
-		Seq:       seq,
-		MaxT:      maxT,
-		StartTime: startTime,
-		Lambda:    lambda,
-	}); err != nil {
-		return false, err
-	}
-	prevPath := in.frozenPath
-	in.frozenPath = filepath.Join(in.cfg.Dir, name)
-	in.frozenSeq = seq
-	in.frozenMaxT = maxT
-	in.c.lastFreeze.Store(seq)
+	in.frozenPath = filepath.Join(in.cfg.Dir, cur.Container)
+	in.frozenSeq = cur.Seq
+	in.frozenMaxT = cur.MaxT
+	in.c.lastFreeze.Store(cur.Seq)
 	in.c.freezes.Add(1)
 
-	if err := in.publish(in.frozenPath, maxT); err != nil {
+	if err := in.publish(in.frozenPath, cur.MaxT); err != nil {
 		return true, fmt.Errorf("ingest: freeze durable but publish failed: %w", err)
 	}
-	if _, err := in.wal.TruncateCovered(seq); err != nil {
+	if _, err := in.wal.TruncateCovered(cur.Seq); err != nil {
 		return true, fmt.Errorf("ingest: freeze durable but journal truncation failed: %w", err)
 	}
-	if prevPath != "" && prevPath != in.frozenPath {
-		os.Remove(prevPath)
-	}
-	in.removeStaleFreezes(seq)
+	in.removeStaleFreezes(fs, cur.Seq)
 	return true, nil
 }
 
-// removeStaleFreezes deletes freeze containers older than the current
-// one (crash leftovers; the normal path already removed its
-// predecessor).
-func (in *Ingester) removeStaleFreezes(current uint64) {
+// removeStaleFreezes deletes the freeze containers older than the
+// current one: its predecessor, and any a crash left.
+func (in *Ingester) removeStaleFreezes(fs FS, current uint64) {
 	names, err := filepath.Glob(filepath.Join(in.cfg.Dir, "freeze-*.sti"))
 	if err != nil {
 		return
@@ -472,7 +476,7 @@ func (in *Ingester) removeStaleFreezes(current uint64) {
 	cur := filepath.Join(in.cfg.Dir, fmt.Sprintf("freeze-%016x.sti", current))
 	for _, n := range names {
 		if n < cur {
-			os.Remove(n)
+			fs.Remove(n)
 		}
 	}
 }

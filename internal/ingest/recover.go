@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,8 +77,9 @@ type Recovered struct {
 	EpochSet bool
 }
 
-// Recover rebuilds the live state from dir: decode the snapshot named by
-// CURRENT (if any), then replay every journal record past it, truncating
+// Recover rebuilds the live state from dir: delete the temp files an
+// interrupted freeze left, decode the snapshot named by CURRENT (if
+// any), then replay every journal record past it, truncating
 // a torn tail in the final segment rather than failing. Corruption
 // anywhere else — a bad frame with more journal after it, a sequence gap,
 // an epoch mismatch — is fail-stop: recovery refuses to produce a state
@@ -87,6 +89,18 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 		return nil, err
 	}
 	rec := &Recovered{Lambda: opts.Lambda}
+
+	// 0. Temp files a crash left between create and rename: neither
+	// CURRENT nor any container name points at them.
+	tmps, err := filepath.Glob(filepath.Join(dir, tmpPattern))
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range tmps {
+		if err := os.Remove(path); err != nil {
+			return nil, err
+		}
+	}
 
 	// 1. Snapshot, if CURRENT names one.
 	cur, err := readCurrent(dir)
@@ -280,37 +294,14 @@ func readCurrent(dir string) (*currentState, error) {
 	return &cur, nil
 }
 
-// writeCurrent atomically replaces the CURRENT pointer.
-func writeCurrent(dir string, cur currentState) error {
+// writeCurrent atomically replaces the CURRENT pointer through fs.
+func writeCurrent(fs FS, dir string, cur currentState) error {
 	data, err := json.Marshal(cur)
 	if err != nil {
 		return err
 	}
-	return atomicWrite(dir, currentFile, data)
-}
-
-// atomicWrite writes name under dir crash-atomically: temp file, fsync,
-// rename, fsync dir.
-func atomicWrite(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
+	return writeAtomic(fs, dir, currentFile, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return werr
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
+	})
 }

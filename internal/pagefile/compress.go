@@ -613,20 +613,25 @@ func (e *cpEncoder) verifies(id uint32, cand, page []byte) bool {
 	return cpDecodePage(cand, e.verify, e.sp, e.structOK, id) == nil && bytes.Equal(e.verify, page)
 }
 
+// payloadBlock is the size of the blocks WriteExtent buffers the
+// encoded pages in.
+const payloadBlock = 64 << 10
+
 // WriteExtent serialises a store's pages — including freed slots, so
 // page ids stay stable — to w as an STPC extent. The layout hint names
 // the node format the pages hold; a page that does not match it is
 // written raw, so a wrong or LayoutOpaque hint costs compression, never
 // correctness. The encoded payload is buffered in memory (lengths
-// precede pages in the stream); the raw pages are not.
+// precede pages in the stream), in blocks of payloadBlock bytes: a
+// slice reserved for the worst case holds several times what the pages
+// encode to, and one grown by append copies itself as it goes. The raw
+// pages are not buffered.
 func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 	freeList := s.FreeList()
 	numPages := s.NumAllocated()
 	enc := newCpEncoder(layout, s.PageSize())
 	lens := make([]uint32, numPages)
-	// Every kind compresses at least 2x (BENCH_persist.json), so half the
-	// raw footprint holds the payload without regrowing.
-	payload := make([]byte, 0, s.Bytes()/2)
+	var payload [][]byte
 	page := make([]byte, s.PageSize())
 	for i := 0; i < numPages; i++ {
 		if s.Check(PageID(i)) != nil {
@@ -636,8 +641,16 @@ func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 			return 0, err
 		}
 		encPage := enc.encodePage(uint32(i), page)
-		payload = append(payload, encPage...)
 		lens[i] = uint32(len(encPage))
+		for len(encPage) > 0 {
+			if len(payload) == 0 || len(payload[len(payload)-1]) == payloadBlock {
+				payload = append(payload, make([]byte, 0, payloadBlock))
+			}
+			last := &payload[len(payload)-1]
+			n := min(len(encPage), payloadBlock-len(*last))
+			*last = append(*last, encPage[:n]...)
+			encPage = encPage[n:]
+		}
 	}
 
 	bw := bufio.NewWriter(w)
@@ -670,8 +683,10 @@ func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 			return n, err
 		}
 	}
-	if err := write(payload); err != nil {
-		return n, err
+	for _, block := range payload {
+		if err := write(block); err != nil {
+			return n, err
+		}
 	}
 	return n, bw.Flush()
 }

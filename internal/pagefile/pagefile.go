@@ -12,6 +12,9 @@ package pagefile
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync/atomic"
 )
 
 // PageID addresses a page within a File. Zero is a valid page; use
@@ -40,7 +43,8 @@ var (
 // index — is safe for any number of concurrent readers. Each reader must
 // own its Buffer (Buffers are not safe for concurrent use); the File
 // underneath is then shared without locking. This is what makes
-// per-worker query views over one index possible.
+// per-worker query views over one index possible. A File still being
+// written is read from another goroutine through a Snapshot.
 type File struct {
 	pageSize int
 	pages    [][]byte
@@ -50,6 +54,16 @@ type File struct {
 	// caches validate against it, so any write exactly invalidates every
 	// cached parse of the page's previous image.
 	versions []uint64
+	// stamps holds, per page, the snapshot generation its image buffer
+	// was allocated in (nil until the first Snapshot, so a file never
+	// snapshotted keeps none), and gen is the current generation: every
+	// Snapshot starts a new one and shares the buffers stamped before
+	// it. snaps counts the snapshots not yet closed. While one is open,
+	// a write to a page stamped before gen gives the page a fresh buffer
+	// first, so no snapshot sees an image change under it.
+	stamps []uint64
+	gen    uint64
+	snaps  atomic.Int64
 }
 
 // New creates an empty file with the given page size.
@@ -88,6 +102,9 @@ func (f *File) Allocate() PageID {
 	id := PageID(len(f.pages))
 	f.pages = append(f.pages, make([]byte, f.pageSize))
 	f.versions = append(f.versions, 0)
+	if f.stamps != nil {
+		f.stamps = append(f.stamps, f.gen)
+	}
 	return id
 }
 
@@ -113,6 +130,12 @@ func (f *File) write(id PageID, data []byte) error {
 	}
 	f.versions[id]++
 	p := f.pages[id]
+	if f.snaps.Load() > 0 && f.stamps[id] < f.gen {
+		// An open snapshot may share this buffer: the write replaces
+		// the whole image, so a fresh buffer needs no copy of the old.
+		p = make([]byte, f.pageSize)
+		f.pages[id], f.stamps[id] = p, f.gen
+	}
 	copy(p, data)
 	for i := len(data); i < f.pageSize; i++ {
 		p[i] = 0
@@ -168,3 +191,57 @@ func (f *File) check(id PageID) error {
 }
 
 var _ Store = (*File)(nil)
+
+// Snapshot returns a read-only Store over the file's pages as they are
+// now. It copies the page, free-list and version tables, not the page
+// images: those stay shared until the file writes one of them, which
+// then gets a fresh buffer (see stamps). The snapshot may be read from
+// one goroutine while the file's owner keeps allocating, freeing and
+// writing; Snapshot itself must not run concurrently with those. Close
+// the snapshot when done with it: from then on writes stop copying.
+func (f *File) Snapshot() Store {
+	if f.stamps == nil {
+		f.stamps = make([]uint64, len(f.pages))
+	}
+	f.gen++
+	f.snaps.Add(1)
+	return &snapshot{
+		File: &File{
+			pageSize: f.pageSize,
+			pages:    slices.Clone(f.pages),
+			freed:    maps.Clone(f.freed),
+			freeList: slices.Clone(f.freeList),
+			versions: slices.Clone(f.versions),
+		},
+		owner: f,
+	}
+}
+
+// snapshot is the read-only Store Snapshot returns: a File of its own
+// tables, which nothing writes, over the owner's page buffers.
+type snapshot struct {
+	*File
+	owner  *File
+	closed atomic.Bool
+}
+
+// ReadOnly reports that the store rejects mutation.
+func (s *snapshot) ReadOnly() bool { return true }
+
+// Allocate implements Store; a snapshot is frozen.
+func (s *snapshot) Allocate() PageID { return InvalidPage }
+
+// Free implements Store; a snapshot is frozen.
+func (s *snapshot) Free(PageID) error { return ErrReadOnly }
+
+// WritePage implements Store; a snapshot is frozen.
+func (s *snapshot) WritePage(PageID, []byte) error { return ErrReadOnly }
+
+// Close implements Store: it releases the snapshot's claim on the
+// owner's page buffers. Later calls do nothing.
+func (s *snapshot) Close() error {
+	if !s.closed.Swap(true) {
+		s.owner.snaps.Add(-1)
+	}
+	return nil
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +261,75 @@ func TestDefaultPageSize(t *testing.T) {
 	}
 	if NewBuffer(f, 0).Capacity() != 1 {
 		t.Fatal("buffer capacity should clamp to 1")
+	}
+}
+
+// TestSnapshotCopyOnWrite: a snapshot keeps the pages, free list and
+// versions of the instant it was taken while the file goes on writing,
+// freeing and reusing pages; its extent encodes as the file's did then.
+// Once every snapshot is closed, writes land in place again.
+func TestSnapshotCopyOnWrite(t *testing.T) {
+	f := New(64)
+	for i := 0; i < 6; i++ {
+		id := f.Allocate()
+		if err := f.write(id, []byte{byte(i + 1), 0xaa}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Free(4); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := WriteExtent(&want, f, LayoutOpaque); err != nil {
+		t.Fatal(err)
+	}
+	wantFree, wantVersion := f.FreeList(), f.Version(1)
+
+	s := f.Snapshot()
+	if err := f.write(1, []byte("changed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Free(2); err != nil {
+		t.Fatal(err)
+	}
+	if id := f.Allocate(); id != 2 {
+		t.Fatalf("reused %d, want 2", id)
+	}
+	if err := f.write(2, []byte("reused")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.write(f.Allocate(), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := WriteExtent(&got, s, LayoutOpaque); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the snapshot's extent differs from the file's at the snapshot")
+	}
+	if !reflect.DeepEqual(s.FreeList(), wantFree) || s.Version(1) != wantVersion || s.NumAllocated() != 6 {
+		t.Fatalf("snapshot tables: free %v version %d allocated %d; want %v, %d, 6", s.FreeList(), s.Version(1), s.NumAllocated(), wantFree, wantVersion)
+	}
+	if err := s.Check(4); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("snapshot Check(freed) = %v", err)
+	}
+	if s.Allocate() != InvalidPage || !errors.Is(s.WritePage(0, nil), ErrReadOnly) || !errors.Is(s.Free(0), ErrReadOnly) {
+		t.Fatal("a snapshot accepted a mutation")
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // idempotent: must not release a second claim
+	if n := f.snaps.Load(); n != 0 {
+		t.Fatalf("%d snapshots open after Close", n)
+	}
+	p := &f.pages[3][0]
+	if err := f.write(3, []byte("in place")); err != nil {
+		t.Fatal(err)
+	}
+	if &f.pages[3][0] != p {
+		t.Fatal("a write with no snapshot open copied the page")
 	}
 }

@@ -241,6 +241,12 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return writeContainer(w, kind, meta, store)
+}
+
+// writeContainer writes the container of a kind whose meta section is
+// encoded: header, meta, then the page extent read off store.
+func writeContainer(w io.Writer, kind byte, meta []byte, store pagefile.Store) (int64, error) {
 	header := make([]byte, containerHeaderSize)
 	copy(header, containerMagic)
 	binary.LittleEndian.PutUint32(header[4:], containerVersion)
@@ -260,6 +266,50 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	}
 	en, err := pagefile.WriteExtent(w, store, kindLayout(kind))
 	return n + en, err
+}
+
+// IndexSnapshot is an index's container frozen at one instant and written
+// later: the meta section, encoded when the snapshot is taken, and the
+// page store as it stood then. Taking one encodes the meta and copies the
+// page tables of an in-memory store (pagefile.File.Snapshot), not its
+// pages; writing one reads nothing the index can still change, so the
+// index's owner may go on mutating it meanwhile. WriteTo writes the bytes
+// EncodeIndex would have written at the instant of the snapshot.
+type IndexSnapshot struct {
+	kind  byte
+	meta  []byte
+	store pagefile.Store
+	own   bool // store is a snapshot to close, not the index's own store
+}
+
+// SnapshotIndex takes an IndexSnapshot of x. It reads x like EncodeIndex
+// does, so the caller serialises it against x's mutators the same way;
+// the snapshot's WriteTo needs no such guard. Close the snapshot once
+// written.
+func SnapshotIndex(x Index) (*IndexSnapshot, error) {
+	kind, meta, store, err := encodeContainerMeta(x)
+	if err != nil {
+		return nil, err
+	}
+	s := &IndexSnapshot{kind: kind, meta: meta, store: store}
+	if f, ok := store.(*pagefile.File); ok {
+		s.store, s.own = f.Snapshot(), true
+	}
+	return s, nil
+}
+
+// WriteTo writes the snapshot's container to w.
+func (s *IndexSnapshot) WriteTo(w io.Writer) (int64, error) {
+	return writeContainer(w, s.kind, s.meta, s.store)
+}
+
+// Close releases the snapshot's hold on the index's pages; a read-only
+// store it shares with an opened index stays open.
+func (s *IndexSnapshot) Close() error {
+	if s.own {
+		return s.store.Close()
+	}
+	return nil
 }
 
 // SaveIndex writes the index's container image to path. An interrupted write leaves a truncated file, which OpenIndex
