@@ -479,7 +479,9 @@ func (w *freezeWaits) finish() {
 // second, untimed freeze per iteration runs under two probes and reports
 // how long an apply waited for the handle lock (apply-wait-us) and how
 // long a live query took (query-wait-us), the longest of each freeze
-// averaged over the iterations.
+// averaged over the iterations. resident-MB is the page images the live
+// index holds in memory when a freeze starts, averaged over the timed
+// freezes: the pages changed since the previous freeze.
 func BenchmarkFreeze(b *testing.B) {
 	for _, objects := range []int{2000, 8000} {
 		history, next := freezeBenchFeed(b, objects)
@@ -507,11 +509,14 @@ func BenchmarkFreeze(b *testing.B) {
 				b.Fatal(err)
 			}
 			var apply, qry time.Duration
+			resident := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				submit()
+				_, held := in.handle.residentPages()
+				resident += held
 				b.StartTimer()
 				if ok, err := in.Freeze(); err != nil || !ok {
 					b.Fatalf("Freeze = %v, %v", ok, err)
@@ -529,6 +534,7 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 			b.ReportMetric(float64(apply.Microseconds())/float64(b.N), "apply-wait-us")
 			b.ReportMetric(float64(qry.Microseconds())/float64(b.N), "query-wait-us")
+			b.ReportMetric(float64(resident)*float64(in.Index().Tree().Store().PageSize())/(1<<20)/float64(b.N), "resident-MB")
 		})
 	}
 }

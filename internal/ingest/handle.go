@@ -3,9 +3,12 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	stx "stindex"
+
+	"stindex/internal/pagefile"
 )
 
 // ErrInvalid wraps every admission-validation failure (HTTP maps it to
@@ -33,6 +36,11 @@ type streamState struct {
 type Handle struct {
 	mu sync.Mutex
 	streamState
+	// base is the frozen container's page extent the live index reads
+	// its released pages from; nil while none is released. Each freeze
+	// replaces it; the last one stays open while the handle serves,
+	// which it does after Ingester.Close too.
+	base io.Closer
 }
 
 func newHandle(opts stx.StreamOptions) *Handle {
@@ -44,6 +52,7 @@ func (h *Handle) adopt(rec *Recovered) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.ix = rec.Index
+	h.base = rec.Base
 	h.seq = rec.Seq
 	h.maxT = rec.MaxT
 	h.startTime = rec.StartTime
@@ -298,7 +307,9 @@ func (h *Handle) snapshot(frozen uint64) (*stx.IndexSnapshot, currentState, erro
 	return snap, currentState{Seq: h.seq, MaxT: h.maxT, StartTime: h.startTime, Lambda: h.opts.Lambda}, nil
 }
 
-// pagesBytes reports the live index's in-memory page footprint.
+// pagesBytes reports the live index's logical page footprint: its live
+// pages and their bytes, whether their images are held in memory or
+// released to the frozen container (residentPages tells them apart).
 func (h *Handle) pagesBytes() (int, int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -306,6 +317,56 @@ func (h *Handle) pagesBytes() (int, int64) {
 		return 0, 0
 	}
 	return h.ix.Pages(), h.ix.Bytes()
+}
+
+// residentPages reports the live index's live pages and how many of
+// them have their image held in memory.
+func (h *Handle) residentPages() (pages, resident int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ix == nil {
+		return 0, 0
+	}
+	pages = h.ix.Pages()
+	if f, ok := h.ix.Tree().Store().(*pagefile.File); ok {
+		return pages, f.Resident()
+	}
+	return pages, pages
+}
+
+// openBase opens the page extent of a freeze container, the base the
+// live index's released pages are read from: positioned reads, so a page
+// read back costs no resident memory beyond its decode.
+var openBase = stx.OpenPageExtent
+
+// release hands the live pages unchanged since a freeze's snapshot, whose
+// version table is versions, to the container written from it at path:
+// the live tree drops their images and decodes and reads them from the
+// container from then on (pagefile.Buffer.Release). The container is
+// opened before the lock is taken; if it cannot be, or the release
+// fails, every image stays and so does the previous base. The previous
+// base is closed after the lock is released, when nothing reads it any
+// more: the freeze's snapshot, which did, is closed already.
+func (h *Handle) release(versions []uint64, path string) error {
+	base, err := openBase(path)
+	if err != nil {
+		return err
+	}
+	h.mu.Lock()
+	old := h.base
+	err = h.ix.Tree().Buffer().Release(versions, base)
+	if err == nil {
+		h.base = base
+	}
+	h.mu.Unlock()
+	if err != nil {
+		base.Close()
+		return err
+	}
+	if old != nil {
+		old.Close()
+	}
+	return nil
 }
 
 // locked runs fn under the lock the query methods charge their views'

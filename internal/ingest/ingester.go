@@ -138,6 +138,9 @@ func Open(cfg Config) (*Ingester, error) {
 	}
 	if err := in.publish(rec.SnapshotPath, boundaryOf(rec)); err != nil {
 		rec.WAL.Close()
+		if rec.Base != nil {
+			rec.Base.Close()
+		}
 		return nil, err
 	}
 	go in.writer()
@@ -412,19 +415,24 @@ var freezeEncodeHook func()
 //     epoch and a copy-on-write snapshot of the live pages, and unlock
 //  2. write freeze-<S>.sti from the snapshot through the FS seam,
 //     crash-atomically (temp file through a buffer, fsync, rename,
-//     fsync dir), then release the snapshot
+//     fsync dir), then close the snapshot, keeping its version table
 //  3. flip CURRENT to it the same way — from here recovery uses the new
 //     snapshot and replays only records past S
-//  4. publish a fresh Live view (hot-swap; zero downtime — the old
+//  4. under the handle lock, drop the live pages unchanged since step 1
+//     from memory: they are read from the new container from then on
+//     (Handle.release)
+//  5. publish a fresh Live view (hot-swap; zero downtime — the old
 //     view's leases drain before its container closes)
-//  5. delete journal segments fully covered by S, then older freezes
+//  6. delete journal segments fully covered by S, then older freezes
 //     (open file handles keep serving deleted files; unix semantics)
 //
-// Applies and live queries wait only for step 1: the container is
-// encoded from the snapshot while they run. A crash between any two
-// steps recovers cleanly: before 3 the old CURRENT plus the intact
-// journal reproduce everything; after 3 the new snapshot plus the
-// journal tail do. Recover deletes a temp file a crash leaves.
+// Applies and live queries wait only for steps 1 and 4: the container is
+// encoded from the snapshot while they run, and step 4 only clears
+// table entries. A crash between any two steps recovers cleanly: before
+// 3 the old CURRENT plus the intact journal reproduce everything; after
+// 3 the new snapshot plus the journal tail do. Recover deletes a temp
+// file a crash leaves. A failed step 4 costs memory, not state: the
+// freeze stands and reports the error once the rest is done.
 func (in *Ingester) freeze() (bool, error) {
 	in.freezeMu.Lock()
 	defer in.freezeMu.Unlock()
@@ -442,6 +450,7 @@ func (in *Ingester) freeze() (bool, error) {
 		_, err := snap.WriteTo(w)
 		return err
 	})
+	versions := snap.Versions()
 	snap.Close()
 	if err != nil {
 		return false, err
@@ -454,6 +463,7 @@ func (in *Ingester) freeze() (bool, error) {
 	in.frozenMaxT = cur.MaxT
 	in.c.lastFreeze.Store(cur.Seq)
 	in.c.freezes.Add(1)
+	releaseErr := in.handle.release(versions, in.frozenPath)
 
 	if err := in.publish(in.frozenPath, cur.MaxT); err != nil {
 		return true, fmt.Errorf("ingest: freeze durable but publish failed: %w", err)
@@ -462,6 +472,9 @@ func (in *Ingester) freeze() (bool, error) {
 		return true, fmt.Errorf("ingest: freeze durable but journal truncation failed: %w", err)
 	}
 	in.removeStaleFreezes(fs, cur.Seq)
+	if releaseErr != nil {
+		return true, fmt.Errorf("ingest: freeze durable but the live pages stay in memory: %w", releaseErr)
+	}
 	return true, nil
 }
 
@@ -484,6 +497,7 @@ func (in *Ingester) removeStaleFreezes(fs FS, current uint64) {
 // Stats assembles the pipeline's metrics snapshot.
 func (in *Ingester) Stats() service.IngestStats {
 	seq, maxT, liveObjects, records := in.handle.state()
+	pages, resident := in.handle.residentPages()
 	walRecords, walBytes, fsyncs, truncated := in.wal.Stats()
 	st := service.IngestStats{
 		Name:               in.cfg.Name,
@@ -491,6 +505,8 @@ func (in *Ingester) Stats() service.IngestStats {
 		MaxT:               maxT,
 		LiveObjects:        liveObjects,
 		Records:            records,
+		Pages:              pages,
+		ResidentPages:      resident,
 		Accepted:           in.c.accepted.Load(),
 		Rejected:           in.c.rejected.Load(),
 		Invalid:            in.c.invalid.Load(),

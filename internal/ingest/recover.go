@@ -51,6 +51,10 @@ type Recovered struct {
 	// Index is nil when the directory holds no state yet (the pipeline
 	// creates it on the first accepted record).
 	Index *stx.StreamIndex
+	// Base is the snapshot container's page extent, which Index reads
+	// the pages the replay left unwritten from; nil without a snapshot.
+	// Close it once Index is no longer used.
+	Base io.Closer
 	// WAL continues the journal exactly where the durable prefix ends.
 	WAL *WAL
 	// Seq counts the records in Index (snapshot-covered + replayed).
@@ -78,8 +82,9 @@ type Recovered struct {
 }
 
 // Recover rebuilds the live state from dir: delete the temp files an
-// interrupted freeze left, decode the snapshot named by CURRENT (if
-// any), then replay every journal record past it, truncating
+// interrupted freeze left, open the snapshot named by CURRENT (if any)
+// with every page left in the container until the replay writes it
+// (stx.OpenReleased), then replay every journal record past it, truncating
 // a torn tail in the final segment rather than failing. Corruption
 // anywhere else — a bad frame with more journal after it, a sequence gap,
 // an epoch mismatch — is fail-stop: recovery refuses to produce a state
@@ -109,23 +114,26 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 	}
 	if cur != nil {
 		path := filepath.Join(dir, cur.Container)
-		f, err := os.Open(path)
+		idx, base, err := stx.OpenReleased(path)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: CURRENT names %s: %w", cur.Container, err)
-		}
-		idx, err := stx.DecodeIndex(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("ingest: decoding snapshot %s: %w", cur.Container, err)
+			return nil, fmt.Errorf("ingest: opening snapshot %s that CURRENT names: %w", cur.Container, err)
 		}
 		six, ok := idx.(*stx.StreamIndex)
 		if !ok {
+			base.Close()
 			return nil, fmt.Errorf("ingest: snapshot %s is kind %q, want a stream index", cur.Container, idx.Kind())
 		}
 		if six.Lambda() != cur.Lambda {
+			base.Close()
 			return nil, fmt.Errorf("ingest: snapshot lambda %g disagrees with CURRENT %g", six.Lambda(), cur.Lambda)
 		}
-		rec.Index = six
+		rec.Index, rec.Base = six, base
+		// Every later failure leaves no Recovered to close it.
+		defer func() {
+			if rec.WAL == nil {
+				base.Close()
+			}
+		}()
 		rec.Seq = cur.Seq
 		rec.SnapshotSeq = cur.Seq
 		rec.SnapshotPath = path

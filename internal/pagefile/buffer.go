@@ -1,5 +1,7 @@
 package pagefile
 
+import "fmt"
+
 // Stats accumulates buffer-pool traffic in the paper's unit. Reads are the
 // page requests that missed the pool — the paper's disk accesses — whether
 // or not the page's bytes had to be fetched to answer them (under a decode
@@ -370,4 +372,26 @@ func (b *Buffer) Evict(id PageID) {
 		delete(b.index, id)
 		b.release(i)
 	}
+}
+
+// Release hands the pages of the buffer's store, an in-memory File, that
+// are unchanged since a snapshot to base (File.Release), and forgets
+// their decodes: a released page is read from base when a reader next
+// needs it, and decoded again then. The pool and its Stats are
+// untouched, so the I/O accounting is that of a File holding every
+// image.
+func (b *Buffer) Release(versions []uint64, base Store) error {
+	f, ok := b.store.(*File)
+	if !ok {
+		return fmt.Errorf("pagefile: release needs an in-memory store, have %T", b.store)
+	}
+	if err := f.Release(versions, base); err != nil {
+		return err
+	}
+	for id := range b.decoded {
+		if int(id) < len(f.pages) && f.pages[id] == nil {
+			delete(b.decoded, id)
+		}
+	}
+	return nil
 }

@@ -45,6 +45,13 @@ var (
 // underneath is then shared without locking. This is what makes
 // per-worker query views over one index possible. A File still being
 // written is read from another goroutine through a Snapshot.
+//
+// A File may hold only part of its images: Release drops the images of
+// the pages a read-only base store holds unchanged (the container a
+// snapshot of the file was written to), and a read of such a page is a
+// read of the base. Versions, the free list and every other table stay
+// the File's own, so a released page is still the File's page to the
+// Buffer above it.
 type File struct {
 	pageSize int
 	pages    [][]byte
@@ -64,6 +71,9 @@ type File struct {
 	stamps []uint64
 	gen    uint64
 	snaps  atomic.Int64
+	// base holds the images of the released pages, whose entries in
+	// pages are nil; nil while no page is released.
+	base Store
 }
 
 // New creates an empty file with the given page size.
@@ -97,6 +107,10 @@ func (f *File) Allocate() PageID {
 		f.freeList = f.freeList[:n-1]
 		delete(f.freed, id)
 		f.versions[id]++ // a reused id is logically a new page
+		if f.pages[id] == nil {
+			// The base may hold the id freed: a reused page starts zeroed.
+			f.fresh(id)
+		}
 		return id
 	}
 	id := PageID(len(f.pages))
@@ -130,11 +144,11 @@ func (f *File) write(id PageID, data []byte) error {
 	}
 	f.versions[id]++
 	p := f.pages[id]
-	if f.snaps.Load() > 0 && f.stamps[id] < f.gen {
-		// An open snapshot may share this buffer: the write replaces
-		// the whole image, so a fresh buffer needs no copy of the old.
-		p = make([]byte, f.pageSize)
-		f.pages[id], f.stamps[id] = p, f.gen
+	if p == nil || f.snaps.Load() > 0 && f.stamps[id] < f.gen {
+		// A released page has no buffer, and an open snapshot may share
+		// this one: the write replaces the whole image, so a fresh
+		// buffer needs no copy of the old.
+		p = f.fresh(id)
 	}
 	copy(p, data)
 	for i := len(data); i < f.pageSize; i++ {
@@ -143,23 +157,32 @@ func (f *File) write(id PageID, data []byte) error {
 	return nil
 }
 
-// read returns the stored page image. The returned slice aliases the
-// file's storage; callers must not retain it across writes.
-func (f *File) read(id PageID) ([]byte, error) {
-	if err := f.check(id); err != nil {
-		return nil, err
+// fresh gives page id a zeroed buffer of its own, stamped with the
+// current generation.
+func (f *File) fresh(id PageID) []byte {
+	p := make([]byte, f.pageSize)
+	f.pages[id] = p
+	if f.stamps != nil {
+		f.stamps[id] = f.gen
 	}
-	return f.pages[id], nil
+	return p
 }
 
-// ReadPage implements Store, copying the page image into dst.
+// ReadPage implements Store, copying the page image into dst. A released
+// page is read from the base; with a nil dst it is only checked, like a
+// page held in memory.
 func (f *File) ReadPage(id PageID, dst []byte) error {
-	data, err := f.read(id)
-	if err != nil {
+	if err := f.check(id); err != nil {
 		return err
 	}
-	copy(dst, data)
-	return nil
+	if p := f.pages[id]; p != nil {
+		copy(dst, p)
+		return nil
+	}
+	if dst == nil {
+		return nil
+	}
+	return f.base.ReadPage(id, dst)
 }
 
 // WritePage implements Store.
@@ -195,10 +218,12 @@ var _ Store = (*File)(nil)
 // Snapshot returns a read-only Store over the file's pages as they are
 // now. It copies the page, free-list and version tables, not the page
 // images: those stay shared until the file writes one of them, which
-// then gets a fresh buffer (see stamps). The snapshot may be read from
-// one goroutine while the file's owner keeps allocating, freeing and
-// writing; Snapshot itself must not run concurrently with those. Close
-// the snapshot when done with it: from then on writes stop copying.
+// then gets a fresh buffer (see stamps). Released pages are read from
+// the file's base of the moment, which must stay open while the
+// snapshot is. The snapshot may be read from one goroutine while the
+// file's owner keeps allocating, freeing and writing; Snapshot itself
+// must not run concurrently with those. Close the snapshot when done
+// with it: from then on writes stop copying.
 func (f *File) Snapshot() Store {
 	if f.stamps == nil {
 		f.stamps = make([]uint64, len(f.pages))
@@ -212,6 +237,7 @@ func (f *File) Snapshot() Store {
 			freed:    maps.Clone(f.freed),
 			freeList: slices.Clone(f.freeList),
 			versions: slices.Clone(f.versions),
+			base:     f.base,
 		},
 		owner: f,
 	}
@@ -227,6 +253,10 @@ type snapshot struct {
 
 // ReadOnly reports that the store rejects mutation.
 func (s *snapshot) ReadOnly() bool { return true }
+
+// Versions returns the snapshot's page version table, which nothing
+// writes: the argument File.Release takes once the snapshot is written.
+func (s *snapshot) Versions() []uint64 { return s.File.versions }
 
 // Allocate implements Store; a snapshot is frozen.
 func (s *snapshot) Allocate() PageID { return InvalidPage }
@@ -244,4 +274,58 @@ func (s *snapshot) Close() error {
 		s.owner.snaps.Add(-1)
 	}
 	return nil
+}
+
+// Release drops the image of every live page that is unchanged since the
+// snapshot versions was taken from (its version is still versions[id])
+// and reads those pages from base from then on. base is the container
+// written from that snapshot: it holds the snapshot's image at every id
+// the snapshot held live, so a base of another size is refused and
+// nothing changes. A page released earlier is unchanged too (a write or a
+// reuse gives a page a buffer of its own), so it moves onto base with the
+// rest. Freed pages and pages written or allocated since the snapshot
+// keep their images. Release must not run concurrently with the file's
+// mutators or readers; once it returns, the file reads nothing from its
+// previous base, but a snapshot taken before still does.
+func (f *File) Release(versions []uint64, base Store) error {
+	if base.PageSize() != f.pageSize || base.NumAllocated() != len(versions) || len(versions) > len(f.pages) {
+		return fmt.Errorf("pagefile: release of %d of %d pages onto a base of %d pages of %d bytes",
+			len(versions), len(f.pages), base.NumAllocated(), base.PageSize())
+	}
+	for id, v := range versions {
+		if f.versions[id] == v && !f.freed[PageID(id)] {
+			f.pages[id] = nil
+		}
+	}
+	f.base = base
+	return nil
+}
+
+// Resident returns the number of live pages whose image the file holds
+// in memory: every live page, but for those Release handed to the base.
+func (f *File) Resident() int {
+	n := 0
+	for id, p := range f.pages {
+		if p != nil && !f.freed[PageID(id)] {
+			n++
+		}
+	}
+	return n
+}
+
+// Over returns a File with the allocation state of base (page ids, free
+// list, reuse order), every page at version 0 and released onto base:
+// Materialize without reading a page. Writes give pages images of their
+// own; reads of the others go to base, which must outlive the File's use
+// of it.
+func Over(base Store) *File {
+	f := New(base.PageSize())
+	f.pages = make([][]byte, base.NumAllocated())
+	f.versions = make([]uint64, len(f.pages))
+	for _, id := range base.FreeList() {
+		f.freed[id] = true
+		f.freeList = append(f.freeList, id)
+	}
+	f.base = base
+	return f
 }

@@ -9,6 +9,12 @@ import (
 	"testing/quick"
 )
 
+// read returns a copy of the page's image, read as a Buffer miss reads it.
+func (f *File) read(id PageID) ([]byte, error) {
+	p := make([]byte, f.pageSize)
+	return p, f.ReadPage(id, p)
+}
+
 func TestAllocateWriteRead(t *testing.T) {
 	f := New(128)
 	a := f.Allocate()

@@ -137,9 +137,13 @@ type IngestStats struct {
 	// + accepted this process).
 	Seq  uint64 `json:"seq"`
 	MaxT int64  `json:"max_t"`
-	// LiveObjects and Records describe the live index.
-	LiveObjects int `json:"live_objects"`
-	Records     int `json:"records"`
+	// LiveObjects and Records describe the live index. Pages counts its
+	// live pages and ResidentPages those whose image it holds in memory:
+	// a freeze hands the pages it leaves unchanged to its container.
+	LiveObjects   int `json:"live_objects"`
+	Records       int `json:"records"`
+	Pages         int `json:"pages"`
+	ResidentPages int `json:"resident_pages"`
 	// Accepted counts records acknowledged durable by this process;
 	// Rejected counts batches refused for backpressure, Invalid batches
 	// refused by validation (neither touches the journal).

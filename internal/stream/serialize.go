@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -38,7 +39,29 @@ const (
 // WriteMeta serialises everything except the page extent: split-rule
 // state, open pieces, record ownership and the tree's meta.
 func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
-	sw := section.NewWriter(w)
+	m, err := ix.SnapshotMeta()
+	if err != nil {
+		return 0, err
+	}
+	return m.WriteTo(w)
+}
+
+// MetaSnapshot is the indexer's meta section taken at one instant and
+// written later. Taking it encodes everything but the owner rows, and
+// keeps the owner table's length: the indexer only appends to that
+// table, so its first rows stay what they were, and WriteTo reads them
+// while the indexer goes on applying records.
+type MetaSnapshot struct {
+	head   []byte      // up to and including the owner count
+	owners owner.Table // the table's prefix at the instant
+	tail   []byte      // the tree's meta
+}
+
+// SnapshotMeta takes a MetaSnapshot. It reads the indexer, so the caller
+// serialises it against the indexer's mutators; WriteTo needs no guard.
+func (ix *Indexer) SnapshotMeta() (*MetaSnapshot, error) {
+	var head, tail bytes.Buffer
+	sw := section.NewWriter(&head)
 	sw.Magic(streamMagic, streamVersion)
 	sw.F64(ix.opts.Lambda)
 	sw.U64(uint64(ix.owners.Records()))
@@ -62,16 +85,44 @@ func (ix *Indexer) WriteMeta(w io.Writer) (int64, error) {
 		sw.U64(uint64(st.length))
 	}
 	sw.U32(uint32(ix.owners.Records()))
-	for ref, o := range ix.owners.Ord {
-		sw.U64(uint64(ref))
-		sw.I64(ix.owners.IDs[o])
+	if _, err := sw.Flush(); err != nil {
+		return nil, err
 	}
-	n, err := sw.Flush()
+	if _, err := ix.tree.WriteMeta(&tail); err != nil {
+		return nil, err
+	}
+	ord, ids := ix.owners.Ord, ix.owners.IDs
+	return &MetaSnapshot{
+		head:   head.Bytes(),
+		owners: owner.Table{Ord: ord[:len(ord):len(ord)], IDs: ids[:len(ids):len(ids)]},
+		tail:   tail.Bytes(),
+	}, nil
+}
+
+// Len returns the length of the section in bytes.
+func (m *MetaSnapshot) Len() int {
+	return len(m.head) + 16*m.owners.Records() + len(m.tail)
+}
+
+// WriteTo writes the section WriteMeta would have written at the instant
+// of the snapshot.
+func (m *MetaSnapshot) WriteTo(w io.Writer) (int64, error) {
+	hn, err := w.Write(m.head)
+	if err != nil {
+		return int64(hn), err
+	}
+	sw := section.NewWriter(w)
+	for ref, o := range m.owners.Ord {
+		sw.U64(uint64(ref))
+		sw.I64(m.owners.IDs[o])
+	}
+	rn, err := sw.Flush()
+	n := int64(hn) + rn
 	if err != nil {
 		return n, err
 	}
-	tn, err := ix.tree.WriteMeta(w)
-	return n + tn, err
+	tn, err := w.Write(m.tail)
+	return n + int64(tn), err
 }
 
 // ReadMeta deserialises a WriteMeta image into a store-less indexer; the

@@ -132,10 +132,28 @@ func readOwners(meta []byte, mr *bytes.Reader, sr *section.Reader) (*owner.Table
 	return &t, nil
 }
 
-// encodeContainerMeta dispatches on the concrete index type, returning
-// the container kind byte, the kind-specific meta blob and the page
-// store to append as the extent.
-func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
+// metaSection is a container's encoded meta section: its length, known
+// before it is written, and the bytes.
+type metaSection interface {
+	Len() int
+	WriteTo(w io.Writer) (int64, error)
+}
+
+// metaBytes is a meta section encoded whole.
+type metaBytes []byte
+
+func (m metaBytes) Len() int { return len(m) }
+
+func (m metaBytes) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(m)
+	return int64(n), err
+}
+
+// containerMeta dispatches on the concrete index type, returning
+// the container kind byte, the kind-specific meta section and the page
+// store to append as the extent. A stream's section is a
+// stream.MetaSnapshot, whose owner rows are read when it is written.
+func containerMeta(x Index) (byte, metaSection, pagefile.Store, error) {
 	var meta bytes.Buffer
 	sw := section.NewWriter(&meta)
 	var kind byte
@@ -152,7 +170,11 @@ func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
 	case *HRIndex:
 		return 0, nil, nil, errHRNotPersisted
 	case *StreamIndex:
-		kind, store, writeMeta = kindStream, ix.ix.Tree().Store(), ix.ix.WriteMeta
+		m, err := ix.ix.SnapshotMeta()
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		return kindStream, m, ix.ix.Tree().Store(), nil
 	default:
 		return 0, nil, nil, fmt.Errorf("stindex: cannot serialise index kind %q (%T)", x.Kind(), x)
 	}
@@ -162,7 +184,7 @@ func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
 	if _, err := writeMeta(&meta); err != nil {
 		return 0, nil, nil, err
 	}
-	return kind, meta.Bytes(), store, nil
+	return kind, metaBytes(meta.Bytes()), store, nil
 }
 
 // decodeContainerMeta parses a kind-specific meta blob into a store-less
@@ -237,7 +259,7 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 	if err := opts.Codec.Check(); err != nil {
 		return 0, err
 	}
-	kind, meta, store, err := encodeContainerMeta(x)
+	kind, meta, store, err := containerMeta(x)
 	if err != nil {
 		return 0, err
 	}
@@ -246,21 +268,21 @@ func EncodeIndexOptions(w io.Writer, x Index, opts SaveOptions) (int64, error) {
 
 // writeContainer writes the container of a kind whose meta section is
 // encoded: header, meta, then the page extent read off store.
-func writeContainer(w io.Writer, kind byte, meta []byte, store pagefile.Store) (int64, error) {
+func writeContainer(w io.Writer, kind byte, meta metaSection, store pagefile.Store) (int64, error) {
 	header := make([]byte, containerHeaderSize)
 	copy(header, containerMagic)
 	binary.LittleEndian.PutUint32(header[4:], containerVersion)
 	header[8] = kind
 	header[9] = 1
 	header[10] = pagefile.CodecIDCompressed
-	binary.LittleEndian.PutUint64(header[12:], uint64(len(meta)))
+	binary.LittleEndian.PutUint64(header[12:], uint64(meta.Len()))
 	m, err := w.Write(header)
 	n := int64(m)
 	if err != nil {
 		return n, err
 	}
-	m, err = w.Write(meta)
-	n += int64(m)
+	mn, err := meta.WriteTo(w)
+	n += mn
 	if err != nil {
 		return n, err
 	}
@@ -270,14 +292,16 @@ func writeContainer(w io.Writer, kind byte, meta []byte, store pagefile.Store) (
 
 // IndexSnapshot is an index's container frozen at one instant and written
 // later: the meta section, encoded when the snapshot is taken, and the
-// page store as it stood then. Taking one encodes the meta and copies the
-// page tables of an in-memory store (pagefile.File.Snapshot), not its
-// pages; writing one reads nothing the index can still change, so the
-// index's owner may go on mutating it meanwhile. WriteTo writes the bytes
-// EncodeIndex would have written at the instant of the snapshot.
+// page store as it stood then. Taking one encodes the meta (a stream's
+// owner rows excepted: their table is append-only, so only its length is
+// taken) and copies the page tables of an in-memory store
+// (pagefile.File.Snapshot), not its pages; writing one reads nothing the
+// index can still change, so the index's owner may go on mutating it
+// meanwhile. WriteTo writes the bytes EncodeIndex would have written at
+// the instant of the snapshot.
 type IndexSnapshot struct {
 	kind  byte
-	meta  []byte
+	meta  metaSection
 	store pagefile.Store
 	own   bool // store is a snapshot to close, not the index's own store
 }
@@ -287,7 +311,7 @@ type IndexSnapshot struct {
 // the snapshot's WriteTo needs no such guard. Close the snapshot once
 // written.
 func SnapshotIndex(x Index) (*IndexSnapshot, error) {
-	kind, meta, store, err := encodeContainerMeta(x)
+	kind, meta, store, err := containerMeta(x)
 	if err != nil {
 		return nil, err
 	}
@@ -301,6 +325,17 @@ func SnapshotIndex(x Index) (*IndexSnapshot, error) {
 // WriteTo writes the snapshot's container to w.
 func (s *IndexSnapshot) WriteTo(w io.Writer) (int64, error) {
 	return writeContainer(w, s.kind, s.meta, s.store)
+}
+
+// Versions returns the page version table of the snapshot when it copied
+// an in-memory store's tables, nil otherwise. Once the container is
+// written, pagefile.Buffer.Release takes it to hand the index's
+// unchanged pages to the container.
+func (s *IndexSnapshot) Versions() []uint64 {
+	if v, ok := s.store.(interface{ Versions() []uint64 }); ok {
+		return v.Versions()
+	}
+	return nil
 }
 
 // Close releases the snapshot's hold on the index's pages; a read-only
@@ -438,11 +473,7 @@ func containerAt(r io.Reader) (io.ReaderAt, int64, error) {
 // the callback that attaches its pages, and the extent's read-only store
 // of the given open flavour.
 func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, func(pagefile.Store) error, pagefile.Store, error) {
-	header := make([]byte, containerHeaderSize)
-	if _, err := r.ReadAt(header, 0); err != nil {
-		return nil, nil, nil, fmt.Errorf("stindex: reading container header: %w", err)
-	}
-	kind, _, codec, metaLen, err := parseContainerHeader(header, size)
+	kind, codec, metaLen, err := readHeader(r, size)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -459,6 +490,17 @@ func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, 
 		return nil, nil, nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
 	return x, attach, store, nil
+}
+
+// readHeader reads and parses the header of the container of size bytes
+// behind r.
+func readHeader(r io.ReaderAt, size int64) (kind, codec byte, metaLen int64, err error) {
+	header := make([]byte, containerHeaderSize)
+	if _, err := r.ReadAt(header, 0); err != nil {
+		return 0, 0, 0, fmt.Errorf("stindex: reading container header: %w", err)
+	}
+	kind, _, codec, metaLen, err = parseContainerHeader(header, size)
+	return kind, codec, metaLen, err
 }
 
 // OpenIndex opens a saved container lazily: only the header and meta
@@ -514,19 +556,89 @@ func OpenIndexOptions(path string, opts OpenOptions) (Index, error) {
 	return x, nil
 }
 
-// multiCloser closes the extent store of an opened container (a mapping
-// needs its munmap) before releasing the container file itself.
-type multiCloser struct {
-	store pagefile.Store
-	f     *os.File
+// containerStore is the extent store of an opened container with the
+// container file it reads: Close closes the store (a mapping needs its
+// munmap) before the file.
+type containerStore struct {
+	pagefile.Store
+	f *os.File
 }
 
-func (m *multiCloser) Close() error {
-	err := m.store.Close()
-	if ferr := m.f.Close(); err == nil {
+func (c *containerStore) Close() error {
+	err := c.Store.Close()
+	if ferr := c.f.Close(); err == nil {
 		err = ferr
 	}
 	return err
+}
+
+// OpenPageExtent opens the page extent of the container at path for
+// positioned reads (BackendDisk), without decoding its meta section: the
+// base a live index's released pages are read from (see
+// pagefile.Buffer.Release). A mapping would bring every page a read
+// touches into the process's resident memory, which is what releasing
+// the pages saves. Close the store to close the file.
+func OpenPageExtent(path string) (pagefile.Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+	}
+	store, err := openPageExtent(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &containerStore{Store: store, f: f}, nil
+}
+
+func openPageExtent(f *os.File) (pagefile.Store, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+	}
+	_, codec, metaLen, err := readHeader(f, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	store, _, err := pagefile.OpenExtent(f, containerHeaderSize+metaLen, fi.Size(), codec, pagefile.BackendDisk)
+	if err != nil {
+		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+	}
+	return store, nil
+}
+
+// OpenReleased opens the container at path as a writable index whose
+// pages stay in the container until they are written: DecodeIndex
+// without holding a page. Every page is read once, as DecodeIndex reads
+// it, so a container DecodeIndex refuses is refused here too. The
+// index's in-memory store is pagefile.Over the container's page extent,
+// opened as OpenPageExtent opens it, and that extent is returned too:
+// close it once the index reads it no more.
+func OpenReleased(path string) (Index, pagefile.Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stindex: opening index: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("stindex: opening index: %w", err)
+	}
+	x, attach, store, err := readContainer(f, fi.Size(), pagefile.BackendDisk)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	base := &containerStore{Store: store, f: f}
+	if err := pagefile.Verify(base); err != nil {
+		base.Close()
+		return nil, nil, fmt.Errorf("stindex: reading page extent: %w", err)
+	}
+	if err := attach(pagefile.Over(base)); err != nil {
+		base.Close()
+		return nil, nil, err
+	}
+	return x, base, nil
 }
 
 func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
@@ -549,7 +661,7 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 		store.Close() // a mapping needs its munmap; the caller owns and closes f
 		return nil, err
 	}
-	x.(interface{ set(io.Closer) }).set(&multiCloser{store: store, f: f})
+	x.(interface{ set(io.Closer) }).set(&containerStore{Store: store, f: f})
 	return x, nil
 }
 

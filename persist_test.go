@@ -16,6 +16,20 @@ import (
 	"stindex/internal/stio"
 )
 
+// encodeContainerMeta is containerMeta with the meta section written
+// out whole.
+func encodeContainerMeta(x Index) (byte, []byte, pagefile.Store, error) {
+	kind, meta, store, err := containerMeta(x)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	var b bytes.Buffer
+	if _, err := meta.WriteTo(&b); err != nil {
+		return 0, nil, nil, err
+	}
+	return kind, b.Bytes(), store, nil
+}
+
 // persistFixtures builds one index of every built container kind over
 // the same dataset.
 func persistFixtures(t *testing.T) map[string]Index {

@@ -4,7 +4,9 @@
 // statistics. With -ingest-accepted it additionally requires a live
 // ingestion block and proves the pipeline's durability invariants on it
 // (accepted == wal_records_written, fsyncs behind every ack, freezes
-// consistent, nothing latched). Used by scripts/smoke_stserve.sh.
+// consistent, nothing latched, no more resident pages than pages); with
+// -ingest-released it requires some live pages to be held by the frozen
+// container rather than in memory. Used by scripts/smoke_stserve.sh.
 package main
 
 import (
@@ -21,6 +23,7 @@ func main() {
 	ingestAccepted := flag.Int64("ingest-accepted", -1, "require an ingest block with at least this many accepted records (-1 = no ingest checks)")
 	ingestReplayed := flag.Int64("ingest-replayed", -1, "require at least this many records replayed from the journal at startup (-1 = don't check)")
 	ingestFreezes := flag.Int64("ingest-freezes", -1, "require at least this many published freezes (-1 = don't check)")
+	ingestReleased := flag.Bool("ingest-released", false, "require resident_pages < pages: a freeze or a restart left live pages in the container")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		die("usage: checkmetrics [flags] <min-completed> < metrics.json")
@@ -75,9 +78,9 @@ func main() {
 		if m.Ingest == nil {
 			die("no ingest block in metrics")
 		}
-		checkIngest(m.Ingest, *ingestAccepted, *ingestReplayed, *ingestFreezes)
-		ingestLine = fmt.Sprintf(" ingest-accepted=%d ingest-replayed=%d freezes=%d",
-			m.Ingest.Accepted, m.Ingest.Replayed, m.Ingest.Freezes)
+		checkIngest(m.Ingest, *ingestAccepted, *ingestReplayed, *ingestFreezes, *ingestReleased)
+		ingestLine = fmt.Sprintf(" ingest-accepted=%d ingest-replayed=%d freezes=%d resident-pages=%d/%d",
+			m.Ingest.Accepted, m.Ingest.Replayed, m.Ingest.Freezes, m.Ingest.ResidentPages, m.Ingest.Pages)
 	}
 	fmt.Printf("metrics ok: completed=%d qps=%.0f p50=%dµs p99=%dµs sharded-snapshots=%d%s\n",
 		m.Completed, m.QPS, m.P50US, m.P99US, shardedSnaps, ingestLine)
@@ -85,7 +88,7 @@ func main() {
 
 // checkIngest proves the ingestion pipeline's externally visible
 // durability invariants on a quiescent scrape.
-func checkIngest(in *service.IngestStats, minAccepted, minReplayed, minFreezes int64) {
+func checkIngest(in *service.IngestStats, minAccepted, minReplayed, minFreezes int64, released bool) {
 	if in.Latched != "" {
 		die("ingest pipeline latched: %s", in.Latched)
 	}
@@ -120,6 +123,14 @@ func checkIngest(in *service.IngestStats, minAccepted, minReplayed, minFreezes i
 	// process replayed plus accepted.
 	if in.Seq < uint64(in.Replayed)+uint64(in.Accepted) {
 		die("seq = %d < replayed %d + accepted %d", in.Seq, in.Replayed, in.Accepted)
+	}
+	// A page image is held in memory or read from the frozen container,
+	// never both and never neither.
+	if in.ResidentPages < 0 || in.ResidentPages > in.Pages {
+		die("resident_pages = %d of pages = %d", in.ResidentPages, in.Pages)
+	}
+	if released && in.ResidentPages >= in.Pages {
+		die("resident_pages = %d of pages = %d: no live page was left in the frozen container", in.ResidentPages, in.Pages)
 	}
 }
 
