@@ -3,6 +3,7 @@ package pagefile
 import (
 	"fmt"
 	"io"
+	"os"
 )
 
 // A page extent is the page-store section of a saved STIC container.
@@ -78,4 +79,17 @@ func OpenExtent(r io.ReaderAt, off, size int64, codec byte, flavour Backend) (St
 		return openCompressedExtent(r, off, size, flavour)
 	}
 	return nil, 0, fmt.Errorf("pagefile: unknown codec id %d", codec)
+}
+
+// OpenFileExtent is OpenExtent over a container file of size bytes that
+// the returned store takes over: its Close releases the store's source
+// (a mapping needs its munmap first), then closes f. On error f stays
+// the caller's.
+func OpenFileExtent(f *os.File, off, size int64, codec byte, flavour Backend) (Store, error) {
+	s, _, err := OpenExtent(f, off, size, codec, flavour)
+	if err != nil {
+		return nil, err
+	}
+	s.(*extentStore).file = f
+	return s, nil
 }

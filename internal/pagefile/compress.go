@@ -614,14 +614,25 @@ func (e *cpEncoder) verifies(id uint32, cand, page []byte) bool {
 }
 
 // payloadBlock is the size of the blocks WriteExtent buffers the
-// encoded pages in.
+// encoded pages in, and the most it copies from a base in one read.
 const payloadBlock = 64 << 10
 
 // WriteExtent serialises a store's pages — including freed slots, so
 // page ids stay stable — to w as an STPC extent. The layout hint names
 // the node format the pages hold; a page that does not match it is
 // written raw, so a wrong or LayoutOpaque hint costs compression, never
-// correctness. The encoded payload is buffered in memory (lengths
+// correctness.
+//
+// A page that an in-memory File, or its Snapshot, has released to its
+// base is copied, not encoded, when the base is an STPC extent of the
+// same page size and layout spec (copyBase): its stored bytes are what
+// this encoder made of the same image. Its length comes from the base's
+// directory, and its bytes are read from the base with one positioned
+// read per run of adjacent released pages (at most payloadBlock bytes)
+// and streamed after the length table. Each copied page is still
+// decoded into a scratch frame, so a base page a read would refuse
+// fails the write. Every other page is read through ReadPage and
+// encoded, and only those encodings are buffered in memory (lengths
 // precede pages in the stream), in blocks of payloadBlock bytes: a
 // slice reserved for the worst case holds several times what the pages
 // encode to, and one grown by append copies itself as it goes. The raw
@@ -630,11 +641,17 @@ func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 	freeList := s.FreeList()
 	numPages := s.NumAllocated()
 	enc := newCpEncoder(layout, s.PageSize())
+	held, base := copyBase(s, enc)
+	copied := func(id int) bool { return base != nil && held[id] == nil }
 	lens := make([]uint32, numPages)
 	var payload [][]byte
 	page := make([]byte, s.PageSize())
 	for i := 0; i < numPages; i++ {
 		if s.Check(PageID(i)) != nil {
+			continue
+		}
+		if copied(i) {
+			lens[i] = uint32(base.offs[i+1] - base.offs[i])
 			continue
 		}
 		if err := s.ReadPage(PageID(i), page); err != nil {
@@ -683,12 +700,68 @@ func WriteExtent(w io.Writer, s Store, layout Layout) (int64, error) {
 			return n, err
 		}
 	}
-	for _, block := range payload {
-		if err := write(block); err != nil {
-			return n, err
+	// The pages in id order: a run of copied pages from one read of the
+	// base, a run of the others (a freed slot has no bytes) from the
+	// blocks, in writes as large as the blocks allow.
+	fromBase := func(id int) bool { return lens[id] != 0 && copied(id) }
+	var run []byte
+	for i := 0; i < numPages; {
+		j := i + 1
+		if fromBase(i) {
+			for j < numPages && fromBase(j) && base.offs[j+1]-base.offs[i] <= payloadBlock {
+				j++
+			}
+			var err error
+			if run, err = base.storedRun(run, i, j, page); err != nil {
+				return n, err
+			}
+			if err := write(run); err != nil {
+				return n, err
+			}
+			i = j
+			continue
 		}
+		size := int(lens[i])
+		for ; j < numPages && !fromBase(j); j++ {
+			size += int(lens[j])
+		}
+		for size > 0 {
+			m := min(size, len(payload[0]))
+			if err := write(payload[0][:m]); err != nil {
+				return n, err
+			}
+			if payload[0] = payload[0][m:]; len(payload[0]) == 0 {
+				payload = payload[1:]
+			}
+			size -= m
+		}
+		i = j
 	}
 	return n, bw.Flush()
+}
+
+// copyBase returns the page table of s and the extent its released
+// pages (nil entries) are read from, when WriteExtent may copy their
+// stored bytes: s is an in-memory File or a Snapshot of one, over an
+// STPC extent of its page size whose layout spec is enc's. Otherwise it
+// returns nil, nil, and every page is read through ReadPage and
+// encoded: a build (no base), an STPF base, a mismatched one, or any
+// store the copy cannot see through.
+func copyBase(s Store, enc *cpEncoder) ([][]byte, *extentStore) {
+	var f *File
+	switch v := s.(type) {
+	case *File:
+		f = v
+	case *snapshot:
+		f = v.File
+	default:
+		return nil, nil
+	}
+	e, ok := f.base.(*extentStore)
+	if !ok || e.offs == nil || e.pageSize != f.pageSize || e.sp != enc.sp || e.structOK != enc.structOK {
+		return nil, nil
+	}
+	return f.pages, e
 }
 
 // readCpHeader parses and validates the fixed STPC header.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 )
 
@@ -122,7 +123,8 @@ type cpScratch struct {
 // The store is frozen: same page ids and free list as the store that was
 // saved, version 0 everywhere, ErrReadOnly on mutation, logical Bytes.
 // Safe for any number of concurrent readers each owning a private Buffer.
-// Close releases the mapping, if any; the container file stays owned by
+// Close releases the mapping, if any, and the container file if the
+// store owns it (OpenFileExtent); otherwise the file stays owned by
 // whoever opened it.
 type extentStore struct {
 	src      source
@@ -134,6 +136,7 @@ type extentStore struct {
 	freeList []PageID
 	offs     []int64 // STPC: offs[i] is page i's offset within src, offs[n] ends the payload; nil for STPF
 	pool     sync.Pool
+	file     *os.File // the container file Close closes; nil when the caller owns it
 }
 
 // newExtentStore starts the store of an extent of n allocated pages from
@@ -258,9 +261,36 @@ func (e *extentStore) ReadPage(id PageID, dst []byte) error {
 	return cpDecodePage(s.enc, dst[:e.pageSize], e.sp, e.structOK, uint32(id))
 }
 
+// storedRun reads the stored bytes of the STPC pages [i, j), adjacent
+// in the payload, into buf (grown as needed) with one read of the
+// source, and decodes each into frame, a scratch page: a page a read
+// would refuse is refused here too.
+func (e *extentStore) storedRun(buf []byte, i, j int, frame []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(e.offs[j]-e.offs[i]))[:e.offs[j]-e.offs[i]]
+	if err := e.src.readAt(buf, e.offs[i]); err != nil {
+		return buf, fmt.Errorf("pagefile: reading compressed pages %d to %d: %w", i, j-1, err)
+	}
+	for id := i; id < j; id++ {
+		enc := buf[e.offs[id]-e.offs[i] : e.offs[id+1]-e.offs[i]]
+		if err := cpDecodePage(enc, frame, e.sp, e.structOK, uint32(id)); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // Close implements Store, releasing the source (the mapping, for mmap;
-// nothing for pread).
-func (e *extentStore) Close() error { return e.src.close() }
+// nothing for pread), then the container file if the store owns it
+// (OpenFileExtent).
+func (e *extentStore) Close() error {
+	err := e.src.close()
+	if e.file != nil {
+		if ferr := e.file.Close(); err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
 
 var _ Store = (*extentStore)(nil)
 

@@ -69,8 +69,13 @@ func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
 	}
 	sw.U8(1)
 	sw.U32(uint32(len(t.backRefs)))
+	var parents []pagefile.PageID // reused: a freeze writes this meta under its handle lock
 	for _, c := range sortedPages(t.backRefs) {
-		parents := sortedPages(t.backRefs[c])
+		parents = parents[:0]
+		for p := range t.backRefs[c] {
+			parents = append(parents, p)
+		}
+		slices.Sort(parents)
 		sw.U32(uint32(c))
 		sw.U32(uint32(len(parents)))
 		for _, p := range parents {

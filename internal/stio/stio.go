@@ -52,11 +52,7 @@ func ReadObjects(r io.Reader) ([]*trajectory.Object, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("stio: object %d: %w", lineNo, err)
 		}
-		rects := make([]geom.Rect, len(line.Rects))
-		for i, q := range line.Rects {
-			rects[i] = geom.Rect{MinX: q[0], MinY: q[1], MaxX: q[2], MaxY: q[3]}
-		}
-		o, err := trajectory.NewObject(line.ID, line.Start, rects)
+		o, err := trajectory.FromCorners(line.ID, line.Start, line.Rects)
 		if err != nil {
 			return nil, fmt.Errorf("stio: object %d: %w", lineNo, err)
 		}

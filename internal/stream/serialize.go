@@ -60,7 +60,11 @@ type MetaSnapshot struct {
 // SnapshotMeta takes a MetaSnapshot. It reads the indexer, so the caller
 // serialises it against the indexer's mutators; WriteTo needs no guard.
 func (ix *Indexer) SnapshotMeta() (*MetaSnapshot, error) {
+	// A freeze calls this under the lock applies wait for, so the head is
+	// sized up front (72 B a live object): garbage made here is what a
+	// running GC cycle charges the lock holder for.
 	var head, tail bytes.Buffer
+	head.Grow(64 + 72*len(ix.live))
 	sw := section.NewWriter(&head)
 	sw.Magic(streamMagic, streamVersion)
 	sw.F64(ix.opts.Lambda)

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"fmt"
+	"slices"
 
 	"stindex/internal/geom"
 )
@@ -23,6 +24,23 @@ type Object struct {
 // NewObject builds an object directly from its per-instant rectangles.
 // The rectangles are copied. All rectangles must be valid.
 func NewObject(id, start int64, instants []geom.Rect) (*Object, error) {
+	return newObject(id, start, slices.Clone(instants))
+}
+
+// FromCorners builds an object from its per-instant rectangles given as
+// [minX, minY, maxX, maxY] quadruples, the wire form of a dataset file.
+// All rectangles must be valid.
+func FromCorners(id, start int64, corners [][4]float64) (*Object, error) {
+	instants := make([]geom.Rect, len(corners))
+	for i, q := range corners {
+		instants[i] = geom.Rect{MinX: q[0], MinY: q[1], MaxX: q[2], MaxY: q[3]}
+	}
+	return newObject(id, start, instants)
+}
+
+// newObject is NewObject over a slice of rectangles the object keeps:
+// the caller must hold no other reference to it.
+func newObject(id, start int64, instants []geom.Rect) (*Object, error) {
 	if len(instants) == 0 {
 		return nil, ErrNoSegments
 	}
@@ -31,9 +49,7 @@ func NewObject(id, start int64, instants []geom.Rect) (*Object, error) {
 			return nil, fmt.Errorf("trajectory: object %d instant %d: invalid rect %v", id, i, r)
 		}
 	}
-	cp := make([]geom.Rect, len(instants))
-	copy(cp, instants)
-	return &Object{ID: id, start: start, instants: cp}, nil
+	return &Object{ID: id, start: start, instants: instants}, nil
 }
 
 // FromSegments rasterises a piecewise-polynomial motion (§II-A) into an
@@ -78,7 +94,7 @@ func FromSegments(id int64, segs []Segment) (*Object, error) {
 			})
 		}
 	}
-	o, err := NewObject(id, start, instants)
+	o, err := newObject(id, start, instants)
 	if err != nil {
 		return nil, err
 	}

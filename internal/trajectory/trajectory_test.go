@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"stindex/internal/geom"
 )
@@ -242,5 +244,57 @@ func TestBoxOfPanics(t *testing.T) {
 			}()
 			o.BoxOf(span[0], span[1])
 		}()
+	}
+}
+
+// bytesPerRun is the heap bytes one call of fn allocates, averaged.
+func bytesPerRun(fn func()) uint64 {
+	const runs = 16
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / runs
+}
+
+// TestConstructorsAllocateInstantsOnce: FromSegments and FromCorners
+// keep the rectangle slice they fill, and NewObject copies its caller's
+// once, so each allocates one rectangle per instant, not two.
+func TestConstructorsAllocateInstantsOnce(t *testing.T) {
+	const n = 4096
+	seg := Segment{Start: 10, End: 10 + n, X: NewPolynomial(0.2, 1e-4), Y: NewPolynomial(0.3), HalfW: NewPolynomial(0.01), HalfH: NewPolynomial(0.02)}
+	rects := make([]geom.Rect, n)
+	corners := make([][4]float64, n)
+	for i := range rects {
+		x := float64(i) / n
+		rects[i] = geom.Rect{MinX: x, MinY: 0.1, MaxX: x + 0.01, MaxY: 0.2}
+		corners[i] = [4]float64{x, 0.1, x + 0.01, 0.2}
+	}
+	instants := uint64(n * unsafe.Sizeof(geom.Rect{}))
+	for name, build := range map[string]func() (*Object, error){
+		"FromSegments": func() (*Object, error) { return FromSegments(1, []Segment{seg}) },
+		"FromCorners":  func() (*Object, error) { return FromCorners(1, 10, corners) },
+		"NewObject":    func() (*Object, error) { return NewObject(1, 10, rects) },
+	} {
+		if _, err := build(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := bytesPerRun(func() { build() }); got > instants+instants/4 {
+			t.Fatalf("%s allocates %d bytes for %d bytes of rectangles", name, got, instants)
+		}
+	}
+	o, err := FromCorners(1, 10, corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0, err := NewObject(1, 10, rects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rects[0].MaxX = 0.5 // NewObject's copy is the object's own
+	if n0.InstantRect(0) != o.InstantRect(0) {
+		t.Fatalf("NewObject kept its caller's slice: %v, want %v", n0.InstantRect(0), o.InstantRect(0))
 	}
 }

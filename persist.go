@@ -471,7 +471,7 @@ func containerAt(r io.Reader) (io.ReaderAt, int64, error) {
 // readContainer parses the container of size bytes behind r — header,
 // meta section and the page extent's directory — into a store-less index,
 // the callback that attaches its pages, and the extent's read-only store
-// of the given open flavour.
+// of the given open flavour (see openExtent).
 func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, func(pagefile.Store) error, pagefile.Store, error) {
 	kind, codec, metaLen, err := readHeader(r, size)
 	if err != nil {
@@ -485,11 +485,27 @@ func readContainer(r io.ReaderAt, size int64, backend pagefile.Backend) (Index, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	store, _, err := pagefile.OpenExtent(r, containerHeaderSize+metaLen, size, codec, backend)
+	store, err := openExtent(r, containerHeaderSize+metaLen, size, codec, backend)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("stindex: opening page extent: %w", err)
+		return nil, nil, nil, err
 	}
 	return x, attach, store, nil
+}
+
+// openExtent opens the page extent at offset off of the container of
+// size bytes behind r. A container file is taken over by the store,
+// whose Close closes it (pagefile.OpenFileExtent); on error it stays the
+// caller's.
+func openExtent(r io.ReaderAt, off, size int64, codec byte, backend pagefile.Backend) (store pagefile.Store, err error) {
+	if f, ok := r.(*os.File); ok {
+		store, err = pagefile.OpenFileExtent(f, off, size, codec, backend)
+	} else {
+		store, _, err = pagefile.OpenExtent(r, off, size, codec, backend)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+	}
+	return store, nil
 }
 
 // readHeader reads and parses the header of the container of size bytes
@@ -548,28 +564,7 @@ func OpenIndexOptions(path string, opts OpenOptions) (Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stindex: opening index: %w", err)
 	}
-	x, err := openIndexFile(f, opts)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return x, nil
-}
-
-// containerStore is the extent store of an opened container with the
-// container file it reads: Close closes the store (a mapping needs its
-// munmap) before the file.
-type containerStore struct {
-	pagefile.Store
-	f *os.File
-}
-
-func (c *containerStore) Close() error {
-	err := c.Store.Close()
-	if ferr := c.f.Close(); err == nil {
-		err = ferr
-	}
-	return err
+	return openIndexFile(f, opts)
 }
 
 // OpenPageExtent opens the page extent of the container at path for
@@ -583,26 +578,20 @@ func OpenPageExtent(path string) (pagefile.Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
-	store, err := openPageExtent(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &containerStore{Store: store, f: f}, nil
-}
-
-func openPageExtent(f *os.File) (pagefile.Store, error) {
 	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
 	}
 	_, codec, metaLen, err := readHeader(f, fi.Size())
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	store, _, err := pagefile.OpenExtent(f, containerHeaderSize+metaLen, fi.Size(), codec, pagefile.BackendDisk)
+	store, err := openExtent(f, containerHeaderSize+metaLen, fi.Size(), codec, pagefile.BackendDisk)
 	if err != nil {
-		return nil, fmt.Errorf("stindex: opening page extent: %w", err)
+		f.Close()
+		return nil, err
 	}
 	return store, nil
 }
@@ -629,28 +618,32 @@ func OpenReleased(path string) (Index, pagefile.Store, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	base := &containerStore{Store: store, f: f}
-	if err := pagefile.Verify(base); err != nil {
-		base.Close()
+	if err := pagefile.Verify(store); err != nil {
+		store.Close()
 		return nil, nil, fmt.Errorf("stindex: reading page extent: %w", err)
 	}
-	if err := attach(pagefile.Over(base)); err != nil {
-		base.Close()
+	if err := attach(pagefile.Over(store)); err != nil {
+		store.Close()
 		return nil, nil, err
 	}
-	return x, base, nil
+	return x, store, nil
 }
 
+// openIndexFile opens the container file f as OpenIndexOptions does. It
+// takes f over: the index's Close closes it, and so does a failed open.
 func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("stindex: opening index: %w", err)
 	}
 	if err := opts.Backend.Check(); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("stindex: %w", err)
 	}
 	x, attach, store, err := readContainer(f, fi.Size(), opts.Backend)
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	wrapped := store
@@ -658,10 +651,10 @@ func openIndexFile(f *os.File, opts OpenOptions) (Index, error) {
 		wrapped = opts.Wrap(store)
 	}
 	if err := attach(wrapped); err != nil {
-		store.Close() // a mapping needs its munmap; the caller owns and closes f
+		store.Close() // the mapping's munmap, then f
 		return nil, err
 	}
-	x.(interface{ set(io.Closer) }).set(&containerStore{Store: store, f: f})
+	x.(interface{ set(io.Closer) }).set(store)
 	return x, nil
 }
 
