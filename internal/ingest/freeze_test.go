@@ -405,6 +405,24 @@ func TestFreezeFaults(t *testing.T) {
 					t.Fatalf("restart answers:\n got %v\nwant %v", got, want)
 				}
 				faults.armed.Store(false)
+
+				// Disarmed, the next freeze succeeds from the images the
+				// failed one handed back, and releases them.
+				var wantContainer bytes.Buffer
+				in.handle.locked(func() {
+					if _, err := stx.EncodeIndexOptions(&wantContainer, in.handle.ix, stx.SaveOptions{}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if ok, err := in.Freeze(); err != nil || !ok {
+					t.Fatalf("Freeze after disarming = %v, %v", ok, err)
+				}
+				if got, err := os.ReadFile(in.frozenPath); err != nil || !bytes.Equal(got, wantContainer.Bytes()) {
+					t.Fatalf("the container after disarming (%d bytes, %v) differs from EncodeIndexOptions' %d", len(got), err, wantContainer.Len())
+				}
+				if st := in.Stats(); st.ResidentPages >= st.Pages {
+					t.Fatalf("after the freeze: resident_pages %d of pages %d", st.ResidentPages, st.Pages)
+				}
 			})
 		}
 	}

@@ -290,10 +290,11 @@ func (h *Handle) Trajectory(r stx.Rect, iv stx.Interval, io *stx.IOStats) ([]stx
 
 // snapshot takes what a freeze needs of the live index under the lock,
 // and nothing more: a snapshot of its container (the meta encoded, the
-// pages shared copy-on-write) and the CURRENT fields it will cover — seq,
-// clock and epoch. The caller writes and closes the snapshot after the
-// lock is released. It returns nil when no record was applied beyond
-// frozen, the seq the newest freeze covers.
+// live file's page table handed to it) and the CURRENT fields it will
+// cover — seq, clock and epoch. The caller writes the snapshot after the
+// lock is released and closes it under the lock (release). It returns nil
+// when no record was applied beyond frozen, the seq the newest freeze
+// covers.
 func (h *Handle) snapshot(frozen uint64) (*stx.IndexSnapshot, currentState, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -339,28 +340,27 @@ func (h *Handle) residentPages() (pages, resident int) {
 // read back costs no resident memory beyond its decode.
 var openBase = stx.OpenPageExtent
 
-// release hands the live pages unchanged since a freeze's snapshot, whose
-// version table is versions, to the container written from it at path:
-// the live tree drops their images and decodes and reads them from the
-// container from then on (pagefile.Buffer.Release). The container is
-// opened before the lock is taken; if it cannot be, or the release
-// fails, every image stays and so does the previous base. The previous
-// base is closed after the lock is released, when nothing reads it any
-// more: the freeze's snapshot, which did, is closed already.
-func (h *Handle) release(versions []uint64, path string) error {
+// release puts the container written from the freeze's snapshot snap,
+// at path, in the snapshot's place (pagefile.Buffer.Release) and closes
+// snap under the lock. The container is opened before the lock is
+// taken; if it cannot be, or the release fails, snap's Close hands its
+// images back and the previous base stays. Otherwise the previous base
+// is closed after the lock is released, when nothing reads it any more.
+func (h *Handle) release(snap *stx.IndexSnapshot, path string) error {
 	base, err := openBase(path)
-	if err != nil {
-		return err
-	}
 	h.mu.Lock()
 	old := h.base
-	err = h.ix.Tree().Buffer().Release(versions, base)
 	if err == nil {
-		h.base = base
+		if err = h.ix.Tree().Buffer().Release(base); err == nil {
+			h.base = base
+		}
 	}
+	snap.Close()
 	h.mu.Unlock()
 	if err != nil {
-		base.Close()
+		if base != nil {
+			base.Close()
+		}
 		return err
 	}
 	if old != nil {

@@ -412,27 +412,30 @@ var freezeEncodeHook func()
 //
 //  1. under the handle lock, return if nothing was applied since the
 //     last freeze; else take the container meta, seq S, the clock, the
-//     epoch and a copy-on-write snapshot of the live pages, and unlock
+//     epoch and a snapshot that takes the live file's page table, and
+//     unlock
 //  2. write freeze-<S>.sti from the snapshot through the FS seam,
 //     crash-atomically (temp file through a buffer, fsync, rename,
-//     fsync dir), then close the snapshot, keeping its version table
+//     fsync dir)
 //  3. flip CURRENT to it the same way — from here recovery uses the new
 //     snapshot and replays only records past S
-//  4. under the handle lock, drop the live pages unchanged since step 1
-//     from memory: they are read from the new container from then on
-//     (Handle.release)
+//  4. under the handle lock, put the new container in the snapshot's
+//     place: the live pages unwritten since step 1 are read from it,
+//     and the snapshot's images are dropped (Handle.release)
 //  5. publish a fresh Live view (hot-swap; zero downtime — the old
 //     view's leases drain before its container closes)
 //  6. delete journal segments fully covered by S, then older freezes
 //     (open file handles keep serving deleted files; unix semantics)
 //
 // Applies and live queries wait only for steps 1 and 4: the container is
-// encoded from the snapshot while they run, and step 4 only clears
-// table entries. A crash between any two steps recovers cleanly: before
+// encoded from the snapshot while they run, and step 4 only swaps the
+// file's base. A crash between any two steps recovers cleanly: before
 // 3 the old CURRENT plus the intact journal reproduce everything; after
 // 3 the new snapshot plus the journal tail do. Recover deletes a temp
-// file a crash leaves. A failed step 4 costs memory, not state: the
-// freeze stands and reports the error once the rest is done.
+// file a crash leaves. If step 2, 3 or 4 fails, the snapshot's Close,
+// under the handle lock, hands its images back to the live file. A
+// failed step 4 costs memory, not state: the freeze stands and reports
+// the error once the rest is done.
 func (in *Ingester) freeze() (bool, error) {
 	in.freezeMu.Lock()
 	defer in.freezeMu.Unlock()
@@ -450,12 +453,11 @@ func (in *Ingester) freeze() (bool, error) {
 		_, err := snap.WriteTo(w)
 		return err
 	})
-	versions := snap.Versions()
-	snap.Close()
-	if err != nil {
-		return false, err
+	if err == nil {
+		err = writeCurrent(fs, in.cfg.Dir, cur)
 	}
-	if err := writeCurrent(fs, in.cfg.Dir, cur); err != nil {
+	if err != nil {
+		in.handle.locked(func() { snap.Close() })
 		return false, err
 	}
 	in.frozenPath = filepath.Join(in.cfg.Dir, cur.Container)
@@ -463,7 +465,7 @@ func (in *Ingester) freeze() (bool, error) {
 	in.frozenMaxT = cur.MaxT
 	in.c.lastFreeze.Store(cur.Seq)
 	in.c.freezes.Add(1)
-	releaseErr := in.handle.release(versions, in.frozenPath)
+	releaseErr := in.handle.release(snap, in.frozenPath)
 
 	if err := in.publish(in.frozenPath, cur.MaxT); err != nil {
 		return true, fmt.Errorf("ingest: freeze durable but publish failed: %w", err)

@@ -374,18 +374,17 @@ func (b *Buffer) Evict(id PageID) {
 	}
 }
 
-// Release hands the pages of the buffer's store, an in-memory File, that
-// are unchanged since a snapshot to base (File.Release), and forgets
-// their decodes: a released page is read from base when a reader next
-// needs it, and decoded again then. The pool and its Stats are
-// untouched, so the I/O accounting is that of a File holding every
-// image.
-func (b *Buffer) Release(versions []uint64, base Store) error {
+// Release runs File.Release on the buffer's store, an in-memory File,
+// and forgets the decodes of the pages it then reads from base: they
+// are decoded again when a reader next needs them. The pool and its
+// Stats are untouched, so the I/O accounting is that of a File holding
+// every image.
+func (b *Buffer) Release(base Store) error {
 	f, ok := b.store.(*File)
 	if !ok {
 		return fmt.Errorf("pagefile: release needs an in-memory store, have %T", b.store)
 	}
-	if err := f.Release(versions, base); err != nil {
+	if err := f.Release(base); err != nil {
 		return err
 	}
 	for id := range b.decoded {

@@ -273,7 +273,8 @@ func TestDefaultPageSize(t *testing.T) {
 // TestSnapshotCopyOnWrite: a snapshot keeps the pages, free list and
 // versions of the instant it was taken while the file goes on writing,
 // freeing and reusing pages; its extent encodes as the file's did then.
-// Once every snapshot is closed, writes land in place again.
+// Once the snapshot is closed, the file holds its images again and
+// writes land in place.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	f := New(64)
 	for i := 0; i < 6; i++ {
@@ -327,9 +328,9 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Close() // idempotent: must not release a second claim
-	if n := f.snaps.Load(); n != 0 {
-		t.Fatalf("%d snapshots open after Close", n)
+	s.Close() // idempotent: must not hand the images back twice
+	if f.base != nil || f.Resident() != 6 {
+		t.Fatalf("after Close: base %v, %d images held, want none and 6", f.base, f.Resident())
 	}
 	p := &f.pages[3][0]
 	if err := f.write(3, []byte("in place")); err != nil {

@@ -294,7 +294,7 @@ func writeContainer(w io.Writer, kind byte, meta metaSection, store pagefile.Sto
 // later: the meta section, encoded when the snapshot is taken, and the
 // page store as it stood then. Taking one encodes the meta (a stream's
 // owner rows excepted: their table is append-only, so only its length is
-// taken) and copies the page tables of an in-memory store
+// taken) and takes the page table of an in-memory store
 // (pagefile.File.Snapshot), not its pages; writing one reads nothing the
 // index can still change, so the index's owner may go on mutating it
 // meanwhile. WriteTo writes the bytes EncodeIndex would have written at
@@ -307,9 +307,9 @@ type IndexSnapshot struct {
 }
 
 // SnapshotIndex takes an IndexSnapshot of x. It reads x like EncodeIndex
-// does, so the caller serialises it against x's mutators the same way;
-// the snapshot's WriteTo needs no such guard. Close the snapshot once
-// written.
+// does, and of an in-memory store it swaps x's page table, so the caller
+// serialises it against x's readers and mutators; the snapshot's WriteTo
+// needs no such guard. Close the snapshot once written.
 func SnapshotIndex(x Index) (*IndexSnapshot, error) {
 	kind, meta, store, err := containerMeta(x)
 	if err != nil {
@@ -327,19 +327,11 @@ func (s *IndexSnapshot) WriteTo(w io.Writer) (int64, error) {
 	return writeContainer(w, s.kind, s.meta, s.store)
 }
 
-// Versions returns the page version table of the snapshot when it copied
-// an in-memory store's tables, nil otherwise. Once the container is
-// written, pagefile.Buffer.Release takes it to hand the index's
-// unchanged pages to the container.
-func (s *IndexSnapshot) Versions() []uint64 {
-	if v, ok := s.store.(interface{ Versions() []uint64 }); ok {
-		return v.Versions()
-	}
-	return nil
-}
-
-// Close releases the snapshot's hold on the index's pages; a read-only
-// store it shares with an opened index stays open.
+// Close ends the snapshot. Of an in-memory store, it swaps the index's
+// page table back (pagefile.File.Snapshot) unless pagefile.Buffer.Release
+// put the written container in its place, so it is serialised like
+// SnapshotIndex. A read-only store it shares with an opened index stays
+// open.
 func (s *IndexSnapshot) Close() error {
 	if s.own {
 		return s.store.Close()
