@@ -150,12 +150,13 @@ type Index interface {
 
 // QueryViewer is the one method by which every index hands out
 // independent read-only views of itself: same pages, same layout, but a
-// private buffer pool (and decode cache) per view over the shared page
-// file. An index is not safe for concurrent use, but any number of views
-// may answer queries concurrently as long as nobody writes the index
-// while a view is open — this is what MeasureWorkloadParallel, the
-// serving sessions and the oracle's diff pass fan out over. Views must
-// only be used for queries; mutating through a view is a misuse.
+// private buffer pool per view over the shared page file (and a private
+// decode cache, unless the store carries a shared decode tier). An index
+// is not safe for concurrent use, but any number of views may answer
+// queries concurrently as long as nobody writes the index while a view
+// is open — this is what MeasureWorkloadParallel, the serving sessions
+// and the oracle's diff pass fan out over. Views must only be used for
+// queries; mutating through a view is a misuse.
 type QueryViewer interface {
 	// QueryView returns a new independent read-only view of the index.
 	QueryView() Index

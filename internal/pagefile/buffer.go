@@ -56,21 +56,15 @@ type decodedPage struct {
 //
 // The pool is the paper's accounting device: which requests hit and which
 // miss depends on the request sequence and the capacity, nothing else.
-// Beside it sits the decoded-page cache (ReadDecoded): a side table
-// mapping a page id to the parsed form of its image, stamped with the
-// store's per-page version. Stats{Reads,Writes,Hits} are accounted by
-// exactly the same hit/miss logic whether or not a decode is reused, so
-// every I/O figure is bit-identical with and without it. Over a plain
-// store a pool miss reads the page, as the paper's buffer does, and the
-// table saves the parse and the page codec's work: an image is produced
-// only for a decode miss or a raw Read. Over a store that carries a
-// shared decode tier (a cache budget was configured) the decodes are what
-// serves a query, and the store is reached only for a reader: a decode
-// miss, or a raw Read. Reset deliberately keeps the decode cache:
-// resetting simulates cold *disk buffers*, not a change to the page
-// images, and the version stamp already invalidates a decode exactly when
-// its image can have changed (Write, page reuse). Evict drops the page's
-// decode along with its frame.
+// Beside it sits one decode cache per page (ReadDecoded): the store's
+// shared tier for a page it shares, else a private map stamped with the
+// store's per-page version. Stats are accounted by the same hit/miss
+// logic whether or not a decode is reused, so every I/O figure is
+// bit-identical with and without it. Reset keeps the decodes: resetting
+// simulates cold *disk buffers*, not a change to the page images, and the
+// version stamp already invalidates a decode exactly when its image can
+// have changed (Write, page reuse). Evict drops the page's private decode
+// along with its frame.
 //
 // Not safe for concurrent use; give each goroutine its own Buffer over
 // the shared (frozen) store.
@@ -85,13 +79,11 @@ type Buffer struct {
 	tail  int32            // least recently used resident slot
 	free  int32            // free-slot chain (linked via next)
 
-	decoded map[PageID]decodedPage
+	decoded map[PageID]decodedPage // made on the first private decode
 
 	// shared is the cross-buffer decode tier, present when the store
 	// implements SharedDecodeCache (the serving layer's shared cache
-	// wrapper). With it ReadDecoded looks decodes up in the private map,
-	// then the tier, and a request they answer never touches the store;
-	// fresh decodes are published back to it.
+	// wrapper), and the only decode cache of the pages it shares.
 	shared SharedDecodeCache
 }
 
@@ -108,7 +100,6 @@ func NewBuffer(store Store, capacity int) *Buffer {
 		slots:    make([]slot, capacity),
 		head:     nilSlot,
 		tail:     nilSlot,
-		decoded:  make(map[PageID]decodedPage),
 	}
 	b.shared, _ = store.(SharedDecodeCache)
 	for i := range b.slots {
@@ -266,26 +257,13 @@ func (b *Buffer) Read(id PageID) ([]byte, error) {
 	return frame, nil
 }
 
-// cachedDecode returns the decode of the page at version ver from the
-// private map or, failing that, from the shared tier, if there is one.
-func (b *Buffer) cachedDecode(id PageID, ver uint64) (any, bool) {
-	if d, ok := b.decoded[id]; ok && d.version == ver {
-		return d.value, true
-	}
-	if b.shared == nil {
-		return nil, false
-	}
-	if v, ok := b.shared.CachedDecode(id, ver); ok {
-		b.decoded[id] = decodedPage{version: ver, value: v}
-		return v, true
-	}
-	return nil, false
-}
-
 // ReadDecoded returns the page's decoded form, parsing the image with
-// decode at most once per page version: a repeat visit — whether the page
-// is still buffered or was requested again after an eviction or Reset —
-// reuses the cached parse as long as the image is unchanged.
+// decode only when the page's decode cache has no parse of its current
+// version: a repeat visit — whether the page is still buffered or was
+// requested again after an eviction or Reset — reuses the cached parse as
+// long as the image is unchanged. A page the shared tier shares is looked
+// up and published there alone, so a parse its byte budget evicted is
+// redone on the next visit; every other page uses the private map.
 //
 // The buffer traffic accounting is exactly Read's: the pool hit/miss and
 // the Stats counters do not depend on the decode cache. The cached decode
@@ -310,7 +288,15 @@ func (b *Buffer) ReadDecoded(id PageID, decode func(id PageID, data []byte) (any
 		}
 	}
 	ver := b.store.Version(id)
-	if v, ok := b.cachedDecode(id, ver); ok {
+	tiered := b.shared != nil && sharesVersion(ver)
+	var v any
+	var ok bool
+	if tiered {
+		v, ok = b.shared.CachedDecode(id, ver)
+	} else if d, hit := b.decoded[id]; hit && d.version == ver {
+		v, ok = d.value, true
+	}
+	if ok {
 		if resident {
 			b.moveToFront(i)
 			b.stats.Hits++
@@ -332,14 +318,17 @@ func (b *Buffer) ReadDecoded(id PageID, decode func(id PageID, data []byte) (any
 	if err != nil {
 		return nil, err
 	}
-	v, err := decode(id, data)
-	if err != nil {
+	if v, err = decode(id, data); err != nil {
 		return nil, err
 	}
-	b.decoded[id] = decodedPage{version: ver, value: v}
-	if b.shared != nil {
+	if tiered {
 		b.shared.PublishDecode(id, ver, v)
+		return v, nil
 	}
+	if b.decoded == nil {
+		b.decoded = make(map[PageID]decodedPage)
+	}
+	b.decoded[id] = decodedPage{version: ver, value: v}
 	return v, nil
 }
 

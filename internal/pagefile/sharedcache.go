@@ -50,6 +50,10 @@ type cacheStripe struct {
 	entries    map[pageKey]*cacheEntry
 	head, tail *cacheEntry
 	bytes      int64
+	// hits, misses and evictions are counted under mu, which every
+	// lookup holds anyway: cache-wide atomics would be one more cache
+	// line every core writes on every lookup.
+	hits, misses, evictions int64
 }
 
 // SharedCacheStats is a point-in-time snapshot of a SharedCache's
@@ -68,10 +72,10 @@ type SharedCacheStats struct {
 // SharedCache is a lock-striped, generation-keyed cache of decoded nodes
 // over frozen page stores — the serving layer's shared warm tier. Opened
 // containers are immutable, so a node parsed by one session of a snapshot
-// serves every other session (Buffer.ReadDecoded consults it before the
-// store, so a warm generation is served without reading a page); the
-// cache is sized by a byte budget (split evenly across stripes, a node
-// charged as one page) with per-stripe LRU eviction.
+// serves every session (it is Buffer.ReadDecoded's only cache of those
+// nodes, consulted before the store, so a warm generation reads no page);
+// the cache is sized by a byte budget (split evenly across stripes, a
+// node charged as one page) with per-stripe LRU eviction.
 //
 // One SharedCache serves a whole registry: entries are keyed by
 // (generation, extent, page), so concurrent snapshots — and the old and
@@ -83,9 +87,6 @@ type SharedCacheStats struct {
 type SharedCache struct {
 	stripeBudget int64
 	stripes      [cacheStripeCount]cacheStripe
-
-	decodeHits, decodeMisses atomic.Int64
-	evictions                atomic.Int64
 }
 
 // NewSharedCache creates a cache with the given total byte budget;
@@ -154,7 +155,7 @@ func (s *cacheStripe) evictOver(c *SharedCache, keep *cacheEntry) {
 		s.unlink(victim)
 		delete(s.entries, victim.key)
 		s.bytes -= victim.cost
-		c.evictions.Add(1)
+		s.evictions++
 	}
 }
 
@@ -168,14 +169,14 @@ func (c *SharedCache) getDecoded(k pageKey) (any, bool) {
 	s.mu.Lock()
 	e := s.entries[k]
 	if e == nil {
+		s.misses++
 		s.mu.Unlock()
-		c.decodeMisses.Add(1)
 		return nil, false
 	}
+	s.hits++
 	s.moveFront(e)
 	v := e.decoded
 	s.mu.Unlock()
-	c.decodeHits.Add(1)
 	return v, true
 }
 
@@ -252,15 +253,13 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	if c == nil {
 		return SharedCacheStats{}
 	}
-	st := SharedCacheStats{
-		DecodeHits:   c.decodeHits.Load(),
-		DecodeMisses: c.decodeMisses.Load(),
-		Evictions:    c.evictions.Load(),
-		Budget:       c.Budget(),
-	}
+	st := SharedCacheStats{Budget: c.Budget()}
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
+		st.DecodeHits += s.hits
+		st.DecodeMisses += s.misses
+		st.Evictions += s.evictions
 		st.Entries += len(s.entries)
 		st.Bytes += s.bytes
 		s.mu.Unlock()
@@ -269,21 +268,18 @@ func (c *SharedCache) Stats() SharedCacheStats {
 }
 
 // CacheCounters accumulates one consumer's (typically one snapshot's)
-// traffic below the private decode maps: how many requests a decode
-// published by another view answered (SharedHits), how many page images
-// were fetched from the backing store (StoreReads), and how many nodes
-// were parsed from them (Decodes). Safe for concurrent use.
+// shared-tier traffic: requests a decode in the tier answered
+// (SharedHits, a view's own repeat visits included), page images fetched
+// from the backing store (StoreReads) and nodes parsed from them
+// (Decodes). Safe for concurrent use.
 type CacheCounters struct {
 	sharedHits, storeReads, decodes atomic.Int64
 }
 
-// CacheCounterValues is a point-in-time copy of CacheCounters. DecodeHits
-// is SharedHits under its older name: the shared tier holds decoded nodes
-// only, so a shared hit is a decode hit.
+// CacheCounterValues is a point-in-time copy of CacheCounters.
 type CacheCounterValues struct {
 	SharedHits int64
 	StoreReads int64
-	DecodeHits int64
 	Decodes    int64
 }
 
@@ -292,23 +288,23 @@ func (c *CacheCounters) Load() CacheCounterValues {
 	if c == nil {
 		return CacheCounterValues{}
 	}
-	hits := c.sharedHits.Load()
 	return CacheCounterValues{
-		SharedHits: hits,
+		SharedHits: c.sharedHits.Load(),
 		StoreReads: c.storeReads.Load(),
-		DecodeHits: hits,
 		Decodes:    c.decodes.Load(),
 	}
 }
 
+// sharesVersion is the one rule for what the shared tier holds: frozen
+// (version 0) pages. A page that can still change keeps its decode in its
+// buffer's private map; cross-buffer invalidation is not worth it.
+func sharesVersion(version uint64) bool { return version == 0 }
+
 // SharedDecodeCache is implemented by stores that can share decoded page
 // forms across buffers (the shared-cache store wrapper). Buffer wires it
-// into ReadDecoded automatically, and its presence is what lets a decode
-// answer a pool miss without reading the store: private decode map, then
-// the shared tier, reading and decoding the page only when both miss.
-// Implementations only share version-0 (frozen) pages — a nonzero version
-// means the page can still change, and cross-buffer invalidation is not
-// worth the coordination.
+// into ReadDecoded automatically as the only decode cache of the pages it
+// shares (sharesVersion): a hit answers a pool miss without reading the
+// store, and a miss's fresh decode is published, not kept privately.
 type SharedDecodeCache interface {
 	// CachedDecode returns the shared decoded form of the page, if any.
 	CachedDecode(id PageID, version uint64) (any, bool)
@@ -364,7 +360,7 @@ func (cs *cachedStore) ReadOnly() bool {
 // CachedDecode implements SharedDecodeCache. Only frozen (version 0)
 // pages are shared; serving stores are always frozen.
 func (cs *cachedStore) CachedDecode(id PageID, version uint64) (any, bool) {
-	if version != 0 {
+	if !sharesVersion(version) {
 		return nil, false
 	}
 	v, ok := cs.cache.getDecoded(cs.key(id))
@@ -376,7 +372,7 @@ func (cs *cachedStore) CachedDecode(id PageID, version uint64) (any, bool) {
 
 // PublishDecode implements SharedDecodeCache.
 func (cs *cachedStore) PublishDecode(id PageID, version uint64, v any) {
-	if version != 0 {
+	if !sharesVersion(version) {
 		return
 	}
 	if cs.counters != nil {

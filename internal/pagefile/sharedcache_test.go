@@ -209,7 +209,7 @@ func TestSharedDecodeAcrossBuffers(t *testing.T) {
 	}
 	// The second session never reached the store: four reads and four
 	// decodes in total, four requests answered by the first session's.
-	want := CacheCounterValues{SharedHits: 4, StoreReads: 4, DecodeHits: 4, Decodes: 4}
+	want := CacheCounterValues{SharedHits: 4, StoreReads: 4, Decodes: 4}
 	if v := counters.Load(); v != want {
 		t.Fatalf("counters = %+v, want %+v", v, want)
 	}
@@ -241,6 +241,65 @@ func TestSharedDecodeIgnoresMutableVersions(t *testing.T) {
 	st := c.Stats()
 	if st.Entries != 0 {
 		t.Fatalf("mutable page cached: %+v", st)
+	}
+}
+
+// TestSharedTierBoundsViewDecodes pins the budget: a view over a store
+// with a shared tier keeps no decode of its own, so however many distinct
+// pages it touches, what it holds is what the tier's budget admits. The
+// budget is four entries per stripe: a stripe always keeps the entry just
+// published, so a budget below one entry per stripe bounds nothing. Over
+// the plain store the same view keeps its private map and decodes each
+// page once.
+func TestSharedTierBoundsViewDecodes(t *testing.T) {
+	const pageSize = 128
+	budget := int64(cacheStripeCount * 4 * (pageSize + cacheEntryOverhead))
+	n := 10 * int(budget/(pageSize+cacheEntryOverhead))
+	base := buildFrozenStore(t, pageSize, n)
+	decodes := 0
+	decode := func(id PageID, data []byte) (any, error) {
+		decodes++
+		return string(data), nil
+	}
+	want := make([]byte, pageSize)
+	fresh := func(id PageID) string {
+		if err := base.ReadPage(id, want); err != nil {
+			t.Fatal(err)
+		}
+		return string(want)
+	}
+
+	c := NewSharedCache(budget)
+	b := NewBuffer(c.WrapStore(1, 0, base, nil), 10)
+	for pass := 0; pass < 2; pass++ {
+		for id := PageID(0); id < PageID(n); id++ {
+			v, err := b.ReadDecoded(id, decode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.(string) != fresh(id) {
+				t.Fatalf("pass %d page %d: decode differs from a fresh one", pass, id)
+			}
+		}
+	}
+	if len(b.decoded) != 0 {
+		t.Fatalf("tiered view holds %d private decodes, want 0", len(b.decoded))
+	}
+	if st := c.Stats(); st.Bytes > c.Budget() || st.Entries == 0 {
+		t.Fatalf("tier holds %d bytes in %d entries, budget %d", st.Bytes, st.Entries, c.Budget())
+	}
+
+	decodes = 0
+	b = NewBuffer(base, 10)
+	for pass := 0; pass < 2; pass++ {
+		for id := PageID(0); id < PageID(n); id++ {
+			if v, err := b.ReadDecoded(id, decode); err != nil || v.(string) != fresh(id) {
+				t.Fatalf("plain view page %d: %v", id, err)
+			}
+		}
+	}
+	if decodes != n || len(b.decoded) != n {
+		t.Fatalf("plain view: %d decodes, %d held, want %d of each", decodes, len(b.decoded), n)
 	}
 }
 

@@ -86,9 +86,9 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 			first = reg.List()[0]
 		}
 	}
-	if first.StoreReads == 0 || first.StoreReads != first.Decodes || first.SharedHits != 0 {
-		t.Fatalf("first session: %d store reads, %d decodes, %d shared hits; want one read per decode and no hits",
-			first.StoreReads, first.Decodes, first.SharedHits)
+	if first.StoreReads == 0 || first.StoreReads != first.Decodes || first.SharedHits+first.Decodes != first.Hits+first.Reads {
+		t.Fatalf("first session: %d store reads, %d decodes, %d shared hits, %d pool lookups; want one read per decode and every lookup a shared hit or a decode",
+			first.StoreReads, first.Decodes, first.SharedHits, first.Hits+first.Reads)
 	}
 	if first.StoreReads > int64(first.Pages) {
 		t.Fatalf("first session read %d pages of a %d-page container", first.StoreReads, first.Pages)
@@ -103,9 +103,9 @@ func TestSharedCacheAbsorbsRepeatTraffic(t *testing.T) {
 		t.Fatalf("warm generation still read or decoded: store reads %d -> %d, decodes %d -> %d",
 			first.StoreReads, info.StoreReads, first.Decodes, info.Decodes)
 	}
-	if info.SharedHits != 3*first.Decodes || info.DecodeHits != info.SharedHits {
-		t.Fatalf("shared hits = %d (decode hits %d), want one per page per later session = %d",
-			info.SharedHits, info.DecodeHits, 3*first.Decodes)
+	if info.SharedHits+info.Decodes != info.Hits+info.Reads {
+		t.Fatalf("shared hits %d + decodes %d, want one per pool lookup = %d",
+			info.SharedHits, info.Decodes, info.Hits+info.Reads)
 	}
 	if info.Reads != 4*first.Reads || info.Hits != 4*first.Hits {
 		t.Fatalf("pool accounting differs between sessions: %+v after one, %+v after four", first, info)

@@ -43,10 +43,13 @@ type RegistryConfig struct {
 	// CacheBytes is the budget for decoded nodes shared across sessions:
 	// a node one session parsed is published to one registry-wide cache
 	// keyed by snapshot generation (an entry is charged one page), with
-	// per-stripe LRU eviction against this byte budget, and every other
-	// session's view is served from it without reading the page. <= 0
-	// disables the shared cache: each view decodes a page the first time
-	// it visits it and reads it on every miss of its buffer pool.
+	// per-stripe LRU eviction against this byte budget, and every
+	// session's view, the publisher's included, is served from it without
+	// reading the page. The cache is then the views' only decode cache,
+	// so this budget bounds the decoded nodes a snapshot's views hold.
+	// <= 0 disables the shared cache: each view keeps a private decode of
+	// every page it visits and reads the page on every miss of its
+	// buffer pool.
 	CacheBytes int64
 	// OpenBackend is the page-read flavour Load opens containers with:
 	// stx.BackendDisk, the lazy window (also the zero value), or
@@ -315,10 +318,13 @@ func (r *Registry) Names() []string {
 // the page in a session's private buffer pool, and requests that missed
 // it. What moved is reported beside them when the shared cache is on:
 // StoreReads are the page images actually fetched from the backing store
-// and Decodes the nodes parsed from them — both happen once per page per
-// view at most, and not at all for a page whose node another view
-// published, which SharedHits (= DecodeHits) counts. HitRate is the
-// fraction of page requests served without touching the backing store,
+// and Decodes the nodes parsed from them — both happen only for a page
+// whose node is not in the shared cache, so about once per page per
+// generation while the budget keeps the node. SharedHits counts the
+// requests the cache answered, a view's own repeat visits included, so on
+// a Load-ed snapshot SharedHits + Decodes = Hits + Reads (a live name's
+// live-tree traffic is in Hits + Reads only). HitRate is the fraction of
+// page requests served without touching the backing store,
 // 1 − StoreReads / (Hits + Reads); a snapshot opened without the shared
 // cache has no store-read counter and reports its pool's rate,
 // Hits / (Hits + Reads), which says the same thing there: without the
@@ -337,14 +343,12 @@ type SnapshotInfo struct {
 	Reads int64 `json:"reads"`
 	Hits  int64 `json:"hits"`
 	// StoreReads are page images fetched; SharedHits are requests a node
-	// published by another view answered.
+	// in the shared cache answered.
 	SharedHits int64 `json:"shared_hits"`
 	StoreReads int64 `json:"store_reads"`
-	// Decodes are node parses actually performed; DecodeHits is
-	// SharedHits under its older name.
-	DecodeHits int64   `json:"decode_hits"`
-	Decodes    int64   `json:"decodes"`
-	HitRate    float64 `json:"hit_rate"`
+	// Decodes are node parses actually performed.
+	Decodes int64   `json:"decodes"`
+	HitRate float64 `json:"hit_rate"`
 	// Sharded snapshots only: the scatter-gather totals. ShardedQueries
 	// counts fan-out queries; each entry of Shards records how many of
 	// them that shard served (Queries) or was pruned from (Pruned), so
@@ -370,7 +374,6 @@ func (s *Snapshot) info() SnapshotInfo {
 		Hits:       st.Hits,
 		SharedHits: cv.SharedHits,
 		StoreReads: cv.StoreReads,
-		DecodeHits: cv.DecodeHits,
 		Decodes:    cv.Decodes,
 	}
 	info.HitRate = st.HitRate()

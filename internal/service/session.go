@@ -7,8 +7,9 @@ import (
 )
 
 // Session is one worker's private query state: for every snapshot it has
-// served it caches a read-only view — a private LRU buffer pool and
-// decoded-node cache over the snapshot's shared frozen store — keyed by
+// served it caches a read-only view — a private LRU buffer pool over the
+// snapshot's shared frozen store, beside the registry's shared decode
+// cache or, with no cache budget, a private decoded-node cache — keyed by
 // the snapshot's generation, so a hot-swap transparently invalidates the
 // old view. Unlike the paper's cold-cache measurement discipline, a
 // serving session keeps its buffer warm across queries; the per-snapshot

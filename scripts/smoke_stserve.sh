@@ -144,7 +144,9 @@ grep -q "bye" "$workdir/serve.log" || { echo "no graceful exit line"; cat "$work
 if [ "$SMOKE_INGEST" = "1" ]; then
   # Live-ingestion crash drill. The feed is deterministic: 6 objects
   # drifting through the unit square, one JSON observation per line (the
-  # concatenated-JSON batch format /ingest accepts).
+  # concatenated-JSON batch format /ingest accepts). Both ingest servers
+  # run with a shared decode cache, as the ingest-mixed benchmark does, so
+  # the recorded and the replayed answers are read through it.
   gen_feed() { # gen_feed <first-t> <last-t-exclusive>
     awk -v s="$1" -v e="$2" 'BEGIN {
       for (t = s; t < e; t++)
@@ -165,7 +167,7 @@ if [ "$SMOKE_INGEST" = "1" ]; then
   }
 
   echo "== starting WAL-backed ingest server"
-  "$workdir/stserve" -listen "$ADDR" -workers 4 \
+  "$workdir/stserve" -listen "$ADDR" -workers 4 -cache-mb 16 \
     -ingest live -ingest-dir "$workdir/journal" 2>"$workdir/ingest.log" &
   serve_pid=$!
   wait_up "$workdir/ingest.log"
@@ -193,7 +195,7 @@ if [ "$SMOKE_INGEST" = "1" ]; then
   echo "== kill -9, restart over the same journal"
   kill -9 "$serve_pid"
   wait "$serve_pid" 2>/dev/null || true
-  "$workdir/stserve" -listen "$ADDR" -workers 4 \
+  "$workdir/stserve" -listen "$ADDR" -workers 4 -cache-mb 16 \
     -ingest live -ingest-dir "$workdir/journal" 2>"$workdir/ingest2.log" &
   serve_pid=$!
   wait_up "$workdir/ingest2.log"
