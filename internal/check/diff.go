@@ -375,47 +375,45 @@ func sameWindowIO(idx stx.Index, wl *Workload, want []stx.IOStats) error {
 
 // sharedCacheWrap returns an open-time store wrapper that puts cache
 // beside every extent of one container as generation 1 — the registry's
-// arrangement. Each call numbers the extents afresh, so a second open of
-// the same container is a second session over the same generation.
-// under, when non-nil, wraps each store first.
+// arrangement. under, when non-nil, wraps each store first.
 func sharedCacheWrap(cache *pagefile.SharedCache, counters *pagefile.CacheCounters, under stx.StoreWrapper) stx.StoreWrapper {
-	ext := uint32(0)
 	return func(s pagefile.Store) pagefile.Store {
 		if under != nil {
 			s = under(s)
 		}
-		ws := cache.WrapStore(1, ext, s, counters)
-		ext++
-		return ws
+		return cache.WrapStore(1, 0, s, counters)
 	}
 }
 
-// sharedCachePass opens the container at path with a registry-style
-// shared cache beside its page stores. A first session warms the
-// generation; a second session over it (the container opened again
-// under the same generation) must then be oracle-exact without reading a
-// page or decoding a node — every request is answered by a node the
-// first session published — and the retired generation must release
-// every entry.
+// sharedCachePass opens the container at path once with a registry-style
+// shared cache beside its page stores, and queries it through two
+// sessions, each a view of that one open, as the registry's leases are. A
+// first session warms the generation; the second must then be
+// oracle-exact without reading a page or decoding a node — every request
+// is answered by a node the first session published — and the retired
+// generation must release every entry.
 func sharedCachePass(path string, wl *Workload, exp *Expected) error {
 	cache := pagefile.NewSharedCache(16 << 20)
 	counters := &pagefile.CacheCounters{}
-	session := func() error {
-		opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Wrap: sharedCacheWrap(cache, counters, nil)})
-		if err != nil {
-			return fmt.Errorf("opening container: %w", err)
-		}
-		err = diffRange(opened, wl, exp, 0, 1)
-		if cerr := stx.CloseIndex(opened); err == nil {
-			err = cerr
-		}
-		return err
+	opened, err := stx.OpenIndexOptions(path, stx.OpenOptions{Wrap: sharedCacheWrap(cache, counters, nil)})
+	if err != nil {
+		return fmt.Errorf("opening container: %w", err)
 	}
-	if err := session(); err != nil {
+	err = cachedSessions(opened, wl, exp, cache, counters)
+	if cerr := stx.CloseIndex(opened); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// cachedSessions runs sharedCachePass's sessions over opened, then
+// retires the generation.
+func cachedSessions(opened stx.Index, wl *Workload, exp *Expected, cache *pagefile.SharedCache, counters *pagefile.CacheCounters) error {
+	if err := diffRange(opened.QueryView(), wl, exp, 0, 1); err != nil {
 		return fmt.Errorf("cache warm pass: %w", err)
 	}
 	warm := counters.Load()
-	if err := session(); err != nil {
+	if err := diffRange(opened.QueryView(), wl, exp, 0, 1); err != nil {
 		return fmt.Errorf("cache-served pass: %w", err)
 	}
 	cv := counters.Load()

@@ -82,11 +82,9 @@ func runFaultSchedule(path, schedStr string, wl *Workload, exp *Expected, varian
 	}
 	wrap, stores := Wrapper(sched)
 	opts := stx.OpenOptions{Backend: variant.backend, Wrap: wrap}
-	var cache *pagefile.SharedCache
 	counters := &pagefile.CacheCounters{}
 	if variant.cached {
-		cache = pagefile.NewSharedCache(16 << 20)
-		opts.Wrap = sharedCacheWrap(cache, counters, wrap)
+		opts.Wrap = sharedCacheWrap(pagefile.NewSharedCache(16<<20), counters, wrap)
 	}
 	idx, err := stx.OpenIndexOptions(path, opts)
 	if err != nil {
@@ -126,20 +124,13 @@ func runFaultSchedule(path, schedStr string, wl *Workload, exp *Expected, varian
 		return injected, fmt.Errorf("after disarm: %w", err)
 	}
 	if variant.cached {
-		// A second session over the generation (the container opened
-		// again, no injector) starts with empty private decode maps, so it
-		// is served from whatever the faulted session published: had a
-		// failed or short read published a node, these answers would
-		// differ from the oracle. The variant only means something if the
-		// cache actually carried traffic.
-		second, err := stx.OpenIndexOptions(path, stx.OpenOptions{
-			Backend: variant.backend, Wrap: sharedCacheWrap(cache, counters, nil),
-		})
-		if err != nil {
-			return injected, fmt.Errorf("second open: %w", err)
-		}
-		defer stx.CloseIndex(second)
-		if err := faultPass(second, wl, exp, false); err != nil {
+		// A second session over the generation (a view of the one open,
+		// as a registry lease's, its injector disarmed) is served from
+		// whatever the faulted session published: had a failed or short
+		// read published a node, these answers would differ from the
+		// oracle. The variant only means something if the cache actually
+		// carried traffic.
+		if err := faultPass(idx.QueryView(), wl, exp, false); err != nil {
 			return injected, fmt.Errorf("second session: %w", err)
 		}
 		cv := counters.Load()

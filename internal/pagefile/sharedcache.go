@@ -5,55 +5,28 @@ import (
 	"sync/atomic"
 )
 
-// cacheStripeCount is the number of lock stripes; a power of two so the
-// stripe pick is a mask. 64 stripes keep lock contention negligible even
-// with dozens of serving workers hammering one hot snapshot.
-const cacheStripeCount = 64
-
-// cacheEntryOverhead approximates the bookkeeping bytes an entry costs
-// beyond its decoded node (map slot, entry struct, LRU links), so the byte
-// budget stays honest on small pages.
+// cacheEntryOverhead approximates what an entry costs beyond its node's
+// one-page charge (the entry itself and the node's headers), so the byte
+// budget stays honest on small pages. The slots are not charged: a slot
+// table costs 8 bytes a page of every wrapped store, outside the budget.
 const cacheEntryOverhead = 96
 
-// pageKey identifies one cached page globally: the owning snapshot
-// generation (registry-wide unique, bumped on every load and hot-swap),
-// the extent ordinal within the snapshot (a sharded snapshot numbers the
-// extents of its shard containers in turn, and their PageIDs overlap),
-// and the page id. Because the generation is part of the key, a lookup
-// can never return a retired generation's page to a newer one — hot-swap
-// safety is structural, not a protocol.
-type pageKey struct {
-	gen uint64
-	ext uint32
-	id  PageID
-}
-
-func (k pageKey) stripe() uint32 {
-	h := (uint64(k.id)+1)*0x9E3779B97F4A7C15 ^ k.gen*0xBF58476D1CE4E5B9 ^ uint64(k.ext)<<32
-	h ^= h >> 29
-	return uint32(h) & (cacheStripeCount - 1)
-}
-
-// cacheEntry is one resident page: the decoded form some reader parsed
-// from its image, and its LRU links within the stripe.
+// cacheEntry is one resident node: the decoded form some reader parsed
+// from its image, and the reference bit the clock hand reads.
 type cacheEntry struct {
-	key        pageKey
-	prev, next *cacheEntry
-	decoded    any
-	cost       int64
+	decoded any
+	ref     atomic.Bool
 }
 
-// cacheStripe is one lock-striped shard: a map plus an intrusive LRU
-// list, evicted by bytes against the stripe's share of the budget.
-type cacheStripe struct {
-	mu         sync.Mutex
-	entries    map[pageKey]*cacheEntry
-	head, tail *cacheEntry
-	bytes      int64
-	// hits, misses and evictions are counted under mu, which every
-	// lookup holds anyway: cache-wide atomics would be one more cache
-	// line every core writes on every lookup.
-	hits, misses, evictions int64
+// slotTable is one wrapped store's part of the cache: a slot per page the
+// store had allocated when it was wrapped, indexed by page id, so a
+// lookup needs no key. gen is the generation Retire drops it with; cost
+// is what each of its entries is charged (one page plus overhead).
+type slotTable struct {
+	gen     uint64
+	cost    int64
+	slots   []atomic.Pointer[cacheEntry]
+	retired atomic.Bool
 }
 
 // SharedCacheStats is a point-in-time snapshot of a SharedCache's
@@ -69,24 +42,33 @@ type SharedCacheStats struct {
 	Budget       int64 `json:"budget"`
 }
 
-// SharedCache is a lock-striped, generation-keyed cache of decoded nodes
-// over frozen page stores — the serving layer's shared warm tier. Opened
-// containers are immutable, so a node parsed by one session of a snapshot
-// serves every session (it is Buffer.ReadDecoded's only cache of those
-// nodes, consulted before the store, so a warm generation reads no page);
-// the cache is sized by a byte budget (split evenly across stripes, a
-// node charged as one page) with per-stripe LRU eviction.
+// SharedCache is a cache of decoded nodes over frozen page stores — the
+// serving layer's shared warm tier. Opened containers are immutable, so a
+// node parsed by one session of a snapshot serves every session (it is
+// Buffer.ReadDecoded's only cache of those nodes, consulted before the
+// store, so a warm generation reads no page).
 //
-// One SharedCache serves a whole registry: entries are keyed by
-// (generation, extent, page), so concurrent snapshots — and the old and
-// new generation during a hot-swap — never collide, and Retire drops a
-// retired generation's entries promptly once its last lease drains.
+// WrapStore gives each store a slot table, one slot per page, tagged with
+// the snapshot's generation: snapshots, and the old and new generation
+// of a hot-swap, never share a table, and Retire drops a generation's
+// tables once its last lease drains. One byte count covers every table,
+// and only a publish that takes it over the budget takes the mutex, to
+// run a clock hand over the tables (second chance, see evict). Run from
+// one goroutine, Stats().Bytes <= Budget() after every publish.
 //
 // All methods are safe for concurrent use. A nil *SharedCache is valid
 // everywhere and behaves as "no cache".
 type SharedCache struct {
-	stripeBudget int64
-	stripes      [cacheStripeCount]cacheStripe
+	budget                  int64
+	bytes, entries          atomic.Int64
+	hits, misses, evictions atomic.Int64
+
+	// mu guards the tables, their slot count and the clock hand, which
+	// points at slot of tables[table]. A hit never takes it.
+	mu     sync.Mutex
+	tables []*slotTable
+	nslots int
+	hand   struct{ table, slot int }
 }
 
 // NewSharedCache creates a cache with the given total byte budget;
@@ -95,14 +77,7 @@ func NewSharedCache(budgetBytes int64) *SharedCache {
 	if budgetBytes <= 0 {
 		return nil
 	}
-	c := &SharedCache{stripeBudget: budgetBytes / cacheStripeCount}
-	if c.stripeBudget < 1 {
-		c.stripeBudget = 1
-	}
-	for i := range c.stripes {
-		c.stripes[i].entries = make(map[pageKey]*cacheEntry)
-	}
-	return c
+	return &SharedCache{budget: budgetBytes}
 }
 
 // Budget returns the configured total byte budget (0 for a nil cache).
@@ -110,121 +85,74 @@ func (c *SharedCache) Budget() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.stripeBudget * cacheStripeCount
+	return c.budget
 }
 
-func (s *cacheStripe) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// charge counts n entries of t in (n > 0) or out (n < 0).
+func (c *SharedCache) charge(t *slotTable, n int64) {
+	c.bytes.Add(n * t.cost)
+	c.entries.Add(n)
 }
 
-func (s *cacheStripe) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *cacheStripe) moveFront(e *cacheEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// evictOver drops LRU entries until the stripe is within budget, never
-// evicting keep (the entry just touched).
-func (s *cacheStripe) evictOver(c *SharedCache, keep *cacheEntry) {
-	for s.bytes > c.stripeBudget && s.tail != nil && s.tail != keep {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.cost
-		s.evictions++
+// evict runs the clock hand until the cache is within its budget: an
+// entry whose reference bit is set has it cleared and is passed over,
+// any other is evicted. A set bit buys one pass per eviction, so the
+// second turn evicts whatever it meets and an eviction ends within the
+// budget, but for entries published behind the hand, whose publishers
+// evict in turn.
+func (c *SharedCache) evict() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	turn := c.nslots + len(c.tables)
+	for step := 0; step < 2*turn && c.bytes.Load() > c.budget; step++ {
+		if c.hand.table >= len(c.tables) {
+			c.hand.table = 0
+		}
+		t := c.tables[c.hand.table]
+		if c.hand.slot >= len(t.slots) {
+			c.hand.table++
+			c.hand.slot = 0
+			continue
+		}
+		s := &t.slots[c.hand.slot]
+		c.hand.slot++
+		if e := s.Load(); e == nil || step < turn && e.ref.Swap(false) {
+			continue
+		}
+		// Under mu only a publish fills a slot, so the entry is still
+		// the one just loaded.
+		s.Store(nil)
+		c.charge(t, -1)
+		c.evictions.Add(1)
 	}
 }
 
-// getDecoded returns the shared decoded form of k, if some reader has
-// published one.
-func (c *SharedCache) getDecoded(k pageKey) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil {
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.hits++
-	s.moveFront(e)
-	v := e.decoded
-	s.mu.Unlock()
-	return v, true
-}
-
-// putDecoded publishes the decoded form of k, charged at cost bytes
-// (callers estimate with the page size — a decoded node is the same
-// order of magnitude as its image). Decoded values are shared across
-// goroutines; they must be treated as immutable, which is already the
-// Buffer.ReadDecoded contract.
-func (c *SharedCache) putDecoded(k pageKey, v any, cost int64) {
-	if c == nil {
-		return
-	}
-	cost += cacheEntryOverhead
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil {
-		e = &cacheEntry{key: k, decoded: v, cost: cost}
-		s.entries[k] = e
-		s.pushFront(e)
-		s.bytes += cost
-	} else {
-		s.moveFront(e)
-	}
-	s.evictOver(c, e)
-	s.mu.Unlock()
-}
-
-// Retire drops every entry of the given generation, releasing its share
+// Retire drops every table of the given generation, releasing its share
 // of the budget promptly. Call it when the generation's last lease has
-// drained (no reader can repopulate it afterwards); the generation key
-// already guarantees no other generation could ever see those entries.
+// drained (no reader can repopulate it afterwards); a store wrapped
+// under another generation never had those tables to look in.
 func (c *SharedCache) Retire(gen uint64) {
 	if c == nil {
 		return
 	}
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		for k, e := range s.entries {
-			if k.gen == gen {
-				s.unlink(e)
-				delete(s.entries, k)
-				s.bytes -= e.cost
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := c.tables[:0]
+	for _, t := range c.tables {
+		if t.gen != gen {
+			kept = append(kept, t)
+			continue
+		}
+		t.retired.Store(true)
+		for j := range t.slots {
+			if t.slots[j].Swap(nil) != nil {
+				c.charge(t, -1)
 			}
 		}
-		s.mu.Unlock()
+		c.nslots -= len(t.slots)
 	}
+	clear(c.tables[len(kept):])
+	c.tables, c.hand.table, c.hand.slot = kept, 0, 0
 }
 
 // EntriesForGen counts the resident entries of one generation — a
@@ -233,16 +161,15 @@ func (c *SharedCache) EntriesForGen(gen uint64) int {
 	if c == nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			if k.gen == gen {
+	for _, t := range c.tables {
+		for j := range t.slots {
+			if t.gen == gen && t.slots[j].Load() != nil {
 				n++
 			}
 		}
-		s.mu.Unlock()
 	}
 	return n
 }
@@ -253,18 +180,14 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	if c == nil {
 		return SharedCacheStats{}
 	}
-	st := SharedCacheStats{Budget: c.Budget()}
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		st.DecodeHits += s.hits
-		st.DecodeMisses += s.misses
-		st.Evictions += s.evictions
-		st.Entries += len(s.entries)
-		st.Bytes += s.bytes
-		s.mu.Unlock()
+	return SharedCacheStats{
+		DecodeHits:   c.hits.Load(),
+		DecodeMisses: c.misses.Load(),
+		Evictions:    c.evictions.Load(),
+		Entries:      int(c.entries.Load()),
+		Bytes:        c.bytes.Load(),
+		Budget:       c.budget,
 	}
-	return st
 }
 
 // CacheCounters accumulates one consumer's (typically one snapshot's)
@@ -313,30 +236,37 @@ type SharedDecodeCache interface {
 }
 
 // cachedStore puts the shared cache beside a frozen backing store:
-// decoded nodes are shared through the SharedDecodeCache interface, and
-// the page reads that still reach the store are counted. Everything else
-// forwards.
+// decoded nodes are shared through the SharedDecodeCache interface, in
+// the store's own slot table, and the page reads that still reach the
+// store are counted. Everything else forwards.
 type cachedStore struct {
 	Store
 	cache    *SharedCache
-	gen      uint64
-	ext      uint32
+	table    *slotTable
 	counters *CacheCounters
 }
 
-// WrapStore interposes the cache in front of a frozen store, keying its
-// entries by (gen, ext). counters may be nil; when non-nil it receives
-// the per-consumer hit/read split (share one CacheCounters across the
-// extents of one snapshot). A nil cache returns s unchanged.
+// WrapStore interposes the cache in front of a frozen store, with a slot
+// table of its own for the store's allocated pages, dropped by
+// Retire(gen). Wrap each store of one open once: a second wrap of the
+// same store starts an empty table. ext is unused. counters may be nil;
+// when non-nil it receives the per-consumer hit/read split (share one
+// CacheCounters across the extents of one snapshot). A nil cache returns
+// s unchanged.
 func (c *SharedCache) WrapStore(gen uint64, ext uint32, s Store, counters *CacheCounters) Store {
 	if c == nil {
 		return s
 	}
-	return &cachedStore{Store: s, cache: c, gen: gen, ext: ext, counters: counters}
-}
-
-func (cs *cachedStore) key(id PageID) pageKey {
-	return pageKey{gen: cs.gen, ext: cs.ext, id: id}
+	t := &slotTable{
+		gen:   gen,
+		cost:  int64(s.PageSize()) + cacheEntryOverhead,
+		slots: make([]atomic.Pointer[cacheEntry], s.NumAllocated()),
+	}
+	c.mu.Lock()
+	c.tables = append(c.tables, t)
+	c.nslots += len(t.slots)
+	c.mu.Unlock()
+	return &cachedStore{Store: s, cache: c, table: t, counters: counters}
 }
 
 // ReadPage implements Store: forwards, counting the reads that succeed.
@@ -357,20 +287,35 @@ func (cs *cachedStore) ReadOnly() bool {
 	return ok && ro.ReadOnly()
 }
 
-// CachedDecode implements SharedDecodeCache. Only frozen (version 0)
-// pages are shared; serving stores are always frozen.
+// CachedDecode implements SharedDecodeCache: one atomic load of the
+// page's slot, and its entry's reference bit set. The bit is written
+// only when clear, so a hot entry is not written on every hit. Only
+// frozen (version 0) pages are shared; serving stores are always frozen.
 func (cs *cachedStore) CachedDecode(id PageID, version uint64) (any, bool) {
 	if !sharesVersion(version) {
 		return nil, false
 	}
-	v, ok := cs.cache.getDecoded(cs.key(id))
-	if ok && cs.counters != nil {
-		cs.counters.sharedHits.Add(1)
+	if slots := cs.table.slots; int(id) < len(slots) {
+		if e := slots[id].Load(); e != nil {
+			if !e.ref.Load() {
+				e.ref.Store(true)
+			}
+			cs.cache.hits.Add(1)
+			if cs.counters != nil {
+				cs.counters.sharedHits.Add(1)
+			}
+			return e.decoded, true
+		}
 	}
-	return v, ok
+	cs.cache.misses.Add(1)
+	return nil, false
 }
 
-// PublishDecode implements SharedDecodeCache.
+// PublishDecode implements SharedDecodeCache: a compare-and-swap into the
+// page's slot, unless it holds a node already, and an eviction if that
+// takes the cache over its budget. Decoded values are shared across
+// goroutines; they must be treated as immutable, which is already the
+// Buffer.ReadDecoded contract.
 func (cs *cachedStore) PublishDecode(id PageID, version uint64, v any) {
 	if !sharesVersion(version) {
 		return
@@ -378,7 +323,24 @@ func (cs *cachedStore) PublishDecode(id PageID, version uint64, v any) {
 	if cs.counters != nil {
 		cs.counters.decodes.Add(1)
 	}
-	cs.cache.putDecoded(cs.key(id), v, int64(cs.Store.PageSize()))
+	c, t := cs.cache, cs.table
+	e := &cacheEntry{decoded: v}
+	if int(id) >= len(t.slots) || !t.slots[id].CompareAndSwap(nil, e) {
+		return
+	}
+	c.charge(t, 1)
+	if t.retired.Load() {
+		// Retire swept t or is sweeping it. No hand reaches t any more,
+		// so e would hold budget for good: whichever takes it out
+		// uncharges it.
+		if t.slots[id].CompareAndSwap(e, nil) {
+			c.charge(t, -1)
+		}
+		return
+	}
+	if c.bytes.Load() > c.budget {
+		c.evict()
+	}
 }
 
 var (

@@ -26,21 +26,30 @@ func buildFrozenStore(t *testing.T, pageSize, n int) Store {
 	return s
 }
 
+// tierOf wraps s in c under gen and returns its shared decode tier.
+func tierOf(t *testing.T, c *SharedCache, gen uint64, s Store) SharedDecodeCache {
+	t.Helper()
+	sd, ok := c.WrapStore(gen, 0, s, nil).(SharedDecodeCache)
+	if !ok {
+		t.Fatal("wrapped store has no shared decode tier")
+	}
+	return sd
+}
+
 func TestSharedCacheNilSafe(t *testing.T) {
 	var c *SharedCache
 	if got := NewSharedCache(0); got != nil {
 		t.Fatalf("NewSharedCache(0) = %v, want nil", got)
 	}
-	if _, ok := c.getDecoded(pageKey{}); ok {
-		t.Error("nil cache reported a decode hit")
-	}
-	c.putDecoded(pageKey{}, 42, 10)
 	c.Retire(1)
 	if n := c.EntriesForGen(1); n != 0 {
 		t.Errorf("nil cache EntriesForGen = %d", n)
 	}
 	if st := c.Stats(); st != (SharedCacheStats{}) {
 		t.Errorf("nil cache Stats = %+v", st)
+	}
+	if b := c.Budget(); b != 0 {
+		t.Errorf("nil cache Budget = %d", b)
 	}
 	base := buildFrozenStore(t, 64, 1)
 	if got := c.WrapStore(1, 0, base, nil); got != base {
@@ -49,20 +58,26 @@ func TestSharedCacheNilSafe(t *testing.T) {
 }
 
 func TestSharedCacheDecodeRoundTrip(t *testing.T) {
+	base := buildFrozenStore(t, 64, 9)
 	c := NewSharedCache(1 << 20)
-	k := pageKey{gen: 3, ext: 1, id: 7}
-	if _, ok := c.getDecoded(k); ok {
+	s := tierOf(t, c, 3, base)
+	if _, ok := s.CachedDecode(7, 0); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.putDecoded(k, "node", 8)
-	if v, ok := c.getDecoded(k); !ok || v != "node" {
-		t.Fatalf("after put: %v, %v", v, ok)
+	s.PublishDecode(7, 0, "node")
+	if v, ok := s.CachedDecode(7, 0); !ok || v != "node" {
+		t.Fatalf("after publish: %v, %v", v, ok)
 	}
-	// A different generation, extent, or id never sees the entry.
-	for _, other := range []pageKey{{gen: 4, ext: 1, id: 7}, {gen: 3, ext: 0, id: 7}, {gen: 3, ext: 1, id: 8}} {
-		if _, ok := c.getDecoded(other); ok {
-			t.Errorf("key %+v hit entry of %+v", other, k)
-		}
+	// Another generation's wrap of the store, another wrap under the same
+	// generation (a second extent) and another page never see the entry.
+	if _, ok := tierOf(t, c, 4, base).CachedDecode(7, 0); ok {
+		t.Error("another generation hit the entry")
+	}
+	if _, ok := tierOf(t, c, 3, base).CachedDecode(7, 0); ok {
+		t.Error("another store of the generation hit the entry")
+	}
+	if _, ok := s.CachedDecode(8, 0); ok {
+		t.Error("another page hit the entry")
 	}
 	st := c.Stats()
 	if st.DecodeHits != 1 || st.DecodeMisses != 4 || st.Entries != 1 {
@@ -70,40 +85,47 @@ func TestSharedCacheDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharedCacheEviction pins the budget as one figure for the whole
+// cache: published one at a time over two stores, the entries never take
+// the cache over its budget, down to a budget of one entry.
 func TestSharedCacheEviction(t *testing.T) {
 	const pageSize = 1024
-	// Budget for roughly two nodes per stripe; inserting many that hash to
-	// arbitrary stripes must keep every stripe within budget.
-	c := NewSharedCache(int64(cacheStripeCount) * (pageSize + cacheEntryOverhead) * 2)
-	for i := 0; i < 10*cacheStripeCount; i++ {
-		c.putDecoded(pageKey{gen: 1, id: PageID(i)}, i, pageSize)
-	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after overfill: %+v", st)
-	}
-	if st.Bytes > c.Budget() {
-		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, c.Budget())
-	}
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		over := s.bytes > c.stripeBudget
-		n := len(s.entries)
-		b := s.bytes
-		s.mu.Unlock()
-		if over {
-			t.Fatalf("stripe %d over budget: %d bytes, %d entries", i, b, n)
+	const n = 40
+	for _, entries := range []int64{1, 4} {
+		c := NewSharedCache(entries * (pageSize + cacheEntryOverhead))
+		stores := []SharedDecodeCache{
+			tierOf(t, c, 1, buildFrozenStore(t, pageSize, n)),
+			tierOf(t, c, 2, buildFrozenStore(t, pageSize, n)),
+		}
+		for i := 0; i < n; i++ {
+			for j, s := range stores {
+				s.PublishDecode(PageID(i), 0, i)
+				if st := c.Stats(); st.Bytes > c.Budget() || st.Entries == 0 {
+					t.Fatalf("%d-entry budget, publish %d of store %d: %d bytes in %d entries, budget %d",
+						entries, i, j, st.Bytes, st.Entries, c.Budget())
+				}
+				// Hit a few entries, so that some have their bits set
+				// when the hand comes round.
+				s.CachedDecode(PageID(i/2), 0)
+			}
+		}
+		st := c.Stats()
+		if st.Evictions != 2*n-entries || int64(st.Entries) != entries {
+			t.Fatalf("%d-entry budget: %+v, want %d evictions and %d entries", entries, st, 2*n-entries, entries)
 		}
 	}
 }
 
 func TestSharedCacheRetire(t *testing.T) {
+	base := buildFrozenStore(t, 64, 50)
 	c := NewSharedCache(1 << 20)
+	var tiers []SharedDecodeCache
 	for gen := uint64(1); gen <= 3; gen++ {
+		s := tierOf(t, c, gen, base)
 		for i := 0; i < 50; i++ {
-			c.putDecoded(pageKey{gen: gen, id: PageID(i)}, i, 4)
+			s.PublishDecode(PageID(i), 0, i)
 		}
+		tiers = append(tiers, s)
 	}
 	if n := c.EntriesForGen(2); n != 50 {
 		t.Fatalf("gen 2 entries = %d, want 50", n)
@@ -123,8 +145,36 @@ func TestSharedCacheRetire(t *testing.T) {
 	if after >= before {
 		t.Fatalf("Retire released no bytes: %d -> %d", before, after)
 	}
-	if _, ok := c.getDecoded(pageKey{gen: 2, id: 0}); ok {
+	if _, ok := tiers[1].CachedDecode(0, 0); ok {
 		t.Fatal("retired node still served")
+	}
+}
+
+// TestSharedCacheRetireDropsTables pins that Retire drops the slot tables
+// WrapStore registered for the generation, not only their entries, and
+// that a publish into a retired table is not left charged.
+func TestSharedCacheRetireDropsTables(t *testing.T) {
+	base := buildFrozenStore(t, 64, 8)
+	c := NewSharedCache(1 << 20)
+	kept := tierOf(t, c, 1, base)
+	retired := []SharedDecodeCache{tierOf(t, c, 2, base), tierOf(t, c, 2, base)}
+	kept.PublishDecode(0, 0, "kept")
+	for _, s := range retired {
+		s.PublishDecode(0, 0, "retired")
+	}
+	if len(c.tables) != 3 || c.nslots != 24 {
+		t.Fatalf("%d tables of %d slots registered, want 3 of 24", len(c.tables), c.nslots)
+	}
+	c.Retire(2)
+	if len(c.tables) != 1 || c.nslots != 8 {
+		t.Fatalf("after Retire(2): %d tables of %d slots, want 1 of 8", len(c.tables), c.nslots)
+	}
+	retired[0].PublishDecode(1, 0, "late")
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 64+cacheEntryOverhead {
+		t.Fatalf("after Retire(2) and a late publish: %+v, want the one entry of gen 1", st)
+	}
+	if v, ok := kept.CachedDecode(0, 0); !ok || v != "kept" {
+		t.Fatalf("gen 1 entry after Retire(2): %v, %v", v, ok)
 	}
 }
 
@@ -246,14 +296,12 @@ func TestSharedDecodeIgnoresMutableVersions(t *testing.T) {
 
 // TestSharedTierBoundsViewDecodes pins the budget: a view over a store
 // with a shared tier keeps no decode of its own, so however many distinct
-// pages it touches, what it holds is what the tier's budget admits. The
-// budget is four entries per stripe: a stripe always keeps the entry just
-// published, so a budget below one entry per stripe bounds nothing. Over
-// the plain store the same view keeps its private map and decodes each
-// page once.
+// pages it touches, what it holds is what the tier's budget admits, here
+// four entries in all. Over the plain store the same view keeps its
+// private map and decodes each page once.
 func TestSharedTierBoundsViewDecodes(t *testing.T) {
 	const pageSize = 128
-	budget := int64(cacheStripeCount * 4 * (pageSize + cacheEntryOverhead))
+	budget := int64(4 * (pageSize + cacheEntryOverhead))
 	n := 10 * int(budget/(pageSize+cacheEntryOverhead))
 	base := buildFrozenStore(t, pageSize, n)
 	decodes := 0
@@ -279,6 +327,9 @@ func TestSharedTierBoundsViewDecodes(t *testing.T) {
 			}
 			if v.(string) != fresh(id) {
 				t.Fatalf("pass %d page %d: decode differs from a fresh one", pass, id)
+			}
+			if st := c.Stats(); st.Bytes > c.Budget() {
+				t.Fatalf("pass %d page %d: tier holds %d bytes in %d entries, budget %d", pass, id, st.Bytes, st.Entries, c.Budget())
 			}
 		}
 	}
@@ -341,7 +392,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			c.putDecoded(pageKey{gen: 99, id: PageID(i)}, i, pageSize)
+			c.WrapStore(99, 0, base, nil).(SharedDecodeCache).PublishDecode(PageID(i%32), 0, i)
 			c.Retire(99)
 		}
 	}()
@@ -374,7 +425,67 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// PageError is a trivial error used by the concurrency test.
+// TestSharedCacheConcurrentEviction runs the clock hand while readers
+// hit: under a budget of three entries, 8 readers over 32 pages publish
+// and evict all the time beside a retirer of another generation. Every
+// value must still be the page's own decode, and at rest the cache is
+// within its budget.
+func TestSharedCacheConcurrentEviction(t *testing.T) {
+	const pageSize = 256
+	base := buildFrozenStore(t, pageSize, 32)
+	c := NewSharedCache(3 * (pageSize + cacheEntryOverhead))
+	s := c.WrapStore(5, 0, base, nil)
+	decode := func(id PageID, data []byte) (any, error) { return int(data[0]), nil }
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			b := NewBuffer(s, 4)
+			for iter := 0; iter < 500; iter++ {
+				// Half the visits go to four hot pages, so entries are hit
+				// while the hand passes them.
+				id := PageID((seed*31 + iter*7) % 32)
+				if iter%2 == 0 {
+					id %= 4
+				}
+				v, err := b.ReadDecoded(id, decode)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if v.(int) != int(id)+1 {
+					errs <- &PageError{}
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			c.WrapStore(99, 0, base, nil).(SharedDecodeCache).PublishDecode(PageID(i%32), 0, i)
+			c.Retire(99)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Bytes > c.Budget() || st.Evictions == 0 || st.DecodeHits == 0 {
+		t.Fatalf("at rest: %+v, want bytes within the budget, evictions and hits", st)
+	}
+	if n := c.EntriesForGen(99); n != 0 {
+		t.Fatalf("retired generation left %d entries", n)
+	}
+}
+
+// PageError is a trivial error used by the concurrency tests.
 type PageError struct{}
 
 func (*PageError) Error() string { return "decoded value mismatch" }

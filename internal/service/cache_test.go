@@ -350,3 +350,89 @@ func TestPublishServesUncached(t *testing.T) {
 		t.Fatalf("published snapshot populated the cache: %+v", st)
 	}
 }
+
+// TestHotSwapUnderTinyCacheBudget is the hostile budget: a registry whose
+// cache holds fewer nodes than one query visits evicts all the time while
+// concurrent sessions query across hot-swaps. Every answer must equal an
+// uncached registry's for the generation that served it, and at rest the
+// cache is within its budget with no retired generation left in it.
+func TestHotSwapUnderTinyCacheBudget(t *testing.T) {
+	paths := []string{saveContainer(t, buildIndexSeed(t, 11)), saveContainer(t, buildIndexSeed(t, 77))}
+	queries := testQueries(t, 12)
+	plain := NewRegistry()
+	defer plain.Close()
+	want := make([][][]int64, len(paths))
+	for p, path := range paths {
+		if _, err := plain.Load("data", path); err != nil {
+			t.Fatal(err)
+		}
+		sess := NewSession(plain)
+		for _, q := range queries {
+			res, err := sess.Query(context.Background(), "data", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[p] = append(want[p], res.IDs)
+		}
+	}
+
+	reg := NewRegistryConfig(RegistryConfig{CacheBytes: 8 << 10})
+	snap, err := reg.Load("data", paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Generation base+i serves paths[i%2]: this goroutine does every
+	// load, swapping until the readers are done and at least ten times.
+	base := snap.Gen()
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := NewSession(reg)
+			for i := 0; i < 4*len(queries); i++ {
+				qi := i % len(queries)
+				res, err := sess.Query(context.Background(), "data", queries[qi])
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if w := want[(res.Gen-base)%2][qi]; !sameIDs(res.IDs, w) {
+					errCh <- fmt.Errorf("gen %d query %d: got %v, want %v", res.Gen, qi, res.IDs, w)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	live := base
+	for swapping := true; swapping; {
+		select {
+		case <-done:
+			swapping = live-base < 10
+		default:
+		}
+		live++
+		if _, err := reg.Load("data", paths[(live-base)%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	st := reg.Cache().Stats()
+	if st.Bytes > st.Budget || st.Evictions == 0 {
+		t.Fatalf("cache at rest: %+v, want bytes within the budget and evictions", st)
+	}
+	for gen := base; gen < live; gen++ {
+		if n := reg.Cache().EntriesForGen(gen); n != 0 {
+			t.Fatalf("retired generation %d still holds %d cache entries", gen, n)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

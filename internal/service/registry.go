@@ -31,9 +31,8 @@ type Registry struct {
 	snaps map[string]*Snapshot
 	gen   atomic.Uint64
 
-	// cache is the shared striped decoded-node cache over every loaded
-	// container (nil = no shared cache); openBackend is the container
-	// read flavour.
+	// cache is the shared decoded-node cache over every loaded container
+	// (nil = no shared cache); openBackend is the container read flavour.
 	cache       *pagefile.SharedCache
 	openBackend stx.Backend
 }
@@ -41,12 +40,13 @@ type Registry struct {
 // RegistryConfig configures the registry's serving read path.
 type RegistryConfig struct {
 	// CacheBytes is the budget for decoded nodes shared across sessions:
-	// a node one session parsed is published to one registry-wide cache
-	// keyed by snapshot generation (an entry is charged one page), with
-	// per-stripe LRU eviction against this byte budget, and every
-	// session's view, the publisher's included, is served from it without
-	// reading the page. The cache is then the views' only decode cache,
-	// so this budget bounds the decoded nodes a snapshot's views hold.
+	// a node one session parsed is published to one registry-wide cache,
+	// in the slot table of its snapshot generation's store (an entry is
+	// charged one page), with second-chance eviction against this byte
+	// budget, and every session's view, the publisher's included, is
+	// served from it without reading the page. The cache is then the
+	// views' only decode cache, so this budget bounds the decoded nodes a
+	// snapshot's views hold.
 	// <= 0 disables the shared cache: each view keeps a private decode of
 	// every page it visits and reads the page on every miss of its
 	// buffer pool.
@@ -115,10 +115,9 @@ func (s *Snapshot) recordQuery(delta pagefile.Stats) {
 // release drops one reference, closing the container when the last
 // holder lets go. Close errors are returned to the releasing caller —
 // in practice the last lease or the retiring registry operation.
-// Retiring also drops the generation's shared-cache entries: this runs
+// Retiring also drops the generation's shared-cache tables: this runs
 // strictly after the last lease released, so no in-flight reader can
-// repopulate them, and the generation-keyed cache guarantees no later
-// generation could ever have seen them.
+// repopulate them, and no later generation's stores ever looked in them.
 func (s *Snapshot) release() error {
 	if s.refs.Add(-1) == 0 {
 		err := stx.CloseIndex(s.idx)
@@ -182,14 +181,11 @@ func (r *Registry) Acquire(name string) (*Lease, error) {
 //
 // If path is a shard manifest (sniffed by magic) the snapshot is opened
 // as a scatter-gather Sharded index over every shard container the
-// manifest names. The wrap closure below is shared by all shards, so
-// extent numbering — and with it the shared cache's (gen, ext) keying
-// and global byte budget — runs across the whole sharded snapshot.
+// manifest names. Every shard's extents get their slot tables under the
+// snapshot's generation, within the cache's one byte budget.
 func (r *Registry) Load(name, path string) (*Snapshot, error) {
 	// The generation is allocated before the container opens so the
-	// shared-cache wrapper can key the extent stores by it: entries of
-	// different loads (including a swap's old and new snapshot) can then
-	// never collide, whatever the timing.
+	// shared-cache wrapper can tag the extent stores' tables with it.
 	gen := r.gen.Add(1)
 	opts, cstats := r.openOptions(gen)
 	var idx stx.Index
@@ -200,6 +196,9 @@ func (r *Registry) Load(name, path string) (*Snapshot, error) {
 		idx, err = stx.OpenIndexOptions(path, opts)
 	}
 	if err != nil {
+		// Nothing was installed; drop the tables the open registered,
+		// the shards' before a failing one included.
+		r.cache.Retire(gen)
 		return nil, err
 	}
 	return r.install(name, path, idx, gen, cstats)
@@ -207,19 +206,16 @@ func (r *Registry) Load(name, path string) (*Snapshot, error) {
 
 // openOptions builds the container open options for a snapshot of
 // generation gen: the registry's read backend plus (when the shared
-// cache is on) a store wrapper that keys the container's extents by
-// (gen, ext) in the shared cache, with cstats accumulating the
-// snapshot's shared hits, store reads and decodes.
+// cache is on) a store wrapper that gives each of the container's
+// extents a slot table under gen in the shared cache, with cstats
+// accumulating the snapshot's shared hits, store reads and decodes.
 func (r *Registry) openOptions(gen uint64) (stx.OpenOptions, *pagefile.CacheCounters) {
 	var cstats *pagefile.CacheCounters
 	var wrap stx.StoreWrapper
 	if r.cache != nil {
 		cstats = &pagefile.CacheCounters{}
-		ext := uint32(0)
 		wrap = func(s pagefile.Store) pagefile.Store {
-			ws := r.cache.WrapStore(gen, ext, s, cstats)
-			ext++
-			return ws
+			return r.cache.WrapStore(gen, 0, s, cstats)
 		}
 	}
 	return stx.OpenOptions{Backend: r.openBackend, Wrap: wrap}, cstats
@@ -228,10 +224,9 @@ func (r *Registry) openOptions(gen uint64) (stx.OpenOptions, *pagefile.CacheCoun
 // PublishOpener installs a caller-built snapshot with Load's cache
 // participation: the registry allocates the generation and hands open
 // the cache-wrapping OpenOptions, so any container the callback opens
-// through them shares its decoded nodes through the shared cache,
-// generation-keyed exactly like a Load-ed
-// snapshot — including retirement of its cache entries when the swap
-// drains. The ingestion pipeline uses this to publish its combined
+// through them shares its decoded nodes through the shared cache under
+// its generation exactly like a Load-ed snapshot — including retirement
+// of its cache tables when the swap drains. The ingestion pipeline uses this to publish its combined
 // frozen+live views without giving up the cache on the frozen part.
 //
 // The callback owns nothing on error; on success the registry takes
@@ -242,8 +237,8 @@ func (r *Registry) PublishOpener(name string, open func(stx.OpenOptions) (stx.In
 	opts, cstats := r.openOptions(gen)
 	idx, err := open(opts)
 	if err != nil {
-		// Nothing was installed; drop any cache entries the callback's
-		// partial open may have published under this generation.
+		// Nothing was installed; drop any cache tables the callback's
+		// partial open registered under this generation.
 		r.cache.Retire(gen)
 		return nil, err
 	}

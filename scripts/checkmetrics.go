@@ -1,10 +1,11 @@
 // Command checkmetrics validates an stserve /metrics scrape piped on
 // stdin: at least N completed queries (the positional argument), zero
-// failures, non-zero QPS and latency percentiles, and live per-snapshot
-// statistics. With -ingest-accepted it additionally requires a live
-// ingestion block and proves the pipeline's durability invariants on it
-// (accepted == wal_records_written, fsyncs behind every ack, freezes
-// consistent, nothing latched, no more resident pages than pages); with
+// failures, non-zero QPS and latency percentiles, live per-snapshot
+// statistics and, with a cache budget, a shared cache within it. With
+// -ingest-accepted it additionally requires a live ingestion block and
+// proves the pipeline's durability invariants on it (accepted ==
+// wal_records_written, fsyncs behind every ack, freezes consistent,
+// nothing latched, no more resident pages than pages); with
 // -ingest-released it requires some live pages to be held by the frozen
 // container rather than in memory. Used by scripts/smoke_stserve.sh.
 package main
@@ -50,6 +51,9 @@ func main() {
 	}
 	if len(m.Snapshots) == 0 {
 		die("no snapshots in metrics")
+	}
+	if c := m.Cache; c.Budget > 0 && c.Bytes > c.Budget {
+		die("shared cache holds %d bytes over its %d-byte budget", c.Bytes, c.Budget)
 	}
 	shardedSnaps := 0
 	for _, s := range m.Snapshots {
