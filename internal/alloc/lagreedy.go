@@ -1,22 +1,6 @@
 package alloc
 
-import "container/heap"
-
-// minGainHeap orders entries by ascending gain (the gain of an object's
-// most recently allocated split — PQ_la1 in figure 10).
-type minGainHeap []gainEntry
-
-func (h minGainHeap) Len() int            { return len(h) }
-func (h minGainHeap) Less(i, j int) bool  { return h[i].gain < h[j].gain }
-func (h minGainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minGainHeap) Push(x interface{}) { *h = append(*h, x.(gainEntry)) }
-func (h *minGainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+import "slices"
 
 // LAGreedy is the look-ahead-2 greedy algorithm of §III-B.3 (figure 10).
 func LAGreedy(c *Curves, budget int) Assignment {
@@ -37,50 +21,50 @@ func LAGreedyDepth(c *Curves, budget, depth int) Assignment {
 	splits := make([]int, c.NumObjects())
 	greedyInto(c, budget, splits)
 
-	last := make(minGainHeap, 0, c.NumObjects())  // PQ_la1: min by last-split gain
-	ahead := make(maxGainHeap, 0, c.NumObjects()) // PQ_la2: max by depth-extra gain
+	last := newGainHeap(false, c.NumObjects()) // PQ_la1: min by last-split gain
+	ahead := newGainHeap(true, c.NumObjects()) // PQ_la2: max by depth-extra gain
 	for i, s := range splits {
 		if s > 0 {
-			last = append(last, gainEntry{obj: i, splits: s, gain: c.Gain(i, s-1)})
+			last.h = append(last.h, gainEntry{obj: i, splits: s, gain: c.Gain(i, s-1)})
 		}
 		if s+depth <= c.MaxSplits(i) {
-			ahead = append(ahead, gainEntry{obj: i, splits: s, gain: c.Volume(i, s) - c.Volume(i, s+depth)})
+			ahead.h = append(ahead.h, gainEntry{obj: i, splits: s, gain: c.Volume(i, s) - c.Volume(i, s+depth)})
 		}
 	}
-	heap.Init(&last)
-	heap.Init(&ahead)
+	last.Init()
+	ahead.Init()
 
+	donors := make([]gainEntry, 0, depth)
+	var skipped []gainEntry
 	for {
 		// Pop the depth objects with the cheapest last splits.
-		donors := make([]gainEntry, 0, depth)
+		donors = donors[:0]
 		for len(donors) < depth && last.Len() > 0 {
-			e := heap.Pop(&last).(gainEntry)
+			e := last.Pop()
 			if e.splits != splits[e.obj] || e.splits == 0 {
 				continue // stale
 			}
 			donors = append(donors, e)
 		}
 		if len(donors) < depth {
-			pushBackLast(&last, donors)
+			pushBack(&last, donors)
 			break
 		}
-		donorSet := make(map[int]bool, depth)
 		donorGain := 0.0
 		for _, d := range donors {
-			donorSet[d.obj] = true
 			donorGain += d.gain
 		}
 
 		// Pop the best distinct look-ahead candidate.
 		var recv gainEntry
 		found := false
-		skipped := make([]gainEntry, 0, 2)
+		skipped = skipped[:0]
 		for ahead.Len() > 0 {
-			e := heap.Pop(&ahead).(gainEntry)
+			e := ahead.Pop()
 			if e.splits != splits[e.obj] || e.splits+depth > c.MaxSplits(e.obj) {
 				continue // stale
 			}
-			if donorSet[e.obj] {
+			if slices.ContainsFunc(donors, func(d gainEntry) bool { return d.obj == e.obj }) {
 				skipped = append(skipped, e)
 				continue
 			}
@@ -88,13 +72,11 @@ func LAGreedyDepth(c *Curves, budget, depth int) Assignment {
 			found = true
 			break
 		}
-		for _, e := range skipped {
-			heap.Push(&ahead, e)
-		}
+		pushBack(&ahead, skipped)
 		if !found || recv.gain <= donorGain {
-			pushBackLast(&last, donors)
+			pushBack(&last, donors)
 			if found {
-				heap.Push(&ahead, recv)
+				ahead.Push(recv)
 			}
 			break
 		}
@@ -113,17 +95,18 @@ func LAGreedyDepth(c *Curves, budget, depth int) Assignment {
 
 // refresh pushes up-to-date heap entries for an object whose split count
 // just changed to s. Stale entries are discarded lazily on pop.
-func refresh(c *Curves, last *minGainHeap, ahead *maxGainHeap, obj, s, depth int) {
+func refresh(c *Curves, last, ahead *gainHeap, obj, s, depth int) {
 	if s > 0 {
-		heap.Push(last, gainEntry{obj: obj, splits: s, gain: c.Gain(obj, s-1)})
+		last.Push(gainEntry{obj: obj, splits: s, gain: c.Gain(obj, s-1)})
 	}
 	if s+depth <= c.MaxSplits(obj) {
-		heap.Push(ahead, gainEntry{obj: obj, splits: s, gain: c.Volume(obj, s) - c.Volume(obj, s+depth)})
+		ahead.Push(gainEntry{obj: obj, splits: s, gain: c.Volume(obj, s) - c.Volume(obj, s+depth)})
 	}
 }
 
-func pushBackLast(last *minGainHeap, donors []gainEntry) {
-	for _, d := range donors {
-		heap.Push(last, d)
+// pushBack returns popped entries to their heap, in order.
+func pushBack(h *gainHeap, entries []gainEntry) {
+	for _, e := range entries {
+		h.Push(e)
 	}
 }

@@ -136,6 +136,9 @@ type Tree struct {
 	backRefs map[pagefile.PageID]map[pagefile.PageID]struct{}
 	walk     treewalk.Scratch // pooled query scratch
 	growth   []growthStep     // propagateGrowth's queue
+	// slots[i] is the entry of path[i] that chooseLeafPath descended
+	// through; empty after a descent that records none.
+	slots []int32
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -284,6 +287,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.copies = nil
 	cp.ks = keySplitScratch{}
 	cp.growth = nil
+	cp.slots = nil
 	cp.walk = treewalk.Scratch{}
 	return &cp
 }

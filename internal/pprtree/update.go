@@ -51,9 +51,11 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 // chooseLeafPath descends the live tree picking, at each directory node,
 // the alive child entry needing the least area enlargement to cover rect
 // (ties broken by smaller area). Returns the live nodes root-first, in the
-// tree's path scratch: valid until the next descent.
+// tree's path scratch: valid until the next descent. The entry picked in
+// each directory node is left in t.slots, for fixup's refresh.
 func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 	t.path = t.path[:0]
+	t.slots = t.slots[:0]
 	id := t.liveRoot().page
 	for {
 		n, err := t.readNode(id)
@@ -79,6 +81,7 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 		if best == -1 {
 			return nil, fmt.Errorf("pprtree: live directory node %d has no alive entries", n.id)
 		}
+		t.slots = append(t.slots, int32(best))
 		id = pagefile.PageID(n.entries[best].ref)
 	}
 }
@@ -86,8 +89,9 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 // findAliveRecord locates the leaf path holding the alive record (rect,
 // ref) in the live tree, returning a nil path when absent. Like
 // chooseLeafPath it returns the tree's path scratch, valid until the next
-// descent.
+// descent. It leaves no slots: fixup scans for the entries it refreshes.
 func (t *Tree) findAliveRecord(rect geom.Rect, ref uint64) ([]*pnode, int, error) {
+	t.slots = t.slots[:0]
 	if path, idx := t.locateAliveRecord(rect, ref); path != nil {
 		return path, idx, nil
 	}
@@ -159,7 +163,11 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 			return err
 		}
 		if i > 0 {
-			if err := t.refreshParentRect(path[i-1], n); err != nil {
+			slot := -1
+			if i-1 < len(t.slots) {
+				slot = int(t.slots[i-1])
+			}
+			if err := refreshParentRect(path[i-1], n, slot); err != nil {
 				return err
 			}
 		}
@@ -363,27 +371,40 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 }
 
 // refreshParentRect keeps the parent's alive directory entry for child n
-// covering everything the child ever stored.
-func (t *Tree) refreshParentRect(parent, n *pnode) error {
-	for j := range parent.entries {
-		if parent.entries[j].alive() && pagefile.PageID(parent.entries[j].ref) == n.id {
-			parent.entries[j].rect = parent.entries[j].rect.Union(n.mbr)
-			parent.mbr = parent.mbr.Union(n.mbr)
-			return nil
+// covering everything the child ever stored. slot is the parent's entry
+// the descent went through, or -1 when the path carries none (a
+// delete's); it is taken when it still names an alive entry for n — a
+// live node has exactly one — and the entry is scanned for otherwise.
+func refreshParentRect(parent, n *pnode, slot int) error {
+	if slot < 0 || slot >= len(parent.entries) || !parent.entries[slot].alive() ||
+		pagefile.PageID(parent.entries[slot].ref) != n.id {
+		if slot = aliveChildSlot(parent, n.id); slot == -1 {
+			return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, n.id)
 		}
 	}
-	return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, n.id)
+	parent.entries[slot].rect = parent.entries[slot].rect.Union(n.mbr)
+	parent.mbr = parent.mbr.Union(n.mbr)
+	return nil
 }
 
 func closeChildEntry(parent *pnode, child pagefile.PageID, time int64) error {
+	j := aliveChildSlot(parent, child)
+	if j == -1 {
+		return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, child)
+	}
+	parent.entries[j].deleteT = time
+	parent.nalive--
+	return nil
+}
+
+// aliveChildSlot is the index of parent's alive entry for child, or -1.
+func aliveChildSlot(parent *pnode, child pagefile.PageID) int {
 	for j := range parent.entries {
 		if parent.entries[j].alive() && pagefile.PageID(parent.entries[j].ref) == child {
-			parent.entries[j].deleteT = time
-			parent.nalive--
-			return nil
+			return j
 		}
 	}
-	return fmt.Errorf("pprtree: parent %d has no alive entry for child %d", parent.id, child)
+	return -1
 }
 
 // newNode allocates the page of a fresh live node holding a copy of

@@ -11,14 +11,23 @@ import (
 	"stindex/internal/trajectory"
 )
 
+// refCand is the reference's own merge candidate, with the validity test
+// mergeRun used before its one-stamp candidate: both sides' versions as
+// pushed, each compared for equality when the candidate pops.
+type refCand struct {
+	increase   float64
+	seg        int32
+	verA, verB int32
+}
+
 // refHeap is the container/heap candidate queue mergeRun used before its
 // typed heap: the reference the typed heap must match pop for pop.
-type refHeap []mergeCand
+type refHeap []refCand
 
 func (h refHeap) Len() int            { return len(h) }
 func (h refHeap) Less(i, j int) bool  { return h[i].increase < h[j].increase }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(mergeCand)) }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refCand)) }
 func (h *refHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -30,30 +39,60 @@ func (h *refHeap) Pop() interface{} {
 // candQueue is what the reference merge loop needs of a candidate queue,
 // so the same loop can run over container/heap and over the typed heap.
 type candQueue interface {
-	init(cands []mergeCand)
-	push(c mergeCand)
-	pop() mergeCand
+	init(cands []refCand)
+	push(c refCand)
+	pop() refCand
 	len() int
 }
 
 type refQueue struct{ h refHeap }
 
-func (q *refQueue) init(cands []mergeCand) { q.h = cands; heap.Init(&q.h) }
-func (q *refQueue) push(c mergeCand)       { heap.Push(&q.h, c) }
-func (q *refQueue) pop() mergeCand         { return heap.Pop(&q.h).(mergeCand) }
-func (q *refQueue) len() int               { return q.h.Len() }
+func (q *refQueue) init(cands []refCand) { q.h = cands; heap.Init(&q.h) }
+func (q *refQueue) push(c refCand)       { heap.Push(&q.h, c) }
+func (q *refQueue) pop() refCand         { return heap.Pop(&q.h).(refCand) }
+func (q *refQueue) len() int             { return q.h.Len() }
 
-type typedQueue struct{ s mergeScratch }
+// typedQueue runs the production heap under the reference loop. The heap
+// orders by increase alone, so each pushed mergeCand carries in its stamp
+// the index of the refCand it stands for, and a pop hands back that very
+// candidate.
+type typedQueue struct {
+	s   mergeScratch
+	all []refCand
+}
 
-func (q *typedQueue) init(cands []mergeCand) { q.s.h = cands; q.s.heapInit() }
-func (q *typedQueue) push(c mergeCand)       { q.s.heapPush(c) }
-func (q *typedQueue) pop() mergeCand         { return q.s.heapPop() }
-func (q *typedQueue) len() int               { return len(q.s.h) }
+func (q *typedQueue) add(c refCand) mergeCand {
+	q.all = append(q.all, c)
+	return mergeCand{increase: c.increase, seg: c.seg, stamp: int32(len(q.all) - 1)}
+}
+
+func (q *typedQueue) init(cands []refCand) {
+	for _, c := range cands {
+		q.s.h = append(q.s.h, q.add(c))
+	}
+	q.s.heapInit()
+}
+func (q *typedQueue) push(c refCand) { q.s.heapPush(q.add(c)) }
+func (q *typedQueue) pop() refCand   { return q.all[q.s.heapPop().stamp] }
+func (q *typedQueue) len() int       { return len(q.s.h) }
+
+// refCandidate builds the reference's candidate for merging segs[i] with
+// its successor.
+func refCandidate(segs []mergeSeg, i int32, m Measure) refCand {
+	a := &segs[i]
+	b := &segs[a.next]
+	union := a.rect.Union(b.rect)
+	inc := m(union, int64(b.hi-a.lo)) - a.vol - b.vol
+	return refCand{increase: inc, seg: i, verA: a.version, verB: b.version}
+}
 
 // refMergeRun is mergeRun as it was before the typed heap, over the given
-// queue and without the scratch pool. It returns the cuts and every
-// candidate in the order the queue released it, stale ones included.
-func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64), q candQueue) (cuts []int, pops []mergeCand) {
+// queue and without the scratch pool: a segment's version counts its own
+// changes, and a candidate is valid while both sides' versions equal the
+// ones it was pushed with. It returns the cuts, the cut each merge
+// removed, and every candidate in the order the queue released it, stale
+// ones included.
+func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64), q candQueue) (cuts []int, order []int32, pops []refCand) {
 	n := o.Len()
 	targetSplits = ClampSplits(targetSplits, n)
 	segs := make([]mergeSeg, n)
@@ -67,9 +106,9 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 	if observe != nil {
 		observe(n-1, total)
 	}
-	var cands []mergeCand
+	var cands []refCand
 	for i := int32(0); i+1 < int32(n); i++ {
-		cands = append(cands, candidate(segs, i, m))
+		cands = append(cands, refCandidate(segs, i, m))
 	}
 	q.init(cands)
 	live := n
@@ -88,6 +127,7 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 		if c.verA != a.version || c.verB != b.version {
 			continue
 		}
+		order = append(order, b.lo)
 		union := a.rect.Union(b.rect)
 		newVol := m(union, int64(b.hi-a.lo))
 		total += newVol - a.vol - b.vol
@@ -99,10 +139,10 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 		a.next = b.next
 		if b.next != -1 {
 			segs[b.next].prev = c.seg
-			q.push(candidate(segs, c.seg, m))
+			q.push(refCandidate(segs, c.seg, m))
 		}
 		if a.prev != -1 {
-			q.push(candidate(segs, a.prev, m))
+			q.push(refCandidate(segs, a.prev, m))
 		}
 		live--
 		if observe != nil {
@@ -119,7 +159,22 @@ func refMergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func
 		}
 		i = s.next
 	}
-	return cuts, pops
+	return cuts, order, pops
+}
+
+// popKey is what two pops are compared by: the increase's bits (so a NaN
+// equals itself) and the segment.
+type popKey struct {
+	increase uint64
+	seg      int32
+}
+
+func popKeys(pops []refCand) []popKey {
+	keys := make([]popKey, len(pops))
+	for i, c := range pops {
+		keys[i] = popKey{math.Float64bits(c.increase), c.seg}
+	}
+	return keys
 }
 
 // stationaryObject never moves: every merge increase is exactly 0, so the
@@ -176,8 +231,9 @@ func heapTestObjects() map[string]*trajectory.Object {
 // released candidate, stale ones included.
 func TestTypedHeapPopOrderMatchesContainerHeap(t *testing.T) {
 	for name, o := range heapTestObjects() {
-		_, want := refMergeRun(o, 0, VolumeMeasure, func(int, float64) {}, new(refQueue))
-		_, got := refMergeRun(o, 0, VolumeMeasure, func(int, float64) {}, new(typedQueue))
+		_, _, wantPops := refMergeRun(o, 0, VolumeMeasure, func(int, float64) {}, new(refQueue))
+		_, _, gotPops := refMergeRun(o, 0, VolumeMeasure, func(int, float64) {}, new(typedQueue))
+		got, want := popKeys(gotPops), popKeys(wantPops)
 		if !slices.Equal(got, want) {
 			k := 0
 			for k < len(got) && k < len(want) && got[k] == want[k] {
@@ -189,22 +245,71 @@ func TestTypedHeapPopOrderMatchesContainerHeap(t *testing.T) {
 }
 
 // TestMergeRunMatchesContainerHeapReference compares the production
-// mergeRun with the reference end to end: the cuts at every budget and
-// the whole observed volume curve, bit for bit.
+// mergeRun with the reference end to end: the cuts at every budget, the
+// plan's merge order and the whole observed volume curve, bit for bit.
 func TestMergeRunMatchesContainerHeapReference(t *testing.T) {
 	for name, o := range heapTestObjects() {
 		for k := 0; k < o.Len(); k++ {
-			got := mergeRun(o, k, VolumeMeasure, nil)
-			want, _ := refMergeRun(o, k, VolumeMeasure, nil, new(refQueue))
+			got := mergeRun(o, k, nil, nil)
+			want, _, _ := refMergeRun(o, k, VolumeMeasure, nil, new(refQueue))
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s k=%d: cuts %v, reference %v", name, k, got, want)
 			}
 		}
 		var got, want []uint64
-		mergeRun(o, 0, VolumeMeasure, func(_ int, vol float64) { got = append(got, math.Float64bits(vol)) })
-		refMergeRun(o, 0, VolumeMeasure, func(_ int, vol float64) { want = append(want, math.Float64bits(vol)) }, new(refQueue))
+		mergeRun(o, 0, nil, func(_ int, vol float64) { got = append(got, math.Float64bits(vol)) })
+		_, wantOrder, _ := refMergeRun(o, 0, VolumeMeasure, func(_ int, vol float64) { want = append(want, math.Float64bits(vol)) }, new(refQueue))
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: observed volumes differ from the reference", name)
+		}
+		if gotOrder := MergePlan(o, nil).order; !slices.Equal(gotOrder, wantOrder) {
+			t.Fatalf("%s: merge order %v, reference %v", name, gotOrder, wantOrder)
+		}
+	}
+}
+
+// heapOpKeys are the keys of the op-sequence tests: a few values, so
+// exact ties are the common case, and the IEEE edges — NaN, which every
+// "<" calls unordered, both infinities and both zeros.
+var heapOpKeys = []float64{0, 1, 1, 2, 3, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
+// TestMergeHeapOpsMatchContainerHeap drives the merge heap and
+// container/heap through the same seeded random sequences of Init, Push
+// and Pop and compares every pop: the element, by its unique seg, and the
+// bits of its key.
+func TestMergeHeapOpsMatchContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var ref refHeap
+		var got mergeScratch
+		next := int32(0)
+		newCand := func() refCand {
+			next++
+			return refCand{increase: heapOpKeys[rng.Intn(len(heapOpKeys))], seg: next}
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			c := newCand()
+			ref = append(ref, c)
+			got.h = append(got.h, mergeCand{increase: c.increase, seg: c.seg})
+		}
+		heap.Init(&ref)
+		got.heapInit()
+		for op := 0; op < 400; op++ {
+			if ref.Len() == 0 || rng.Intn(5) < 2 {
+				c := newCand()
+				heap.Push(&ref, c)
+				got.heapPush(mergeCand{increase: c.increase, seg: c.seg})
+				continue
+			}
+			want := heap.Pop(&ref).(refCand)
+			g := got.heapPop()
+			if g.seg != want.seg || math.Float64bits(g.increase) != math.Float64bits(want.increase) {
+				t.Fatalf("seed %d op %d: popped seg %d (%v), container/heap seg %d (%v)",
+					seed, op, g.seg, g.increase, want.seg, want.increase)
+			}
+		}
+		if len(got.h) != ref.Len() {
+			t.Fatalf("seed %d: %d candidates left, container/heap %d", seed, len(got.h), ref.Len())
 		}
 	}
 }
@@ -216,7 +321,7 @@ func TestMergeEmptyObject(t *testing.T) {
 	if got := MergeCurve(empty, 3); !slices.Equal(got, make([]float64, 4)) {
 		t.Fatalf("MergeCurve on an empty object = %v, want zeros", got)
 	}
-	if cuts := mergeRun(empty, 2, VolumeMeasure, nil); len(cuts) != 0 {
+	if cuts := mergeRun(empty, 2, nil, nil); len(cuts) != 0 {
 		t.Fatalf("mergeRun on an empty object cut at %v", cuts)
 	}
 }

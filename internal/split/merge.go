@@ -40,9 +40,6 @@ type Planner func(o *trajectory.Object, m Measure) Plan
 func MergePlan(o *trajectory.Object, m Measure) Plan {
 	n := o.Len()
 	p := Plan{Curve: make([]float64, max(n, 1)), order: make([]int32, max(n-1, 0)), measure: m}
-	if m == nil {
-		m = VolumeMeasure
-	}
 	mergeRunOrder(o, 0, m, func(splits int, total float64) { p.Curve[splits] = total }, p.order)
 	return p
 }
@@ -75,7 +72,7 @@ func (p Plan) Result(o *trajectory.Object, k int) Result {
 // computed by a run of its own. The benchmark's traced pipeline calls it
 // by name and the plan's equivalence tests use it as their reference.
 func MergeSplit(o *trajectory.Object, k int) Result {
-	cuts := mergeRun(o, k, VolumeMeasure, nil)
+	cuts := mergeRun(o, k, nil, nil)
 	return buildResult(o, cuts)
 }
 
@@ -99,23 +96,41 @@ type mergeSeg struct {
 	rect       geom.Rect
 	vol        float64
 	prev, next int32 // indices into the segment arena, -1 at the ends
-	version    int32 // bumped on every change, for lazy heap invalidation
-	dead       bool
+	// version is the number of the merge that last changed the segment
+	// (merges count from 1; 0 is the initial singleton), for lazy heap
+	// invalidation.
+	version int32
+	dead    bool
 }
 
 // mergeCand is a heap entry proposing to merge segment seg with its
-// successor. It is stale when either side's version changed since push.
-// 24 bytes, where int fields made 32.
+// successor. stamp is the larger of the two sides' versions at push time.
+// Versions only grow, and a merge after the push stamps a version above
+// every version that existed at it, so the candidate is stale exactly
+// when either side's version now exceeds stamp: when either changed
+// since the push. One stamp keeps the entry at 16 bytes, so a sift moves
+// less memory.
 type mergeCand struct {
-	increase        float64
-	seg, verA, verB int32
+	increase   float64
+	seg, stamp int32
+}
+
+// measure is m(r, length), with a nil m the volume objective computed in
+// line: VolumeMeasure's expression, rounded as its return rounds it, so
+// the bits are the same without an indirect call per candidate.
+func measure(m Measure, r geom.Rect, length int64) float64 {
+	if m == nil {
+		return float64(r.Area() * float64(length))
+	}
+	return m(r, length)
 }
 
 // mergeRun performs the merge process down to targetSplits splits (i.e.
-// targetSplits+1 boxes) and returns the surviving cut positions. When
-// observe is non-nil it is invoked after every state (including the
-// initial all-singletons state) with the current number of splits and
-// total volume, and the run continues all the way down to a single box.
+// targetSplits+1 boxes) under the measure m (nil: volume) and returns the
+// surviving cut positions. When observe is non-nil it is invoked after
+// every state (including the initial all-singletons state) with the
+// current number of splits and total volume, and the run continues all
+// the way down to a single box.
 // An empty object has no state to observe and no cuts.
 func mergeRun(o *trajectory.Object, targetSplits int, m Measure, observe func(splits int, vol float64)) []int {
 	return mergeRunOrder(o, targetSplits, m, observe, nil)
@@ -136,7 +151,7 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 	total := 0.0
 	for i := int32(0); i < int32(n); i++ {
 		r := o.InstantRect(int(i))
-		segs[i] = mergeSeg{lo: i, hi: i + 1, rect: r, vol: m(r, 1), prev: i - 1, next: i + 1}
+		segs[i] = mergeSeg{lo: i, hi: i + 1, rect: r, vol: measure(m, r, 1), prev: i - 1, next: i + 1}
 		total += segs[i].vol
 	}
 	segs[n-1].next = -1
@@ -161,7 +176,7 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 			continue
 		}
 		b := &segs[a.next]
-		if c.verA != a.version || c.verB != b.version {
+		if a.version > c.stamp || b.version > c.stamp {
 			continue // stale entry; a fresh one exists or will be pushed
 		}
 		// Merge b into a.
@@ -169,12 +184,12 @@ func mergeRunOrder(o *trajectory.Object, targetSplits int, m Measure, observe fu
 			order[n-live] = b.lo
 		}
 		union := a.rect.Union(b.rect)
-		newVol := m(union, int64(b.hi-a.lo))
+		newVol := measure(m, union, int64(b.hi-a.lo))
 		total += newVol - a.vol - b.vol
 		a.rect = union
 		a.hi = b.hi
 		a.vol = newVol
-		a.version++
+		a.version = int32(n - live + 1)
 		b.dead = true
 		a.next = b.next
 		// Changing a's version invalidates the two entries that referenced
@@ -212,6 +227,6 @@ func candidate(segs []mergeSeg, i int32, m Measure) mergeCand {
 	a := &segs[i]
 	b := &segs[a.next]
 	union := a.rect.Union(b.rect)
-	inc := m(union, int64(b.hi-a.lo)) - a.vol - b.vol
-	return mergeCand{seg: i, verA: a.version, verB: b.version, increase: inc}
+	inc := measure(m, union, int64(b.hi-a.lo)) - a.vol - b.vol
+	return mergeCand{seg: i, stamp: max(a.version, b.version), increase: inc}
 }

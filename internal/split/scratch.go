@@ -117,8 +117,10 @@ type mergeScratch struct {
 // it only drops the interface boxing of each pushed and popped element,
 // and a sift carries its element in a local and moves the hole — one
 // store per level where a swap makes two — which compares the same pairs
-// and leaves the same layout. Narrower elements (a 24-byte mergeCand, a
-// 64-byte mergeSeg) move less memory per sift and change no comparison.
+// and leaves the same layout. heapDown picks the smaller child without a
+// branch (the same strict "<", so the left child still wins a tie), and a
+// narrower element (a 16-byte mergeCand, a 64-byte mergeSeg) moves less
+// memory per sift; neither changes a comparison.
 // The pop order among equal increases is part of what a record file is
 // (DESIGN.md, "Split plans"): do not replace the queue by one that breaks
 // ties differently.
@@ -156,16 +158,19 @@ func (s *mergeScratch) heapPop() mergeCand {
 	return c
 }
 
-// heapDown sifts x down from the hole at i within h[:n].
+// heapDown sifts x down from the hole at i within h[:n]. The child pick
+// is container/heap's "right if right < left" as arithmetic: on the
+// tie-heavy keys of generated data a branch there mispredicts at every
+// level.
 func (s *mergeScratch) heapDown(i, n int, x mergeCand) {
-	h := s.h
+	h := s.h[:n]
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].increase < h[j].increase {
-			j = j2
+		if j+1 < n {
+			j += b2i(h[j+1].increase < h[j].increase)
 		}
 		if !(h[j].increase < x.increase) {
 			break
@@ -174,6 +179,15 @@ func (s *mergeScratch) heapDown(i, n int, x mergeCand) {
 		i = j
 	}
 	h[i] = x
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc for it.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 var mergeScratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}

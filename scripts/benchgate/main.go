@@ -7,7 +7,7 @@
 // when it is more than 25% above the row.
 //
 //	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/pprtree ./internal/stream ./internal/ingest -run NONE \
-//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkBuild$|BenchmarkStreamApply|BenchmarkDecodeBatch|BenchmarkFreeze' \
+//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkLAGreedy$|BenchmarkBuild$|BenchmarkStreamApply|BenchmarkDecodeBatch|BenchmarkFreeze' \
 //	    -benchtime 3x | go run ./scripts/benchgate BENCH_parallel.json
 package main
 
