@@ -45,7 +45,7 @@ func BenchmarkBox3Operations(b *testing.B) {
 	total := 0.0
 	for i := 0; i < b.N; i++ {
 		a, c := boxes[i&1023], boxes[(i+13)&1023]
-		total += a.UnionBox3(c).Volume() + a.OverlapVolume(c)
+		total += a.Union(c).Volume() + a.Overlap(c)
 	}
 	_ = total
 }

@@ -13,7 +13,7 @@ type Box3 struct {
 	Min, Max [3]float64
 }
 
-// EmptyBox3 returns the identity element for UnionBox3.
+// EmptyBox3 returns the identity element for Union.
 func EmptyBox3() Box3 {
 	return Box3{
 		Min: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
@@ -54,6 +54,9 @@ func (b Box3) Volume() float64 {
 	return v
 }
 
+// Measure returns the volume, as Rect.Measure returns the area.
+func (b Box3) Measure() float64 { return b.Volume() }
+
 // Margin returns the sum of the three edge lengths (the R* split margin
 // metric, up to a constant factor).
 func (b Box3) Margin() float64 {
@@ -76,8 +79,11 @@ func (b Box3) Center() [3]float64 {
 	}
 }
 
-// UnionBox3 returns the smallest box covering both operands.
-func (b Box3) UnionBox3(o Box3) Box3 {
+// Bounds returns b's lower and upper bound on axis.
+func (b Box3) Bounds(axis int) (lo, hi float64) { return b.Min[axis], b.Max[axis] }
+
+// Union returns the smallest box covering both operands.
+func (b Box3) Union(o Box3) Box3 {
 	if b.IsEmpty() {
 		return o
 	}
@@ -154,8 +160,8 @@ func (b Box3) Contains(o Box3) bool {
 	return true
 }
 
-// OverlapVolume returns the volume of the intersection.
-func (b Box3) OverlapVolume(o Box3) float64 {
+// Overlap returns the volume of the intersection.
+func (b Box3) Overlap(o Box3) float64 {
 	v := 1.0
 	for d := 0; d < 3; d++ {
 		lo := max(b.Min[d], o.Min[d])
@@ -170,7 +176,7 @@ func (b Box3) OverlapVolume(o Box3) float64 {
 
 // Enlargement3 returns the volume increase needed for b to also cover o.
 func (b Box3) Enlargement3(o Box3) float64 {
-	return b.UnionBox3(o).Volume() - b.Volume()
+	return b.Union(o).Volume() - b.Volume()
 }
 
 // MinDistXY2 returns the squared Euclidean distance from point (x, y) to

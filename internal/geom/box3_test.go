@@ -46,17 +46,17 @@ func TestBox3UnionIntersection(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randBox3(r), randBox3(r)
-		u := a.UnionBox3(b)
+		u := a.Union(b)
 		if !u.Contains(a) || !u.Contains(b) {
 			return false
 		}
-		if u != b.UnionBox3(a) {
+		if u != b.Union(a) {
 			return false
 		}
-		if a.Intersects(b) != (a.OverlapVolume(b) > 0 || touching3(a, b)) {
+		if a.Intersects(b) != (a.Overlap(b) > 0 || touching3(a, b)) {
 			return false
 		}
-		if a.OverlapVolume(b) > math.Min(a.Volume(), b.Volume())+1e-12 {
+		if a.Overlap(b) > math.Min(a.Volume(), b.Volume())+1e-12 {
 			return false
 		}
 		if a.Enlargement3(b) < -1e-12 {
@@ -93,7 +93,7 @@ func TestBox3EmptyIdentity(t *testing.T) {
 	e := EmptyBox3()
 	for i := 0; i < 30; i++ {
 		b := randBox3(rng)
-		if e.UnionBox3(b) != b || b.UnionBox3(e) != b {
+		if e.Union(b) != b || b.Union(e) != b {
 			t.Fatal("EmptyBox3 is not the union identity")
 		}
 		if e.Intersects(b) || e.Contains(b) || b.Contains(e) {

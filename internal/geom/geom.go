@@ -72,8 +72,11 @@ func (r Rect) Area() float64 {
 	return (r.MaxX - r.MinX) * (r.MaxY - r.MinY)
 }
 
-// Perimeter returns half the perimeter (the R*-tree "margin") of r.
-func (r Rect) Perimeter() float64 {
+// Measure returns the area, as Box3.Measure returns the volume.
+func (r Rect) Measure() float64 { return r.Area() }
+
+// Margin returns half the perimeter (the R*-tree "margin") of r.
+func (r Rect) Margin() float64 {
 	if r.IsEmpty() {
 		return 0
 	}
@@ -207,8 +210,16 @@ func (r Rect) MinDist2(x, y float64) float64 {
 	return dx*dx + dy*dy
 }
 
-// OverlapArea returns the area of the intersection of r and s.
-func (r Rect) OverlapArea(s Rect) float64 {
+// Bounds returns r's lower and upper bound on axis 0 (x) or 1 (y).
+func (r Rect) Bounds(axis int) (lo, hi float64) {
+	if axis == 0 {
+		return r.MinX, r.MaxX
+	}
+	return r.MinY, r.MaxY
+}
+
+// Overlap returns the area of the intersection of r and s.
+func (r Rect) Overlap(s Rect) float64 {
 	return r.Intersect(s).Area()
 }
 

@@ -17,8 +17,8 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); got != 8 {
 		t.Fatalf("Area = %g, want 8", got)
 	}
-	if got := r.Perimeter(); got != 6 {
-		t.Fatalf("Perimeter = %g, want 6", got)
+	if got := r.Margin(); got != 6 {
+		t.Fatalf("Margin = %g, want 6", got)
 	}
 	if c := r.Center(); c.X != 2 || c.Y != 4 {
 		t.Fatalf("Center = %+v", c)
@@ -49,7 +49,7 @@ func TestEmptyRectIdentity(t *testing.T) {
 			t.Fatal("EmptyRect containment should be false")
 		}
 	}
-	if e.Area() != 0 || e.Perimeter() != 0 {
+	if e.Area() != 0 || e.Margin() != 0 {
 		t.Fatal("EmptyRect has nonzero measures")
 	}
 }
@@ -98,7 +98,7 @@ func TestIntersectionProperties(t *testing.T) {
 				return false
 			}
 		}
-		if a.OverlapArea(b) != inter.Area() {
+		if a.Overlap(b) != inter.Area() {
 			return false
 		}
 		// Enlargement is non-negative and zero iff containment.

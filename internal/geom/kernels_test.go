@@ -129,14 +129,14 @@ func checkRectKernels(t *testing.T, r, s Rect) {
 		sameCoords(t, "Intersect", rectCoords(r.Intersect(s)), rectCoords(refIntersect(r, s)), false)
 	}
 	sameScalar(t, "Enlargement", r.Enlargement(s), refUnion(r, s).Area()-r.Area(), nan)
-	sameScalar(t, "OverlapArea", r.OverlapArea(s), refIntersect(r, s).Area(), nan)
+	sameScalar(t, "Overlap", r.Overlap(s), refIntersect(r, s).Area(), nan)
 }
 
 func checkBox3Kernels(t *testing.T, a, b Box3) {
 	t.Helper()
 	nan := anyNaN(box3Coords(a), box3Coords(b))
-	sameCoords(t, "UnionBox3", box3Coords(a.UnionBox3(b)), box3Coords(refUnionBox3(a, b)), nan)
-	sameScalar(t, "OverlapVolume", a.OverlapVolume(b), refOverlapVolume(a, b), nan)
+	sameCoords(t, "Union", box3Coords(a.Union(b)), box3Coords(refUnionBox3(a, b)), nan)
+	sameScalar(t, "Overlap", a.Overlap(b), refOverlapVolume(a, b), nan)
 	sameScalar(t, "Enlargement3", a.Enlargement3(b), refUnionBox3(a, b).Volume()-a.Volume(), nan)
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/rsplit"
 	"stindex/internal/treewalk"
 )
 
@@ -28,6 +29,8 @@ type hentry struct {
 	rect geom.Rect
 	ref  uint64
 }
+
+func (e hentry) Box() geom.Rect { return e.rect }
 
 type hnode struct {
 	id      pagefile.PageID
@@ -169,7 +172,8 @@ type Tree struct {
 	// other pages are shared history and must be copied before changing.
 	fresh  map[pagefile.PageID]bool
 	encBuf []byte
-	walk   treewalk.Scratch // pooled query scratch
+	walk   treewalk.Scratch                  // pooled query scratch
+	split  rsplit.Scratch[hentry, geom.Rect] // node-split scratch
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -203,6 +207,14 @@ func (t *Tree) Alive() int { return t.alive }
 
 // NumVersions returns the number of root versions.
 func (t *Tree) NumVersions() int { return len(t.versions) }
+
+// VersionRoots calls fn with each version's root page, height and time
+// span, oldest first.
+func (t *Tree) VersionRoots(fn func(root pagefile.PageID, height int, start, end int64)) {
+	for _, v := range t.versions {
+		fn(v.page, v.height, v.start, v.end)
+	}
+}
 
 // Buffer exposes the LRU pool.
 func (t *Tree) Buffer() *pagefile.Buffer { return t.buf }
@@ -245,6 +257,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
 	cp.walk = treewalk.Scratch{}
+	cp.split = rsplit.Scratch[hentry, geom.Rect]{}
 	return &cp
 }
 

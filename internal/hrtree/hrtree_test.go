@@ -236,3 +236,27 @@ func TestHNodeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitAllocatesOnlyGroups: with the tree's split scratch warm, an
+// overflow split allocates the sibling (its node and page) and the two
+// groups that become node entries — its sorts and sweeps allocate nothing.
+func TestSplitAllocatesOnlyGroups(t *testing.T) {
+	tree, err := New(Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	entries := make([]hentry, tree.opts.MaxEntries+1)
+	for i, r := range randHRecords(rng, len(entries), 100) {
+		entries[i] = hentry{rect: r.rect, ref: r.ref}
+	}
+	n := &hnode{leaf: true}
+	split := func() {
+		n.entries = entries
+		tree.splitNode(n)
+	}
+	split()
+	if got := testing.AllocsPerRun(100, split); got > 4 {
+		t.Fatalf("splitNode: %v allocs/op, want at most 4", got)
+	}
+}

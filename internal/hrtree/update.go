@@ -2,7 +2,7 @@ package hrtree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
@@ -197,9 +197,9 @@ func refreshChildRect(parent, child *hnode) {
 // heuristic on 2D rectangles; n keeps group one, the returned fresh
 // sibling gets group two.
 func (t *Tree) splitNode(n *hnode) *hnode {
-	g1, g2 := chooseHSplit(n.entries, t.opts.MinEntries)
-	n.entries = g1
-	sibling := &hnode{id: t.file.Allocate(), leaf: n.leaf, entries: g2}
+	g1, g2 := t.split.Split(n.entries, t.opts.MinEntries, 2)
+	n.entries = slices.Clone(g1)
+	sibling := &hnode{id: t.file.Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
 	t.fresh[sibling.id] = true
 	return sibling
 }
@@ -370,90 +370,5 @@ func (t *Tree) heightOf(id pagefile.PageID) (int, error) {
 		}
 		h++
 		id = pagefile.PageID(n.entries[0].ref)
-	}
-}
-
-// chooseHSplit partitions 2D entries with the R* margin/overlap heuristic.
-func chooseHSplit(entries []hentry, m int) (g1, g2 []hentry) {
-	if m > len(entries)/2 {
-		m = len(entries) / 2
-	}
-	if m < 1 {
-		m = 1
-	}
-	bestAxis := 0
-	bestMargin := 0.0
-	for axis := 0; axis < 2; axis++ {
-		margin := 0.0
-		for _, byUpper := range [2]bool{false, true} {
-			sorted := sortHEntries(entries, axis, byUpper)
-			forEachHDistribution(sorted, m, func(_ int, b1, b2 geom.Rect) {
-				margin += b1.Perimeter() + b2.Perimeter()
-			})
-		}
-		if axis == 0 || margin < bestMargin {
-			bestAxis, bestMargin = axis, margin
-		}
-	}
-	type best struct {
-		sorted  []hentry
-		k       int
-		overlap float64
-		area    float64
-		set     bool
-	}
-	var b best
-	for _, byUpper := range [2]bool{false, true} {
-		sorted := sortHEntries(entries, bestAxis, byUpper)
-		forEachHDistribution(sorted, m, func(k int, b1, b2 geom.Rect) {
-			overlap := b1.OverlapArea(b2)
-			area := b1.Area() + b2.Area()
-			if !b.set || overlap < b.overlap || (overlap == b.overlap && area < b.area) {
-				b = best{sorted: sorted, k: k, overlap: overlap, area: area, set: true}
-			}
-		})
-	}
-	g1 = append([]hentry(nil), b.sorted[:b.k]...)
-	g2 = append([]hentry(nil), b.sorted[b.k:]...)
-	return g1, g2
-}
-
-func sortHEntries(entries []hentry, axis int, byUpper bool) []hentry {
-	out := append([]hentry(nil), entries...)
-	key := func(e hentry) (lo, hi float64) {
-		if axis == 0 {
-			return e.rect.MinX, e.rect.MaxX
-		}
-		return e.rect.MinY, e.rect.MaxY
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		li, hi := key(out[i])
-		lj, hj := key(out[j])
-		if byUpper {
-			if hi != hj {
-				return hi < hj
-			}
-			return li < lj
-		}
-		if li != lj {
-			return li < lj
-		}
-		return hi < hj
-	})
-	return out
-}
-
-func forEachHDistribution(sorted []hentry, m int, fn func(k int, b1, b2 geom.Rect)) {
-	n := len(sorted)
-	prefix := make([]geom.Rect, n+1)
-	suffix := make([]geom.Rect, n+1)
-	prefix[0] = geom.EmptyRect()
-	suffix[n] = geom.EmptyRect()
-	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i].Union(sorted[i].rect)
-		suffix[n-1-i] = suffix[n-i].Union(sorted[n-1-i].rect)
-	}
-	for k := m; k <= n-m; k++ {
-		fn(k, prefix[k], suffix[k])
 	}
 }

@@ -34,6 +34,7 @@ type pentry struct {
 	ref     uint64
 }
 
+func (e pentry) Box() geom.Rect       { return e.rect }
 func (e pentry) aliveAt(t int64) bool { return e.insertT <= t && t < e.deleteT }
 func (e pentry) alive() bool          { return e.deleteT == geom.Now }
 func (e pentry) interval() geom.Interval {

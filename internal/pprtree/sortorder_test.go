@@ -143,30 +143,8 @@ func FuzzRecordEventsOrder(f *testing.F) {
 	})
 }
 
-// refSortPEntries is sortPEntries as slices.SortStableFunc over the
-// entries themselves.
-func refSortPEntries(entries []pentry, axis int, byUpper bool) []pentry {
-	dst := slices.Clone(entries)
-	key := func(e pentry) (lo, hi float64) {
-		if axis == 0 {
-			return e.rect.MinX, e.rect.MaxX
-		}
-		return e.rect.MinY, e.rect.MaxY
-	}
-	slices.SortStableFunc(dst, func(a, b pentry) int {
-		la, ha := key(a)
-		lb, hb := key(b)
-		if byUpper {
-			return cmp.Or(cmp.Compare(ha, hb), cmp.Compare(la, lb))
-		}
-		return cmp.Or(cmp.Compare(la, lb), cmp.Compare(ha, hb))
-	})
-	return dst
-}
-
 // dupEntries draws n entries whose bounds come from a handful of values,
-// −0 and +0 among them, so equal keys and equal-but-distinct zeros are
-// common; refs are distinct, so any reordering of ties shows.
+// −0 and +0 among them, so the split's sorts meet many equal keys.
 func dupEntries(rng *rand.Rand, n int) []pentry {
 	vals := []float64{-1, math.Copysign(0, -1), 0, 0.25, 0.5, 1}
 	pick := func() (float64, float64) {
@@ -182,32 +160,6 @@ func dupEntries(rng *rand.Rand, n int) []pentry {
 	return es
 }
 
-// TestSortPEntriesMatchesStableSort holds the key-array insertion sort to
-// slices.SortStableFunc on both axes and both bound orders, for every
-// size up to a node's MaxEntries+1.
-func TestSortPEntriesMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	opts, err := Options{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s keySplitScratch
-	for n := 0; n <= opts.MaxEntries+1; n++ {
-		for trial := 0; trial < 20; trial++ {
-			entries := dupEntries(rng, n)
-			for axis := 0; axis < 2; axis++ {
-				for _, byUpper := range []bool{false, true} {
-					got := s.sortPEntries(nil, entries, axis, byUpper)
-					want := refSortPEntries(entries, axis, byUpper)
-					if !slices.EqualFunc(got, want, func(a, b pentry) bool { return a.ref == b.ref }) {
-						t.Fatalf("n=%d axis=%d byUpper=%v: order differs from the stable sort", n, axis, byUpper)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestKeySplitAllocatesNothing: with the tree's scratch warm, a key split
 // of a full node plus one allocates nothing — a version split allocates
 // its fresh nodes and no more.
@@ -218,8 +170,8 @@ func TestKeySplitAllocatesNothing(t *testing.T) {
 	}
 	entries := dupEntries(rand.New(rand.NewSource(4)), tree.opts.MaxEntries+1)
 	m := tree.keySplitMin(len(entries))
-	tree.ks.keySplit(entries, m)
-	if got := testing.AllocsPerRun(100, func() { tree.ks.keySplit(entries, m) }); got != 0 {
-		t.Fatalf("keySplit: %v allocs/op, want 0", got)
+	tree.ks.Split(entries, m, 2)
+	if got := testing.AllocsPerRun(100, func() { tree.ks.Split(entries, m, 2) }); got != 0 {
+		t.Fatalf("key split: %v allocs/op, want 0", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/rsplit"
 	"stindex/internal/treewalk"
 )
 
@@ -118,9 +119,9 @@ type Tree struct {
 	size   int        // records inserted (data inserts, not copies)
 	alive  int        // records currently alive
 	encBuf []byte
-	path   []*pnode        // descent scratch of the update in progress
-	copies []pentry        // version-split scratch: the records being moved
-	ks     keySplitScratch // key-split scratch
+	path   []*pnode                          // descent scratch of the update in progress
+	copies []pentry                          // version-split scratch: the records being moved
+	ks     rsplit.Scratch[pentry, geom.Rect] // key-split scratch
 	// resident is the open bracket's write-back table of decoded live
 	// nodes; nil while no bracket is open.
 	resident map[pagefile.PageID]*pnode
@@ -285,7 +286,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.encBuf = nil
 	cp.path = nil
 	cp.copies = nil
-	cp.ks = keySplitScratch{}
+	cp.ks = rsplit.Scratch[pentry, geom.Rect]{}
 	cp.growth = nil
 	cp.slots = nil
 	cp.walk = treewalk.Scratch{}

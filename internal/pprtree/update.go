@@ -216,7 +216,7 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 	case len(copies) == 0:
 		// The subtree died entirely; nothing replaces it.
 	case len(copies) >= t.opts.svoMax() || len(copies) > t.opts.MaxEntries:
-		g1, g2 := t.ks.keySplit(copies, t.keySplitMin(len(copies)))
+		g1, g2 := t.ks.Split(copies, t.keySplitMin(len(copies)), 2)
 		fresh = []*pnode{t.newNode(n.leaf, time, g1), t.newNode(n.leaf, time, g2)}
 	default:
 		fresh = []*pnode{t.newNode(n.leaf, time, copies)}
@@ -423,20 +423,10 @@ func (t *Tree) newNode(leaf bool, time int64, entries []pentry) *pnode {
 
 // keySplitMin picks the minimum group size for a key split: at least the
 // weak minimum so neither group underflows immediately, and at least 40%
-// of the records for spatial quality, but never so large that a group
-// cannot fit.
+// of the records for spatial quality. The split caps it at half the
+// records, so both groups fit.
 func (t *Tree) keySplitMin(n int) int {
-	m := n * 2 / 5
-	if w := t.opts.weakMin(); m < w {
-		m = w
-	}
-	if m > n/2 {
-		m = n / 2
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return max(n*2/5, t.opts.weakMin())
 }
 
 func btoi(b bool) int {

@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stindex/internal/geom"
@@ -65,13 +66,13 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 	if childrenAreLeaves {
 		bestOverlap, bestEnl, bestVol := 0.0, 0.0, 0.0
 		for i, e := range n.entries {
-			enlarged := e.box.UnionBox3(b)
+			enlarged := e.box.Union(b)
 			overlapDelta := 0.0
 			for j, o := range n.entries {
 				if j == i {
 					continue
 				}
-				overlapDelta += enlarged.OverlapVolume(o.box) - e.box.OverlapVolume(o.box)
+				overlapDelta += enlarged.Overlap(o.box) - e.box.Overlap(o.box)
 			}
 			vol := e.box.Volume()
 			enl := enlarged.Volume() - vol
@@ -86,7 +87,7 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 	bestEnl, bestVol := 0.0, 0.0
 	for i, e := range n.entries {
 		vol := e.box.Volume()
-		enl := e.box.UnionBox3(b).Volume() - vol // Enlargement3, with the volume it subtracts kept
+		enl := e.box.Union(b).Volume() - vol // Enlargement3, with the volume it subtracts kept
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -119,10 +120,7 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 					reinserts = append(reinserts, pending{e: e, level: level})
 				}
 			} else {
-				sibling, err := t.splitNode(n)
-				if err != nil {
-					return err
-				}
+				sibling := t.splitNode(n)
 				if i == 0 {
 					// Root split: grow the tree.
 					if err := t.writeNode(n); err != nil {
@@ -167,6 +165,15 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 		}
 	}
 	return nil
+}
+
+// splitNode performs the R* split of an overflowing node. The node keeps
+// the first group; a freshly allocated sibling receives the second. The
+// sibling is returned unwritten.
+func (t *Tree) splitNode(n *node) *node {
+	g1, g2 := t.split.Split(n.entries, t.opts.MinEntries, 3)
+	n.entries = slices.Clone(g1)
+	return &node{id: t.file.Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
 }
 
 // evictFarthest removes the ReinsertCount entries whose centers are

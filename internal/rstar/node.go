@@ -22,6 +22,8 @@ type entry struct {
 	ref uint64
 }
 
+func (e entry) Box() geom.Box3 { return e.box }
+
 // node is the decoded form of one page.
 type node struct {
 	id      pagefile.PageID
@@ -33,7 +35,7 @@ type node struct {
 func (n *node) mbr() geom.Box3 {
 	b := geom.EmptyBox3()
 	for _, e := range n.entries {
-		b = b.UnionBox3(e.box)
+		b = b.Union(e.box)
 	}
 	return b
 }

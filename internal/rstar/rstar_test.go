@@ -168,3 +168,27 @@ func TestEmptyTreeSearch(t *testing.T) {
 		t.Fatalf("Validate empty: %v", err)
 	}
 }
+
+// TestSplitAllocatesOnlyGroups: with the tree's split scratch warm, an
+// overflow split allocates the sibling (its node and page) and the two
+// groups that become node entries — its sorts and sweeps allocate nothing.
+func TestSplitAllocatesOnlyGroups(t *testing.T) {
+	tree, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	entries := make([]entry, tree.opts.MaxEntries+1)
+	for i := range entries {
+		entries[i] = entry{box: randBox3(rng), ref: uint64(i)}
+	}
+	n := &node{leaf: true}
+	split := func() {
+		n.entries = entries
+		tree.splitNode(n)
+	}
+	split()
+	if got := testing.AllocsPerRun(100, split); got > 4 {
+		t.Fatalf("splitNode: %v allocs/op, want at most 4", got)
+	}
+}

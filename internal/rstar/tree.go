@@ -5,6 +5,7 @@ import (
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
+	"stindex/internal/rsplit"
 	"stindex/internal/treewalk"
 )
 
@@ -74,7 +75,8 @@ type Tree struct {
 	height int // 1 = root is a leaf
 	size   int // number of data entries
 	encBuf []byte
-	walk   treewalk.Scratch // pooled query scratch
+	walk   treewalk.Scratch                 // pooled query scratch
+	split  rsplit.Scratch[entry, geom.Box3] // node-split scratch
 }
 
 // New creates an empty tree.
@@ -153,6 +155,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
 	cp.encBuf = nil
 	cp.walk = treewalk.Scratch{}
+	cp.split = rsplit.Scratch[entry, geom.Box3]{}
 	return &cp
 }
 

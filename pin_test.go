@@ -22,7 +22,9 @@ import (
 // page image or an encoded byte fails here. The "*/pages" digests pin
 // what the pages hold (pageImageDigest); they were recorded on the last
 // commit that still wrote identity containers, whose digests they
-// replace.
+// replace. The "rstar/pages" and "hr/pages" digests, the two trees built
+// by insertion and node splits, were recorded on the commit before the
+// three trees' R* splits became one.
 var pinnedBuildDigests = map[int64]map[string]string{
 	1: {
 		"records/merge-lagreedy":  "55665d9fecacf48e8496cb72908022f97fafb2ec4f7cbc2fcdcd30f05f931d0a",
@@ -31,6 +33,8 @@ var pinnedBuildDigests = map[int64]map[string]string{
 		"ppr/compressed":          "139964170c5dabd0fa64455514a03617c63abd8005bd45784395fca996f52eb1",
 		"rstar-packed/pages":      "4619230751da08e21cd5aa7f3513745e5e520696a201decca62bd272550afced",
 		"rstar-packed/compressed": "6df5bf34f8e322f74aeaa6fd05227821d87349ac3b012d40b6c8ec1dd81b2e96",
+		"rstar/pages":             "f80407e675ae405559428e99547b262b5f92c34000398aa4321a52b5a35ee01d",
+		"hr/pages":                "fcabcdbfab83dcbe68e04f6e85948345d34ec69d9cab0dd7555187809098a33c",
 	},
 	2: {
 		"records/merge-lagreedy":  "8ebe81eda393977711ca8be975d0c91b45899e9afd951c400a70d157bf653ee2",
@@ -39,6 +43,8 @@ var pinnedBuildDigests = map[int64]map[string]string{
 		"ppr/compressed":          "0d9aec14e6f987aaa03d37645adb2329a70e6df27842b8b6ea543e3c134fe900",
 		"rstar-packed/pages":      "f396490cc6067f4a2c07c2e3c5bfcc1d852d0a4a92ac3b662b594cadcbab9a9d",
 		"rstar-packed/compressed": "10b9d64b9cde6eebab88e32c80d613fc35d4055a22fc6b7d03d6d3e5b2e0d633",
+		"rstar/pages":             "5a0869c379858f2ca4161e3d239cf075e75ceed4629e2d2ea81c6b11ab81e81f",
+		"hr/pages":                "8308ee9aa4b2626efe1b972a7721e97d74b75f4752e38e5bf6aa4d7e3f65b38a",
 	},
 }
 
@@ -73,12 +79,25 @@ func savedDigest(t *testing.T, idx Index) string {
 
 // pageImageDigest hashes what an index's container extent encodes,
 // whatever the page codec: the meta section, the free list (count, then
-// ids) and every live page image of the index's store, in id order.
+// ids) and every live page image of the index's store, in id order. An
+// HR-tree has no container: its version roots (page, height, span) stand
+// in for the meta section.
 func pageImageDigest(t *testing.T, idx Index) string {
 	t.Helper()
-	_, meta, store, err := encodeContainerMeta(idx)
-	if err != nil {
-		t.Fatal(err)
+	var meta []byte
+	var store pagefile.Store
+	if hr, ok := idx.(*HRIndex); ok {
+		store = hr.Tree().Store()
+		hr.Tree().VersionRoots(func(root pagefile.PageID, height int, start, end int64) {
+			for _, v := range [4]uint64{uint64(root), uint64(height), uint64(start), uint64(end)} {
+				meta = binary.LittleEndian.AppendUint64(meta, v)
+			}
+		})
+	} else {
+		var err error
+		if _, meta, store, err = encodeContainerMeta(idx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h := sha256.New()
 	h.Write(meta)
@@ -102,8 +121,10 @@ func pageImageDigest(t *testing.T, idx Index) string {
 }
 
 // TestBuildBytesPinned pins the offline pipeline's output byte for byte:
-// the split records (merge splitter under both greedy distributions) and
-// the page images and saved containers of the two build paths.
+// the split records (merge splitter under both greedy distributions), the
+// page images and saved containers of the two build paths, and the page
+// images of the two trees built by insertion, whose node splits the
+// first two never run.
 func TestBuildBytesPinned(t *testing.T) {
 	for seed, want := range pinnedBuildDigests {
 		objs := genObjects(t, 1500, seed)
@@ -138,6 +159,16 @@ func TestBuildBytesPinned(t *testing.T) {
 			got[kind+"/pages"] = pageImageDigest(t, idx)
 			got[kind+"/compressed"] = savedDigest(t, idx)
 		}
+		rst, err := BuildRStar(records, RStarOptions{ShuffleSeed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := BuildHR(records, HROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["rstar/pages"] = pageImageDigest(t, rst)
+		got["hr/pages"] = pageImageDigest(t, hr)
 
 		for name, w := range want {
 			if got[name] != w {
