@@ -73,7 +73,7 @@ func (h *Handle) state() (seq uint64, maxT int64, liveObjects, records int) {
 
 // vstate validates a group of batches against the handle plus an overlay
 // of the records validated earlier in the same group (they are not
-// applied yet — apply happens only after the journal fsync). The overlay
+// applied yet — apply happens only after the journal write). The overlay
 // mirrors exactly the checks Observe/Finish/FinishAll perform, plus the
 // global time discipline (non-decreasing t) the underlying partially
 // persistent tree requires anyway.
@@ -186,13 +186,16 @@ func (v *vstate) admit(r Record) error {
 
 // apply applies validated batches inside one write-back bracket of the
 // index's tree, creating the index at the first record of a fresh stream:
-// each live node is decoded and written once for the whole group. The
-// caller holds whatever lock guards s and keeps it until apply returns,
-// so nothing observes the open bracket. Validation (or, on recovery, the
-// journal having been validated) guarantees success; an error means the
-// records and the index disagree, the bracket has poisoned the tree, and
-// s counts none of the group.
-func (s *streamState) apply(batches [][]Record) error {
+// each live node is written once for the whole group. The bracket's last
+// step is durable, when given — the live pipeline's wait for the fsync
+// of the group's journal frames — so a failed fsync fails the bracket.
+// The caller holds whatever lock guards s and keeps it until apply
+// returns, so nothing observes the open bracket or a group not yet
+// durable. Validation (or, on recovery, the journal having been
+// validated) guarantees the records apply; an error means the records
+// and the index disagree or the group is not durable, the bracket has
+// poisoned the tree, and s counts none of the group.
+func (s *streamState) apply(batches [][]Record, durable func() error) error {
 	if s.ix == nil {
 		first := batches[0][0]
 		if first.Kind != RecObserve {
@@ -229,6 +232,9 @@ func (s *streamState) apply(batches [][]Record) error {
 					maxT = r.T
 				}
 			}
+		}
+		if durable != nil {
+			return durable()
 		}
 		return nil
 	})

@@ -5,10 +5,13 @@
 // the journal back to the exact pre-crash state.
 //
 // Durability contract: a record is acknowledged to the client only after
-// its WAL frame is fsynced, and it is applied to the in-memory index only
-// after that same fsync — so acknowledged ⊆ applied ⊆ durable, and
-// recovery (snapshot + journal tail) reconstructs a state that contains
-// every acknowledged record and nothing the validator did not admit.
+// its WAL frame is fsynced. It is applied to the in-memory index while
+// that fsync runs, but under the lock every reader of the index takes,
+// which the apply keeps until the fsync has returned — and a failed fsync
+// poisons the index instead of releasing the group. So acknowledged ⊆
+// visible ⊆ durable, and recovery (snapshot + journal tail) reconstructs
+// a state that contains every acknowledged record and nothing the
+// validator did not admit.
 package ingest
 
 import (

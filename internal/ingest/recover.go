@@ -242,7 +242,7 @@ func Recover(dir string, opts RecoverOptions) (*Recovered, error) {
 			// error means the journal and the snapshot disagree, and
 			// recovery fail-stops.
 			st.opts.Lambda = rec.Lambda
-			if err := st.apply([][]Record{pending}); err != nil {
+			if err := st.apply([][]Record{pending}, nil); err != nil {
 				return nil, fmt.Errorf("ingest: replaying segment %s from seq %d: %w", filepath.Base(path), rec.Seq+1, err)
 			}
 			rec.Index, rec.Seq, rec.MaxT = st.ix, st.seq, st.maxT

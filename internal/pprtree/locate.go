@@ -8,9 +8,10 @@ import (
 )
 
 // The record locator answers findAliveRecord without a search. It lives
-// for one write-back bracket, beside the resident table, and holds two
-// kinds of link, both registered where entries join a live node (fixup's
-// appendEntries and newNode, the sites that register back-references):
+// beside the resident table, from bracket to bracket as the table does,
+// and holds two kinds of link, both registered where entries join a live
+// node (fixup's appendEntries and newNode, the sites that register
+// back-references):
 //
 //   - Tree.located: an alive leaf record's ref → the resident leaf that
 //     holds it, pruned when the record is deleted or its leaf dies, so it
@@ -18,16 +19,19 @@ import (
 //   - pnode.parent: a live node → the resident directory node holding its
 //     alive entry, overwritten when that entry is copied to a fresh node.
 //
-// A bracket keeps a locator only when it opens on a tree with no alive
-// record. Every alive record is then one the bracket saw added, the table
-// is complete, and "this ref has one alive copy" is a fact, not a guess:
-// the depth-first search matches on (ref, rect) and takes the first match
-// in entry order, so with a second alive copy somewhere the bracket never
-// looked — an append to a tree that already holds the ref — the leaf the
-// locator knows need not be the one the search picks, and which copy is
-// closed is visible in the pages. Brackets over existing alive records
-// (AppendRecords to a non-empty tree, every ingest commit group but a
-// tree's first) therefore run without one and pay nothing for it.
+// A locator must have seen every alive copy: the depth-first search
+// matches on (ref, rect) and takes the first match in entry order, so
+// with a second alive copy the locator never saw — an append to a tree
+// that already holds the ref — the leaf it knows need not be the one the
+// search picks, and which copy is closed is visible in the pages. So a
+// bracket that opens with nothing kept builds its locator over every
+// alive copy: over a tree with no alive record it starts empty and sees
+// each record added; over alive records — a tree opened or recovered
+// from a container, an AppendRecords onto one, the first bracket after a
+// write outside one — it takes one walk of the live tree (locateBelow),
+// which reads every live node into the table and registers every alive
+// copy. Then "this ref has one alive copy" is a fact, not a guess, and a
+// ref with more goes to the search.
 
 // recLoc is what the locator knows of one ref.
 type recLoc struct {
@@ -51,14 +55,45 @@ func (t *Tree) trackLocation(n *pnode, added []pentry) {
 		return
 	}
 	for _, e := range added {
-		l := t.located[e.ref]
-		l.copies++
-		l.leaf = n
-		if l.copies > 1 {
-			l.leaf = nil
-		}
-		t.located[e.ref] = l
+		t.locateCopy(n, e.ref)
 	}
+}
+
+// locateCopy registers one more alive copy of ref, held by leaf n.
+func (t *Tree) locateCopy(n *pnode, ref uint64) {
+	l := t.located[ref]
+	l.copies++
+	l.leaf = n
+	if l.copies > 1 {
+		l.leaf = nil
+	}
+	t.located[ref] = l
+}
+
+// locateBelow reads the live subtree under page id into the resident
+// table and registers its alive entries with the locator, as
+// trackLocation registers entries that join a node. It returns the
+// subtree's root.
+func (t *Tree) locateBelow(id pagefile.PageID) (*pnode, error) {
+	n, err := t.readNode(id)
+	if err != nil {
+		return nil, err
+	}
+	for i := range n.entries {
+		e := &n.entries[i]
+		switch {
+		case !e.alive():
+		case n.leaf:
+			t.locateCopy(n, e.ref)
+		default:
+			child, err := t.locateBelow(pagefile.PageID(e.ref))
+			if err != nil {
+				return nil, err
+			}
+			child.parent = n
+		}
+	}
+	return n, nil
 }
 
 // untrackRecord forgets one alive copy of ref: the record was deleted, or

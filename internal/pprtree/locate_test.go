@@ -2,12 +2,14 @@ package pprtree
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"stindex/internal/geom"
+	"stindex/internal/pagefile"
 )
 
 // applyOne applies one replay event the way applyEvents does.
@@ -188,11 +190,23 @@ func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
 	}
 }
 
-// TestLocatorOnlyWhereTheBracketSawEveryRecord: a bracket over a tree
-// that already holds alive records keeps no locator — one of them may be
-// the twin of a record the bracket adds, in a leaf the bracket never
-// reads — and appending twins of still-alive records builds the pages
-// write-through builds.
+// locatedCopies is the number of alive copies the open bracket's locator
+// counts.
+func locatedCopies(tree *Tree) int {
+	n := 0
+	for _, l := range tree.located {
+		n += l.copies
+	}
+	return n
+}
+
+// TestLocatorOnlyWhereTheBracketSawEveryRecord: a locator is kept exactly
+// when it has seen every alive copy — a record it missed may be the twin
+// of a record a bracket adds, in a leaf the bracket never reads. The build
+// keeps its locator for the next bracket, a write outside a bracket drops
+// it, and a bracket that opens with none, on the tree or on its reopened
+// image, walks the live tree for every alive copy. Appending twins of
+// still-alive records builds the pages write-through builds.
 func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
 	opts := Options{MaxEntries: 10}
 	rng := rand.New(rand.NewSource(24))
@@ -217,14 +231,31 @@ func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Batch(func() error {
-		if tree.located != nil {
-			t.Error("a bracket over alive records it never saw added keeps a locator")
+	seesEveryCopy := func(tree *Tree, when string) {
+		t.Helper()
+		if err := tree.Batch(func() error {
+			if n := locatedCopies(tree); n != tree.Alive() {
+				t.Errorf("%s: the bracket's locator counts %d alive copies, %d records are alive", when, n, tree.Alive())
+			}
+			_, err := tree.Validate()
+			return err
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
+	}
+	if tree.kept == nil || tree.keptLocated == nil {
+		t.Error("the build kept no table and locator for the next bracket")
+	}
+	seesEveryCopy(tree, "after the build")
+	reopened := readTree(t, treeImage(t, tree))
+	seesEveryCopy(reopened, "reopened")
+	if err := reopened.Insert(early[0].Rect, 1<<40, reopened.Now()); err != nil {
 		t.Fatal(err)
 	}
+	if reopened.kept != nil || reopened.keptLocated != nil {
+		t.Error("a write outside a bracket left the kept locator behind the pages")
+	}
+	seesEveryCopy(reopened, "after a write outside a bracket")
 	if err := tree.AppendRecords(late); err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +343,192 @@ func mustEvents(t *testing.T, recs []Record) []recordEvent {
 		t.Fatal(err)
 	}
 	return events
+}
+
+// TestKeptLocatorMatchesTheSearch feeds a replay in brackets of 256
+// events, as ingest feeds commit groups, so each bracket opens on the
+// table and locator the last one kept. Partway through, a freeze puts a
+// container in the snapshot's place (Buffer.Release); later the tree is
+// reopened from its image as a recovery opens it, and twins of records
+// still alive are appended to the reopened tree (AppendRecords), whose
+// bracket walks the live tree for its locator. After every bracket, for
+// each alive ref the locator gives the leaf, slot and path the depth-first
+// search gives, or gives way to the search for a ref with two alive
+// copies; the pages end as write-through's.
+func TestKeptLocatorMatchesTheSearch(t *testing.T) {
+	opts := Options{MaxEntries: 10}
+	recs := randRecords(rand.New(rand.NewSource(26)), 5000, 300)
+	for i := range recs {
+		if i%5 == 0 {
+			recs[i].Interval.End = geom.Now
+		}
+	}
+	events := mustEvents(t, recs)
+	cut := len(events) / 2
+	for events[cut].time == events[cut-1].time {
+		cut++
+	}
+	at := events[cut].time
+	var twins []Record
+	for _, ev := range events[:cut] {
+		r := recs[ev.rec]
+		if ev.insert && ev.rec%4 == 0 && r.Interval.End > at {
+			twins = append(twins, Record{Rect: r.Rect, Interval: geom.Interval{Start: at, End: geom.Now}, Ref: r.Ref})
+		}
+	}
+
+	alive := map[uint64]int{} // ref → alive copies
+	rects := map[uint64]geom.Rect{}
+	twinned := map[uint64]bool{} // refs that had two alive copies since they last had none
+	track := func(r Record, insert bool) {
+		if insert {
+			alive[r.Ref]++
+			rects[r.Ref] = r.Rect
+			twinned[r.Ref] = twinned[r.Ref] || alive[r.Ref] > 1
+		} else if alive[r.Ref]--; alive[r.Ref] == 0 {
+			delete(alive, r.Ref)
+			delete(twinned, r.Ref)
+		}
+	}
+	compared, deferred := 0, 0
+	check := func(tree *Tree, when string) {
+		t.Helper()
+		err := tree.Batch(func() error {
+			// Validate holds the locator against the live tree, but it
+			// refuses two copies of one ref alive at once.
+			if len(alive) == tree.Alive() {
+				if _, err := tree.Validate(); err != nil {
+					return err
+				}
+			}
+			if len(tree.located) != len(alive) {
+				t.Fatalf("%s: the locator knows %d refs, %d are alive", when, len(tree.located), len(alive))
+			}
+			for ref, copies := range alive {
+				rect := rects[ref]
+				path, idx := tree.locateAliveRecord(rect, ref)
+				if copies > 1 {
+					if path != nil {
+						t.Fatalf("%s: the locator answered for ref %d, which has %d alive copies", when, ref, copies)
+					}
+					deferred++
+					continue
+				}
+				if path == nil {
+					if !twinned[ref] {
+						t.Fatalf("%s: the locator does not know alive ref %d", when, ref)
+					}
+					continue // a ref that had a twin stays unnamed until it has no copy
+				}
+				path = slices.Clone(path)
+				tree.path = tree.path[:0]
+				wantIdx, found, err := tree.findBelow(tree.liveRoot().page, rect, ref)
+				if err != nil || !found {
+					t.Fatalf("%s: the search does not find alive ref %d: %v", when, ref, err)
+				}
+				if idx != wantIdx || !slices.Equal(path, tree.path) {
+					t.Fatalf("%s, ref %d: locator slot %d of leaf %d, search slot %d of leaf %d",
+						when, ref, idx, path[len(path)-1].id, wantIdx, tree.path[len(tree.path)-1].id)
+				}
+				compared++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	feed := func(tree *Tree, events []recordEvent) {
+		t.Helper()
+		for lo := 0; lo < len(events); lo += 256 {
+			group := events[lo:min(lo+256, len(events))]
+			if err := tree.Batch(func() error {
+				for _, ev := range group {
+					applyOne(t, tree, recs, ev)
+					track(recs[ev.rec], ev.insert)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if tree.kept == nil {
+				t.Fatalf("events %d..: the bracket kept nothing for the next", lo)
+			}
+			check(tree, fmt.Sprintf("after the bracket of events %d..", lo))
+		}
+	}
+	freeze := func(tree *Tree) {
+		t.Helper()
+		snap := tree.Store().(*pagefile.File).Snapshot()
+		var buf bytes.Buffer
+		if _, err := pagefile.WriteExtent(&buf, snap, pagefile.LayoutPPR); err != nil {
+			t.Fatal(err)
+		}
+		base, _, err := pagefile.OpenExtent(bytes.NewReader(buf.Bytes()), 0, int64(buf.Len()), pagefile.CodecIDCompressed, pagefile.BackendDisk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Buffer().Release(base); err != nil {
+			t.Fatal(err)
+		}
+		snap.Close()
+	}
+	reopen := func(tree *Tree) *Tree {
+		t.Helper()
+		r := bytes.NewReader(treeImage(t, tree))
+		re, err := ReadMeta(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := pagefile.OpenExtent(r, r.Size()-int64(r.Len()), r.Size(), pagefile.CodecIDCompressed, pagefile.BackendDisk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.AttachStore(pagefile.Over(s)); err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+
+	tree, err := New(opts, events[0].time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarter := cut / 2 / 256 * 256
+	feed(tree, events[:quarter])
+	freeze(tree)
+	check(tree, "after the freeze")
+	feed(tree, events[quarter:cut])
+	tree = reopen(tree)
+	if err := tree.AppendRecords(twins); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range twins {
+		track(r, true)
+	}
+	check(tree, "after the twins")
+	deferredBefore := deferred
+	feed(tree, events[cut:])
+	if compared == 0 || deferredBefore == 0 || deferred == deferredBefore {
+		t.Fatalf("nothing to hold: %d located refs compared, %d twin lookups (%d after the reopen)", compared, deferred, deferred-deferredBefore)
+	}
+
+	single, err := New(opts, events[0].time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events[:cut] {
+		applyOne(t, single, recs, ev)
+	}
+	for _, r := range twins {
+		if err := single.Insert(r.Rect, r.Ref, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range events[cut:] {
+		applyOne(t, single, recs, ev)
+	}
+	if !bytes.Equal(treeImage(t, tree), treeImage(t, single)) {
+		t.Error("brackets over a kept locator built a different tree than write-through")
+	}
 }

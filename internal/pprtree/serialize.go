@@ -153,13 +153,15 @@ func ReadMeta(r io.Reader) (*Tree, error) {
 
 // AttachStore gives a ReadMeta tree its page store (either backend) and a
 // cold buffer pool, then validates the root log against the store. The
-// tree takes no ownership of the store's backing resources.
+// tree takes no ownership of the store's backing resources. What the last
+// bracket kept is dropped: the next one reads the live nodes from store.
 func (t *Tree) AttachStore(store pagefile.Store) error {
 	if store.PageSize() != t.opts.PageSize {
 		return fmt.Errorf("pprtree: page size mismatch: options %d, store %d", t.opts.PageSize, store.PageSize())
 	}
 	t.file = store
 	t.buf = pagefile.NewBuffer(store, t.opts.BufferPages)
+	t.dropKept()
 	if err := t.validateRootLog(); err != nil {
 		return fmt.Errorf("pprtree: stored root log invalid: %w", err)
 	}

@@ -98,8 +98,12 @@ type rootSpan struct {
 // order before Batch returns. So each live node is decoded at most once
 // and written at most once per bracket however many updates touch it.
 // The table holds live nodes only, so it is bounded by the live frontier.
-// A bracket that opens on a tree with no alive record also keeps a record
-// locator (locate.go), so a delete finds its record without a search.
+// Beside it the bracket keeps a record locator (locate.go), so a delete
+// finds its record without a search. A bracket that succeeds leaves its
+// table, every node clean, and its locator to the next bracket, which
+// opens on them instead of decoding the live nodes again; nothing reads
+// them between brackets, and a write outside a bracket, AttachStore or a
+// failed bracket drops them.
 // An update made outside a bracket is write-through: every node it
 // touches is parsed from its page image and written back before the call
 // returns. Pages are allocated when nodes are created either way, so the
@@ -126,7 +130,7 @@ type Tree struct {
 	// nodes; nil while no bracket is open.
 	resident map[pagefile.PageID]*pnode
 	// located is the open bracket's record locator (locate.go); nil
-	// outside a bracket and in one that opened over alive records.
+	// outside a bracket.
 	located map[uint64]recLoc
 	// failed poisons the tree after a failed bracket.
 	failed error
@@ -140,6 +144,11 @@ type Tree struct {
 	// slots[i] is the entry of path[i] that chooseLeafPath descended
 	// through; empty after a descent that records none.
 	slots []int32
+	// kept and keptLocated are the resident table and the locator the
+	// last bracket left for the next one (Batch); nil while a bracket is
+	// open and once dropped.
+	kept        map[pagefile.PageID]*pnode
+	keptLocated map[uint64]recLoc
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -290,6 +299,7 @@ func (t *Tree) QueryView() *Tree {
 	cp.growth = nil
 	cp.slots = nil
 	cp.walk = treewalk.Scratch{}
+	cp.kept, cp.keptLocated = nil, nil
 	return &cp
 }
 
@@ -325,13 +335,15 @@ func (t *Tree) Batch(fn func() error) error {
 	if t.resident != nil {
 		return fn()
 	}
-	t.resident = make(map[pagefile.PageID]*pnode)
-	if t.alive == 0 {
-		t.located = make(map[uint64]recLoc)
+	err := t.openBracket()
+	if err == nil {
+		err = fn()
 	}
-	err := fn()
 	if err == nil {
 		err = t.flushResident()
+	}
+	if err == nil {
+		t.kept, t.keptLocated = t.resident, t.located
 	}
 	t.resident, t.located = nil, nil
 	if err != nil {
@@ -340,8 +352,29 @@ func (t *Tree) Batch(fn func() error) error {
 	return err
 }
 
+// openBracket opens the table and the locator the last bracket kept, or
+// fresh ones: empty over a tree with no alive record, else filled by one
+// walk of the live tree (locateBelow).
+func (t *Tree) openBracket() error {
+	if t.kept != nil {
+		t.resident, t.located = t.kept, t.keptLocated
+		t.dropKept()
+		return nil
+	}
+	t.resident = make(map[pagefile.PageID]*pnode)
+	t.located = make(map[uint64]recLoc)
+	if t.alive == 0 {
+		return nil
+	}
+	_, err := t.locateBelow(t.liveRoot().page)
+	return err
+}
+
+// dropKept forgets what the last bracket kept.
+func (t *Tree) dropKept() { t.kept, t.keptLocated = nil, nil }
+
 // flushResident writes the bracket's dirty nodes in ascending page-id
-// order.
+// order and marks them clean.
 func (t *Tree) flushResident() error {
 	var dirty []*pnode
 	for _, n := range t.resident {
@@ -354,6 +387,7 @@ func (t *Tree) flushResident() error {
 		if err := t.writePage(n); err != nil {
 			return err
 		}
+		n.dirty = false
 	}
 	return nil
 }
@@ -366,5 +400,8 @@ func (t *Tree) advance(time int64) error {
 		return fmt.Errorf("pprtree: update at %d before current time %d (partially persistent structures are append-only in time)", time, t.now)
 	}
 	t.now = time
+	if t.resident == nil {
+		t.dropKept() // a write-through update leaves them behind its pages
+	}
 	return nil
 }
