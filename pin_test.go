@@ -188,7 +188,7 @@ func TestBuildBytesPinned(t *testing.T) {
 var pinnedStreamImages = map[string]string{
 	"pages":      "7f124b27b2f06316858a8aba047ab62f6274c65eae3764ed2044f70b0b161dc5",
 	"compressed": "180e600b22cb22aa710dc7f382ceb9d643c49f71ed6f7e4f9fc0579567817803",
-	"pool":       "requests=16349 writes=11997",
+	"pool":       "requests=11755 writes=11997",
 }
 
 // TestStreamImagePinned feeds a stream index a generated feed in brackets
