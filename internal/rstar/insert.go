@@ -3,7 +3,6 @@ package rstar
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"stindex/internal/geom"
 	"stindex/internal/pagefile"
@@ -61,6 +60,14 @@ func (t *Tree) choosePath(b geom.Box3, targetLevel int) ([]*node, error) {
 // When the children are leaves, R* minimises overlap enlargement (ties:
 // volume enlargement, then volume); otherwise volume enlargement (ties:
 // volume).
+//
+// The overlap enlargement of entry i sums, over its siblings, the overlap
+// the enlarged box has with each minus the overlap the box has. The
+// enlarged box contains the box, so each term is ≥ 0 in floating point
+// too, and exactly +0 where the enlarged box misses the sibling: those
+// terms are skipped. The running sum never falls, so once it exceeds the
+// best candidate's, i can win neither on it nor on a tie and its loop
+// stops. The pick is the full sum's, bit for bit.
 func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 	best := 0
 	if childrenAreLeaves {
@@ -68,11 +75,18 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 		for i, e := range n.entries {
 			enlarged := e.box.Union(b)
 			overlapDelta := 0.0
-			for j, o := range n.entries {
+			for j := range n.entries {
 				if j == i {
 					continue
 				}
-				overlapDelta += enlarged.Overlap(o.box) - e.box.Overlap(o.box)
+				o := &n.entries[j].box
+				grown := enlarged.Overlap(*o)
+				if grown == 0 {
+					continue
+				}
+				if overlapDelta += grown - e.box.Overlap(*o); i > 0 && overlapDelta > bestOverlap {
+					break
+				}
 			}
 			vol := e.box.Volume()
 			enl := enlarged.Volume() - vol
@@ -182,8 +196,15 @@ func (t *Tree) splitNode(n *node) *node {
 func (t *Tree) evictFarthest(n *node) []entry {
 	center := n.mbr().Center()
 	centerBox := geom.Box3{Min: center, Max: center}
-	sort.SliceStable(n.entries, func(i, j int) bool {
-		return n.entries[i].box.CenterDistance2(centerBox) < n.entries[j].box.CenterDistance2(centerBox)
+	slices.SortStableFunc(n.entries, func(a, b entry) int {
+		da, db := a.box.CenterDistance2(centerBox), b.box.CenterDistance2(centerBox)
+		switch {
+		case da < db:
+			return -1
+		case db < da:
+			return 1
+		}
+		return 0
 	})
 	keep := len(n.entries) - t.opts.ReinsertCount
 	removed := make([]entry, t.opts.ReinsertCount)
