@@ -37,8 +37,8 @@ type CheckReport struct {
 //     union of its entries' rectangles and its alive count the number of
 //     its alive entries, and in online mode every
 //     directory entry's child has the node among its back-references
-//     (the sets may over-cover, never miss); and in a bracket that keeps
-//     a record locator, the locator counts exactly the alive copies of
+//     (the sets may over-cover, never miss); and inside a bracket, the
+//     record locator counts exactly the alive copies of
 //     every ref the live tree holds and names the leaf of a ref with one
 //     (so no entry outlives its record or its leaf), and no parent link
 //     points anywhere but at the node holding the child's alive entry.
