@@ -2,7 +2,6 @@ package stindex
 
 import (
 	"fmt"
-	"sort"
 
 	"stindex/internal/hrtree"
 	"stindex/internal/owner"
@@ -61,51 +60,35 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 }
 
 // buildHRFromRecords replays records in chronological order (deletions
-// first within an instant), the same discipline as the PPR build.
+// first within an instant), the PPR build's replay order.
 func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.Tree, error) {
-	type event struct {
-		time   int64
-		insert bool
-		rec    int
-	}
-	events := make([]event, 0, 2*len(records))
 	for i, r := range records {
 		if !r.Rect.Valid() || !r.Interval.ValidInterval() {
 			return nil, fmt.Errorf("stindex: record %d invalid", i)
 		}
-		events = append(events, event{time: r.Interval.Start, insert: true, rec: i})
-		if r.Interval.End != Now {
-			events = append(events, event{time: r.Interval.End, insert: false, rec: i})
-		}
 	}
-	sort.SliceStable(events, func(a, b int) bool {
-		if events[a].time != events[b].time {
-			return events[a].time < events[b].time
-		}
-		return !events[a].insert && events[b].insert
-	})
-	start := int64(0)
-	if len(events) > 0 {
-		start = events[0].time
+	events, start, err := pprtree.Events(records)
+	if err != nil {
+		return nil, err
 	}
 	tree, err := hrtree.New(opts, start)
 	if err != nil {
 		return nil, err
 	}
 	for _, ev := range events {
-		r := records[ev.rec]
-		if ev.insert {
-			if err := tree.Insert(r.Rect, r.Ref, ev.time); err != nil {
+		r := records[ev.Rec]
+		if ev.Insert {
+			if err := tree.Insert(r.Rect, r.Ref, ev.Time); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		ok, err := tree.Delete(r.Rect, r.Ref, ev.time)
+		ok, err := tree.Delete(r.Rect, r.Ref, ev.Time)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return nil, fmt.Errorf("stindex: record %d vanished before its deletion", ev.rec)
+			return nil, fmt.Errorf("stindex: record %d vanished before its deletion", ev.Rec)
 		}
 	}
 	return tree, nil

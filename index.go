@@ -280,10 +280,10 @@ type RStarOptions struct {
 	// TimeScale overrides the time-axis scaling; 0 scales the records'
 	// overall horizon to the unit range.
 	TimeScale float64
-	// Parallelism is the worker count for the packed builder
-	// (BuildRStarPacked): 0 = GOMAXPROCS, 1 = serial. The packed tree is
-	// byte-identical for every setting. One-by-one insertion (BuildRStar)
-	// is inherently sequential and ignores it.
+	// Parallelism is the worker count for the packed builder's slab
+	// tiling (BuildRStarPacked): 0 = GOMAXPROCS, 1 = serial. The packed
+	// tree is byte-identical for every setting. One-by-one insertion
+	// (BuildRStar) is inherently sequential and ignores it.
 	Parallelism int
 }
 

@@ -215,18 +215,24 @@ func TestFsyncBesideApply(t *testing.T) {
 				return
 			}
 
+			// Each error the failure reaches matches both the journal's
+			// failure and the injected cause.
+			isFailure := func(err error) bool { return errors.Is(err, ErrWALFailed) && errors.Is(err, errSyncGate) }
 			for i, sub := range group {
-				if res := <-sub.done; !errors.Is(res.err, ErrWALFailed) || res.seq != 0 {
+				if res := <-sub.done; !isFailure(res.err) || res.seq != 0 {
 					t.Errorf("batch %d of the group got (seq %d, %v), want no ack and the fsync failure", i, res.seq, res.err)
 				}
 			}
 			if st := in.Stats(); st.Latched == "" || st.Accepted != int64(len(acked)) {
 				t.Errorf("stats say latched=%q accepted=%d, want a latch and %d accepted", st.Latched, st.Accepted, len(acked))
 			}
-			if !errors.Is(got.err, ErrWALFailed) {
+			if err := in.latchedErr(); !isFailure(err) {
+				t.Errorf("the latched error is %v, want the fsync failure", err)
+			}
+			if !isFailure(got.err) {
 				t.Errorf("the query held by the failed fsync returned %v, want the failure", got.err)
 			}
-			if _, err := lease.View().Range(everything, q); !errors.Is(err, ErrWALFailed) {
+			if _, err := lease.View().Range(everything, q); !isFailure(err) {
 				t.Errorf("a later live query returned %v, want the failure", err)
 			}
 

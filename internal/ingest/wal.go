@@ -162,9 +162,11 @@ func (w *WAL) Err() error {
 	return w.err
 }
 
+// fail latches err as the journal's failure, wrapping both ErrWALFailed
+// and err so callers can match either.
 func (w *WAL) fail(err error) error {
 	if w.err == nil {
-		w.err = fmt.Errorf("%w: %v", ErrWALFailed, err)
+		w.err = fmt.Errorf("%w: %w", ErrWALFailed, err)
 	}
 	return w.err
 }

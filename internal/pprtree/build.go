@@ -21,7 +21,7 @@ type Record struct {
 // Within one time instant, deletions are applied before insertions so the
 // alive count matches the half-open lifetime semantics at every step.
 func BuildRecords(opts Options, records []Record) (*Tree, error) {
-	events, start, err := recordEvents(records)
+	events, start, err := Events(records)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +41,7 @@ func BuildRecords(opts Options, records []Record) (*Tree, error) {
 // persistence: history is closed). Useful for chunked offline builds and
 // for extending a reloaded index.
 func (t *Tree) AppendRecords(records []Record) error {
-	events, start, err := recordEvents(records)
+	events, start, err := Events(records)
 	if err != nil {
 		return err
 	}
@@ -51,21 +51,22 @@ func (t *Tree) AppendRecords(records []Record) error {
 	return t.replay(records, events)
 }
 
-type recordEvent struct {
-	time   int64
-	insert bool
-	rec    int
+// Event is one record's insertion or deletion at Time; Rec indexes the
+// records it was made from.
+type Event struct {
+	Time   int64
+	Insert bool
+	Rec    int
 }
 
-// recordEvents returns the records' insertions and deletions in replay
-// order, the total key (time, deletions first, record index) — a record
+// Events returns the records' insertions and deletions in replay order,
+// the total key (time, deletions first, record index) — a record
 // contributes at most one event of each kind — and the earliest time.
 // The order is built by stable LSD radix passes: the pass on the insert
 // flag is made while the events are laid out (deletions in record order,
-// then insertions in record order), then one counting pass per byte of
-// uint64(time) − uint64(earliest), low byte first, up to the highest byte
-// the span of times reaches.
-func recordEvents(records []Record) ([]recordEvent, int64, error) {
+// then insertions in record order), then geom.SortByTime makes one
+// counting pass per byte of the span of times.
+func Events(records []Record) ([]Event, int64, error) {
 	if len(records) == 0 {
 		return nil, 0, nil
 	}
@@ -85,58 +86,40 @@ func recordEvents(records []Record) ([]recordEvent, int64, error) {
 		}
 	}
 	n := dels + len(records)
-	both := make([]recordEvent, 2*n)
+	both := make([]Event, 2*n)
 	events, spare := both[:n:n], both[n:]
 	d := 0
 	for i, r := range records {
 		if r.Interval.End != geom.Now {
-			events[d] = recordEvent{time: r.Interval.End, insert: false, rec: i}
+			events[d] = Event{Time: r.Interval.End, Insert: false, Rec: i}
 			d++
 		}
-		events[dels+i] = recordEvent{time: r.Interval.Start, insert: true, rec: i}
+		events[dels+i] = Event{Time: r.Interval.Start, Insert: true, Rec: i}
 	}
-	span := uint64(hi) - uint64(lo)
-	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
-		var count [256]int
-		for i := range events {
-			count[byte((uint64(events[i].time)-uint64(lo))>>shift)]++
-		}
-		sum := 0
-		for b, c := range count {
-			count[b] = sum
-			sum += c
-		}
-		for i := range events {
-			b := byte((uint64(events[i].time) - uint64(lo)) >> shift)
-			spare[count[b]] = events[i]
-			count[b]++
-		}
-		events, spare = spare, events
-	}
-	return events, lo, nil
+	return geom.SortByTime(events, spare, lo, hi, func(e *Event) int64 { return e.Time }), lo, nil
 }
 
 // replay applies the events in order inside one write-back bracket.
-func (t *Tree) replay(records []Record, events []recordEvent) error {
+func (t *Tree) replay(records []Record, events []Event) error {
 	return t.Batch(func() error { return t.applyEvents(records, events) })
 }
 
-func (t *Tree) applyEvents(records []Record, events []recordEvent) error {
+func (t *Tree) applyEvents(records []Record, events []Event) error {
 	for _, ev := range events {
-		r := records[ev.rec]
-		if ev.insert {
-			if err := t.Insert(r.Rect, r.Ref, ev.time); err != nil {
-				return fmt.Errorf("pprtree: inserting record %d: %w", ev.rec, err)
+		r := records[ev.Rec]
+		if ev.Insert {
+			if err := t.Insert(r.Rect, r.Ref, ev.Time); err != nil {
+				return fmt.Errorf("pprtree: inserting record %d: %w", ev.Rec, err)
 			}
 			continue
 		}
-		ok, err := t.Delete(r.Rect, r.Ref, ev.time)
+		ok, err := t.Delete(r.Rect, r.Ref, ev.Time)
 		if err != nil {
-			return fmt.Errorf("pprtree: deleting record %d: %w", ev.rec, err)
+			return fmt.Errorf("pprtree: deleting record %d: %w", ev.Rec, err)
 		}
 		if !ok {
 			return fmt.Errorf("pprtree: record %d (ref %d) vanished before its deletion at %d",
-				ev.rec, r.Ref, ev.time)
+				ev.Rec, r.Ref, ev.Time)
 		}
 	}
 	return nil

@@ -13,17 +13,17 @@ import (
 )
 
 // applyOne applies one replay event the way applyEvents does.
-func applyOne(t *testing.T, tree *Tree, recs []Record, ev recordEvent) {
+func applyOne(t *testing.T, tree *Tree, recs []Record, ev Event) {
 	t.Helper()
-	r := recs[ev.rec]
-	if ev.insert {
-		if err := tree.Insert(r.Rect, r.Ref, ev.time); err != nil {
+	r := recs[ev.Rec]
+	if ev.Insert {
+		if err := tree.Insert(r.Rect, r.Ref, ev.Time); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	if ok, err := tree.Delete(r.Rect, r.Ref, ev.time); err != nil || !ok {
-		t.Fatalf("deleting record %d (ref %d) at %d: found %v, %v", ev.rec, r.Ref, ev.time, ok, err)
+	if ok, err := tree.Delete(r.Rect, r.Ref, ev.Time); err != nil || !ok {
+		t.Fatalf("deleting record %d (ref %d) at %d: found %v, %v", ev.Rec, r.Ref, ev.Time, ok, err)
 	}
 }
 
@@ -31,7 +31,7 @@ func applyOne(t *testing.T, tree *Tree, recs []Record, ev recordEvent) {
 // bracket — no resident table, no locator — and returns it.
 func writeThrough(t *testing.T, opts Options, recs []Record) *Tree {
 	t.Helper()
-	events, start, err := recordEvents(recs)
+	events, start, err := Events(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func withTwins(recs []Record, step int, horizon int64) []Record {
 func TestLocatorPicksTheSearchsEntry(t *testing.T) {
 	for _, opts := range []Options{{}, {MaxEntries: 10}} {
 		recs := randRecords(rand.New(rand.NewSource(22)), 4000, 200)
-		events, start, err := recordEvents(recs)
+		events, start, err := Events(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,8 +86,8 @@ func TestLocatorPicksTheSearchsEntry(t *testing.T) {
 			}
 			for i, ev := range events {
 				applyOne(t, tree, recs, ev)
-				if alive[ev.rec] = ev.insert; !ev.insert {
-					delete(alive, ev.rec)
+				if alive[ev.Rec] = ev.Insert; !ev.Insert {
+					delete(alive, ev.Rec)
 				}
 				height = max(height, tree.Height())
 				if i%61 != 0 {
@@ -154,7 +154,7 @@ func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
 			t.Errorf("MaxEntries %d: replay over twin records differs from write-through", opts.MaxEntries)
 		}
 
-		events, start, err := recordEvents(recs)
+		events, start, err := Events(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +164,8 @@ func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
 		}
 		err = tree.Batch(func() error {
 			for _, ev := range events {
-				r := recs[ev.rec]
-				if !ev.insert && tree.located[r.Ref].copies == 2 {
+				r := recs[ev.Rec]
+				if !ev.Insert && tree.located[r.Ref].copies == 2 {
 					if path, _ := tree.locateAliveRecord(r.Rect, r.Ref); path != nil {
 						t.Fatalf("the locator answered for ref %d, which has two alive copies", r.Ref)
 					}
@@ -261,7 +261,7 @@ func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
 	}
 
 	single := writeThrough(t, opts, early)
-	events, _, err := recordEvents(late)
+	events, _, err := Events(late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +336,9 @@ func TestValidateCatchesStaleLocator(t *testing.T) {
 	})
 }
 
-func mustEvents(t *testing.T, recs []Record) []recordEvent {
+func mustEvents(t *testing.T, recs []Record) []Event {
 	t.Helper()
-	events, _, err := recordEvents(recs)
+	events, _, err := Events(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +365,14 @@ func TestKeptLocatorMatchesTheSearch(t *testing.T) {
 	}
 	events := mustEvents(t, recs)
 	cut := len(events) / 2
-	for events[cut].time == events[cut-1].time {
+	for events[cut].Time == events[cut-1].Time {
 		cut++
 	}
-	at := events[cut].time
+	at := events[cut].Time
 	var twins []Record
 	for _, ev := range events[:cut] {
-		r := recs[ev.rec]
-		if ev.insert && ev.rec%4 == 0 && r.Interval.End > at {
+		r := recs[ev.Rec]
+		if ev.Insert && ev.Rec%4 == 0 && r.Interval.End > at {
 			twins = append(twins, Record{Rect: r.Rect, Interval: geom.Interval{Start: at, End: geom.Now}, Ref: r.Ref})
 		}
 	}
@@ -438,14 +438,14 @@ func TestKeptLocatorMatchesTheSearch(t *testing.T) {
 			t.Fatalf("%s: %v", when, err)
 		}
 	}
-	feed := func(tree *Tree, events []recordEvent) {
+	feed := func(tree *Tree, events []Event) {
 		t.Helper()
 		for lo := 0; lo < len(events); lo += 256 {
 			group := events[lo:min(lo+256, len(events))]
 			if err := tree.Batch(func() error {
 				for _, ev := range group {
 					applyOne(t, tree, recs, ev)
-					track(recs[ev.rec], ev.insert)
+					track(recs[ev.Rec], ev.Insert)
 				}
 				return nil
 			}); err != nil {
@@ -490,7 +490,7 @@ func TestKeptLocatorMatchesTheSearch(t *testing.T) {
 		return re
 	}
 
-	tree, err := New(opts, events[0].time)
+	tree, err := New(opts, events[0].Time)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestKeptLocatorMatchesTheSearch(t *testing.T) {
 		t.Fatalf("nothing to hold: %d located refs compared, %d twin lookups (%d after the reopen)", compared, deferred, deferred-deferredBefore)
 	}
 
-	single, err := New(opts, events[0].time)
+	single, err := New(opts, events[0].Time)
 	if err != nil {
 		t.Fatal(err)
 	}

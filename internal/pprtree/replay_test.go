@@ -50,7 +50,7 @@ func readTree(t *testing.T, image []byte) *Tree {
 	return tree
 }
 
-// TestRecordEventsOrderIsStableOrder: recordEvents sorts by the total key
+// TestRecordEventsOrderIsStableOrder: Events sorts by the total key
 // (time, insert, rec); that must be the order a stable sort by (time,
 // insert) gives the events in record order — which replay depended on —
 // also when many records share a start instant, an end instant or both,
@@ -66,28 +66,28 @@ func TestRecordEventsOrderIsStableOrder(t *testing.T) {
 		}
 		recs[i] = Record{Rect: geom.Rect{MaxX: 1, MaxY: 1}, Interval: iv, Ref: uint64(i)}
 	}
-	got, start, err := recordEvents(recs)
+	got, start, err := Events(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []recordEvent
+	var want []Event
 	for i, r := range recs {
-		want = append(want, recordEvent{time: r.Interval.Start, insert: true, rec: i})
+		want = append(want, Event{Time: r.Interval.Start, Insert: true, Rec: i})
 		if r.Interval.End != geom.Now {
-			want = append(want, recordEvent{time: r.Interval.End, insert: false, rec: i})
+			want = append(want, Event{Time: r.Interval.End, Insert: false, Rec: i})
 		}
 	}
 	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].time != want[j].time {
-			return want[i].time < want[j].time
+		if want[i].Time != want[j].Time {
+			return want[i].Time < want[j].Time
 		}
-		return !want[i].insert && want[j].insert
+		return !want[i].Insert && want[j].Insert
 	})
 	if !slices.Equal(got, want) {
-		t.Fatal("recordEvents order differs from the stable sort by (time, deletions first)")
+		t.Fatal("Events order differs from the stable sort by (time, deletions first)")
 	}
-	if start != want[0].time {
-		t.Fatalf("start %d, want %d", start, want[0].time)
+	if start != want[0].Time {
+		t.Fatalf("start %d, want %d", start, want[0].Time)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestReplayMatchesSingleUpdates(t *testing.T) {
 		}
 		want := treeImage(t, built)
 
-		events, start, err := recordEvents(recs)
+		events, start, err := Events(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,11 +121,11 @@ func TestReplayMatchesSingleUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ev := range events {
-			r := recs[ev.rec]
-			if ev.insert {
-				err = single.Insert(r.Rect, r.Ref, ev.time)
+			r := recs[ev.Rec]
+			if ev.Insert {
+				err = single.Insert(r.Rect, r.Ref, ev.Time)
 			} else {
-				_, err = single.Delete(r.Rect, r.Ref, ev.time)
+				_, err = single.Delete(r.Rect, r.Ref, ev.Time)
 			}
 			if err != nil {
 				t.Fatal(err)

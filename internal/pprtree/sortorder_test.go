@@ -10,36 +10,36 @@ import (
 	"stindex/internal/geom"
 )
 
-// refRecordEvents is recordEvents' order as a comparison sort over the
+// refRecordEvents is Events' order as a comparison sort over the
 // total key (time, deletions first, record index): the reference the
 // radix passes must reproduce.
-func refRecordEvents(records []Record) ([]recordEvent, int64) {
-	events := make([]recordEvent, 0, 2*len(records))
+func refRecordEvents(records []Record) ([]Event, int64) {
+	events := make([]Event, 0, 2*len(records))
 	for i, r := range records {
-		events = append(events, recordEvent{time: r.Interval.Start, insert: true, rec: i})
+		events = append(events, Event{Time: r.Interval.Start, Insert: true, Rec: i})
 		if r.Interval.End != geom.Now {
-			events = append(events, recordEvent{time: r.Interval.End, insert: false, rec: i})
+			events = append(events, Event{Time: r.Interval.End, Insert: false, Rec: i})
 		}
 	}
-	slices.SortFunc(events, func(a, b recordEvent) int {
-		if a.time != b.time {
-			return cmp.Compare(a.time, b.time)
+	slices.SortFunc(events, func(a, b Event) int {
+		if a.Time != b.Time {
+			return cmp.Compare(a.Time, b.Time)
 		}
-		if a.insert != b.insert {
-			return cmp.Compare(btoi(a.insert), btoi(b.insert))
+		if a.Insert != b.Insert {
+			return cmp.Compare(btoi(a.Insert), btoi(b.Insert))
 		}
-		return cmp.Compare(a.rec, b.rec)
+		return cmp.Compare(a.Rec, b.Rec)
 	})
 	start := int64(0)
 	if len(events) > 0 {
-		start = events[0].time
+		start = events[0].Time
 	}
 	return events, start
 }
 
 func checkRecordEventsOrder(t *testing.T, name string, recs []Record) {
 	t.Helper()
-	got, start, err := recordEvents(recs)
+	got, start, err := Events(recs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

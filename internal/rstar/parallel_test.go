@@ -2,46 +2,95 @@ package rstar
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
 
+	"stindex/internal/geom"
 	"stindex/internal/pagefile"
 )
 
 // TestParallelSortMatchesStableSort checks the load-bearing claim of the
-// chunked sort: for any worker count it reproduces sort.SliceStable
-// exactly, including tie handling (duplicate center keys keep their
-// original relative order).
+// STR key sort: ordering (center, position) keys reproduces
+// sort.SliceStable of the items exactly, ties in their order before the
+// sort, also when one sort follows another as the tiling's y and time
+// sorts follow the x sort. The keys are tie-heavy: duplicate boxes, boxes
+// centred on -0 and on +0 (equal under `<`), boxes that tie an earlier one
+// on a single axis, and a size whose keys are all equal.
 func TestParallelSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 100, 4097, 10000} {
-		base := make([]entry, n)
-		for i := range base {
-			b := randBox3(rng)
-			if i%3 == 0 && i > 0 {
-				b = base[i-1].box // force duplicate keys on every axis
-			}
-			base[i] = entry{box: b, ref: uint64(i)}
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 2, 3, 100, 4097, 10000, -5000} {
+		allEqual := n < 0
+		if allEqual {
+			n = -n
 		}
-		for axis := 0; axis < 3; axis++ {
-			want := append([]entry(nil), base...)
-			sort.SliceStable(want, func(i, j int) bool {
-				return want[i].box.Min[axis]+want[i].box.Max[axis] <
-					want[j].box.Min[axis]+want[j].box.Max[axis]
-			})
-			for _, workers := range []int{2, 3, 5, runtime.NumCPU()} {
-				got := append([]entry(nil), base...)
-				parallelStableSort(got, axis, workers)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d axis=%d workers=%d: index %d = ref %d, want ref %d",
-							n, axis, workers, i, got[i].ref, want[i].ref)
-					}
+		items := make([]Item, n)
+		for i := range items {
+			b := randBox3(rng)
+			switch {
+			case allEqual:
+				b = geom.Box3{Max: [3]float64{1, 1, 1}}
+			case i%3 == 0 && i > 0:
+				b = items[i-1].Box // duplicate keys on every axis
+			case i%5 == 1:
+				b = geom.Box3{Min: [3]float64{negZero, negZero, negZero}, Max: [3]float64{negZero, negZero, negZero}}
+			case i%5 == 2:
+				b = geom.Box3{} // center +0 against the -0 above
+			case i%5 == 3 && i > 3:
+				// Tie an earlier item on one axis only, so a chained sort's
+				// ties follow the sort before it, not the input order.
+				e := items[rng.Intn(i)].Box
+				axis := rng.Intn(3)
+				b.Min[axis], b.Max[axis] = e.Min[axis], e.Max[axis]
+			}
+			items[i] = Item{Box: b, Ref: uint64(i)}
+		}
+		for _, axes := range [][]int{{0}, {1}, {2}, {0, 1, 2}, {2, 0}} {
+			want := append([]Item(nil), items...)
+			keys := make([]centerKey, n)
+			for i := range keys {
+				keys[i].i = int32(i)
+			}
+			for _, axis := range axes {
+				sort.SliceStable(want, func(i, j int) bool {
+					return want[i].Box.Min[axis]+want[i].Box.Max[axis] <
+						want[j].Box.Min[axis]+want[j].Box.Max[axis]
+				})
+				sortByCenter(items, keys, axis)
+			}
+			for j, k := range keys {
+				if got := items[k.i].Ref; got != want[j].Ref {
+					t.Fatalf("n=%d all-equal=%v axes=%v: index %d = ref %d, want ref %d",
+						n, allEqual, axes, j, got, want[j].Ref)
 				}
 			}
 		}
+	}
+}
+
+// TestSortByCenterAllocatesNothing holds the STR sort to its scratch: a
+// key sort over a warm key slice makes no allocation, so the sorts of a
+// bulk load cost the one key slice BulkLoadSTR makes. The allocs/op of
+// BenchmarkBulkLoadSTRParallel cannot hold this: one allocation per sort
+// adds some 170 to its 3 000 or so, inside the bench gate's 25% slack.
+func TestSortByCenterAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	items := make([]Item, 5000)
+	keys := make([]centerKey, len(items))
+	for i := range items {
+		items[i] = Item{Box: randBox3(rng), Ref: uint64(i)}
+		keys[i].i = int32(i)
+	}
+	axis := 0
+	sortNext := func() {
+		sortByCenter(items, keys, axis)
+		axis = (axis + 1) % 3
+	}
+	if got := testing.AllocsPerRun(20, sortNext); got != 0 {
+		t.Fatalf("sortByCenter: %v allocs/op, want 0", got)
 	}
 }
 

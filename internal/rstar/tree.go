@@ -24,11 +24,11 @@ type Options struct {
 	PageSize int
 	// BufferPages is the LRU pool capacity. Default 10 (the paper's).
 	BufferPages int
-	// Parallelism is the worker count for bulk loading (BulkLoadSTR):
-	// 0 selects GOMAXPROCS, 1 forces the serial path. The resulting tree
-	// is byte-identical for every setting — parallelism changes build
-	// wall clock, never structure. Queries and inserts are unaffected
-	// (the tree itself is not safe for concurrent use).
+	// Parallelism is the worker count for bulk loading's slab tiling
+	// (BulkLoadSTR): 0 selects GOMAXPROCS, 1 forces the serial path. The
+	// resulting tree is byte-identical for every setting — parallelism
+	// changes build wall clock, never structure. Queries and inserts are
+	// unaffected (the tree itself is not safe for concurrent use).
 	Parallelism int
 }
 

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +51,7 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		infos := s.Registry().List()
-		sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
+		slices.SortFunc(infos, func(a, b SnapshotInfo) int { return strings.Compare(a.Name, b.Name) })
 		writeJSON(w, http.StatusOK, map[string]any{"snapshots": infos})
 	})
 	mux.HandleFunc("/snapshots/load", func(w http.ResponseWriter, r *http.Request) {

@@ -21,9 +21,9 @@ type BuildConfig struct {
 	// page; the remainder goes where the alloc greedy says it buys the
 	// most, weighted by shard volume.
 	BufferBudget int
-	// Parallelism is the worker count for parallel build stages inside a
-	// shard (the packed R-tree bulk loader); shards themselves build
-	// sequentially to bound peak memory. 0 = GOMAXPROCS.
+	// Parallelism is the worker count for the packed R-tree bulk loader's
+	// slab tiling inside a shard; shards themselves build sequentially to
+	// bound peak memory. 0 = GOMAXPROCS.
 	Parallelism int
 	// Codec is the shard containers' page codec: "" or compressed, the
 	// one codec written. Kept for callers that name it; stserve

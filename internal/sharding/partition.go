@@ -15,8 +15,9 @@
 package sharding
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	stx "stindex"
 )
@@ -85,14 +86,15 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 	}
 
 	// Group records by object: a sorted copy keeps grouping allocation-
-	// light at millions of records (no per-object map buckets).
+	// light at millions of records (no per-object map buckets). The sort
+	// is stable, since two input records may share object and start.
 	grouped := make([]stx.Record, len(records))
 	copy(grouped, records)
-	sort.SliceStable(grouped, func(i, j int) bool {
-		if grouped[i].ObjectID != grouped[j].ObjectID {
-			return grouped[i].ObjectID < grouped[j].ObjectID
+	slices.SortStableFunc(grouped, func(a, b stx.Record) int {
+		if c := cmp.Compare(a.ObjectID, b.ObjectID); c != 0 {
+			return c
 		}
-		return grouped[i].Interval.Start < grouped[j].Interval.Start
+		return cmp.Compare(a.Interval.Start, b.Interval.Start)
 	})
 	var objs []objectKey
 	for lo := 0; lo < len(grouped); {
@@ -103,11 +105,13 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 		objs = append(objs, objectFeatures(grouped, lo, hi))
 		lo = hi
 	}
-	sort.SliceStable(objs, func(i, j int) bool {
-		if objs[i].midpoint != objs[j].midpoint {
-			return objs[i].midpoint < objs[j].midpoint
+	// Object ids are distinct after grouping, so (midpoint, id) is a total
+	// order and needs no stable sort.
+	slices.SortFunc(objs, func(a, b objectKey) int {
+		if c := cmp.Compare(a.midpoint, b.midpoint); c != 0 {
+			return c
 		}
-		return objs[i].id < objs[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	plan := &Plan{Partitioner: cfg.Partitioner, Records: len(grouped), Objects: len(objs)}

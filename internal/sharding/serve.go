@@ -1,10 +1,11 @@
 package sharding
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -251,11 +252,11 @@ func (s *Sharded) Nearest(x, y float64, t int64, k int) ([]stx.Neighbor, error) 
 		}
 		cands = append(cands, cand{i: i, d2: sh.rect.MinDist2(x, y)})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d2 != cands[b].d2 {
-			return cands[a].d2 < cands[b].d2
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
 		}
-		return cands[a].i < cands[b].i
+		return cmp.Compare(a.i, b.i)
 	})
 	var merged []stx.Neighbor
 	for ci, c := range cands {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"stindex/internal/geom"
 	"stindex/internal/trajectory"
@@ -83,20 +82,28 @@ func ReadObservations(r io.Reader) ([]Observation, error) {
 // ObservationsFromObjects flattens a dataset into a time-ordered event
 // stream: one observation per alive object per instant, plus a final
 // event when each object disappears. Within one instant, final events
-// come first (delete-before-insert discipline).
+// come first (delete-before-insert discipline), then observations, each
+// kind in object order: the order a stable sort by (T, finals first)
+// gives each object's observations and final event, object by object.
+// The finals are laid out before the observations, and geom.SortByTime
+// orders the two by T in linear time.
 func ObservationsFromObjects(objs []*trajectory.Object) []Observation {
-	var out []Observation
+	if len(objs) == 0 {
+		return nil
+	}
+	n, lo, hi := len(objs), objs[0].Start(), objs[0].End()
+	for _, o := range objs {
+		n += int(o.End() - o.Start())
+		lo, hi = min(lo, o.Start()), max(hi, o.End())
+	}
+	out := make([]Observation, len(objs), n)
+	for i, o := range objs {
+		out[i] = Observation{ObjectID: o.ID, T: o.End(), Final: true}
+	}
 	for _, o := range objs {
 		for t := o.Start(); t < o.End(); t++ {
 			out = append(out, Observation{ObjectID: o.ID, T: t, Rect: o.At(t)})
 		}
-		out = append(out, Observation{ObjectID: o.ID, T: o.End(), Final: true})
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].T != out[b].T {
-			return out[a].T < out[b].T
-		}
-		return out[a].Final && !out[b].Final
-	})
-	return out
+	return geom.SortByTime(out, make([]Observation, n), lo, hi, func(o *Observation) int64 { return o.T })
 }

@@ -2,11 +2,15 @@ package stio
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"stindex/internal/datagen"
 	"stindex/internal/geom"
+	"stindex/internal/trajectory"
 )
 
 func TestObjectsRoundTrip(t *testing.T) {
@@ -158,5 +162,64 @@ func TestEmptyStreams(t *testing.T) {
 	recs, err := ReadRecords(strings.NewReader(""))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty record stream: %d records, err=%v", len(recs), err)
+	}
+}
+
+// refObservations is ObservationsFromObjects' order by the comparison
+// sort it replaced: each object's observations and final event, object
+// by object, sorted by sort.SliceStable on (T, finals first).
+func refObservations(objs []*trajectory.Object) []Observation {
+	var out []Observation
+	for _, o := range objs {
+		for t := o.Start(); t < o.End(); t++ {
+			out = append(out, Observation{ObjectID: o.ID, T: t, Rect: o.At(t)})
+		}
+		out = append(out, Observation{ObjectID: o.ID, T: o.End(), Final: true})
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].T != out[b].T {
+			return out[a].T < out[b].T
+		}
+		return out[a].Final && !out[b].Final
+	})
+	return out
+}
+
+// TestObservationsMatchStableSort holds the radix order to the reference:
+// many objects alive at every instant of a short horizon, one object
+// listed twice, and objects far before and after the rest, whose span
+// takes every byte of the time key.
+func TestObservationsMatchStableSort(t *testing.T) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 300, Horizon: 100, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs = append(objs, objs[7])
+	r := geom.Rect{MaxX: 0.1, MaxY: 0.1}
+	for _, start := range []int64{-5, math.MinInt64 / 2, math.MaxInt64 / 2} {
+		o, err := trajectory.NewObject(int64(len(objs)), start, []geom.Rect{r, r, r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	for _, set := range [][]*trajectory.Object{nil, objs[:1], objs[:300], objs} {
+		if got, want := ObservationsFromObjects(set), refObservations(set); !slices.Equal(got, want) {
+			t.Fatalf("%d objects: %d observations differ from the stable sort's %d", len(set), len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkObservationsFromObjects flattens ingest-mixed's feed: 3 073
+// random objects over horizon 1 000.
+func BenchmarkObservationsFromObjects(b *testing.B) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 3073, Horizon: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ObservationsFromObjects(objs)
 	}
 }

@@ -15,7 +15,7 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stindex/internal/geom"
 	"stindex/internal/owner"
@@ -217,7 +217,7 @@ func (ix *Indexer) LiveObjects() []int64 {
 	for id := range ix.live {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

@@ -181,6 +181,40 @@ func TestBuildBytesPinned(t *testing.T) {
 	}
 }
 
+// pinnedLargePackedDigests pin the page images of a packed R*-tree over
+// 7 500 records, recorded on the commit before the STR sorts became key
+// sorts, where a sort of 4 096 entries or more with two workers or more
+// took a chunked parallel merge: TestBuildBytesPinned's 3 750 records
+// never did.
+var pinnedLargePackedDigests = map[int64]string{
+	1: "999564095c06b36086f72d0d463ac221d67ceabed6419dd5a40cb41d2841828d",
+	2: "067cfe31e5b16b8dee3f153c2bc71fc7424637162506aa87a9a36f31fa9f6df6",
+}
+
+// TestLargePackedBuildPinned builds the packed R*-tree of 3 000 objects
+// split at a 150% budget with one, two and three workers.
+func TestLargePackedBuildPinned(t *testing.T) {
+	for seed, want := range pinnedLargePackedDigests {
+		objs := genObjects(t, 3000, seed)
+		records, _, err := SplitDataset(objs, SplitConfig{
+			Budget: len(objs) * 3 / 2, Splitter: SplitterMerge, Distribution: DistributionLAGreedy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			packed, err := BuildRStarPacked(records, RStarOptions{Parallelism: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pageImageDigest(t, packed); got != want {
+				t.Errorf("seed %d, %d records, %d workers: rstar-packed/pages digest %s, pinned %s",
+					seed, len(records), workers, got, want)
+			}
+		}
+	}
+}
+
 // The stream-image pins were recorded on the commit before ExpandAlive
 // began reading historical parents off their page images: the two paths
 // TestBracketGroupsMatchWriteThrough compares both run that code, so a

@@ -6,8 +6,8 @@
 // failure; ns/op depends on the runner and is only printed as a warning
 // when it is more than 25% above the row.
 //
-//	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/hrtree ./internal/pprtree ./internal/stream ./internal/ingest -run NONE \
-//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkLAGreedy$|BenchmarkBuild$|BenchmarkInsert$|BenchmarkBuildHR$|BenchmarkStreamApply|BenchmarkDecodeBatch|BenchmarkFreeze' \
+//	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/hrtree ./internal/pprtree ./internal/stream ./internal/ingest ./internal/sharding ./internal/stio -run NONE \
+//	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkLAGreedy$|BenchmarkBuild$|BenchmarkInsert$|BenchmarkBuildHR$|BenchmarkStreamApply|BenchmarkDecodeBatch|BenchmarkFreeze|BenchmarkPartition|BenchmarkObservationsFromObjects' \
 //	    -benchtime 3x | go run ./scripts/benchgate BENCH_parallel.json
 package main
 
