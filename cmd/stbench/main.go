@@ -40,18 +40,16 @@ var runners = []struct {
 	{"chooser", func(c experiments.Config) error { _, err := experiments.Chooser(c); return err }},
 	{"overlap", func(c experiments.Config) error { _, err := experiments.Overlap(c); return err }},
 	{"build", func(c experiments.Config) error { _, err := experiments.Build(c); return err }},
-	{"shard", func(c experiments.Config) error { _, err := experiments.Shard(c); return err }},
 }
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build | shard (scatter-gather sweep)")
+		exp     = flag.String("exp", "all", "experiment id: all | table1 | table2 | fig11..fig18 | fig17r | fig18r (railway) | fig14c (commuter) | chooser (§IV) | overlap (HR vs PPR) | build")
 		full    = flag.Bool("full", false, "use the paper's dataset sizes (10k..80k); hours of CPU")
 		sizes   = flag.String("sizes", "", "comma-separated dataset sizes overriding the defaults")
 		queries = flag.Int("queries", 0, "queries per set (default 1000)")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		par     = flag.Int("parallelism", 0, "worker count for the split pipeline and workload measurement (0 = all cores, 1 = serial; results are identical either way)")
-		shards  = flag.String("shards", "", "comma-separated shard counts for -exp shard (default 1,4,16)")
 	)
 	flag.Parse()
 
@@ -64,15 +62,6 @@ func main() {
 				fatal(fmt.Errorf("bad size %q", s))
 			}
 			cfg.Sizes = append(cfg.Sizes, n)
-		}
-	}
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fatal(fmt.Errorf("bad shard count %q", s))
-			}
-			cfg.ShardCounts = append(cfg.ShardCounts, n)
 		}
 	}
 

@@ -60,7 +60,8 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 }
 
 // buildHRFromRecords replays records in chronological order (deletions
-// first within an instant), the PPR build's replay order.
+// first within an instant), the PPR build's replay order, inside one
+// write-back bracket.
 func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.Tree, error) {
 	for i, r := range records {
 		if !r.Rect.Valid() || !r.Interval.ValidInterval() {
@@ -75,21 +76,8 @@ func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range events {
-		r := records[ev.Rec]
-		if ev.Insert {
-			if err := tree.Insert(r.Rect, r.Ref, ev.Time); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ok, err := tree.Delete(r.Rect, r.Ref, ev.Time)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("stindex: record %d vanished before its deletion", ev.Rec)
-		}
+	if err := tree.Batch(func() error { return pprtree.Apply(tree, records, events) }); err != nil {
+		return nil, err
 	}
 	return tree, nil
 }

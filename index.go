@@ -340,12 +340,17 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 		return nil, err
 	}
 	order := rand.New(rand.NewSource(opts.ShuffleSeed)).Perm(len(records))
-	for _, i := range order {
-		r := records[i]
-		box := geom.Box3FromBox(geom.NewBox(r.Rect.internal(), r.Interval.internal()), scale)
-		if err := tree.Insert(box, uint64(i)); err != nil {
-			return nil, err
+	err = tree.Batch(func() error {
+		for _, i := range order {
+			r := records[i]
+			if err := tree.Insert(geom.Box3FromBox(geom.NewBox(r.Rect.internal(), r.Interval.internal()), scale), uint64(i)); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return newRStarIndex(tree, ownersOf(records), scale), nil
 }

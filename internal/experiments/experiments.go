@@ -37,9 +37,6 @@ type Config struct {
 	// GOMAXPROCS, 1 forces serial runs — useful when timing the
 	// algorithms themselves. Results are identical for every setting.
 	Parallelism int
-	// ShardCounts are the shard counts the sharded-serving sweep builds;
-	// nil selects {1, 4, 16}. Only the Shard experiment reads it.
-	ShardCounts []int
 	// Out receives the human-readable tables; nil discards them.
 	Out io.Writer
 }

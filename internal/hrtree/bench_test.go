@@ -1,6 +1,7 @@
 package hrtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,17 +114,24 @@ func buildHRBench(b *testing.B, recs []hrec) *Tree {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, ev := range events {
-		r := recs[ev.rec]
-		if ev.insert {
-			if err := tree.Insert(r.rect, r.ref, ev.t); err != nil {
-				b.Fatal(err)
+	// One write-back bracket, as stindex.BuildHR replays.
+	err = tree.Batch(func() error {
+		for _, ev := range events {
+			r := recs[ev.rec]
+			if ev.insert {
+				if err := tree.Insert(r.rect, r.ref, ev.t); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
+			if ok, err := tree.Delete(r.rect, r.ref, ev.t); err != nil || !ok {
+				return fmt.Errorf("delete: ok=%v err=%v", ok, err)
+			}
 		}
-		if ok, err := tree.Delete(r.rect, r.ref, ev.t); err != nil || !ok {
-			b.Fatalf("delete: ok=%v err=%v", ok, err)
-		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 	return tree
 }

@@ -47,7 +47,7 @@ func invertedRectPage(mutate func(*geom.Rect)) []byte {
 		{rect: geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.4, MaxY: 0.4}, ref: 8},
 	}}
 	mutate(&n.entries[1].rect)
-	return n.encode(nil)
+	return n.Encode(nil)
 }
 
 func TestDecodeRefusesDisorderedRect(t *testing.T) {

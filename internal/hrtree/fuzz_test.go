@@ -13,7 +13,7 @@ func FuzzDecodeHNode(f *testing.F) {
 	good.entries = append(good.entries, hentry{
 		rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ref: 3,
 	})
-	f.Add(good.encode(nil))
+	f.Add(good.Encode(nil))
 	f.Add(invertedRectPage(func(r *geom.Rect) { r.MinX = r.MaxX + 0.5 }))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0xFF, 0xFF})

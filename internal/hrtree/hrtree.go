@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"stindex/internal/geom"
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 	"stindex/internal/rsplit"
 	"stindex/internal/treewalk"
@@ -38,6 +39,9 @@ type hnode struct {
 	entries []hentry
 }
 
+func (n *hnode) PageID() pagefile.PageID { return n.id }
+func (n *hnode) Len() int                { return len(n.entries) }
+
 func (n *hnode) mbr() geom.Rect {
 	r := geom.EmptyRect()
 	for _, e := range n.entries {
@@ -49,27 +53,10 @@ func (n *hnode) mbr() geom.Rect {
 const (
 	hnodeHeaderSize = 8
 	hentrySize      = 4*8 + 8
-	hflagLeaf       = 0x01
 )
 
-func maxEntriesFor(pageSize int) int {
-	return (pageSize - hnodeHeaderSize) / hentrySize
-}
-
-func (n *hnode) encode(buf []byte) []byte {
-	need := hnodeHeaderSize + len(n.entries)*hentrySize
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	var flags byte
-	if n.leaf {
-		flags |= hflagLeaf
-	}
-	buf[0] = flags
-	buf[1] = 0
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint32(buf[4:], 0)
+func (n *hnode) Encode(buf []byte) []byte {
+	buf = nodes.PutHeader(buf, hnodeHeaderSize, hentrySize, len(n.entries), n.leaf)
 	off := hnodeHeaderSize
 	for _, e := range n.entries {
 		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.rect.MinX))
@@ -85,15 +72,11 @@ func (n *hnode) encode(buf []byte) []byte {
 // decodeHNode parses a page image into a node. An entry rectangle that is
 // not Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodeHNode(id pagefile.PageID, data []byte) (*hnode, error) {
-	if len(data) < hnodeHeaderSize {
-		return nil, fmt.Errorf("hrtree: page %d too short", id)
+	leaf, count, err := nodes.Header("hrtree", id, data, hnodeHeaderSize, hentrySize)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(data[2:]))
-	need := hnodeHeaderSize + count*hentrySize
-	if len(data) < need {
-		return nil, fmt.Errorf("hrtree: page %d truncated", id)
-	}
-	n := &hnode{id: id, leaf: data[0]&hflagLeaf != 0, entries: make([]hentry, count)}
+	n := &hnode{id: id, leaf: leaf, entries: make([]hentry, count)}
 	off := hnodeHeaderSize
 	for i := 0; i < count; i++ {
 		n.entries[i] = hentry{
@@ -141,11 +124,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MinEntries < 1 || o.MinEntries > o.MaxEntries/2 {
 		return o, fmt.Errorf("hrtree: MinEntries %d out of range [1,%d]", o.MinEntries, o.MaxEntries/2)
 	}
-	if maxEntriesFor(o.PageSize) < o.MaxEntries {
-		return o, fmt.Errorf("hrtree: page size %d fits only %d entries, need %d",
-			o.PageSize, maxEntriesFor(o.PageSize), o.MaxEntries)
-	}
-	return o, nil
+	return o, nodes.Fits("hrtree", o.PageSize, hnodeHeaderSize, hentrySize, o.MaxEntries)
 }
 
 // version is one root of the overlapping forest: the logical R-tree that
@@ -158,11 +137,11 @@ type version struct {
 }
 
 // Tree is an overlapping (historical) R-tree. Updates must arrive in
-// non-decreasing time order. Not safe for concurrent use.
+// non-decreasing time order. Not safe for concurrent use. In its node
+// layer a node is live while it is fresh (DESIGN.md, "Node layer").
 type Tree struct {
 	opts     Options
-	file     pagefile.Store
-	buf      *pagefile.Buffer
+	nodes    nodes.Layer[*hnode]
 	versions []version
 	now      int64
 	size     int // records ever inserted
@@ -170,10 +149,9 @@ type Tree struct {
 	// fresh marks pages created during the current instant: they are
 	// private to the newest version and may be mutated in place; all
 	// other pages are shared history and must be copied before changing.
-	fresh  map[pagefile.PageID]bool
-	encBuf []byte
-	walk   treewalk.Scratch                  // pooled query scratch
-	split  rsplit.Scratch[hentry, geom.Rect] // node-split scratch
+	fresh map[pagefile.PageID]bool
+	walk  treewalk.Scratch                  // pooled query scratch
+	split rsplit.Scratch[hentry, geom.Rect] // node-split scratch
 }
 
 // New creates an empty tree whose history begins at startTime.
@@ -182,21 +160,22 @@ func New(opts Options, startTime int64) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	file := pagefile.New(opts.PageSize)
-	t := &Tree{
-		opts:  opts,
-		file:  file,
-		buf:   pagefile.NewBuffer(file, opts.BufferPages),
-		now:   startTime,
-		fresh: map[pagefile.PageID]bool{},
-	}
-	root := &hnode{id: file.Allocate(), leaf: true}
-	if err := t.writeNode(root); err != nil {
+	t := &Tree{opts: opts, now: startTime, fresh: map[pagefile.PageID]bool{}}
+	t.attach(pagefile.New(opts.PageSize))
+	root, err := t.newNode(true, nil)
+	if err != nil {
 		return nil, err
 	}
 	t.versions = []version{{page: root.id, start: startTime, end: geom.Now, height: 1}}
-	t.fresh[root.id] = true
 	return t, nil
+}
+
+// attach gives the tree its store and a cold buffer through the node
+// layer, in which a node is live while it is fresh.
+func (t *Tree) attach(store pagefile.Store) {
+	live := func(n *hnode) bool { return t.fresh[n.id] }
+	t.nodes.Attach(nodes.Kind[*hnode]{Name: "hrtree", Capacity: t.opts.MaxEntries, Decode: decodeHNode, Live: live},
+		store, t.opts.BufferPages)
 }
 
 // Len returns the number of records ever inserted.
@@ -217,57 +196,22 @@ func (t *Tree) VersionRoots(fn func(root pagefile.PageID, height int, start, end
 }
 
 // Buffer exposes the LRU pool.
-func (t *Tree) Buffer() *pagefile.Buffer { return t.buf }
+func (t *Tree) Buffer() *pagefile.Buffer { return t.nodes.Buffer() }
 
 // Store exposes the page store.
-func (t *Tree) Store() pagefile.Store { return t.file }
+func (t *Tree) Store() pagefile.Store { return t.nodes.Store() }
 
 func (t *Tree) current() *version { return &t.versions[len(t.versions)-1] }
 
-// readNode returns a private decoded copy of the page for mutating paths.
-func (t *Tree) readNode(id pagefile.PageID) (*hnode, error) {
-	data, err := t.buf.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeHNode(id, data)
-}
-
-// decodeHNodeCached adapts decodeHNode to the buffer's decode cache.
-func decodeHNodeCached(id pagefile.PageID, data []byte) (any, error) {
-	return decodeHNode(id, data)
-}
-
-// readShared returns the page's decoded node through the buffer's decode
-// cache; the node is shared and must not be mutated. I/O accounting is
-// identical to readNode.
-func (t *Tree) readShared(id pagefile.PageID) (*hnode, error) {
-	v, err := t.buf.ReadDecoded(id, decodeHNodeCached)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*hnode), nil
-}
-
-// QueryView returns a read-only view of the tree with a private buffer
-// pool (and decode cache) over the shared page file, for concurrent
-// queries against a frozen tree. Using a view for updates is a misuse.
+// QueryView returns a read-only view of the tree over a fresh buffer
+// pool (nodes.Layer.View). Using a view for updates is a misuse.
 func (t *Tree) QueryView() *Tree {
-	cp := *t
-	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
-	cp.encBuf = nil
-	cp.walk = treewalk.Scratch{}
-	cp.split = rsplit.Scratch[hentry, geom.Rect]{}
-	return &cp
+	return &Tree{opts: t.opts, nodes: t.nodes.View(), versions: t.versions, now: t.now,
+		size: t.size, alive: t.alive}
 }
 
-func (t *Tree) writeNode(n *hnode) error {
-	if len(n.entries) > t.opts.MaxEntries {
-		return fmt.Errorf("hrtree: node %d overflows", n.id)
-	}
-	t.encBuf = n.encode(t.encBuf)
-	return t.buf.Write(n.id, t.encBuf)
-}
+// Batch runs fn inside one write-back bracket of the node layer.
+func (t *Tree) Batch(fn func() error) error { return t.nodes.Batch(fn) }
 
 // advance seals the current version and opens a new one when time moves.
 func (t *Tree) advance(time int64) error {
@@ -287,21 +231,24 @@ func (t *Tree) advance(time int64) error {
 	// modification will copy the path it touches.
 	cur.end = time
 	t.versions = append(t.versions, version{page: cur.page, start: time, end: geom.Now, height: cur.height})
-	t.fresh = map[pagefile.PageID]bool{}
+	clear(t.fresh)
 	t.now = time
-	return nil
+	return t.nodes.Flush() // the fresh nodes are history: write them and empty the table
 }
 
-// privatize returns a mutable copy of n in the current version: n itself
-// when it is already fresh, otherwise a new page with the same content.
+// privatize returns a mutable node of the current version for n, which
+// a descent read shared: n read for update when it is fresh, otherwise a
+// new page with the same content.
 func (t *Tree) privatize(n *hnode) (*hnode, error) {
 	if t.fresh[n.id] {
-		return n, nil
+		return t.nodes.Read(n.id)
 	}
-	cp := &hnode{id: t.file.Allocate(), leaf: n.leaf, entries: append([]hentry(nil), n.entries...)}
-	if err := t.writeNode(cp); err != nil {
-		return nil, err
-	}
-	t.fresh[cp.id] = true
-	return cp, nil
+	return t.newNode(n.leaf, append([]hentry(nil), n.entries...))
+}
+
+// newNode allocates and writes a fresh node holding entries.
+func (t *Tree) newNode(leaf bool, entries []hentry) (*hnode, error) {
+	n := &hnode{id: t.nodes.Store().Allocate(), leaf: leaf, entries: entries}
+	t.fresh[n.id] = true
+	return n, t.nodes.Write(n)
 }

@@ -1,6 +1,7 @@
 package hrtree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -33,18 +34,20 @@ func randHRecords(rng *rand.Rand, n int, horizon int64) []hrec {
 	return recs
 }
 
-// buildHR replays records chronologically, deletions first per instant.
-func buildHR(t *testing.T, opts Options, recs []hrec) *Tree {
-	t.Helper()
-	type event struct {
-		t      int64
-		insert bool
-		rec    int
-	}
-	var events []event
+// hrEvent is one record's insertion or deletion.
+type hrEvent struct {
+	t      int64
+	insert bool
+	rec    int
+}
+
+// hrEvents orders the records' events chronologically, deletions first
+// per instant.
+func hrEvents(recs []hrec) []hrEvent {
+	var events []hrEvent
 	for i, r := range recs {
-		events = append(events, event{t: r.iv.Start, insert: true, rec: i})
-		events = append(events, event{t: r.iv.End, insert: false, rec: i})
+		events = append(events, hrEvent{t: r.iv.Start, insert: true, rec: i})
+		events = append(events, hrEvent{t: r.iv.End, insert: false, rec: i})
 	}
 	sort.SliceStable(events, func(a, b int) bool {
 		if events[a].t != events[b].t {
@@ -52,21 +55,33 @@ func buildHR(t *testing.T, opts Options, recs []hrec) *Tree {
 		}
 		return !events[a].insert && events[b].insert
 	})
+	return events
+}
+
+// applyHR applies one event.
+func applyHR(tree *Tree, recs []hrec, ev hrEvent) error {
+	r := recs[ev.rec]
+	if ev.insert {
+		return tree.Insert(r.rect, r.ref, ev.t)
+	}
+	ok, err := tree.Delete(r.rect, r.ref, ev.t)
+	if err == nil && !ok {
+		err = fmt.Errorf("record %d vanished before its deletion", ev.rec)
+	}
+	return err
+}
+
+// buildHR replays records chronologically, deletions first per instant.
+func buildHR(t *testing.T, opts Options, recs []hrec) *Tree {
+	t.Helper()
+	events := hrEvents(recs)
 	tree, err := New(opts, events[0].t)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range events {
-		r := recs[ev.rec]
-		if ev.insert {
-			if err := tree.Insert(r.rect, r.ref, ev.t); err != nil {
-				t.Fatalf("insert %d: %v", ev.rec, err)
-			}
-			continue
-		}
-		ok, err := tree.Delete(r.rect, r.ref, ev.t)
-		if err != nil || !ok {
-			t.Fatalf("delete %d: ok=%v err=%v", ev.rec, ok, err)
+		if err := applyHR(tree, recs, ev); err != nil {
+			t.Fatalf("event %+v: %v", ev, err)
 		}
 	}
 	return tree
@@ -223,7 +238,7 @@ func TestHNodeRoundTrip(t *testing.T) {
 			ref:  uint64(i * 3),
 		})
 	}
-	got, err := decodeHNode(5, n.encode(nil))
+	got, err := decodeHNode(5, n.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 	// One version is a strict tree: sharing happens only across versions.
 	probe := query.AsQuery()
 	roots := append(t.walk.Roots(), uint64(v.page))
-	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+	return t.walk.DFS(roots, t.nodes.Store().NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
 		return t.expand(id, stack, &probe, fn)
 	})
 }
@@ -66,7 +66,7 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 			roots = append(roots, uint64(v.page))
 		}
 	}
-	return t.walk.DFS(roots, t.file.NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+	return t.walk.DFS(roots, t.nodes.Store().NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
 		return t.expand(id, stack, &probe, once)
 	})
 }
@@ -77,7 +77,7 @@ func (t *Tree) IntervalSearch(query geom.Rect, iv geom.Interval, fn func(rect ge
 // the query once (geom.Rect.AsQuery), and decodeHNode refuses an inverted
 // entry rectangle, so no emptiness test is left per entry.
 func (t *Tree) expand(id pagefile.PageID, stack []uint64, probe *geom.Rect, fn func(rect geom.Rect, ref uint64) bool) ([]uint64, bool, error) {
-	n, err := t.readShared(id)
+	n, err := t.nodes.ReadShared(id)
 	if err != nil {
 		return stack, false, err
 	}
@@ -108,8 +108,8 @@ func (t *Tree) NearestSearch(x, y float64, at int64, fn func(dist2 float64, ref 
 	if v == nil {
 		return nil
 	}
-	return t.walk.BestFirst(v.page, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
-		n, err := t.readShared(id)
+	return t.walk.BestFirst(v.page, t.nodes.Store().NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return queue, err
 		}
@@ -145,7 +145,7 @@ func (t *Tree) Validate() error {
 		}
 		var walk func(id pagefile.PageID, depth int, isRoot bool) (geom.Rect, error)
 		walk = func(id pagefile.PageID, depth int, isRoot bool) (geom.Rect, error) {
-			n, err := t.readShared(id)
+			n, err := t.nodes.ReadShared(id)
 			if err != nil {
 				return geom.Rect{}, err
 			}

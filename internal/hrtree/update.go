@@ -57,7 +57,7 @@ func (t *Tree) choosePath(rect geom.Rect) ([]*hnode, error) {
 	path := make([]*hnode, 0, cur.height)
 	id := cur.page
 	for {
-		n, err := t.readNode(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +82,7 @@ func (t *Tree) choosePath(rect geom.Rect) ([]*hnode, error) {
 func (t *Tree) findRecord(rect geom.Rect, ref uint64) ([]*hnode, int, error) {
 	var walk func(id pagefile.PageID) ([]*hnode, int, error)
 	walk = func(id pagefile.PageID) ([]*hnode, int, error) {
-		n, err := t.readNode(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -151,21 +151,20 @@ func (t *Tree) adjustPath(path []*hnode) error {
 		n := path[i]
 		if len(n.entries) > t.opts.MaxEntries {
 			sibling := t.splitNode(n)
-			if err := t.writeNode(sibling); err != nil {
+			if err := t.nodes.Write(sibling); err != nil {
 				return err
 			}
 			if i == 0 {
-				if err := t.writeNode(n); err != nil {
+				if err := t.nodes.Write(n); err != nil {
 					return err
 				}
-				root := &hnode{id: t.file.Allocate(), leaf: false, entries: []hentry{
+				root, err := t.newNode(false, []hentry{
 					{rect: n.mbr(), ref: uint64(n.id)},
 					{rect: sibling.mbr(), ref: uint64(sibling.id)},
-				}}
-				if err := t.writeNode(root); err != nil {
+				})
+				if err != nil {
 					return err
 				}
-				t.fresh[root.id] = true
 				cur := t.current()
 				cur.page = root.id
 				cur.height++
@@ -174,7 +173,7 @@ func (t *Tree) adjustPath(path []*hnode) error {
 			parent := path[i-1]
 			parent.entries = append(parent.entries, hentry{rect: sibling.mbr(), ref: uint64(sibling.id)})
 		}
-		if err := t.writeNode(n); err != nil {
+		if err := t.nodes.Write(n); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -199,7 +198,7 @@ func refreshChildRect(parent, child *hnode) {
 func (t *Tree) splitNode(n *hnode) *hnode {
 	g1, g2 := t.split.Split(n.entries, t.opts.MinEntries, 2)
 	n.entries = slices.Clone(g1)
-	sibling := &hnode{id: t.file.Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
+	sibling := &hnode{id: t.nodes.Store().Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
 	t.fresh[sibling.id] = true
 	return sibling
 }
@@ -222,19 +221,18 @@ func (t *Tree) condensePath(path []*hnode) error {
 				orphans = append(orphans, orphan{entries: n.entries, leaf: n.leaf})
 			}
 			// n is private to this version; its page can be dropped.
-			t.buf.Evict(n.id)
 			delete(t.fresh, n.id)
-			if err := t.file.Free(n.id); err != nil {
+			if err := t.nodes.Free(n.id); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := t.writeNode(n); err != nil {
+		if err := t.nodes.Write(n); err != nil {
 			return err
 		}
 		refreshChildRect(parent, n)
 	}
-	if err := t.writeNode(path[0]); err != nil {
+	if err := t.nodes.Write(path[0]); err != nil {
 		return err
 	}
 
@@ -268,7 +266,7 @@ func (t *Tree) condensePath(path []*hnode) error {
 	// Collapse a single-child directory root.
 	for {
 		cur := t.current()
-		root, err := t.readNode(cur.page)
+		root, err := t.nodes.ReadShared(cur.page)
 		if err != nil {
 			return err
 		}
@@ -277,9 +275,8 @@ func (t *Tree) condensePath(path []*hnode) error {
 		}
 		child := pagefile.PageID(root.entries[0].ref)
 		if t.fresh[root.id] {
-			t.buf.Evict(root.id)
 			delete(t.fresh, root.id)
-			if err := t.file.Free(root.id); err != nil {
+			if err := t.nodes.Free(root.id); err != nil {
 				return err
 			}
 		}
@@ -308,18 +305,17 @@ func (t *Tree) insertSubtree(e hentry) error {
 	if cur.height <= subHeight {
 		// The tree is not tall enough to hang the subtree under a node;
 		// grow by making a new root holding the old root and the subtree.
-		old, err := t.readNode(cur.page)
+		old, err := t.nodes.ReadShared(cur.page)
 		if err != nil {
 			return err
 		}
-		root := &hnode{id: t.file.Allocate(), leaf: false, entries: []hentry{
+		root, err := t.newNode(false, []hentry{
 			{rect: old.mbr(), ref: uint64(old.id)},
 			e,
-		}}
-		if err := t.writeNode(root); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		t.fresh[root.id] = true
 		cur.page = root.id
 		cur.height = subHeight + 1
 		return nil
@@ -330,7 +326,7 @@ func (t *Tree) insertSubtree(e hentry) error {
 	path := make([]*hnode, 0, depth+1)
 	id := cur.page
 	for lvl := 0; ; lvl++ {
-		n, err := t.readNode(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return err
 		}
@@ -361,7 +357,7 @@ func (t *Tree) insertSubtree(e hentry) error {
 func (t *Tree) heightOf(id pagefile.PageID) (int, error) {
 	h := 1
 	for {
-		n, err := t.readNode(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return 0, err
 		}

@@ -23,7 +23,7 @@ func TestSearchRejectsWideChildRef(t *testing.T) {
 		}
 	}
 	cur := tree.current()
-	root, err := tree.readNode(cur.page)
+	root, err := tree.nodes.Read(cur.page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSearchRejectsWideChildRef(t *testing.T) {
 	for i := range root.entries {
 		root.entries[i].ref |= 1 << 32
 	}
-	if err := tree.writeNode(root); err != nil {
+	if err := tree.nodes.Write(root); err != nil {
 		t.Fatal(err)
 	}
 

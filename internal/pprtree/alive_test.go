@@ -74,7 +74,7 @@ func structureEvents(t *testing.T, tree *Tree) (keySplits, merges, shrinks int) 
 			return
 		}
 		seen[id] = true
-		n, err := tree.readShared(id)
+		n, err := tree.nodes.ReadShared(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestAliveCountThroughHistory(t *testing.T) {
 			// The nodes resident before the update, also those it kills and
 			// drops from the table, must count right after it.
 			held = held[:0]
-			for _, n := range bracketed.resident {
+			for _, n := range residentNodes(bracketed) {
 				held = append(held, n)
 			}
 			if err := op.apply(bracketed); err != nil {
@@ -181,7 +181,7 @@ func TestValidateCatchesStaleAliveCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = tree.Batch(func() error {
-		root, err := tree.readNode(tree.liveRoot().page)
+		root, err := tree.nodes.Read(tree.liveRoot().page)
 		if err != nil {
 			return err
 		}

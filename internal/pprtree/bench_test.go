@@ -102,7 +102,7 @@ func BenchmarkNodeEncodeDecode(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = n.encode(buf)
+		buf = n.Encode(buf)
 		if _, err := decodePNode(1, buf); err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func BuildRecords(opts Options, records []Record) (*Tree, error) {
 		return nil, err
 	}
 	if err := t.replay(records, events); err != nil {
-		t.file.Close() // the failed tree is handed to nobody
+		t.nodes.Store().Close() // the failed tree is handed to nobody
 		return nil, err
 	}
 	return t, nil
@@ -101,10 +101,18 @@ func Events(records []Record) ([]Event, int64, error) {
 
 // replay applies the events in order inside one write-back bracket.
 func (t *Tree) replay(records []Record, events []Event) error {
-	return t.Batch(func() error { return t.applyEvents(records, events) })
+	return t.Batch(func() error { return Apply(t, records, events) })
 }
 
-func (t *Tree) applyEvents(records []Record, events []Event) error {
+// Updater is a tree a replay drives: the PPR-tree, or the HR-tree the
+// same records are replayed into.
+type Updater interface {
+	Insert(rect geom.Rect, ref uint64, time int64) error
+	Delete(rect geom.Rect, ref uint64, time int64) (bool, error)
+}
+
+// Apply applies the records' events (Events) to t in order.
+func Apply(t Updater, records []Record, events []Event) error {
 	for _, ev := range events {
 		r := records[ev.Rec]
 		if ev.Insert {

@@ -73,7 +73,7 @@ func (t *Tree) ExpandAlive(oldRect geom.Rect, ref uint64, add geom.Rect, time in
 	}
 	leaf.entries[idx].rect = grown
 	leaf.mbr = leaf.mbr.Union(grown)
-	if err := t.writeNode(leaf); err != nil {
+	if err := t.nodes.Write(leaf); err != nil {
 		return err
 	}
 	return t.propagateGrowth(leaf.id, grown)
@@ -95,15 +95,16 @@ func (t *Tree) propagateGrowth(child pagefile.PageID, grown geom.Rect) error {
 	for head := 0; head < len(t.growth); head++ {
 		w := t.growth[head]
 		for parentID := range t.backRefs[w.child] {
-			parent, data, err := t.residentOrImage(parentID)
-			if err != nil {
-				return err
-			}
-			if parent == nil {
+			parent, ok := t.nodes.Resident(parentID)
+			if !ok {
+				data, err := t.nodes.Buffer().Read(parentID)
+				if err != nil {
+					return err
+				}
 				if !growthNeedsNode(data, w.child, w.rect) {
 					continue
 				}
-				if parent, err = t.decodeForUpdate(parentID, data); err != nil {
+				if parent, err = t.nodes.Parse(parentID, data); err != nil {
 					return err
 				}
 			}
@@ -118,7 +119,7 @@ func (t *Tree) propagateGrowth(child pagefile.PageID, grown geom.Rect) error {
 				changed = true
 			}
 			if changed {
-				if err := t.writeNode(parent); err != nil {
+				if err := t.nodes.Write(parent); err != nil {
 					return err
 				}
 				t.growth = append(t.growth, growthStep{child: parentID, rect: w.rect})

@@ -31,7 +31,7 @@ func TestGrowthNeedsNodeMatchesDecodedNode(t *testing.T) {
 			}
 			n.entries = append(n.entries, e)
 		}
-		data := n.encode(nil)
+		data := n.Encode(nil)
 		child, rect := pagefile.PageID(rng.Intn(4)), unit()
 		want := n.live()
 		for _, e := range n.entries {

@@ -16,7 +16,7 @@ func FuzzDecodePNodeAliasSafety(f *testing.F) {
 	good.entries = append(good.entries,
 		pentry{rect: geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.3, MaxY: 0.4}, insertT: 1, deleteT: 50, ref: 9},
 		pentry{rect: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.7}, insertT: 2, deleteT: geom.Now, ref: 10})
-	f.Add(good.encode(nil))
+	f.Add(good.Encode(nil))
 	f.Add([]byte{})
 	f.Add(make([]byte, pnodeHeaderSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,7 +35,7 @@ func FuzzDecodePNodeAliasSafety(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of identical bytes failed: %v", err)
 		}
-		if n1.leaf != n2.leaf || !bytes.Equal(n1.encode(nil), n2.encode(nil)) {
+		if n1.leaf != n2.leaf || !bytes.Equal(n1.Encode(nil), n2.Encode(nil)) {
 			t.Fatal("decoded node changed when the input frame was clobbered")
 		}
 	})

@@ -14,7 +14,7 @@ import (
 func FuzzDecodePNode(f *testing.F) {
 	good := &pnode{id: 1, leaf: true, startT: 0, endT: 100}
 	good.entries = append(good.entries, pentry{insertT: 1, deleteT: 50, ref: 9})
-	f.Add(good.encode(nil))
+	f.Add(good.Encode(nil))
 	f.Add(invertedRectPage(disorderedRects["inverted-x"]))
 	f.Add(invertedRectPage(disorderedRects["nan-min-x"]))
 	f.Add([]byte{})
@@ -26,7 +26,7 @@ func FuzzDecodePNode(f *testing.F) {
 			return
 		}
 		// A successful decode must round-trip to the same entry count.
-		if len(n.entries) > maxEntriesFor(len(data))+1 {
+		if len(n.entries) > (len(data)-pnodeHeaderSize)/pentrySize+1 {
 			t.Fatalf("decoded %d entries from %d bytes", len(n.entries), len(data))
 		}
 		for i := range n.entries {

@@ -41,14 +41,29 @@ type recLoc struct {
 	copies int
 }
 
+// openLocator is the node layer's bracket-open hook: a bracket that opens
+// on the table the last one kept keeps its locator too; one that opens
+// empty builds the locator over every alive copy.
+func (t *Tree) openLocator(kept bool) error {
+	if kept {
+		return nil
+	}
+	t.located = make(map[uint64]recLoc)
+	if t.alive == 0 {
+		return nil
+	}
+	_, err := t.locateBelow(t.liveRoot().page)
+	return err
+}
+
 // trackLocation registers the entries just added to live node n.
 func (t *Tree) trackLocation(n *pnode, added []pentry) {
-	if t.located == nil {
+	if !t.nodes.InBracket() {
 		return
 	}
 	if !n.leaf {
 		for _, e := range added {
-			if child := t.resident[pagefile.PageID(e.ref)]; child != nil {
+			if child, ok := t.nodes.Resident(pagefile.PageID(e.ref)); ok {
 				child.parent = n
 			}
 		}
@@ -75,7 +90,7 @@ func (t *Tree) locateCopy(n *pnode, ref uint64) {
 // trackLocation registers entries that join a node. It returns the
 // subtree's root.
 func (t *Tree) locateBelow(id pagefile.PageID) (*pnode, error) {
-	n, err := t.readNode(id)
+	n, err := t.nodes.Read(id)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +114,7 @@ func (t *Tree) locateBelow(id pagefile.PageID) (*pnode, error) {
 // untrackRecord forgets one alive copy of ref: the record was deleted, or
 // the leaf holding it died and a fresh leaf is about to register the copy.
 func (t *Tree) untrackRecord(ref uint64) {
-	if t.located == nil {
+	if !t.nodes.InBracket() {
 		return
 	}
 	l := t.located[ref]
@@ -119,6 +134,9 @@ func (t *Tree) untrackRecord(ref uint64) {
 // is the entry the search would reach: every directory entry above a
 // record contains its rectangle.
 func (t *Tree) locateAliveRecord(rect geom.Rect, ref uint64) ([]*pnode, int) {
+	if !t.nodes.InBracket() {
+		return nil, 0
+	}
 	n := t.located[ref].leaf
 	if n == nil {
 		return nil, 0

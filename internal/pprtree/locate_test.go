@@ -12,7 +12,7 @@ import (
 	"stindex/internal/pagefile"
 )
 
-// applyOne applies one replay event the way applyEvents does.
+// applyOne applies one replay event the way Apply does.
 func applyOne(t *testing.T, tree *Tree, recs []Record, ev Event) {
 	t.Helper()
 	r := recs[ev.Rec]
@@ -81,7 +81,7 @@ func TestLocatorPicksTheSearchsEntry(t *testing.T) {
 		alive := map[int]bool{}
 		located, height := 0, 0
 		err = tree.Batch(func() error {
-			if tree.located == nil {
+			if !tree.nodes.InBracket() || tree.located == nil {
 				t.Fatal("a bracket opened on an empty tree keeps no locator")
 			}
 			for i, ev := range events {
@@ -125,8 +125,10 @@ func TestLocatorPicksTheSearchsEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.located != nil {
-			t.Fatal("the locator outlived its bracket")
+		for rec := range alive {
+			if path, _ := tree.locateAliveRecord(recs[rec].Rect, recs[rec].Ref); path != nil {
+				t.Fatal("the locator answered outside its bracket")
+			}
 		}
 		if located == 0 || height < 2 {
 			t.Fatalf("nothing compared: %d lookups, height %d", located, height)
@@ -170,7 +172,7 @@ func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
 						t.Fatalf("the locator answered for ref %d, which has two alive copies", r.Ref)
 					}
 					leaves := 0
-					for _, n := range tree.resident {
+					for _, n := range residentNodes(tree) {
 						if n.leaf && slices.ContainsFunc(n.entries, func(e pentry) bool { return e.alive() && e.ref == r.Ref }) {
 							leaves++
 						}
@@ -188,6 +190,17 @@ func TestLocatorLeavesTwinsToTheSearch(t *testing.T) {
 	if apart == 0 {
 		t.Error("no delete met its ref's two copies in different leaves")
 	}
+}
+
+// residentNodes lists the open bracket's table in page-id order.
+func residentNodes(tree *Tree) []*pnode {
+	var out []*pnode
+	for id := range tree.nodes.Store().NumAllocated() {
+		if n, ok := tree.nodes.Resident(pagefile.PageID(id)); ok {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // locatedCopies is the number of alive copies the open bracket's locator
@@ -243,7 +256,7 @@ func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tree.kept == nil || tree.keptLocated == nil {
+	if !tree.nodes.Kept() || tree.located == nil {
 		t.Error("the build kept no table and locator for the next bracket")
 	}
 	seesEveryCopy(tree, "after the build")
@@ -252,7 +265,7 @@ func TestLocatorOnlyWhereTheBracketSawEveryRecord(t *testing.T) {
 	if err := reopened.Insert(early[0].Rect, 1<<40, reopened.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if reopened.kept != nil || reopened.keptLocated != nil {
+	if reopened.nodes.Kept() {
 		t.Error("a write outside a bracket left the kept locator behind the pages")
 	}
 	seesEveryCopy(reopened, "after a write outside a bracket")
@@ -286,7 +299,7 @@ func TestValidateCatchesStaleLocator(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = tree.Batch(func() error {
-			if err := tree.applyEvents(recs, mustEvents(t, recs)); err != nil {
+			if err := Apply(tree, recs, mustEvents(t, recs)); err != nil {
 				return err
 			}
 			if _, err := tree.Validate(); err != nil {
@@ -308,7 +321,7 @@ func TestValidateCatchesStaleLocator(t *testing.T) {
 		}
 	}
 	otherLeaf := func(tree *Tree, not *pnode) *pnode {
-		for _, n := range tree.resident {
+		for _, n := range residentNodes(tree) {
 			if n.leaf && n.live() && n != not {
 				return n
 			}
@@ -326,7 +339,7 @@ func TestValidateCatchesStaleLocator(t *testing.T) {
 		delete(tree.located, recs[0].Ref)
 	})
 	corrupt("parent link to another node", "parent link names", func(tree *Tree, leaf *pnode) {
-		for _, n := range tree.resident {
+		for _, n := range residentNodes(tree) {
 			if !n.leaf && n.live() && n != leaf.parent {
 				leaf.parent = n
 				return
@@ -451,7 +464,7 @@ func TestKeptLocatorMatchesTheSearch(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if tree.kept == nil {
+			if !tree.nodes.Kept() {
 				t.Fatalf("events %d..: the bracket kept nothing for the next", lo)
 			}
 			check(tree, fmt.Sprintf("after the bracket of events %d..", lo))

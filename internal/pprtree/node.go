@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"stindex/internal/geom"
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 )
 
@@ -50,17 +51,16 @@ type pnode struct {
 	endT    int64
 	entries []pentry
 	// mbr is the running union of every entry's rectangle on the live
-	// nodes the update path holds (readNode, newNode): entries are
+	// nodes the update path holds (prepare, newNode): entries are
 	// append-only and rectangles only grow, so it is kept by unioning in
 	// each appended or grown rectangle. Nothing reads it on a dead node or
 	// on one decoded for queries, and it is not maintained there.
-	mbr   geom.Rect
-	dirty bool // in the write-back table and ahead of its page image
+	mbr geom.Rect
 	// nalive counts the alive entries under the same rule as mbr: set
 	// where a live node is decoded for an update or created, raised by
 	// appendEntries and lowered where an entry closes (Delete,
-	// closeAndCopyAlive, maybeShrinkRoot, closeChildEntry). An int32 in
-	// dirty's padding word keeps the node at 96 bytes.
+	// closeAndCopyAlive, maybeShrinkRoot, closeChildEntry). An int32
+	// keeps the node at 96 bytes.
 	nalive int32
 	// parent is the resident directory node holding this node's alive
 	// entry, kept while the bracket keeps a record locator (locate.go).
@@ -68,6 +68,16 @@ type pnode struct {
 }
 
 func (n *pnode) live() bool { return n.endT == geom.Now }
+
+// prepare sets the running MBR and alive count of a live node parsed for
+// an update.
+func (n *pnode) prepare() {
+	n.mbr = n.mbrAll()
+	n.nalive = int32(n.aliveCount())
+}
+
+func (n *pnode) PageID() pagefile.PageID { return n.id }
+func (n *pnode) Len() int                { return len(n.entries) }
 
 // aliveCount recounts the currently-alive records. The update path reads
 // n.nalive instead; this is what n.nalive starts from and what Validate
@@ -121,28 +131,10 @@ func (n *pnode) appendEntries(adds []pentry) {
 const (
 	pnodeHeaderSize = 24
 	pentrySize      = 4*8 + 2*8 + 8 // rect + lifetime + ref
-	pflagLeaf       = 0x01
 )
 
-// maxEntriesFor returns the node capacity a page of the given size can hold.
-func maxEntriesFor(pageSize int) int {
-	return (pageSize - pnodeHeaderSize) / pentrySize
-}
-
-func (n *pnode) encode(buf []byte) []byte {
-	need := pnodeHeaderSize + len(n.entries)*pentrySize
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	var flags byte
-	if n.leaf {
-		flags |= pflagLeaf
-	}
-	buf[0] = flags
-	buf[1] = 0
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint32(buf[4:], 0)
+func (n *pnode) Encode(buf []byte) []byte {
+	buf = nodes.PutHeader(buf, pnodeHeaderSize, pentrySize, len(n.entries), n.leaf)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n.startT))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(n.endT))
 	off := pnodeHeaderSize
@@ -169,14 +161,8 @@ func (n *pnode) encode(buf []byte) []byte {
 // rectangle grows by little and a routing rectangle covers many records —
 // needs nothing but this scan of its fixed-size entries.
 func growthNeedsNode(data []byte, child pagefile.PageID, rect geom.Rect) bool {
-	if len(data) < pnodeHeaderSize {
-		return true
-	}
-	count := int(binary.LittleEndian.Uint16(data[2:]))
-	if len(data) < pnodeHeaderSize+count*pentrySize {
-		return true
-	}
-	if int64(binary.LittleEndian.Uint64(data[16:])) == geom.Now {
+	_, count, err := nodes.Header("pprtree", child, data, pnodeHeaderSize, pentrySize)
+	if err != nil || int64(binary.LittleEndian.Uint64(data[16:])) == geom.Now {
 		return true
 	}
 	for off := pnodeHeaderSize; count > 0; count, off = count-1, off+pentrySize {
@@ -199,18 +185,13 @@ func growthNeedsNode(data []byte, child pagefile.PageID, rect geom.Rect) bool {
 // decodePNode parses a page image into a node. An entry rectangle that is
 // not Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodePNode(id pagefile.PageID, data []byte) (*pnode, error) {
-	if len(data) < pnodeHeaderSize {
-		return nil, fmt.Errorf("pprtree: page %d too short (%d bytes)", id, len(data))
-	}
-	count := int(binary.LittleEndian.Uint16(data[2:]))
-	need := pnodeHeaderSize + count*pentrySize
-	if len(data) < need {
-		return nil, fmt.Errorf("pprtree: page %d truncated: %d entries need %d bytes, have %d",
-			id, count, need, len(data))
+	leaf, count, err := nodes.Header("pprtree", id, data, pnodeHeaderSize, pentrySize)
+	if err != nil {
+		return nil, err
 	}
 	n := &pnode{
 		id:      id,
-		leaf:    data[0]&pflagLeaf != 0,
+		leaf:    leaf,
 		startT:  int64(binary.LittleEndian.Uint64(data[8:])),
 		endT:    int64(binary.LittleEndian.Uint64(data[16:])),
 		entries: make([]pentry, count),

@@ -248,7 +248,7 @@ func TestPNodeRoundTrip(t *testing.T) {
 			insertT: int64(i), deleteT: geom.Now, ref: uint64(i),
 		})
 	}
-	buf := n.encode(nil)
+	buf := n.Encode(nil)
 	got, err := decodePNode(3, buf)
 	if err != nil {
 		t.Fatal(err)

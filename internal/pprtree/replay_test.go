@@ -104,7 +104,7 @@ func TestReplayMatchesSingleUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if built.resident != nil {
+		if built.nodes.InBracket() {
 			t.Fatal("BuildRecords left the replay table open")
 		}
 		if _, err := built.Validate(); err != nil {
@@ -157,7 +157,7 @@ func TestReplayMatchesSingleUpdates(t *testing.T) {
 		if err := chunked.AppendRecords(late); err != nil {
 			t.Fatal(err)
 		}
-		if chunked.resident != nil {
+		if chunked.nodes.InBracket() {
 			t.Fatal("AppendRecords left the replay table open")
 		}
 		if !bytes.Equal(treeImage(t, chunked), treeImage(t, whole)) {
@@ -293,7 +293,7 @@ func TestBatchMatchesSingleUpdates(t *testing.T) {
 						return err
 					}
 					err := tree.Batch(func() error { return applyAll(ops[mid:hi], mid) })
-					if tree.resident == nil {
+					if !tree.nodes.InBracket() {
 						t.Fatal("a nested bracket closed the outer table")
 					}
 					return err
@@ -304,7 +304,7 @@ func TestBatchMatchesSingleUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree.resident != nil {
+			if tree.nodes.InBracket() {
 				t.Fatal("bracket left its table open")
 			}
 			if group > 1 {
@@ -345,7 +345,7 @@ func TestValidateCatchesStaleCachedState(t *testing.T) {
 		if tree.Height() < 2 {
 			t.Fatal("history too small: the root is a leaf")
 		}
-		root, err := tree.readNode(tree.liveRoot().page)
+		root, err := tree.nodes.Read(tree.liveRoot().page)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestValidateCatchesStaleCachedState(t *testing.T) {
 	// A resident node whose running MBR lags an entry it holds.
 	tree, _ := build()
 	err := tree.Batch(func() error {
-		root, err := tree.readNode(tree.liveRoot().page)
+		root, err := tree.nodes.Read(tree.liveRoot().page)
 		if err != nil {
 			return err
 		}

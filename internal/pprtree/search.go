@@ -23,8 +23,8 @@ func (t *Tree) SnapshotSearch(query geom.Rect, at int64, fn func(rect geom.Rect,
 	probe := query.AsQuery()
 	// At one instant the alive structure is a strict tree.
 	roots := append(t.walk.Roots(), uint64(root.page))
-	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
-		n, err := t.readShared(id)
+	return t.walk.DFS(roots, t.nodes.Store().NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return stack, false, err
 		}
@@ -56,8 +56,8 @@ func (t *Tree) NearestSearch(x, y float64, at int64, fn func(dist2 float64, ref 
 	if root == nil {
 		return nil
 	}
-	return t.walk.BestFirst(root.page, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
-		n, err := t.readShared(id)
+	return t.walk.BestFirst(root.page, t.nodes.Store().NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return queue, err
 		}
@@ -105,8 +105,8 @@ func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(
 			roots = append(roots, uint64(root.page))
 		}
 	}
-	return t.walk.DFS(roots, t.file.NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
-		n, err := t.readShared(id)
+	return t.walk.DFS(roots, t.nodes.Store().NumPages(), true, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return stack, false, err
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 	"stindex/internal/section"
 )
@@ -27,10 +28,6 @@ const (
 	treeMagic   = "STPP"
 	treeVersion = 1
 
-	// maxStoredBufferPages bounds the deserialised pool size; the field is
-	// untrusted container input and sizes an eager allocation.
-	maxStoredBufferPages = 1 << 20
-
 	// maxPageIDs bounds the meta's counts: a root span, a back-referenced
 	// child and each of its parents name a page, and a page id is a u32.
 	maxPageIDs = math.MaxUint32
@@ -39,11 +36,8 @@ const (
 // WriteMeta serialises everything except the page extent: options, state,
 // root log and online-mode back references.
 func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
-	if t.failed != nil {
-		return 0, t.failed
-	}
-	if t.resident != nil {
-		return 0, fmt.Errorf("pprtree: serialising inside an open write-back bracket (pages are behind the resident nodes)")
+	if err := t.nodes.Settled(); err != nil {
+		return 0, err
 	}
 	sw := section.NewWriter(w)
 	sw.Magic(treeMagic, treeVersion)
@@ -139,9 +133,7 @@ func ReadMeta(r io.Reader) (*Tree, error) {
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("pprtree: reading meta: %w", err)
 	}
-	// The stored pool size is untrusted and sizes an eager allocation in
-	// AttachStore; a corrupt value must fail here, not OOM there.
-	if opts.BufferPages > maxStoredBufferPages {
+	if opts.BufferPages > nodes.MaxStoredBufferPages { // fail here, not OOM in AttachStore
 		return nil, fmt.Errorf("pprtree: stored buffer pool of %d pages is implausible", opts.BufferPages)
 	}
 	var err error
@@ -159,9 +151,7 @@ func (t *Tree) AttachStore(store pagefile.Store) error {
 	if store.PageSize() != t.opts.PageSize {
 		return fmt.Errorf("pprtree: page size mismatch: options %d, store %d", t.opts.PageSize, store.PageSize())
 	}
-	t.file = store
-	t.buf = pagefile.NewBuffer(store, t.opts.BufferPages)
-	t.dropKept()
+	t.attach(store)
 	if err := t.validateRootLog(); err != nil {
 		return fmt.Errorf("pprtree: stored root log invalid: %w", err)
 	}

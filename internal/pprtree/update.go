@@ -58,7 +58,7 @@ func (t *Tree) chooseLeafPath(rect geom.Rect) ([]*pnode, error) {
 	t.slots = t.slots[:0]
 	id := t.liveRoot().page
 	for {
-		n, err := t.readNode(id)
+		n, err := t.nodes.Read(id)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func (t *Tree) findAliveRecord(rect geom.Rect, ref uint64) ([]*pnode, int, error
 // record it leaves the path standing and returns the record's index in
 // the leaf.
 func (t *Tree) findBelow(id pagefile.PageID, rect geom.Rect, ref uint64) (int, bool, error) {
-	n, err := t.readNode(id)
+	n, err := t.nodes.Read(id)
 	if err != nil {
 		return 0, false, err
 	}
@@ -159,7 +159,7 @@ func (t *Tree) fixup(path []*pnode, time int64, adds []pentry, mayUnderflow bool
 			}
 			continue
 		}
-		if err := t.writeNode(n); err != nil {
+		if err := t.nodes.Write(n); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -188,7 +188,7 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 	// copies what it is given.
 	t.copies = t.closeAndCopyAlive(t.copies[:0], n, time)
 	t.copies = append(t.copies, adds...)
-	if err := t.writeNode(n); err != nil {
+	if err := t.nodes.Write(n); err != nil {
 		return nil, false, err
 	}
 
@@ -222,7 +222,7 @@ func (t *Tree) versionSplit(path []*pnode, i int, time int64, adds []pentry, may
 		fresh = []*pnode{t.newNode(n.leaf, time, copies)}
 	}
 	for _, f := range fresh {
-		if err := t.writeNode(f); err != nil {
+		if err := t.nodes.Write(f); err != nil {
 			return nil, false, err
 		}
 	}
@@ -283,12 +283,12 @@ func (t *Tree) mergeSibling(parent *pnode, except pagefile.PageID, time int64) (
 		return false, nil
 	}
 	sibID := pagefile.PageID(parent.entries[best].ref)
-	sib, err := t.readNode(sibID)
+	sib, err := t.nodes.Read(sibID)
 	if err != nil {
 		return false, err
 	}
 	t.copies = t.closeAndCopyAlive(t.copies, sib, time)
-	if err := t.writeNode(sib); err != nil {
+	if err := t.nodes.Write(sib); err != nil {
 		return false, err
 	}
 	if err := closeChildEntry(parent, sibID, time); err != nil {
@@ -307,7 +307,7 @@ func (t *Tree) replaceRoot(old *pnode, fresh []*pnode, newEntries []pentry, time
 	switch len(fresh) {
 	case 0:
 		empty := t.newNode(true, time, nil)
-		if err := t.writeNode(empty); err != nil {
+		if err := t.nodes.Write(empty); err != nil {
 			return err
 		}
 		newPage, height = empty.id, 1
@@ -315,7 +315,7 @@ func (t *Tree) replaceRoot(old *pnode, fresh []*pnode, newEntries []pentry, time
 		newPage = fresh[0].id
 	default:
 		root := t.newNode(false, time, newEntries)
-		if err := t.writeNode(root); err != nil {
+		if err := t.nodes.Write(root); err != nil {
 			return err
 		}
 		newPage, height = root.id, height+1
@@ -344,7 +344,7 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 		if cur.height == 1 {
 			return nil
 		}
-		root, err := t.readNode(cur.page)
+		root, err := t.nodes.Read(cur.page)
 		if err != nil {
 			return err
 		}
@@ -361,7 +361,7 @@ func (t *Tree) maybeShrinkRoot(time int64) error {
 		}
 		root.nalive = 0
 		root.endT = time
-		if err := t.writeNode(root); err != nil {
+		if err := t.nodes.Write(root); err != nil {
 			return err
 		}
 		height := cur.height - 1
@@ -413,7 +413,7 @@ func aliveChildSlot(parent *pnode, child pagefile.PageID) int {
 // the bracket's locator.
 func (t *Tree) newNode(leaf bool, time int64, entries []pentry) *pnode {
 	own := append(make([]pentry, 0, max(t.opts.MaxEntries, len(entries))), entries...)
-	n := &pnode{id: t.file.Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: own}
+	n := &pnode{id: t.nodes.Store().Allocate(), leaf: leaf, startT: time, endT: geom.Now, entries: own}
 	n.mbr = n.mbrAll()
 	n.nalive = int32(n.aliveCount())
 	t.trackBackRefs(n, own)

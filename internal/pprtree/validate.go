@@ -57,10 +57,14 @@ func (t *Tree) Validate() (CheckReport, error) {
 	recIntervals := make(map[uint64][]recSpan)
 	seen := make(map[pagefile.PageID]bool)
 	aliveCopies := make(map[uint64]int) // per ref, for the locator
+	var located map[uint64]recLoc       // the locator is read only inside a bracket
+	if t.nodes.InBracket() {
+		located = t.located
+	}
 
 	var walk func(id pagefile.PageID, depth, wantLeafDepth int) error
 	walk = func(id pagefile.PageID, depth, wantLeafDepth int) error {
-		n, err := t.readShared(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return err
 		}
@@ -79,10 +83,11 @@ func (t *Tree) Validate() (CheckReport, error) {
 			if n.startT > n.endT {
 				return fmt.Errorf("pprtree: node %d has inverted lifetime [%d,%d)", id, n.startT, n.endT)
 			}
-			if t.resident[id] == n && n.mbr != n.mbrAll() {
+			_, resident := t.nodes.Resident(id)
+			if resident && n.mbr != n.mbrAll() {
 				return fmt.Errorf("pprtree: resident node %d carries MBR %v, its entries span %v", id, n.mbr, n.mbrAll())
 			}
-			if t.resident[id] == n && int(n.nalive) != n.aliveCount() {
+			if resident && int(n.nalive) != n.aliveCount() {
 				return fmt.Errorf("pprtree: resident node %d counts %d alive entries, it holds %d", id, n.nalive, n.aliveCount())
 			}
 		}
@@ -113,22 +118,22 @@ func (t *Tree) Validate() (CheckReport, error) {
 				if e.insertT < e.deleteT {
 					recIntervals[e.ref] = append(recIntervals[e.ref], recSpan{iv: e.interval()})
 				}
-				if t.located != nil && e.alive() {
+				if located != nil && e.alive() {
 					aliveCopies[e.ref]++
-					if l := t.located[e.ref]; l.leaf != nil && l.leaf != n {
+					if l := located[e.ref]; l.leaf != nil && l.leaf != n {
 						return fmt.Errorf("pprtree: locator places record %d in leaf %d, leaf %d holds it", e.ref, l.leaf.id, id)
 					}
 				}
 				continue
 			}
-			child, err := t.readShared(pagefile.PageID(e.ref))
+			child, err := t.nodes.ReadShared(pagefile.PageID(e.ref))
 			if err != nil {
 				return err
 			}
 			if _, ok := t.backRefs[child.id][id]; !ok && t.backRefs != nil {
 				return fmt.Errorf("pprtree: node %d references child %d, which has no back-reference to it", id, child.id)
 			}
-			if t.located != nil && e.alive() && child.parent != nil && child.parent != n {
+			if located != nil && e.alive() && child.parent != nil && child.parent != n {
 				return fmt.Errorf("pprtree: node %d holds the alive entry of child %d, whose parent link names node %d", id, child.id, child.parent.id)
 			}
 			if e.insertT < child.startT || e.deleteT > child.endT {
@@ -174,13 +179,13 @@ func (t *Tree) Validate() (CheckReport, error) {
 		}
 	}
 
-	for ref, l := range t.located {
+	for ref, l := range located {
 		if aliveCopies[ref] != l.copies {
 			return rep, fmt.Errorf("pprtree: locator counts %d alive copies of record %d, the live tree holds %d", l.copies, ref, aliveCopies[ref])
 		}
 	}
-	if len(aliveCopies) > len(t.located) {
-		return rep, fmt.Errorf("pprtree: %d refs are alive in the live tree, the locator knows %d", len(aliveCopies), len(t.located))
+	if len(aliveCopies) > len(located) {
+		return rep, fmt.Errorf("pprtree: %d refs are alive in the live tree, the locator knows %d", len(aliveCopies), len(located))
 	}
 
 	// Version copies of one record must not overlap in time.
@@ -211,8 +216,8 @@ func (t *Tree) validateRootLog() error {
 				i-1, t.roots[i-1].end, i, r.start)
 		}
 		// A tree of height h has a page on each of its h levels.
-		if r.height < 1 || r.height > t.file.NumPages() {
-			return fmt.Errorf("pprtree: root span %d has height %d, want 1..%d (the store's pages)", i, r.height, t.file.NumPages())
+		if r.height < 1 || r.height > t.nodes.Store().NumPages() {
+			return fmt.Errorf("pprtree: root span %d has height %d, want 1..%d (the store's pages)", i, r.height, t.nodes.Store().NumPages())
 		}
 	}
 	if last := t.roots[len(t.roots)-1]; last.end != geom.Now {

@@ -41,10 +41,17 @@ func BenchmarkInsert(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j, box := range boxes {
-			if err := tree.Insert(box, uint64(j)); err != nil {
-				b.Fatal(err)
+		// One write-back bracket, as stindex.BuildRStar inserts.
+		err = tree.Batch(func() error {
+			for j, box := range boxes {
+				if err := tree.Insert(box, uint64(j)); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -62,16 +62,16 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 	// their bounding boxes and page ids.
 	level := items
 	keys := make([]centerKey, len(items))
-	var gathered []entry
-	leaf := true
+	// Every node is written through from this one, its entries reused.
+	n := &node{leaf: true}
 	for height := 1; ; height++ {
 		if len(level) <= opts.MaxEntries {
 			// This level fits in the root.
-			root := &node{id: t.root, leaf: leaf}
+			n.id, n.entries = t.root, n.entries[:0]
 			for _, it := range level {
-				root.entries = append(root.entries, entry{box: it.Box, ref: it.Ref})
+				n.entries = append(n.entries, entry{box: it.Box, ref: it.Ref})
 			}
-			if err := t.writeNode(root); err != nil {
+			if err := t.nodes.Write(n); err != nil {
 				return nil, err
 			}
 			t.height = height
@@ -80,19 +80,18 @@ func BulkLoadSTR(opts Options, items []Item) (*Tree, error) {
 		groups := strTile(level, keys[:len(level)], opts.MaxEntries, workers)
 		next := make([]Item, 0, len(groups))
 		for _, g := range groups {
-			n := &node{id: t.file.Allocate(), leaf: leaf, entries: gathered[:0]}
+			n.id, n.entries = t.nodes.Store().Allocate(), n.entries[:0]
 			for _, k := range g {
 				it := &level[k.i]
 				n.entries = append(n.entries, entry{box: it.Box, ref: it.Ref})
 			}
-			if err := t.writeNode(n); err != nil {
+			if err := t.nodes.Write(n); err != nil {
 				return nil, err
 			}
-			gathered = n.entries
 			next = append(next, Item{Box: n.mbr(), Ref: uint64(n.id)})
 		}
 		level = next
-		leaf = false
+		n.leaf = false
 	}
 }
 

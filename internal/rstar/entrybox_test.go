@@ -108,7 +108,7 @@ func invertedBoxPage(mutate func(*geom.Box3)) []byte {
 		{box: geom.Box3{Min: [3]float64{0.3, 0.3, 0.3}, Max: [3]float64{0.4, 0.4, 0.4}}, ref: 8},
 	}}
 	mutate(&n.entries[1].box)
-	return n.encode(nil)
+	return n.Encode(nil)
 }
 
 // disorderedBoxes are the corruptions decodeNode refuses: an axis turned

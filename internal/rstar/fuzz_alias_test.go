@@ -18,11 +18,11 @@ func FuzzDecodeNodeAliasSafety(f *testing.F) {
 		box: geom.Box3{Min: [3]float64{0.1, 0.2, 0.3}, Max: [3]float64{0.4, 0.5, 0.6}},
 		ref: 7,
 	})
-	f.Add(good.encode(nil))
+	f.Add(good.Encode(nil))
 	dir := &node{id: 2, leaf: false}
 	dir.entries = append(dir.entries, entry{box: good.entries[0].box, ref: 3},
 		entry{box: good.entries[0].box, ref: 4})
-	f.Add(dir.encode(nil))
+	f.Add(dir.Encode(nil))
 	f.Add([]byte{})
 	f.Add(make([]byte, nodeHeaderSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,7 +44,7 @@ func FuzzDecodeNodeAliasSafety(f *testing.F) {
 		}
 		// Compare via re-encoding — exact for every bit pattern, NaNs
 		// included, which reflect.DeepEqual is not.
-		if n1.leaf != n2.leaf || !bytes.Equal(n1.encode(nil), n2.encode(nil)) {
+		if n1.leaf != n2.leaf || !bytes.Equal(n1.Encode(nil), n2.Encode(nil)) {
 			t.Fatal("decoded node changed when the input frame was clobbered")
 		}
 	})

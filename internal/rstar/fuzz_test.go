@@ -11,7 +11,7 @@ import (
 func FuzzDecodeNode(f *testing.F) {
 	good := &node{id: 1, leaf: true}
 	good.entries = append(good.entries, entry{ref: 42})
-	f.Add(good.encode(nil))
+	f.Add(good.Encode(nil))
 	f.Add(invertedBoxPage(disorderedBoxes["inverted-x"]))
 	f.Add(invertedBoxPage(disorderedBoxes["nan-min-y"]))
 	f.Add([]byte{})

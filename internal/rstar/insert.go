@@ -17,40 +17,39 @@ func (t *Tree) Insert(b geom.Box3, ref uint64) error {
 		return fmt.Errorf("rstar: cannot insert box %v: %w", b, geom.ErrInvertedBox)
 	}
 	t.size++
-	// reinserted tracks, per level, whether forced reinsertion already ran
-	// during this top-level insertion (R* runs it at most once per level).
-	reinserted := make(map[int]bool)
-	return t.insertAtLevel(entry{box: b, ref: ref}, 1, reinserted)
+	clear(t.reinserted)
+	return t.insertAtLevel(entry{box: b, ref: ref}, 1)
 }
 
 // insertAtLevel places e into a node at the given level (1 = leaf level,
 // counting from the bottom; this numbering is stable across root splits).
-func (t *Tree) insertAtLevel(e entry, level int, reinserted map[int]bool) error {
+func (t *Tree) insertAtLevel(e entry, level int) error {
 	path, err := t.choosePath(e.box, level)
 	if err != nil {
 		return err
 	}
 	target := path[len(path)-1]
 	target.entries = append(target.entries, e)
-	return t.adjustPath(path, reinserted)
+	return t.adjustPath(path)
 }
 
 // choosePath descends from the root to a node at targetLevel using the R*
-// ChooseSubtree rule and returns the nodes along the way (root first).
+// ChooseSubtree rule and returns the nodes along the way (root first), in
+// the tree's path scratch: valid until the next descent.
 func (t *Tree) choosePath(b geom.Box3, targetLevel int) ([]*node, error) {
 	if targetLevel > t.height {
 		return nil, fmt.Errorf("rstar: target level %d above root level %d", targetLevel, t.height)
 	}
-	path := make([]*node, 0, t.height)
+	t.path = t.path[:0]
 	id := t.root
 	for level := t.height; ; level-- {
-		n, err := t.readNode(id)
+		n, err := t.nodes.Read(id)
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, n)
+		t.path = append(t.path, n)
 		if level == targetLevel {
-			return path, nil
+			return t.path, nil
 		}
 		id = pagefile.PageID(n.entries[t.chooseSubtree(n, b, level-1 == 1)].ref)
 	}
@@ -111,7 +110,9 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 
 // adjustPath writes back the modified nodes bottom-up, handling overflows
 // by forced reinsertion or node splits and keeping parent boxes tight.
-func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
+// The reinsertions it queues run last, when path is no longer read, since
+// each descends into the tree's path scratch again.
+func (t *Tree) adjustPath(path []*node) error {
 	startHeight := t.height
 	type pending struct {
 		e     entry
@@ -124,11 +125,14 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 		level := startHeight - i
 
 		if len(n.entries) > t.opts.MaxEntries {
-			if i > 0 && !reinserted[level] {
+			for len(t.reinserted) <= level {
+				t.reinserted = append(t.reinserted, false)
+			}
+			if i > 0 && !t.reinserted[level] {
 				// Forced reinsertion: evict the ReinsertCount entries whose
 				// centers are farthest from the node's center, then re-add
 				// them closest-first once the tree has settled.
-				reinserted[level] = true
+				t.reinserted[level] = true
 				removed := t.evictFarthest(n)
 				for _, e := range removed {
 					reinserts = append(reinserts, pending{e: e, level: level})
@@ -137,25 +141,25 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 				sibling := t.splitNode(n)
 				if i == 0 {
 					// Root split: grow the tree.
-					if err := t.writeNode(n); err != nil {
+					if err := t.nodes.Write(n); err != nil {
 						return err
 					}
-					if err := t.writeNode(sibling); err != nil {
+					if err := t.nodes.Write(sibling); err != nil {
 						return err
 					}
-					root := &node{id: t.file.Allocate(), leaf: false}
+					root := &node{id: t.nodes.Store().Allocate(), leaf: false}
 					root.entries = []entry{
 						{box: n.mbr(), ref: uint64(n.id)},
 						{box: sibling.mbr(), ref: uint64(sibling.id)},
 					}
-					if err := t.writeNode(root); err != nil {
+					if err := t.nodes.Write(root); err != nil {
 						return err
 					}
 					t.root = root.id
 					t.height++
 					continue
 				}
-				if err := t.writeNode(sibling); err != nil {
+				if err := t.nodes.Write(sibling); err != nil {
 					return err
 				}
 				parent := path[i-1]
@@ -163,7 +167,7 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 			}
 		}
 
-		if err := t.writeNode(n); err != nil {
+		if err := t.nodes.Write(n); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -174,7 +178,7 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 	}
 
 	for _, p := range reinserts {
-		if err := t.insertAtLevel(p.e, p.level, reinserted); err != nil {
+		if err := t.insertAtLevel(p.e, p.level); err != nil {
 			return err
 		}
 	}
@@ -187,7 +191,7 @@ func (t *Tree) adjustPath(path []*node, reinserted map[int]bool) error {
 func (t *Tree) splitNode(n *node) *node {
 	g1, g2 := t.split.Split(n.entries, t.opts.MinEntries, 3)
 	n.entries = slices.Clone(g1)
-	return &node{id: t.file.Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
+	return &node{id: t.nodes.Store().Allocate(), leaf: n.leaf, entries: slices.Clone(g2)}
 }
 
 // evictFarthest removes the ReinsertCount entries whose centers are

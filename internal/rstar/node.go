@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"stindex/internal/geom"
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 )
 
@@ -31,6 +32,9 @@ type node struct {
 	entries []entry
 }
 
+func (n *node) PageID() pagefile.PageID { return n.id }
+func (n *node) Len() int                { return len(n.entries) }
+
 // mbr returns the bounding box of all entries.
 func (n *node) mbr() geom.Box3 {
 	b := geom.EmptyBox3()
@@ -43,30 +47,12 @@ func (n *node) mbr() geom.Box3 {
 const (
 	nodeHeaderSize = 8
 	entrySize      = 6*8 + 8 // six float64 coordinates + uint64 ref
-	flagLeaf       = 0x01
 )
 
-// maxEntriesFor returns the node capacity a page of the given size can hold.
-func maxEntriesFor(pageSize int) int {
-	return (pageSize - nodeHeaderSize) / entrySize
-}
-
-// encode serialises the node into buf (which must be at least
-// nodeHeaderSize + len(entries)*entrySize long) and returns the used slice.
-func (n *node) encode(buf []byte) []byte {
-	need := nodeHeaderSize + len(n.entries)*entrySize
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	var flags byte
-	if n.leaf {
-		flags |= flagLeaf
-	}
-	buf[0] = flags
-	buf[1] = 0
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint32(buf[4:], 0)
+// Encode serialises the node into buf, grown when too short, and returns
+// the used slice.
+func (n *node) Encode(buf []byte) []byte {
+	buf = nodes.PutHeader(buf, nodeHeaderSize, entrySize, len(n.entries), n.leaf)
 	off := nodeHeaderSize
 	for _, e := range n.entries {
 		for d := 0; d < 3; d++ {
@@ -86,20 +72,11 @@ func (n *node) encode(buf []byte) []byte {
 // decodeNode parses a page image into a node. An entry box that is not
 // Ordered is corruption and fails the decode with geom.ErrInvertedBox.
 func decodeNode(id pagefile.PageID, data []byte) (*node, error) {
-	if len(data) < nodeHeaderSize {
-		return nil, fmt.Errorf("rstar: page %d too short (%d bytes)", id, len(data))
+	leaf, count, err := nodes.Header("rstar", id, data, nodeHeaderSize, entrySize)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(data[2:]))
-	need := nodeHeaderSize + count*entrySize
-	if len(data) < need {
-		return nil, fmt.Errorf("rstar: page %d truncated: %d entries need %d bytes, have %d",
-			id, count, need, len(data))
-	}
-	n := &node{
-		id:      id,
-		leaf:    data[0]&flagLeaf != 0,
-		entries: make([]entry, count),
-	}
+	n := &node{id: id, leaf: leaf, entries: make([]entry, count)}
 	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		var e entry

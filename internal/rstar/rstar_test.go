@@ -140,7 +140,7 @@ func TestNodeRoundTrip(t *testing.T) {
 	for i := 0; i < 23; i++ {
 		n.entries = append(n.entries, entry{box: randBox3(rng), ref: uint64(i * 31)})
 	}
-	buf := n.encode(nil)
+	buf := n.Encode(nil)
 	got, err := decodeNode(7, buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

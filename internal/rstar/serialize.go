@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 	"stindex/internal/section"
 )
@@ -21,15 +22,14 @@ import (
 const (
 	rstarMagic   = "STRS"
 	rstarVersion = 1
-
-	// maxStoredBufferPages bounds the deserialised pool size; the field is
-	// untrusted container input and sizes an eager allocation.
-	maxStoredBufferPages = 1 << 20
 )
 
 // WriteMeta serialises everything except the page extent: options and
 // root/height/size state.
 func (t *Tree) WriteMeta(w io.Writer) (int64, error) {
+	if err := t.nodes.Settled(); err != nil {
+		return 0, err
+	}
 	sw := section.NewWriter(w)
 	sw.Magic(rstarMagic, rstarVersion)
 	sw.U32(uint32(t.opts.MaxEntries))
@@ -60,9 +60,7 @@ func ReadMeta(r io.Reader) (*Tree, error) {
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("rstar: reading meta: %w", err)
 	}
-	// The stored pool size is untrusted and sizes an eager allocation in
-	// AttachStore; a corrupt value must fail here, not OOM there.
-	if opts.BufferPages > maxStoredBufferPages {
+	if opts.BufferPages > nodes.MaxStoredBufferPages { // fail here, not OOM in AttachStore
 		return nil, fmt.Errorf("rstar: stored buffer pool of %d pages is implausible", opts.BufferPages)
 	}
 	var err error
@@ -89,7 +87,6 @@ func (t *Tree) AttachStore(store pagefile.Store) error {
 	if t.height > store.NumPages() {
 		return fmt.Errorf("rstar: stored height %d above the store's %d pages", t.height, store.NumPages())
 	}
-	t.file = store
-	t.buf = pagefile.NewBuffer(store, t.opts.BufferPages)
+	t.attach(store)
 	return nil
 }

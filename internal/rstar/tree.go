@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stindex/internal/geom"
+	"stindex/internal/nodes"
 	"stindex/internal/pagefile"
 	"stindex/internal/rsplit"
 	"stindex/internal/treewalk"
@@ -57,26 +58,24 @@ func (o Options) withDefaults() (Options, error) {
 	if o.ReinsertCount < 1 || o.ReinsertCount >= o.MaxEntries {
 		return o, fmt.Errorf("rstar: ReinsertCount %d out of range [1, %d)", o.ReinsertCount, o.MaxEntries)
 	}
-	if maxEntriesFor(o.PageSize) < o.MaxEntries {
-		return o, fmt.Errorf("rstar: page size %d fits only %d entries, need %d",
-			o.PageSize, maxEntriesFor(o.PageSize), o.MaxEntries)
-	}
-	return o, nil
+	return o, nodes.Fits("rstar", o.PageSize, nodeHeaderSize, entrySize, o.MaxEntries)
 }
 
 // Tree is a 3D R*-tree stored on a simulated page file. Not safe for
 // concurrent use; wrap with external locking if needed, or fan queries
-// out over QueryView instances.
+// out over QueryView instances. In its node layer every node is live.
 type Tree struct {
 	opts   Options
-	file   pagefile.Store
-	buf    *pagefile.Buffer
+	nodes  nodes.Layer[*node]
 	root   pagefile.PageID
-	height int // 1 = root is a leaf
-	size   int // number of data entries
-	encBuf []byte
+	height int                              // 1 = root is a leaf
+	size   int                              // number of data entries
 	walk   treewalk.Scratch                 // pooled query scratch
 	split  rsplit.Scratch[entry, geom.Box3] // node-split scratch
+	path   []*node                          // choosePath's descent scratch
+	// reinserted[level] records that forced reinsertion ran at that level
+	// during the insert in progress (R* runs it at most once per level).
+	reinserted []bool
 }
 
 // New creates an empty tree.
@@ -85,19 +84,21 @@ func New(opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	file := pagefile.New(opts.PageSize)
-	t := &Tree{
-		opts:   opts,
-		file:   file,
-		buf:    pagefile.NewBuffer(file, opts.BufferPages),
-		height: 1,
-	}
-	root := &node{id: file.Allocate(), leaf: true}
-	if err := t.writeNode(root); err != nil {
+	t := &Tree{opts: opts, height: 1}
+	t.attach(pagefile.New(opts.PageSize))
+	root := &node{id: t.nodes.Store().Allocate(), leaf: true}
+	if err := t.nodes.Write(root); err != nil {
 		return nil, err
 	}
 	t.root = root.id
 	return t, nil
+}
+
+// attach gives the tree its store and a cold buffer through the node
+// layer. A node is written with up to MaxEntries+1 entries.
+func (t *Tree) attach(store pagefile.Store) {
+	t.nodes.Attach(nodes.Kind[*node]{Name: "rstar", Capacity: t.opts.MaxEntries + 1, Decode: decodeNode},
+		store, t.opts.BufferPages)
 }
 
 // Len returns the number of data entries.
@@ -107,65 +108,22 @@ func (t *Tree) Len() int { return t.size }
 func (t *Tree) Height() int { return t.height }
 
 // Buffer exposes the LRU pool, for I/O accounting and cache resets.
-func (t *Tree) Buffer() *pagefile.Buffer { return t.buf }
+func (t *Tree) Buffer() *pagefile.Buffer { return t.nodes.Buffer() }
 
 // Store exposes the underlying page store, for space accounting.
-func (t *Tree) Store() pagefile.Store { return t.file }
+func (t *Tree) Store() pagefile.Store { return t.nodes.Store() }
 
 // Options returns the effective configuration.
 func (t *Tree) Options() Options { return t.opts }
 
-// readNode returns a private decoded copy of the page, parsed fresh from
-// the buffered image. Mutating paths (insert, delete, split) use it: they
-// are free to edit the node in place before writing it back.
-func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
-	data, err := t.buf.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeNode(id, data)
-}
-
-// decodeNodeCached adapts decodeNode to the buffer's decode cache.
-func decodeNodeCached(id pagefile.PageID, data []byte) (any, error) {
-	return decodeNode(id, data)
-}
-
-// readShared returns the page's decoded node through the buffer's decode
-// cache: a repeat visit of an unchanged page — even after the cold-cache
-// Reset between queries — skips the parse. The node is shared; callers
-// must not mutate it. I/O accounting is identical to readNode.
-func (t *Tree) readShared(id pagefile.PageID) (*node, error) {
-	v, err := t.buf.ReadDecoded(id, decodeNodeCached)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*node), nil
-}
-
-// QueryView returns a read-only view of the tree: same pages, same
-// layout, same options, but a private buffer pool (and decode cache) over
-// the shared page file. Views answer queries concurrently with each other
-// and with the parent as long as nobody mutates the tree — the File's
-// frozen state is safe for concurrent readers, and all per-query state
-// (buffer, stats, traversal scratch) is per-view. Using a view for
-// inserts or deletes is a misuse.
+// QueryView returns a read-only view of the tree over a fresh buffer
+// pool (nodes.Layer.View). Using a view for inserts is a misuse.
 func (t *Tree) QueryView() *Tree {
-	cp := *t
-	cp.buf = pagefile.NewBuffer(t.file, t.opts.BufferPages)
-	cp.encBuf = nil
-	cp.walk = treewalk.Scratch{}
-	cp.split = rsplit.Scratch[entry, geom.Box3]{}
-	return &cp
+	return &Tree{opts: t.opts, nodes: t.nodes.View(), root: t.root, height: t.height, size: t.size}
 }
 
-func (t *Tree) writeNode(n *node) error {
-	if len(n.entries) > t.opts.MaxEntries+1 {
-		return fmt.Errorf("rstar: node %d has %d entries, exceeding overflow capacity", n.id, len(n.entries))
-	}
-	t.encBuf = n.encode(t.encBuf)
-	return t.buf.Write(n.id, t.encBuf)
-}
+// Batch runs fn inside one write-back bracket of the node layer.
+func (t *Tree) Batch(fn func() error) error { return t.nodes.Batch(fn) }
 
 // Search invokes fn for every data entry whose box intersects q, stopping
 // early when fn returns false. Node visits go through the buffer pool, so
@@ -176,8 +134,8 @@ func (t *Tree) writeNode(n *node) error {
 func (t *Tree) Search(q geom.Box3, fn func(b geom.Box3, ref uint64) bool) error {
 	probe := q.AsQuery()
 	roots := append(t.walk.Roots(), uint64(t.root))
-	return t.walk.DFS(roots, t.file.NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
-		n, err := t.readShared(id)
+	return t.walk.DFS(roots, t.nodes.Store().NumPages(), false, func(id pagefile.PageID, stack []uint64) ([]uint64, bool, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return stack, false, err
 		}
@@ -206,8 +164,8 @@ func (t *Tree) Search(q geom.Box3, fn func(b geom.Box3, ref uint64) bool) error 
 // containment), and its MinDistXY2 never exceeds a descendant's, so both
 // the filter and the priority are admissible.
 func (t *Tree) NearestSearch(x, y, tc float64, fn func(dist2 float64, ref uint64) bool) error {
-	return t.walk.BestFirst(t.root, t.file.NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
-		n, err := t.readShared(id)
+	return t.walk.BestFirst(t.root, t.nodes.Store().NumPages(), func(id pagefile.PageID, queue []treewalk.Frame) ([]treewalk.Frame, error) {
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return queue, err
 		}
@@ -235,7 +193,7 @@ func (t *Tree) Validate() error {
 	leafDepth := -1
 	var walk func(id pagefile.PageID, depth int, isRoot bool) (geom.Box3, int, error)
 	walk = func(id pagefile.PageID, depth int, isRoot bool) (geom.Box3, int, error) {
-		n, err := t.readShared(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return geom.Box3{}, 0, err
 		}
@@ -308,7 +266,7 @@ func (t *Tree) Levels() ([]LevelStats, error) {
 	}
 	var walk func(id pagefile.PageID, depth int) error
 	walk = func(id pagefile.PageID, depth int) error {
-		n, err := t.readShared(id)
+		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@ import (
 // pprtree test of the same name).
 func TestSearchRejectsWideChildRef(t *testing.T) {
 	tree, _ := buildRandomTree(t, rand.New(rand.NewSource(11)), 200, Options{MaxEntries: 8, BufferPages: 64})
-	root, err := tree.readNode(tree.root)
+	root, err := tree.nodes.Read(tree.root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestSearchRejectsWideChildRef(t *testing.T) {
 	for i := range root.entries {
 		root.entries[i].ref |= 1 << 32
 	}
-	if err := tree.writeNode(root); err != nil {
+	if err := tree.nodes.Write(root); err != nil {
 		t.Fatal(err)
 	}
 

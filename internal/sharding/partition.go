@@ -96,7 +96,13 @@ func Partition(records []stx.Record, cfg PlanConfig) (*Plan, error) {
 		}
 		return cmp.Compare(a.Interval.Start, b.Interval.Start)
 	})
-	var objs []objectKey
+	count := 1
+	for i := 1; i < len(grouped); i++ {
+		if grouped[i].ObjectID != grouped[i-1].ObjectID {
+			count++
+		}
+	}
+	objs := make([]objectKey, 0, count)
 	for lo := 0; lo < len(grouped); {
 		hi := lo + 1
 		for hi < len(grouped) && grouped[hi].ObjectID == grouped[lo].ObjectID {
