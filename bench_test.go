@@ -174,29 +174,6 @@ func benchObjects(b *testing.B, n int) []*stx.Object {
 	return objs
 }
 
-// BenchmarkAblationMergeHeap compares MergeSplit's lazy-invalidation heap
-// against the O(n²) rescanning reference implementation.
-func BenchmarkAblationMergeHeap(b *testing.B) {
-	objs, err := datagen.Random(datagen.RandomConfig{N: 200, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range objs {
-				split.MergeSplit(o, o.Len()/2)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, o := range objs {
-				split.MergeSplitNaive(o, o.Len()/2)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationLookahead sweeps the LAGreedy look-ahead depth,
 // reporting the volume each depth reaches (depth 2 is the paper's).
 func BenchmarkAblationLookahead(b *testing.B) {

@@ -1,7 +1,6 @@
 package stindex
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -101,23 +100,14 @@ func pickBudget(costs []costmodel.CandidateCost, tolerance float64) (BudgetCandi
 // full dataset.
 func ChooseBudgetBySampling(objs []*Object, queries []Query, cfg ChooseBudgetConfig,
 	sampleFraction float64, seed int64) (BudgetCandidate, []BudgetCandidate, error) {
-	return ChooseBudgetBySamplingCtx(context.Background(), objs, queries, cfg, sampleFraction, seed)
-}
-
-// ChooseBudgetBySamplingCtx is ChooseBudgetBySampling with cooperative
-// cancellation: the context is checked before each candidate budget's
-// build-and-measure step and threaded into the workload measurement, so
-// an expensive sampling run aborts promptly when ctx is cancelled.
-func ChooseBudgetBySamplingCtx(ctx context.Context, objs []*Object, queries []Query,
-	cfg ChooseBudgetConfig, sampleFraction float64, seed int64) (BudgetCandidate, []BudgetCandidate, error) {
-	return chooseBySampling(ctx, objs, queries, cfg, sampleFraction, seed, nil)
+	return chooseBySampling(objs, queries, cfg, sampleFraction, seed, nil)
 }
 
 // chooseBySampling is the sampling chooser under an explicit split
 // measure (nil: volume, what the exported entry points use), so a test
 // can count the measure's calls. The sample is planned once; every
 // candidate budget is distributed over and read off the same plans.
-func chooseBySampling(ctx context.Context, objs []*Object, queries []Query,
+func chooseBySampling(objs []*Object, queries []Query,
 	cfg ChooseBudgetConfig, sampleFraction float64, seed int64, m split.Measure) (BudgetCandidate, []BudgetCandidate, error) {
 
 	if len(objs) == 0 {
@@ -145,9 +135,6 @@ func chooseBySampling(ctx context.Context, objs []*Object, queries []Query,
 
 	var costs []costmodel.CandidateCost
 	for _, budget := range cfg.Budgets {
-		if err := ctx.Err(); err != nil {
-			return BudgetCandidate{}, nil, err
-		}
 		scaled := int(float64(budget) * sampleFraction)
 		records, rep, err := splitPlanned(curves, SplitConfig{Budget: scaled, Parallelism: cfg.Parallelism})
 		if err != nil {
@@ -157,7 +144,7 @@ func chooseBySampling(ctx context.Context, objs []*Object, queries []Query,
 		if err != nil {
 			return BudgetCandidate{}, nil, err
 		}
-		res, err := MeasureWorkloadParallelCtx(ctx, idx, queries, cfg.Parallelism)
+		res, err := MeasureWorkloadParallel(idx, queries, cfg.Parallelism)
 		if err != nil {
 			return BudgetCandidate{}, nil, err
 		}

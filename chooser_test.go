@@ -1,7 +1,6 @@
 package stindex
 
 import (
-	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -101,7 +100,7 @@ func TestSamplingChooserPlansSampleOnce(t *testing.T) {
 	cfg := ChooseBudgetConfig{Budgets: []int{0, 75, 150, 225, 300}, Parallelism: 2}
 	// The whole collection is the sample, so the test knows which objects
 	// were planned.
-	_, table, err := chooseBySampling(context.Background(), objs, queries[:20], cfg, 1, 1, counting)
+	_, table, err := chooseBySampling(objs, queries[:20], cfg, 1, 1, counting)
 	if err != nil {
 		t.Fatal(err)
 	}

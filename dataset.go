@@ -1,8 +1,6 @@
 package stindex
 
 import (
-	"context"
-
 	"stindex/internal/datagen"
 	"stindex/internal/parallel"
 	"stindex/internal/trajectory"
@@ -144,15 +142,7 @@ type WorkloadResult struct {
 // buffer pool is reset before each query — and reports the average number
 // of disk accesses.
 func MeasureWorkload(idx Index, queries []Query) (WorkloadResult, error) {
-	return MeasureWorkloadCtx(context.Background(), idx, queries)
-}
-
-// MeasureWorkloadCtx is MeasureWorkload with cooperative cancellation:
-// the context is checked before each query, so a long measurement aborts
-// within one query's work of ctx being cancelled, returning the context's
-// error.
-func MeasureWorkloadCtx(ctx context.Context, idx Index, queries []Query) (WorkloadResult, error) {
-	return MeasureWorkloadParallelCtx(ctx, idx, queries, 1)
+	return MeasureWorkloadParallel(idx, queries, 1)
 }
 
 // MeasureWorkloadParallel is MeasureWorkload across the given number of
@@ -166,15 +156,6 @@ func MeasureWorkloadCtx(ctx context.Context, idx Index, queries []Query) (Worklo
 // every worker count, including 1; parallelism changes wall clock, never
 // the reported numbers.
 func MeasureWorkloadParallel(idx Index, queries []Query, workers int) (WorkloadResult, error) {
-	return MeasureWorkloadParallelCtx(context.Background(), idx, queries, workers)
-}
-
-// MeasureWorkloadParallelCtx is MeasureWorkloadParallel with cooperative
-// cancellation: once ctx is done no further queries are claimed, the
-// in-flight ones finish, and the context's error is returned. This is
-// what lets a serving layer enforce deadlines end to end across a long
-// measurement.
-func MeasureWorkloadParallelCtx(ctx context.Context, idx Index, queries []Query, workers int) (WorkloadResult, error) {
 	workers = parallel.Workers(workers, len(queries))
 	views := []Index{idx}
 	if workers > 1 {
@@ -186,7 +167,7 @@ func MeasureWorkloadParallelCtx(ctx context.Context, idx Index, queries []Query,
 	ios := make([]int64, len(queries))
 	counts := make([]int, len(queries))
 	errs := make([]error, len(queries))
-	ctxErr := parallel.ForEachWorkerCtx(ctx, len(queries), workers, func(w, i int) {
+	parallel.ForEachWorker(len(queries), workers, func(w, i int) {
 		view := views[w]
 		view.ResetBuffer()
 		ids, err := RunQuery(view, queries[i])
@@ -198,9 +179,6 @@ func MeasureWorkloadParallelCtx(ctx context.Context, idx Index, queries []Query,
 		counts[i] = len(ids)
 	})
 	var res WorkloadResult
-	if ctxErr != nil {
-		return res, ctxErr
-	}
 	totalIO, totalResults := int64(0), 0
 	for i := range queries {
 		if errs[i] != nil {

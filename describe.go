@@ -3,41 +3,8 @@ package stindex
 import (
 	"fmt"
 
-	"stindex/internal/datagen"
 	"stindex/internal/pprtree"
 )
-
-// GenerateCommuter creates the mixed commuter/wanderer dataset: a share
-// of objects make out-and-back trips (tent trajectories, the paper's
-// figure-4 pathology that plain Greedy distribution handles poorly) and
-// the rest drift steadily.
-func GenerateCommuter(cfg CommuterDatasetConfig) ([]*Object, error) {
-	objs, err := datagen.Commuter(datagen.CommuterConfig{
-		N: cfg.N, Horizon: cfg.Horizon, Seed: cfg.Seed,
-		CommuterFraction: cfg.CommuterFraction,
-		ParkSpan:         cfg.ParkSpan,
-		TransitSpan:      cfg.TransitSpan,
-		CommuteDistance:  cfg.CommuteDistance,
-		Extent:           cfg.Extent,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wrapObjects(objs), nil
-}
-
-// CommuterDatasetConfig configures GenerateCommuter. Zero fields take
-// sensible defaults (40% commuters, 30-instant parks, 6-instant transits).
-type CommuterDatasetConfig struct {
-	N                int
-	Horizon          int64
-	Seed             int64
-	CommuterFraction float64
-	ParkSpan         int64
-	TransitSpan      int64
-	CommuteDistance  float64
-	Extent           float64
-}
 
 // IndexDescription summarises an index's physical shape for diagnostics.
 type IndexDescription struct {

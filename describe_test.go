@@ -68,23 +68,3 @@ func TestDescribeIndexes(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateCommuterFacade(t *testing.T) {
-	objs, err := GenerateCommuter(CommuterDatasetConfig{N: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 200 {
-		t.Fatalf("got %d objects", len(objs))
-	}
-	records, rep, err := SplitDataset(objs, SplitConfig{Budget: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) == 0 || rep.Gain() <= 0 {
-		t.Fatalf("pipeline over commuters: %d records, gain %.2f", len(records), rep.Gain())
-	}
-	if _, err := GenerateCommuter(CommuterDatasetConfig{N: -1}); err == nil {
-		t.Fatal("accepted negative N")
-	}
-}

@@ -266,11 +266,8 @@ func Wrapper(sched *Schedule) (func(pagefile.Store) pagefile.Store, *[]*FaultSto
 }
 
 // Disarm switches injection off; the wrapped store behaves transparently
-// from now on. Arm switches it back on.
+// from now on.
 func (f *FaultStore) Disarm() { f.disarmed.Store(true) }
-
-// Arm re-enables injection after a Disarm.
-func (f *FaultStore) Arm() { f.disarmed.Store(false) }
 
 // Injected returns how many faults have fired so far.
 func (f *FaultStore) Injected() uint64 { return f.injected.Load() }

@@ -122,9 +122,10 @@ func TestReplayFailStop(t *testing.T) {
 				"NearestSearch": tree.NearestSearch(0.5, 0.5, 150, func(float64, uint64) bool { return true }),
 			}
 			_, refusals["Delete"] = tree.Delete(late[0].Rect, late[0].Ref, 1000)
-			_, refusals["CountSnapshot"] = tree.CountSnapshot(everywhere, 150)
-			_, refusals["CountInterval"] = tree.CountInterval(everywhere, geom.Interval{Start: 0, End: 200})
-			_, refusals["view.CountSnapshot"] = view.CountSnapshot(everywhere, 150)
+			all := func(geom.Rect, uint64) bool { return true }
+			refusals["SnapshotSearch"] = tree.SnapshotSearch(everywhere, 150, all)
+			refusals["IntervalSearch"] = tree.IntervalSearch(everywhere, geom.Interval{Start: 0, End: 200}, all)
+			refusals["view.SnapshotSearch"] = view.SnapshotSearch(everywhere, 150, all)
 			_, refusals["Validate"] = tree.Validate()
 			_, refusals["WriteMeta"] = tree.WriteMeta(&bytes.Buffer{})
 			for op, err := range refusals {
@@ -238,7 +239,7 @@ func TestBatchFailStop(t *testing.T) {
 			"Batch":       tree.Batch(func() error { return nil }),
 		}
 		_, refusals["Delete"] = tree.Delete(last.rect, last.ref, 1000)
-		_, refusals["CountSnapshot"] = tree.CountSnapshot(everywhere, 30)
+		refusals["SnapshotSearch"] = tree.SnapshotSearch(everywhere, 30, func(geom.Rect, uint64) bool { return true })
 		_, refusals["Validate"] = tree.Validate()
 		_, refusals["WriteMeta"] = tree.WriteMeta(&bytes.Buffer{})
 		for op, err := range refusals {

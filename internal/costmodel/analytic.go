@@ -18,58 +18,6 @@ type TreeModel struct {
 // DefaultTreeModel uses the paper's 50-entry nodes at a typical 69% fill.
 func DefaultTreeModel() TreeModel { return TreeModel{Fanout: 50 * 0.69} }
 
-// Predict3D estimates the expected node accesses per query of a 3D R-tree
-// over the given record boxes (time scaled by timeScale), assuming
-// spatially uniform placement. Level-l nodes are modelled as boxes whose
-// measure is the average record mass times the subtree size, a standard
-// first-order model: each leaf covers ~Fanout records, so its extent per
-// axis is the record extent inflated by (Fanout / density)^(1/3).
-func (m TreeModel) Predict3D(records []geom.Box3, q QueryProfile, timeScale float64) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	if m.Fanout <= 1 {
-		return 0, fmt.Errorf("costmodel: fanout %g must exceed 1", m.Fanout)
-	}
-	n := len(records)
-	if n == 0 {
-		return 0, nil
-	}
-	// Average record extents.
-	var sx, sy, st float64
-	for _, b := range records {
-		sx += b.Max[0] - b.Min[0]
-		sy += b.Max[1] - b.Min[1]
-		st += b.Max[2] - b.Min[2]
-	}
-	sx /= float64(n)
-	sy /= float64(n)
-	st /= float64(n)
-
-	qt := float64(q.Duration) * timeScale
-	total := 0.0
-	// Walk the levels from the leaves up. Level l holds n/f^l nodes; a
-	// node at level l covers f^l records, so (for uniform data) each axis
-	// extent grows by the cube root of the per-node record count over the
-	// per-axis record density.
-	for count := float64(n) / m.Fanout; ; count /= m.Fanout {
-		nodes := math.Ceil(count)
-		if nodes <= 1 {
-			total++ // the root is always read
-			break
-		}
-		// Extent model: nodes tile the records; a node's side on each axis
-		// is the side of the space slab holding its records plus the
-		// average record extent (records straddle slab borders).
-		share := math.Pow(1/nodes, 1.0/3.0)
-		ex := share + sx
-		ey := share + sy
-		et := share + st
-		total += nodes * accessProb(ex+q.ExtentX, ey+q.ExtentY, et+qt)
-	}
-	return total, nil
-}
-
 // PredictEphemeral2D estimates the expected node accesses per snapshot
 // query of the ephemeral 2D R-tree a PPR-tree exposes at one instant,
 // given the records alive at that instant.

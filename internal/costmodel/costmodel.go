@@ -10,11 +10,7 @@
 // (records per leaf ≈ fanout, node area ≈ covered record mass).
 package costmodel
 
-import (
-	"fmt"
-
-	"stindex/internal/geom"
-)
+import "fmt"
 
 // QueryProfile is the average window query of a workload: spatial extents
 // as fractions of the unit space and a duration in time instants
@@ -49,43 +45,4 @@ func accessProb(sides ...float64) float64 {
 		p = 1
 	}
 	return p
-}
-
-// CostFromBoxes3D returns the expected node accesses per query for a set
-// of 3D node MBRs (an R*-tree's directory and leaf nodes) under uniform
-// window queries of the given profile, with the time axis scaled by
-// timeScale (the same scale used when inserting, typically 1/horizon).
-func CostFromBoxes3D(nodes []geom.Box3, q QueryProfile, timeScale float64) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	qt := float64(q.Duration) * timeScale
-	total := 0.0
-	for _, b := range nodes {
-		if b.IsEmpty() {
-			continue
-		}
-		total += accessProb(
-			b.Max[0]-b.Min[0]+q.ExtentX,
-			b.Max[1]-b.Min[1]+q.ExtentY,
-			b.Max[2]-b.Min[2]+qt,
-		)
-	}
-	return total, nil
-}
-
-// CostFromRects2D returns the expected node accesses per snapshot query
-// for a set of 2D node MBRs (one ephemeral R-tree of a PPR-tree).
-func CostFromRects2D(nodes []geom.Rect, q QueryProfile) (float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, r := range nodes {
-		if r.IsEmpty() {
-			continue
-		}
-		total += accessProb(r.MaxX-r.MinX+q.ExtentX, r.MaxY-r.MinY+q.ExtentY)
-	}
-	return total, nil
 }

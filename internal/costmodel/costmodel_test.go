@@ -24,52 +24,6 @@ func TestQueryProfileValidate(t *testing.T) {
 	}
 }
 
-func TestCostFromRects2D(t *testing.T) {
-	q := QueryProfile{ExtentX: 0.1, ExtentY: 0.1, Duration: 1}
-	nodes := []geom.Rect{
-		{MinX: 0, MinY: 0, MaxX: 0.2, MaxY: 0.2},
-		{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.9},
-	}
-	got, err := CostFromRects2D(nodes, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.2+0.1)*(0.2+0.1) + (0.1+0.1)*(0.4+0.1)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("cost = %g, want %g", got, want)
-	}
-	// Probabilities clamp at 1: a space-filling node contributes exactly 1.
-	huge := []geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}
-	got, err = CostFromRects2D(huge, q)
-	if err != nil || got != 1 {
-		t.Fatalf("clamped cost = %g err=%v, want 1", got, err)
-	}
-	if _, err := CostFromRects2D(nodes, QueryProfile{Duration: 0}); err == nil {
-		t.Fatal("accepted invalid profile")
-	}
-}
-
-func TestCostFromBoxes3D(t *testing.T) {
-	q := QueryProfile{ExtentX: 0.1, ExtentY: 0.1, Duration: 10}
-	scale := 0.001
-	nodes := []geom.Box3{
-		{Min: [3]float64{0, 0, 0}, Max: [3]float64{0.2, 0.2, 0.05}},
-	}
-	got, err := CostFromBoxes3D(nodes, q, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.2 + 0.1) * (0.2 + 0.1) * (0.05 + 10*scale)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("cost = %g, want %g", got, want)
-	}
-	// Empty boxes contribute nothing.
-	got, err = CostFromBoxes3D([]geom.Box3{geom.EmptyBox3()}, q, scale)
-	if err != nil || got != 0 {
-		t.Fatalf("empty box cost = %g", got)
-	}
-}
-
 func TestPredictMonotoneInQuerySize(t *testing.T) {
 	objs, err := datagen.Random(datagen.RandomConfig{N: 400, Seed: 1})
 	if err != nil {
@@ -95,40 +49,6 @@ func TestPredictMonotoneInQuerySize(t *testing.T) {
 			t.Fatalf("cost should grow with query size: %g after %g", c, prev)
 		}
 		prev = c
-	}
-}
-
-func TestPredict3DMonotoneInRecords(t *testing.T) {
-	m := DefaultTreeModel()
-	q := QueryProfile{ExtentX: 0.01, ExtentY: 0.01, Duration: 1}
-	mkRecords := func(n int) []geom.Box3 {
-		out := make([]geom.Box3, n)
-		for i := range out {
-			f := float64(i) / float64(n)
-			out[i] = geom.Box3{
-				Min: [3]float64{f * 0.9, f * 0.9, f * 0.9},
-				Max: [3]float64{f*0.9 + 0.05, f*0.9 + 0.05, f*0.9 + 0.05},
-			}
-		}
-		return out
-	}
-	small, err := m.Predict3D(mkRecords(100), q, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := m.Predict3D(mkRecords(10000), q, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large <= small {
-		t.Fatalf("cost should grow with the dataset: %g -> %g", small, large)
-	}
-	if zero, err := m.Predict3D(nil, q, 1); err != nil || zero != 0 {
-		t.Fatalf("empty dataset cost = %g err=%v", zero, err)
-	}
-	bad := TreeModel{Fanout: 0.5}
-	if _, err := bad.Predict3D(mkRecords(10), q, 1); err == nil {
-		t.Fatal("accepted fanout <= 1")
 	}
 }
 

@@ -33,44 +33,6 @@ func (b Box) Volume() float64 {
 	return b.Rect.Area() * float64(b.Interval.Length())
 }
 
-// UnionBox returns the smallest box covering both b and o.
-func (b Box) UnionBox(o Box) Box {
-	return Box{
-		Rect: b.Rect.Union(o.Rect),
-		Interval: Interval{
-			Start: min64(b.Start, o.Start),
-			End:   max64(b.End, o.End),
-		},
-	}
-}
-
-// IntersectsBox reports whether the two boxes share a point in space-time.
-// Space uses closed semantics (touching counts); time uses the half-open
-// interval semantics.
-func (b Box) IntersectsBox(o Box) bool {
-	return b.Rect.Intersects(o.Rect) && b.Interval.Overlaps(o.Interval)
-}
-
-// ContainsBox reports whether o lies entirely within b in space and time.
-func (b Box) ContainsBox(o Box) bool {
-	return b.Rect.Contains(o.Rect) &&
-		b.Start <= o.Start && o.End <= b.End
-}
-
 func (b Box) String() string {
 	return fmt.Sprintf("%v@%v", b.Rect, b.Interval)
-}
-
-// SurfaceMeasure returns the Pagel cost-formula surface term of the box
-// when the time axis is scaled by timeScale (so that one time instant
-// contributes timeScale units of length). It is the sum of side-length
-// products over the three axis pairs.
-func (b Box) SurfaceMeasure(timeScale float64) float64 {
-	if b.Rect.IsEmpty() || !b.Interval.ValidInterval() || b.End == Now {
-		return 0
-	}
-	dx := b.MaxX - b.MinX
-	dy := b.MaxY - b.MinY
-	dt := float64(b.Interval.Length()) * timeScale
-	return dx*dy + dx*dt + dy*dt
 }

@@ -174,11 +174,6 @@ func (b Box3) Overlap(o Box3) float64 {
 	return v
 }
 
-// Enlargement3 returns the volume increase needed for b to also cover o.
-func (b Box3) Enlargement3(o Box3) float64 {
-	return b.Union(o).Volume() - b.Volume()
-}
-
 // MinDistXY2 returns the squared Euclidean distance from point (x, y) to
 // the nearest point of the box's spatial (XY) projection, ignoring the
 // time axis. The operation order matches Rect.MinDist2 exactly, so a box

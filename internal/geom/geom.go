@@ -19,21 +19,11 @@ import (
 // Now is the deletion-time sentinel for records that are still alive.
 const Now = math.MaxInt64
 
-// Point is a location on the 2-dimensional plane.
-type Point struct {
-	X, Y float64
-}
-
 // Rect is a 2-dimensional, axis-parallel rectangle (an MBR). A Rect is
 // valid when MinX <= MaxX and MinY <= MaxY; a degenerate rectangle with
 // zero extent represents a point.
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
-}
-
-// RectFromPoint returns the degenerate rectangle covering a single point.
-func RectFromPoint(p Point) Rect {
-	return Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 }
 
 // EmptyRect returns the identity element for Union: any rectangle unioned
@@ -81,11 +71,6 @@ func (r Rect) Margin() float64 {
 		return 0
 	}
 	return (r.MaxX - r.MinX) + (r.MaxY - r.MinY)
-}
-
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
 // Union returns the smallest rectangle containing both r and s.
@@ -175,13 +160,6 @@ func (r Rect) Contains(s Rect) bool {
 		r.MinY <= s.MinY && s.MaxY <= r.MaxY
 }
 
-// ContainsPoint reports whether p lies inside or on the boundary of r.
-func (r Rect) ContainsPoint(p Point) bool {
-	return !r.IsEmpty() &&
-		r.MinX <= p.X && p.X <= r.MaxX &&
-		r.MinY <= p.Y && p.Y <= r.MaxY
-}
-
 // Enlargement returns the area increase needed for r to also cover s.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
@@ -257,30 +235,9 @@ func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Start < o.End && o.Start < iv.End
 }
 
-// IntersectInterval returns the common part of two intervals and whether it
-// is non-empty.
-func (iv Interval) IntersectInterval(o Interval) (Interval, bool) {
-	out := Interval{Start: max64(iv.Start, o.Start), End: min64(iv.End, o.End)}
-	return out, out.ValidInterval()
-}
-
 func (iv Interval) String() string {
 	if iv.End == Now {
 		return fmt.Sprintf("[%d,now)", iv.Start)
 	}
 	return fmt.Sprintf("[%d,%d)", iv.Start, iv.End)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

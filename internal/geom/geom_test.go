@@ -20,9 +20,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Margin(); got != 6 {
 		t.Fatalf("Margin = %g, want 6", got)
 	}
-	if c := r.Center(); c.X != 2 || c.Y != 4 {
-		t.Fatalf("Center = %+v", c)
-	}
 	if !r.Valid() {
 		t.Fatal("rect should be valid")
 	}
@@ -116,30 +113,6 @@ func TestIntersectionProperties(t *testing.T) {
 	}
 }
 
-func TestContainsPoint(t *testing.T) {
-	r := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	for _, c := range []struct {
-		p    Point
-		want bool
-	}{
-		{Point{0.5, 0.5}, true},
-		{Point{0, 0}, true}, // boundary counts
-		{Point{1, 1}, true},
-		{Point{1.0001, 0.5}, false},
-		{Point{-0.0001, 0.5}, false},
-	} {
-		if got := r.ContainsPoint(c.p); got != c.want {
-			t.Errorf("ContainsPoint(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if EmptyRect().ContainsPoint(Point{0, 0}) {
-		t.Error("empty rect contains nothing")
-	}
-	if RectFromPoint(Point{0.3, 0.4}).Area() != 0 {
-		t.Error("point rect should be degenerate")
-	}
-}
-
 func TestIntervals(t *testing.T) {
 	iv := Interval{Start: 3, End: 7}
 	if !iv.ValidInterval() || iv.Length() != 4 {
@@ -164,13 +137,6 @@ func TestIntervals(t *testing.T) {
 		if c.a.Overlaps(c.b) != c.overlap || c.b.Overlaps(c.a) != c.overlap {
 			t.Errorf("Overlaps(%v,%v) != %v", c.a, c.b, c.overlap)
 		}
-		inter, ok := c.a.IntersectInterval(c.b)
-		if ok != c.overlap {
-			t.Errorf("IntersectInterval(%v,%v) ok=%v, want %v", c.a, c.b, ok, c.overlap)
-		}
-		if ok && (!c.a.Overlaps(inter) || !c.b.Overlaps(inter)) {
-			t.Errorf("intersection %v escapes operands", inter)
-		}
 	}
 	if (Interval{Start: 5, End: 5}).ValidInterval() {
 		t.Error("empty interval should be invalid")
@@ -191,32 +157,5 @@ func TestBoxVolume(t *testing.T) {
 	}
 	if NewBox(EmptyRect(), Interval{0, 5}).Volume() != 0 {
 		t.Fatal("empty-rect box volume should be 0")
-	}
-}
-
-func TestBoxRelations(t *testing.T) {
-	a := NewBox(Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval{Start: 0, End: 10})
-	b := NewBox(Rect{MinX: 0.5, MinY: 0.5, MaxX: 2, MaxY: 2}, Interval{Start: 5, End: 15})
-	if !a.IntersectsBox(b) {
-		t.Fatal("boxes should intersect")
-	}
-	disjointTime := NewBox(b.Rect, Interval{Start: 10, End: 15})
-	if a.IntersectsBox(disjointTime) {
-		t.Fatal("half-open time touching should not intersect")
-	}
-	u := a.UnionBox(b)
-	if !u.ContainsBox(a) || !u.ContainsBox(b) {
-		t.Fatal("union must contain operands")
-	}
-	if u.Volume() < a.Volume() || u.Volume() < b.Volume() {
-		t.Fatal("union volume must dominate")
-	}
-}
-
-func TestSurfaceMeasure(t *testing.T) {
-	b := NewBox(Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 3}, Interval{Start: 0, End: 4})
-	// dx*dy + dx*dt + dy*dt with dt = 4*0.5 = 2: 6 + 4 + 6 = 16.
-	if got := b.SurfaceMeasure(0.5); got != 16 {
-		t.Fatalf("SurfaceMeasure = %g, want 16", got)
 	}
 }

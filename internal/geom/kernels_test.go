@@ -137,7 +137,6 @@ func checkBox3Kernels(t *testing.T, a, b Box3) {
 	nan := anyNaN(box3Coords(a), box3Coords(b))
 	sameCoords(t, "Union", box3Coords(a.Union(b)), box3Coords(refUnionBox3(a, b)), nan)
 	sameScalar(t, "Overlap", a.Overlap(b), refOverlapVolume(a, b), nan)
-	sameScalar(t, "Enlargement3", a.Enlargement3(b), refUnionBox3(a, b).Volume()-a.Volume(), nan)
 }
 
 // kernelEdgeValues are the coordinates the edge table is built from.

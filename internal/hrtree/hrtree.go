@@ -152,6 +152,11 @@ type Tree struct {
 	fresh map[pagefile.PageID]bool
 	walk  treewalk.Scratch                  // pooled query scratch
 	split rsplit.Scratch[hentry, geom.Rect] // node-split scratch
+	// path is the root-to-node path of the update in progress, shared by
+	// choosePath, findRecord, privatizePath and insertSubtree: valid
+	// until the next descent. A delete's own path is finished before
+	// condensePath reinserts its orphans, which descend into it again.
+	path []*hnode
 }
 
 // New creates an empty tree whose history begins at startTime.

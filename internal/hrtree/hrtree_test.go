@@ -275,3 +275,62 @@ func TestSplitAllocatesOnlyGroups(t *testing.T) {
 		t.Fatalf("splitNode: %v allocs/op, want at most 4", got)
 	}
 }
+
+// TestInsertDeleteAllocatesNothing holds the update path's scratch: in one
+// bracket, at one instant, once the path to the probe's leaf is fresh and
+// resident, an insert and the delete of the same record reuse the tree's
+// path and allocate nothing.
+func TestInsertDeleteAllocatesNothing(t *testing.T) {
+	tree, err := New(Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, r := range randHRecords(rng, 2000, 100) {
+		if err := tree.Insert(r.rect, r.ref, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ref = 1 << 40
+	err = tree.Batch(func() error {
+		// A probe whose leaf neither splits on the insert nor dissolves
+		// on the delete: a split or a reinsertion allocates by design.
+		var probe geom.Rect
+		for {
+			x, y := rng.Float64(), rng.Float64()
+			probe = geom.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}
+			path, err := tree.choosePath(probe)
+			if err != nil {
+				return err
+			}
+			if n := len(path[len(path)-1].entries); n > tree.opts.MinEntries && n < tree.opts.MaxEntries {
+				break
+			}
+		}
+		var opErr error
+		cycle := func() {
+			if err := tree.Insert(probe, ref, 1); err != nil {
+				opErr = err
+				return
+			}
+			if ok, err := tree.Delete(probe, ref, 1); err != nil || !ok {
+				opErr = fmt.Errorf("delete: ok=%v err=%v", ok, err)
+			}
+		}
+		cycle() // the first cycle at instant 1 copies the path
+		if got := testing.AllocsPerRun(100, cycle); got != 0 {
+			return fmt.Errorf("insert+delete: %v allocs/op, want 0", got)
+		}
+		return opErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CountSnapshot returns the matching record count at one instant.
+func (t *Tree) CountSnapshot(query geom.Rect, at int64) (int, error) {
+	c := 0
+	err := t.SnapshotSearch(query, at, func(geom.Rect, uint64) bool { c++; return true })
+	return c, err
+}

@@ -121,13 +121,6 @@ func (t *Tree) NearestSearch(x, y float64, at int64, fn func(dist2 float64, ref 
 	}, fn)
 }
 
-// CountSnapshot returns the matching record count at one instant.
-func (t *Tree) CountSnapshot(query geom.Rect, at int64) (int, error) {
-	c := 0
-	err := t.SnapshotSearch(query, at, func(geom.Rect, uint64) bool { c++; return true })
-	return c, err
-}
-
 // Validate checks the structural invariants of every version: uniform
 // leaf depth per version, fill bounds (roots exempt), and tight parent
 // rectangles. Shared subtrees are checked once per shape.

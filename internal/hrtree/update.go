@@ -22,8 +22,7 @@ func (t *Tree) Insert(rect geom.Rect, ref uint64, time int64) error {
 	if err != nil {
 		return err
 	}
-	path, err = t.privatizePath(path)
-	if err != nil {
+	if err := t.privatizePath(path); err != nil {
 		return err
 	}
 	leaf := path[len(path)-1]
@@ -41,8 +40,7 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 	if err != nil || path == nil {
 		return false, err
 	}
-	path, err = t.privatizePath(path)
-	if err != nil {
+	if err := t.privatizePath(path); err != nil {
 		return false, err
 	}
 	leaf := path[len(path)-1]
@@ -51,19 +49,19 @@ func (t *Tree) Delete(rect geom.Rect, ref uint64, time int64) (bool, error) {
 	return true, t.condensePath(path)
 }
 
-// choosePath descends the current tree by minimum area enlargement.
+// choosePath descends the current tree by minimum area enlargement and
+// returns the path in the tree's path scratch.
 func (t *Tree) choosePath(rect geom.Rect) ([]*hnode, error) {
-	cur := t.current()
-	path := make([]*hnode, 0, cur.height)
-	id := cur.page
+	t.path = t.path[:0]
+	id := t.current().page
 	for {
 		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, n)
+		t.path = append(t.path, n)
 		if n.leaf {
-			return path, nil
+			return t.path, nil
 		}
 		best := 0
 		bestEnl, bestArea := 0.0, 0.0
@@ -78,61 +76,67 @@ func (t *Tree) choosePath(rect geom.Rect) ([]*hnode, error) {
 	}
 }
 
-// findRecord locates (rect, ref) in the current version.
+// findRecord locates (rect, ref) in the current version and returns the
+// path to its leaf, in the tree's path scratch, with the record's index;
+// a nil path when no such record is current.
 func (t *Tree) findRecord(rect geom.Rect, ref uint64) ([]*hnode, int, error) {
-	var walk func(id pagefile.PageID) ([]*hnode, int, error)
-	walk = func(id pagefile.PageID) ([]*hnode, int, error) {
-		n, err := t.nodes.ReadShared(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if n.leaf {
-			for i, e := range n.entries {
-				if e.ref == ref && e.rect == rect {
-					return []*hnode{n}, i, nil
-				}
+	t.path = t.path[:0]
+	idx, found, err := t.findBelow(t.current().page, rect, ref)
+	if err != nil || !found {
+		return nil, 0, err
+	}
+	return t.path, idx, nil
+}
+
+// findBelow searches the subtree at id depth first, appending each node
+// it enters to the path scratch and truncating it again on backtrack.
+func (t *Tree) findBelow(id pagefile.PageID, rect geom.Rect, ref uint64) (int, bool, error) {
+	n, err := t.nodes.ReadShared(id)
+	if err != nil {
+		return 0, false, err
+	}
+	t.path = append(t.path, n)
+	if n.leaf {
+		for i, e := range n.entries {
+			if e.ref == ref && e.rect == rect {
+				return i, true, nil
 			}
-			return nil, 0, nil
 		}
+	} else {
 		for _, e := range n.entries {
 			if !e.rect.Contains(rect) {
 				continue
 			}
-			path, idx, err := walk(pagefile.PageID(e.ref))
-			if err != nil {
-				return nil, 0, err
-			}
-			if path != nil {
-				return append([]*hnode{n}, path...), idx, nil
+			if idx, found, err := t.findBelow(pagefile.PageID(e.ref), rect, ref); err != nil || found {
+				return idx, found, err
 			}
 		}
-		return nil, 0, nil
 	}
-	return walk(t.current().page)
+	t.path = t.path[:len(t.path)-1]
+	return 0, false, nil
 }
 
-// privatizePath copies every shared node on the path (top-down, fixing
-// child references) so the pending mutation only touches the current
-// version. The new root is published to the version table.
-func (t *Tree) privatizePath(path []*hnode) ([]*hnode, error) {
-	out := make([]*hnode, len(path))
+// privatizePath replaces, in place, every shared node on the path with
+// a private copy (top-down, fixing child references) so the pending
+// mutation only touches the current version. The new root is published
+// to the version table.
+func (t *Tree) privatizePath(path []*hnode) error {
 	for i, n := range path {
 		cp, err := t.privatize(n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = cp
+		path[i] = cp
 		if i == 0 {
 			t.current().page = cp.id
 			continue
 		}
 		if cp.id != n.id {
 			// Point the (already private) parent at the copy.
-			parent := out[i-1]
-			replaceChildRef(parent, n.id, cp.id)
+			replaceChildRef(path[i-1], n.id, cp.id)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func replaceChildRef(parent *hnode, old, new pagefile.PageID) {
@@ -246,8 +250,7 @@ func (t *Tree) condensePath(path []*hnode) error {
 				if err != nil {
 					return err
 				}
-				path, err = t.privatizePath(path)
-				if err != nil {
+				if err := t.privatizePath(path); err != nil {
 					return err
 				}
 				leaf := path[len(path)-1]
@@ -323,14 +326,14 @@ func (t *Tree) insertSubtree(e hentry) error {
 	// Descend to level subHeight+1 (nodes whose children have the
 	// subtree's height), choosing by enlargement.
 	depth := cur.height - (subHeight + 1) // directory hops from the root
-	path := make([]*hnode, 0, depth+1)
+	t.path = t.path[:0]
 	id := cur.page
 	for lvl := 0; ; lvl++ {
 		n, err := t.nodes.ReadShared(id)
 		if err != nil {
 			return err
 		}
-		path = append(path, n)
+		t.path = append(t.path, n)
 		if lvl == depth {
 			break
 		}
@@ -344,13 +347,12 @@ func (t *Tree) insertSubtree(e hentry) error {
 		}
 		id = pagefile.PageID(n.entries[best].ref)
 	}
-	path, err = t.privatizePath(path)
-	if err != nil {
+	if err := t.privatizePath(t.path); err != nil {
 		return err
 	}
-	target := path[len(path)-1]
+	target := t.path[len(t.path)-1]
 	target.entries = append(target.entries, e)
-	return t.adjustPath(path)
+	return t.adjustPath(t.path)
 }
 
 // heightOf measures a subtree's height (leaf = 1).

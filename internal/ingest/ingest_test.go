@@ -468,8 +468,11 @@ func TestRecoverEmptyDir(t *testing.T) {
 	if rec.Index != nil || rec.Seq != 0 || rec.EpochSet {
 		t.Fatalf("fresh recovery = %+v, want empty", rec)
 	}
-	if got := rec.WAL.NextSeq(); got != 1 {
-		t.Fatalf("NextSeq = %d, want 1", got)
+	rec.WAL.mu.Lock()
+	next := rec.WAL.nextSeq
+	rec.WAL.mu.Unlock()
+	if next != 1 {
+		t.Fatalf("next sequence number = %d, want 1", next)
 	}
 	rec.WAL.Close()
 }
@@ -698,7 +701,7 @@ func TestIngestBracketFailureLatches(t *testing.T) {
 	const healthy, groupSize = 25, 3
 	run := func(failAt uint64) uint64 {
 		dir := t.TempDir()
-		reg := service.NewRegistry()
+		reg := service.NewRegistryConfig(service.RegistryConfig{})
 		defer reg.Close()
 		in, err := Open(Config{Dir: dir, Name: "live", Registry: reg, Lambda: testLambda, Tree: tree})
 		if err != nil {

@@ -211,7 +211,7 @@ func TestRecoveredViewServesReplayedTail(t *testing.T) {
 	copyDir(t, dir, crash)
 	in.Close()
 
-	reg := service.NewRegistry()
+	reg := service.NewRegistryConfig(service.RegistryConfig{})
 	defer reg.Close()
 	in2, err := Open(Config{Dir: crash, Name: "live", Registry: reg, Lambda: testLambda, Tree: tree})
 	if err != nil {
@@ -265,7 +265,7 @@ func TestReopenServesImmediately(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Name: "live", Lambda: testLambda, Tree: testStreamOptions().PPR}
 
-	reg1 := service.NewRegistry()
+	reg1 := service.NewRegistryConfig(service.RegistryConfig{})
 	cfg.Registry = reg1
 	in, err := Open(cfg)
 	if err != nil {
@@ -314,7 +314,7 @@ func TestLiveQueryIOExcludesWriter(t *testing.T) {
 	half := len(batches) / 2
 	q := stx.Query{Rect: stx.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Interval: stx.Interval{Start: 12, End: 40}}
 	run := func(measureAcrossFeed bool) int64 {
-		reg := service.NewRegistry()
+		reg := service.NewRegistryConfig(service.RegistryConfig{})
 		defer reg.Close()
 		// A pool too small for the query's pages, or it would all be hits.
 		tree := stx.PPROptions{MaxEntries: 8, BufferPages: 3}

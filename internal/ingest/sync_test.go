@@ -110,7 +110,7 @@ func TestFsyncBesideApply(t *testing.T) {
 	// drives the blocked fsync and returns after the commit is done.
 	run := func(fs *gatedFS, gate func(in *Ingester, reg *service.Registry, allocs *allocCounter, group []*submission)) int64 {
 		dir := t.TempDir()
-		reg := service.NewRegistry()
+		reg := service.NewRegistryConfig(service.RegistryConfig{})
 		defer reg.Close()
 		cfg := Config{Dir: dir, Name: "live", Registry: reg, Lambda: testLambda, Tree: testStreamOptions().PPR}
 		if fs != nil {

@@ -148,13 +148,6 @@ func (w *WAL) SetEpoch(startTime int64, lambda float64) {
 	}
 }
 
-// NextSeq returns the sequence number the next appended record will get.
-func (w *WAL) NextSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextSeq
-}
-
 // Err returns the latched failure, if any.
 func (w *WAL) Err() error {
 	w.mu.Lock()

@@ -117,11 +117,8 @@ func (b *Buffer) Capacity() int { return b.capacity }
 // Store returns the underlying page store.
 func (b *Buffer) Store() Store { return b.store }
 
-// Stats returns the traffic counters accumulated since the last ResetStats.
+// Stats returns the traffic counters accumulated since the last Reset.
 func (b *Buffer) Stats() Stats { return b.stats }
-
-// ResetStats zeroes the traffic counters without touching the pool.
-func (b *Buffer) ResetStats() { b.stats = Stats{} }
 
 // Reset empties the pool and zeroes the counters — the paper's cold-cache
 // condition before each query. Frames and maps are reused, not

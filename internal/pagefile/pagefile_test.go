@@ -103,7 +103,7 @@ func TestBufferHitMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.ResetStats()
+	base := b.Stats()
 
 	// p3 and p2 should be resident (capacity 2, LRU), p1 evicted.
 	if _, err := b.Read(p3); err != nil {
@@ -112,13 +112,13 @@ func TestBufferHitMiss(t *testing.T) {
 	if _, err := b.Read(p2); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Hits != 2 || st.Reads != 0 {
+	if st := b.Stats().Sub(base); st.Hits != 2 || st.Reads != 0 {
 		t.Fatalf("warm reads: %+v", st)
 	}
 	if _, err := b.Read(p1); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Reads != 1 {
+	if st := b.Stats().Sub(base); st.Reads != 1 {
 		t.Fatalf("cold read: %+v", st)
 	}
 }
@@ -139,17 +139,17 @@ func TestBufferLRUOrder(t *testing.T) {
 	if _, err := b.Read(p3); err != nil {
 		t.Fatal(err)
 	}
-	b.ResetStats()
+	base := b.Stats()
 	if _, err := b.Read(p1); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Hits != 1 {
+	if st := b.Stats().Sub(base); st.Hits != 1 {
 		t.Fatalf("p1 should still be resident: %+v", st)
 	}
 	if _, err := b.Read(p2); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Reads != 1 {
+	if st := b.Stats().Sub(base); st.Reads != 1 {
 		t.Fatalf("p2 should have been evicted: %+v", st)
 	}
 }
@@ -199,11 +199,11 @@ func TestBufferEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Evict(p)
-	b.ResetStats()
+	base := b.Stats()
 	if _, err := b.Read(p); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Reads != 1 {
+	if st := b.Stats().Sub(base); st.Reads != 1 {
 		t.Fatalf("evicted page should miss: %+v", st)
 	}
 	b.Evict(999) // evicting an absent page is a no-op

@@ -7,7 +7,6 @@
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,25 +48,12 @@ func ForEach(n, workers int, fn func(i int)) {
 // must write only to data owned by item i, so results are bit-identical
 // for every worker count.
 func ForEachWorker(n, workers int, fn func(w, i int)) {
-	_ = ForEachWorkerCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachWorkerCtx is ForEachWorker with cooperative cancellation: once
-// ctx is done, no further items are claimed and the context's error is
-// returned after the in-flight items finish. Cancellation granularity is
-// one item — fn itself is never interrupted — so completed items have
-// still written only to their own slots and partial results remain
-// well-defined. A nil error means every item ran.
-func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) error {
 	workers = Workers(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			fn(0, i)
 		}
-		return ctx.Err()
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -76,9 +62,6 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) er
 		go func(w int) {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -88,5 +71,4 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int)) er
 		}(w)
 	}
 	wg.Wait()
-	return ctx.Err()
 }

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -55,38 +53,6 @@ func TestForEachDeterministicSlotWrites(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestForEachWorkerCtxCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		const n = 100000
-		var visited atomic.Int64
-		const stopAt = 10
-		err := ForEachWorkerCtx(ctx, n, workers, func(_, i int) {
-			if visited.Add(1) == stopAt {
-				cancel()
-			}
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		// In-flight items finish, but no new ones are claimed after the
-		// cancellation: far fewer than n items must have run.
-		if got := visited.Load(); got >= n {
-			t.Fatalf("workers=%d: %d items ran despite cancellation", workers, got)
-		}
-		cancel()
-	}
-
-	// A live context returns nil and visits everything.
-	var visited atomic.Int64
-	if err := ForEachWorkerCtx(context.Background(), 500, 3, func(_, i int) { visited.Add(1) }); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if visited.Load() != 500 {
-		t.Fatalf("visited %d of 500", visited.Load())
 	}
 }
 

@@ -276,3 +276,18 @@ func TestOptionsValidationPPR(t *testing.T) {
 		}
 	}
 }
+
+// CountSnapshot returns the number of records alive at t intersecting query.
+func (t *Tree) CountSnapshot(query geom.Rect, at int64) (int, error) {
+	c := 0
+	err := t.SnapshotSearch(query, at, func(geom.Rect, uint64) bool { c++; return true })
+	return c, err
+}
+
+// CountInterval returns the number of distinct records whose lifetime
+// overlaps iv and whose rectangle intersects query.
+func (t *Tree) CountInterval(query geom.Rect, iv geom.Interval) (int, error) {
+	c := 0
+	err := t.IntervalSearch(query, iv, func(geom.Rect, uint64) bool { c++; return true })
+	return c, err
+}

@@ -133,18 +133,3 @@ func (t *Tree) IntervalSearchRecords(query geom.Rect, iv geom.Interval, fn func(
 // callers use it so that "no change at time t" still respects the
 // non-decreasing-time discipline.
 func (t *Tree) Touch(time int64) error { return t.advance(time) }
-
-// CountSnapshot returns the number of records alive at t intersecting query.
-func (t *Tree) CountSnapshot(query geom.Rect, at int64) (int, error) {
-	c := 0
-	err := t.SnapshotSearch(query, at, func(geom.Rect, uint64) bool { c++; return true })
-	return c, err
-}
-
-// CountInterval returns the number of distinct records whose lifetime
-// overlaps iv and whose rectangle intersects query.
-func (t *Tree) CountInterval(query geom.Rect, iv geom.Interval) (int, error) {
-	c := 0
-	err := t.IntervalSearch(query, iv, func(geom.Rect, uint64) bool { c++; return true })
-	return c, err
-}

@@ -100,7 +100,7 @@ func (t *Tree) chooseSubtree(n *node, b geom.Box3, childrenAreLeaves bool) int {
 	bestEnl, bestVol := 0.0, 0.0
 	for i, e := range n.entries {
 		vol := e.box.Volume()
-		enl := e.box.Union(b).Volume() - vol // Enlargement3, with the volume it subtracts kept
+		enl := e.box.Union(b).Volume() - vol // the volume enlargement, with the volume it subtracts kept
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}

@@ -359,7 +359,7 @@ func TestPublishServesUncached(t *testing.T) {
 func TestHotSwapUnderTinyCacheBudget(t *testing.T) {
 	paths := []string{saveContainer(t, buildIndexSeed(t, 11)), saveContainer(t, buildIndexSeed(t, 77))}
 	queries := testQueries(t, 12)
-	plain := NewRegistry()
+	plain := NewRegistryConfig(RegistryConfig{})
 	defer plain.Close()
 	want := make([][][]int64, len(paths))
 	for p, path := range paths {

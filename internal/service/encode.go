@@ -103,8 +103,8 @@ func appendJSONString(buf []byte, s string) []byte {
 // float64: shortest representation, 'f' format, switching to 'e' for
 // very small or very large magnitudes, with the exponent's leading zero
 // stripped ("2e-09" → "2e-9"). Byte-compatibility with the reflective
-// encoder is what lets the zero-alloc path and the documented
-// queryResponse struct stay interchangeable.
+// encoder is what lets a client decode the zero-alloc answer with
+// encoding/json as if that encoder had written it.
 func appendJSONFloat(buf []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
@@ -122,8 +122,8 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 }
 
 // appendQueryResponseJSON renders the /query JSON answer — the exact
-// shape (field order, escaping, omitempty, trailing newline)
-// encoding/json produces for the queryResponse struct — without
+// bytes (field order, escaping, omitempty, trailing newline)
+// encoding/json produces for a struct of the fields below — without
 // allocating beyond buf's growth. The neighbors/trajectories arrays
 // appear only for the kinds that produce them (omitempty semantics), so
 // window responses are byte-identical to what they were before those
@@ -230,65 +230,4 @@ func appendQueryResponseBinary(buf []byte, res Result, elapsedUS int64) []byte {
 		}
 	}
 	return buf
-}
-
-// DecodeBinaryResponse parses a binary /query frame of any kind into a
-// Result — the client-side counterpart of the encoder. A frame with an
-// unknown kind, or with fewer or more bytes than its count calls for, is
-// rejected with ok=false.
-func DecodeBinaryResponse(frame []byte) (res Result, elapsedUS int64, ok bool) {
-	const head = 4 + 4 + 8 + 8 + 8 + 2
-	if len(frame) < head || string(frame[:4]) != binaryMagic {
-		return Result{}, 0, false
-	}
-	kind := binary.LittleEndian.Uint32(frame[4:])
-	if kind > uint32(stx.KindTrajectory) {
-		return Result{}, 0, false
-	}
-	res.Kind = stx.QueryKind(kind)
-	res.Gen = binary.LittleEndian.Uint64(frame[8:])
-	res.IO = int64(binary.LittleEndian.Uint64(frame[16:]))
-	elapsedUS = int64(binary.LittleEndian.Uint64(frame[24:]))
-	nameLen := int(binary.LittleEndian.Uint16(frame[32:]))
-	if len(frame) < head+nameLen+4 {
-		return Result{}, 0, false
-	}
-	res.Snapshot = string(frame[head : head+nameLen])
-	rest := frame[head+nameLen:]
-	count := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	want := count * 8
-	switch res.Kind {
-	case stx.KindKNN:
-		want = count * 16
-	case stx.KindTrajectory:
-		want = count * 12
-	}
-	if count < 0 || len(rest) != want {
-		return Result{}, 0, false
-	}
-	res.IDs = make([]int64, count)
-	for i := range res.IDs {
-		res.IDs[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	rest = rest[count*8:]
-	switch res.Kind {
-	case stx.KindKNN:
-		res.Neighbors = make([]stx.Neighbor, count)
-		for i := range res.Neighbors {
-			res.Neighbors[i] = stx.Neighbor{
-				ObjectID: res.IDs[i],
-				Dist2:    math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:])),
-			}
-		}
-	case stx.KindTrajectory:
-		res.Trajectories = make([]stx.TrajectoryHit, count)
-		for i := range res.Trajectories {
-			res.Trajectories[i] = stx.TrajectoryHit{
-				ObjectID: res.IDs[i],
-				Pieces:   int(binary.LittleEndian.Uint32(rest[i*4:])),
-			}
-		}
-	}
-	return res, elapsedUS, true
 }

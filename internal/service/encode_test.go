@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,96 @@ import (
 
 	stx "stindex"
 )
+
+// queryResponse is the /query JSON answer as a struct, what the tests
+// decode it into. The server never marshals it: appendQueryResponseJSON
+// renders the same shape by hand into a pooled buffer, so the
+// steady-state serving path does not allocate per response. The binary
+// frame (encode.go) carries the same fields.
+type queryResponse struct {
+	Snapshot     string            `json:"snapshot"`
+	Gen          uint64            `json:"gen"`
+	Count        int               `json:"count"`
+	IDs          []int64           `json:"ids"`
+	Neighbors    []queryNeighbor   `json:"neighbors,omitempty"`
+	Trajectories []queryTrajectory `json:"trajectories,omitempty"`
+	IO           int64             `json:"io"`
+	ElapsedUS    int64             `json:"elapsed_us"`
+}
+
+// queryNeighbor is one ranked kNN answer entry (kind=knn responses).
+type queryNeighbor struct {
+	ID    int64   `json:"id"`
+	Dist2 float64 `json:"dist2"`
+}
+
+// queryTrajectory is one trajectory answer entry (kind=trajectory
+// responses): the object and how many of its recorded pieces matched.
+type queryTrajectory struct {
+	ID     int64 `json:"id"`
+	Pieces int   `json:"pieces"`
+}
+
+// DecodeBinaryResponse parses a binary /query frame of any kind into a
+// Result, the reference the encoder and the fuzz target are checked
+// against. A frame with an unknown kind, or with fewer or more bytes
+// than its count calls for, is rejected with ok=false.
+func DecodeBinaryResponse(frame []byte) (res Result, elapsedUS int64, ok bool) {
+	const head = 4 + 4 + 8 + 8 + 8 + 2
+	if len(frame) < head || string(frame[:4]) != binaryMagic {
+		return Result{}, 0, false
+	}
+	kind := binary.LittleEndian.Uint32(frame[4:])
+	if kind > uint32(stx.KindTrajectory) {
+		return Result{}, 0, false
+	}
+	res.Kind = stx.QueryKind(kind)
+	res.Gen = binary.LittleEndian.Uint64(frame[8:])
+	res.IO = int64(binary.LittleEndian.Uint64(frame[16:]))
+	elapsedUS = int64(binary.LittleEndian.Uint64(frame[24:]))
+	nameLen := int(binary.LittleEndian.Uint16(frame[32:]))
+	if len(frame) < head+nameLen+4 {
+		return Result{}, 0, false
+	}
+	res.Snapshot = string(frame[head : head+nameLen])
+	rest := frame[head+nameLen:]
+	count := int(binary.LittleEndian.Uint32(rest))
+	rest = rest[4:]
+	want := count * 8
+	switch res.Kind {
+	case stx.KindKNN:
+		want = count * 16
+	case stx.KindTrajectory:
+		want = count * 12
+	}
+	if count < 0 || len(rest) != want {
+		return Result{}, 0, false
+	}
+	res.IDs = make([]int64, count)
+	for i := range res.IDs {
+		res.IDs[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
+	}
+	rest = rest[count*8:]
+	switch res.Kind {
+	case stx.KindKNN:
+		res.Neighbors = make([]stx.Neighbor, count)
+		for i := range res.Neighbors {
+			res.Neighbors[i] = stx.Neighbor{
+				ObjectID: res.IDs[i],
+				Dist2:    math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:])),
+			}
+		}
+	case stx.KindTrajectory:
+		res.Trajectories = make([]stx.TrajectoryHit, count)
+		for i := range res.Trajectories {
+			res.Trajectories[i] = stx.TrajectoryHit{
+				ObjectID: res.IDs[i],
+				Pieces:   int(binary.LittleEndian.Uint32(rest[i*4:])),
+			}
+		}
+	}
+	return res, elapsedUS, true
+}
 
 // docShape converts a Result into the documented queryResponse wire
 // struct, so tests can compare the hand-rolled encoder against

@@ -286,36 +286,6 @@ func parseQueryGET(r *http.Request) (queryRequest, error) {
 	return qr, nil
 }
 
-// queryResponse documents the /query JSON answer and is what clients
-// (and this package's tests) decode it into. The server side never
-// marshals this struct: the answer is rendered by the hand-rolled
-// encoder in encode.go (which mirrors this shape exactly) into a pooled
-// buffer, so the steady-state serving path does not allocate per
-// response. The binary frame (encode.go) carries the same fields.
-type queryResponse struct {
-	Snapshot     string            `json:"snapshot"`
-	Gen          uint64            `json:"gen"`
-	Count        int               `json:"count"`
-	IDs          []int64           `json:"ids"`
-	Neighbors    []queryNeighbor   `json:"neighbors,omitempty"`
-	Trajectories []queryTrajectory `json:"trajectories,omitempty"`
-	IO           int64             `json:"io"`
-	ElapsedUS    int64             `json:"elapsed_us"`
-}
-
-// queryNeighbor is one ranked kNN answer entry (kind=knn responses).
-type queryNeighbor struct {
-	ID    int64   `json:"id"`
-	Dist2 float64 `json:"dist2"`
-}
-
-// queryTrajectory is one trajectory answer entry (kind=trajectory
-// responses): the object and how many of its recorded pieces matched.
-type queryTrajectory struct {
-	ID     int64 `json:"id"`
-	Pieces int   `json:"pieces"`
-}
-
 func handleQuery(s *Service, w http.ResponseWriter, r *http.Request) {
 	var qr queryRequest
 	var err error

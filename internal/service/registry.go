@@ -57,12 +57,6 @@ type RegistryConfig struct {
 	OpenBackend stx.Backend
 }
 
-// NewRegistry creates an empty snapshot registry with no shared cache
-// that opens containers through the pread window.
-func NewRegistry() *Registry {
-	return NewRegistryConfig(RegistryConfig{})
-}
-
 // NewRegistryConfig creates an empty snapshot registry with the given
 // read-path configuration.
 func NewRegistryConfig(cfg RegistryConfig) *Registry {

@@ -82,7 +82,7 @@ func sameIDs(a, b []int64) bool {
 
 func TestRegistryLifecycle(t *testing.T) {
 	path := saveContainer(t, buildIndex(t))
-	reg := NewRegistry()
+	reg := NewRegistryConfig(RegistryConfig{})
 
 	if _, err := reg.Acquire("nope"); !errors.Is(err, ErrUnknownSnapshot) {
 		t.Fatalf("Acquire on empty registry: got %v, want ErrUnknownSnapshot", err)
@@ -188,7 +188,7 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry()
+	reg := NewRegistryConfig(RegistryConfig{})
 	oldSnap, err := reg.Load("data", pathA)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestConcurrentQueriesAcrossHotSwap(t *testing.T) {
 			// way, plus the build itself published directly.
 			pathA := saveContainer(t, idx)
 			pathB := saveContainer(t, idx)
-			reg := NewRegistry()
+			reg := NewRegistryConfig(RegistryConfig{})
 			if leg != "decoded" {
 				reg = NewRegistryConfig(RegistryConfig{OpenBackend: stx.Backend(leg)})
 			}
@@ -546,7 +546,7 @@ func TestSessionViewFollowsGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry()
+	reg := NewRegistryConfig(RegistryConfig{})
 	first, err := reg.Load("data", path)
 	if err != nil {
 		t.Fatal(err)
@@ -660,7 +660,7 @@ func TestHotSwapUnderStoreFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := NewRegistryConfig(RegistryConfig{})
 	faultSnap, err := reg.Publish("data", faultIdx)
 	if err != nil {
 		t.Fatal(err)

@@ -67,3 +67,26 @@ func BenchmarkDPCurve(b *testing.B) {
 		DPCurve(o, 99)
 	}
 }
+
+// BenchmarkAblationMergeHeap compares MergeSplit's lazy-invalidation heap
+// against the O(n²) rescanning reference implementation.
+func BenchmarkAblationMergeHeap(b *testing.B) {
+	objs, err := datagen.Random(datagen.RandomConfig{N: 200, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("heap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, o := range objs {
+				MergeSplit(o, o.Len()/2)
+			}
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, o := range objs {
+				MergeSplitNaive(o, o.Len()/2)
+			}
+		}
+	})
+}

@@ -15,27 +15,3 @@ func SpanVolumes(o *Object, end int, dst []float64) []float64 {
 	}
 	return dst[:end]
 }
-
-// PrefixMBRs returns, for each i in [0, Len()], the union rectangle of the
-// first i instants. PrefixMBRs()[0] is the empty rectangle. Useful for
-// analytics and tests that need many span MBRs cheaply.
-func PrefixMBRs(o *Object) []geom.Rect {
-	out := make([]geom.Rect, o.Len()+1)
-	out[0] = geom.EmptyRect()
-	for i := 0; i < o.Len(); i++ {
-		out[i+1] = out[i].Union(o.InstantRect(i))
-	}
-	return out
-}
-
-// SuffixMBRs returns, for each i in [0, Len()], the union rectangle of the
-// instants from i to the end. SuffixMBRs()[Len()] is the empty rectangle.
-func SuffixMBRs(o *Object) []geom.Rect {
-	n := o.Len()
-	out := make([]geom.Rect, n+1)
-	out[n] = geom.EmptyRect()
-	for i := n - 1; i >= 0; i-- {
-		out[i] = out[i+1].Union(o.InstantRect(i))
-	}
-	return out
-}

@@ -35,17 +35,6 @@ func (p Polynomial) Eval(t float64) float64 {
 	return v
 }
 
-// Degree returns the degree of the polynomial treating trailing zero
-// coefficients as absent; the zero polynomial has degree 0.
-func (p Polynomial) Degree() int {
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		if p.Coeffs[i] != 0 {
-			return i
-		}
-	}
-	return 0
-}
-
 func (p Polynomial) String() string {
 	if len(p.Coeffs) == 0 {
 		return "0"

@@ -31,23 +31,6 @@ func TestPolynomialEval(t *testing.T) {
 	}
 }
 
-func TestPolynomialDegree(t *testing.T) {
-	for _, c := range []struct {
-		p    Polynomial
-		want int
-	}{
-		{NewPolynomial(), 0},
-		{NewPolynomial(5), 0},
-		{NewPolynomial(1, 2), 1},
-		{NewPolynomial(1, 2, 0, 0), 1}, // trailing zeros ignored
-		{NewPolynomial(0, 0, 7), 2},
-	} {
-		if got := c.p.Degree(); got != c.want {
-			t.Errorf("Degree(%v) = %d, want %d", c.p, got, c.want)
-		}
-	}
-}
-
 func TestNewObjectValidation(t *testing.T) {
 	if _, err := NewObject(1, 0, nil); !errors.Is(err, ErrNoSegments) {
 		t.Fatalf("empty object error = %v", err)
@@ -188,6 +171,29 @@ func TestSpanVolumes(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// PrefixMBRs returns, for each i in [0, Len()], the union rectangle of the
+// first i instants. PrefixMBRs()[0] is the empty rectangle.
+func PrefixMBRs(o *Object) []geom.Rect {
+	out := make([]geom.Rect, o.Len()+1)
+	out[0] = geom.EmptyRect()
+	for i := 0; i < o.Len(); i++ {
+		out[i+1] = out[i].Union(o.InstantRect(i))
+	}
+	return out
+}
+
+// SuffixMBRs returns, for each i in [0, Len()], the union rectangle of the
+// instants from i to the end. SuffixMBRs()[Len()] is the empty rectangle.
+func SuffixMBRs(o *Object) []geom.Rect {
+	n := o.Len()
+	out := make([]geom.Rect, n+1)
+	out[n] = geom.EmptyRect()
+	for i := n - 1; i >= 0; i-- {
+		out[i] = out[i+1].Union(o.InstantRect(i))
+	}
+	return out
 }
 
 func TestPrefixSuffixMBRs(t *testing.T) {
