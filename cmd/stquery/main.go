@@ -170,7 +170,7 @@ func build(kind string, records []stx.Record, parallelism int) (stx.Index, error
 	case "rstar-packed":
 		return stx.BuildRStarPacked(records, stx.RStarOptions{Parallelism: parallelism})
 	case "hr":
-		return stx.BuildHR(records, stx.HROptions{})
+		return stx.BuildHR(records)
 	default:
 		return nil, fmt.Errorf("unknown index %q (want ppr, rstar, rstar-packed or hr)", kind)
 	}

@@ -7,30 +7,19 @@ import (
 )
 
 // RandomDatasetConfig configures GenerateRandom — the paper's uniform
-// moving-rectangles datasets. Zero fields take the paper's values:
-// horizon 1000, lifetimes 1-100, 1-10 polynomial segments of degree ≤ 2,
-// rectangle extents 0.1%-1% of the space.
+// moving-rectangles datasets, with the paper's parameters: horizon 1000
+// when zero, lifetimes 1-100, 1-10 polynomial segments of degree ≤ 2,
+// rectangle extents 0.1%-1% of the space, a quarter of the objects
+// changing their extent over time.
 type RandomDatasetConfig struct {
-	N                        int
-	Horizon                  int64
-	Seed                     int64
-	MinLifetime, MaxLifetime int64
-	MinSegments, MaxSegments int
-	MinExtent, MaxExtent     float64
-	// ChangingExtentFraction is the fraction of objects whose extent also
-	// changes over time (0 = default 25%).
-	ChangingExtentFraction float64
+	N       int
+	Horizon int64
+	Seed    int64
 }
 
 // GenerateRandom creates a uniform moving-rectangles dataset.
 func GenerateRandom(cfg RandomDatasetConfig) ([]*Object, error) {
-	objs, err := datagen.Random(datagen.RandomConfig{
-		N: cfg.N, Horizon: cfg.Horizon, Seed: cfg.Seed,
-		MinLifetime: cfg.MinLifetime, MaxLifetime: cfg.MaxLifetime,
-		MinSegments: cfg.MinSegments, MaxSegments: cfg.MaxSegments,
-		MinExtent: cfg.MinExtent, MaxExtent: cfg.MaxExtent,
-		ChangingExtentFraction: cfg.ChangingExtentFraction,
-	})
+	objs, err := datagen.Random(datagen.RandomConfig{N: cfg.N, Horizon: cfg.Horizon, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -39,27 +28,17 @@ func GenerateRandom(cfg RandomDatasetConfig) ([]*Object, error) {
 
 // RailwayDatasetConfig configures GenerateRailway — the paper's skewed
 // datasets of trains on a 22-city, 51-track map approximating California
-// and New York. Zero fields take the paper's values: up to 10 stops, up to
-// 36 hours of travel at 60-75 mph.
+// and New York, with the paper's parameters: horizon 1000 when zero, up
+// to 10 stops, up to 36 hours of travel at 60-75 mph.
 type RailwayDatasetConfig struct {
-	N               int
-	Horizon         int64
-	Seed            int64
-	MaxStops        int
-	MaxTravelHours  float64
-	MinSpeed        float64
-	MaxSpeed        float64
-	HoursPerInstant float64
+	N       int
+	Horizon int64
+	Seed    int64
 }
 
 // GenerateRailway creates a skewed railway dataset.
 func GenerateRailway(cfg RailwayDatasetConfig) ([]*Object, error) {
-	objs, err := datagen.Railway(datagen.RailwayConfig{
-		N: cfg.N, Horizon: cfg.Horizon, Seed: cfg.Seed,
-		MaxStops: cfg.MaxStops, MaxTravelHours: cfg.MaxTravelHours,
-		MinSpeed: cfg.MinSpeed, MaxSpeed: cfg.MaxSpeed,
-		HoursPerInstant: cfg.HoursPerInstant,
-	})
+	objs, err := datagen.Railway(datagen.RailwayConfig{N: cfg.N, Horizon: cfg.Horizon, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

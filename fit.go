@@ -6,18 +6,13 @@ import (
 )
 
 // FitOptions controls FitObject, the §II-A approximation machinery for
-// raw tracks: piecewise polynomials of bounded degree, fitted by least
+// raw tracks: piecewise polynomials of degree at most 2, fitted by least
 // squares, segmented greedily so every instant's fitted rectangle stays
 // within Tolerance of the raw one.
 type FitOptions struct {
-	// MaxDegree bounds the per-segment polynomial degree (default 2,
-	// maximum 6).
-	MaxDegree int
 	// Tolerance is the maximum per-side deviation allowed between raw and
 	// fitted rectangles (default 0.005 of the unit space).
 	Tolerance float64
-	// MaxSegmentLength optionally caps segment duration.
-	MaxSegmentLength int
 }
 
 // FitObject approximates a raw per-instant track (rects[i] is the
@@ -31,11 +26,7 @@ func FitObject(id, start int64, rects []Rect, opts FitOptions) (*Object, float64
 	for i, r := range rects {
 		raw[i] = r.internal()
 	}
-	o, worst, err := trajectory.FitObject(id, start, raw, trajectory.FitConfig{
-		MaxDegree:        opts.MaxDegree,
-		Tolerance:        opts.Tolerance,
-		MaxSegmentLength: opts.MaxSegmentLength,
-	})
+	o, worst, err := trajectory.FitObject(id, start, raw, trajectory.FitConfig{Tolerance: opts.Tolerance})
 	if err != nil {
 		return nil, 0, err
 	}

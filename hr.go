@@ -8,14 +8,6 @@ import (
 	"stindex/internal/pprtree"
 )
 
-// HROptions configures BuildHR. Zero values mirror the paper's setup.
-type HROptions struct {
-	MaxEntries  int
-	MinEntries  int
-	PageSize    int
-	BufferPages int
-}
-
 // HRIndex is an overlapping (historical) R-tree over the record set — the
 // other classic road to partial persistence (the paper's reference [17],
 // built on the overlapping idea of [4]): one logical R-tree per time
@@ -37,9 +29,9 @@ func newHRIndex(tree *hrtree.Tree, owners *owner.Table) *HRIndex {
 	}
 }
 
-// BuildHR indexes the records with an overlapping R-tree, replaying their
-// insertions and deletions chronologically.
-func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
+// BuildHR indexes the records with an overlapping R-tree in the paper's
+// node setup, replaying their insertions and deletions chronologically.
+func BuildHR(records []Record) (*HRIndex, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
@@ -47,12 +39,7 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 	for i, r := range records {
 		recs[i] = pprtree.Record{Rect: r.Rect.internal(), Interval: r.Interval.internal(), Ref: uint64(i)}
 	}
-	tree, err := buildHRFromRecords(hrtree.Options{
-		MaxEntries:  opts.MaxEntries,
-		MinEntries:  opts.MinEntries,
-		PageSize:    opts.PageSize,
-		BufferPages: opts.BufferPages,
-	}, recs)
+	tree, err := buildHRFromRecords(recs)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +49,7 @@ func BuildHR(records []Record, opts HROptions) (*HRIndex, error) {
 // buildHRFromRecords replays records in chronological order (deletions
 // first within an instant), the PPR build's replay order, inside one
 // write-back bracket.
-func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.Tree, error) {
+func buildHRFromRecords(records []pprtree.Record) (*hrtree.Tree, error) {
 	for i, r := range records {
 		if !r.Rect.Valid() || !r.Interval.ValidInterval() {
 			return nil, fmt.Errorf("stindex: record %d invalid", i)
@@ -72,7 +59,7 @@ func buildHRFromRecords(opts hrtree.Options, records []pprtree.Record) (*hrtree.
 	if err != nil {
 		return nil, err
 	}
-	tree, err := hrtree.New(opts, start)
+	tree, err := hrtree.New(hrtree.Options{}, start)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ func TestHRIndexMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := BuildHR(records, HROptions{})
+	hr, err := BuildHR(records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestHRIndexMatchesBruteForce(t *testing.T) {
 	if hr.Kind() != "hr" || hr.Records() != len(records) {
 		t.Fatal("HR accessors wrong")
 	}
-	if _, err := BuildHR(nil, HROptions{}); err == nil {
+	if _, err := BuildHR(nil); err == nil {
 		t.Fatal("accepted empty records")
 	}
 }
@@ -69,7 +69,7 @@ func TestBuildHRMatchesStableSortReplay(t *testing.T) {
 		}
 		records[i] = Record{Rect: Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}, Interval: iv, ObjectID: int64(i)}
 	}
-	got, err := BuildHR(records, HROptions{})
+	got, err := BuildHR(records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,14 +163,12 @@ type QueryViewer interface {
 }
 
 // PPROptions configures BuildPPR. The zero value reproduces the paper's
-// setup: 50-entry nodes, 10-page LRU buffer, P_version = 0.22,
-// P_svo = 0.8, P_svu = 0.4.
+// setup: 50-entry nodes, 10-page LRU buffer, P_svo = 0.8, P_svu = 0.4;
+// the page size (4 KiB) and P_version = 0.22 are always the paper's.
 type PPROptions struct {
 	MaxEntries  int
-	PVersion    float64
 	PSvo        float64
 	PSvu        float64
-	PageSize    int
 	BufferPages int
 }
 
@@ -210,10 +208,8 @@ func BuildPPR(records []Record, opts PPROptions) (*PPRIndex, error) {
 	}
 	tree, err := pprtree.BuildRecords(pprtree.Options{
 		MaxEntries:  opts.MaxEntries,
-		PVersion:    opts.PVersion,
 		PSvo:        opts.PSvo,
 		PSvu:        opts.PSvu,
-		PageSize:    opts.PageSize,
 		BufferPages: opts.BufferPages,
 	}, recs)
 	if err != nil {
@@ -264,16 +260,13 @@ func (x *PPRIndex) Tree() *pprtree.Tree { return x.tree }
 // over the shared page file.
 func (x *PPRIndex) QueryView() Index { return newPPRIndex(x.tree.QueryView(), x.owners) }
 
-// RStarOptions configures BuildRStar. The zero value reproduces the
-// paper's setup: 50-entry nodes, a 10-page LRU buffer, R* fill factors,
-// records inserted in random order with the time axis scaled to the unit
-// range.
+// RStarOptions configures BuildRStar. The node setup is always the
+// paper's: 50-entry nodes on 4 KiB pages with the R* fill factor and
+// reinsertion count. The zero value also gives the rest of it: a 10-page
+// LRU buffer, records inserted in random order with the time axis scaled
+// to the unit range.
 type RStarOptions struct {
-	MaxEntries    int
-	MinEntries    int
-	ReinsertCount int
-	PageSize      int
-	BufferPages   int
+	BufferPages int
 	// ShuffleSeed randomises the insertion order (the paper inserts "in
 	// random order"). Same seed, same order.
 	ShuffleSeed int64
@@ -329,13 +322,7 @@ func BuildRStar(records []Record, opts RStarOptions) (*RStarIndex, error) {
 		return nil, fmt.Errorf("stindex: no records to index")
 	}
 	scale := unitTimeScale(records, opts)
-	tree, err := rstar.New(rstar.Options{
-		MaxEntries:    opts.MaxEntries,
-		MinEntries:    opts.MinEntries,
-		ReinsertCount: opts.ReinsertCount,
-		PageSize:      opts.PageSize,
-		BufferPages:   opts.BufferPages,
-	})
+	tree, err := rstar.New(rstar.Options{BufferPages: opts.BufferPages})
 	if err != nil {
 		return nil, err
 	}
@@ -374,14 +361,7 @@ func BuildRStarPacked(records []Record, opts RStarOptions) (*RStarIndex, error) 
 			Ref: uint64(i),
 		}
 	}
-	tree, err := rstar.BulkLoadSTR(rstar.Options{
-		MaxEntries:    opts.MaxEntries,
-		MinEntries:    opts.MinEntries,
-		ReinsertCount: opts.ReinsertCount,
-		PageSize:      opts.PageSize,
-		BufferPages:   opts.BufferPages,
-		Parallelism:   opts.Parallelism,
-	}, items)
+	tree, err := rstar.BulkLoadSTR(rstar.Options{BufferPages: opts.BufferPages, Parallelism: opts.Parallelism}, items)
 	if err != nil {
 		return nil, err
 	}

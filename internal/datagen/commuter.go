@@ -7,6 +7,19 @@ import (
 	"stindex/internal/trajectory"
 )
 
+// The commuter dataset's mix: a commuterFraction of the objects are
+// commuters, parked for at most parkSpan instants per stay and travelling
+// at most transitSpan instants per leg over about commuteDistance; every
+// object is a square of side extent (thin commuters make the tent's dead
+// space dominate).
+const (
+	commuterFraction = 0.4
+	parkSpan         = 30
+	transitSpan      = 6
+	commuteDistance  = 0.5
+	extent           = 0.004
+)
+
 // CommuterConfig parameterises the commuter dataset: a mix of "commuters"
 // — objects that park, travel quickly to a second location and return
 // (tent-shaped trajectories, the figure-4 pathology where one split gains
@@ -17,50 +30,14 @@ type CommuterConfig struct {
 	N       int
 	Horizon int64 // default 1000
 	Seed    int64
-
-	// CommuterFraction of the objects are commuters; default 0.4.
-	CommuterFraction float64
-	// ParkSpan is the (max) parked duration per stay; default 30 instants.
-	ParkSpan int64
-	// TransitSpan is the (max) travel duration per leg; default 6.
-	TransitSpan int64
-	// CommuteDistance is the typical home-work distance; default 0.5.
-	CommuteDistance float64
-	// Extent is the objects' side length; default 0.004 (thin commuters
-	// make the tent's dead space dominate).
-	Extent float64
 }
 
 func (c CommuterConfig) withDefaults() (CommuterConfig, error) {
 	if c.Horizon == 0 {
 		c.Horizon = 1000
 	}
-	if c.CommuterFraction == 0 {
-		c.CommuterFraction = 0.4
-	}
-	if c.ParkSpan == 0 {
-		c.ParkSpan = 30
-	}
-	if c.TransitSpan == 0 {
-		c.TransitSpan = 6
-	}
-	if c.CommuteDistance == 0 {
-		c.CommuteDistance = 0.5
-	}
-	if c.Extent == 0 {
-		c.Extent = 0.004
-	}
 	if c.N <= 0 {
 		return c, fmt.Errorf("datagen: N must be positive, got %d", c.N)
-	}
-	if c.CommuterFraction < 0 || c.CommuterFraction > 1 {
-		return c, fmt.Errorf("datagen: commuter fraction %g outside [0,1]", c.CommuterFraction)
-	}
-	if c.ParkSpan < 1 || c.TransitSpan < 1 {
-		return c, fmt.Errorf("datagen: park/transit spans must be positive")
-	}
-	if c.Extent <= 0 || c.Extent >= 0.2 || c.CommuteDistance <= 0 || c.CommuteDistance >= 1 {
-		return c, fmt.Errorf("datagen: bad extent %g or distance %g", c.Extent, c.CommuteDistance)
 	}
 	return c, nil
 }
@@ -76,7 +53,7 @@ func Commuter(cfg CommuterConfig) ([]*trajectory.Object, error) {
 	for id := 0; id < cfg.N; id++ {
 		var o *trajectory.Object
 		var err error
-		if rng.Float64() < cfg.CommuterFraction {
+		if rng.Float64() < commuterFraction {
 			o, err = commuterObject(rng, int64(id), cfg)
 		} else {
 			o, err = wandererObject(rng, int64(id), cfg)
@@ -92,13 +69,11 @@ func Commuter(cfg CommuterConfig) ([]*trajectory.Object, error) {
 // commuterObject parks at home, transits to work, parks, and returns:
 // park/transit/park/transit/park.
 func commuterObject(rng *rand.Rand, id int64, cfg CommuterConfig) (*trajectory.Object, error) {
-	half := cfg.Extent / 2
-	margin := half + cfg.CommuteDistance + 0.01
-	_ = margin
-	hx := uniform(rng, half+0.01, 1-half-0.01-cfg.CommuteDistance)
-	hy := uniform(rng, half+0.01, 1-half-0.01-cfg.CommuteDistance)
-	wx := hx + cfg.CommuteDistance*uniform(rng, 0.7, 1.0)
-	wy := hy + cfg.CommuteDistance*uniform(rng, 0.7, 1.0)
+	half := extent / 2
+	hx := uniform(rng, half+0.01, 1-half-0.01-commuteDistance)
+	hy := uniform(rng, half+0.01, 1-half-0.01-commuteDistance)
+	wx := hx + commuteDistance*uniform(rng, 0.7, 1.0)
+	wy := hy + commuteDistance*uniform(rng, 0.7, 1.0)
 
 	park := func(t, d int64, x, y float64) trajectory.Segment {
 		return trajectory.Segment{
@@ -119,11 +94,11 @@ func commuterObject(rng *rand.Rand, id int64, cfg CommuterConfig) (*trajectory.O
 		}
 	}
 
-	p1 := 1 + rng.Int63n(cfg.ParkSpan)
-	tr1 := 1 + rng.Int63n(cfg.TransitSpan)
-	p2 := 1 + rng.Int63n(cfg.ParkSpan)
-	tr2 := 1 + rng.Int63n(cfg.TransitSpan)
-	p3 := 1 + rng.Int63n(cfg.ParkSpan)
+	p1 := 1 + rng.Int63n(parkSpan)
+	tr1 := 1 + rng.Int63n(transitSpan)
+	p2 := 1 + rng.Int63n(parkSpan)
+	tr2 := 1 + rng.Int63n(transitSpan)
+	p3 := 1 + rng.Int63n(parkSpan)
 	lifetime := p1 + tr1 + p2 + tr2 + p3
 	if lifetime >= cfg.Horizon {
 		lifetime = cfg.Horizon - 1
@@ -146,9 +121,9 @@ func commuterObject(rng *rand.Rand, id int64, cfg CommuterConfig) (*trajectory.O
 // wandererObject drifts steadily in one direction — a monotone-gain
 // object whose every split helps a little.
 func wandererObject(rng *rand.Rand, id int64, cfg CommuterConfig) (*trajectory.Object, error) {
-	half := cfg.Extent / 2
+	half := extent / 2
 	span := uniform(rng, 0.05, 0.15) // modest drift distance
-	d := cfg.ParkSpan*2 + rng.Int63n(cfg.ParkSpan)
+	d := parkSpan*2 + rng.Int63n(parkSpan)
 	x0 := uniform(rng, half+0.01, 1-half-0.01-span)
 	y0 := uniform(rng, half+0.01, 1-half-0.01-span)
 	start := rng.Int63n(cfg.Horizon - d)

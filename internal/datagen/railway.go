@@ -68,46 +68,32 @@ func RailwayMap() ([]City, []Track) {
 	return cities, tracks
 }
 
-// RailwayConfig parameterises the skewed railway datasets: N trains that
-// make up to MaxStops stops, travel at most MaxTravelHours at a uniform
-// speed in [MinSpeed, MaxSpeed] mph along the map's tracks, never bouncing
-// straight back to the city they came from.
+// The paper's railway datasets (§V): a train makes up to maxStops stops
+// and travels at most maxTravelHours at a uniform speed in [minSpeed,
+// maxSpeed] mph, one time instant standing for hoursPerInstant hours.
+const (
+	maxStops        = 10
+	maxTravelHours  = 36
+	minSpeed        = 60
+	maxSpeed        = 75
+	hoursPerInstant = 2
+)
+
+// RailwayConfig parameterises the skewed railway datasets: N trains moving
+// along the map's tracks, never bouncing straight back to the city they
+// came from.
 type RailwayConfig struct {
 	N       int
 	Horizon int64 // default 1000 instants
 	Seed    int64
-
-	MaxStops        int     // default 10
-	MaxTravelHours  float64 // default 36
-	MinSpeed        float64 // mph, default 60
-	MaxSpeed        float64 // mph, default 75
-	HoursPerInstant float64 // time resolution, default 2h per instant
 }
 
 func (c RailwayConfig) withDefaults() (RailwayConfig, error) {
 	if c.Horizon == 0 {
 		c.Horizon = 1000
 	}
-	if c.MaxStops == 0 {
-		c.MaxStops = 10
-	}
-	if c.MaxTravelHours == 0 {
-		c.MaxTravelHours = 36
-	}
-	if c.MinSpeed == 0 {
-		c.MinSpeed = 60
-	}
-	if c.MaxSpeed == 0 {
-		c.MaxSpeed = 75
-	}
-	if c.HoursPerInstant == 0 {
-		c.HoursPerInstant = 2
-	}
 	if c.N <= 0 {
 		return c, fmt.Errorf("datagen: N must be positive, got %d", c.N)
-	}
-	if c.MinSpeed <= 0 || c.MaxSpeed < c.MinSpeed {
-		return c, fmt.Errorf("datagen: bad speed range [%g,%g]", c.MinSpeed, c.MaxSpeed)
 	}
 	return c, nil
 }
@@ -154,8 +140,8 @@ func Railway(cfg RailwayConfig) ([]*trajectory.Object, error) {
 func railwayTrain(rng *rand.Rand, id int64, cfg RailwayConfig, cities []City,
 	adj [][]int, norm func(City) (float64, float64)) (*trajectory.Object, error) {
 
-	speed := uniform(rng, cfg.MinSpeed, cfg.MaxSpeed)
-	stops := 1 + rng.Intn(cfg.MaxStops)
+	speed := uniform(rng, minSpeed, maxSpeed)
+	stops := 1 + rng.Intn(maxStops)
 
 	// Random walk over the track graph with no immediate backtracking.
 	route := []int{rng.Intn(len(cities))}
@@ -174,7 +160,7 @@ func railwayTrain(rng *rand.Rand, id int64, cfg RailwayConfig, cities []City,
 		}
 		next := options[rng.Intn(len(options))]
 		d := cityDistance(cities[cur], cities[next])
-		if hours+d/speed > cfg.MaxTravelHours {
+		if hours+d/speed > maxTravelHours {
 			break
 		}
 		hours += d / speed
@@ -201,7 +187,7 @@ func railwayTrain(rng *rand.Rand, id int64, cfg RailwayConfig, cities []City,
 	for i := 0; i+1 < len(route); i++ {
 		d := cityDistance(cities[route[i]], cities[route[i+1]])
 		legHours := d / speed
-		inst := int64(math.Round(legHours / cfg.HoursPerInstant))
+		inst := int64(math.Round(legHours / hoursPerInstant))
 		if inst < 1 {
 			inst = 1
 		}

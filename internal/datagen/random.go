@@ -12,11 +12,23 @@ import (
 	"stindex/internal/trajectory"
 )
 
-// RandomConfig parameterises the uniform moving-rectangles datasets
-// (paper §V): lifetimes uniform in [MinLifetime, MaxLifetime], movement
-// approximated by a uniform number of polynomial segments of degree one or
-// two, everything normalised to the unit square, rectangle side extents
-// uniform in [MinExtent, MaxExtent] of the space.
+// The paper's random datasets (§V): lifetimes uniform in
+// [minLifetime, RandomConfig.MaxLifetime], movement approximated by a
+// uniform number of polynomial segments of degree one or two in
+// [minSegments, maxSegments], everything normalised to the unit square,
+// rectangle side extents uniform in [minExtent, maxExtent] of the space,
+// and a changingExtentFraction of the objects whose extent also grows or
+// shrinks linearly over each segment (figure 6 motion).
+const (
+	minLifetime            = 1
+	minSegments            = 1
+	maxSegments            = 10
+	minExtent              = 0.001
+	maxExtent              = 0.01
+	changingExtentFraction = 0.25
+)
+
+// RandomConfig parameterises the uniform moving-rectangles datasets.
 type RandomConfig struct {
 	N       int   // number of objects
 	Horizon int64 // evolution covers time [0, Horizon)
@@ -27,51 +39,22 @@ type RandomConfig struct {
 	// whole dataset streams through bounded memory.
 	FirstID int64
 
-	MinLifetime, MaxLifetime int64   // default 1, 100
-	MinSegments, MaxSegments int     // default 1, 10
-	MinExtent, MaxExtent     float64 // default 1/1000, 1/100 of the space
-	// ChangingExtentFraction is the fraction of objects whose extent also
-	// grows or shrinks linearly over each segment (figure 6 motion).
-	ChangingExtentFraction float64 // default 0.25
+	MaxLifetime int64 // default 100
 }
 
 func (c RandomConfig) withDefaults() (RandomConfig, error) {
 	if c.Horizon == 0 {
 		c.Horizon = 1000
 	}
-	if c.MinLifetime == 0 {
-		c.MinLifetime = 1
-	}
 	if c.MaxLifetime == 0 {
 		c.MaxLifetime = 100
-	}
-	if c.MinSegments == 0 {
-		c.MinSegments = 1
-	}
-	if c.MaxSegments == 0 {
-		c.MaxSegments = 10
-	}
-	if c.MinExtent == 0 {
-		c.MinExtent = 0.001
-	}
-	if c.MaxExtent == 0 {
-		c.MaxExtent = 0.01
-	}
-	if c.ChangingExtentFraction == 0 {
-		c.ChangingExtentFraction = 0.25
 	}
 	if c.N <= 0 {
 		return c, fmt.Errorf("datagen: N must be positive, got %d", c.N)
 	}
-	if c.MinLifetime < 1 || c.MaxLifetime < c.MinLifetime || c.MaxLifetime > c.Horizon {
+	if c.MaxLifetime < minLifetime || c.MaxLifetime > c.Horizon {
 		return c, fmt.Errorf("datagen: bad lifetime range [%d,%d] for horizon %d",
-			c.MinLifetime, c.MaxLifetime, c.Horizon)
-	}
-	if c.MinSegments < 1 || c.MaxSegments < c.MinSegments {
-		return c, fmt.Errorf("datagen: bad segment range [%d,%d]", c.MinSegments, c.MaxSegments)
-	}
-	if c.MinExtent <= 0 || c.MaxExtent < c.MinExtent || c.MaxExtent >= 0.5 {
-		return c, fmt.Errorf("datagen: bad extent range [%g,%g]", c.MinExtent, c.MaxExtent)
+			minLifetime, c.MaxLifetime, c.Horizon)
 	}
 	return c, nil
 }
@@ -99,14 +82,14 @@ func Random(cfg RandomConfig) ([]*trajectory.Object, error) {
 }
 
 func randomObject(rng *rand.Rand, id int64, cfg RandomConfig) (*trajectory.Object, error) {
-	lifetime := cfg.MinLifetime + rng.Int63n(cfg.MaxLifetime-cfg.MinLifetime+1)
+	lifetime := minLifetime + rng.Int63n(cfg.MaxLifetime-minLifetime+1)
 	start := rng.Int63n(cfg.Horizon - lifetime + 1)
 
-	exW := uniform(rng, cfg.MinExtent, cfg.MaxExtent)
-	exH := uniform(rng, cfg.MinExtent, cfg.MaxExtent)
-	changing := rng.Float64() < cfg.ChangingExtentFraction
+	exW := uniform(rng, minExtent, maxExtent)
+	exH := uniform(rng, minExtent, maxExtent)
+	changing := rng.Float64() < changingExtentFraction
 
-	nSegs := cfg.MinSegments + rng.Intn(cfg.MaxSegments-cfg.MinSegments+1)
+	nSegs := minSegments + rng.Intn(maxSegments-minSegments+1)
 	if int64(nSegs) > lifetime {
 		nSegs = int(lifetime)
 	}
@@ -119,7 +102,7 @@ func randomObject(rng *rand.Rand, id int64, cfg RandomConfig) (*trajectory.Objec
 		maxEx = exH
 	}
 	if changing {
-		maxEx = cfg.MaxExtent
+		maxEx = maxExtent
 	}
 	margin := maxEx/2 + 1e-9
 
@@ -148,8 +131,8 @@ func randomObject(rng *rand.Rand, id int64, cfg RandomConfig) (*trajectory.Objec
 		}
 		hw0, hh0 := exW/2, exH/2
 		if changing {
-			hw1 := uniform(rng, cfg.MinExtent, cfg.MaxExtent) / 2
-			hh1 := uniform(rng, cfg.MinExtent, cfg.MaxExtent) / 2
+			hw1 := uniform(rng, minExtent, maxExtent) / 2
+			hh1 := uniform(rng, minExtent, maxExtent) / 2
 			seg.HalfW = bezier1Poly(hw0, hw1, float64(d))
 			seg.HalfH = bezier1Poly(hh0, hh1, float64(d))
 			exW, exH = hw1*2, hh1*2

@@ -61,7 +61,7 @@ func Build(cfg Config) ([]BuildRow, error) {
 		row.PackedTime, row.PackedPage = time.Since(t0), packed.Pages()
 
 		t0 = time.Now()
-		hr, err := stx.BuildHR(records, stx.HROptions{})
+		hr, err := stx.BuildHR(records)
 		if err != nil {
 			return nil, err
 		}

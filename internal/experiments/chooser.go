@@ -30,7 +30,7 @@ func Chooser(cfg Config) ([]ChooserRow, error) {
 	// Use a denser evolution (longer lifetimes) than the headline figures.
 	n := cfg.Sizes[len(cfg.Sizes)-1] * 2
 	objsInternal, err := datagen.Random(datagen.RandomConfig{
-		N: n, Horizon: cfg.Horizon, Seed: cfg.Seed + int64(n),
+		N: n, Horizon: horizon, Seed: cfg.Seed + int64(n),
 		MaxLifetime: 250,
 	})
 	if err != nil {

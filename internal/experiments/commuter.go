@@ -24,7 +24,7 @@ type Fig14CommuterRow struct {
 func Fig14Commuter(cfg Config) ([]Fig14CommuterRow, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]
-	objs, err := datagen.Commuter(datagen.CommuterConfig{N: n, Horizon: cfg.Horizon, Seed: cfg.Seed})
+	objs, err := datagen.Commuter(datagen.CommuterConfig{N: n, Horizon: horizon, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

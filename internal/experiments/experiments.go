@@ -18,6 +18,10 @@ import (
 	"stindex/internal/trajectory"
 )
 
+// horizon is the paper's evolution length: every dataset and query set
+// spans 1000 instants.
+const horizon = 1000
+
 // Config controls an experiment run.
 type Config struct {
 	// Sizes are the dataset sizes; nil selects {500, 1000, 2000, 4000}
@@ -25,8 +29,6 @@ type Config struct {
 	Sizes []int
 	// FullScale switches the default sizes to the published ones.
 	FullScale bool
-	// Horizon is the evolution length; 0 means the paper's 1000 instants.
-	Horizon int64
 	// Queries per set; 0 means the paper's 1000.
 	Queries int
 	// Seed for data and query generation.
@@ -49,9 +51,6 @@ func (c Config) withDefaults() Config {
 			c.Sizes = []int{500, 1000, 2000, 4000}
 		}
 	}
-	if c.Horizon == 0 {
-		c.Horizon = 1000
-	}
 	if c.Queries == 0 {
 		c.Queries = 1000
 	}
@@ -67,18 +66,18 @@ func (c Config) printf(format string, args ...interface{}) {
 
 // randomDataset generates the uniform dataset of the given size.
 func (c Config) randomDataset(n int) ([]*trajectory.Object, error) {
-	return datagen.Random(datagen.RandomConfig{N: n, Horizon: c.Horizon, Seed: c.Seed + int64(n)})
+	return datagen.Random(datagen.RandomConfig{N: n, Horizon: horizon, Seed: c.Seed + int64(n)})
 }
 
 // railwayDataset generates the skewed dataset of the given size.
 func (c Config) railwayDataset(n int) ([]*trajectory.Object, error) {
-	return datagen.Railway(datagen.RailwayConfig{N: n, Horizon: c.Horizon, Seed: c.Seed + int64(n)})
+	return datagen.Railway(datagen.RailwayConfig{N: n, Horizon: horizon, Seed: c.Seed + int64(n)})
 }
 
 // queries generates one of the standard query sets, truncated to
 // c.Queries.
 func (c Config) queries(set datagen.QuerySetName) ([]datagen.Query, error) {
-	cfg, err := datagen.StandardQueryConfig(set, c.Horizon, c.Seed+777)
+	cfg, err := datagen.StandardQueryConfig(set, horizon, c.Seed+777)
 	if err != nil {
 		return nil, err
 	}

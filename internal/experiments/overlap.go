@@ -44,7 +44,7 @@ func Overlap(cfg Config) ([]OverlapRow, error) {
 		}
 		records := lagreedyRecords(objs, n*3/2, cfg.Parallelism)
 
-		hr, err := stx.BuildHR(records, stx.HROptions{})
+		hr, err := stx.BuildHR(records)
 		if err != nil {
 			return nil, err
 		}

@@ -84,7 +84,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	cfg.printf("%-16s %12s %14s %10s\n", "Set", "Cardinality", "Extents (%)", "Duration")
 	var rows []Table2Row
 	for _, set := range datagen.StandardQuerySets {
-		qcfg, err := datagen.StandardQueryConfig(set, cfg.Horizon, cfg.Seed)
+		qcfg, err := datagen.StandardQueryConfig(set, horizon, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"stindex/internal/geom"
 	"stindex/internal/nodes"
@@ -243,12 +244,14 @@ func (t *Tree) advance(time int64) error {
 
 // privatize returns a mutable node of the current version for n, which
 // a descent read shared: n read for update when it is fresh, otherwise a
-// new page with the same content.
+// new page with the same content. The copy has room for the entry the
+// update that privatized it may add, plus its size class's spare room, so
+// that append need not grow it again.
 func (t *Tree) privatize(n *hnode) (*hnode, error) {
 	if t.fresh[n.id] {
 		return t.nodes.Read(n.id)
 	}
-	return t.newNode(n.leaf, append([]hentry(nil), n.entries...))
+	return t.newNode(n.leaf, append(slices.Grow([]hentry(nil), len(n.entries)+1), n.entries...))
 }
 
 // newNode allocates and writes a fresh node holding entries.

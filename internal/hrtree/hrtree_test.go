@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"stindex/internal/geom"
@@ -249,6 +250,48 @@ func TestHNodeRoundTrip(t *testing.T) {
 		if got.entries[i] != n.entries[i] {
 			t.Fatalf("entry %d differs", i)
 		}
+	}
+}
+
+// TestPrivatizedCopyHasRoomButNoOverfullWrite: the copy privatize makes
+// of a shared node takes the update's next entry without growing, and the
+// room does not let a node past its capacity onto a page.
+func TestPrivatizedCopyHasRoomButNoOverfullWrite(t *testing.T) {
+	tree, err := New(Options{MaxEntries: 10}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := tree.Insert(geom.Rect{MinX: 0.1 * float64(i), MaxX: 0.1*float64(i) + 0.05, MaxY: 0.05}, uint64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = tree.Batch(func() error {
+		if err := tree.advance(1); err != nil {
+			return err
+		}
+		shared, err := tree.nodes.ReadShared(tree.current().page)
+		if err != nil {
+			return err
+		}
+		n, err := tree.privatize(shared)
+		if err != nil {
+			return err
+		}
+		if n.id == shared.id || len(n.entries) != 6 || cap(n.entries) < 7 {
+			return fmt.Errorf("privatized copy: page %d of %d, %d entries, capacity %d", n.id, shared.id, len(n.entries), cap(n.entries))
+		}
+		for len(n.entries) <= tree.opts.MaxEntries {
+			n.entries = append(n.entries, n.entries[0])
+		}
+		if err := tree.nodes.Write(n); err == nil || !strings.Contains(err.Error(), "exceeding capacity") {
+			return fmt.Errorf("write of %d entries over capacity %d: %v", len(n.entries), tree.opts.MaxEntries, err)
+		}
+		n.entries = n.entries[:6]
+		return tree.nodes.Write(n)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -19,8 +19,6 @@ type FitConfig struct {
 	// between the raw rectangle and the fitted one (measured on each
 	// rectangle side). Default 0.005 (half a percent of the unit space).
 	Tolerance float64
-	// MaxSegmentLength optionally caps segment duration; 0 = unlimited.
-	MaxSegmentLength int
 }
 
 func (c FitConfig) withDefaults() (FitConfig, error) {
@@ -35,9 +33,6 @@ func (c FitConfig) withDefaults() (FitConfig, error) {
 	}
 	if c.Tolerance < 0 {
 		return c, fmt.Errorf("trajectory: negative tolerance %g", c.Tolerance)
-	}
-	if c.MaxSegmentLength < 0 {
-		return c, fmt.Errorf("trajectory: negative MaxSegmentLength")
 	}
 	return c, nil
 }
@@ -117,10 +112,6 @@ func FitObject(id, start int64, rects []geom.Rect, cfg FitConfig) (*Object, floa
 // ixFitLongest returns the largest hi such that [lo, hi) fits within the
 // tolerance, using exponential growth plus binary search.
 func ixFitLongest(cx, cy, hw, hh []float64, lo, n int, cfg FitConfig) int {
-	limit := n
-	if cfg.MaxSegmentLength > 0 && lo+cfg.MaxSegmentLength < n {
-		limit = lo + cfg.MaxSegmentLength
-	}
 	feasible := func(hi int) bool {
 		return segmentFits(cx[lo:hi], cfg) && segmentFits(cy[lo:hi], cfg) &&
 			segmentFits(hw[lo:hi], cfg) && segmentFits(hh[lo:hi], cfg)
@@ -128,10 +119,10 @@ func ixFitLongest(cx, cy, hw, hh []float64, lo, n int, cfg FitConfig) int {
 	// A single instant always fits (degree-0 through one point).
 	best := lo + 1
 	step := 1
-	for best < limit {
+	for best < n {
 		next := best + step
-		if next > limit {
-			next = limit
+		if next > n {
+			next = n
 		}
 		if !feasible(next) {
 			break
@@ -141,8 +132,8 @@ func ixFitLongest(cx, cy, hw, hh []float64, lo, n int, cfg FitConfig) int {
 	}
 	// Binary search between best (feasible) and best+step (infeasible).
 	loB, hiB := best, best+step
-	if hiB > limit {
-		hiB = limit
+	if hiB > n {
+		hiB = n
 	}
 	for loB < hiB {
 		mid := (loB + hiB + 1) / 2

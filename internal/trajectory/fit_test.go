@@ -99,27 +99,6 @@ func TestFitHigherDegreeNeedsFewerSegments(t *testing.T) {
 	}
 }
 
-func TestFitMaxSegmentLength(t *testing.T) {
-	raw := rasterise(50,
-		func(float64) float64 { return 0.5 },
-		func(float64) float64 { return 0.5 },
-		func(float64) float64 { return 0.01 },
-		func(float64) float64 { return 0.01 },
-	)
-	segs, err := FitSegments(0, raw, FitConfig{MaxSegmentLength: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 5 {
-		t.Fatalf("expected 5 capped segments, got %d", len(segs))
-	}
-	for _, s := range segs {
-		if s.End-s.Start > 10 {
-			t.Fatalf("segment %v exceeds the cap", s)
-		}
-	}
-}
-
 func TestFitNoisyTrackStaysWithinTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	raw := rasterise(200,

@@ -26,7 +26,7 @@ func goldenWorkload(t *testing.T) (ppr, rst, hr Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := BuildHR(records, HROptions{})
+	h, err := BuildHR(records)
 	if err != nil {
 		t.Fatal(err)
 	}

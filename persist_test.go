@@ -501,7 +501,7 @@ func TestStreamSnapshotRoundTrip(t *testing.T) {
 func TestPersistRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	small := UnsplitRecords(genObjects(t, 20, 3))
-	hr, err := BuildHR(small, HROptions{})
+	hr, err := BuildHR(small)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"stindex/internal/datagen"
 	"stindex/internal/pagefile"
 	"stindex/internal/stio"
+	"stindex/internal/trajectory"
 )
 
 // The digests below were recorded on the commit before the offline build
@@ -163,7 +164,7 @@ func TestBuildBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hr, err := BuildHR(records, HROptions{})
+		hr, err := BuildHR(records)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,6 +279,68 @@ func TestStreamImagePinned(t *testing.T) {
 	for name, want := range pinnedStreamImages {
 		if got[name] != want {
 			t.Errorf("%s: %s, pinned %s", name, got[name], want)
+		}
+	}
+}
+
+// pinnedGenerators holds the SHA-256 of stio.WriteObjects' output for
+// each generator the paper's datasets come from, at two seeds, the
+// commuter family and the chooser's longer lifetimes included: a changed
+// default, constant or random draw in a generator fails here.
+var pinnedGenerators = map[string]string{
+	"datagen.Random/1":           "62cb1229b390d1c77e5afe804fcb18cd6b376005849af568eff601c265c65150",
+	"datagen.Random/2":           "0d5f03eaf8423463f6770b138d1fc29d0463cf5e643279df19ea0ee31e37ccb6",
+	"datagen.Random/lifetime250": "80da5eabec1fc2a2de4f4018be39f93e95edb73471e9471c0161f5b8eb517472",
+	"datagen.Railway/1":          "97ef89dae7b2c63f71f951b2be4234c5354ce921dba175d5477a9722c23aa254",
+	"datagen.Railway/2":          "855717480d9fcfcd533d0b9ed491062635f4850d16430837c4ecb3008d6a739e",
+	"datagen.Commuter/1":         "38204f48f7a4a548fda6fed1d0c925e6422c7ea3b7be336fd07d51fa0296c03b",
+	"datagen.Commuter/2":         "43a88c6a3e3d5c5d4d08543610094f16eccc7e60fcaeae65b8b31620156e097d",
+	"GenerateRandom/1":           "b650297adebd181d5c68e151be88836ddd33ed3468aecb641e6c75cf7228d20a",
+	"GenerateRandom/2":           "fde1eed4ce892c1cccaebb619a2e51fd927892419d8af3477b16fcaf4f2c3679",
+	"GenerateRailway/1":          "4f7f08b61bdfc2609f8b0cef68b676cd4ca3555bf2fb59a711a735eb72794ad1",
+	"GenerateRailway/2":          "25923ef3986fe679bb353d18ab454f7848feb24eabb41f1b3bc1a511ce7f0b31",
+}
+
+func TestGeneratorsPinned(t *testing.T) {
+	facade := func(objs []*Object, err error) ([]*trajectory.Object, error) {
+		inner := make([]*trajectory.Object, len(objs))
+		for i, o := range objs {
+			inner[i] = o.inner
+		}
+		return inner, err
+	}
+	gens := map[string]func() ([]*trajectory.Object, error){}
+	for _, seed := range []int64{1, 2} {
+		gens[fmt.Sprintf("datagen.Random/%d", seed)] = func() ([]*trajectory.Object, error) {
+			return datagen.Random(datagen.RandomConfig{N: 400, Seed: seed})
+		}
+		gens[fmt.Sprintf("datagen.Railway/%d", seed)] = func() ([]*trajectory.Object, error) {
+			return datagen.Railway(datagen.RailwayConfig{N: 400, Seed: seed})
+		}
+		gens[fmt.Sprintf("datagen.Commuter/%d", seed)] = func() ([]*trajectory.Object, error) {
+			return datagen.Commuter(datagen.CommuterConfig{N: 400, Seed: seed})
+		}
+		gens[fmt.Sprintf("GenerateRandom/%d", seed)] = func() ([]*trajectory.Object, error) {
+			return facade(GenerateRandom(RandomDatasetConfig{N: 400, Horizon: 600, Seed: seed}))
+		}
+		gens[fmt.Sprintf("GenerateRailway/%d", seed)] = func() ([]*trajectory.Object, error) {
+			return facade(GenerateRailway(RailwayDatasetConfig{N: 400, Horizon: 600, Seed: seed}))
+		}
+	}
+	gens["datagen.Random/lifetime250"] = func() ([]*trajectory.Object, error) {
+		return datagen.Random(datagen.RandomConfig{N: 400, Seed: 3, MaxLifetime: 250, FirstID: 1000})
+	}
+	for name, want := range pinnedGenerators {
+		objs, err := gens[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := sha256.New()
+		if err := stio.WriteObjects(h, objs); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s: %s, pinned %s", name, got, want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func buildQueryTestKinds(t *testing.T, objs []*Object) []queryTestKind {
 	if err != nil {
 		t.Fatalf("BuildRStar: %v", err)
 	}
-	hr, err := BuildHR(records, HROptions{})
+	hr, err := BuildHR(records)
 	if err != nil {
 		t.Fatalf("BuildHR: %v", err)
 	}

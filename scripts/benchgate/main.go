@@ -6,6 +6,11 @@
 // failure; ns/op depends on the runner and is only printed as a warning
 // when it is more than 25% above the row.
 //
+// A benchmark whose regressions are a small share of its allocations
+// carries a tighter allocs/op bound of its own beside its rows, as a
+// fraction ("allocs_slack": 0.01 allows +1%). A value above 0.25, or
+// below 0, is refused with exit status 2.
+//
 //	go test . ./internal/alloc ./internal/split ./internal/rstar ./internal/hrtree ./internal/pprtree ./internal/stream ./internal/ingest ./internal/sharding ./internal/stio -run NONE \
 //	    -bench 'BenchmarkSplitDataset|BenchmarkChooseBudgetBySampling|BenchmarkMergePlan|BenchmarkBuildCurvesParallel|BenchmarkMaterializeParallel|BenchmarkBulkLoadSTRParallel|BenchmarkLAGreedy$|BenchmarkBuild$|BenchmarkInsert$|BenchmarkBuildHR$|BenchmarkStreamApply|BenchmarkDecodeBatch|BenchmarkFreeze|BenchmarkPartition|BenchmarkObservationsFromObjects' \
 //	    -benchtime 3x | go run ./scripts/benchgate BENCH_parallel.json
@@ -30,11 +35,12 @@ type row struct {
 
 type benchFile struct {
 	Benchmarks map[string]struct {
-		After *row `json:"after"`
+		After       *row     `json:"after"`
+		AllocsSlack *float64 `json:"allocs_slack"` // nil: the shared slack
 	} `json:"benchmarks"`
 }
 
-const slack = 1.25
+const slack = 0.25
 
 // procSuffix is the -GOMAXPROCS suffix the testing package appends to a
 // benchmark's name.
@@ -51,6 +57,11 @@ func main() {
 	var committed benchFile
 	if err := json.Unmarshal(data, &committed); err != nil {
 		die("%s: %v", os.Args[1], err)
+	}
+	for name, b := range committed.Benchmarks {
+		if s := b.AllocsSlack; s != nil && (*s < 0 || *s > slack) {
+			die("%s: %s allocs_slack %g outside [0, %g]", os.Args[1], name, *s, slack)
+		}
 	}
 
 	measured := map[string]row{}
@@ -92,20 +103,24 @@ func main() {
 	failed := false
 	for _, name := range names {
 		want := *committed.Benchmarks[name].After
+		allocsSlack := slack
+		if s := committed.Benchmarks[name].AllocsSlack; s != nil {
+			allocsSlack = *s
+		}
 		got, ok := measured[name]
 		switch {
 		case !ok:
 			fmt.Printf("FAIL: %s is recorded in %s but did not run\n", name, os.Args[1])
 			failed = true
-		case got.AllocsPerOp > want.AllocsPerOp*slack:
-			fmt.Printf("FAIL: %s allocates %.0f allocs/op, committed row %.0f (+25%% allowed)\n",
-				name, got.AllocsPerOp, want.AllocsPerOp)
+		case got.AllocsPerOp > want.AllocsPerOp*(1+allocsSlack):
+			fmt.Printf("FAIL: %s allocates %.0f allocs/op, committed row %.0f (+%g%% allowed)\n",
+				name, got.AllocsPerOp, want.AllocsPerOp, 100*allocsSlack)
 			failed = true
-		case want.BytesPerOp > 0 && got.BytesPerOp > want.BytesPerOp*slack:
+		case want.BytesPerOp > 0 && got.BytesPerOp > want.BytesPerOp*(1+slack):
 			fmt.Printf("FAIL: %s allocates %.0f B/op, committed row %.0f (+25%% allowed)\n",
 				name, got.BytesPerOp, want.BytesPerOp)
 			failed = true
-		case got.NsPerOp > want.NsPerOp*slack:
+		case got.NsPerOp > want.NsPerOp*(1+slack):
 			fmt.Printf("warning: %s took %.0f ns/op, committed row %.0f (wall clock is not gated)\n",
 				name, got.NsPerOp, want.NsPerOp)
 		}
@@ -113,7 +128,7 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks within 25%% of their committed allocs/op and B/op\n", len(names))
+	fmt.Printf("benchgate: %d benchmarks within their slack of their committed allocs/op and B/op\n", len(names))
 }
 
 func die(format string, args ...interface{}) {

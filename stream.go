@@ -45,10 +45,8 @@ func NewStreamIndex(opts StreamOptions, startTime int64) (*StreamIndex, error) {
 		Lambda: opts.Lambda,
 		Tree: pprtree.Options{
 			MaxEntries:  opts.PPR.MaxEntries,
-			PVersion:    opts.PPR.PVersion,
 			PSvo:        opts.PPR.PSvo,
 			PSvu:        opts.PPR.PSvu,
-			PageSize:    opts.PPR.PageSize,
 			BufferPages: opts.PPR.BufferPages,
 		},
 	}, startTime)
